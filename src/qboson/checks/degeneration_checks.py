@@ -26,7 +26,7 @@ from qboson.degenerations import (
     sd_pipeline,
     spectral_orthogonality_sides,
 )
-from qboson.eigenfunctions import EigenFamily, eigen_eval
+from qboson.eigenfunctions import EigenFamily, EigenTable, eigen_eval
 from qboson.plancherel import SpectralFn, composition_table
 from qboson.qcore import WeylVector, weyl_vectors_in_box
 from qboson.report import Accumulator, Report
@@ -117,14 +117,12 @@ def check_eps_deriv_relation(q: float = 0.5, tolerance: float = 1e-12,
         n = random_weyl(rng, k, lo=-4, hi=4)
         eps = float(rng.uniform(0.2, 1.2))
         z = random_spectral(rng, k, center=eps + 0.0j, rmin=0.6, rmax=1.8)
-        fam_c = EigenFamily("eps-cfwd", q, eps)
-        d_sum = sum(e.value * eigen_eval(fam_c, z, e.target, validate=False)
-                    for e in deriv_matrices(n, "right", eps, q))
+        psi_c = EigenTable(EigenFamily("eps-cfwd", q, eps), z, validate=False)
+        d_sum = sum(e.value * psi_c(e.target) for e in deriv_matrices(n, "right", eps, q))
         d_exact = psi_cfwd_eps_derivative(z, n, eps, q)
         acc.add(f"right expansion k={k}", d_sum, d_exact, 1e-11)
-        fam_l = EigenFamily("eps-left", q, eps)
-        d_sum = sum(e.value * eigen_eval(fam_l, z, e.target, validate=False)
-                    for e in deriv_matrices(n, "left", eps, q))
+        psi_l = EigenTable(EigenFamily("eps-left", q, eps), z, validate=False)
+        d_sum = sum(e.value * psi_l(e.target) for e in deriv_matrices(n, "left", eps, q))
         d_exact = psi_left_eps_derivative(z, n, eps, q)
         acc.add(f"left expansion k={k}", d_sum, d_exact, 1e-11)
     # the intertwining relation at single clusters, the worked two-block
@@ -198,7 +196,7 @@ def check_sd_eigen(tolerance: float = 1e-10, seed: int = 0) -> Report:
         for side, gen in (("left", "bwd"), ("cfwd", "cfwd"), ("right", "fwd")):
             fam = EigenFamily(f"sd-{side}", 0.5)
             gk = GeneratorKind(gen, "sd", 0.5)
-            psi = lambda m, _f=fam: eigen_eval(_f, z, m, validate=False)
+            psi = EigenTable(fam, z, validate=False)
             acc.add(f"sd-{side} k={k}", generator_apply(gk, psi, n), ev * psi(n), tolerance)
         # reflection symmetry
         fam_l = EigenFamily("sd-left", 0.5)

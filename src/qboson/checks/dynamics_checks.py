@@ -161,15 +161,20 @@ def check_identity_mqinverse(q: float = 0.5, m_max: int = 6, tolerance: float = 
 
 def check_identity_qbinomial(q: float = 0.5, k_max: int = 5, tolerance: float = 1e-10,
                              seed: int = 0) -> Report:
+    """Each comparison is gated on tolerance plus the identity's own bound on
+    the rounding of its lhs, whose 2^k terms cancel (see identity_qbinomial)."""
     rng = np.random.default_rng(seed)
     acc = Accumulator("identity-qbinomial", {"q": q, "k_max": k_max}, seed)
     for k in range(1, k_max + 1):
         alpha = float(rng.uniform(0.0, q**k))
         z = random_spectral(rng, k, center=0.0, rmin=0.8, rmax=3.0)
         r = identity_qbinomial(k, q, alpha, z)
-        acc.add(f"k={k} alpha={alpha:.3f}", r.lhs, r.rhs, tolerance)
+        acc.add(f"k={k} alpha={alpha:.3f}", r.lhs, r.rhs, tolerance + r.rounding_bound)
     r = identity_qbinomial(2, q, 0.1, [2.0, 3.0])
-    acc.add("k=2 frozen 0.48", r.lhs, 0.48, tolerance)
+    acc.add("k=2 closed form", r.lhs, (1.0 - 0.1 / q) * (1.0 - 0.1 / q**2),
+            tolerance + r.rounding_bound)
+    r = identity_qbinomial(2, 0.5, 0.1, [2.0, 3.0])
+    acc.add("k=2 q=0.5 anchor 0.48", r.lhs, 0.48, tolerance + r.rounding_bound)
     return acc.report()
 
 
@@ -184,8 +189,8 @@ def check_identity_halfstat(q: float = 0.5, k_max: int = 3, tolerance: float = 1
              for j in range(k)]
         r = identity_halfstat_transform(k, q, alpha, z, depth=40 + 10 * k)
         acc.add(f"k={k} alpha={alpha:.3f}", r.lhs, r.rhs, tolerance, tail=r.tail_bound)
-    r = identity_halfstat_transform(1, q, 0.05, [0.9], depth=120)
-    acc.add("k=1 frozen -0.125", r.lhs, -0.125, tolerance, tail=r.tail_bound)
+    r = identity_halfstat_transform(1, 0.5, 0.05, [0.9], depth=120)
+    acc.add("k=1 q=0.5 anchor -0.125", r.lhs, -0.125, tolerance, tail=r.tail_bound)
     # residual decreases geometrically with the predicted ratio
     z = [0.85]
     deep = identity_halfstat_transform(1, q, 0.05, z, depth=60)

@@ -15,7 +15,7 @@ from qboson.contours import (
     single_gamma,
 )
 from qboson.degenerations import admissible_F, spectral_orthogonality_sides
-from qboson.eigenfunctions import EigenFamily, eigen_eval, p_map
+from qboson.eigenfunctions import EigenFamily, EigenTable, p_map
 from qboson.plancherel import (
     SpectralFn,
     composition_table,
@@ -160,7 +160,7 @@ def check_plancherel_dual(q: float = 0.5, max_degree: int = 3, n_points: int = 2
             boundary = [i for i, n_ in enumerate(window)
                         if n_.coords[0] in (hi, hi - 1) or n_.coords[-1] in (lo, lo + 1)]
             for z in zs_pool:
-                psi = [eigen_eval(fam, z, n_, validate=False) for n_ in window]
+                psi = EigenTable(fam, z, validate=False).states([n_.coords for n_ in window])
                 total = sum(v * p for v, p in zip(jg, psi))
                 # boundary shells (analytically zero) witness the support
                 # bound; their weighted magnitude certifies the truncation

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from qboson.checks import random_spectral, random_weyl
-from qboson.eigenfunctions import EigenFamily, eigen_eval
+from qboson.eigenfunctions import EigenFamily, EigenTable
 from qboson.generators import (
     GeneratorKind,
     StateBox,
@@ -44,7 +44,7 @@ def check_eigen_relation(q: float = 0.5, eps: float = 0.6, samples: int = 100,
             for side in ("left", "cfwd", "right"):
                 fam = EigenFamily(f"{model}-{side}", qq, ee)
                 gk = GeneratorKind(_SIDE_TO_GEN[side], model, qq, ee)
-                psi = lambda m, _f=fam: eigen_eval(_f, z, m, validate=False)
+                psi = EigenTable(fam, z, validate=False)
                 lhs = generator_apply(gk, psi, n)
                 rhs = fam.eigenvalue(z) * psi(n)
                 acc.add(f"{model}-{side} k={k} n={n.coords}", lhs, rhs, tolerance)
@@ -72,33 +72,12 @@ def check_boundary_conditions(q: float = 0.5, eps: float = 0.6, samples: int = 1
                 gk = GeneratorKind(free_kind, model, qq, ee)
                 # the boundary conditions live on Z^k: probe the raw
                 # symmetrized-sum formula, no coordinate sorting
-                u = _raw_eigen(fam, z)
+                table = EigenTable(fam, z, validate=False)
+                u = lambda coords: table.states(coords)[0]
                 res = boundary_residual(gk, u, i, n)
                 scale = 1.0 + abs(u(n.coords))
                 acc.add_residual(f"{model}-{side} k={k} i={i}", abs(res) / scale, tolerance)
     return acc.report()
-
-
-def _raw_eigen(fam: EigenFamily, z):
-    """The symmetrized-sum formula as a function on all of Z^k (no sorting)."""
-    import itertools
-
-    zs = [complex(v) for v in z]
-    k = len(zs)
-
-    def u(coords) -> complex:
-        total = 0.0 + 0.0j
-        for perm in itertools.permutations(range(k)):
-            term = 1.0 + 0.0j
-            for j in range(k):
-                term *= fam.base(zs[perm[j]]) ** (fam.power_sign() * coords[j])
-            for b in range(k):
-                for a in range(b + 1, k):
-                    term *= fam.scattering(zs[perm[a]], zs[perm[b]])
-            total += term
-        return total
-
-    return u
 
 
 def check_pt_invariance(q: float = 0.5, eps: float = 0.4, box_radius: int = 4,
@@ -146,10 +125,10 @@ def check_extended_operator(q: float = 0.5, samples: int = 60,
         order = rng.permutation(len(blocks))
         coords = tuple(v for b in order for v in blocks[b])
         z = random_spectral(rng, k)
-        fam = EigenFamily("qboson-left", q)
+        psi = EigenTable(EigenFamily("qboson-left", q), z, validate=False)
 
         def psi_ext(cs_):
-            return eigen_eval(fam, z, WeylVector(tuple(sorted(cs_, reverse=True))), validate=False)
+            return psi(WeylVector(tuple(sorted(cs_, reverse=True))))
 
         lhs = extended_apply(psi_ext, coords, q)
         rhs = (q - 1.0) * sum(z) * psi_ext(coords)
@@ -162,8 +141,8 @@ def check_extended_operator(q: float = 0.5, samples: int = 60,
         base = sorted(rng.choice(np.arange(-5, 6), size=k, replace=False).tolist(), reverse=True)
         coords = tuple(int(v) for v in rng.permutation(base))
         z = random_spectral(rng, k)
-        fam = EigenFamily("qboson-left", q)
-        psi_ext = lambda cs_: eigen_eval(fam, z, WeylVector(tuple(sorted(cs_, reverse=True))), validate=False)
+        psi = EigenTable(EigenFamily("qboson-left", q), z, validate=False)
+        psi_ext = lambda cs_: psi(WeylVector(tuple(sorted(cs_, reverse=True))))
         lhs = extended_apply(psi_ext, coords, q)
         gk = GeneratorKind("free-bwd", "qboson", q)
         rhs = free_apply(gk, lambda c: psi_ext(c), coords)

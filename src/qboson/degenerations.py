@@ -16,6 +16,7 @@ here by a log-domain Euler scheme of the coupled linear SDE system.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,11 +36,17 @@ from qboson.contours import (
     sd_nested_contours,
     single_gamma,
 )
-from qboson.eigenfunctions import EigenFamily, eigen_eval, eigen_eval_grid
+from qboson.eigenfunctions import (
+    EigenFamily,
+    EigenTable,
+    ScatteringGrid,
+    eigen_eval,
+    eigen_eval_grid,
+    fsum_complex,
+)
 from qboson.plancherel import (
     SpectralFn,
     _full_grid,
-    _scat_product,
     composition_table,
     inverse_J,
     inverse_J_batch,
@@ -54,6 +61,7 @@ from qboson.qcore import (
     check_q,
     cluster_decompose,
     cq_weight,
+    inverse_permutation,
     q_factorial,
     q_pochhammer,
     weyl_vectors_in_box,
@@ -75,6 +83,7 @@ def c_eps(k: int, i: int, eps: float, q: float) -> float:
     )
 
 
+@functools.lru_cache(maxsize=1024)
 def d_eps(k: int, p: int, eps: float, q: float) -> float:
     """Cluster derivative weight D(k, p) = sum_{j<=p} c(k-p+j, j); closed form
     eps^{k-p-1} (1-q)^{k-p-1} k!_q (k-p-1)!_q / ((k-p)!_q p!_q)."""
@@ -134,55 +143,24 @@ def deriv_matrix_value(n: WeylVector, m: WeylVector, side: str, eps: float, q: f
     return 0.0
 
 
+def _eps_derivative(fam: EigenFamily, z, n: WeylVector) -> complex:
+    """d/d eps of an eps-eigenfunction without prefactor, term by term: each
+    permutation's plane wave prod_j (eps - z_{p(j)})^{+-n_j} differentiates
+    to itself times sum_j +-n_j / (eps - z_{p(j)})."""
+    kern = EigenTable(fam, z, validate=False)
+    e = fam.power_sign() * np.asarray(n.coords)
+    return fsum_complex(kern.terms(n.coords)[:, 0] * (e / kern.bases[kern.perms]).sum(axis=1))
+
+
 def psi_cfwd_eps_derivative(z, n: WeylVector, eps: float, q: float) -> complex:
     """Exact d/d eps of the cluster-weighted right (= conjugated forward)
     eps-eigenfunction, via term-wise differentiation of the powers."""
-    z = [complex(v) for v in z]
-    k = n.k
-    out = 0.0 + 0.0j
-    for sigma in itertools.permutations(range(k)):
-        scat = 1.0 + 0.0j
-        for b in range(k):
-            for a in range(b + 1, k):
-                za, zb = z[sigma[a]], z[sigma[b]]
-                scat *= (za - zb / q) / (za - zb)
-        pw = 1.0 + 0.0j
-        for j in range(k):
-            pw *= (eps - z[sigma[j]]) ** (n.coords[j] - 1)
-        hat = 0.0 + 0.0j
-        for s in range(k):
-            term = complex(n.coords[s])
-            for j in range(k):
-                if j != s:
-                    term *= eps - z[sigma[j]]
-            hat += term
-        out += scat * pw * hat
-    return out
+    return _eps_derivative(EigenFamily("eps-cfwd", q, eps), z, n)
 
 
 def psi_left_eps_derivative(z, n: WeylVector, eps: float, q: float) -> complex:
     """Exact d/d eps of the left eps-eigenfunction."""
-    z = [complex(v) for v in z]
-    k = n.k
-    out = 0.0 + 0.0j
-    for sigma in itertools.permutations(range(k)):
-        scat = 1.0 + 0.0j
-        for b in range(k):
-            for a in range(b + 1, k):
-                za, zb = z[sigma[a]], z[sigma[b]]
-                scat *= (za - q * zb) / (za - zb)
-        pw = 1.0 + 0.0j
-        for j in range(k):
-            pw *= (eps - z[sigma[j]]) ** (-n.coords[j] - 1)
-        hat = 0.0 + 0.0j
-        for s in range(k):
-            term = -complex(n.coords[s])
-            for j in range(k):
-                if j != s:
-                    term *= eps - z[sigma[j]]
-            hat += term
-        out += scat * pw * hat
-    return out
+    return _eps_derivative(EigenFamily("eps-left", q, eps), z, n)
 
 
 def crl_relation_check(n: WeylVector, eps: float, q: float,
@@ -316,17 +294,13 @@ def cauchy_littlewood_check(k: int, q: float, z: Sequence[complex], w: Sequence[
         for j in range(k):
             rhs *= (w[j] - q * z[i]) / (w[j] - z[i])
     # tail: |P_n(z) b Q-part| <= C_z C_w rho^{sum n} with the scattering sums
-    # of the two symmetrizations (b <= 1, v_lambda >= 1) bounded at z and 1/w
+    # of the two symmetrizations (b <= 1, v_lambda >= 1) bounded at z and 1/w;
+    # the symmetrization's products over i < j of (x_i - q x_j)/(x_i - x_j)
+    # are the left family's scattering products, permutations reversed
+    fam = EigenFamily("qboson-left", q)
+
     def _scat_sum(xs) -> float:
-        out = 0.0
-        for sigma in itertools.permutations(range(k)):
-            term = 1.0
-            for i in range(k):
-                for j in range(i + 1, k):
-                    xi, xj = xs[sigma[i]], xs[sigma[j]]
-                    term *= abs((xi - q * xj) / (xi - xj))
-            out += term
-        return out
+        return float(np.abs(EigenTable(fam, xs, validate=False).weights).sum())
 
     C = _scat_sum(z) * _scat_sum(invw)
     tail, s = 0.0, depth + 1
@@ -453,19 +427,18 @@ def spectral_orthogonality_sides(F: SpectralFn, G: SpectralFn, eps: float, k: in
     A = np.zeros(npts, dtype=complex)
     B = np.zeros(npts, dtype=complex)
     erange = (n_floor, n_hi)
+    scat_c, scat_l = ScatteringGrid(fam_c, zs_in), ScatteringGrid(fam_l, zs_out)
     for tau in itertools.permutations(range(k)):
-        TA = W_in * DF * _scat_product(fam_c, zs_in, tau)
+        TA = W_in * DF * scat_c.product(tau)
         tabA = contract_powers(TA, base_in, [erange] * k)
-        TB = W_out * DG * _scat_product(fam_l, zs_out, tau)
+        TB = W_out * DG * scat_l.product(tau)
         tabB = contract_powers(TB, base_out, [(-n_hi, -n_floor)] * k)
-        inv = [0] * k
-        for j, m_ in enumerate(tau):
-            inv[m_] = j
+        inv = inverse_permutation(tau)
         idxA = tuple(coords[:, inv[m_]] - n_floor for m_ in range(k))
         idxB = tuple((-coords[:, inv[m_]]) + n_hi for m_ in range(k))
         A += tabA[idxA]
         B += tabB[idxB]
-    pref = np.array([fam_r.prefactor(n) for n in states], dtype=complex)
+    pref = fam_r.prefactors(coords)
     A *= pref
     lhs = complex(np.sum(A * B))
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from qboson.contours import ContourSystem, QuadratureSpec, integrate, nested_contours
-from qboson.eigenfunctions import EigenFamily, eigen_eval
+from qboson.eigenfunctions import EigenFamily, EigenTable, fsum_complex
 from qboson.generators import (
     GeneratorKind,
     StateBox,
@@ -538,6 +538,7 @@ class IdentityResult:
     lhs: complex
     rhs: complex
     tail_bound: float = 0.0
+    rounding_bound: float = 0.0  # modelled rounding error of the computed lhs
 
     @property
     def abs_err(self) -> float:
@@ -555,26 +556,34 @@ def identity_mqinverse(m: int, q: float, z: Sequence[complex]) -> IdentityResult
     z = [complex(v) for v in z]
     if len(z) != m:
         raise ValueError("need m spectral values")
-    lhs = 0.0 + 0.0j
-    for sigma in itertools.permutations(range(m)):
-        term = 1.0 + 0.0j
-        for b in range(m):
-            for a in range(b + 1, m):
-                za, zb = z[sigma[a]], z[sigma[b]]
-                term *= (za - zb / q) / (za - zb)
-        lhs += term
+    # the ratios are the right family's scattering factors
+    lhs = fsum_complex(EigenTable(EigenFamily("qboson-right", q), z, validate=False).weights)
     rhs = q ** (-m * (m - 1) / 2.0) * q_factorial(m, q)
     return IdentityResult("identity-mqinverse", {"m": m, "q": q}, lhs, rhs)
 
 
 def identity_qbinomial(k: int, q: float, alpha: float, z: Sequence[complex]) -> IdentityResult:
     """q-deformed binomial expansion over ordered subset splittings (I, J),
-    with the q^{-m(m-1)/2} weight carried by m = |I|."""
+    with the q^{-m(m-1)/2} weight carried by m = |I|.
+
+    The 2^k terms can be far larger than their sum, so ``rounding_bound``
+    carries a per-term error model of the computed lhs, not a rigorous
+    bound: gamma_m * sum |term|, with gamma_m = m u / (1 - m u), u = 2^-53,
+    and m the rounding operations a term can accumulate.  Counting a complex
+    multiply as 3 roundings and a complex divide as 6, a term with |I| = i
+    takes 1 (its q-power) + 12 i (k - i) (per pair: z_j / q, two
+    differences, a divide, a multiply) + 5 i (alpha / q, a difference, a
+    multiply) + 4 (k - i) (a difference, a multiply) roundings; the terms are
+    summed exactly (math.fsum) and rounded once more.  m is the largest such
+    count.  Each rounding is taken as relative to the term, which assumes no
+    cancellation in z_i - z_j/q or z_i - alpha/q: near z_i ~ z_j/q or
+    z_i ~ alpha/q the rounding of z_j/q or alpha/q is amplified beyond u.
+    """
     check_q(q)
     z = [complex(v) for v in z]
     if len(z) != k:
         raise ValueError("need k spectral values")
-    lhs = 0.0 + 0.0j
+    terms = []
     for bits in itertools.product((0, 1), repeat=k):
         I = [i for i in range(k) if bits[i]]
         J = [j for j in range(k) if not bits[j]]
@@ -587,11 +596,15 @@ def identity_qbinomial(k: int, q: float, alpha: float, z: Sequence[complex]) -> 
             term *= z[i] - alpha / q
         for j in J:
             term *= 1.0 - z[j]
-        lhs += term
+        terms.append(term)
+    lhs = fsum_complex(terms)
     rhs = 1.0 + 0.0j
     for ell in range(1, k + 1):
         rhs *= 1.0 - alpha / q**ell
-    return IdentityResult("identity-qbinomial", {"k": k, "q": q, "alpha": alpha}, lhs, rhs)
+    ops = max(1 + 12 * i * (k - i) + 5 * i + 4 * (k - i) for i in range(k + 1)) + 1
+    gamma = ops * 2.0**-53 / (1.0 - ops * 2.0**-53)
+    return IdentityResult("identity-qbinomial", {"k": k, "q": q, "alpha": alpha}, lhs, rhs,
+                          rounding_bound=gamma * sum(abs(t) for t in terms))
 
 
 def identity_halfstat_transform(k: int, q: float, alpha: float, z: Sequence[complex],
@@ -606,30 +619,19 @@ def identity_halfstat_transform(k: int, q: float, alpha: float, z: Sequence[comp
     z = [complex(v) for v in z]
     if not (0.0 <= alpha < q**k):
         raise ValueError("need 0 <= alpha < q^k")
-    fam = EigenFamily("qboson-right", q)
-    weights = [1.0 - alpha / q**j for j in range(1, k + 1)]
-    rho = max(abs(1.0 - zi) for zi in z) / min(weights)
+    table = EigenTable(EigenFamily("qboson-right", q), z)
+    decay = np.array([1.0 - alpha / q**j for j in range(1, k + 1)])
+    rho = max(abs(1.0 - zi) for zi in z) / decay.min()
     if rho >= 1.0:
         raise ValueError("series diverges for these z: need max |1-z_i| < min_j (1-alpha/q^j)")
-    lhs = 0.0 + 0.0j
-    for n in weyl_vectors_in_box(k, 1, depth):
-        w = 1.0
-        for j, nj in enumerate(n.coords):
-            w *= weights[j] ** (-nj)
-        lhs += w * eigen_eval(fam, z, n)
+    lhs = fsum_complex(np.concatenate([table.states(ns) * np.prod(decay ** -ns, axis=1)
+                                       for ns in _chamber_blocks(k, 1, depth)]))
     rhs = (-1.0) ** k * q ** (k * (k - 1) / 2.0)
     for j, zj in enumerate(z):
         rhs *= (1.0 - zj) / (zj - alpha / q)
     # Tail certificate: |C_q^{-1}| max_sigma |scattering| times the count of
     # chamber points at each total size s > depth, summed geometrically.
-    scat_max = 0.0
-    for sigma in itertools.permutations(range(k)):
-        term = 1.0
-        for b in range(k):
-            for a in range(b + 1, k):
-                za, zb = z[sigma[a]], z[sigma[b]]
-                term *= abs((za - zb / q) / (za - zb))
-        scat_max = max(scat_max, term)
+    scat_max = float(np.abs(table.weights).max())
     cmax = max(abs(cq_weight_inv(m, q)) for m in weyl_vectors_in_box(k, 0, k))
     C = cmax * math.factorial(k) * scat_max
     tail, s = 0.0, depth + 1
@@ -647,6 +649,14 @@ def identity_halfstat_transform(k: int, q: float, alpha: float, z: Sequence[comp
         rhs,
         tail_bound=tail,
     )
+
+
+def _chamber_blocks(k: int, lo: int, hi: int):
+    """The chamber points lo <= n_k <= ... <= n_1 <= hi as integer arrays,
+    one (rows, k) block per value of n_1."""
+    for top in range(lo, hi + 1):
+        tails = itertools.combinations_with_replacement(range(top, lo - 1, -1), k - 1)
+        yield np.array([(top, *t) for t in tails], dtype=np.int64).reshape(-1, k)
 
 
 def combinatorial_identity(name: str, **params) -> IdentityResult:

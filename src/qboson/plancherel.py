@@ -30,12 +30,13 @@ from qboson.contours import (
     integrate,
     power_matrix,
 )
-from qboson.eigenfunctions import EigenFamily, eigen_eval, eigen_eval_grid
+from qboson.eigenfunctions import EigenFamily, ScatteringGrid, eigen_eval, eigen_eval_grid
 from qboson.qcore import (
     CompactFn,
     Partition,
     WeylVector,
     check_q,
+    inverse_permutation,
     partitions_of,
     string_points,
 )
@@ -475,17 +476,6 @@ def _full_grid(cs: ContourSystem, spec: QuadratureSpec):
     return zs, W
 
 
-def _scat_product(fam: EigenFamily, comps: Sequence[np.ndarray], perm) -> np.ndarray:
-    out = None
-    for b in range(len(perm)):
-        for a in range(b + 1, len(perm)):
-            f = fam.scattering(comps[perm[a]], comps[perm[b]])
-            out = f if out is None else out * f
-    if out is None:
-        out = np.asarray(1.0 + 0.0j)
-    return out
-
-
 def inverse_J_batch(G, ns: Sequence[WeylVector], mode: str, cs: ContourSystem,
                     spec: QuadratureSpec, q: float, model: str = "qboson",
                     eps: float = 1.0, extra_grid: Callable | None = None) -> np.ndarray:
@@ -534,12 +524,11 @@ def inverse_J_batch(G, ns: Sequence[WeylVector], mode: str, cs: ContourSystem,
             for s, part in enumerate(lam.parts):
                 axis_of.extend([s] * part)
             base_comps = [_base_grid(model, eps, c) for c in comps]
+            scat_l = ScatteringGrid(fam_l, comps)
             for sigma in itertools.permutations(range(k)):
-                T = T0 * _scat_product(fam_l, comps, sigma)
+                T = T0 * scat_l.product(sigma)
                 # exponent of component m is -n_{sigma^{-1}(m)}
-                inv = [0] * k
-                for j, m in enumerate(sigma):
-                    inv[m] = j
+                inv = inverse_permutation(sigma)
                 table, offsets = _contract_string_powers(
                     T, base_comps, axis_of, lam, (-hi, -lo)
                 )
@@ -610,22 +599,20 @@ def composition_table(states: Sequence[WeylVector], cs: ContourSystem, spec: Qua
     hi = max(n.coords[j] for n in states for j in range(k))
     npts = len(states)
     out = np.zeros((npts, npts), dtype=complex)
-    prefac = np.array([fam_r.prefactor(n) for n in states])
     sd_sign = (-1.0) ** k if model == "sd" else 1.0
-
     coords = np.array([n.coords for n in states], dtype=int)
+    prefac = fam_r.prefactors(coords)
 
     if mode == "nested":
         zs, W = _full_grid(cs, spec)
         T0 = W * nested_kernel_grid(zs, q, model)
         bases = [_base_grid(model, eps, z).ravel() for z in zs]
         erange = (lo - hi - 1, hi - lo - 1)
+        scat_c = ScatteringGrid(fam_c, zs)
         for tau in itertools.permutations(range(k)):
-            T = T0 * _scat_product(fam_c, zs, tau)
+            T = T0 * scat_c.product(tau)
             table = contract_powers(T, bases, [erange] * k)
-            inv = [0] * k
-            for j, m in enumerate(tau):
-                inv[m] = j
+            inv = inverse_permutation(tau)
             idx = tuple(
                 coords[:, None, inv[m]] - coords[None, :, m] - 1 - erange[0]
                 for m in range(k)
@@ -670,16 +657,13 @@ def composition_table(states: Sequence[WeylVector], cs: ContourSystem, spec: Qua
             )
             sig_scale = kfact if symmetric_measure else 1
             erange = (lo - hi, hi - lo)
+            scat_l, scat_c = ScatteringGrid(fam_l, comps), ScatteringGrid(fam_c, comps)
             for sigma in sigmas:
-                Tl = T0 * _scat_product(fam_l, comps, sigma) * sig_scale
-                inv_s = [0] * k
-                for j, m in enumerate(sigma):
-                    inv_s[m] = j
+                Tl = T0 * scat_l.product(sigma) * sig_scale
+                inv_s = inverse_permutation(sigma)
                 for tau in itertools.permutations(range(k)):
-                    T = Tl * _scat_product(fam_c, comps, tau)
-                    inv_t = [0] * k
-                    for j, m in enumerate(tau):
-                        inv_t[m] = j
+                    T = Tl * scat_c.product(tau)
+                    inv_t = inverse_permutation(tau)
                     table, offsets = _contract_string_powers(T, base_comps, axis_of, lam, erange)
                     idx = tuple(
                         coords[:, None, inv_t[m]] - coords[None, :, inv_s[m]] - offsets[m]
@@ -711,24 +695,23 @@ def right_right_pair_table(states: Sequence[WeylVector], cs: ContourSystem,
     for w in ws:
         f = 1.0 / (1.0 - w)
         inv_base = f if inv_base is None else inv_base * f
-    T0 = W * dens * inv_base * math.factorial(k) * _scat_product(fam_c, ws, tuple(range(k)))
+    scat_c = ScatteringGrid(fam_c, ws)
+    T0 = W * dens * inv_base * math.factorial(k) * scat_c.product(tuple(range(k)))
     bases = [(1.0 - w).ravel() for w in ws]
     npts = len(states)
     coords = np.array([n.coords for n in states], dtype=int)
     out = np.zeros((npts, npts), dtype=complex)
     erange = (2 * lo, 2 * hi)
     for tau in itertools.permutations(range(k)):
-        T = T0 * _scat_product(fam_c, ws, tau)
+        T = T0 * scat_c.product(tau)
         table = contract_powers(T, bases, [erange] * k)
-        inv_t = [0] * k
-        for j, m in enumerate(tau):
-            inv_t[m] = j
+        inv_t = inverse_permutation(tau)
         idx = tuple(
             coords[:, None, m] + coords[None, :, inv_t[m]] - erange[0]
             for m in range(k)
         )
         out += table[idx]
-    pref = np.array([EigenFamily("qboson-right", q).prefactor(n) for n in states])
+    pref = EigenFamily("qboson-right", q).prefactors(coords)
     return pref[:, None] * pref[None, :] * out
 
 
@@ -796,13 +779,14 @@ def residue_expand_sum(Fs, k: int, cs: ContourSystem, spec: QuadratureSpec, q: f
                 W = W * weights[j].reshape(shape)
             comps = _string_components(lam, ws, q, "qboson")
             dens = W * mu_density_grid(lam, ws, q)
+            scat_l = ScatteringGrid(fam_l, comps)
             if lam.parts == tuple([1] * k):
-                base = dens * math.factorial(k) * _scat_product(fam_l, comps, tuple(range(k)))
+                base = dens * math.factorial(k) * scat_l.product(tuple(range(k)))
                 for i, fn in enumerate(fns):
                     totals[i] += (base * fn(tuple(comps))).sum()
             else:
                 for sigma in itertools.permutations(range(k)):
-                    base = dens * _scat_product(fam_l, comps, sigma)
+                    base = dens * scat_l.product(sigma)
                     permuted = tuple(comps[s] for s in sigma)
                     for i, fn in enumerate(fns):
                         totals[i] += (base * fn(permuted)).sum()

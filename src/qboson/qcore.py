@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 
 class InfiniteGap:
     """Sentinel for the leading gap of a cluster decomposition.
@@ -260,6 +262,7 @@ def q_pochhammer(a: complex, q: float, n: int) -> complex:
     return complex(out).real if out.imag == 0.0 else out
 
 
+@functools.lru_cache(maxsize=1024)
 def q_factorial(c: int, q: float) -> float:
     """c!_q = prod_{j=1}^{c} (1 - q^j) / (1 - q)."""
     if c < 0:
@@ -273,43 +276,61 @@ def q_factorial(c: int, q: float) -> float:
     return out
 
 
-def cq_weight(n: WeylVector, q: float) -> float:
-    """Cluster weight C_q(n) = (-1)^k q^{-k(k-1)/2} prod_i (c_i)!_q.
+def cluster_weight_of_sizes(sizes: Sequence[int], q: float | None = None) -> float:
+    """Cluster weight of a chamber vector with cluster sizes c_i (k = sum c_i).
 
-    Computed in log magnitude plus sign: the q^{-k(k-1)/2} factor overflows
-    doubles near k ~ 40, and the log route keeps k <= 12 (our documented
-    validity range) comfortably exact.
+    With q: C_q = (-1)^k q^{-k(k-1)/2} prod_i (c_i)!_q, computed in log
+    magnitude plus sign, since the q^{-k(k-1)/2} factor overflows doubles
+    near k ~ 40; the log route keeps k <= 12 (our documented validity range)
+    comfortably exact.  With q None: the plain-factorial weight
+    (-1)^k prod_i (c_i)!, the q -> 1 analogue.
     """
-    check_q(q)
-    k = n.k
-    cd = cluster_decompose(n)
+    k = sum(sizes)
     sign = -1.0 if k % 2 else 1.0
+    if q is None:
+        return sign * math.prod(math.factorial(c) for c in sizes)
+    check_q(q)
     logmag = -0.5 * k * (k - 1) * math.log(q)
-    for c in cd.sizes:
+    for c in sizes:
         logmag += math.log(q_factorial(c, q))
     return sign * math.exp(logmag)
 
 
+def cq_weight(n: WeylVector, q: float) -> float:
+    """Cluster weight C_q(n) = (-1)^k q^{-k(k-1)/2} prod_i (c_i)!_q."""
+    return cluster_weight_of_sizes(cluster_decompose(n).sizes, q)
+
+
 def cq_weight_inv(n: WeylVector, q: float) -> float:
     """Reciprocal of the cluster weight, 1 / C_q(n)."""
-    check_q(q)
-    k = n.k
-    cd = cluster_decompose(n)
-    sign = -1.0 if k % 2 else 1.0
-    logmag = -0.5 * k * (k - 1) * math.log(q)
-    for c in cd.sizes:
-        logmag += math.log(q_factorial(c, q))
-    return sign * math.exp(-logmag)
+    return 1.0 / cq_weight(n, q)
 
 
 def factorial_cluster_weight(n: WeylVector) -> float:
     """Plain-factorial cluster weight (-1)^k prod_i (c_i)!, the q -> 1 analogue of C_q."""
-    k = n.k
-    cd = cluster_decompose(n)
-    out = -1.0 if k % 2 else 1.0
-    for c in cd.sizes:
-        out *= math.factorial(c)
-    return out
+    return cluster_weight_of_sizes(cluster_decompose(n).sizes)
+
+
+def cluster_weights(ns, q: float | None = None) -> np.ndarray:
+    """``cluster_weight_of_sizes`` of each row of an (N, k) integer array of
+    chamber vectors, with no WeylVector per row.
+
+    A row's cluster sizes follow from which neighbours tie; the rows are
+    coded by that tie pattern, and the weight is formed once per pattern.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    ties = ns[:, 1:] == ns[:, :-1]
+    codes, where = np.unique(ties @ (1 << np.arange(ties.shape[1])), return_inverse=True)
+    weights = []
+    for code in codes.tolist():
+        sizes = [1]
+        for j in range(ties.shape[1]):
+            if code >> j & 1:
+                sizes[-1] += 1
+            else:
+                sizes.append(1)
+        weights.append(cluster_weight_of_sizes(sizes, q))
+    return np.array(weights)[where.reshape(-1)]
 
 
 def string_points(
@@ -355,6 +376,14 @@ def string_points(
                         "nonzero and off each other's orbits"
                     )
     return tuple(out)
+
+
+def inverse_permutation(perm: Sequence[int]) -> list[int]:
+    """pos with pos[perm[j]] = j: the place of each index in perm."""
+    pos = [0] * len(perm)
+    for j, m in enumerate(perm):
+        pos[m] = j
+    return pos
 
 
 def weyl_vectors_in_box(k: int, lo: int, hi: int) -> Iterator[WeylVector]:

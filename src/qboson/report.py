@@ -4,7 +4,11 @@ A check may run many subcomparisons; the Report carries the worst-scoring
 one (error measured against its own tolerance) so a single pass flag and a
 single (lhs, rhs) pair summarize the run.  The pass rule is
 (abs_err <= tolerance or rel_err <= tolerance) and tail_bound <= tolerance,
-with rel_err = abs_err / (1 + |rhs|).
+with rel_err = abs_err / (1 + |rhs|).  A sigma-scaled comparison (error_kind
+"sigma") stores its deviation in standard errors in abs_err and has no
+rel_err: inf in memory, null in the strict JSON output, which writes every
+non-finite number as null.  Read back, a null error or tolerance is inf and
+a null part of lhs or rhs is nan.
 """
 
 from __future__ import annotations
@@ -34,6 +38,25 @@ def _jsonable(obj):
     return obj
 
 
+def _nonfinite_as_none(obj):
+    if isinstance(obj, dict):
+        return {k: _nonfinite_as_none(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_nonfinite_as_none(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _inf_if_none(x: float | None) -> float:
+    return math.inf if x is None else x
+
+
+def _complex_from_json(pair) -> complex:
+    """A JSON [re, im] pair; a part written as null (non-finite) reads as nan."""
+    return complex(*(math.nan if x is None else x for x in pair))
+
+
 @dataclass
 class Report:
     check_id: str
@@ -47,6 +70,7 @@ class Report:
     passed: bool
     runtime_ms: float
     seed: int
+    error_kind: str = "abs/rel"
 
     def to_dict(self) -> dict:
         return {
@@ -61,22 +85,30 @@ class Report:
             "pass": bool(self.passed),
             "runtime_ms": float(self.runtime_ms),
             "seed": int(self.seed),
+            "error_kind": self.error_kind,
         }
+
+    def to_json_dict(self) -> dict:
+        """to_dict() with each non-finite number as None, so that strict JSON
+        can hold it: a sigma-scaled row has no rel_err, and an overflowed
+        comparison or an infinite tolerance is still reported."""
+        return _nonfinite_as_none(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "Report":
         return cls(
             check_id=d["check_id"],
             params=d["params"],
-            lhs=complex(d["lhs"][0], d["lhs"][1]),
-            rhs=complex(d["rhs"][0], d["rhs"][1]),
-            abs_err=d["abs_err"],
-            rel_err=d["rel_err"],
-            tail_bound=d["tail_bound"],
-            tolerance=d["tolerance"],
+            lhs=_complex_from_json(d["lhs"]),
+            rhs=_complex_from_json(d["rhs"]),
+            abs_err=_inf_if_none(d["abs_err"]),
+            rel_err=_inf_if_none(d["rel_err"]),
+            tail_bound=_inf_if_none(d["tail_bound"]),
+            tolerance=_inf_if_none(d["tolerance"]),
             passed=d["pass"],
             runtime_ms=d["runtime_ms"],
             seed=d["seed"],
+            error_kind=d.get("error_kind", "abs/rel"),
         )
 
     def summary_line(self) -> str:
@@ -122,7 +154,8 @@ class Accumulator:
         self.count += 1
         if score > self._worst_score:
             self._worst_score = score
-            self._worst = (label, lhs, rhs, abs_err, rel_err, tail, tol)
+            self._worst = (label, lhs, rhs, abs_err, rel_err, tail, tol,
+                           "abs/rel" if sigma is None else "sigma")
 
     def add_residual(self, label: str, residual: float, tol: float, tail: float = 0.0) -> None:
         """Comparison already reduced to a scalar residual against zero."""
@@ -131,7 +164,7 @@ class Accumulator:
     def report(self) -> Report:
         if self._worst is None:
             raise ValueError(f"check {self.check_id} recorded no comparisons")
-        label, lhs, rhs, abs_err, rel_err, tail, tol = self._worst
+        label, lhs, rhs, abs_err, rel_err, tail, tol, kind = self._worst
         params = dict(self.params)
         params["worst_case"] = label
         params["comparisons"] = self.count
@@ -147,17 +180,20 @@ class Accumulator:
             passed=self._all_pass,
             runtime_ms=(time.perf_counter() - self._t0) * 1000.0,
             seed=self.seed,
+            error_kind=kind,
         )
 
 
 CSV_FIELDS = [
     "check_id", "params", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
     "abs_err", "rel_err", "tail_bound", "tolerance", "pass", "runtime_ms", "seed",
+    "error_kind",
 ]
 
 
 def reports_to_json(reports: list[Report]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
+    return json.dumps([r.to_json_dict() for r in reports], indent=2, sort_keys=True,
+                      allow_nan=False)
 
 
 def reports_from_json(text: str) -> list[Report]:
@@ -184,6 +220,7 @@ def reports_to_csv(reports: list[Report]) -> str:
             "pass": r.passed,
             "runtime_ms": repr(r.runtime_ms),
             "seed": r.seed,
+            "error_kind": r.error_kind,
         })
     return buf.getvalue()
 

@@ -231,3 +231,33 @@ def test_identity_dispatch_and_values():
 def test_halfstat_divergence_detected():
     with pytest.raises(ValueError, match="diverges"):
         identity_halfstat_transform(1, Q, 0.3, [0.05], depth=10)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.7])
+@pytest.mark.parametrize("cid", ["identity-qbinomial", "identity-halfstat-transform"])
+def test_identity_checks_follow_q(cid, q):
+    from qboson.registry import run_check
+
+    r = run_check(cid, q=q)
+    assert r.passed, r.summary_line()
+
+
+@pytest.mark.parametrize("seed", [60, 79, 161])
+def test_qbinomial_gate_is_its_rounding_model(seed, monkeypatch):
+    """At these seeds the k = 5 sum cancels by ~1e6 and misses a bare 1e-10;
+    the rounding model passes them, yet still fails a 1e-8 shift of alpha."""
+    import dataclasses
+
+    from qboson.checks import dynamics_checks
+    from qboson.dynamics import identity_qbinomial
+    from qboson.registry import run_check
+
+    assert run_check("identity-qbinomial", seed=seed).passed
+
+    def shifted(k, q, alpha, z):
+        r = identity_qbinomial(k, q, alpha + (1e-8 if k == 5 else 0.0), z)
+        return dataclasses.replace(r, rhs=identity_qbinomial(k, q, alpha, z).rhs)
+
+    monkeypatch.setattr(dynamics_checks, "identity_qbinomial", shifted)
+    rep = run_check("identity-qbinomial", seed=seed)
+    assert not rep.passed and rep.params["worst_case"].startswith("k=5")

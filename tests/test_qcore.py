@@ -12,6 +12,7 @@ from qboson.qcore import (
     QParam,
     WeylVector,
     cluster_decompose,
+    cluster_weights,
     cq_weight,
     cq_weight_inv,
     factorial_cluster_weight,
@@ -126,6 +127,15 @@ def test_cq_weight_reflection_invariance():
 def test_factorial_cluster_weight():
     assert factorial_cluster_weight(WeylVector((2, 2, 0))) == pytest.approx(-2.0)
     assert factorial_cluster_weight(WeylVector((1,))) == pytest.approx(-1.0)
+
+
+def test_cluster_weights_match_the_scalar_weights():
+    rng = np.random.default_rng(1)
+    for k in range(1, 7):
+        ns = -np.sort(-rng.integers(-3, 4, size=(50, k)), axis=1)
+        for q, scalar in ((0.43, lambda n: cq_weight(n, 0.43)), (None, factorial_cluster_weight)):
+            want = [scalar(WeylVector(tuple(row))) for row in ns.tolist()]
+            assert cluster_weights(ns, q) == pytest.approx(want, rel=1e-14)
 
 
 def test_partitions_reverse_lex_order():

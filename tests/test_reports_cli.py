@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -121,6 +122,62 @@ def test_cli_verify_single_and_outputs(tmp_path):
     reports = reports_from_json(out_json.read_text())
     assert reports[0].seed == 5
     assert out_csv.read_text().startswith("check_id")
+
+
+def _strict_loads(text):
+    def reject(token):
+        raise ValueError(f"non-finite JSON number {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_sigma_rows_write_strict_json(tmp_path):
+    acc = Accumulator("demo", {}, 0)
+    acc.add("mc", 2.0, 1.0, 4.0, sigma=0.2)
+    rep = acc.report()
+    assert rep.error_kind == "sigma" and rep.rel_err == math.inf
+    emit_report([rep], "json", str(tmp_path / "s.json"))
+    d = _strict_loads((tmp_path / "s.json").read_text())[0]
+    assert d["rel_err"] is None and d["error_kind"] == "sigma"
+    assert d["abs_err"] == pytest.approx(5.0)
+    back = reports_from_json((tmp_path / "s.json").read_text())[0]
+    assert back.rel_err == math.inf and back.error_kind == "sigma"
+
+
+def test_cli_moment_json_is_strict(tmp_path):
+    # at its defaults the worst comparison of moment-step is a Monte Carlo one
+    out = tmp_path / "m.json"
+    p = _cli("verify", "moment-step", "--json", str(out))
+    assert p.returncode == 0, p.stderr
+    d = _strict_loads(out.read_text())[0]
+    assert d["error_kind"] == "sigma" and d["rel_err"] is None
+
+
+def test_nonfinite_values_write_strict_json(tmp_path):
+    # an overflowed comparison scores inf and so is always the worst one
+    acc = Accumulator("demo", {}, 0)
+    acc.add("fine", 1.0, 1.0, 1e-12)
+    acc.add("overflow", complex(math.inf, 1.0), 2.0, 1e-12)
+    loose = Accumulator("loose", {}, 0)
+    loose.add("any", 1.0, 2.0, math.inf)
+    reps = [acc.report(), loose.report()]
+    assert reps[0].lhs.real == math.inf and reps[1].tolerance == math.inf
+    emit_report(reps, "json", str(tmp_path / "o.json"))
+    d = _strict_loads((tmp_path / "o.json").read_text())
+    assert d[0]["lhs"] == [None, 1.0] and d[0]["rhs"] == [2.0, 0.0]
+    assert d[0]["abs_err"] is None and d[0]["rel_err"] is None
+    assert d[1]["tolerance"] is None and d[1]["abs_err"] == 1.0
+    back = reports_from_json((tmp_path / "o.json").read_text())
+    assert math.isnan(back[0].lhs.real) and back[0].lhs.imag == 1.0
+    assert back[0].abs_err == math.inf and back[1].tolerance == math.inf
+
+
+def test_cli_infinite_tolerance_writes_strict_json(tmp_path):
+    out = tmp_path / "t.json"
+    p = _cli("verify", "residue-weight", "--param", "tolerance=Infinity", "--json", str(out))
+    assert p.returncode == 0, p.stderr
+    d = _strict_loads(out.read_text())[0]
+    assert d["tolerance"] is None and d["pass"] is True
 
 
 def test_cli_unknown_check_exits_2():
