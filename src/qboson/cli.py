@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     pv.add_argument("--q", type=float, default=None)
     pv.add_argument("--jobs", type=int, default=1,
-                    help="parallel workers for 'verify all'")
+                    help="worker processes for 'verify all' (at least 1)")
     pv.set_defaults(fn=_cmd_verify)
 
     pl = sub.add_parser("list", help="list registered checks")

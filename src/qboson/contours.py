@@ -7,6 +7,8 @@ k-fold product trapezoidal rule (geometrically convergent for integrands
 analytic near the circles) with an embedded-subgrid error estimate, and
 `contract_powers` is the batched kernel used by the transform layer to
 evaluate one grid integrand against many integer power exponents at once.
+`_grid_chunks` is the one walk over a product grid, in slabs of at most
+CHUNK_ELEMENTS nodes, that `integrate` and every grid evaluator share.
 """
 
 from __future__ import annotations
@@ -308,6 +310,31 @@ def _axis_view(v: np.ndarray, axis: int, k: int) -> np.ndarray:
     return v.reshape(shape)
 
 
+CHUNK_ELEMENTS = 1 << 21  # grid nodes evaluated at once, ~32 MB per complex array
+
+
+def _grid_chunks(cs: ContourSystem, spec: QuadratureSpec):
+    """Yield (zs, W) for slabs of the product grid cut along axis 0.
+
+    ``zs`` holds the k node arrays shaped for broadcasting, axis 0 cut to the
+    slab, and ``W`` the weight tensor dz_1 ... dz_k / (2 pi i)^k on the slab.
+    The node count and the budget are powers of two, so every slab holds a
+    power of two >= 2 of axis-0 nodes and starts at an even node: the
+    embedded half grid (every second node on each axis) is the union of the
+    slabs' own half grids.
+    """
+    k, m = cs.k, spec.nodes
+    nodes, weights = grid_nodes_weights(cs, spec)
+    rest_z = [_axis_view(nodes[j], j, k) for j in range(1, k)]
+    chunk = max(2, min(m, CHUNK_ELEMENTS // m ** (k - 1)))
+    for start in range(0, m, chunk):
+        cut = slice(start, start + chunk)
+        W = _axis_view(weights[0][cut], 0, k)
+        for j in range(1, k):
+            W = W * _axis_view(weights[j], j, k)
+        yield [_axis_view(nodes[0][cut], 0, k)] + rest_z, W
+
+
 def integrate(cs: ContourSystem, integrand: Callable, spec: QuadratureSpec) -> QuadResult:
     """k-fold product trapezoidal rule over the contour system.
 
@@ -317,37 +344,20 @@ def integrate(cs: ContourSystem, integrand: Callable, spec: QuadratureSpec) -> Q
     the full sum against its embedded half-node subgrid (i.e. what node
     doubling from M/2 to M changed).
     """
-    k = cs.k
-    m = spec.nodes
-    nodes, weights = grid_nodes_weights(cs, spec)
+    half = (slice(None, None, 2),) * cs.k
     total = 0.0 + 0.0j
     coarse = 0.0 + 0.0j
-
-    # Chunk along axis 0 to bound peak memory at ~chunk * m^(k-1) complexes.
-    chunk = m if k <= 2 else max(2, min(m, (1 << 21) // m ** (k - 1) or 2))
-    chunk += chunk % 2  # keep even alignment so the half-grid stays embedded
-    for start in range(0, m, chunk):
-        stop = min(m, start + chunk)
-        zs = [_axis_view(nodes[0][start:stop], 0, k)] + [
-            _axis_view(nodes[j], j, k) for j in range(1, k)
-        ]
-        vals = np.asarray(integrand(tuple(zs)), dtype=complex)
-        full_shape = tuple([stop - start] + [m] * (k - 1))
-        vals = np.broadcast_to(vals, full_shape)
+    for zs, W in _grid_chunks(cs, spec):
+        vals = np.broadcast_to(np.asarray(integrand(tuple(zs)), dtype=complex), W.shape)
         if not np.all(np.isfinite(vals)):
             raise FloatingPointError("integrand returned a non-finite value on a quadrature node")
-        w0 = weights[0][start:stop]
-        weighted = vals * _axis_view(w0, 0, k)
-        for j in range(1, k):
-            weighted = weighted * _axis_view(weights[j], j, k)
+        weighted = vals * W
         total += weighted.sum()
         if spec.doubling:
-            sl = [slice(None, None, 2)] * k
-            sl[0] = slice(0, stop - start, 2)
-            coarse += weighted[tuple(sl)].sum()
+            coarse += weighted[half].sum()
     if spec.doubling:
         # The half grid carries half the per-axis weight density per axis.
-        coarse *= 2 ** k
+        coarse *= 2 ** cs.k
         err = abs(total - coarse)
     else:
         err = float("nan")

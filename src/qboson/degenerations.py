@@ -28,6 +28,7 @@ from qboson.contours import (
     Circle,
     ContourSystem,
     QuadratureSpec,
+    _grid_chunks,
     contract_powers,
     gamma_prime,
     grid_nodes_weights,
@@ -46,7 +47,6 @@ from qboson.eigenfunctions import (
 )
 from qboson.plancherel import (
     SpectralFn,
-    _full_grid,
     composition_table,
     inverse_J,
     inverse_J_batch,
@@ -382,14 +382,9 @@ def spectral_orthogonality_sides(F: SpectralFn, G: SpectralFn, eps: float, k: in
             out = np.asarray(1.0 + 0.0j)
         return out
 
-    # Inner-transform table A(n) over a growing window until the tail bound
-    # certifies the remainder.
-    zs_in, W_in = _full_grid(gamma, quad)
-    DF = vandermonde(zs_in) * F.fn(tuple(zs_in))
-    base_in = [(eps - z).ravel() for z in zs_in]
-    zs_out, W_out = _full_grid(gamma_out, quad)
-    DG = vandermonde(zs_out) * G.fn(tuple(zs_out))
-    base_out = [(eps - z).ravel() for z in zs_out]
+    def grid_max(cs, fn):
+        return max(float(np.abs(np.broadcast_to(fn(tuple(zs)), W.shape)).max())
+                   for zs, W in _grid_chunks(cs, quad))
 
     # Term bounds: Delta(z) Psi cancels the scattering denominators, so each
     # permutation term is bounded by the product of numerator pair factors.
@@ -397,13 +392,14 @@ def spectral_orthogonality_sides(F: SpectralFn, G: SpectralFn, eps: float, k: in
     npairs = k * (k - 1) // 2
     pair_in = (1.5 * (1.0 + 1.0 / q)) ** npairs
     pair_out = (outer_circle.radius * (1.0 + q)) ** npairs
-    Fmag = float(np.max(np.abs(np.broadcast_to(F.fn(tuple(zs_in)), tuple([quad.nodes] * k)))))
-    Gmag = float(np.max(np.abs(np.broadcast_to(G.fn(tuple(zs_out)), tuple([quad.nodes] * k)))))
+    Fmag = grid_max(gamma, F.fn)
+    Gmag = grid_max(gamma_out, G.fn)
     wsum_in = float(np.prod([np.abs(wv).sum() for wv in grid_nodes_weights(gamma, quad)[1]]))
     wsum_out = float(np.prod([np.abs(wv).sum() for wv in grid_nodes_weights(gamma_out, quad)[1]]))
     CA = wsum_in * Fmag * math.factorial(k) * pair_in * cmax
     CB = wsum_out * Gmag * math.factorial(k) * pair_out
 
+    # Grow the state window until the tail bound certifies the remainder.
     n_hi = n_floor + 8
     while True:
         # certified bound on the terms beyond sum n > S = k * n_hi is
@@ -423,23 +419,24 @@ def spectral_orthogonality_sides(F: SpectralFn, G: SpectralFn, eps: float, k: in
 
     states = [n for n in weyl_vectors_in_box(k, n_floor, n_hi)]
     coords = np.array([n.coords for n in states], dtype=int)
-    npts = len(states)
-    A = np.zeros(npts, dtype=complex)
-    B = np.zeros(npts, dtype=complex)
-    erange = (n_floor, n_hi)
-    scat_c, scat_l = ScatteringGrid(fam_c, zs_in), ScatteringGrid(fam_l, zs_out)
-    for tau in itertools.permutations(range(k)):
-        TA = W_in * DF * scat_c.product(tau)
-        tabA = contract_powers(TA, base_in, [erange] * k)
-        TB = W_out * DG * scat_l.product(tau)
-        tabB = contract_powers(TB, base_out, [(-n_hi, -n_floor)] * k)
-        inv = inverse_permutation(tau)
-        idxA = tuple(coords[:, inv[m_]] - n_floor for m_ in range(k))
-        idxB = tuple((-coords[:, inv[m_]]) + n_hi for m_ in range(k))
-        A += tabA[idxA]
-        B += tabB[idxB]
-    pref = fam_r.prefactors(coords)
-    A *= pref
+
+    def window_table(cs, fn, fam, sign):
+        """Integral over cs of Delta(z) fn(z) Psi^fam(z; n) at each state n of
+        the window, with Psi's powers taken as (eps - z)^(sign n)."""
+        erange = (n_floor, n_hi) if sign > 0 else (-n_hi, -n_floor)
+        out = np.zeros(len(states), dtype=complex)
+        for zs, W in _grid_chunks(cs, quad):
+            T0 = W * vandermonde(zs) * fn(tuple(zs))
+            bases = [(eps - z).ravel() for z in zs]
+            scat = ScatteringGrid(fam, zs)
+            for tau in itertools.permutations(range(k)):
+                table = contract_powers(T0 * scat.product(tau), bases, [erange] * k)
+                inv = inverse_permutation(tau)
+                out += table[tuple(sign * coords[:, inv[m_]] - erange[0] for m_ in range(k))]
+        return out
+
+    A = fam_r.prefactors(coords) * window_table(gamma, F.fn, fam_c, 1)
+    B = window_table(gamma_out, G.fn, fam_l, -1)
     lhs = complex(np.sum(A * B))
 
     def rhs_integrand(ws):

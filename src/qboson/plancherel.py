@@ -10,6 +10,12 @@ Batched evaluators (`composition_table`, `inverse_J_batch`) factor the
 integrand through per-permutation scattering tensors and integer power
 contractions, so one quadrature grid serves a whole box of spatial
 arguments at once.
+
+Every grid here is walked through `contours._grid_chunks`, the same slabs
+`contours.integrate` uses, so peak memory is bounded by one slab however
+many axes a grid has.  The string measure on a grid, `mu_density_grid`, is
+built from two-axis pair factors and one-axis diagonal factors, with no
+division at the full grid size; `mu_weight` keeps the literal determinant.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from qboson.contours import (
     QuadResult,
     QuadratureSpec,
     contract_powers,
-    grid_nodes_weights,
+    _grid_chunks,
     integrate,
     power_matrix,
 )
@@ -152,37 +158,40 @@ def mu_density_grid(lam: Partition, ws: Sequence[np.ndarray], q: float,
     """String-measure density at base points w (the dw/(2 pi i) lives in the quadrature).
 
     q-Boson / eps families:
-        (1-q)^k (-1)^k q^{-k^2/2} / prod_i m_i! * det[1/(w_i q^{lam_i} - w_j)]
-        * prod_j w_j^{lam_j} q^{lam_j^2/2}
-    semi-discrete: det[1/(w_i + lam_i - w_j)] / prod_i m_i!.
+        (1-q)^k (-1)^k q^{-k^2/2} / prod_i m_i! * det[1/(s_i - w_j)]
+        * prod_j w_j^{lam_j} q^{lam_j^2/2},   s_i = w_i q^{lam_i};
+    semi-discrete: det[1/(s_i - w_j)] / prod_i m_i!,   s_i = w_i + lam_i.
 
-    The determinant is a Cauchy determinant and is evaluated here through
-    its product closed form (cheap and allocation-free on big quadrature
-    grids); the scalar `mu_weight` keeps the literal determinant, and the
-    measure-consistency check ties the two routes together.
+    The Cauchy determinant is evaluated through its product form, split by
+    the variables each factor depends on: for each pair i < j the factor
+    (s_i - s_j)(w_j - w_i) / ((s_i - w_j)(s_j - w_i)) on the broadcast of
+    (w_i, w_j) alone, and on one axis each the diagonal 1/(s_i - w_i) times
+    w_i^{lam_i} q^{lam_i^2/2}, with the scalar prefactor folded into axis 0.
+    The pairs are taken in order of j, so on an ell-axis product grid of M
+    nodes per axis that is ell(ell-1)/2 two-axis factors and ell - 1
+    multiplies at the full M^ell size, with no division at that size.  The
+    scalar `mu_weight` keeps the literal determinant, and
+    tests/test_plancherel.py diffs the two on grids.
     """
     ell = lam.length
     ws = [np.asarray(w, dtype=complex) for w in ws]
-    shape = np.broadcast_shapes(*[w.shape for w in ws])
-
-    def shifted(i):
-        return ws[i] + lam.parts[i] if model == "sd" else ws[i] * q ** lam.parts[i]
-
-    det = np.ones(shape, dtype=complex)
-    for i in range(ell):
-        for j in range(ell):
-            if i < j:
-                det = det * (shifted(i) - shifted(j)) * (ws[j] - ws[i])
-            det = det / (shifted(i) - ws[j])
     if model == "sd":
-        return det / _mult_factorial(lam)
-    k = lam.size
-    pref = (1.0 - q) ** k * (-1.0) ** k * q ** (-k * k / 2.0) / _mult_factorial(lam)
-    extra = np.ones(shape, dtype=complex)
-    for j in range(ell):
-        lj = lam.parts[j]
-        extra = extra * ws[j] ** lj * q ** (lj * lj / 2.0)
-    return pref * det * extra
+        ss = [w + part for w, part in zip(ws, lam.parts)]
+        pref = 1.0 / _mult_factorial(lam)
+    else:
+        ss = [w * q**part for w, part in zip(ws, lam.parts)]
+        k = lam.size
+        pref = (1.0 - q) ** k * (-1.0) ** k * q ** (-k * k / 2.0) / _mult_factorial(lam)
+    diag = []
+    for i, part in enumerate(lam.parts):
+        f = 1.0 / (ss[i] - ws[i])
+        diag.append(f if model == "sd" else f * ws[i] ** part * q ** (part * part / 2.0))
+    out = pref * diag[0]
+    for j in range(1, ell):
+        for i in range(j):
+            f = (ss[i] - ss[j]) * (ws[j] - ws[i]) / ((ss[i] - ws[j]) * (ss[j] - ws[i]))
+            out = out * (f * diag[j] if i == 0 else f)
+    return out
 
 
 def mu_weight(lam: Partition, w: Sequence[complex], q: float) -> complex:
@@ -233,11 +242,6 @@ def mu_weight_vandermonde(lam: Partition, w: Sequence[complex], q: float) -> com
     """Squared-Vandermonde form: the density as Delta(w o lam)^2 over the
     scattering denominator with its vanishing factors omitted."""
     return residue_weight_direct(lam, w, q) / _mult_factorial(lam)
-
-
-def sd_mu_weight(lam: Partition, w: Sequence[complex]) -> complex:
-    arrs = [np.asarray(complex(x)) for x in w]
-    return complex(mu_density_grid(lam, arrs, 0.5, model="sd"))
 
 
 def _string_consecutive_pairs(lam: Partition) -> set[tuple[int, int]]:
@@ -461,21 +465,6 @@ def pairing_spectral(F, G, mode: str, cs: ContourSystem, spec: QuadratureSpec,
 # Batched evaluators: one quadrature grid, a whole box of spatial arguments
 
 
-def _full_grid(cs: ContourSystem, spec: QuadratureSpec):
-    """Axis-shaped node arrays plus the materialized weight tensor."""
-    nodes, weights = grid_nodes_weights(cs, spec)
-    k = cs.k
-    zs = []
-    W = None
-    for j in range(k):
-        shape = [1] * k
-        shape[j] = spec.nodes
-        zs.append(nodes[j].reshape(shape))
-        w = weights[j].reshape(shape)
-        W = w if W is None else W * w
-    return zs, W
-
-
 def inverse_J_batch(G, ns: Sequence[WeylVector], mode: str, cs: ContourSystem,
                     spec: QuadratureSpec, q: float, model: str = "qboson",
                     eps: float = 1.0, extra_grid: Callable | None = None) -> np.ndarray:
@@ -483,7 +472,8 @@ def inverse_J_batch(G, ns: Sequence[WeylVector], mode: str, cs: ContourSystem,
 
     ``extra_grid`` optionally multiplies the integrand by a further grid
     factor (e.g. the exponential time weight of the evolution solvers).
-    Memory holds the full M^k grid, so this path is intended for k <= 3.
+    The grid is walked in the slabs of `contours._grid_chunks`; the power
+    tables of the slabs add up.
     """
     check_q(q)
     check_contour_compat(G, cs)
@@ -495,12 +485,13 @@ def inverse_J_batch(G, ns: Sequence[WeylVector], mode: str, cs: ContourSystem,
     sd_sign = (-1.0) ** k if model == "sd" else 1.0
 
     if mode == "nested":
-        zs, W = _full_grid(cs, spec)
-        T = W * nested_kernel_grid(zs, q, model) * Gfn(tuple(zs))
-        if extra_grid is not None:
-            T = T * extra_grid(tuple(zs))
-        bases = [_base_grid(model, eps, z).ravel() for z in zs]
-        table = contract_powers(T, bases, [(-hi - 1, -lo - 1)] * k)
+        table = 0.0
+        for zs, W in _grid_chunks(cs, spec):
+            T = W * nested_kernel_grid(zs, q, model) * Gfn(tuple(zs))
+            if extra_grid is not None:
+                T = T * extra_grid(tuple(zs))
+            bases = [_base_grid(model, eps, z).ravel() for z in zs]
+            table = table + contract_powers(T, bases, [(-hi - 1, -lo - 1)] * k)
         out = np.empty(len(ns), dtype=complex)
         for i, n in enumerate(ns):
             idx = tuple((-n.coords[j] - 1) - (-hi - 1) for j in range(k))
@@ -511,32 +502,31 @@ def inverse_J_batch(G, ns: Sequence[WeylVector], mode: str, cs: ContourSystem,
         fam_l = _family(model, "left", q, eps)
         out = np.zeros(len(ns), dtype=complex)
         for lam in partitions_of(k):
-            sub = _gamma_k_system(cs, lam.length)
-            ws, W = _full_grid(sub, spec)
-            comps = _string_components(lam, ws, q, model)
-            dens = mu_density_grid(lam, ws, q, model="sd" if model == "sd" else "qboson")
-            poch = _string_poch_grid(lam, ws, q, model, eps)
-            T0 = W * dens / poch * Gfn(comps)
-            if extra_grid is not None:
-                T0 = T0 * extra_grid(comps)
             # Group components by their string axis for the power contraction.
             axis_of = []
             for s, part in enumerate(lam.parts):
                 axis_of.extend([s] * part)
-            base_comps = [_base_grid(model, eps, c) for c in comps]
-            scat_l = ScatteringGrid(fam_l, comps)
-            for sigma in itertools.permutations(range(k)):
-                T = T0 * scat_l.product(sigma)
-                # exponent of component m is -n_{sigma^{-1}(m)}
-                inv = inverse_permutation(sigma)
-                table, offsets = _contract_string_powers(
-                    T, base_comps, axis_of, lam, (-hi, -lo)
-                )
-                for i, n in enumerate(ns):
-                    idx = tuple(
-                        (-n.coords[inv[m]]) - offsets[m] for m in range(k)
+            for ws, W in _grid_chunks(_gamma_k_system(cs, lam.length), spec):
+                comps = _string_components(lam, ws, q, model)
+                dens = mu_density_grid(lam, ws, q, model="sd" if model == "sd" else "qboson")
+                poch = _string_poch_grid(lam, ws, q, model, eps)
+                T0 = W * dens / poch * Gfn(comps)
+                if extra_grid is not None:
+                    T0 = T0 * extra_grid(comps)
+                base_comps = [_base_grid(model, eps, c) for c in comps]
+                scat_l = ScatteringGrid(fam_l, comps)
+                for sigma in itertools.permutations(range(k)):
+                    T = T0 * scat_l.product(sigma)
+                    # exponent of component m is -n_{sigma^{-1}(m)}
+                    inv = inverse_permutation(sigma)
+                    table, offsets = _contract_string_powers(
+                        T, base_comps, axis_of, lam, (-hi, -lo)
                     )
-                    out[i] += table[idx]
+                    for i, n in enumerate(ns):
+                        idx = tuple(
+                            (-n.coords[inv[m]]) - offsets[m] for m in range(k)
+                        )
+                        out[i] += table[idx]
         return sd_sign * out
 
     raise ValueError(f"batched inverse transform supports nested and expanded modes")
@@ -604,20 +594,20 @@ def composition_table(states: Sequence[WeylVector], cs: ContourSystem, spec: Qua
     prefac = fam_r.prefactors(coords)
 
     if mode == "nested":
-        zs, W = _full_grid(cs, spec)
-        T0 = W * nested_kernel_grid(zs, q, model)
-        bases = [_base_grid(model, eps, z).ravel() for z in zs]
         erange = (lo - hi - 1, hi - lo - 1)
-        scat_c = ScatteringGrid(fam_c, zs)
-        for tau in itertools.permutations(range(k)):
-            T = T0 * scat_c.product(tau)
-            table = contract_powers(T, bases, [erange] * k)
-            inv = inverse_permutation(tau)
-            idx = tuple(
-                coords[:, None, inv[m]] - coords[None, :, m] - 1 - erange[0]
-                for m in range(k)
-            )
-            out += table[idx]
+        for zs, W in _grid_chunks(cs, spec):
+            T0 = W * nested_kernel_grid(zs, q, model)
+            bases = [_base_grid(model, eps, z).ravel() for z in zs]
+            scat_c = ScatteringGrid(fam_c, zs)
+            for tau in itertools.permutations(range(k)):
+                T = T0 * scat_c.product(tau)
+                table = contract_powers(T, bases, [erange] * k)
+                inv = inverse_permutation(tau)
+                idx = tuple(
+                    coords[:, None, inv[m]] - coords[None, :, m] - 1 - erange[0]
+                    for m in range(k)
+                )
+                out += table[idx]
         return sd_sign * prefac[:, None] * out
 
     if mode in ("single-gamma", "expanded"):
@@ -631,23 +621,8 @@ def composition_table(states: Sequence[WeylVector], cs: ContourSystem, spec: Qua
         else:
             lam_list = list(partitions_of(k))
             single = False
-        kfact = math.factorial(k)
+        erange = (lo - hi, hi - lo)
         for lam in lam_list:
-            sub = cs if single else _gamma_k_system(cs, lam.length)
-            ws, W = _full_grid(sub, spec)
-            comps = _string_components(lam, ws, q, model)
-            if single:
-                dens = mu_density_grid(lam, ws, q)
-                inv_base = None
-                for w in ws:
-                    f = 1.0 / _base_grid(model, eps, w)
-                    inv_base = f if inv_base is None else inv_base * f
-                T0 = W * dens * inv_base
-            else:
-                dens = mu_density_grid(lam, ws, q, model="sd" if model == "sd" else "qboson")
-                poch = _string_poch_grid(lam, ws, q, model, eps)
-                T0 = W * dens / poch
-            base_comps = [_base_grid(model, eps, c) for c in comps]
             axis_of = []
             for s, part in enumerate(lam.parts):
                 axis_of.extend([s] * part)
@@ -655,21 +630,36 @@ def composition_table(states: Sequence[WeylVector], cs: ContourSystem, spec: Qua
             sigmas = [tuple(range(k))] if symmetric_measure else list(
                 itertools.permutations(range(k))
             )
-            sig_scale = kfact if symmetric_measure else 1
-            erange = (lo - hi, hi - lo)
-            scat_l, scat_c = ScatteringGrid(fam_l, comps), ScatteringGrid(fam_c, comps)
-            for sigma in sigmas:
-                Tl = T0 * scat_l.product(sigma) * sig_scale
-                inv_s = inverse_permutation(sigma)
-                for tau in itertools.permutations(range(k)):
-                    T = Tl * scat_c.product(tau)
-                    inv_t = inverse_permutation(tau)
-                    table, offsets = _contract_string_powers(T, base_comps, axis_of, lam, erange)
-                    idx = tuple(
-                        coords[:, None, inv_t[m]] - coords[None, :, inv_s[m]] - offsets[m]
-                        for m in range(k)
-                    )
-                    out += table[idx]
+            sig_scale = math.factorial(k) if symmetric_measure else 1
+            sub = cs if single else _gamma_k_system(cs, lam.length)
+            for ws, W in _grid_chunks(sub, spec):
+                comps = _string_components(lam, ws, q, model)
+                if single:
+                    dens = mu_density_grid(lam, ws, q)
+                    inv_base = None
+                    for w in ws:
+                        f = 1.0 / _base_grid(model, eps, w)
+                        inv_base = f if inv_base is None else inv_base * f
+                    T0 = W * dens * inv_base
+                else:
+                    dens = mu_density_grid(lam, ws, q, model="sd" if model == "sd" else "qboson")
+                    poch = _string_poch_grid(lam, ws, q, model, eps)
+                    T0 = W * dens / poch
+                base_comps = [_base_grid(model, eps, c) for c in comps]
+                scat_l, scat_c = ScatteringGrid(fam_l, comps), ScatteringGrid(fam_c, comps)
+                for sigma in sigmas:
+                    Tl = T0 * scat_l.product(sigma) * sig_scale
+                    inv_s = inverse_permutation(sigma)
+                    for tau in itertools.permutations(range(k)):
+                        T = Tl * scat_c.product(tau)
+                        inv_t = inverse_permutation(tau)
+                        table, offsets = _contract_string_powers(T, base_comps, axis_of, lam,
+                                                                 erange)
+                        idx = tuple(
+                            coords[:, None, inv_t[m]] - coords[None, :, inv_s[m]] - offsets[m]
+                            for m in range(k)
+                        )
+                        out += table[idx]
         return (sd_sign if mode == "expanded" else 1.0) * prefac[:, None] * out
 
     raise ValueError(f"unknown composition mode {mode!r}")
@@ -689,28 +679,28 @@ def right_right_pair_table(states: Sequence[WeylVector], cs: ContourSystem,
     lam1 = Partition(tuple([1] * k))
     lo = min(n.coords[j] for n in states for j in range(k))
     hi = max(n.coords[j] for n in states for j in range(k))
-    ws, W = _full_grid(cs, spec)
-    dens = mu_density_grid(lam1, ws, q)
-    inv_base = None
-    for w in ws:
-        f = 1.0 / (1.0 - w)
-        inv_base = f if inv_base is None else inv_base * f
-    scat_c = ScatteringGrid(fam_c, ws)
-    T0 = W * dens * inv_base * math.factorial(k) * scat_c.product(tuple(range(k)))
-    bases = [(1.0 - w).ravel() for w in ws]
     npts = len(states)
     coords = np.array([n.coords for n in states], dtype=int)
     out = np.zeros((npts, npts), dtype=complex)
     erange = (2 * lo, 2 * hi)
-    for tau in itertools.permutations(range(k)):
-        T = T0 * scat_c.product(tau)
-        table = contract_powers(T, bases, [erange] * k)
-        inv_t = inverse_permutation(tau)
-        idx = tuple(
-            coords[:, None, m] + coords[None, :, inv_t[m]] - erange[0]
-            for m in range(k)
-        )
-        out += table[idx]
+    for ws, W in _grid_chunks(cs, spec):
+        dens = mu_density_grid(lam1, ws, q)
+        inv_base = None
+        for w in ws:
+            f = 1.0 / (1.0 - w)
+            inv_base = f if inv_base is None else inv_base * f
+        scat_c = ScatteringGrid(fam_c, ws)
+        T0 = W * dens * inv_base * math.factorial(k) * scat_c.product(tuple(range(k)))
+        bases = [(1.0 - w).ravel() for w in ws]
+        for tau in itertools.permutations(range(k)):
+            T = T0 * scat_c.product(tau)
+            table = contract_powers(T, bases, [erange] * k)
+            inv_t = inverse_permutation(tau)
+            idx = tuple(
+                coords[:, None, m] + coords[None, :, inv_t[m]] - erange[0]
+                for m in range(k)
+            )
+            out += table[idx]
     pref = EigenFamily("qboson-right", q).prefactors(coords)
     return pref[:, None] * pref[None, :] * out
 
@@ -726,20 +716,8 @@ def residue_expand_nested(Fs, cs: ContourSystem, spec: QuadratureSpec, q: float)
     single = not isinstance(Fs, (list, tuple))
     fns = [Fs] if single else list(Fs)
     fns = [F.fn if isinstance(F, SpectralFn) else F for F in fns]
-    k = cs.k
-    m = spec.nodes
-    nodes, weights = grid_nodes_weights(cs, spec)
     totals = np.zeros(len(fns), dtype=complex)
-    chunk = m if k <= 2 else max(2, min(m, (1 << 21) // m ** (k - 1) or 2))
-    for start in range(0, m, chunk):
-        stop = min(m, start + chunk)
-        zs = [nodes[0][start:stop].reshape([-1] + [1] * (k - 1))]
-        W = weights[0][start:stop].reshape([-1] + [1] * (k - 1)).astype(complex)
-        for j in range(1, k):
-            shape = [1] * k
-            shape[j] = m
-            zs.append(nodes[j].reshape(shape))
-            W = W * weights[j].reshape(shape)
+    for zs, W in _grid_chunks(cs, spec):
         base = W * nested_kernel_grid(zs, q)
         for i, fn in enumerate(fns):
             totals[i] += (base * fn(tuple(zs))).sum()
@@ -762,21 +740,8 @@ def residue_expand_sum(Fs, k: int, cs: ContourSystem, spec: QuadratureSpec, q: f
     fns = [F.fn if isinstance(F, SpectralFn) else F for F in fns]
     fam_l = EigenFamily("qboson-left", q)
     totals = np.zeros(len(fns), dtype=complex)
-    m = spec.nodes
     for lam in partitions_of(k):
-        ell = lam.length
-        sub = _gamma_k_system(cs, ell)
-        nodes, weights = grid_nodes_weights(sub, spec)
-        chunk = m if ell <= 3 else max(2, min(m, (1 << 21) // m ** (ell - 1) or 2))
-        for start in range(0, m, chunk):
-            stop = min(m, start + chunk)
-            ws = [nodes[0][start:stop].reshape([-1] + [1] * (ell - 1))]
-            W = weights[0][start:stop].reshape([-1] + [1] * (ell - 1)).astype(complex)
-            for j in range(1, ell):
-                shape = [1] * ell
-                shape[j] = m
-                ws.append(nodes[j].reshape(shape))
-                W = W * weights[j].reshape(shape)
+        for ws, W in _grid_chunks(_gamma_k_system(cs, lam.length), spec):
             comps = _string_components(lam, ws, q, "qboson")
             dens = W * mu_density_grid(lam, ws, q)
             scat_l = ScatteringGrid(fam_l, comps)

@@ -8,7 +8,8 @@ defaults after type validation against them.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import inspect
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -206,8 +207,6 @@ def run_check(check_id: str, **overrides) -> Report:
             f"unknown check id {check_id!r}; known ids: {', '.join(sorted(REGISTRY))}"
         )
     cd = REGISTRY[check_id]
-    import inspect
-
     sig = inspect.signature(cd.fn)
     for key in overrides:
         if key not in sig.parameters:
@@ -215,25 +214,36 @@ def run_check(check_id: str, **overrides) -> Report:
     return cd.fn(**overrides)
 
 
+def _run_with_common(cid: str, common: dict, overrides: dict) -> Report:
+    """Run one check with the common parameters it accepts, then its own."""
+    sig = inspect.signature(REGISTRY[cid].fn)
+    kwargs = {k: v for k, v in common.items() if k in sig.parameters}
+    kwargs.update(overrides)
+    return run_check(cid, **kwargs)
+
+
 def run_all(overrides_by_id: dict | None = None, common: dict | None = None,
             jobs: int = 1, check_ids: list[str] | None = None) -> list[Report]:
     """Run several checks (default all), in registry order, optionally in
-    parallel; the returned list follows registry order regardless."""
+    parallel; the returned list follows registry order regardless.
+
+    With jobs > 1 the checks run in a pool of min(jobs, #checks, #cpus)
+    worker processes, started fresh (spawn), since the checks hold the
+    interpreter lock.  Checks depend only on their parameters and seed, so
+    the reports equal the serial ones apart from runtime_ms.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be a positive number of workers, got {jobs}")
     ids = list(REGISTRY) if check_ids is None else list(check_ids)
     overrides_by_id = overrides_by_id or {}
     common = common or {}
+    args = [(cid, common, overrides_by_id.get(cid, {})) for cid in ids]
+    workers = min(jobs, len(ids), os.cpu_count() or 1)
+    if workers <= 1:
+        return [_run_with_common(*a) for a in args]
+    # Imported here: the pool machinery costs every serial run memory.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    def one(cid: str) -> Report:
-        import inspect
-
-        kwargs = dict(common)
-        sig = inspect.signature(REGISTRY[cid].fn)
-        kwargs = {k: v for k, v in kwargs.items() if k in sig.parameters}
-        kwargs.update(overrides_by_id.get(cid, {}))
-        return run_check(cid, **kwargs)
-
-    if jobs <= 1:
-        return [one(cid) for cid in ids]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {cid: pool.submit(one, cid) for cid in ids}
-        return [futures[cid].result() for cid in ids]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(_run_with_common, *zip(*args)))

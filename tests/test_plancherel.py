@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qboson.contours import QuadratureSpec, nested_contours, single_gamma
+from qboson import contours
+from qboson.contours import QuadratureSpec, _grid_chunks, integrate, nested_contours, single_gamma
 from qboson.eigenfunctions import EigenFamily, eigen_eval, eigen_eval_grid
 from qboson.plancherel import (
     SpectralFn,
@@ -15,6 +18,7 @@ from qboson.plancherel import (
     mu_weight_appendix,
     mu_weight_vandermonde,
     mu_density_grid,
+    nested_kernel_grid,
     pairing_spatial,
     pairing_spectral,
     residue_expand_nested,
@@ -78,6 +82,52 @@ def test_mu_forms_agree():
             assert abs(a - b) <= 1e-12 * (1 + abs(a))
             assert abs(a - c) <= 1e-12 * (1 + abs(a))
             assert abs(a - g) <= 1e-12 * (1 + abs(a))
+
+
+def _literal_cauchy(lam, ws, shift):
+    """Matrices [1/(s_i - w_j)] at every node of the broadcast grid ws, with
+    s_i = shift(w_i, lam_i), stacked along the leading axes."""
+    ell = lam.length
+    grid = np.broadcast_arrays(*ws)
+    s = [shift(grid[i], lam.parts[i]) for i in range(ell)]
+    return np.stack([np.stack([1.0 / (s[i] - grid[j]) for j in range(ell)], -1)
+                     for i in range(ell)], -2)
+
+
+@settings(max_examples=30)
+@given(
+    q=st.sampled_from([0.1, 0.5, 0.9]),
+    m=st.integers(3, 4),
+    radius=st.floats(0.002, 0.02),
+    spacing=st.floats(0.2, 0.6),
+    phases=st.lists(st.floats(0.0, 2 * math.pi), min_size=5, max_size=5),
+)
+def test_mu_density_grid_matches_literal_determinant(q, m, radius, spacing, phases):
+    # Axis j carries m nodes on a small circle about 1 + j * spacing * i, so
+    # every s_i - w_j stays away from 0.  The references are literal
+    # determinants in floating point, whose own rounding grows with the
+    # condition number of the matrix (at q = 0.1 rows with equal parts are
+    # nearly equal); that rounding, cond * eps * |ref|, is added to the
+    # tolerance.
+    theta = 2 * math.pi * np.arange(m) / m
+    axes = [1 + 1j * spacing * j + radius * np.exp(1j * (theta + phases[j])) for j in range(5)]
+    eps = np.finfo(float).eps
+    for k in range(1, 6):
+        for lam in partitions_of(k):
+            ell = lam.length
+            mult = math.prod(math.factorial(c) for c in lam.multiplicities().values())
+            ws = [axes[j].reshape([m if a == j else 1 for a in range(ell)]) for j in range(ell)]
+            grid_q = mu_density_grid(lam, ws, q)
+            grid_sd = mu_density_grid(lam, ws, q, model="sd")
+            assert grid_q.shape == grid_sd.shape == (m,) * ell
+            mats_q = _literal_cauchy(lam, ws, lambda w, part: w * q**part)
+            mats_sd = _literal_cauchy(lam, ws, lambda w, part: w + part)
+            ref_q = np.array([mu_weight(lam, [axes[j][i] for j, i in enumerate(idx)], q)
+                              for idx in np.ndindex(*grid_q.shape)]).reshape(grid_q.shape)
+            ref_sd = np.linalg.det(mats_sd) / mult
+            for got, ref, mats in ((grid_q, ref_q, mats_q), (grid_sd, ref_sd, mats_sd)):
+                tol = 1e-12 * (1 + abs(ref)) + np.linalg.cond(mats) * eps * abs(ref)
+                assert np.all(abs(got - ref) <= tol), (lam, np.max(abs(got - ref) / tol))
 
 
 def test_cauchy_determinant_form_of_string_free_measure():
@@ -278,6 +328,30 @@ def test_residue_expansion_small():
         a = residue_expand_nested(F, cs, spec, Q)
         b = residue_expand_sum(F, k, cs, spec, Q)
         assert abs(a - b) <= 1e-8 * (1 + abs(a))
+
+
+def test_chunked_grids_match_one_chunk(monkeypatch):
+    # k = 4 with 16 nodes per axis: a budget of 512 nodes cuts every grid of
+    # three or four axes into 8 slabs of 2 nodes along axis 0.
+    k, spec = 4, QuadratureSpec(16)
+    cs = nested_contours(k, Q, r_k=0.3, margin=0.3)
+    Fs = [SpectralFn(lambda zs, c=c: np.exp(sum((z - 1.0) * c for z in zs)), k) for c in (0.3, -0.7)]
+
+    def integrand(zs):
+        return nested_kernel_grid(zs, Q) * np.exp(sum(zs))
+
+    def evaluate(budget):
+        monkeypatch.setattr(contours, "CHUNK_ELEMENTS", budget)
+        res = integrate(cs, integrand, spec)
+        return (residue_expand_nested(Fs, cs, spec, Q), residue_expand_sum(Fs, k, cs, spec, Q),
+                res.value, res.error_estimate, len(list(_grid_chunks(cs, spec))))
+
+    nested1, sum1, val1, err1, n1 = evaluate(1 << 30)
+    nested8, sum8, val8, err8, n8 = evaluate(512)
+    assert (n1, n8) == (1, 8)
+    for a, b in zip(np.concatenate([nested1, sum1, [val1]]), np.concatenate([nested8, sum8, [val8]])):
+        assert abs(a - b) <= 1e-12 * (1 + abs(a))
+    assert abs(err1 - err8) <= 1e-12 * (1 + abs(val1))
 
 
 def test_degenerate_string_orthogonality_experiment_runs():

@@ -186,6 +186,13 @@ def test_cli_unknown_check_exits_2():
     assert "unknown check" in p.stderr
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_verify_all_rejects_nonpositive_jobs(jobs):
+    p = _cli("verify", "all", "--jobs", jobs)
+    assert p.returncode == 2
+    assert "jobs must be a positive number" in p.stderr
+
+
 def test_cli_param_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trials": 1, "seed": 9}))
