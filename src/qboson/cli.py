@@ -191,7 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--param", action="append",
                     help="override one parameter, key=value (repeatable)")
     pv.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    pv.add_argument("--q", type=float, default=None)
+    pv.add_argument("--q", type=float, default=None,
+                    help="q for every selected check that takes q; a single "
+                         "check without q exits 2")
     pv.add_argument("--jobs", type=int, default=1,
                     help="worker processes for 'verify all' (at least 1)")
     pv.set_defaults(fn=_cmd_verify)

@@ -136,11 +136,11 @@ def deriv_matrices(n: WeylVector, side: str, eps: float, q: float) -> tuple[Deri
     return tuple(out)
 
 
-def deriv_matrix_value(n: WeylVector, m: WeylVector, side: str, eps: float, q: float) -> float:
-    for e in deriv_matrices(n, side, eps, q):
-        if e.target == m:
-            return e.value
-    return 0.0
+def _row(n: WeylVector, side: str, eps: float, q: float) -> dict[WeylVector, float]:
+    """The derivative row at n as a mapping from target to value.  No row
+    repeats a target (each entry shifts its own index range of n), so the
+    mapping keeps every entry."""
+    return {e.target: e.value for e in deriv_matrices(n, side, eps, q)}
 
 
 def _eps_derivative(fam: EigenFamily, z, n: WeylVector) -> complex:
@@ -163,29 +163,47 @@ def psi_left_eps_derivative(z, n: WeylVector, eps: float, q: float) -> complex:
     return _eps_derivative(EigenFamily("eps-left", q, eps), z, n)
 
 
+def left_sources(n: WeylVector, eps: float, q: float) -> dict[WeylVector, float]:
+    """Every m whose left row at p = m+1 reaches n, mapped to C^ell(m+1, n).
+
+    A left row raises a head segment of one cluster of p by one, so p is n
+    lowered by one on a contiguous index range [a, b].  Each of the O(k^2)
+    ranges whose lowering keeps n weakly decreasing gives a candidate p,
+    kept when n is among the targets of its left row.
+    """
+    k = n.k
+    out = {}
+    for a in range(k):
+        for b in range(a, k):
+            if b + 1 < k and n.coords[b] == n.coords[b + 1]:
+                continue  # lowering [a, b] would break the ordering
+            p = n.bump_range(a, b, -1)
+            row = _row(p, "left", eps, q)
+            if n in row:
+                out[p.shift(-1)] = row[n]
+    return out
+
+
 def crl_relation_check(n: WeylVector, eps: float, q: float,
                        m: WeylVector | None = None) -> dict:
     """Verify C^r(n-1, m) / C_q(n) = -C^ell(m+1, n) / C_q(m+1).
 
-    With m omitted, every target interacting with n (from either side) is
-    enumerated.  Returns the worst absolute residual and the pair count.
+    With m omitted, every m that interacts with n is checked: the targets
+    of the right row of n-1, and the m of ``left_sources(n)``, whose m+1 is
+    n lowered by one on a contiguous index range.  With m given, only that
+    pair is checked.  Returns the worst absolute residual and the number of
+    pairs.
     """
     check_q(q)
-    n_minus = n.shift(-1)
-    targets = {e.target for e in deriv_matrices(n_minus, "right", eps, q)}
-    if m is not None:
-        targets = {m}
-    else:
-        # also targets whose left-derivative row reaches n
-        k = n.k
-        for cand in weyl_vectors_in_box(k, n.coords[-1] - k - 2, n.coords[0] + 1):
-            mm = cand.shift(0)
-            if any(e.target == n for e in deriv_matrices(mm.shift(1), "left", eps, q)):
-                targets.add(mm)
+    right = _row(n.shift(-1), "right", eps, q)
+    left = {} if m is not None else left_sources(n, eps, q)
+    targets = {m} if m is not None else set(right) | set(left)
     worst = 0.0
     for mm in targets:
-        lhs = deriv_matrix_value(n_minus, mm, "right", eps, q) / cq_weight(n, q)
-        rhs = -deriv_matrix_value(mm.shift(1), n, "left", eps, q) / cq_weight(mm.shift(1), q)
+        p = mm.shift(1)
+        c_left = left[mm] if mm in left else _row(p, "left", eps, q).get(n, 0.0)
+        lhs = right.get(mm, 0.0) / cq_weight(n, q)
+        rhs = -c_left / cq_weight(p, q)
         worst = max(worst, abs(lhs - rhs))
     return {"worst": worst, "pairs": len(targets)}
 
@@ -206,7 +224,13 @@ def _hl_vnorm(n: WeylVector, t: float) -> float:
 
 
 def hl_P(n: WeylVector, x: Sequence[complex], t: float) -> complex:
-    """Hall-Littlewood P polynomial by the explicit symmetrization formula."""
+    """Hall-Littlewood P polynomial by the explicit symmetrization formula.
+
+    This hand-written k! loop is the independent side of hl-identification,
+    which compares it with the eps = 0 eigenfunctions of the
+    permutation-scattering kernel.  Keep it off that kernel, or the check
+    compares the kernel with itself.
+    """
     if n.coords[-1] < 0:
         raise ValueError("P needs n_k >= 0")
     k = n.k

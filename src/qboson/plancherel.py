@@ -262,6 +262,11 @@ def residue_weight_direct(lam: Partition, w: Sequence[complex], q: float) -> com
     string; those cancel, factor for factor, against the denominator, so
     the value is the plain product with exactly those denominator factors
     removed, evaluated at the geometric string point.
+
+    This hand-written k^2 loop is the independent side of residue-weight,
+    which compares it with the Cauchy-determinant form.  Keep it off the
+    permutation-scattering kernel and the determinant, so that the two
+    sides share no code.
     """
     check_q(q)
     y = string_points(w, lam, q, mode="geometric")

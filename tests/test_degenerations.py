@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qboson.degenerations
 from qboson.contours import QuadratureSpec
 from qboson.degenerations import (
     SemiDiscreteParams,
@@ -16,6 +19,7 @@ from qboson.degenerations import (
     hl_P,
     hl_Q,
     hl_dictionary_residuals,
+    left_sources,
     oy_simulate,
     psi_cfwd_eps_derivative,
     psi_left_eps_derivative,
@@ -26,7 +30,8 @@ from qboson.degenerations import (
 )
 from qboson.eigenfunctions import EigenFamily, eigen_eval
 from qboson.plancherel import SpectralFn
-from qboson.qcore import Partition, WeylVector, weyl_vectors_in_box
+from qboson.qcore import Partition, WeylVector, cq_weight, weyl_vectors_in_box
+from qboson.registry import run_check
 
 Q = 0.5
 
@@ -91,6 +96,72 @@ def test_crl_single_clusters_and_worked_case():
     m = WeylVector((2, 1))
     r = crl_relation_check(n, 0.5, Q, m=m)
     assert r["pairs"] == 1 and r["worst"] < 1e-12
+
+
+def _box_left_sources(n, eps, q):
+    """Reference for ``left_sources``: every m of a whole Weyl box around n
+    whose left row at m+1 reaches n, found by building that row."""
+    return {mm for mm in weyl_vectors_in_box(n.k, n.coords[-1] - n.k - 2, n.coords[0] + 1)
+            if any(e.target == n for e in deriv_matrices(mm.shift(1), "left", eps, q))}
+
+
+def _box_crl_relation_check(n, eps, q):
+    """Reference for ``crl_relation_check``: targets from the box, values by
+    first-match search of each row."""
+    def value(src, tgt, side):
+        for e in deriv_matrices(src, side, eps, q):
+            if e.target == tgt:
+                return e.value
+        return 0.0
+
+    targets = {e.target for e in deriv_matrices(n.shift(-1), "right", eps, q)}
+    targets |= _box_left_sources(n, eps, q)
+    worst = 0.0
+    for mm in targets:
+        lhs = value(n.shift(-1), mm, "right") / cq_weight(n, q)
+        rhs = -value(mm.shift(1), n, "left") / cq_weight(mm.shift(1), q)
+        worst = max(worst, abs(lhs - rhs))
+    return {"worst": worst, "pairs": len(targets)}
+
+
+def test_left_sources_equal_box_enumeration():
+    for k in range(1, 5):
+        for n in weyl_vectors_in_box(k, -2, 2):
+            assert set(left_sources(n, 0.7, Q)) == _box_left_sources(n, 0.7, Q), n
+
+
+@settings(max_examples=6)
+@given(st.lists(st.integers(-2, 2), min_size=5, max_size=5).filter(lambda xs: len(set(xs)) < 5))
+def test_left_sources_equal_box_enumeration_k5_ties(xs):
+    n = WeylVector(tuple(sorted(xs, reverse=True)))
+    assert set(left_sources(n, 0.7, Q)) == _box_left_sources(n, 0.7, Q)
+
+
+def test_crl_relation_check_matches_box_version():
+    # the eps-deriv-relation check's fixed states and this file's worked cases
+    states = [(3,), (2, 2), (4, 4, 1), (5, 5, 5, 2, 2), (1, 0, 0, -1, -1),
+              (4, 2, 0), (5, 5, 4), (5, 5, 5, 4, 4), (5, 4, 4, 4), (3, 3)]
+    for coords in states:
+        n = WeylVector(coords)
+        for eps in (0.3, 1.0):
+            assert crl_relation_check(n, eps, Q) == _box_crl_relation_check(n, eps, Q), coords
+
+
+def test_eps_deriv_relation_work_count(monkeypatch):
+    # the target search costs O(k^2) rows per state, not a box of them
+    calls = 0
+    inner = qboson.degenerations.deriv_matrices
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    monkeypatch.setattr(qboson.degenerations, "deriv_matrices", counted)
+    for seed in (0, 801, 901, 1001):
+        calls = 0
+        assert run_check("eps-deriv-relation", seed=seed).passed
+        assert 0 < calls <= 2000, (seed, calls)
 
 
 def test_hl_polynomial_base_cases():
