@@ -13,7 +13,6 @@ from qboson.qcore import (
     ClusterData,
     CompactFn,
     Partition,
-    QParam,
     WeylVector,
     check_q,
     cluster_decompose,
@@ -34,7 +33,6 @@ __all__ = [
     "ClusterData",
     "CompactFn",
     "Partition",
-    "QParam",
     "WeylVector",
     "check_q",
     "cluster_decompose",

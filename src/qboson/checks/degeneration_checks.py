@@ -7,23 +7,20 @@ import math
 import numpy as np
 
 from qboson.checks import random_spectral, random_weyl
-from qboson.contours import QuadratureSpec
+from qboson.contours import QuadratureSpec, nested_contours, sd_nested_contours, single_gamma
 from qboson.degenerations import (
-    SemiDiscreteParams,
     admissible_F,
     c_eps,
     cauchy_littlewood_check,
     crl_relation_check,
     d_eps,
     deriv_matrices,
-    eps_pipeline,
     hl_dictionary_residuals,
     oy_simulate,
     psi_cfwd_eps_derivative,
     psi_left_eps_derivative,
     sd_moment_formula,
     sd_moment_poisson_chain,
-    sd_pipeline,
     spectral_orthogonality_sides,
 )
 from qboson.eigenfunctions import EigenFamily, EigenTable, eigen_eval
@@ -31,31 +28,29 @@ from qboson.plancherel import SpectralFn, composition_table
 from qboson.qcore import WeylVector, weyl_vectors_in_box
 from qboson.report import Accumulator, Report
 
+SD_Q = 0.5  # the semi-discrete family carries no q; composition_table still takes one
+
 
 def check_eps_plancherel(q: float = 0.5, eps: float = 0.5, nodes: int = 128,
                          tolerance: float = 1e-6, seed: int = 0) -> Report:
     """Identity resolution for the eps-deformed transform pair at eps = 0.5,
     plus the eps = 1 reduction to the base family."""
+    if eps <= 0:
+        raise ValueError("the contour-based pipeline needs eps > 0; "
+                         "use the Hall-Littlewood route at eps = 0")
     acc = Accumulator("eps-plancherel", {"q": q, "eps": eps, "nodes": nodes}, seed)
     spec = QuadratureSpec(nodes)
-    pipe = eps_pipeline(eps, q)
     for k in (1, 2):
         states = list(weyl_vectors_in_box(k, -3, 3))
         I = np.eye(len(states))
-        for mode, r_k in (("nested", 0.3 * eps), ("single-gamma", None)):
-            if mode == "single-gamma":
-                from qboson.contours import single_gamma
-
-                cs = single_gamma(q, k=k, eps=eps, family="eps-single")
-                T = composition_table(states, cs, spec, q, model="eps", eps=eps,
-                                      mode=mode)
-            else:
-                T = pipe.composition_table(states, mode=mode, r_k=r_k, quad=spec)
+        for mode, cs in (("nested", nested_contours(k, q, r_k=0.3 * eps, center=eps)),
+                         ("single-gamma", single_gamma(q, k=k, eps=eps, family="eps-single"))):
+            T = composition_table(states, cs, spec, q, model="eps", eps=eps, mode=mode)
             resid = float(np.abs(T - I).max())
             acc.add_residual(f"k={k} {mode}", resid, tolerance)
         states2 = list(weyl_vectors_in_box(k, -2, 2))
-        T = pipe.composition_table(states2, mode="expanded",
-                                   r_k=0.6 * eps * (1 - q) / (1 + q), quad=spec)
+        cs = nested_contours(k, q, r_k=0.6 * eps * (1 - q) / (1 + q), center=eps)
+        T = composition_table(states2, cs, spec, q, model="eps", eps=eps, mode="expanded")
         acc.add_residual(f"k={k} expanded", float(np.abs(T - np.eye(len(states2))).max()),
                          tolerance)
     # eps = 1 reduction on random values
@@ -211,12 +206,11 @@ def check_sd_plancherel(nodes: int = 128, tolerance: float = 1e-6, seed: int = 0
     """Identity resolution for the semi-discrete transform pair, k <= 2."""
     acc = Accumulator("sd-plancherel", {"nodes": nodes}, seed)
     spec = QuadratureSpec(nodes)
-    pipe = sd_pipeline(SemiDiscreteParams(k=2))
     for k in (1, 2):
         states = list(weyl_vectors_in_box(k, -3, 3))
         I = np.eye(len(states))
         for mode in ("nested", "expanded"):
-            T = pipe.composition_table(states, mode=mode, quad=spec)
+            T = composition_table(states, sd_nested_contours(k), spec, SD_Q, model="sd", mode=mode)
             acc.add_residual(f"k={k} {mode}", float(np.abs(T - I).max()), tolerance)
     return acc.report()
 
@@ -227,10 +221,10 @@ def check_sd_biorthogonality(nodes: int = 128, tolerance: float = 1e-6,
     additive-string pairing (the expanded composition form)."""
     acc = Accumulator("sd-biorthogonality", {"nodes": nodes}, seed)
     spec = QuadratureSpec(nodes)
-    pipe = sd_pipeline(SemiDiscreteParams(k=2))
     for k in (1, 2):
         states = list(weyl_vectors_in_box(k, -2, 3))
-        T = pipe.composition_table(states, mode="expanded", quad=spec)
+        T = composition_table(states, sd_nested_contours(k), spec, SD_Q, model="sd",
+                              mode="expanded")
         acc.add_residual(f"k={k}", float(np.abs(T - np.eye(len(states))).max()), tolerance)
     return acc.report()
 

@@ -53,7 +53,7 @@ def check_plancherel_forward(q: float = 0.5, box_radius: int = 4, nodes: int = 1
 
     k <= 2 runs at the given q; the k = 3 leg runs at q = 0.25 where the
     string-product circle can be large enough (its radius is capped at
-    (1-q)/(1+q)) to keep the power-contraction роundoff amplification of
+    (1-q)/(1+q)) to keep the power-contraction roundoff amplification of
     the extreme box corners below tolerance, and the nested mode is
     additionally run at the given q.
     """

@@ -33,7 +33,6 @@ from qboson.contours import (
     gamma_prime,
     grid_nodes_weights,
     integrate,
-    nested_contours,
     sd_nested_contours,
     single_gamma,
 )
@@ -47,15 +46,9 @@ from qboson.eigenfunctions import (
 )
 from qboson.plancherel import (
     SpectralFn,
-    composition_table,
-    inverse_J,
-    inverse_J_batch,
-    mu_density_grid,
     nested_kernel_grid,
-    transform_F,
 )
 from qboson.qcore import (
-    CompactFn,
     Partition,
     WeylVector,
     check_q,
@@ -483,117 +476,6 @@ def spectral_orthogonality_sides(F: SpectralFn, G: SpectralFn, eps: float, k: in
 
     rhs = integrate(gamma, rhs_integrand, quad).value
     return {"lhs": lhs, "rhs": rhs, "tail_bound": tail, "n_window": (n_floor, n_hi)}
-
-
-# ---------------------------------------------------------------------------
-# eps and semi-discrete pipelines
-
-
-@dataclass
-class EpsPipeline:
-    """Handles for the eps-deformed system re-parameterized from the base one."""
-
-    eps: float
-    q: float
-
-    def __post_init__(self):
-        check_q(self.q)
-        if self.eps <= 0:
-            raise ValueError("the contour-based pipeline needs eps > 0; "
-                             "use the Hall-Littlewood route at eps = 0")
-
-    def family(self, side: str) -> EigenFamily:
-        return EigenFamily(f"eps-{side}", self.q, self.eps)
-
-    def eigen(self, side: str, z, n: WeylVector) -> complex:
-        return eigen_eval(self.family(side), z, n)
-
-    def generator(self, kind: str):
-        from qboson.generators import GeneratorKind
-
-        return GeneratorKind(kind, "eps", self.q, self.eps)
-
-    def contours(self, k: int, r_k: float | None = None) -> ContourSystem:
-        return nested_contours(k, self.q, r_k=r_k, center=self.eps)
-
-    def transform(self, f: CompactFn, z) -> complex:
-        return transform_F(f, z, self.q, model="eps", eps=self.eps)
-
-    def inverse(self, G, n: WeylVector, mode: str = "nested",
-                cs: ContourSystem | None = None, quad: QuadratureSpec | None = None):
-        if cs is None:
-            cs = self.contours(n.k)
-        if quad is None:
-            quad = QuadratureSpec(128)
-        return inverse_J(G, n, mode, cs, quad, self.q, model="eps", eps=self.eps)
-
-    def composition_table(self, states, mode: str = "nested", r_k: float | None = None,
-                          quad: QuadratureSpec | None = None) -> np.ndarray:
-        k = states[0].k
-        if quad is None:
-            quad = QuadratureSpec(128)
-        cs = self.contours(k, r_k=r_k)
-        return composition_table(states, cs, quad, self.q, model="eps", eps=self.eps, mode=mode)
-
-
-@dataclass(frozen=True)
-class SemiDiscreteParams:
-    k: int
-    r_k: float = 0.4
-    step: float = 1.1
-    sde_dt: float = 1e-3
-    sde_paths: int = 100_000
-
-
-@dataclass
-class SdPipeline:
-    """Handles for the semi-discrete system."""
-
-    params: SemiDiscreteParams
-    q_dummy: float = 0.5  # the sd family carries no q; kept for shared plumbing
-
-    def family(self, side: str) -> EigenFamily:
-        return EigenFamily(f"sd-{side}", self.q_dummy)
-
-    def eigen(self, side: str, z, n: WeylVector) -> complex:
-        return eigen_eval(self.family(side), z, n)
-
-    def contours(self, k: int | None = None) -> ContourSystem:
-        k = k or self.params.k
-        return sd_nested_contours(k, r_k=self.params.r_k, step=self.params.step)
-
-    def mu_weight(self, lam: Partition, w: Sequence[complex]) -> complex:
-        arrs = [np.asarray(complex(x)) for x in w]
-        return complex(mu_density_grid(lam, arrs, self.q_dummy, model="sd"))
-
-    def transform(self, f: CompactFn, z) -> complex:
-        return transform_F(f, z, self.q_dummy, model="sd")
-
-    def inverse(self, G, n: WeylVector, mode: str = "nested",
-                quad: QuadratureSpec | None = None):
-        if quad is None:
-            quad = QuadratureSpec(128)
-        return inverse_J(G, n, mode, self.contours(n.k), quad, self.q_dummy, model="sd")
-
-    def composition_table(self, states, mode: str = "nested",
-                          quad: QuadratureSpec | None = None) -> np.ndarray:
-        k = states[0].k
-        if quad is None:
-            quad = QuadratureSpec(128)
-        return composition_table(states, self.contours(k), quad, self.q_dummy,
-                                 model="sd", mode=mode)
-
-    def moment_formula(self, n: WeylVector, t: float,
-                       quad: QuadratureSpec | None = None) -> complex:
-        return sd_moment_formula(n, t, cs=self.contours(n.k), quad=quad)
-
-
-def eps_pipeline(eps: float, q: float) -> EpsPipeline:
-    return EpsPipeline(eps, q)
-
-
-def sd_pipeline(params: SemiDiscreteParams) -> SdPipeline:
-    return SdPipeline(params)
 
 
 def sd_moment_formula(n: WeylVector, t: float, cs: ContourSystem | None = None,

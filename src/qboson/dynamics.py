@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -29,8 +29,6 @@ from qboson.generators import (
     uniformized_transition,
 )
 from qboson.plancherel import (
-    SpectralFn,
-    inverse_J,
     inverse_J_batch,
     nested_kernel_grid,
     transform_F_grid,
@@ -417,7 +415,7 @@ def _time_weight(q: float, t: float, model: str = "qboson"):
 
 
 def solve_evolution(direction: str, method: str, f0: CompactFn, t: float, n: WeylVector,
-                    q: float, mode: str = "nested", cs: ContourSystem | None = None,
+                    q: float, cs: ContourSystem | None = None,
                     quad: QuadratureSpec | None = None) -> complex:
     """Solve the backward or forward equation at time t and state n.
 
@@ -432,7 +430,7 @@ def solve_evolution(direction: str, method: str, f0: CompactFn, t: float, n: Wey
         raise ValueError("t must be >= 0")
     k = f0.k
     if method == "spectral":
-        vals = solve_evolution_batch(direction, f0, t, [n], q, mode=mode, cs=cs, quad=quad)
+        vals = solve_evolution_batch(direction, f0, t, [n], q, cs=cs, quad=quad)
         return complex(vals[0])
 
     if method != "ode-oracle":
@@ -481,7 +479,7 @@ def solve_evolution(direction: str, method: str, f0: CompactFn, t: float, n: Wey
 
 
 def solve_evolution_batch(direction: str, f0: CompactFn, t: float, ns: Sequence[WeylVector],
-                          q: float, mode: str = "nested", cs: ContourSystem | None = None,
+                          q: float, cs: ContourSystem | None = None,
                           quad: QuadratureSpec | None = None) -> np.ndarray:
     """Spectral solver evaluated at many states with one grid pass."""
     check_q(q)
@@ -494,11 +492,11 @@ def solve_evolution_batch(direction: str, f0: CompactFn, t: float, ns: Sequence[
 
     if direction == "backward":
         G = lambda zs: transform_F_grid(f0, list(zs), q)
-        return inverse_J_batch(G, list(ns), mode, cs, quad, q, extra_grid=extra)
+        return inverse_J_batch(G, list(ns), "nested", cs, quad, q, extra_grid=extra)
     if direction == "forward":
         G = lambda zs: transform_F_grid(f0, list(zs), q, side="left")
         refl = [n.reflect() for n in ns]
-        vals = inverse_J_batch(G, refl, mode, cs, quad, q, extra_grid=extra)
+        vals = inverse_J_batch(G, refl, "nested", cs, quad, q, extra_grid=extra)
         pref = np.array(
             [q ** (-k * (k - 1) / 2.0) * cq_weight_inv(n, q) for n in ns], dtype=complex
         )
@@ -657,14 +655,3 @@ def _chamber_blocks(k: int, lo: int, hi: int):
     for top in range(lo, hi + 1):
         tails = itertools.combinations_with_replacement(range(top, lo - 1, -1), k - 1)
         yield np.array([(top, *t) for t in tails], dtype=np.int64).reshape(-1, k)
-
-
-def combinatorial_identity(name: str, **params) -> IdentityResult:
-    """Dispatch by identity name: mqinverse | qbinomial | halfstat-transform."""
-    if name == "mqinverse":
-        return identity_mqinverse(**params)
-    if name == "qbinomial":
-        return identity_qbinomial(**params)
-    if name == "halfstat-transform":
-        return identity_halfstat_transform(**params)
-    raise ValueError(f"unknown identity {name!r}")

@@ -44,7 +44,6 @@ import numpy as np
 
 from qboson.qcore import (
     CompactFn,
-    Partition,
     WeylVector,
     check_q,
     cluster_weights,
@@ -52,7 +51,6 @@ from qboson.qcore import (
     cq_weight_inv,
     factorial_cluster_weight,
     inverse_permutation,
-    string_points,
 )
 
 FAMILY_KINDS = (
@@ -72,35 +70,6 @@ COINCIDENCE_TOL = 1e-12
 
 class SpectralDomainError(ValueError):
     """Spectral point violates a family exclusion or has coincident entries."""
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """A vector of k spectral variables, with optional string provenance."""
-
-    values: tuple[complex, ...]
-    tag: tuple | str = "free"
-
-    @classmethod
-    def free(cls, values: Sequence[complex]) -> "SpectralPoint":
-        return cls(tuple(complex(v) for v in values), "free")
-
-    @classmethod
-    def geometric_string(cls, w: Sequence[complex], lam: Partition, q: float) -> "SpectralPoint":
-        vals = string_points(w, lam, q, mode="geometric")
-        return cls(vals, ("geometric", tuple(map(complex, w)), lam))
-
-    @classmethod
-    def additive_string(cls, w: Sequence[complex], lam: Partition) -> "SpectralPoint":
-        vals = string_points(w, lam, mode="additive")
-        return cls(vals, ("additive", tuple(map(complex, w)), lam))
-
-    @property
-    def k(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
 
 
 @dataclass(frozen=True)
@@ -175,8 +144,6 @@ class EigenFamily:
 
 
 def _as_values(z) -> tuple[complex, ...]:
-    if isinstance(z, SpectralPoint):
-        return z.values
     return tuple(complex(v) for v in z)
 
 

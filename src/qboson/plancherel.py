@@ -1,4 +1,4 @@
-"""The transform pair, spectral measures, pairings, and residue expansion.
+"""The transform pair, spectral measures, and residue expansion.
 
 The forward transform pairs a compactly supported function with the right
 eigenfunctions; the inverse transform is a k-fold contour integral that can
@@ -6,34 +6,41 @@ be evaluated three equivalent ways: over nested circles, over one large
 circle against the k-string-free measure, or as a sum over partitions of
 string-specialized integrals against the measure `mu_weight`.
 
-Batched evaluators (`composition_table`, `inverse_J_batch`) factor the
-integrand through per-permutation scattering tensors and integer power
-contractions, so one quadrature grid serves a whole box of spatial
-arguments at once.
+That three-way choice is made in one place, `_spectral_slabs`: for each
+mode and grid slab it yields the spectral components, the measure and the
+left-eigenfunction permutation terms.  The batched evaluators
+(`inverse_J_batch`, `composition_table`, `right_right_pair_table`)
+consume it without naming a mode; they factor the integrand through
+per-permutation scattering tensors and integer power contractions, so one
+quadrature grid serves a whole box of spatial arguments at once.
+`inverse_J` is a batch of one.
 
 Every grid here is walked through `contours._grid_chunks`, the same slabs
 `contours.integrate` uses, so peak memory is bounded by one slab however
 many axes a grid has.  The string measure on a grid, `mu_density_grid`, is
 built from two-axis pair factors and one-axis diagonal factors, with no
 division at the full grid size; `mu_weight` keeps the literal determinant.
+The two sides of residue-expansion, `residue_expand_nested` and
+`residue_expand_sum`, stay off the dispatch, so that they share no code.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from qboson.contours import (
     ContourSystem,
-    QuadResult,
     QuadratureSpec,
     contract_powers,
     _grid_chunks,
-    integrate,
+    integrate,  # noqa: F401  perfbench's tracer test patches plancherel.integrate
     power_matrix,
 )
 from qboson.eigenfunctions import EigenFamily, ScatteringGrid, eigen_eval, eigen_eval_grid
@@ -69,20 +76,6 @@ class SpectralFn:
         if isinstance(self.tag, tuple) and self.tag[0] == "pole-at":
             return tuple(map(complex, self.tag[1]))
         return ()
-
-
-def check_symmetry(G: SpectralFn, rng: np.random.Generator, tol: float = 1e-10) -> float:
-    """Spot-check symmetry of G at a random point; returns the residual."""
-    z = rng.normal(size=G.k) + 0.3j * rng.normal(size=G.k) + 2.0
-    zs = [np.asarray(v) for v in z]
-    base = complex(G(tuple(zs)))
-    worst = 0.0
-    for perm in itertools.permutations(range(G.k)):
-        v = complex(G(tuple(zs[p] for p in perm)))
-        worst = max(worst, abs(v - base) / (1.0 + abs(base)))
-    if worst > tol:
-        raise ValueError(f"spectral function is not symmetric (residual {worst:.2e})")
-    return worst
 
 
 def _family(model: str, side: str, q: float, eps: float) -> EigenFamily:
@@ -289,7 +282,7 @@ def residue_weight_determinant(lam: Partition, w: Sequence[complex], q: float) -
 
 
 # ---------------------------------------------------------------------------
-# Inverse transform and pairings (generic, single spatial argument)
+# Inverse transform: one evaluation-mode dispatch, shared by every batch
 
 
 def _string_components(lam: Partition, ws: Sequence[np.ndarray], q: float, model: str):
@@ -337,239 +330,140 @@ def check_contour_compat(G, cs: ContourSystem) -> None:
                 )
 
 
-def inverse_J(G, n: WeylVector, mode: str, cs: ContourSystem, spec: QuadratureSpec,
-              q: float, model: str = "qboson", eps: float = 1.0,
-              return_error: bool = False):
-    """Inverse transform of a symmetric spectral function at one point n.
+class _Slab(NamedTuple):
+    """One grid slab of the inverse transform in one evaluation mode."""
 
-    modes: "nested" (k-fold integral over the nested circles), "single-gamma"
-    (one circle, k-string-free measure against the left eigenfunction), or
-    "expanded" (sum over partitions of string-specialized integrals).
+    comps: list  # the k spectral variables: w o lam in string modes, z in nested
+    bases: list  # the one-particle base of each component, raveled along its axis
+    axis_of: tuple  # the grid axis each component lives on
+    measure: np.ndarray  # quadrature weights times the mode's measure
+    lefts: Callable  # T -> (sigma^{-1}, T times the left scattering of sigma) pairs
+    offset: int  # added to every left exponent -n_j
+
+
+def _spectral_slabs(mode: str, coords: np.ndarray, cs: ContourSystem, spec: QuadratureSpec,
+                    q: float, model: str, eps: float):
+    """Yield the slabs of one evaluation mode for the states ``coords``, (N, k).
+
+    nested: the k nested circles, measure W times the nested kernel, no left
+    eigenfunction (the identity term), and exponents -n_j - 1.
+    single-gamma: one circle per particle, measure W dmu_{(1)^k} prod 1/base.
+    expanded: for each partition lam of k, ell(lam) copies of the innermost
+    circle, measure W dmu_lam / poch_lam at the string point w o lam.
+    The string modes pair with the left eigenfunction at -n; on the
+    string-free measure, which is symmetric, its k! terms collapse to k!
+    times the identity term.  The left scattering products are formed only
+    when a consumer asks for them.
     """
-    check_q(q)
-    check_contour_compat(G, cs)
-    k = n.k
-    Gfn = G.fn if isinstance(G, SpectralFn) else G
-    sd_sign = (-1.0) ** k if model == "sd" else 1.0
-
+    if coords.ndim != 2 or len(coords) == 0:
+        raise ValueError("the inverse transform needs at least one state")
+    k = coords.shape[1]
+    if mode in ("nested", "single-gamma") and cs.k != k:
+        raise ValueError(f"{mode} mode needs one circle per particle: "
+                         f"{cs.k} circles for k = {k}")
+    identity = tuple(range(k))
     if mode == "nested":
-        if cs.k != k:
-            raise ValueError("nested mode needs one circle per particle")
-
-        def integrand(zs):
-            kern = nested_kernel_grid(zs, q, model)
-            pw = None
-            for j, z in enumerate(zs):
-                f = _base_grid(model, eps, z) ** (-n.coords[j] - 1)
-                pw = f if pw is None else pw * f
-            return kern * pw * Gfn(zs)
-
-        res = integrate(cs, integrand, spec)
-        res = QuadResult(sd_sign * res.value, res.error_estimate)
-        return res if return_error else res.value
-
+        for zs, W in _grid_chunks(cs, spec):
+            yield _Slab(zs, [_base_grid(model, eps, z).ravel() for z in zs], identity,
+                        W * nested_kernel_grid(zs, q, model), lambda T: [(identity, T)], -1)
+        return
     if mode == "single-gamma":
         if model == "sd":
             raise ValueError("the semi-discrete family has no single-circle form")
-        fam_l = _family(model, "left", q, eps)
-        lam1 = Partition(tuple([1] * k))
-
-        def integrand(zs):
-            dens = mu_density_grid(lam1, list(zs), q, model="qboson")
-            inv = None
-            for z in zs:
-                f = 1.0 / _base_grid(model, eps, z)
-                inv = f if inv is None else inv * f
-            return dens * inv * eigen_eval_grid(fam_l, list(zs), n) * Gfn(zs)
-
-        res = integrate(cs, integrand, spec)
-        return res if return_error else res.value
-
-    if mode == "expanded":
-        fam_l = _family(model, "left", q, eps)
-        total = 0.0 + 0.0j
-        err = 0.0
-        for lam in partitions_of(k):
-            ell = lam.length
-            sub = _gamma_k_system(cs, ell)
-
-            def integrand(ws, _lam=lam):
-                comps = _string_components(_lam, list(ws), q, model)
-                dens = mu_density_grid(_lam, list(ws), q, model="sd" if model == "sd" else "qboson")
-                poch = _string_poch_grid(_lam, list(ws), q, model, eps)
-                return dens / poch * eigen_eval_grid(fam_l, comps, n) * Gfn(comps)
-
-            r = integrate(sub, integrand, spec)
-            total += r.value
-            err += r.error_estimate
-        # the sign of the nested definition survives the string expansion
-        res = QuadResult(sd_sign * total, err)
-        return res if return_error else res.value
-
-    raise ValueError(f"unknown inverse-transform mode {mode!r}")
+        lams = [Partition((1,) * k)]
+    elif mode == "expanded":
+        lams = partitions_of(k)
+    else:
+        raise ValueError(f"unknown inverse-transform mode {mode!r}")
+    fam_l = _family(model, "left", q, eps)
+    for lam in lams:
+        axis_of = tuple(s for s, part in enumerate(lam.parts) for _ in range(part))
+        sub = cs if mode == "single-gamma" else _gamma_k_system(cs, lam.length)
+        for ws, W in _grid_chunks(sub, spec):
+            comps = _string_components(lam, ws, q, model)
+            dens = mu_density_grid(lam, ws, q, "sd" if model == "sd" else "qboson")
+            if mode == "single-gamma":
+                inv_base = functools.reduce(operator.mul,
+                                            (1.0 / _base_grid(model, eps, w) for w in ws))
+                measure = W * dens * inv_base
+            else:
+                measure = W * dens / _string_poch_grid(lam, ws, q, model, eps)
+            scat = ScatteringGrid(fam_l, comps)
+            if lam.length == k:
+                lefts = lambda T, scat=scat: [
+                    (identity, T * scat.product(identity) * math.factorial(k))]
+            else:
+                lefts = lambda T, scat=scat: (
+                    (inverse_permutation(sigma), T * scat.product(sigma))
+                    for sigma in itertools.permutations(identity))
+            yield _Slab(comps, [_base_grid(model, eps, c).ravel() for c in comps], axis_of,
+                        measure, lefts, 0)
 
 
-def pairing_spectral(F, G, mode: str, cs: ContourSystem, spec: QuadratureSpec,
-                     q: float, model: str = "qboson", eps: float = 1.0,
-                     return_error: bool = False):
-    """Bilinear spectral pairing of two symmetric functions.
+def _contract_grouped(T: np.ndarray, bases: Sequence[np.ndarray], axis_of: Sequence[int],
+                      erange: tuple[int, int]) -> np.ndarray:
+    """Contract a slab tensor against the powers lo..hi of its components.
 
-    single-gamma: integral of dmu_{(1)^k} prod 1/base(w_j) F G over one circle;
-    expanded: the partition sum over the innermost circle.
+    Components sharing a grid axis are contracted jointly; the result has
+    one exponent axis per component, R[e_1 - lo, ..., e_k - lo].
     """
-    check_q(q)
-    Ffn = F.fn if isinstance(F, SpectralFn) else F
-    Gfn = G.fn if isinstance(G, SpectralFn) else G
-    k = None
-    for H in (F, G):
-        if isinstance(H, SpectralFn):
-            k = H.k
-    if k is None:
-        raise ValueError("at least one argument must be a SpectralFn carrying k")
-
-    if mode == "single-gamma":
-        if model == "sd":
-            raise ValueError("the semi-discrete pairing has no single-circle form")
-        lam1 = Partition(tuple([1] * k))
-        if cs.k != k:
-            raise ValueError("need one circle per variable")
-
-        def integrand(ws):
-            dens = mu_density_grid(lam1, list(ws), q)
-            inv = None
-            for w in ws:
-                f = 1.0 / _base_grid(model, eps, w)
-                inv = f if inv is None else inv * f
-            return dens * inv * Ffn(ws) * Gfn(ws)
-
-        res = integrate(cs, integrand, spec)
-        return res if return_error else res.value
-
-    if mode == "expanded":
-        total = 0.0 + 0.0j
-        err = 0.0
-        for lam in partitions_of(k):
-            sub = _gamma_k_system(cs, lam.length)
-
-            def integrand(ws, _lam=lam):
-                comps = _string_components(_lam, list(ws), q, model)
-                dens = mu_density_grid(_lam, list(ws), q, model="sd" if model == "sd" else "qboson")
-                poch = _string_poch_grid(_lam, list(ws), q, model, eps)
-                return dens / poch * Ffn(comps) * Gfn(comps)
-
-            r = integrate(sub, integrand, spec)
-            total += r.value
-            err += r.error_estimate
-        res = QuadResult(total, err)
-        return res if return_error else res.value
-
-    raise ValueError(f"unknown pairing mode {mode!r}")
-
-
-# ---------------------------------------------------------------------------
-# Batched evaluators: one quadrature grid, a whole box of spatial arguments
+    lo, hi = erange
+    k = len(bases)
+    # Per-axis joint power matrices via column-wise Kronecker products; each
+    # tensordot consumes one grid axis and appends the merged exponent axis
+    # at the end, so the components come out in reverse axis order.
+    out = T
+    comp_order: list[int] = []
+    for s in range(T.ndim - 1, -1, -1):
+        members = [m for m in range(k) if axis_of[m] == s]
+        P = None
+        for m in members:
+            Pm = power_matrix(bases[m], lo, hi)
+            P = Pm if P is None else (P[:, :, None] * Pm[:, None, :]).reshape(P.shape[0], -1)
+        out = np.tensordot(out, P, axes=([s], [0]))
+        comp_order.extend(members)
+    out = out.reshape([hi - lo + 1] * k)
+    return np.transpose(out, axes=[comp_order.index(m) for m in range(k)])
 
 
 def inverse_J_batch(G, ns: Sequence[WeylVector], mode: str, cs: ContourSystem,
                     spec: QuadratureSpec, q: float, model: str = "qboson",
                     eps: float = 1.0, extra_grid: Callable | None = None) -> np.ndarray:
-    """Inverse transform at many points n sharing one grid evaluation of G.
+    """Inverse transform of a symmetric spectral function G at many points n,
+    sharing one grid evaluation of G.
 
+    modes: "nested" (k-fold integral over the nested circles), "single-gamma"
+    (one circle, k-string-free measure against the left eigenfunction), or
+    "expanded" (sum over partitions of string-specialized integrals).
     ``extra_grid`` optionally multiplies the integrand by a further grid
     factor (e.g. the exponential time weight of the evolution solvers).
-    The grid is walked in the slabs of `contours._grid_chunks`; the power
-    tables of the slabs add up.
     """
     check_q(q)
     check_contour_compat(G, cs)
     Gfn = G.fn if isinstance(G, SpectralFn) else G
-    ns = list(ns)
-    k = ns[0].k
-    lo = min(n.coords[j] for n in ns for j in range(k))
-    hi = max(n.coords[j] for n in ns for j in range(k))
-    sd_sign = (-1.0) ** k if model == "sd" else 1.0
-
-    if mode == "nested":
-        table = 0.0
-        for zs, W in _grid_chunks(cs, spec):
-            T = W * nested_kernel_grid(zs, q, model) * Gfn(tuple(zs))
-            if extra_grid is not None:
-                T = T * extra_grid(tuple(zs))
-            bases = [_base_grid(model, eps, z).ravel() for z in zs]
-            table = table + contract_powers(T, bases, [(-hi - 1, -lo - 1)] * k)
-        out = np.empty(len(ns), dtype=complex)
-        for i, n in enumerate(ns):
-            idx = tuple((-n.coords[j] - 1) - (-hi - 1) for j in range(k))
-            out[i] = sd_sign * table[idx]
-        return out
-
-    if mode == "expanded":
-        fam_l = _family(model, "left", q, eps)
-        out = np.zeros(len(ns), dtype=complex)
-        for lam in partitions_of(k):
-            # Group components by their string axis for the power contraction.
-            axis_of = []
-            for s, part in enumerate(lam.parts):
-                axis_of.extend([s] * part)
-            for ws, W in _grid_chunks(_gamma_k_system(cs, lam.length), spec):
-                comps = _string_components(lam, ws, q, model)
-                dens = mu_density_grid(lam, ws, q, model="sd" if model == "sd" else "qboson")
-                poch = _string_poch_grid(lam, ws, q, model, eps)
-                T0 = W * dens / poch * Gfn(comps)
-                if extra_grid is not None:
-                    T0 = T0 * extra_grid(comps)
-                base_comps = [_base_grid(model, eps, c) for c in comps]
-                scat_l = ScatteringGrid(fam_l, comps)
-                for sigma in itertools.permutations(range(k)):
-                    T = T0 * scat_l.product(sigma)
-                    # exponent of component m is -n_{sigma^{-1}(m)}
-                    inv = inverse_permutation(sigma)
-                    table, offsets = _contract_string_powers(
-                        T, base_comps, axis_of, lam, (-hi, -lo)
-                    )
-                    for i, n in enumerate(ns):
-                        idx = tuple(
-                            (-n.coords[inv[m]]) - offsets[m] for m in range(k)
-                        )
-                        out[i] += table[idx]
-        return sd_sign * out
-
-    raise ValueError(f"batched inverse transform supports nested and expanded modes")
+    coords = np.array([n.coords for n in ns], dtype=int)
+    out = np.zeros(len(coords), dtype=complex)
+    for s in _spectral_slabs(mode, coords, cs, spec, q, model, eps):
+        # In place, so the slab holds one full-size array, and with the
+        # measure as the left operand: `a * temporary` may run as
+        # `temporary *= a`, and a complex product rounds differently with
+        # its operands swapped.
+        T0 = np.multiply(s.measure, Gfn(tuple(s.comps)), out=s.measure)
+        if extra_grid is not None:
+            T0 = T0 * extra_grid(tuple(s.comps))
+        erange = (s.offset - int(coords.max()), s.offset - int(coords.min()))
+        for inv, T in s.lefts(T0):
+            # component m carries the exponent offset - n_{sigma^{-1}(m)}
+            table = _contract_grouped(T, s.bases, s.axis_of, erange)
+            out += table[tuple(s.offset - coords[:, j] - erange[0] for j in inv)]
+    # the sign of the nested definition survives the string expansion
+    return ((-1.0) ** coords.shape[1] if model == "sd" else 1.0) * out
 
 
-def _contract_string_powers(T: np.ndarray, base_comps: Sequence[np.ndarray],
-                            axis_of: Sequence[int], lam: Partition,
-                            erange: tuple[int, int]):
-    """Contract a string-grid tensor against joint powers of its components.
-
-    Components sharing a string axis are contracted jointly; the result is
-    indexed by one exponent per component (offset by erange[0]).
-    """
-    lo, hi = erange
-    ell = lam.length
-    k = len(base_comps)
-    ncols = hi - lo + 1
-    # Per-axis joint power matrices via column-wise Kronecker products; each
-    # tensordot consumes one grid axis and appends the merged exponent axis
-    # at the end, so strings come out in reverse order.
-    out = T
-    comp_order: list[int] = []
-    for s in range(ell - 1, -1, -1):
-        members = [m for m in range(k) if axis_of[m] == s]
-        P = None
-        for m in members:
-            Pm = power_matrix(base_comps[m].ravel(), lo, hi)
-            if P is None:
-                P = Pm
-            else:
-                P = (P[:, :, None] * Pm[:, None, :]).reshape(P.shape[0], -1)
-        out = np.tensordot(out, P, axes=([s], [0]))
-        comp_order.extend(members)
-    out = out.reshape([ncols] * k)
-    # Axis i currently carries component comp_order[i]; reorder to 0..k-1.
-    perm = [comp_order.index(m) for m in range(k)]
-    out = np.transpose(out, axes=perm)
-    return out, [lo] * k
+def inverse_J(G, n: WeylVector, mode: str, cs: ContourSystem, spec: QuadratureSpec,
+              q: float, model: str = "qboson", eps: float = 1.0) -> complex:
+    """Inverse transform at one point n: `inverse_J_batch` on a batch of one."""
+    return complex(inverse_J_batch(G, [n], mode, cs, spec, q, model, eps)[0])
 
 
 def composition_table(states: Sequence[WeylVector], cs: ContourSystem, spec: QuadratureSpec,
@@ -585,89 +479,22 @@ def composition_table(states: Sequence[WeylVector], cs: ContourSystem, spec: Qua
     scattering tensors and integer power contraction.
     """
     check_q(q)
-    states = list(states)
-    k = states[0].k
-    fam_r = _family(model, "right", q, eps)
     fam_c = _family(model, "cfwd", q, eps)
-    fam_l = _family(model, "left", q, eps)
-    lo = min(n.coords[j] for n in states for j in range(k))
-    hi = max(n.coords[j] for n in states for j in range(k))
-    npts = len(states)
-    out = np.zeros((npts, npts), dtype=complex)
-    sd_sign = (-1.0) ** k if model == "sd" else 1.0
     coords = np.array([n.coords for n in states], dtype=int)
-    prefac = fam_r.prefactors(coords)
-
-    if mode == "nested":
-        erange = (lo - hi - 1, hi - lo - 1)
-        for zs, W in _grid_chunks(cs, spec):
-            T0 = W * nested_kernel_grid(zs, q, model)
-            bases = [_base_grid(model, eps, z).ravel() for z in zs]
-            scat_c = ScatteringGrid(fam_c, zs)
-            for tau in itertools.permutations(range(k)):
-                T = T0 * scat_c.product(tau)
-                table = contract_powers(T, bases, [erange] * k)
-                inv = inverse_permutation(tau)
-                idx = tuple(
-                    coords[:, None, inv[m]] - coords[None, :, m] - 1 - erange[0]
-                    for m in range(k)
-                )
-                out += table[idx]
-        return sd_sign * prefac[:, None] * out
-
-    if mode in ("single-gamma", "expanded"):
-        # (J F delta_x)(y) = pairing of the left eigenfunction at y with the
-        # right one at x; computed stringwise in expanded mode.
-        if mode == "single-gamma":
-            if model == "sd":
-                raise ValueError("the semi-discrete family has no single-circle form")
-            lam_list = [Partition(tuple([1] * k))]
-            single = True
-        else:
-            lam_list = list(partitions_of(k))
-            single = False
-        erange = (lo - hi, hi - lo)
-        for lam in lam_list:
-            axis_of = []
-            for s, part in enumerate(lam.parts):
-                axis_of.extend([s] * part)
-            symmetric_measure = lam.parts == tuple([1] * k)
-            sigmas = [tuple(range(k))] if symmetric_measure else list(
-                itertools.permutations(range(k))
-            )
-            sig_scale = math.factorial(k) if symmetric_measure else 1
-            sub = cs if single else _gamma_k_system(cs, lam.length)
-            for ws, W in _grid_chunks(sub, spec):
-                comps = _string_components(lam, ws, q, model)
-                if single:
-                    dens = mu_density_grid(lam, ws, q)
-                    inv_base = None
-                    for w in ws:
-                        f = 1.0 / _base_grid(model, eps, w)
-                        inv_base = f if inv_base is None else inv_base * f
-                    T0 = W * dens * inv_base
-                else:
-                    dens = mu_density_grid(lam, ws, q, model="sd" if model == "sd" else "qboson")
-                    poch = _string_poch_grid(lam, ws, q, model, eps)
-                    T0 = W * dens / poch
-                base_comps = [_base_grid(model, eps, c) for c in comps]
-                scat_l, scat_c = ScatteringGrid(fam_l, comps), ScatteringGrid(fam_c, comps)
-                for sigma in sigmas:
-                    Tl = T0 * scat_l.product(sigma) * sig_scale
-                    inv_s = inverse_permutation(sigma)
-                    for tau in itertools.permutations(range(k)):
-                        T = Tl * scat_c.product(tau)
-                        inv_t = inverse_permutation(tau)
-                        table, offsets = _contract_string_powers(T, base_comps, axis_of, lam,
-                                                                 erange)
-                        idx = tuple(
-                            coords[:, None, inv_t[m]] - coords[None, :, inv_s[m]] - offsets[m]
-                            for m in range(k)
-                        )
-                        out += table[idx]
-        return (sd_sign if mode == "expanded" else 1.0) * prefac[:, None] * out
-
-    raise ValueError(f"unknown composition mode {mode!r}")
+    out = np.zeros((len(coords), len(coords)), dtype=complex)
+    for s in _spectral_slabs(mode, coords, cs, spec, q, model, eps):
+        span = int(coords.max() - coords.min())
+        erange = (s.offset - span, s.offset + span)
+        scat_c = ScatteringGrid(fam_c, s.comps)
+        for inv_s, Tl in s.lefts(s.measure):
+            for tau in itertools.permutations(range(len(s.comps))):
+                table = _contract_grouped(Tl * scat_c.product(tau), s.bases, s.axis_of, erange)
+                # component m carries the exponent x_{tau^{-1}(m)} + offset - y_{sigma^{-1}(m)}
+                inv_t = inverse_permutation(tau)
+                out += table[tuple(coords[:, None, t] - coords[None, :, j] + s.offset - erange[0]
+                                   for t, j in zip(inv_t, inv_s))]
+    sign = (-1.0) ** coords.shape[1] if model == "sd" else 1.0
+    return sign * _family(model, "right", q, eps).prefactors(coords)[:, None] * out
 
 
 def right_right_pair_table(states: Sequence[WeylVector], cs: ContourSystem,
@@ -675,37 +502,23 @@ def right_right_pair_table(states: Sequence[WeylVector], cs: ContourSystem,
     """B[i, j] = spectral pairing of the right eigenfunctions at states i and j.
 
     Used by the isomorphism identity: <f, g> = <F(P f), F g> becomes a
-    quadratic form in this table.
+    quadratic form in this table.  It integrates over the single-gamma
+    slabs, with the right eigenfunction on both sides.
     """
     check_q(q)
-    states = list(states)
-    k = states[0].k
     fam_c = _family("qboson", "cfwd", q, 1.0)
-    lam1 = Partition(tuple([1] * k))
-    lo = min(n.coords[j] for n in states for j in range(k))
-    hi = max(n.coords[j] for n in states for j in range(k))
-    npts = len(states)
     coords = np.array([n.coords for n in states], dtype=int)
-    out = np.zeros((npts, npts), dtype=complex)
-    erange = (2 * lo, 2 * hi)
-    for ws, W in _grid_chunks(cs, spec):
-        dens = mu_density_grid(lam1, ws, q)
-        inv_base = None
-        for w in ws:
-            f = 1.0 / (1.0 - w)
-            inv_base = f if inv_base is None else inv_base * f
-        scat_c = ScatteringGrid(fam_c, ws)
-        T0 = W * dens * inv_base * math.factorial(k) * scat_c.product(tuple(range(k)))
-        bases = [(1.0 - w).ravel() for w in ws]
+    out = np.zeros((len(coords), len(coords)), dtype=complex)
+    for s in _spectral_slabs("single-gamma", coords, cs, spec, q, "qboson", 1.0):
+        k = len(s.comps)
+        erange = (2 * int(coords.min()), 2 * int(coords.max()))
+        scat_c = ScatteringGrid(fam_c, s.comps)
+        T0 = s.measure * math.factorial(k) * scat_c.product(tuple(range(k)))
         for tau in itertools.permutations(range(k)):
-            T = T0 * scat_c.product(tau)
-            table = contract_powers(T, bases, [erange] * k)
+            table = contract_powers(T0 * scat_c.product(tau), s.bases, [erange] * k)
             inv_t = inverse_permutation(tau)
-            idx = tuple(
-                coords[:, None, m] + coords[None, :, inv_t[m]] - erange[0]
-                for m in range(k)
-            )
-            out += table[idx]
+            out += table[tuple(coords[:, None, m] + coords[None, :, inv_t[m]] - erange[0]
+                               for m in range(k))]
     pref = EigenFamily("qboson-right", q).prefactors(coords)
     return pref[:, None] * pref[None, :] * out
 

@@ -68,16 +68,6 @@ def check_q(q: float) -> float:
 
 
 @dataclass(frozen=True)
-class QParam:
-    """A validated deformation parameter q in (0, 1)."""
-
-    q: float
-
-    def __post_init__(self):
-        check_q(self.q)
-
-
-@dataclass(frozen=True)
 class WeylVector:
     """Ordered integer vector n_1 >= ... >= n_k, the state of k particles."""
 

@@ -6,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qboson.degenerations
-from qboson.contours import QuadratureSpec
+from qboson.checks.degeneration_checks import check_eps_plancherel
+from qboson.contours import QuadratureSpec, nested_contours, sd_nested_contours
 from qboson.degenerations import (
-    SemiDiscreteParams,
     admissible_F,
     c_eps,
     cauchy_littlewood_check,
     crl_relation_check,
     d_eps,
     deriv_matrices,
-    eps_pipeline,
     hl_P,
     hl_Q,
     hl_dictionary_residuals,
@@ -25,11 +24,10 @@ from qboson.degenerations import (
     psi_left_eps_derivative,
     sd_moment_formula,
     sd_moment_poisson_chain,
-    sd_pipeline,
     spectral_orthogonality_sides,
 )
 from qboson.eigenfunctions import EigenFamily, eigen_eval
-from qboson.plancherel import SpectralFn
+from qboson.plancherel import SpectralFn, composition_table, mu_density_grid
 from qboson.qcore import Partition, WeylVector, cq_weight, weyl_vectors_in_box
 from qboson.registry import run_check
 
@@ -219,40 +217,37 @@ def test_admissible_F_validation():
 
 
 def test_eps_pipeline_reduction_and_eigen():
-    pipe = eps_pipeline(0.5, Q)
     n = WeylVector((2, 0))
     z = [0.9 + 0.4j, -0.2 + 0.8j]
-    # eigenrelation through the pipeline handle
     from qboson.generators import GeneratorKind, generator_apply
 
     gk = GeneratorKind("bwd", "eps", Q, 0.5)
-    psi = lambda m: pipe.eigen("left", z, m)
+    psi = lambda m: eigen_eval(EigenFamily("eps-left", Q, 0.5), z, m)
     lhs = generator_apply(gk, psi, n)
     assert abs(lhs - (Q - 1) * sum(z) * psi(n)) < 1e-12
-    with pytest.raises(ValueError):
-        eps_pipeline(0.0, Q)
+    with pytest.raises(ValueError, match="needs eps > 0"):
+        check_eps_plancherel(q=Q, eps=0.0)
 
 
 def test_eps_pipeline_plancherel_small():
-    pipe = eps_pipeline(0.5, Q)
     states = list(weyl_vectors_in_box(1, -2, 2))
-    T = pipe.composition_table(states, mode="nested", r_k=0.15, quad=QuadratureSpec(128))
+    cs = nested_contours(1, Q, r_k=0.15, center=0.5)
+    T = composition_table(states, cs, QuadratureSpec(128), Q, model="eps", eps=0.5)
     assert np.abs(T - np.eye(len(states))).max() < 1e-8
 
 
 def test_sd_pipeline():
-    pipe = sd_pipeline(SemiDiscreteParams(k=2))
-    assert pipe.mu_weight(Partition((1,)), [0.3 + 0.1j]) == pytest.approx(1.0)
-    # eigenvalue through the pipeline
+    w = [np.asarray(0.3 + 0.1j)]
+    assert complex(mu_density_grid(Partition((1,)), w, Q, model="sd")) == pytest.approx(1.0)
     n = WeylVector((1, 0))
     z = [1.3 + 0.4j, -0.8 + 0.2j]
     from qboson.generators import GeneratorKind, generator_apply
 
     gk = GeneratorKind("bwd", "sd", Q)
-    psi = lambda m: pipe.eigen("left", z, m)
+    psi = lambda m: eigen_eval(EigenFamily("sd-left", Q), z, m)
     assert abs(generator_apply(gk, psi, n) - sum(v - 1 for v in z) * psi(n)) < 1e-12
     states = list(weyl_vectors_in_box(2, -2, 2))
-    T = pipe.composition_table(states, mode="nested", quad=QuadratureSpec(128))
+    T = composition_table(states, sd_nested_contours(2), QuadratureSpec(128), Q, model="sd")
     assert np.abs(T - np.eye(len(states))).max() < 1e-9
 
 

@@ -7,9 +7,10 @@ from qboson.contours import ContourError
 from qboson.dynamics import (
     MomentSpec,
     QTasepState,
-    combinatorial_identity,
     h0_build,
     identity_halfstat_transform,
+    identity_mqinverse,
+    identity_qbinomial,
     moment_contours,
     moment_formula,
     moment_mc,
@@ -214,18 +215,15 @@ def test_qboson_marginals_match_uniformization():
 
 
 def test_identity_dispatch_and_values():
-    r = combinatorial_identity("mqinverse", m=2, q=Q, z=[2.0, 3.0])
+    r = identity_mqinverse(m=2, q=Q, z=[2.0, 3.0])
     assert r.lhs == pytest.approx(3.0)
-    r = combinatorial_identity("qbinomial", k=2, q=Q, alpha=0.1, z=[2.0, 3.0])
+    r = identity_qbinomial(k=2, q=Q, alpha=0.1, z=[2.0, 3.0])
     assert r.lhs == pytest.approx(0.48)
     assert r.rhs == pytest.approx(0.48)
-    r = combinatorial_identity("halfstat-transform", k=1, q=Q, alpha=0.05, z=[0.9],
-                               depth=100)
+    r = identity_halfstat_transform(k=1, q=Q, alpha=0.05, z=[0.9], depth=100)
     assert r.lhs == pytest.approx(-0.125, abs=1e-12)
     assert r.rhs == pytest.approx(-0.125, abs=1e-12)
     assert r.tail_bound < 1e-12
-    with pytest.raises(ValueError):
-        combinatorial_identity("nope")
 
 
 def test_halfstat_divergence_detected():
@@ -249,7 +247,6 @@ def test_qbinomial_gate_is_its_rounding_model(seed, monkeypatch):
     import dataclasses
 
     from qboson.checks import dynamics_checks
-    from qboson.dynamics import identity_qbinomial
     from qboson.registry import run_check
 
     assert run_check("identity-qbinomial", seed=seed).passed

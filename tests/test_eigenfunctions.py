@@ -4,7 +4,6 @@ import pytest
 from qboson.eigenfunctions import (
     EigenFamily,
     SpectralDomainError,
-    SpectralPoint,
     eigen_eval,
     eigen_eval_grid,
     p_map,
@@ -12,7 +11,14 @@ from qboson.eigenfunctions import (
     psi_right,
     reflect_map,
 )
-from qboson.qcore import CompactFn, Partition, WeylVector, cq_weight, factorial_cluster_weight
+from qboson.qcore import (
+    CompactFn,
+    Partition,
+    WeylVector,
+    cq_weight,
+    factorial_cluster_weight,
+    string_points,
+)
 
 Q = 0.5
 
@@ -88,13 +94,13 @@ def test_string_evaluation_is_limit_of_free_points():
     # value at a geometric string equals the limit from nearby free points
     fam = EigenFamily("qboson-left", Q)
     n = WeylVector((2, 1, -1))
-    sp = SpectralPoint.geometric_string([0.7 + 0.3j, 2.0], Partition((2, 1)), Q)
+    sp = string_points([0.7 + 0.3j, 2.0], Partition((2, 1)), Q, mode="geometric")
     exact = eigen_eval(fam, sp, n)
     rng = np.random.default_rng(5)
     direction = rng.normal(size=3) + 1j * rng.normal(size=3)
     errs = []
     for delta in (1e-3, 1e-4, 1e-5):
-        z = [v + delta * d for v, d in zip(sp.values, direction)]
+        z = [v + delta * d for v, d in zip(sp, direction)]
         errs.append(abs(eigen_eval(fam, z, n) - exact))
     # first-order convergence to the direct string value
     assert errs[1] <= 0.15 * errs[0]

@@ -1,0 +1,62 @@
+"""Static checks on the package source that no installed linter covers."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qboson"
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, including names inside quoted
+    annotations and the strings of ``__all__``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            used |= {n.id for n in ast.walk(ast.parse(annotation.value, mode="eval"))
+                     if isinstance(n, ast.Name)}
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return used
+
+
+def unused_module_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each module-level import whose name the module never
+    reads, unless its line carries flake8's ``noqa: F401`` marker."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = _used_names(tree)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used and "noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append((alias.lineno, bound))
+    return unused
+
+
+def test_unused_import_detection():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "import json  # noqa: F401\n"
+              "from typing import (\n"
+              "    Callable,\n"
+              "    Sequence,\n"
+              ")\n"
+              "__all__ = ['os']\n"
+              "def f(x: 'Sequence[int]'):\n"
+              "    return x\n")
+    assert unused_module_imports(source) == [(5, "Callable")]
+
+
+def test_no_unused_module_level_imports():
+    found = [f"{path.relative_to(SRC.parent)}:{line} {name}"
+             for path in sorted(SRC.rglob("*.py"))
+             for line, name in unused_module_imports(path.read_text())]
+    assert not found, "unused module-level imports:\n" + "\n".join(found)

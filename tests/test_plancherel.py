@@ -10,7 +10,6 @@ from qboson.contours import QuadratureSpec, _grid_chunks, integrate, nested_cont
 from qboson.eigenfunctions import EigenFamily, eigen_eval, eigen_eval_grid
 from qboson.plancherel import (
     SpectralFn,
-    check_symmetry,
     composition_table,
     inverse_J,
     inverse_J_batch,
@@ -20,7 +19,6 @@ from qboson.plancherel import (
     mu_density_grid,
     nested_kernel_grid,
     pairing_spatial,
-    pairing_spectral,
     residue_expand_nested,
     residue_expand_sum,
     residue_weight_determinant,
@@ -185,18 +183,30 @@ def test_inverse_J_k1_residues():
             assert v == pytest.approx(-1.0 if n == m else 0.0, abs=1e-12)
 
 
+def _nested_reference(G, n, cs):
+    """The nested inverse transform at one n, its integrand built pointwise
+    and integrated by `contours.integrate`: the reference for the batches."""
+    def integrand(zs):
+        out = nested_kernel_grid(zs, Q) * G(zs)
+        for j, z in enumerate(zs):
+            out = out * (1.0 - z) ** (-n.coords[j] - 1)
+        return out
+
+    return integrate(cs, integrand, SPEC).value
+
+
 def test_inverse_J_modes_agree_k2():
-    rng = np.random.default_rng(3)
     x = WeylVector((2, -1))
     G = SpectralFn(
         lambda zs: eigen_eval_grid(EigenFamily("qboson-right", Q), list(zs), x), 2)
     csn = nested_contours(2, Q, r_k=0.3)
-    csg = single_gamma(Q, k=2)
-    for y in (WeylVector((2, -1)), WeylVector((1, 0)), WeylVector((3, -2))):
-        a = inverse_J(G, y, "nested", csn, SPEC, Q)
-        b = inverse_J(G, y, "single-gamma", csg, SPEC, Q)
-        c = inverse_J(G, y, "expanded", csn, SPEC, Q)
-        assert abs(a - b) < 1e-9 and abs(a - c) < 1e-9
+    ys = [WeylVector((2, -1)), WeylVector((1, 0)), WeylVector((3, -2))]
+    ref = [_nested_reference(G, y, csn) for y in ys]
+    assert abs(ref[0] - 1.0) < 1e-9  # Psi^r_x transforms back to delta_x
+    for mode, cs in (("nested", csn), ("single-gamma", single_gamma(Q, k=2)),
+                     ("expanded", csn)):
+        batch = inverse_J_batch(G, ys, mode, cs, SPEC, Q)
+        assert np.abs(batch - ref).max() < 1e-9, mode
 
 
 def test_inverse_J_batch_matches_scalar():
@@ -205,11 +215,33 @@ def test_inverse_J_batch_matches_scalar():
         lambda zs: eigen_eval_grid(EigenFamily("qboson-right", Q), list(zs), x), 2)
     cs = nested_contours(2, Q, r_k=0.3)
     ns = list(weyl_vectors_in_box(2, -2, 2))
-    for mode in ("nested", "expanded"):
-        batch = inverse_J_batch(G, ns, mode, cs, SPEC, Q)
-        for n, v in zip(ns, batch):
-            s = inverse_J(G, n, mode, cs, SPEC, Q)
-            assert abs(v - s) < 1e-10 * (1 + abs(s))
+    batch = inverse_J_batch(G, ns, "nested", cs, SPEC, Q)
+    for n, v in zip(ns, batch):
+        s = _nested_reference(G, n, cs)
+        assert abs(v - s) < 1e-10 * (1 + abs(s))
+        assert abs(inverse_J(G, n, "nested", cs, SPEC, Q) - v) < 1e-12 * (1 + abs(v))
+
+
+def test_dispatch_rejects_circle_count_mismatch():
+    G = SpectralFn(lambda zs: zs[0] * 0 + 1.0, 2)
+    states = list(weyl_vectors_in_box(2, -1, 1))
+    for mode, cs in (("nested", nested_contours(3, Q, r_k=0.3)),
+                     ("single-gamma", single_gamma(Q, k=1))):
+        with pytest.raises(ValueError, match="one circle per particle"):
+            composition_table(states, cs, SPEC, Q, mode=mode)
+        with pytest.raises(ValueError, match="one circle per particle"):
+            inverse_J_batch(G, states, mode, cs, SPEC, Q)
+
+
+def test_dispatch_rejects_empty_state_list():
+    G = SpectralFn(lambda zs: zs[0] * 0 + 1.0, 1)
+    for mode, cs in (("nested", nested_contours(1, Q, r_k=0.3)),
+                     ("single-gamma", single_gamma(Q, k=1)),
+                     ("expanded", nested_contours(1, Q, r_k=0.3))):
+        with pytest.raises(ValueError, match="at least one state"):
+            composition_table([], cs, SPEC, Q, mode=mode)
+        with pytest.raises(ValueError, match="at least one state"):
+            inverse_J_batch(G, [], mode, cs, SPEC, Q)
 
 
 def test_pole_tag_requires_exclusion():
@@ -246,36 +278,6 @@ def test_pairing_spatial_identities():
         fh = CompactFn({n: v * h[n] for n, v in f.items()})
         gh = CompactFn({n: v / h[n] for n, v in g.items()})
         assert abs(pairing_spatial(fh, gh) - pairing_spatial(f, g)) < 1e-12
-
-
-def test_pairing_spectral_k1_biorthogonality():
-    cs = single_gamma(Q, k=1)
-    for n in range(-2, 3):
-        for m in range(-2, 3):
-            F = SpectralFn(lambda zs, _n=n: eigen_eval_grid(
-                EigenFamily("qboson-left", Q), list(zs), WeylVector((_n,))), 1)
-            G = SpectralFn(lambda zs, _m=m: eigen_eval_grid(
-                EigenFamily("qboson-right", Q), list(zs), WeylVector((_m,))), 1)
-            v = pairing_spectral(F, G, "single-gamma", cs, SPEC, Q)
-            assert v == pytest.approx(1.0 if n == m else 0.0, abs=1e-11)
-
-
-def test_pairing_spectral_modes_and_symmetry():
-    F = SpectralFn(lambda zs: (1 - zs[0]) * (1 - zs[1]) + 2.0, 2)
-    G = SpectralFn(lambda zs: (1 - zs[0]) ** 2 + (1 - zs[1]) ** 2, 2)
-    a = pairing_spectral(F, G, "single-gamma", single_gamma(Q, k=2), SPEC, Q)
-    b = pairing_spectral(F, G, "expanded", nested_contours(2, Q, r_k=0.3), SPEC, Q)
-    c = pairing_spectral(G, F, "single-gamma", single_gamma(Q, k=2), SPEC, Q)
-    assert abs(a - b) < 1e-8 * (1 + abs(a))
-    assert abs(a - c) < 1e-12 * (1 + abs(a))
-
-
-def test_check_symmetry_catches_asymmetric():
-    bad = SpectralFn(lambda zs: zs[0] + 2 * zs[1], 2)
-    with pytest.raises(ValueError):
-        check_symmetry(bad, np.random.default_rng(0))
-    good = SpectralFn(lambda zs: zs[0] + zs[1], 2)
-    check_symmetry(good, np.random.default_rng(0))
 
 
 def test_composition_tables_are_identities():

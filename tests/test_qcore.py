@@ -9,8 +9,8 @@ from qboson.qcore import (
     INF_GAP,
     CompactFn,
     Partition,
-    QParam,
     WeylVector,
+    check_q,
     cluster_decompose,
     cluster_weights,
     cq_weight,
@@ -25,11 +25,11 @@ from qboson.qcore import (
 )
 
 
-def test_qparam_validation():
-    QParam(0.5)
+def test_check_q_validation():
+    assert check_q(0.5) == 0.5
     for bad in (0.0, 1.0, -0.2, 1.5):
-        with pytest.raises(ValueError):
-            QParam(bad)
+        with pytest.raises(ValueError, match="open interval"):
+            check_q(bad)
 
 
 def test_weyl_vector_ordering():

@@ -193,6 +193,13 @@ def test_cli_verify_all_rejects_nonpositive_jobs(jobs):
     assert "jobs must be a positive number" in p.stderr
 
 
+@pytest.mark.parametrize("eps", ["0", "-0.5"])
+def test_cli_eps_plancherel_rejects_nonpositive_eps(eps):
+    p = _cli("verify", "eps-plancherel", "--param", f"eps={eps}")
+    assert p.returncode == 2
+    assert "needs eps > 0; use the Hall-Littlewood route at eps = 0" in p.stderr
+
+
 def test_cli_param_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trials": 1, "seed": 9}))
