@@ -24,7 +24,7 @@ from qboson.degenerations import (
     spectral_orthogonality_sides,
 )
 from qboson.eigenfunctions import EigenFamily, EigenTable, eigen_eval
-from qboson.plancherel import SpectralFn, composition_table
+from qboson.plancherel import composition_table
 from qboson.qcore import WeylVector, weyl_vectors_in_box
 from qboson.report import Accumulator, Report
 
@@ -74,12 +74,12 @@ def check_eps_orthogonality(q: float = 0.5, tolerance: float = 1e-5,
     nonzero = 0.0
     for eps in (0.0, 0.25, 0.5, 1.0):
         F1 = admissible_F(1, eps, [2])
-        G1 = SpectralFn(lambda ws: ws[0] * 0 + 1.0, 1)
+        G1 = lambda ws: ws[0] * 0 + 1.0
         r = spectral_orthogonality_sides(F1, G1, eps, 1, q)
         acc.add(f"eps={eps} k=1", r["lhs"], r["rhs"], tolerance, tail=r["tail_bound"])
         nonzero = max(nonzero, abs(r["rhs"]))
         F2 = admissible_F(2, eps, [2, 3])
-        G2 = SpectralFn(lambda ws, _e=eps: (_e - ws[0]) ** 2 + 0.5 * (_e - ws[1]), 2)
+        G2 = lambda ws, _e=eps: (_e - ws[0]) ** 2 + 0.5 * (_e - ws[1])
         r = spectral_orthogonality_sides(F2, G2, eps, 2, q)
         acc.add(f"eps={eps} k=2", r["lhs"], r["rhs"], tolerance, tail=r["tail_bound"])
         nonzero = max(nonzero, abs(r["rhs"]))

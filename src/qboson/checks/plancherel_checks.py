@@ -17,7 +17,6 @@ from qboson.contours import (
 from qboson.degenerations import admissible_F, spectral_orthogonality_sides
 from qboson.eigenfunctions import EigenFamily, EigenTable, p_map
 from qboson.plancherel import (
-    SpectralFn,
     composition_table,
     inverse_J_batch,
     mu_weight,
@@ -122,7 +121,7 @@ def _sym_monomial(m: tuple[int, ...]):
             total = term if total is None else total + term
         return total
 
-    return SpectralFn(fn, k, tag="laurent")
+    return fn
 
 
 def check_plancherel_dual(q: float = 0.5, max_degree: int = 3, n_points: int = 20,
@@ -165,7 +164,7 @@ def check_plancherel_dual(q: float = 0.5, max_degree: int = 3, n_points: int = 2
                 # boundary shells (analytically zero) witness the support
                 # bound; their weighted magnitude certifies the truncation
                 tail = 3.0 * sum(abs(jg[i] * psi[i]) for i in boundary)
-                gz = complex(G.fn(tuple(np.asarray(v) for v in z)))
+                gz = complex(G(tuple(np.asarray(v) for v in z)))
                 acc.add(f"k={k} m={m}", total, gz, tolerance, tail=tail)
     return acc.report()
 
@@ -229,12 +228,10 @@ def check_orthogonality_spectral(q: float = 0.5, tolerance: float = 1e-5,
     eps = 1.0
     cases = []
     F1 = admissible_F(1, eps, [2])
-    cases.append(("k=1 M=2 G=1", F1, SpectralFn(lambda ws: ws[0] * 0 + 1.0, 1), 1))
+    cases.append(("k=1 M=2 G=1", F1, lambda ws: ws[0] * 0 + 1.0, 1))
     F2 = admissible_F(2, eps, [2, 3])
-    cases.append(("k=2 asym G", F2,
-                  SpectralFn(lambda ws: (eps - ws[0]) ** 2 + 0.5 * (eps - ws[1]), 2), 2))
-    cases.append(("k=2 sym G", F2,
-                  SpectralFn(lambda ws: (eps - ws[0]) * (eps - ws[1]) + 2.0, 2), 2))
+    cases.append(("k=2 asym G", F2, lambda ws: (eps - ws[0]) ** 2 + 0.5 * (eps - ws[1]), 2))
+    cases.append(("k=2 sym G", F2, lambda ws: (eps - ws[0]) * (eps - ws[1]) + 2.0, 2))
     nonzero = 0.0
     for label, F, G, k in cases:
         r = spectral_orthogonality_sides(F, G, eps, k, q)
@@ -245,7 +242,7 @@ def check_orthogonality_spectral(q: float = 0.5, tolerance: float = 1e-5,
     return acc.report()
 
 
-def _random_analytic_F(rng: np.random.Generator, k: int) -> SpectralFn:
+def _random_analytic_F(rng: np.random.Generator):
     """Entire symmetric product prod_j exp(a (z_j - 1) + b (z_j - 1)^2)."""
     a = complex(rng.normal(0, 0.5), rng.normal(0, 0.5))
     b = complex(rng.normal(0, 0.2), rng.normal(0, 0.2))
@@ -257,7 +254,7 @@ def _random_analytic_F(rng: np.random.Generator, k: int) -> SpectralFn:
             out = f if out is None else out * f
         return out
 
-    return SpectralFn(fn, k, tag="free")
+    return fn
 
 
 def check_residue_expansion(q: float = 0.25, n_functions: int = 5,
@@ -270,7 +267,7 @@ def check_residue_expansion(q: float = 0.25, n_functions: int = 5,
         nodes = default_nodes(k)
         spec = QuadratureSpec(nodes)
         cs = nested_contours(k, q, r_k=0.3, margin=0.5)
-        Fs = [_random_analytic_F(rng, k) for _ in range(n_functions)]
+        Fs = [_random_analytic_F(rng) for _ in range(n_functions)]
         lhs = residue_expand_nested(Fs, cs, spec, q)
         rhs = residue_expand_sum(Fs, k, cs, spec, q)
         for i in range(n_functions):

@@ -91,8 +91,8 @@ def check_pt_invariance(q: float = 0.5, eps: float = 0.4, box_radius: int = 4,
             box = StateBox(k, -box_radius, box_radius)
             gb = GeneratorKind("bwd", model, q, ee)
             gf = GeneratorKind("fwd", model, q, ee)
-            B = matrix_on_box(gb, box).to_dense()
-            F = matrix_on_box(gf, box).to_dense()
+            B = matrix_on_box(gb, box).toarray()
+            F = matrix_on_box(gf, box).toarray()
             perm = reflection_permutation(box)
             C = cluster_weight_diagonal(gb, box)
             Rm = np.zeros_like(B)

@@ -215,13 +215,6 @@ def nested_contours(
     return ContourSystem(circles, family, q=q, eps=center, exclusions=tuple(map(complex, exclusions)))
 
 
-def eps_nested_contours(k: int, q: float, eps: float, r_k: float | None = None, margin: float = 0.01,
-                        exclusions: Sequence[complex] = ()) -> ContourSystem:
-    if eps <= 0:
-        raise ContourError("nested eps contours need eps > 0 (use the single-circle form at eps = 0)")
-    return nested_contours(k, q, r_k=r_k, margin=margin, exclusions=exclusions, center=eps)
-
-
 def sd_nested_contours(k: int, r_k: float = 0.4, step: float = 1.1,
                        exclusions: Sequence[complex] = ()) -> ContourSystem:
     """Nested circles around 0 with r_j = r_{j+1} + step; r_k < 1, step > 1."""
@@ -258,10 +251,9 @@ def gamma_prime(inner: ContourSystem | Circle, radius: float = 4.0) -> Circle:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node count per circle (power of two, >= 16) and error-estimate flag."""
+    """Node count per circle (power of two, >= 16) and a phase offset of the nodes."""
 
     nodes: int = 128
-    doubling: bool = True
     phase: float = 0.0
 
     def __post_init__(self):
@@ -353,15 +345,10 @@ def integrate(cs: ContourSystem, integrand: Callable, spec: QuadratureSpec) -> Q
             raise FloatingPointError("integrand returned a non-finite value on a quadrature node")
         weighted = vals * W
         total += weighted.sum()
-        if spec.doubling:
-            coarse += weighted[half].sum()
-    if spec.doubling:
-        # The half grid carries half the per-axis weight density per axis.
-        coarse *= 2 ** cs.k
-        err = abs(total - coarse)
-    else:
-        err = float("nan")
-    return QuadResult(total, err)
+        coarse += weighted[half].sum()
+    # The half grid carries half the per-axis weight density per axis.
+    coarse *= 2 ** cs.k
+    return QuadResult(total, abs(total - coarse))
 
 
 def power_matrix(base: np.ndarray, lo: int, hi: int) -> np.ndarray:

@@ -20,12 +20,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from qboson.contours import (
-    Circle,
     ContourSystem,
     QuadratureSpec,
     _grid_chunks,
@@ -41,15 +40,10 @@ from qboson.eigenfunctions import (
     EigenTable,
     ScatteringGrid,
     eigen_eval,
-    eigen_eval_grid,
     fsum_complex,
 )
-from qboson.plancherel import (
-    SpectralFn,
-    nested_kernel_grid,
-)
+from qboson.plancherel import nested_kernel_grid
 from qboson.qcore import (
-    Partition,
     WeylVector,
     check_q,
     cluster_decompose,
@@ -335,35 +329,29 @@ def cauchy_littlewood_check(k: int, q: float, z: Sequence[complex], w: Sequence[
 # Spectral orthogonality along the eps family
 
 
-def admissible_F(k: int, eps: float, orders: Sequence[int], symmetrize: bool = False) -> SpectralFn:
+def admissible_F(k: int, eps: float, orders: Sequence[int]):
     """Inner test class prod_i (eps - z_i)^{-orders_i}, orders >= 2.
 
     The orthogonality statement antisymmetrizes F on one side and pairs it
     with the antisymmetric Vandermonde on the other, so a symmetric F makes
     both sides vanish identically; the informative instances are the plain
-    (non-symmetrized) products with distinct orders.  ``symmetrize`` keeps
-    the degenerate symmetric case available.
+    (non-symmetrized) products with distinct orders.
     """
     if len(orders) != k or any(o < 2 for o in orders):
         raise ValueError("need k orders, all >= 2")
 
     def fn(zs):
-        perms = itertools.permutations(range(k)) if symmetrize else [tuple(range(k))]
-        total = None
-        for sigma in perms:
-            term = None
-            for i in range(k):
-                f = (eps - zs[sigma[i]]) ** (-orders[i])
-                term = f if term is None else term * f
-            total = term if total is None else total + term
-        return total
+        out = None
+        for i in range(k):
+            f = (eps - zs[i]) ** (-orders[i])
+            out = f if out is None else out * f
+        return out
 
-    return SpectralFn(fn, k, tag="free")
+    return fn
 
 
-def spectral_orthogonality_sides(F: SpectralFn, G: SpectralFn, eps: float, k: int, q: float,
-                                 quad: QuadratureSpec | None = None,
-                                 n_floor: int = 0, tol_shell: float = 1e-30) -> dict:
+def spectral_orthogonality_sides(F: Callable, G: Callable, eps: float, k: int, q: float,
+                                 quad: QuadratureSpec | None = None) -> dict:
     """Both sides of the eps-family spectral orthogonality.
 
     LHS: sum over n of [integral of Psi^{r,eps} Delta F over gamma(eps)]
@@ -409,15 +397,15 @@ def spectral_orthogonality_sides(F: SpectralFn, G: SpectralFn, eps: float, k: in
     npairs = k * (k - 1) // 2
     pair_in = (1.5 * (1.0 + 1.0 / q)) ** npairs
     pair_out = (outer_circle.radius * (1.0 + q)) ** npairs
-    Fmag = grid_max(gamma, F.fn)
-    Gmag = grid_max(gamma_out, G.fn)
+    Fmag = grid_max(gamma, F)
+    Gmag = grid_max(gamma_out, G)
     wsum_in = float(np.prod([np.abs(wv).sum() for wv in grid_nodes_weights(gamma, quad)[1]]))
     wsum_out = float(np.prod([np.abs(wv).sum() for wv in grid_nodes_weights(gamma_out, quad)[1]]))
     CA = wsum_in * Fmag * math.factorial(k) * pair_in * cmax
     CB = wsum_out * Gmag * math.factorial(k) * pair_out
 
     # Grow the state window until the tail bound certifies the remainder.
-    n_hi = n_floor + 8
+    n_hi = 8
     while True:
         # certified bound on the terms beyond sum n > S = k * n_hi is
         # CA CB sum_{s > S} #shell(s) ratio^s; grow the window until small
@@ -427,20 +415,20 @@ def spectral_orthogonality_sides(F: SpectralFn, G: SpectralFn, eps: float, k: in
             shell = math.comb(s + k - 1, k - 1) * ratio**s
             tail += shell
             s += 1
-            if shell < tol_shell or s > S + 400000:
+            if shell < 1e-30 or s > S + 400000:
                 break
         tail *= CA * CB
         if tail < 1e-9 or n_hi > 200:
             break
         n_hi += 16
 
-    states = [n for n in weyl_vectors_in_box(k, n_floor, n_hi)]
+    states = [n for n in weyl_vectors_in_box(k, 0, n_hi)]
     coords = np.array([n.coords for n in states], dtype=int)
 
     def window_table(cs, fn, fam, sign):
         """Integral over cs of Delta(z) fn(z) Psi^fam(z; n) at each state n of
         the window, with Psi's powers taken as (eps - z)^(sign n)."""
-        erange = (n_floor, n_hi) if sign > 0 else (-n_hi, -n_floor)
+        erange = (0, n_hi) if sign > 0 else (-n_hi, 0)
         out = np.zeros(len(states), dtype=complex)
         for zs, W in _grid_chunks(cs, quad):
             T0 = W * vandermonde(zs) * fn(tuple(zs))
@@ -452,8 +440,8 @@ def spectral_orthogonality_sides(F: SpectralFn, G: SpectralFn, eps: float, k: in
                 out += table[tuple(sign * coords[:, inv[m_]] - erange[0] for m_ in range(k))]
         return out
 
-    A = fam_r.prefactors(coords) * window_table(gamma, F.fn, fam_c, 1)
-    B = window_table(gamma_out, G.fn, fam_l, -1)
+    A = fam_r.prefactors(coords) * window_table(gamma, F, fam_c, 1)
+    B = window_table(gamma_out, G, fam_l, -1)
     lhs = complex(np.sum(A * B))
 
     def rhs_integrand(ws):
@@ -470,12 +458,12 @@ def spectral_orthogonality_sides(F: SpectralFn, G: SpectralFn, eps: float, k: in
             sgn = (-1.0) ** sum(
                 1 for i in range(k) for j in range(i + 1, k) if sigma[i] > sigma[j]
             )
-            t = sgn * F.fn(tuple(ws[m_] for m_ in sigma))
+            t = sgn * F(tuple(ws[m_] for m_ in sigma))
             anti = t if anti is None else anti + t
-        return (-1.0) ** (k * (k - 1) // 2) * prod * anti * G.fn(ws)
+        return (-1.0) ** (k * (k - 1) // 2) * prod * anti * G(ws)
 
     rhs = integrate(gamma, rhs_integrand, quad).value
-    return {"lhs": lhs, "rhs": rhs, "tail_bound": tail, "n_window": (n_floor, n_hi)}
+    return {"lhs": lhs, "rhs": rhs, "tail_bound": tail, "n_window": (0, n_hi)}
 
 
 def sd_moment_formula(n: WeylVector, t: float, cs: ContourSystem | None = None,
@@ -570,60 +558,3 @@ def oy_simulate(N: int, t: float, dt: float, paths: int, seed: int = 0,
             for tt, row in snapshots:
                 fh.write(f"{tt!r}," + ",".join(repr(float(v)) for v in row) + "\n")
     return SdeResult(Z=np.exp(u), t=t, dt=h, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# Conjectured degenerate string orthogonality (experimental, non-gating)
-
-
-def degenerate_string_orthogonality_experiment(q: float, m1: int = 1, m2: int = 2,
-                                               r1: int = 1, r2: int = 1,
-                                               depth: int = 80,
-                                               quad: QuadratureSpec | None = None) -> dict:
-    """Integrated k = 2 form of the conjectured orthogonality on equal strings.
-
-    Tests, for F(z) = (1-z)^{m1} (1-qz)^{m2} and G(w) = (1-w)^{r1} (1-qw)^{r2},
-
-      sum_n [oint Psi^r_{(z,qz)}(n) (z - qz) F dz/2pii]
-            [oint Psi^l_{(w,qw)}(n) (w - qw) G dw/2pii]
-        =? - oint (1-w)(1-qw)(w - q^2 w) F(w) G(w) dw/2pii,
-
-    with both base contours small circles around 1.  Reported, not asserted.
-    """
-    check_q(q)
-    if quad is None:
-        quad = QuadratureSpec(256)
-    lam = Partition((2,))
-    fam_r = EigenFamily("qboson-right", q)
-    fam_l = EigenFamily("qboson-left", q)
-    inner = Circle(1.0 + 0.0j, 0.10)
-    outer = Circle(1.0 + 0.0j, 0.22)
-    cs_in = ContourSystem((inner,), "string-product", q=q)
-    cs_out = ContourSystem((outer,), "string-product", q=q)
-
-    def F(z):
-        return (1.0 - z) ** m1 * (1.0 - q * z) ** m2
-
-    def G(w):
-        return (1.0 - w) ** r1 * (1.0 - q * w) ** r2
-
-    lhs = 0.0 + 0.0j
-    for n in weyl_vectors_in_box(2, -depth // 4, depth):
-        def f_in(zs, _n=n):
-            z = zs[0]
-            return eigen_eval_grid(fam_r, [z, q * z], _n) * (z - q * z) * F(z)
-
-        def f_out(ws, _n=n):
-            w = ws[0]
-            return eigen_eval_grid(fam_l, [w, q * w], _n) * (w - q * w) * G(w)
-
-        A = integrate(cs_in, f_in, quad).value
-        B = integrate(cs_out, f_out, quad).value
-        lhs += A * B
-
-    def f_rhs(ws):
-        w = ws[0]
-        return (1.0 - w) * (1.0 - q * w) * (w - q * q * w) * F(w) * G(w)
-
-    rhs = -integrate(cs_in, f_rhs, quad).value
-    return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs) / (1.0 + abs(rhs))}

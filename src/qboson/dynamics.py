@@ -4,10 +4,14 @@ The q-Boson system is dual to q-TASEP through the observable
 prod_i q^{x_{n_i}(t) + n_i}: its expectation solves the q-Boson backward
 equation, whose spectral solution is a nested contour integral.  This
 module provides that moment formula for step and half-stationary initial
-data, exact Doob-Gillespie simulators (single trajectories and vectorized
-ensembles), spectral and matrix-ODE solvers for the backward/forward
-equations, transition probabilities, and the combinatorial identities that
-the half-stationary computation rests on.
+data, exact simulation of both particle systems, spectral and matrix-ODE
+solvers for the backward/forward equations, transition probabilities, and
+the combinatorial identities that the half-stationary computation rests on.
+
+Simulation is one vectorized Doob-Gillespie loop, `_gillespie`, given a
+model's jump rates and jump: the ensembles run it over many paths, and
+`simulate` runs it on one path and records every jump.  The matrix-ODE
+oracles exponentiate the box generators of `qboson.generators`.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from qboson.eigenfunctions import EigenFamily, EigenTable, fsum_complex
 from qboson.generators import (
     GeneratorKind,
     StateBox,
+    absorbing_generator,
     matrix_on_box,
     uniformized_transition,
 )
@@ -58,12 +63,6 @@ class QTasepState:
     @property
     def n_particles(self) -> int:
         return len(self.positions)
-
-
-@dataclass(frozen=True)
-class QBosonState:
-    n: WeylVector
-    time: float = 0.0
 
 
 @dataclass
@@ -123,27 +122,74 @@ class MomentSpec:
 # Exact simulation
 
 
-def _qboson_rates(n: WeylVector, q: float):
-    """(rate, mover index) per cluster: the lowest particle of a size-c
-    cluster moves left at rate 1 - q^c."""
-    from qboson.qcore import cluster_decompose
+def _gillespie(x: np.ndarray, t: float, rng: np.random.Generator, rates, jump,
+               record: list | None = None) -> None:
+    """Advance every row of the integer state array x (paths, N) to time t, in place.
 
-    cd = cluster_decompose(n)
-    out = []
-    pos = 0
-    for c in cd.sizes:
-        pos += c
-        out.append((1.0 - q**c, pos - 1))
-    return out
+    ``rates(xs)`` gives the jump rate of each coordinate of the rows xs, and
+    ``jump(xs, chosen)`` the column that moves and its increment when
+    coordinate ``chosen`` of each row fires.  All paths advance through
+    synchronized vector steps but with their own exponential clocks, and a
+    path retires once its clock passes t, so each row is an exact draw of
+    the jump chain at time t.  ``record`` collects (jump times, new rows)
+    of the paths that jumped, one entry per step.
+    """
+    now = np.zeros(len(x))
+    active = np.ones(len(x), dtype=bool)
+    while active.any():
+        idx = np.nonzero(active)[0]
+        xa = x[idx]
+        r = rates(xa)
+        now[idx] += rng.exponential(1.0, size=idx.size) / r.sum(axis=1)
+        still = now[idx] < t
+        active[idx[~still]] = False
+        if not still.any():
+            continue
+        jdx = idx[still]
+        cum = np.cumsum(r[still], axis=1)
+        u = rng.uniform(0.0, 1.0, size=jdx.size) * cum[:, -1]
+        col, inc = jump(xa[still], (u[:, None] >= cum).sum(axis=1))
+        x[jdx, col] += inc
+        if record is not None:
+            record.append((now[jdx], x[jdx]))
 
 
-def _qtasep_rates(x: tuple[int, ...], q: float):
-    """Jump rates 1 - q^gap; the leading particle sees an infinite gap."""
-    rates = [1.0]
-    for i in range(1, len(x)):
-        gap = x[i - 1] - x[i] - 1
-        rates.append(1.0 - q**gap if gap > 0 else 0.0)
-    return rates
+def _qtasep_chain(q: float):
+    """q-TASEP: particle i > 1 jumps right at rate 1 - q^gap, gap = x_{i-1} -
+    x_i - 1, and the leader at rate 1."""
+
+    def rates(xs):
+        gaps = xs[:, :-1] - xs[:, 1:] - 1
+        r = np.ones(xs.shape)
+        if gaps.size:
+            # one power per gap value present, not one per element
+            r[:, 1:] = (1.0 - q ** np.arange(gaps.max() + 1))[gaps]
+        return r
+
+    return rates, lambda xs, chosen: (chosen, 1)
+
+
+def _qboson_chain(q: float):
+    """q-Boson, with the cluster rate split per particle: the particle with
+    d same-site particles of smaller index carries (1-q) q^d, which sums to
+    1 - q^c over a cluster of c.  The jump moves the last member of the
+    chosen particle's cluster left, so coordinates stay ordered."""
+
+    def rates(xs):
+        depth = np.zeros_like(xs)
+        for i in range(1, xs.shape[1]):
+            same = xs[:, i] == xs[:, i - 1]
+            depth[:, i] = np.where(same, depth[:, i - 1] + 1, 0)
+        return (1.0 - q) * q**depth
+
+    def jump(xs, chosen):
+        mover = chosen.copy()
+        for i in range(1, xs.shape[1]):
+            extend = (mover == i - 1) & (xs[:, i] == xs[np.arange(xs.shape[0]), mover])
+            mover = np.where(extend, i, mover)
+        return mover, -1
+
+    return rates, jump
 
 
 def simulate(model: str, init, t: float, seed: int, q: float = 0.5) -> Trajectory:
@@ -151,56 +197,31 @@ def simulate(model: str, init, t: float, seed: int, q: float = 0.5) -> Trajector
 
     ``init`` is a WeylVector (q-Boson) or a tuple of strictly decreasing
     positions (q-TASEP).  The event log records the initial state and every
-    jump; the trajectory is a deterministic function of the seed.
+    jump; the trajectory is a deterministic function of the seed, and its
+    final state is the one-path ensemble drawn with ``default_rng(seed)``.
     """
     check_q(q)
     if t < 0:
         raise ValueError("t must be >= 0")
-    rng = np.random.default_rng(seed)
     if model == "qboson":
-        state = init if isinstance(init, WeylVector) else WeylVector(tuple(init))
-        coords = state.coords
+        coords = (init if isinstance(init, WeylVector) else WeylVector(tuple(init))).coords
+        chain = _qboson_chain(q)
     elif model == "qtasep":
-        coords = tuple(init.positions) if isinstance(init, QTasepState) else tuple(init)
-        QTasepState(coords)
+        state = init if isinstance(init, QTasepState) else QTasepState(tuple(init))
+        coords = state.positions
+        chain = _qtasep_chain(q)
     else:
         raise ValueError(f"unknown model {model!r}")
-
-    now = 0.0
-    events = [(0.0, coords)]
-    while True:
-        if model == "qboson":
-            pairs = _qboson_rates(WeylVector(coords), q)
-            rates = [r for r, _ in pairs]
-        else:
-            rates = _qtasep_rates(coords, q)
-        total = sum(rates)
-        if total <= 0:
-            break
-        now += rng.exponential(1.0 / total)
-        if now >= t:
-            break
-        u = rng.uniform(0.0, total)
-        acc = 0.0
-        chosen = len(rates) - 1
-        for i, r in enumerate(rates):
-            acc += r
-            if u < acc:
-                chosen = i
-                break
-        c = list(coords)
-        if model == "qboson":
-            c[pairs[chosen][1]] -= 1
-        else:
-            c[chosen] += 1
-        coords = tuple(c)
-        events.append((now, coords))
+    jumps: list = []
+    _gillespie(np.array([coords], dtype=np.int64), t, np.random.default_rng(seed), *chain,
+               record=jumps)
+    events = [(0.0, coords)] + [(float(now[0]), tuple(row[0].tolist())) for now, row in jumps]
     return Trajectory(model=model, seed=seed, events=events)
 
 
-def sample_q_geometric(alpha: float, q: float, size: int, rng: np.random.Generator,
-                       tail: float = 1e-14) -> np.ndarray:
-    """Draw from P(X = j) = (alpha; q)_inf alpha^j / (q; q)_j by inverse CDF."""
+def sample_q_geometric(alpha: float, q: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw from P(X = j) = (alpha; q)_inf alpha^j / (q; q)_j by inverse CDF,
+    over the pmf terms down to 1e-14."""
     check_q(q)
     if alpha == 0.0:
         return np.zeros(size, dtype=int)
@@ -215,7 +236,7 @@ def sample_q_geometric(alpha: float, q: float, size: int, rng: np.random.Generat
     term = prefac
     denom = 1.0
     j = 0
-    while term > tail or j < 2:
+    while term > 1e-14 or j < 2:
         pmf.append(term)
         j += 1
         denom *= 1.0 - q**j
@@ -229,88 +250,25 @@ def sample_q_geometric(alpha: float, q: float, size: int, rng: np.random.Generat
 
 def qtasep_sample_ensemble(N: int, init: str, alpha: float, q: float, t: float,
                            paths: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized Gillespie over all paths; returns final positions (paths, N).
-
-    All paths advance through synchronized vector steps but with their own
-    exponential clocks, so the sampled law is the exact jump chain.
-    """
-    x = np.empty((paths, N), dtype=np.int64)
-    x[:] = -np.arange(1, N + 1)
-    if init == "half-stationary":
+    """Exact q-TASEP positions at time t from step or half-stationary data,
+    one row per path: an array (paths, N)."""
+    if init == "step":
+        x = np.tile(-np.arange(1, N + 1), (paths, 1))
+    elif init == "half-stationary":
         gaps = sample_q_geometric(alpha, q, paths * N, rng).reshape(paths, N)
         x = -np.cumsum(gaps + 1, axis=1)
-    elif init != "step":
+    else:
         raise ValueError(f"unknown initial data {init!r}")
-
-    now = np.zeros(paths)
-    active = np.ones(paths, dtype=bool)
-    qpow = q ** np.arange(0, 64)
-    while active.any():
-        idx = np.nonzero(active)[0]
-        xa = x[idx]
-        gaps = np.empty_like(xa)
-        gaps[:, 0] = 63  # effectively infinite: rate 1 - q^63 ~ 1
-        if N > 1:
-            gaps[:, 1:] = xa[:, :-1] - xa[:, 1:] - 1
-        rates = 1.0 - qpow[np.minimum(gaps, 63)]
-        total = rates.sum(axis=1)
-        dt = rng.exponential(1.0, size=idx.size) / total
-        now[idx] += dt
-        still = now[idx] < t
-        if not still.any():
-            active[idx] = False
-            continue
-        jdx = idx[still]
-        r = rates[still]
-        cum = np.cumsum(r, axis=1)
-        u = rng.uniform(0.0, 1.0, size=jdx.size) * cum[:, -1]
-        chosen = (u[:, None] >= cum).sum(axis=1)
-        x[jdx, chosen] += 1
-        active[idx[~still]] = False
+    _gillespie(x, t, rng, *_qtasep_chain(q))
     return x
 
 
 def qboson_sample_ensemble(n0: WeylVector, q: float, t: float, paths: int,
                            rng: np.random.Generator) -> np.ndarray:
-    """Vectorized q-Boson sampler; returns final ordered coordinates (paths, k).
-
-    Uses the per-particle rate split (1-q) q^depth, depth = number of
-    same-site particles with smaller index; summed over a cluster this is
-    the cluster rate 1 - q^c, and the move is applied to the lowest-index
-    particle of the chosen particle's cluster so coordinates stay ordered.
-    """
-    k = n0.k
+    """Exact q-Boson states at time t from n0, one ordered row per path: an
+    array (paths, k)."""
     x = np.tile(np.asarray(n0.coords, dtype=np.int64), (paths, 1))
-    now = np.zeros(paths)
-    active = np.ones(paths, dtype=bool)
-    while active.any():
-        idx = np.nonzero(active)[0]
-        xa = x[idx]
-        depth = np.zeros_like(xa)
-        for i in range(1, k):
-            same = xa[:, i] == xa[:, i - 1]
-            depth[:, i] = np.where(same, depth[:, i - 1] + 1, 0)
-        rates = (1.0 - q) * q**depth
-        total = rates.sum(axis=1)
-        dt = rng.exponential(1.0, size=idx.size) / total
-        now[idx] += dt
-        still = now[idx] < t
-        if not still.any():
-            active[idx] = False
-            continue
-        jdx = idx[still]
-        xs = xa[still]
-        r = rates[still]
-        cum = np.cumsum(r, axis=1)
-        u = rng.uniform(0.0, 1.0, size=jdx.size) * cum[:, -1]
-        chosen = (u[:, None] >= cum).sum(axis=1)
-        # Move the last member of the chosen particle's cluster.
-        mover = chosen.copy()
-        for i in range(1, k):
-            extend = (mover == i - 1) & (xs[:, i] == xs[np.arange(xs.shape[0]), mover])
-            mover = np.where(extend, i, mover)
-        x[jdx, mover] -= 1
-        active[idx[~still]] = False
+    _gillespie(x, t, rng, *_qboson_chain(q))
     return x
 
 
@@ -352,7 +310,7 @@ def moment_contours(spec: MomentSpec, r_k: float = 0.2, margin: float = 0.1) -> 
 
 
 def moment_formula(spec: MomentSpec, quad: QuadratureSpec | None = None,
-                   cs: ContourSystem | None = None, return_error: bool = False):
+                   cs: ContourSystem | None = None) -> complex:
     """Nested-contour moment formula for E prod_i q^{x_{n_i}(t) + n_i}.
 
     (-1)^k q^{k(k-1)/2} times the k-fold integral of
@@ -375,12 +333,7 @@ def moment_formula(spec: MomentSpec, quad: QuadratureSpec | None = None,
             rest = f if rest is None else rest * f
         return kern * rest
 
-    res = integrate(cs, integrand, quad)
-    scale = (-1.0) ** k * q ** (k * (k - 1) / 2.0)
-    value = scale * res.value
-    if return_error:
-        return value, scale * res.error_estimate
-    return value
+    return (-1.0) ** k * q ** (k * (k - 1) / 2.0) * integrate(cs, integrand, quad).value
 
 
 def moment_mc(spec: MomentSpec, paths: int, seed: int = 0) -> tuple[float, float]:
@@ -443,39 +396,24 @@ def solve_evolution(direction: str, method: str, f0: CompactFn, t: float, n: Wey
     hi_s = max(m.coords[0] for m in supp)
     if direction == "backward":
         box = StateBox(k, lo_s, max(hi_s, n.coords[0]))
-        gk = GeneratorKind("bwd", "qboson", q)
-        rm = matrix_on_box(gk, box)
-        idx = box.index()
-        v0 = np.zeros(box.size, dtype=complex)
-        for m, val in f0.items():
-            v0[idx[m]] = val
-        vt = expm(t * rm.to_dense()) @ v0
-        if n not in idx:
-            return 0.0 + 0.0j  # below the box the solution vanishes exactly
-        return complex(vt[idx[n]])
-    if direction == "forward":
+        A = matrix_on_box(GeneratorKind("bwd", "qboson", q), box).toarray()
+    elif direction == "forward":
         # the forward flow transports mass downward (particles only jump
         # left), so a truncation from below is exact for in-box values:
         # mass past the bottom edge can never re-enter.  The absorbing row
         # still measures it so the truncation stays observable.
         margin = 2 + int(math.ceil(k * t + 4 * math.sqrt(k * t + 1.0)))
-        box = StateBox(k, min(lo_s, n.coords[-1]) - margin, max(hi_s, n.coords[0]) + 1,
-                       absorbing=True)
-        gk = GeneratorKind("fwd", "qboson", q)
-        rm = matrix_on_box(gk, box)
-        size = box.size
-        A = np.zeros((size + 1, size + 1))
-        A[:size, :size] = rm.to_dense().real
-        A[size, :size] = rm.absorbing_row
-        idx = box.index()
-        if n not in idx:
-            raise ValueError("target state outside the oracle box")
-        v0 = np.zeros(size + 1, dtype=complex)
-        for m, val in f0.items():
-            v0[idx[m]] = val
-        vt = expm(t * A) @ v0
-        return complex(vt[idx[n]])
-    raise ValueError(f"unknown direction {direction!r}")
+        box = StateBox(k, min(lo_s, n.coords[-1]) - margin, max(hi_s, n.coords[0]) + 1)
+        A = absorbing_generator(GeneratorKind("fwd", "qboson", q), box).toarray()
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    idx = box.index()
+    if n not in idx:
+        return 0.0 + 0.0j  # below the backward box the solution vanishes exactly
+    v0 = np.zeros(len(A), dtype=complex)
+    for m, val in f0.items():
+        v0[idx[m]] = val
+    return complex((expm(t * A) @ v0)[idx[n]])
 
 
 def solve_evolution_batch(direction: str, f0: CompactFn, t: float, ns: Sequence[WeylVector],

@@ -315,10 +315,6 @@ def psi_right(z, n: WeylVector, q: float) -> complex:
     return eigen_eval(EigenFamily("qboson-right", q), z, n)
 
 
-def psi_cfwd(z, n: WeylVector, q: float) -> complex:
-    return eigen_eval(EigenFamily("qboson-cfwd", q), z, n)
-
-
 def reflect_map(f: CompactFn) -> CompactFn:
     """(Rf)(n_1..n_k) = f(-n_k..-n_1); an involution on compact functions."""
     return CompactFn({n.reflect(): v for n, v in f.items()})

@@ -2,9 +2,11 @@
 
 Provides pointwise application of the backward / forward / conjugated
 forward generators and their free (separable) counterparts with two-body
-boundary residuals, finite matrix representations on truncated state
-boxes, and a uniformization oracle for exact finite-time transition
-kernels of the stochastic (q-Boson forward) family.
+boundary residuals, and their sparse matrices on truncated state boxes.
+`absorbing_generator` extends a box matrix by one absorbing state that
+collects the mass leaking out of the box; both exact transition oracles of
+the stochastic (q-Boson forward) family are built on it, uniformization as
+P = I + A_abs / Lambda and the dense oracle as expm(t A_abs).
 
 Matrix convention: entry (i, j) is the coefficient of f(state_j) in
 (A f)(state_i), i.e. columns are sources.  For the stochastic forward
@@ -198,7 +200,6 @@ class StateBox:
     k: int
     lo: int
     hi: int
-    absorbing: bool = False
 
     def __post_init__(self):
         if self.hi < self.lo:
@@ -223,34 +224,9 @@ class StateBox:
         return getattr(self, "_index")
 
 
-@dataclass
-class RateMatrix:
-    """Sparse generator matrix over a StateBox (columns = source states).
-
-    ``absorbing_row`` holds, per column, the net rate leaking out of the
-    box; it is only populated for stochastic kinds on absorbing boxes so
-    truncation error is observable rather than silently lost.
-    """
-
-    matrix: sp.csr_matrix
-    box: StateBox
-    kind: GeneratorKind
-    absorbing_row: np.ndarray | None = None
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def export_triplets(self, path: str) -> None:
-        """Write (row, col, value) lines for debugging."""
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            fh.write("# row col value\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r} {c} {complex(v)!r}\n")
-
-
-def matrix_on_box(gk: GeneratorKind, box: StateBox) -> RateMatrix:
-    """Realize generator_apply restricted to the box as a sparse matrix."""
+def matrix_on_box(gk: GeneratorKind, box: StateBox) -> sp.csr_matrix:
+    """Realize generator_apply restricted to the box as a sparse matrix,
+    real whenever every coefficient is."""
     states = box.states
     idx = box.index()
     rows, cols, vals = [], [], []
@@ -276,15 +252,24 @@ def matrix_on_box(gk: GeneratorKind, box: StateBox) -> RateMatrix:
                 rows.append(idx[tgt])
                 cols.append(j)
                 vals.append(complex(v))
-    m = sp.csr_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)), shape=(box.size, box.size)
-    )
-    if np.allclose(m.toarray().imag, 0.0):
-        m = sp.csr_matrix(m.real)
-    absorbing_row = None
-    if box.absorbing:
-        absorbing_row = -np.asarray(m.sum(axis=0)).ravel()
-    return RateMatrix(matrix=m, box=box, kind=gk, absorbing_row=absorbing_row)
+    data = np.asarray(vals, dtype=complex)
+    if not data.imag.any():
+        data = data.real
+    return sp.csr_matrix((data, (rows, cols)), shape=(box.size, box.size))
+
+
+def absorbing_generator(gk: GeneratorKind, box: StateBox) -> sp.csr_matrix:
+    """The box generator extended by one absorbing state, indexed box.size.
+
+    Its row holds, per source column, minus the column sum of the box
+    generator: the net rate leaking out of the box, so that truncation error
+    is observable rather than silently lost.  Its column is zero.  For the
+    stochastic forward generator every column of the result sums to zero.
+    """
+    A = matrix_on_box(gk, box)
+    A_abs = sp.vstack([A, -A.sum(axis=0)], format="csr")
+    A_abs.resize(box.size + 1, box.size + 1)
+    return A_abs
 
 
 def reflection_permutation(box: StateBox) -> np.ndarray:
@@ -351,23 +336,15 @@ def uniformized_transition(
         raise ValueError("uniformization applies to the stochastic q-Boson forward generator")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    abox = StateBox(box.k, box.lo, box.hi, absorbing=True)
-    rm = matrix_on_box(gk, abox)
-    size = abox.size
-    idx = abox.index()
+    idx = box.index()
     if y not in idx:
         raise ValueError("initial state must lie in the box")
-    lam = float(box.k)
-    # P = I + A / Lambda on the box extended by one absorbing state.
-    P = sp.lil_matrix((size + 1, size + 1))
-    P[:size, :size] = sp.identity(size) + rm.matrix / lam
-    P[size, :size] = rm.absorbing_row / lam
-    P[size, size] = 1.0
-    P = P.tocsr()
-
     if t == 0.0:
         return TransitionPMF({y: 1.0}, 0.0, 0.0)
 
+    size = box.size
+    lam = float(box.k)
+    P = sp.identity(size + 1, format="csr") + absorbing_generator(gk, box) / lam
     J = poisson_terms_needed(lam * t, tol)
     v = np.zeros(size + 1)
     v[idx[y]] = 1.0
@@ -388,14 +365,7 @@ def dense_exponential_transition(
     gk: GeneratorKind, t: float, y: WeylVector, box: StateBox
 ) -> TransitionPMF:
     """Scaling-and-squaring matrix-exponential oracle for small boxes."""
-    abox = StateBox(box.k, box.lo, box.hi, absorbing=True)
-    rm = matrix_on_box(gk, abox)
-    size = abox.size
-    A = np.zeros((size + 1, size + 1))
-    A[:size, :size] = rm.matrix.toarray().real
-    A[size, :size] = rm.absorbing_row
-    E = expm(t * A)
-    idx = abox.index()
-    col = E[:, idx[y]]
+    idx = box.index()
+    col = expm(t * absorbing_generator(gk, box).toarray())[:, idx[y]]
     probs = {n: float(col[i]) for n, i in idx.items()}
-    return TransitionPMF(probs=probs, absorbed=float(col[size]), tail_bound=0.0)
+    return TransitionPMF(probs=probs, absorbed=float(col[box.size]), tail_bound=0.0)

@@ -30,7 +30,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -43,7 +42,7 @@ from qboson.contours import (
     integrate,  # noqa: F401  perfbench's tracer test patches plancherel.integrate
     power_matrix,
 )
-from qboson.eigenfunctions import EigenFamily, ScatteringGrid, eigen_eval, eigen_eval_grid
+from qboson.eigenfunctions import EigenFamily, ScatteringGrid, eigen_eval_grid
 from qboson.qcore import (
     CompactFn,
     Partition,
@@ -53,29 +52,6 @@ from qboson.qcore import (
     partitions_of,
     string_points,
 )
-
-
-@dataclass(frozen=True)
-class SpectralFn:
-    """Symmetric function of k spectral variables with an analyticity tag.
-
-    Tags: "laurent" (Laurent polynomial in the base variables, analytic off
-    the family's marked point), "free" (entire apart from the marked
-    point), or ("pole-at", points) for functions with extra poles that the
-    integration contours must exclude.
-    """
-
-    fn: Callable
-    k: int
-    tag: tuple | str = "laurent"
-
-    def __call__(self, zs):
-        return self.fn(zs)
-
-    def pole_points(self) -> tuple[complex, ...]:
-        if isinstance(self.tag, tuple) and self.tag[0] == "pole-at":
-            return tuple(map(complex, self.tag[1]))
-        return ()
 
 
 def _family(model: str, side: str, q: float, eps: float) -> EigenFamily:
@@ -102,15 +78,6 @@ def nested_kernel_grid(zs: Sequence[np.ndarray], q: float, model: str = "qboson"
             out = f if out is None else out * f
     if out is None:
         out = np.ones(np.broadcast_shapes(*[np.shape(z) for z in zs]), dtype=complex)
-    return out
-
-
-def transform_F(f: CompactFn, z, q: float, model: str = "qboson", eps: float = 1.0) -> complex:
-    """Forward transform: sum over the support of f against the right eigenfunction."""
-    fam = _family(model, "right", q, eps)
-    out = 0.0 + 0.0j
-    for n, v in f.items():
-        out += v * eigen_eval(fam, z, n)
     return out
 
 
@@ -321,15 +288,6 @@ def _gamma_k_system(cs: ContourSystem, ell: int) -> ContourSystem:
     )
 
 
-def check_contour_compat(G, cs: ContourSystem) -> None:
-    if isinstance(G, SpectralFn):
-        for p in G.pole_points():
-            if not any(abs(p - e) < 1e-12 for e in cs.exclusions):
-                raise ValueError(
-                    f"G has a pole at {p} but the contour system does not exclude it"
-                )
-
-
 class _Slab(NamedTuple):
     """One grid slab of the inverse transform in one evaluation mode."""
 
@@ -439,8 +397,6 @@ def inverse_J_batch(G, ns: Sequence[WeylVector], mode: str, cs: ContourSystem,
     factor (e.g. the exponential time weight of the evolution solvers).
     """
     check_q(q)
-    check_contour_compat(G, cs)
-    Gfn = G.fn if isinstance(G, SpectralFn) else G
     coords = np.array([n.coords for n in ns], dtype=int)
     out = np.zeros(len(coords), dtype=complex)
     for s in _spectral_slabs(mode, coords, cs, spec, q, model, eps):
@@ -448,7 +404,7 @@ def inverse_J_batch(G, ns: Sequence[WeylVector], mode: str, cs: ContourSystem,
         # measure as the left operand: `a * temporary` may run as
         # `temporary *= a`, and a complex product rounds differently with
         # its operands swapped.
-        T0 = np.multiply(s.measure, Gfn(tuple(s.comps)), out=s.measure)
+        T0 = np.multiply(s.measure, G(tuple(s.comps)), out=s.measure)
         if extra_grid is not None:
             T0 = T0 * extra_grid(tuple(s.comps))
         erange = (s.offset - int(coords.max()), s.offset - int(coords.min()))
@@ -533,7 +489,6 @@ def residue_expand_nested(Fs, cs: ContourSystem, spec: QuadratureSpec, q: float)
     check_q(q)
     single = not isinstance(Fs, (list, tuple))
     fns = [Fs] if single else list(Fs)
-    fns = [F.fn if isinstance(F, SpectralFn) else F for F in fns]
     totals = np.zeros(len(fns), dtype=complex)
     for zs, W in _grid_chunks(cs, spec):
         base = W * nested_kernel_grid(zs, q)
@@ -555,7 +510,6 @@ def residue_expand_sum(Fs, k: int, cs: ContourSystem, spec: QuadratureSpec, q: f
     check_q(q)
     single = not isinstance(Fs, (list, tuple))
     fns = [Fs] if single else list(Fs)
-    fns = [F.fn if isinstance(F, SpectralFn) else F for F in fns]
     fam_l = EigenFamily("qboson-left", q)
     totals = np.zeros(len(fns), dtype=complex)
     for lam in partitions_of(k):

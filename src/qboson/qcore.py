@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -454,11 +454,6 @@ class CompactFn:
 
     def __len__(self):
         return len(self._data)
-
-    def map_values(self, fn: Callable[[WeylVector, complex], complex]) -> "CompactFn":
-        obj = CompactFn.zero(self._k)
-        obj._data = {n: fn(n, v) for n, v in self._data.items() if fn(n, v) != 0}
-        return obj
 
     def __repr__(self):
         return f"CompactFn(k={self._k}, support={len(self._data)})"

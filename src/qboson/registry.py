@@ -214,16 +214,14 @@ def run_check(check_id: str, **overrides) -> Report:
     return cd.fn(**overrides)
 
 
-def _run_with_common(cid: str, common: dict, overrides: dict) -> Report:
-    """Run one check with the common parameters it accepts, then its own."""
+def _run_with_common(cid: str, common: dict) -> Report:
+    """Run one check with the common parameters it accepts."""
     sig = inspect.signature(REGISTRY[cid].fn)
-    kwargs = {k: v for k, v in common.items() if k in sig.parameters}
-    kwargs.update(overrides)
-    return run_check(cid, **kwargs)
+    return run_check(cid, **{k: v for k, v in common.items() if k in sig.parameters})
 
 
-def run_all(overrides_by_id: dict | None = None, common: dict | None = None,
-            jobs: int = 1, check_ids: list[str] | None = None) -> list[Report]:
+def run_all(common: dict | None = None, jobs: int = 1,
+            check_ids: list[str] | None = None) -> list[Report]:
     """Run several checks (default all), in registry order, optionally in
     parallel; the returned list follows registry order regardless.
 
@@ -235,15 +233,13 @@ def run_all(overrides_by_id: dict | None = None, common: dict | None = None,
     if jobs < 1:
         raise ValueError(f"jobs must be a positive number of workers, got {jobs}")
     ids = list(REGISTRY) if check_ids is None else list(check_ids)
-    overrides_by_id = overrides_by_id or {}
     common = common or {}
-    args = [(cid, common, overrides_by_id.get(cid, {})) for cid in ids]
     workers = min(jobs, len(ids), os.cpu_count() or 1)
     if workers <= 1:
-        return [_run_with_common(*a) for a in args]
+        return [_run_with_common(cid, common) for cid in ids]
     # Imported here: the pool machinery costs every serial run memory.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-        return list(pool.map(_run_with_common, *zip(*args)))
+        return list(pool.map(_run_with_common, ids, [common] * len(ids)))

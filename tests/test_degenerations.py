@@ -27,7 +27,7 @@ from qboson.degenerations import (
     spectral_orthogonality_sides,
 )
 from qboson.eigenfunctions import EigenFamily, eigen_eval
-from qboson.plancherel import SpectralFn, composition_table, mu_density_grid
+from qboson.plancherel import composition_table, mu_density_grid
 from qboson.qcore import Partition, WeylVector, cq_weight, weyl_vectors_in_box
 from qboson.registry import run_check
 
@@ -198,12 +198,12 @@ def test_cauchy_littlewood():
 def test_spectral_orthogonality_eps_family():
     for eps in (0.0, 0.5, 1.0):
         F = admissible_F(2, eps, [2, 3])
-        G = SpectralFn(lambda ws, _e=eps: (_e - ws[0]) ** 2 + 0.5 * (_e - ws[1]), 2)
+        G = lambda ws, _e=eps: (_e - ws[0]) ** 2 + 0.5 * (_e - ws[1])
         r = spectral_orthogonality_sides(F, G, eps, 2, Q)
         assert abs(r["lhs"] - r["rhs"]) <= 1e-9 + r["tail_bound"]
     # the k=1 order-2 case has the nonzero value -1
     F = admissible_F(1, 0.5, [2])
-    G = SpectralFn(lambda ws: ws[0] * 0 + 1.0, 1)
+    G = lambda ws: ws[0] * 0 + 1.0
     r = spectral_orthogonality_sides(F, G, 0.5, 1, Q)
     assert r["rhs"] == pytest.approx(-1.0, abs=1e-10)
     assert abs(r["lhs"] - r["rhs"]) < 1e-10

@@ -132,6 +132,29 @@ def test_single_particle_displacement_poisson():
     assert abs(disp.mean() - t) < 4 * math.sqrt(t / paths)
 
 
+def test_qtasep_leader_jumps_at_rate_one():
+    # the leader sees an infinite gap at every q, so its displacement is
+    # Poisson(t); a gap cap would slow it to 1 - q^cap, visible at q near 1
+    rng = np.random.default_rng(7)
+    t, paths = 1.2, 100_000
+    x = qtasep_sample_ensemble(1, "step", 0.0, 0.95, t, paths, rng)
+    disp = x[:, 0] + 1
+    assert abs(disp.mean() - t) < 4 * math.sqrt(t / paths)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 42])
+@pytest.mark.parametrize("q", [Q, 0.95])
+def test_simulate_is_the_one_path_ensemble(q, seed):
+    t = 4.0
+    n0 = WeylVector((1, 1, 0))
+    traj = simulate("qboson", n0, t, seed, q=q)
+    x = qboson_sample_ensemble(n0, q, t, 1, np.random.default_rng(seed))
+    assert traj.final_state() == tuple(x[0])
+    traj = simulate("qtasep", (-1, -2, -3), t, seed, q=q)
+    x = qtasep_sample_ensemble(3, "step", 0.0, q, t, 1, np.random.default_rng(seed))
+    assert traj.final_state() == tuple(x[0])
+
+
 def test_q_geometric_sampler_moments():
     rng = np.random.default_rng(8)
     alpha = 0.2

@@ -165,13 +165,14 @@ def test_p_map_one_particle():
 
 def test_p_map_intertwines_right_to_left():
     # F(P delta_m) = Psi^l(m): the property that pins P's normalization
-    from qboson.plancherel import transform_F
+    from qboson.plancherel import transform_F_grid
 
     rng = np.random.default_rng(8)
     for k in (1, 2, 3):
         coords = tuple(sorted(rng.integers(-3, 4, size=k).tolist(), reverse=True))
         m = WeylVector(coords)
         z = rng.normal(1.4, 0.4, k) + 1j * rng.normal(0, 0.5, k)
-        lhs = transform_F(p_map(CompactFn.delta(m), Q), z, Q)
+        pm = p_map(CompactFn.delta(m), Q)
+        lhs = complex(transform_F_grid(pm, [np.asarray(v) for v in z], Q))
         rhs = eigen_eval(EigenFamily("qboson-left", Q), z, m)
         assert abs(lhs - rhs) <= 1e-11 * (1 + abs(rhs))

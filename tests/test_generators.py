@@ -8,6 +8,7 @@ from qboson.generators import (
     DomainMarginError,
     GeneratorKind,
     StateBox,
+    absorbing_generator,
     boundary_residual,
     cluster_weight_diagonal,
     dense_exponential_transition,
@@ -119,8 +120,7 @@ def test_boundary_residual_diagonal_requirement():
 
 def test_matrix_k1_lower_tridiagonal():
     box = StateBox(1, 0, 2)
-    rm = matrix_on_box(GeneratorKind("bwd", "qboson", Q), box)
-    dense = rm.to_dense().real
+    dense = matrix_on_box(GeneratorKind("bwd", "qboson", Q), box).toarray()
     # states are (0,), (1,), (2,): acting on f, row n picks f(n-1) with
     # rate 1 - q, i.e. the subdiagonal in the ascending state order
     expect = np.array([
@@ -133,8 +133,8 @@ def test_matrix_k1_lower_tridiagonal():
 
 def test_matrix_transpose_and_pt():
     box = StateBox(2, -2, 2)
-    B = matrix_on_box(GeneratorKind("bwd", "qboson", Q), box).to_dense()
-    F = matrix_on_box(GeneratorKind("fwd", "qboson", Q), box).to_dense()
+    B = matrix_on_box(GeneratorKind("bwd", "qboson", Q), box).toarray()
+    F = matrix_on_box(GeneratorKind("fwd", "qboson", Q), box).toarray()
     assert np.abs(B.T - F).max() < 1e-14
     perm = reflection_permutation(box)
     C = cluster_weight_diagonal(GeneratorKind("bwd", "qboson", Q), box)
@@ -145,13 +145,16 @@ def test_matrix_transpose_and_pt():
 
 
 def test_forward_matrix_stochasticity():
-    box = StateBox(2, -3, 3, absorbing=True)
-    rm = matrix_on_box(GeneratorKind("fwd", "qboson", Q), box)
-    dense = rm.to_dense().real
-    off = dense - np.diag(np.diag(dense))
+    box = StateBox(2, -3, 3)
+    gk = GeneratorKind("fwd", "qboson", Q)
+    A = absorbing_generator(gk, box).toarray()
+    assert A.shape == (box.size + 1, box.size + 1)
+    assert np.array_equal(A[:-1, :-1], matrix_on_box(gk, box).toarray())
+    off = A - np.diag(np.diag(A))
     assert off.min() >= 0
-    colsums = dense.sum(axis=0) + rm.absorbing_row
-    assert np.abs(colsums).max() < 1e-13
+    assert not A[:, -1].any()  # the absorbing state never leaves
+    assert np.abs(A.sum(axis=0)).max() < 1e-13
+    assert A[-1].max() > 0  # the bottom edge leaks
 
 
 def test_uniformization_t0_and_poisson():
@@ -227,7 +230,7 @@ def test_matrix_eigenvalue_on_interior_states():
     for k in (1, 2, 3):
         box = StateBox(k, -5, 5)
         gk = GeneratorKind("bwd", "qboson", Q)
-        M = matrix_on_box(gk, box).to_dense()
+        M = matrix_on_box(gk, box).toarray()
         z = rng.normal(1.4, 0.4, k) + 1j * rng.normal(0, 0.5, k)
         fam = EigenFamily("qboson-left", Q)
         vec = np.array([eigen_eval(fam, z, n) for n in box.states])
@@ -236,19 +239,3 @@ def test_matrix_eigenvalue_on_interior_states():
         for i, n in enumerate(box.states):
             if n.coords[-1] > box.lo:  # interior: the lowered state stays inside
                 assert abs(out[i] - ev * vec[i]) <= 1e-9 * (1 + abs(ev * vec[i]))
-
-
-def test_rate_matrix_triplet_export(tmp_path):
-    box = StateBox(1, 0, 2)
-    rm = matrix_on_box(GeneratorKind("bwd", "qboson", Q), box)
-    path = tmp_path / "rates.txt"
-    rm.export_triplets(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("#")
-    rows = [ln.split() for ln in lines[1:]]
-    assert len(rows) == rm.matrix.nnz
-    # rebuild and compare
-    rebuilt = np.zeros((3, 3), dtype=complex)
-    for r, c, v in rows:
-        rebuilt[int(r), int(c)] = complex(v.strip("()"))
-    assert np.allclose(rebuilt, rm.to_dense())

@@ -1,6 +1,10 @@
 """Static checks on the package source that no installed linter covers."""
 
 import ast
+import functools
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qboson"
@@ -60,3 +64,20 @@ def test_no_unused_module_level_imports():
              for path in sorted(SRC.rglob("*.py"))
              for line, name in unused_module_imports(path.read_text())]
     assert not found, "unused module-level imports:\n" + "\n".join(found)
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracer.py wraps these names with a bare getattr, so a
+    # deleted or renamed one breaks only the benchmark unless caught here
+    path = SRC.parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracer  # dataclasses resolve annotations through it
+    try:
+        spec.loader.exec_module(tracer)
+    finally:
+        del sys.modules[spec.name]
+    assert tracer.QBOSON_TARGETS
+    for tg in tracer.QBOSON_TARGETS:
+        obj = functools.reduce(getattr, tg.attr.split("."), importlib.import_module(tg.module))
+        assert callable(obj), tg.name

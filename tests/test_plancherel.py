@@ -9,7 +9,6 @@ from qboson import contours
 from qboson.contours import QuadratureSpec, _grid_chunks, integrate, nested_contours, single_gamma
 from qboson.eigenfunctions import EigenFamily, eigen_eval, eigen_eval_grid
 from qboson.plancherel import (
-    SpectralFn,
     composition_table,
     inverse_J,
     inverse_J_batch,
@@ -23,7 +22,7 @@ from qboson.plancherel import (
     residue_expand_sum,
     residue_weight_determinant,
     residue_weight_direct,
-    transform_F,
+    transform_F_grid,
 )
 from qboson.qcore import CompactFn, Partition, WeylVector, partitions_of, weyl_vectors_in_box
 
@@ -31,13 +30,18 @@ Q = 0.5
 SPEC = QuadratureSpec(128)
 
 
+def _transform_at(f, z):
+    """The forward transform at one spectral point: a one-node grid."""
+    return complex(transform_F_grid(f, [np.asarray(v) for v in z], Q))
+
+
 def test_transform_F_delta_and_zero():
     n = WeylVector((2, 0))
     z = [0.4 + 0.3j, 1.6 - 0.2j]
     f = CompactFn.delta(n)
-    assert transform_F(f, z, Q) == pytest.approx(
+    assert _transform_at(f, z) == pytest.approx(
         eigen_eval(EigenFamily("qboson-right", Q), z, n))
-    assert transform_F(CompactFn.zero(2), z, Q) == 0
+    assert _transform_at(CompactFn.zero(2), z) == 0
 
 
 def test_transform_F_half_stationary_geometric_series():
@@ -47,7 +51,7 @@ def test_transform_F_half_stationary_geometric_series():
     prev_err = None
     for depth in (10, 20, 40):
         f = CompactFn({WeylVector((n,)): (1 - alpha / Q) ** (-n) for n in range(1, depth + 1)})
-        err = abs(transform_F(f, [z], Q) - target)
+        err = abs(_transform_at(f, [z]) - target)
         ratio = abs((1 - z) / (1 - alpha / Q))
         assert err <= 2.0 * ratio**depth + 1e-14  # geometric tail, roundoff floor
         if prev_err is not None:
@@ -172,12 +176,12 @@ def test_residue_weights():
 
 def test_inverse_J_k1_residues():
     cs = nested_contours(1, Q, r_k=0.3)
-    one = SpectralFn(lambda zs: zs[0] * 0 + 1.0, 1)
+    one = lambda zs: zs[0] * 0 + 1.0
     for n in range(-2, 3):
         v = inverse_J(one, WeylVector((n,)), "nested", cs, SPEC, Q)
         assert v == pytest.approx(-1.0 if n == 0 else 0.0, abs=1e-12)
     for m in (-2, 1, 3):
-        G = SpectralFn(lambda zs, _m=m: (1.0 - zs[0]) ** _m, 1)
+        G = lambda zs, _m=m: (1.0 - zs[0]) ** _m
         for n in range(-3, 4):
             v = inverse_J(G, WeylVector((n,)), "nested", cs, SPEC, Q)
             assert v == pytest.approx(-1.0 if n == m else 0.0, abs=1e-12)
@@ -197,8 +201,7 @@ def _nested_reference(G, n, cs):
 
 def test_inverse_J_modes_agree_k2():
     x = WeylVector((2, -1))
-    G = SpectralFn(
-        lambda zs: eigen_eval_grid(EigenFamily("qboson-right", Q), list(zs), x), 2)
+    G = lambda zs: eigen_eval_grid(EigenFamily("qboson-right", Q), list(zs), x)
     csn = nested_contours(2, Q, r_k=0.3)
     ys = [WeylVector((2, -1)), WeylVector((1, 0)), WeylVector((3, -2))]
     ref = [_nested_reference(G, y, csn) for y in ys]
@@ -211,8 +214,7 @@ def test_inverse_J_modes_agree_k2():
 
 def test_inverse_J_batch_matches_scalar():
     x = WeylVector((1, 0))
-    G = SpectralFn(
-        lambda zs: eigen_eval_grid(EigenFamily("qboson-right", Q), list(zs), x), 2)
+    G = lambda zs: eigen_eval_grid(EigenFamily("qboson-right", Q), list(zs), x)
     cs = nested_contours(2, Q, r_k=0.3)
     ns = list(weyl_vectors_in_box(2, -2, 2))
     batch = inverse_J_batch(G, ns, "nested", cs, SPEC, Q)
@@ -223,7 +225,7 @@ def test_inverse_J_batch_matches_scalar():
 
 
 def test_dispatch_rejects_circle_count_mismatch():
-    G = SpectralFn(lambda zs: zs[0] * 0 + 1.0, 2)
+    G = lambda zs: zs[0] * 0 + 1.0
     states = list(weyl_vectors_in_box(2, -1, 1))
     for mode, cs in (("nested", nested_contours(3, Q, r_k=0.3)),
                      ("single-gamma", single_gamma(Q, k=1))):
@@ -234,7 +236,7 @@ def test_dispatch_rejects_circle_count_mismatch():
 
 
 def test_dispatch_rejects_empty_state_list():
-    G = SpectralFn(lambda zs: zs[0] * 0 + 1.0, 1)
+    G = lambda zs: zs[0] * 0 + 1.0
     for mode, cs in (("nested", nested_contours(1, Q, r_k=0.3)),
                      ("single-gamma", single_gamma(Q, k=1)),
                      ("expanded", nested_contours(1, Q, r_k=0.3))):
@@ -242,15 +244,6 @@ def test_dispatch_rejects_empty_state_list():
             composition_table([], cs, SPEC, Q, mode=mode)
         with pytest.raises(ValueError, match="at least one state"):
             inverse_J_batch(G, [], mode, cs, SPEC, Q)
-
-
-def test_pole_tag_requires_exclusion():
-    G = SpectralFn(lambda zs: 1.0 / (zs[0] - 0.2), 1, tag=("pole-at", (0.2,)))
-    cs_plain = nested_contours(1, Q, r_k=0.3)
-    with pytest.raises(ValueError, match="exclude"):
-        inverse_J(G, WeylVector((1,)), "nested", cs_plain, SPEC, Q)
-    cs_ok = nested_contours(1, Q, r_k=0.3, exclusions=[0.2])
-    inverse_J(G, WeylVector((1,)), "nested", cs_ok, SPEC, Q)
 
 
 def test_pairing_spatial_identities():
@@ -326,7 +319,7 @@ def test_residue_expansion_small():
     for k in (1, 2, 3):
         cs = nested_contours(k, Q, r_k=0.3, margin=0.3)
         spec = QuadratureSpec(128)
-        F = SpectralFn(lambda zs: np.exp(sum((z - 1.0) * 0.3 for z in zs)), k)
+        F = lambda zs: np.exp(sum((z - 1.0) * 0.3 for z in zs))
         a = residue_expand_nested(F, cs, spec, Q)
         b = residue_expand_sum(F, k, cs, spec, Q)
         assert abs(a - b) <= 1e-8 * (1 + abs(a))
@@ -337,7 +330,7 @@ def test_chunked_grids_match_one_chunk(monkeypatch):
     # three or four axes into 8 slabs of 2 nodes along axis 0.
     k, spec = 4, QuadratureSpec(16)
     cs = nested_contours(k, Q, r_k=0.3, margin=0.3)
-    Fs = [SpectralFn(lambda zs, c=c: np.exp(sum((z - 1.0) * c for z in zs)), k) for c in (0.3, -0.7)]
+    Fs = [lambda zs, c=c: np.exp(sum((z - 1.0) * c for z in zs)) for c in (0.3, -0.7)]
 
     def integrand(zs):
         return nested_kernel_grid(zs, Q) * np.exp(sum(zs))
@@ -354,12 +347,3 @@ def test_chunked_grids_match_one_chunk(monkeypatch):
     for a, b in zip(np.concatenate([nested1, sum1, [val1]]), np.concatenate([nested8, sum8, [val8]])):
         assert abs(a - b) <= 1e-12 * (1 + abs(a))
     assert abs(err1 - err8) <= 1e-12 * (1 + abs(val1))
-
-
-def test_degenerate_string_orthogonality_experiment_runs():
-    # conjectured relation on equal-length strings: reported, not asserted
-    from qboson.degenerations import degenerate_string_orthogonality_experiment
-
-    out = degenerate_string_orthogonality_experiment(Q, depth=40,
-                                                     quad=QuadratureSpec(128))
-    assert "residual" in out and np.isfinite(out["residual"])
