@@ -118,6 +118,9 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.paths < 1:
+        print(f"error: --paths must be at least 1, got {args.paths}", file=sys.stderr)
+        return 2
     try:
         if args.model == "oy":
             from qboson.degenerations import oy_simulate

@@ -322,7 +322,7 @@ def cauchy_littlewood_check(k: int, q: float, z: Sequence[complex], w: Sequence[
         if shell < 1e-22 * (1.0 + tail) or s > depth + 200000:
             break
     tail *= C
-    return {"lhs": total, "rhs": rhs, "tail_bound": tail, "rho": rho}
+    return {"lhs": total, "rhs": rhs, "tail_bound": tail}
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +463,7 @@ def spectral_orthogonality_sides(F: Callable, G: Callable, eps: float, k: int, q
         return (-1.0) ** (k * (k - 1) // 2) * prod * anti * G(ws)
 
     rhs = integrate(gamma, rhs_integrand, quad).value
-    return {"lhs": lhs, "rhs": rhs, "tail_bound": tail, "n_window": (0, n_hi)}
+    return {"lhs": lhs, "rhs": rhs, "tail_bound": tail}
 
 
 def sd_moment_formula(n: WeylVector, t: float, cs: ContourSystem | None = None,
@@ -510,12 +510,40 @@ class SdeResult:
     seed: int
 
     def moment(self, n: Sequence[int]) -> tuple[float, float]:
+        if self.Z.shape[0] < 2:
+            raise ValueError("a Monte Carlo moment needs paths >= 2 for its standard error")
         obs = np.ones(self.Z.shape[0])
         for ni in n:
             obs = obs * self.Z[:, ni - 1]
         est = float(obs.mean())
         se = float(obs.std(ddof=1) / math.sqrt(len(obs)))
         return est, se
+
+
+def _oy_euler_step(u: np.ndarray, xi: np.ndarray, s: int, h: float, log_h: float,
+                   r: np.ndarray) -> None:
+    """Euler step s of every path, in place on the site-major log-state u.
+
+    ``xi`` is the step's (paths, N) noise already scaled by sqrt(h) and
+    ``r`` a scratch row.  Site n reads the old u_{n-1}, so sites run from
+    last to first.  Site n is born at step n - 1 as u_{n-1} + log h on every
+    path and steps as d log Z_n = (Z_{n-1}/Z_n - 3/2) dt + dB_n from then
+    on; sites beyond s + 1 are still at -inf and are not touched.
+    """
+    N = u.shape[0]
+    for n in range(min(N - 1, s + 1), 0, -1):
+        if n == s + 1:
+            np.add(u[n - 1], log_h, out=u[n])
+            continue
+        np.subtract(u[n - 1], u[n], out=r)
+        np.clip(r, -700, 700, out=r)
+        np.exp(r, out=r)
+        np.subtract(r, 1.5, out=r)
+        np.multiply(r, h, out=r)
+        np.add(u[n], r, out=u[n])
+        np.add(u[n], xi[:, n], out=u[n])
+    np.subtract(u[0], 1.5 * h, out=u[0])
+    np.add(u[0], xi[:, 0], out=u[0])
 
 
 def oy_simulate(N: int, t: float, dt: float, paths: int, seed: int = 0,
@@ -526,35 +554,65 @@ def oy_simulate(N: int, t: float, dt: float, paths: int, seed: int = 0,
     (log Z_1 = B_1(t) - 3t/2); sites n >= 2 evolve through
     d log Z_n = (Z_{n-1}/Z_n - 3/2) dt + dB_n once positive, entered via one
     drift-only Euler step from zero.  Positivity is automatic throughout.
+
+    One helper thread draws the Gaussians of the next block of
+    S = max(1, 2^17 // (paths N)) steps while this thread steps through
+    the current one, in two buffers.  A block of shape (S, paths, N) is the
+    same stream as S draws of shape (paths, N), and the helper is the only
+    user of the generator, so every sample depends on the seed alone, not on
+    thread timing or core count.  Raises ValueError when a returned Z is not
+    finite: the scheme overflowed, and a state that leaves the finite range
+    never returns to it.
     """
     if dt <= 0 or t < 0:
         raise ValueError("need dt > 0 and t >= 0")
+    if N < 1 or paths < 1:
+        raise ValueError(f"need N >= 1 sites and paths >= 1, got N={N}, paths={paths}")
+    # Imported here, like registry.run_all's pool, to keep it off the import path.
+    from concurrent.futures import ThreadPoolExecutor
+
     rng = np.random.default_rng(seed)
     steps = max(1, int(round(t / dt)))
     h = t / steps
     sqh = math.sqrt(h)
-    u = np.full((paths, N), -np.inf)
-    u[:, 0] = 0.0
     log_h = math.log(h) if h > 0 else -np.inf
+    u = np.full((N, paths), -np.inf)
+    u[0] = 0.0
+    r = np.empty(paths)
+    S = max(1, (1 << 17) // (paths * N))
+    bufs = [np.empty((S, paths, N)) for _ in range(2)]
+
+    def draw(b: int) -> np.ndarray:
+        xi = bufs[b % 2][:min(S, steps - b * S)]
+        rng.standard_normal(out=xi)
+        return xi
+
+    snap_every = max(1, steps // 64)
     snapshots = []
-    for s in range(steps):
-        xi = rng.standard_normal((paths, N))
-        unew = np.empty_like(u)
-        unew[:, 0] = u[:, 0] - 1.5 * h + sqh * xi[:, 0]
-        for n_ in range(1, N):
-            alive = np.isfinite(u[:, n_])
-            with np.errstate(invalid="ignore"):  # -inf - -inf before masking
-                ratio = np.exp(np.clip(u[:, n_ - 1] - u[:, n_], -700, 700))
-                step_alive = u[:, n_] + (ratio - 1.5) * h + sqh * xi[:, n_]
-            born = np.isfinite(u[:, n_ - 1]) & ~alive
-            step_born = u[:, n_ - 1] + log_h
-            unew[:, n_] = np.where(alive, step_alive, np.where(born, step_born, -np.inf))
-        u = unew
-        if trajectory_csv is not None and (s % max(1, steps // 64) == 0 or s == steps - 1):
-            snapshots.append(((s + 1) * h, np.exp(u[0])))
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(draw, 0)
+        for b in range(-(-steps // S)):
+            xi = pending.result()
+            if (b + 1) * S < steps:
+                pending = helper.submit(draw, b + 1)
+            np.multiply(xi, sqh, out=xi)
+            for i in range(len(xi)):
+                s = b * S + i
+                _oy_euler_step(u, xi[i], s, h, log_h, r)
+                if trajectory_csv is not None and (s % snap_every == 0 or s == steps - 1):
+                    snapshots.append(((s + 1) * h, np.exp(np.ascontiguousarray(u[:, 0]))))
+    Z = np.ascontiguousarray(u.T)
+    with np.errstate(over="ignore"):
+        np.exp(Z, out=Z)
+    bad = ~np.isfinite(Z)
+    if bad.any():
+        sites = (np.flatnonzero(bad.any(axis=0)) + 1).tolist()
+        raise ValueError(
+            f"the Euler scheme overflowed: Z is not finite on {int(bad.any(axis=1).sum())} "
+            f"of {paths} paths, at sites {sites} (t={t}, dt={h})")
     if trajectory_csv is not None:
         with open(trajectory_csv, "w") as fh:
             fh.write("time," + ",".join(f"Z_{i+1}" for i in range(N)) + "\n")
             for tt, row in snapshots:
                 fh.write(f"{tt!r}," + ",".join(repr(float(v)) for v in row) + "\n")
-    return SdeResult(Z=np.exp(u), t=t, dt=h, seed=seed)
+    return SdeResult(Z=Z, t=t, dt=h, seed=seed)

@@ -338,8 +338,8 @@ def moment_formula(spec: MomentSpec, quad: QuadratureSpec | None = None,
 
 def moment_mc(spec: MomentSpec, paths: int, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo moment over independent q-TASEP paths: (estimate, stderr)."""
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
+    if paths < 2:
+        raise ValueError("a Monte Carlo moment needs paths >= 2 for its standard error")
     rng = np.random.default_rng(seed)
     q = spec.q
     x = qtasep_sample_ensemble(spec.N, spec.init, spec.alpha, q, spec.t, paths, rng)
@@ -347,7 +347,7 @@ def moment_mc(spec: MomentSpec, paths: int, seed: int = 0) -> tuple[float, float
     for ni in spec.n.coords:
         obs = obs * q ** (x[:, ni - 1] + ni).astype(float)
     est = float(obs.mean())
-    se = float(obs.std(ddof=1) / math.sqrt(paths)) if paths > 1 else float("inf")
+    se = float(obs.std(ddof=1) / math.sqrt(paths))
     return est, se
 
 

@@ -307,14 +307,6 @@ def eigen_eval(fam: EigenFamily, z, n: WeylVector, validate: bool = True) -> com
     return EigenTable(fam, z, validate)(n)
 
 
-def psi_left(z, n: WeylVector, q: float) -> complex:
-    return eigen_eval(EigenFamily("qboson-left", q), z, n)
-
-
-def psi_right(z, n: WeylVector, q: float) -> complex:
-    return eigen_eval(EigenFamily("qboson-right", q), z, n)
-
-
 def reflect_map(f: CompactFn) -> CompactFn:
     """(Rf)(n_1..n_k) = f(-n_k..-n_1); an involution on compact functions."""
     return CompactFn({n.reflect(): v for n, v in f.items()})

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import qboson.degenerations
 from qboson.checks.degeneration_checks import check_eps_plancherel
 from qboson.contours import QuadratureSpec, nested_contours, sd_nested_contours
 from qboson.degenerations import (
+    SdeResult,
     admissible_F,
     c_eps,
     cauchy_littlewood_check,
@@ -292,3 +295,115 @@ def test_oy_trajectory_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "time,Z_1,Z_2,Z_3"
     assert len(lines) > 2
+
+
+def _naive_oy_simulate(N, t, dt, paths, seed, trajectory_csv):
+    """Reference sampler, written plainly: path-major state, one (paths, N) draw
+    per step, masked births at every step."""
+    rng = np.random.default_rng(seed)
+    steps = max(1, int(round(t / dt)))
+    h = t / steps
+    sqh = math.sqrt(h)
+    u = np.full((paths, N), -np.inf)
+    u[:, 0] = 0.0
+    log_h = math.log(h) if h > 0 else -np.inf
+    snapshots = []
+    for s in range(steps):
+        xi = rng.standard_normal((paths, N))
+        unew = np.empty_like(u)
+        unew[:, 0] = u[:, 0] - 1.5 * h + sqh * xi[:, 0]
+        for n_ in range(1, N):
+            alive = np.isfinite(u[:, n_])
+            with np.errstate(invalid="ignore"):
+                ratio = np.exp(np.clip(u[:, n_ - 1] - u[:, n_], -700, 700))
+                step_alive = u[:, n_] + (ratio - 1.5) * h + sqh * xi[:, n_]
+            born = np.isfinite(u[:, n_ - 1]) & ~alive
+            step_born = u[:, n_ - 1] + log_h
+            unew[:, n_] = np.where(alive, step_alive, np.where(born, step_born, -np.inf))
+        u = unew
+        if s % max(1, steps // 64) == 0 or s == steps - 1:
+            snapshots.append(((s + 1) * h, np.exp(u[0])))
+    with open(trajectory_csv, "w") as fh:
+        fh.write("time," + ",".join(f"Z_{i+1}" for i in range(N)) + "\n")
+        for tt, row in snapshots:
+            fh.write(f"{tt!r}," + ",".join(repr(float(v)) for v in row) + "\n")
+    return np.exp(u)
+
+
+OY_GRID = [(N, t, dt, 50, seed) for N in range(1, 6) for seed in (0, 7)
+           for t, dt in ((0, 1e-3), (0.002, 1e-3), (0.05, 1e-3), (0.3, 0.01), (1, 0.5))]
+# blocks of two steps ending in a one-step block; two blocks of 6553 and 47 steps
+OY_BLOCKS = [(3, 0.051, 1e-3, 15_000, 3), (2, 6.6, 1e-3, 10, 5)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+@pytest.mark.parametrize("N,t,dt,paths,seed", OY_GRID + OY_BLOCKS)
+def test_oy_simulate_bit_equal_to_naive_loop(tmp_path, N, t, dt, paths, seed):
+    want = _naive_oy_simulate(N, t, dt, paths, seed, tmp_path / "naive.csv")
+    if not np.isfinite(want).all():
+        # the scheme overflows on this grid point: the sampler says so
+        with pytest.raises(ValueError, match="overflowed"):
+            oy_simulate(N, t, dt, paths, seed=seed, trajectory_csv=str(tmp_path / "got.csv"))
+        assert not (tmp_path / "got.csv").exists()
+        return
+    res = oy_simulate(N, t, dt, paths, seed=seed, trajectory_csv=str(tmp_path / "got.csv"))
+    assert res.Z.shape == (paths, N) and res.Z.flags.c_contiguous
+    assert res.Z.tobytes() == want.tobytes()
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "naive.csv").read_bytes()
+
+
+def test_oy_simulate_joins_its_helper_thread(monkeypatch):
+    before = threading.active_count()
+    oy_simulate(2, 0.1, 1e-2, 20, seed=1)
+    assert threading.active_count() == before
+    with pytest.raises(ValueError, match="overflowed"):
+        oy_simulate(5, 0.05, 1e-3, 3, seed=0)
+    assert threading.active_count() == before
+    real_step = qboson.degenerations._oy_euler_step
+
+    def failing_step(u, xi, s, *rest):
+        if s == 3:
+            raise RuntimeError("step failed")
+        real_step(u, xi, s, *rest)
+
+    monkeypatch.setattr(qboson.degenerations, "_oy_euler_step", failing_step)
+    with pytest.raises(RuntimeError, match="step failed"):
+        oy_simulate(2, 0.1, 1e-3, 70_000, seed=1)  # one step per block
+    assert threading.active_count() == before
+
+
+def test_oy_simulate_concurrent_calls_are_seed_determined(tmp_path):
+    # three calls at once, each with its own helper thread, on fewer cores
+    # and with a short switch interval: every result must still equal the
+    # serial reference of its seed
+    args = (3, 0.051, 1e-3, 15_000)  # 26 blocks of at most two steps
+    want = {seed: _naive_oy_simulate(*args, seed, tmp_path / f"{seed}.csv") for seed in (1, 2, 3)}
+    got = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=lambda sd=seed: got.__setitem__(
+            sd, oy_simulate(*args, seed=sd).Z)) for seed in want]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert {seed: z.tobytes() for seed, z in got.items()} == {
+        seed: z.tobytes() for seed, z in want.items()}
+
+
+@pytest.mark.parametrize("N,paths", [(0, 10), (-1, 10), (2, 0), (2, -3)])
+def test_oy_simulate_rejects_empty_systems(N, paths):
+    with pytest.raises(ValueError, match="need N >= 1 sites and paths >= 1"):
+        oy_simulate(N, 0.1, 1e-2, paths)
+
+
+def test_monte_carlo_moment_needs_two_paths():
+    res = oy_simulate(2, 0.1, 1e-2, 1, seed=0)
+    with pytest.raises(ValueError, match="paths >= 2"):
+        res.moment([1])
+    one = SdeResult(Z=np.ones((2, 1)), t=0.0, dt=1.0, seed=0)
+    assert one.moment([1]) == (1.0, 0.0)

@@ -178,6 +178,13 @@ def test_moment_mc_matches_formula():
     assert se < se_small
 
 
+@pytest.mark.parametrize("paths", [-1, 0, 1])
+def test_moment_mc_needs_two_paths(paths):
+    spec = MomentSpec(WeylVector((1,)), 0.5, "step", q=Q)
+    with pytest.raises(ValueError, match="paths >= 2"):
+        moment_mc(spec, paths)
+
+
 def test_duality_triangle_half():
     spec = MomentSpec(WeylVector((2, 1)), 0.5, "half-stationary", alpha=0.1, q=Q)
     vf = moment_formula(spec)

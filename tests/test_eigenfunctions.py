@@ -7,8 +7,6 @@ from qboson.eigenfunctions import (
     eigen_eval,
     eigen_eval_grid,
     p_map,
-    psi_left,
-    psi_right,
     reflect_map,
 )
 from qboson.qcore import (
@@ -25,9 +23,9 @@ Q = 0.5
 
 def test_single_particle_values():
     n = WeylVector((2,))
-    assert psi_left([0.5], n, Q) == pytest.approx(4.0)
+    assert eigen_eval(EigenFamily("qboson-left", Q), [0.5], n) == pytest.approx(4.0)
     z = 0.3 + 0.2j
-    assert psi_right([z], n, Q) == pytest.approx(-((1 - z) ** 2))
+    assert eigen_eval(EigenFamily("qboson-right", Q), [z], n) == pytest.approx(-((1 - z) ** 2))
 
 
 def test_symmetry_in_spectral_variables():

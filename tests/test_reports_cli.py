@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from qboson.cli import main
 from qboson.registry import REGISTRY, UnknownCheckError, run_all, run_check
 from qboson.report import (
     Accumulator,
@@ -248,6 +249,47 @@ def test_cli_simulate(tmp_path):
     p = _cli("simulate", "--model", "oy", "--t", "0.1", "--paths", "200",
              "--sites", "2", "--dt", "0.01")
     assert p.returncode == 0
+
+
+def _cli_in_process(capsys, *args):
+    """Exit code and stderr of one CLI call, run in this interpreter."""
+    code = main(list(args))
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["oy", "qtasep", "qboson"])
+@pytest.mark.parametrize("paths", ["0", "-1"])
+def test_cli_simulate_rejects_nonpositive_paths(capsys, model, paths):
+    code, err = _cli_in_process(capsys, "simulate", "--model", model, "--t", "0.1",
+                                "--paths", paths)
+    assert code == 2
+    assert f"--paths must be at least 1, got {paths}" in err
+
+
+def test_cli_simulate_oy_rejects_zero_sites(capsys):
+    code, err = _cli_in_process(capsys, "simulate", "--model", "oy", "--t", "0.1",
+                                "--sites", "0")
+    assert code == 2
+    assert "need N >= 1 sites" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+def test_cli_simulate_oy_overflow_exits_2(capsys, tmp_path):
+    # five sites at t = 0.05 overflow on every path at dt = 1e-3
+    out = tmp_path / "t.csv"
+    code = main(["simulate", "--model", "oy", "--t", "0.05", "--paths", "3",
+                 "--sites", "5", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "the Euler scheme overflowed" in captured.err and "sites [5]" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("check", ["moment-step", "sd-moment"])
+def test_cli_monte_carlo_check_needs_two_paths(capsys, check):
+    code, err = _cli_in_process(capsys, "verify", check, "--param", "paths=1")
+    assert code == 2
+    assert "paths >= 2" in err
 
 
 def test_cli_verify_failure_exit_code(tmp_path):
