@@ -9,8 +9,6 @@ check; see ``qboson.registry`` and the ``qboson`` command line tool.
 """
 
 from qboson.qcore import (
-    INF_GAP,
-    ClusterData,
     CompactFn,
     Partition,
     WeylVector,
@@ -29,8 +27,6 @@ from qboson.qcore import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "INF_GAP",
-    "ClusterData",
     "CompactFn",
     "Partition",
     "WeylVector",

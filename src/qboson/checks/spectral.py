@@ -117,11 +117,7 @@ def check_extended_operator(q: float = 0.5, samples: int = 60,
         # shuffle cluster blocks, keeping ties adjacent
         from qboson.qcore import cluster_decompose
 
-        cd = cluster_decompose(n_sorted)
-        blocks, pos = [], 0
-        for c in cd.sizes:
-            blocks.append(n_sorted.coords[pos:pos + c])
-            pos += c
+        blocks = [n_sorted.coords[start:stop] for start, stop in cluster_decompose(n_sorted)]
         order = rng.permutation(len(blocks))
         coords = tuple(v for b in order for v in blocks[b])
         z = random_spectral(rng, k)

@@ -9,6 +9,7 @@ which overrides built-in defaults.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -75,7 +76,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_list(args) -> int:
     for cid, cd in REGISTRY.items():
-        print(f"{cid:30s} tol={cd.tolerance:<8.0e} {cd.claim}")
+        tol = inspect.signature(cd.fn).parameters["tolerance"].default
+        print(f"{cid:30s} tol={tol:<8.0e} {cd.claim}")
     return 0
 
 

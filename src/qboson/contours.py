@@ -5,8 +5,11 @@ whose validity rests on a handful of containment inequalities.  Contour
 systems are built here and validated before use; `integrate` evaluates the
 k-fold product trapezoidal rule (geometrically convergent for integrands
 analytic near the circles) with an embedded-subgrid error estimate, and
-`contract_powers` is the batched kernel used by the transform layer to
-evaluate one grid integrand against many integer power exponents at once.
+`contract_powers` is the one batched kernel that evaluates a grid integrand
+against many integer powers of its one-particle bases at once; every
+transform table (inverse transform, identity resolution, pairings, the
+spectral orthogonality window) goes through it.  Several components may
+share a grid axis, as the components of one spectral string do.
 `_grid_chunks` is the one walk over a product grid, in slabs of at most
 CHUNK_ELEMENTS nodes, that `integrate` and every grid evaluator share.
 """
@@ -251,10 +254,9 @@ def gamma_prime(inner: ContourSystem | Circle, radius: float = 4.0) -> Circle:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node count per circle (power of two, >= 16) and a phase offset of the nodes."""
+    """Node count per circle (power of two, >= 16)."""
 
     nodes: int = 128
-    phase: float = 0.0
 
     def __post_init__(self):
         m = self.nodes
@@ -290,7 +292,7 @@ def grid_nodes_weights(cs: ContourSystem, spec: QuadratureSpec):
     spacing = 2.0 * math.pi / m
     nodes, weights = [], []
     for j, c in enumerate(cs.circles):
-        phase = spec.phase + spacing * j / (k + 1.0)
+        phase = spacing * j / (k + 1.0)
         nodes.append(c.nodes(m, phase))
         weights.append(c.weights(m, phase))
     return nodes, weights
@@ -363,23 +365,34 @@ def power_matrix(base: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def contract_powers(tensor: np.ndarray, bases: Sequence[np.ndarray],
-                    ranges: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Contract a grid tensor against per-axis integer powers of base vectors.
+def contract_powers(tensor: np.ndarray, bases: Sequence[np.ndarray], axis_of: Sequence[int],
+                    erange: tuple[int, int]) -> np.ndarray:
+    """Contract a grid tensor against integer powers lo..hi of its components.
 
-    Returns R with R[e_1 - lo_1, ..., e_k - lo_k] =
-        sum_grid tensor * prod_j bases[j] ** e_j.
+    Component m has the base vector ``bases[m]``, raveled along grid axis
+    ``axis_of[m]``; several components may share an axis.  Returns R with
+    R[e_1 - lo, ..., e_k - lo] = sum_grid tensor * prod_m bases[m] ** e_m.
 
     This turns "integrate one grid integrand against many integer
-    exponents" into k successive matrix products, the workhorse of the
-    batched transform evaluations.
+    exponents" into one matrix product per grid axis, the workhorse of the
+    batched transform evaluations.  The components on one axis are
+    contracted jointly, through the column-wise Kronecker product of their
+    power matrices; each tensordot consumes one grid axis and appends that
+    axis's exponent axes at the end, so they come out in reverse axis order.
     """
-    k = tensor.ndim
-    if len(bases) != k or len(ranges) != k:
-        raise ValueError("need one base vector and one exponent range per axis")
+    lo, hi = erange
+    k = len(bases)
+    if len(axis_of) != k:
+        raise ValueError("need one grid axis per component")
     out = tensor
-    for j in range(k - 1, -1, -1):
-        P = power_matrix(np.asarray(bases[j], dtype=complex), *ranges[j])
-        out = np.tensordot(out, P, axes=([j], [0]))
-    # tensordot appended new axes in reverse order; restore axis order.
-    return np.transpose(out, axes=tuple(range(k - 1, -1, -1)))
+    comp_order: list[int] = []
+    for s in range(tensor.ndim - 1, -1, -1):
+        members = [m for m in range(k) if axis_of[m] == s]
+        P = None
+        for m in members:
+            Pm = power_matrix(np.asarray(bases[m], dtype=complex), lo, hi)
+            P = Pm if P is None else (P[:, :, None] * Pm[:, None, :]).reshape(P.shape[0], -1)
+        out = np.tensordot(out, P, axes=([s], [0]))
+        comp_order.extend(members)
+    out = out.reshape([hi - lo + 1] * k)
+    return np.transpose(out, axes=[comp_order.index(m) for m in range(k)])

@@ -103,12 +103,10 @@ def deriv_matrices(n: WeylVector, side: str, eps: float, q: float) -> tuple[Deri
     by raising a head segment of one cluster, with a sign flip.
     """
     check_q(q)
-    cd = cluster_decompose(n)
-    bounds = cd.boundaries()
     out = []
-    for i, c in enumerate(cd.sizes):
-        start = bounds[i] - c  # 0-based first index of cluster i
-        end = bounds[i] - 1  # 0-based last index of cluster i
+    for start, stop in cluster_decompose(n):
+        c = stop - start
+        end = stop - 1  # the last index of the cluster
         n_last = n.coords[end]
         if side == "right":
             for p in range(0, c):
@@ -237,19 +235,25 @@ def hl_P(n: WeylVector, x: Sequence[complex], t: float) -> complex:
     return total / _hl_vnorm(n, t)
 
 
-def hl_Q(n: WeylVector, x: Sequence[complex], t: float) -> complex:
-    """Hall-Littlewood Q = b_lambda P with b = prod_{v >= 1} (t; t)_{m_v}."""
-    if n.coords[-1] < 1:
-        raise ValueError("Q needs n_k >= 1")
-    b = 1.0
+def _hl_b(n: WeylVector, t: float) -> float:
+    """b_lambda(t) = prod over positive part values v of (t; t)_{m_v}; Q
+    ignores zero parts."""
     mult: dict[int, int] = {}
     for p in n.coords:
-        mult[p] = mult.get(p, 0) + 1
-    for v, m in mult.items():
-        if v >= 1:
-            for j in range(1, m + 1):
-                b *= 1.0 - t**j
-    return b * hl_P(n, x, t)
+        if p > 0:
+            mult[p] = mult.get(p, 0) + 1
+    b = 1.0
+    for m in mult.values():
+        for j in range(1, m + 1):
+            b *= 1.0 - t**j
+    return b
+
+
+def hl_Q(n: WeylVector, x: Sequence[complex], t: float) -> complex:
+    """Hall-Littlewood Q = b_lambda P."""
+    if n.coords[-1] < 1:
+        raise ValueError("Q needs n_k >= 1")
+    return _hl_b(n, t) * hl_P(n, x, t)
 
 
 def hl_dictionary_residuals(n: WeylVector, z: Sequence[complex], q: float) -> tuple[float, float]:
@@ -285,21 +289,9 @@ def cauchy_littlewood_check(k: int, q: float, z: Sequence[complex], w: Sequence[
         raise ValueError("absolute convergence needs max |z_i| < min |w_j|")
     invw = [1.0 / v for v in w]
 
-    def _b_factor(n: WeylVector) -> float:
-        # Q ignores zero parts; its b-weight runs over positive part values.
-        b = 1.0
-        mult: dict[int, int] = {}
-        for p_ in n.coords:
-            if p_ > 0:
-                mult[p_] = mult.get(p_, 0) + 1
-        for m_ in mult.values():
-            for j in range(1, m_ + 1):
-                b *= 1.0 - q**j
-        return b
-
     total = 0.0 + 0.0j
     for n in weyl_vectors_in_box(k, 0, depth):
-        total += hl_P(n, z, q) * _b_factor(n) * hl_P(n, invw, q)
+        total += hl_P(n, z, q) * _hl_b(n, q) * hl_P(n, invw, q)
     rhs = 1.0 + 0.0j
     for i in range(k):
         for j in range(k):
@@ -435,7 +427,7 @@ def spectral_orthogonality_sides(F: Callable, G: Callable, eps: float, k: int, q
             bases = [(eps - z).ravel() for z in zs]
             scat = ScatteringGrid(fam, zs)
             for tau in itertools.permutations(range(k)):
-                table = contract_powers(T0 * scat.product(tau), bases, [erange] * k)
+                table = contract_powers(T0 * scat.product(tau), bases, range(k), erange)
                 inv = inverse_permutation(tau)
                 out += table[tuple(sign * coords[:, inv[m_]] - erange[0] for m_ in range(k))]
         return out

@@ -60,10 +60,6 @@ class QTasepState:
             if a <= b:
                 raise ValueError("q-TASEP positions must be strictly decreasing")
 
-    @property
-    def n_particles(self) -> int:
-        return len(self.positions)
-
 
 @dataclass
 class Trajectory:
@@ -93,7 +89,6 @@ class MomentSpec:
     init: str = "step"  # or "half-stationary"
     alpha: float = 0.0
     q: float = 0.5
-    n_particles: int | None = None
 
     def __post_init__(self):
         check_q(self.q)
@@ -115,7 +110,7 @@ class MomentSpec:
 
     @property
     def N(self) -> int:
-        return self.n_particles if self.n_particles is not None else self.n.coords[0]
+        return self.n.coords[0]
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +350,11 @@ def moment_mc(spec: MomentSpec, paths: int, seed: int = 0) -> tuple[float, float
 # Kolmogorov equation solvers
 
 
-def _time_weight(q: float, t: float, model: str = "qboson"):
+def _time_weight(q: float, t: float):
     def extra(zs):
         ssum = None
         for z in zs:
             ssum = z if ssum is None else ssum + z
-        if model == "sd":
-            return np.exp(t * (ssum - len(zs)))
         return np.exp((q - 1.0) * t * ssum)
 
     return extra
@@ -445,11 +438,14 @@ def solve_evolution_batch(direction: str, f0: CompactFn, t: float, ns: Sequence[
 
 
 def transition_probability(method: str, y: WeylVector, x: WeylVector, t: float,
-                           q: float, tol: float = 1e-10) -> complex:
+                           q: float) -> complex:
     """P(state x at time t | state y at time 0) for the q-Boson system."""
     check_q(q)
     if t < 0:
         raise ValueError("t must be >= 0")
+    if x.k != y.k:
+        raise ValueError(f"the q-Boson system conserves particles: the source has {y.k} "
+                         f"and the target {x.k}")
     if method == "spectral":
         return solve_evolution("forward", "spectral", CompactFn.delta(y), t, x, q)
     if method == "uniformization":
@@ -458,7 +454,7 @@ def transition_probability(method: str, y: WeylVector, x: WeylVector, t: float,
         margin = 3 + int(math.ceil(k * t + 6 * math.sqrt(k * t + 1.0)))
         box = StateBox(k, min(x.coords[-1], y.coords[-1]) - margin,
                        max(x.coords[0], y.coords[0]) + 1)
-        pmf = uniformized_transition(GeneratorKind("fwd", "qboson", q), t, y, box, tol=tol)
+        pmf = uniformized_transition(GeneratorKind("fwd", "qboson", q), t, y, box, tol=1e-10)
         return complex(pmf[x])
     raise ValueError(f"unknown method {method!r}")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,10 +35,6 @@ from qboson.qcore import (
 
 GENERATOR_KINDS = ("bwd", "fwd", "cfwd", "free-bwd", "free-fwd")
 MODELS = ("qboson", "eps", "sd")
-
-
-class DomainMarginError(KeyError):
-    """A table-backed function was queried outside its stored domain."""
 
 
 @dataclass(frozen=True)
@@ -61,29 +57,17 @@ class GeneratorKind:
         return cq_weight(n, self.q)
 
 
-def table_fn(table: Mapping[tuple, complex]) -> Callable:
-    """Wrap a finite table {coords: value} into a callable raising on misses."""
-
-    def fn(coords) -> complex:
-        key = tuple(coords)
-        if key not in table:
-            raise DomainMarginError(f"point {key} outside the table's domain")
-        return table[key]
-
-    return fn
-
-
 def generator_apply(gk: GeneratorKind, f: Callable, n: WeylVector) -> complex:
     """Apply the interacting generator at n; f maps WeylVector -> complex."""
     q, eps = gk.q, gk.eps
-    cd = cluster_decompose(n)
-    bounds = cd.boundaries()
+    spans = cluster_decompose(n)
     out = 0.0 + 0.0j
 
     if gk.kind == "bwd":
         diag = eps if gk.model == "eps" else 1.0
-        for i, c in enumerate(cd.sizes):
-            tail = bounds[i] - 1  # 0-based index of the last particle of cluster i
+        for head, stop in spans:
+            c = stop - head
+            tail = stop - 1  # the last particle of the cluster
             if gk.model == "sd":
                 out += c * (f(n.bump(tail, -1)) - f(n)) + 0.5 * c * (c - 1) * f(n)
             else:
@@ -92,8 +76,8 @@ def generator_apply(gk: GeneratorKind, f: Callable, n: WeylVector) -> complex:
 
     if gk.kind == "cfwd":
         diag = eps if gk.model == "eps" else 1.0
-        for i, c in enumerate(cd.sizes):
-            head = bounds[i] - c  # 0-based index of the first particle of cluster i
+        for head, stop in spans:
+            c = stop - head
             if gk.model == "sd":
                 out += c * (f(n.bump(head, +1)) - f(n)) + 0.5 * c * (c - 1) * f(n)
             else:
@@ -102,16 +86,18 @@ def generator_apply(gk: GeneratorKind, f: Callable, n: WeylVector) -> complex:
 
     if gk.kind == "fwd":
         diag = eps if gk.model == "eps" else 1.0
-        for i, c in enumerate(cd.sizes):
-            head = bounds[i] - c
-            merge = cd.gaps[i] == 1  # INF_GAP compares unequal to any int
+        c_prev = 0  # size of the cluster to the left, 0 before the first
+        for head, stop in spans:
+            c = stop - head
+            # the cluster to the left sits one step above this one
+            merge = head > 0 and n.coords[head - 1] == n.coords[head] + 1
             if gk.model == "sd":
-                rate_in = (cd.sizes[i - 1] + 1.0) if merge else 1.0
+                rate_in = (c_prev + 1.0) if merge else 1.0
                 out += rate_in * f(n.bump(head, +1)) - c * f(n) + 0.5 * c * (c - 1) * f(n)
             else:
-                c_prev = cd.sizes[i - 1] if i > 0 else 0
                 rate_in = (1.0 - q ** (c_prev + 1)) if merge else (1.0 - q)
                 out += rate_in * f(n.bump(head, +1)) - diag * (1.0 - q**c) * f(n)
+            c_prev = c
         return out
 
     raise ValueError(f"{gk.kind} is a free kind; use free_apply")
@@ -130,9 +116,7 @@ def _grad_fwd(u: Callable, coords: tuple, i: int, eps: float) -> complex:
 def free_apply(gk: GeneratorKind, u: Callable, n) -> complex:
     """Apply the separable free generator at an integer vector n in Z^k.
 
-    ``u`` is a function on Z^k (tuple argument); use :func:`table_fn` to
-    wrap finite tables, which raise :class:`DomainMarginError` when the
-    one-step stencil leaves the table.
+    ``u`` is a function on Z^k (tuple argument).
     """
     coords = tuple(n.coords) if isinstance(n, WeylVector) else tuple(n)
     k = len(coords)

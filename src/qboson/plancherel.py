@@ -11,7 +11,9 @@ mode and grid slab it yields the spectral components, the measure and the
 left-eigenfunction permutation terms.  The batched evaluators
 (`inverse_J_batch`, `composition_table`, `right_right_pair_table`)
 consume it without naming a mode; they factor the integrand through
-per-permutation scattering tensors and integer power contractions, so one
+per-permutation scattering tensors and contract each against integer
+powers of the one-particle bases with `contours.contract_powers` (the
+components of one string share their base point's grid axis), so one
 quadrature grid serves a whole box of spatial arguments at once.
 `inverse_J` is a batch of one.
 
@@ -40,7 +42,6 @@ from qboson.contours import (
     contract_powers,
     _grid_chunks,
     integrate,  # noqa: F401  perfbench's tracer test patches plancherel.integrate
-    power_matrix,
 )
 from qboson.eigenfunctions import EigenFamily, ScatteringGrid, eigen_eval_grid
 from qboson.qcore import (
@@ -358,32 +359,6 @@ def _spectral_slabs(mode: str, coords: np.ndarray, cs: ContourSystem, spec: Quad
                         measure, lefts, 0)
 
 
-def _contract_grouped(T: np.ndarray, bases: Sequence[np.ndarray], axis_of: Sequence[int],
-                      erange: tuple[int, int]) -> np.ndarray:
-    """Contract a slab tensor against the powers lo..hi of its components.
-
-    Components sharing a grid axis are contracted jointly; the result has
-    one exponent axis per component, R[e_1 - lo, ..., e_k - lo].
-    """
-    lo, hi = erange
-    k = len(bases)
-    # Per-axis joint power matrices via column-wise Kronecker products; each
-    # tensordot consumes one grid axis and appends the merged exponent axis
-    # at the end, so the components come out in reverse axis order.
-    out = T
-    comp_order: list[int] = []
-    for s in range(T.ndim - 1, -1, -1):
-        members = [m for m in range(k) if axis_of[m] == s]
-        P = None
-        for m in members:
-            Pm = power_matrix(bases[m], lo, hi)
-            P = Pm if P is None else (P[:, :, None] * Pm[:, None, :]).reshape(P.shape[0], -1)
-        out = np.tensordot(out, P, axes=([s], [0]))
-        comp_order.extend(members)
-    out = out.reshape([hi - lo + 1] * k)
-    return np.transpose(out, axes=[comp_order.index(m) for m in range(k)])
-
-
 def inverse_J_batch(G, ns: Sequence[WeylVector], mode: str, cs: ContourSystem,
                     spec: QuadratureSpec, q: float, model: str = "qboson",
                     eps: float = 1.0, extra_grid: Callable | None = None) -> np.ndarray:
@@ -410,7 +385,7 @@ def inverse_J_batch(G, ns: Sequence[WeylVector], mode: str, cs: ContourSystem,
         erange = (s.offset - int(coords.max()), s.offset - int(coords.min()))
         for inv, T in s.lefts(T0):
             # component m carries the exponent offset - n_{sigma^{-1}(m)}
-            table = _contract_grouped(T, s.bases, s.axis_of, erange)
+            table = contract_powers(T, s.bases, s.axis_of, erange)
             out += table[tuple(s.offset - coords[:, j] - erange[0] for j in inv)]
     # the sign of the nested definition survives the string expansion
     return ((-1.0) ** coords.shape[1] if model == "sd" else 1.0) * out
@@ -444,7 +419,7 @@ def composition_table(states: Sequence[WeylVector], cs: ContourSystem, spec: Qua
         scat_c = ScatteringGrid(fam_c, s.comps)
         for inv_s, Tl in s.lefts(s.measure):
             for tau in itertools.permutations(range(len(s.comps))):
-                table = _contract_grouped(Tl * scat_c.product(tau), s.bases, s.axis_of, erange)
+                table = contract_powers(Tl * scat_c.product(tau), s.bases, s.axis_of, erange)
                 # component m carries the exponent x_{tau^{-1}(m)} + offset - y_{sigma^{-1}(m)}
                 inv_t = inverse_permutation(tau)
                 out += table[tuple(coords[:, None, t] - coords[None, :, j] + s.offset - erange[0]
@@ -471,7 +446,7 @@ def right_right_pair_table(states: Sequence[WeylVector], cs: ContourSystem,
         scat_c = ScatteringGrid(fam_c, s.comps)
         T0 = s.measure * math.factorial(k) * scat_c.product(tuple(range(k)))
         for tau in itertools.permutations(range(k)):
-            table = contract_powers(T0 * scat_c.product(tau), s.bases, [erange] * k)
+            table = contract_powers(T0 * scat_c.product(tau), s.bases, s.axis_of, erange)
             inv_t = inverse_permutation(tau)
             out += table[tuple(coords[:, None, m] + coords[None, :, inv_t[m]] - erange[0]
                                for m in range(k))]

@@ -17,48 +17,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 
-class InfiniteGap:
-    """Sentinel for the leading gap of a cluster decomposition.
-
-    A dedicated object (not a large integer, not ``math.inf``) so that any
-    accidental arithmetic on it fails loudly.  It compares greater than
-    every real number, which is the only operation gap consumers need.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INF_GAP"
-
-    def __gt__(self, other):
-        if isinstance(other, InfiniteGap):
-            return False
-        return True
-
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, InfiniteGap)
-
-    def __eq__(self, other):
-        return isinstance(other, InfiniteGap)
-
-    def __hash__(self):
-        return hash("INF_GAP")
-
-
-INF_GAP = InfiniteGap()
-
-
 def check_q(q: float) -> float:
     """Validate the deformation parameter, 0 < q < 1."""
     q = float(q)
@@ -116,65 +74,20 @@ class WeylVector:
         return WeylVector(tuple(-c for c in reversed(self.coords)))
 
 
-@dataclass(frozen=True)
-class ClusterData:
-    """Run-length data of a WeylVector: sizes c_i, gaps g_i (g_1 infinite)."""
-
-    sizes: tuple[int, ...]
-    gaps: tuple
-
-    def __post_init__(self):
-        if len(self.sizes) != len(self.gaps):
-            raise ValueError("sizes and gaps must have equal length")
-        if not isinstance(self.gaps[0], InfiniteGap):
-            raise ValueError("the first gap must be the INF_GAP sentinel")
-        for g in self.gaps[1:]:
-            if isinstance(g, InfiniteGap) or g < 1:
-                raise ValueError("interior gaps must be integers >= 1")
-
-    @property
-    def count(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def k(self) -> int:
-        return sum(self.sizes)
-
-    def boundaries(self) -> tuple[int, ...]:
-        """Cumulative sizes c_1 + ... + c_i for i = 1..M."""
-        out, acc = [], 0
-        for c in self.sizes:
-            acc += c
-            out.append(acc)
-        return tuple(out)
-
-
 @functools.lru_cache(maxsize=65536)
-def cluster_decompose(n: WeylVector) -> ClusterData:
-    """Split a WeylVector into clusters of equal coordinates and their gaps."""
-    sizes = []
-    gaps: list = [INF_GAP]
-    run = 1
-    for prev, cur in zip(n.coords, n.coords[1:]):
-        if cur == prev:
-            run += 1
-        else:
-            sizes.append(run)
-            gaps.append(prev - cur)
-            run = 1
-    sizes.append(run)
-    return ClusterData(tuple(sizes), tuple(gaps))
+def cluster_decompose(n: WeylVector) -> tuple[tuple[int, int], ...]:
+    """Split a WeylVector into clusters, its maximal runs of equal coordinates.
 
-
-def reconstruct_weyl(cd: ClusterData, top: int) -> WeylVector:
-    """Rebuild the WeylVector with leading value ``top`` from cluster data."""
-    coords = []
-    value = top
-    for i, c in enumerate(cd.sizes):
-        if i > 0:
-            value -= cd.gaps[i]
-        coords.extend([value] * c)
-    return WeylVector(tuple(coords))
+    Each cluster is a half-open index span (start, stop): the coordinates
+    n[start:stop] are equal, and the spans tile 0..k in order.
+    """
+    spans = []
+    start = 0
+    for i in range(1, n.k + 1):
+        if i == n.k or n.coords[i] != n.coords[start]:
+            spans.append((start, i))
+            start = i
+    return tuple(spans)
 
 
 @dataclass(frozen=True)
@@ -200,9 +113,6 @@ class Partition:
     @property
     def length(self) -> int:
         return len(self.parts)
-
-    def multiplicity(self, i: int) -> int:
-        return sum(1 for p in self.parts if p == i)
 
     def multiplicities(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -288,7 +198,7 @@ def cluster_weight_of_sizes(sizes: Sequence[int], q: float | None = None) -> flo
 
 def cq_weight(n: WeylVector, q: float) -> float:
     """Cluster weight C_q(n) = (-1)^k q^{-k(k-1)/2} prod_i (c_i)!_q."""
-    return cluster_weight_of_sizes(cluster_decompose(n).sizes, q)
+    return cluster_weight_of_sizes([stop - start for start, stop in cluster_decompose(n)], q)
 
 
 def cq_weight_inv(n: WeylVector, q: float) -> float:
@@ -298,7 +208,7 @@ def cq_weight_inv(n: WeylVector, q: float) -> float:
 
 def factorial_cluster_weight(n: WeylVector) -> float:
     """Plain-factorial cluster weight (-1)^k prod_i (c_i)!, the q -> 1 analogue of C_q."""
-    return cluster_weight_of_sizes(cluster_decompose(n).sizes)
+    return cluster_weight_of_sizes([stop - start for start, stop in cluster_decompose(n)])
 
 
 def cluster_weights(ns, q: float | None = None) -> np.ndarray:
@@ -429,13 +339,6 @@ class CompactFn:
         if not isinstance(n, WeylVector):
             n = WeylVector(tuple(n))
         return cls({n: 1.0})
-
-    @classmethod
-    def zero(cls, k: int) -> "CompactFn":
-        obj = cls.__new__(cls)
-        obj._data = {}
-        obj._k = k
-        return obj
 
     @property
     def k(self) -> int:

@@ -1,9 +1,10 @@
 """Registry of all named verification checks.
 
 Every check id maps to exactly one verified identity, recorded as a
-self-contained claim string, together with its default tolerance and the
-callable producing a Report.  Parameters passed to run_check override the
-defaults after type validation against them.
+self-contained claim string, together with the callable producing a
+Report, whose keyword defaults (its ``tolerance`` among them) are the
+check's defaults.  Parameters passed to run_check must be keywords of
+that callable, and override its defaults.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from qboson.report import Report
 class CheckDef:
     fn: Callable[..., Report]
     claim: str
-    tolerance: float
 
 
 REGISTRY: dict[str, CheckDef] = {
@@ -32,166 +32,137 @@ REGISTRY: dict[str, CheckDef] = {
         sp.check_eigen_relation,
         "generator applied to each eigenfunction family returns eigenvalue "
         "(q-1) sum z_i (q-Boson and eps families) or sum (z_i - 1) (semi-discrete)",
-        1e-10,
     ),
     "boundary-conditions": CheckDef(
         sp.check_boundary_conditions,
         "two-body boundary residuals of the eigenfunctions vanish on every diagonal",
-        1e-12,
     ),
     "pt-invariance": CheckDef(
         sp.check_pt_invariance,
         "backward generator equals (R C) forward (R C)^{-1} on symmetric state boxes",
-        1e-12,
     ),
     "extended-operator": CheckDef(
         sp.check_extended_operator,
         "the whole-lattice operator with tie corrections reproduces the "
         "eigenrelation on symmetric extensions (ties in adjacent slots)",
-        1e-10,
     ),
     "plancherel-forward": CheckDef(
         pl.check_plancherel_forward,
         "inverse transform of the forward transform resolves deltas in all "
         "three evaluation modes",
-        1e-6,
     ),
     "plancherel-dual": CheckDef(
         pl.check_plancherel_dual,
         "forward transform of the inverse transform fixes symmetric Laurent "
         "monomials at spectral points, with certified spatial truncation",
-        1e-6,
     ),
     "plancherel-pairing": CheckDef(
         pl.check_plancherel_pairing,
         "spatial pairing <f,g> equals the spectral pairing of the intertwined "
         "transforms <F(Pf), Fg>",
-        1e-6,
     ),
     "biorthogonality-spatial": CheckDef(
         pl.check_biorthogonality_spatial,
         "spectral pairing of left and right eigenfunctions is delta_{n,m}",
-        1e-6,
     ),
     "orthogonality-spectral": CheckDef(
         pl.check_orthogonality_spectral,
         "spatial sum of paired eigenfunction integrals collapses to the "
         "antisymmetrized single integral (spectral orthogonality)",
-        1e-5,
     ),
     "residue-expansion": CheckDef(
         pl.check_residue_expansion,
         "nested contour integral of the scattering kernel equals its "
         "partition expansion over geometric strings",
-        1e-6,
     ),
     "residue-weight": CheckDef(
         pl.check_residue_weight,
         "iterated string residue of the scattering kernel equals the "
         "Cauchy-determinant closed form",
-        1e-10,
     ),
     "measure-consistency": CheckDef(
         pl.check_measure_consistency,
         "all printed normalizations of the string measure agree (exponent "
         "bookkeeping cancels as the partition size is fixed)",
-        1e-12,
     ),
     "backward-solver": CheckDef(
         dy.check_backward_solver,
         "spectral backward solution matches the single-particle Poisson "
         "chain and the triangular matrix-exponential oracle",
-        1e-6,
     ),
     "forward-solver": CheckDef(
         dy.check_forward_solver,
         "spectral forward solution matches the absorbing matrix-exponential oracle",
-        1e-6,
     ),
     "transition-prob": CheckDef(
         dy.check_transition_prob,
         "spectral transition kernel matches uniformization, is nonnegative, "
         "and sums to unit mass",
-        1e-6,
     ),
     "moment-step": CheckDef(
         dy.check_moment_step,
         "step-data moment formula equals the backward solution and the "
         "q-TASEP simulation, with the k=1 exponential closed form",
-        1e-6,
     ),
     "moment-half": CheckDef(
         dy.check_moment_half,
         "half-stationary moment formula equals the backward solution and "
         "the q-TASEP simulation with q-geometric gaps",
-        1e-6,
     ),
     "identity-mqinverse": CheckDef(
         dy.check_identity_mqinverse,
         "S_m sum of strict-pair 1/q-shifted scattering ratios equals m!_{1/q}",
-        1e-10,
     ),
     "identity-qbinomial": CheckDef(
         dy.check_identity_qbinomial,
         "subset-split q-binomial expansion with the |I|-dependent weight "
         "equals prod (1 - alpha/q^l)",
-        1e-10,
     ),
     "identity-halfstat-transform": CheckDef(
         dy.check_identity_halfstat,
         "forward transform of the half-stationary data telescopes to "
         "(-1)^k q^{k(k-1)/2} prod (1-z_j)/(z_j - alpha/q)",
-        1e-8,
     ),
     "eps-plancherel": CheckDef(
         dg.check_eps_plancherel,
         "eps-deformed transform pair resolves deltas; eps = 1 reduces to the base family",
-        1e-6,
     ),
     "eps-orthogonality": CheckDef(
         dg.check_eps_orthogonality,
         "spectral orthogonality holds with flat residual across eps in {0, 0.25, 0.5, 1}",
-        1e-5,
     ),
     "eps-deriv-relation": CheckDef(
         dg.check_eps_deriv_relation,
         "eps-derivatives of the eigenfunctions expand through the cluster "
         "matrices, which satisfy the exact intertwining relation",
-        1e-12,
     ),
     "hl-identification": CheckDef(
         dg.check_hl_identification,
         "eps = 0 eigenfunctions equal sign-normalized Hall-Littlewood P and Q",
-        1e-12,
     ),
     "cauchy-littlewood": CheckDef(
         dg.check_cauchy_littlewood,
         "truncated Hall-Littlewood Cauchy sum matches the product kernel "
         "with a certified geometric tail",
-        1e-8,
     ),
     "sd-eigen": CheckDef(
         dg.check_sd_eigen,
         "semi-discrete eigenrelations with eigenvalue sum (z_i - 1) and the "
         "factorial-weight reflection symmetry",
-        1e-10,
     ),
     "sd-plancherel": CheckDef(
         dg.check_sd_plancherel,
         "semi-discrete transform pair resolves deltas (nested and additive-string modes)",
-        1e-6,
     ),
     "sd-biorthogonality": CheckDef(
         dg.check_sd_biorthogonality,
         "semi-discrete left/right eigenfunctions are biorthogonal under the "
         "additive-string measure",
-        1e-6,
     ),
     "sd-moment": CheckDef(
         dg.check_sd_moment,
         "semi-discrete moment formula matches the Poisson-chain closed form "
         "and the stochastic-ODE simulation",
-        1e-8,
     ),
 }
 

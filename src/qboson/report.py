@@ -196,10 +196,6 @@ def reports_to_json(reports: list[Report]) -> str:
                       allow_nan=False)
 
 
-def reports_from_json(text: str) -> list[Report]:
-    return [Report.from_dict(d) for d in json.loads(text)]
-
-
 def reports_to_csv(reports: list[Report]) -> str:
     """Flat CSV: params serialized as one JSON column, complex split re/im."""
     buf = io.StringIO()

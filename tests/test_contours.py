@@ -127,14 +127,21 @@ def test_exponential_error_decay():
 
 
 def test_phase_rotation_invariance():
+    # the trapezoid rule is as accurate wherever its nodes start on a circle
     cs = nested_contours(2, Q, r_k=0.3)
 
     def f(zs):
         return (1 - zs[0]) ** -2 * (1 - zs[1]) ** -1 * np.exp(zs[0] * zs[1])
 
-    a = integrate(cs, f, QuadratureSpec(128, phase=0.0)).value
-    b = integrate(cs, f, QuadratureSpec(128, phase=0.77)).value
+    def rule(phase, m=128):
+        outer, inner = cs.circles
+        zs = (outer.nodes(m, phase)[:, None], inner.nodes(m, phase)[None, :])
+        return np.sum(f(zs) * outer.weights(m, phase)[:, None] * inner.weights(m, phase)[None, :])
+
+    a, b = rule(0.0), rule(0.77)
     assert abs(a - b) <= 1e-10 * (1 + abs(a))
+    c = integrate(cs, f, QuadratureSpec(128)).value  # per-axis offset nodes
+    assert abs(a - c) <= 1e-10 * (1 + abs(a))
 
 
 def test_axis_phase_offsets_distinct_nodes():
@@ -153,11 +160,32 @@ def test_power_matrix_and_contract():
         assert np.allclose(P[:, i], base**e)
     T = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
     b2 = rng.normal(size=7) + 2.5
-    R = contract_powers(T, [base, b2], [(-1, 1), (0, 2)])
+    R = contract_powers(T, [base, b2], (0, 1), (-1, 1))
+    assert R.shape == (3, 3)
     for i, e1 in enumerate(range(-1, 2)):
-        for j, e2 in enumerate(range(0, 3)):
+        for j, e2 in enumerate(range(-1, 2)):
             brute = np.sum(T * base[:, None] ** e1 * b2[None, :] ** e2)
             assert abs(R[i, j] - brute) < 1e-10 * (1 + abs(brute))
+
+
+def test_contract_powers_components_sharing_an_axis():
+    # a string of length 2 on axis 0 (w and q w) and one component on axis 1,
+    # listed out of axis order: R[e0, e1, e2] = sum T b0^e0 b1^e1 b2^e2
+    rng = np.random.default_rng(1)
+    w = rng.normal(size=6) + 1j * rng.normal(size=6) + 3.0
+    v = rng.normal(size=4) + 1j * rng.normal(size=4) - 2.5
+    T = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    bases = [1.0 - w, v, 1.0 - Q * w]
+    lo, hi = -2, 1
+    R = contract_powers(T, bases, (0, 1, 0), (lo, hi))
+    assert R.shape == (hi - lo + 1,) * 3
+    for e0 in range(lo, hi + 1):
+        for e1 in range(lo, hi + 1):
+            for e2 in range(lo, hi + 1):
+                brute = np.sum(T * (bases[0] ** e0 * bases[2] ** e2)[:, None]
+                               * (bases[1] ** e1)[None, :])
+                got = R[e0 - lo, e1 - lo, e2 - lo]
+                assert abs(got - brute) <= 1e-10 * (1 + abs(brute))
 
 
 def test_describe_roundtrip():

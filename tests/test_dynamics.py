@@ -219,6 +219,15 @@ def test_transition_kernel_k1_poisson():
     assert transition_probability("spectral", y, y, 0.0, Q) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("method", ["spectral", "uniformization"])
+def test_transition_probability_rejects_particle_count_change(method):
+    # the system conserves particles, so there is no such transition to price
+    with pytest.raises(ValueError, match="the source has 2 and the target 1"):
+        transition_probability(method, WeylVector((1, 0)), WeylVector((0,)), 0.5, Q)
+    with pytest.raises(ValueError, match="the source has 1 and the target 3"):
+        transition_probability(method, WeylVector((0,)), WeylVector((0, -1, -2)), 0.5, Q)
+
+
 def test_qboson_marginals_match_uniformization():
     # total-variation distance between simulated and exact laws, k = 2
     rng = np.random.default_rng(9)

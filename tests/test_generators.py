@@ -5,7 +5,6 @@ import pytest
 
 from qboson.eigenfunctions import EigenFamily, eigen_eval
 from qboson.generators import (
-    DomainMarginError,
     GeneratorKind,
     StateBox,
     absorbing_generator,
@@ -17,7 +16,6 @@ from qboson.generators import (
     generator_apply,
     matrix_on_box,
     reflection_permutation,
-    table_fn,
     uniformized_transition,
 )
 from qboson.qcore import WeylVector
@@ -103,13 +101,6 @@ def test_free_equals_interacting_on_chamber():
         a = free_apply(GeneratorKind("free-bwd", "qboson", Q), u, n)
         b = generator_apply(GeneratorKind("bwd", "qboson", Q), lambda m: u(m.coords), n)
         assert abs(a - b) <= 1e-11 * (1 + abs(a))
-
-
-def test_table_fn_domain_margin():
-    f = table_fn({(0,): 1.0, (1,): 2.0})
-    assert f((0,)) == 1.0
-    with pytest.raises(DomainMarginError):
-        f((2,))
 
 
 def test_boundary_residual_diagonal_requirement():

@@ -66,9 +66,34 @@ def test_no_unused_module_level_imports():
     assert not found, "unused module-level imports:\n" + "\n".join(found)
 
 
-def test_benchmark_tracer_targets_resolve():
-    # perfbench/tracer.py wraps these names with a bare getattr, so a
-    # deleted or renamed one breaks only the benchmark unless caught here
+def public_definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each public module-level function and class."""
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def names_read(source: str) -> set[str]:
+    """Every name the source reads, as a bare name or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def unread_public_definitions(sources: dict[str, str], exempt=frozenset()) -> list[str]:
+    """``module:line name`` of each public module-level function or class
+    that no source reads by name, unless ``exempt`` holds its (module, name)."""
+    read = set().union(*(names_read(text) for text in sources.values()))
+    return [f"{module}:{line} {name}" for module, text in sorted(sources.items())
+            for line, name in public_definitions(text)
+            if name not in read and (module, name) not in exempt]
+
+
+def _load_tracer():
     path = SRC.parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
@@ -77,6 +102,40 @@ def test_benchmark_tracer_targets_resolve():
         spec.loader.exec_module(tracer)
     finally:
         del sys.modules[spec.name]
+    return tracer
+
+
+def test_unread_public_definition_detection():
+    sources = {
+        "qboson.a": ("class Used:\n    pass\n"
+                     "def helper():\n    return Used()\n"
+                     "def traced():\n    pass\n"
+                     "def only_stored():\n    pass\n"
+                     "def _private():\n    pass\n"),
+        "qboson.b": ("from qboson import a\n"
+                     "only_stored = None\n"
+                     "def entry():\n    return a.helper()\n"
+                     "if __name__ == '__main__':\n    entry()\n"),
+    }
+    assert unread_public_definitions(sources, {("qboson.a", "traced")}) == [
+        "qboson.a:7 only_stored"]
+
+
+def test_no_public_api_that_only_tests_reach():
+    # a public function or class that nothing in the package reads is
+    # reached only by tests, or by nothing; the benchmark's tracer targets
+    # are read from outside the package and are exempt
+    sources = {"qboson." + ".".join(path.relative_to(SRC).with_suffix("").parts):
+               path.read_text() for path in sorted(SRC.rglob("*.py"))}
+    exempt = {(tg.module, tg.attr.split(".")[0]) for tg in _load_tracer().QBOSON_TARGETS}
+    found = unread_public_definitions(sources, exempt)
+    assert not found, "public definitions read nowhere in src/qboson:\n" + "\n".join(found)
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracer.py wraps these names with a bare getattr, so a
+    # deleted or renamed one breaks only the benchmark unless caught here
+    tracer = _load_tracer()
     assert tracer.QBOSON_TARGETS
     for tg in tracer.QBOSON_TARGETS:
         obj = functools.reduce(getattr, tg.attr.split("."), importlib.import_module(tg.module))

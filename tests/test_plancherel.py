@@ -41,7 +41,7 @@ def test_transform_F_delta_and_zero():
     f = CompactFn.delta(n)
     assert _transform_at(f, z) == pytest.approx(
         eigen_eval(EigenFamily("qboson-right", Q), z, n))
-    assert _transform_at(CompactFn.zero(2), z) == 0
+    assert _transform_at(CompactFn({(0, 0): 0.0}), z) == 0
 
 
 def test_transform_F_half_stationary_geometric_series():

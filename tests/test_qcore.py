@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qboson.qcore import (
-    INF_GAP,
     CompactFn,
     Partition,
     WeylVector,
@@ -19,7 +18,6 @@ from qboson.qcore import (
     partitions_of,
     q_factorial,
     q_pochhammer,
-    reconstruct_weyl,
     string_points,
     weyl_vectors_in_box,
 )
@@ -41,36 +39,29 @@ def test_weyl_vector_ordering():
 
 
 def test_cluster_decompose_worked_example():
-    cd = cluster_decompose(WeylVector((2, 1, -2, -2, -2)))
-    assert cd.sizes == (1, 1, 3)
-    assert cd.count == 3
-    assert cd.gaps[0] is INF_GAP
-    assert cd.gaps[1:] == (1, 3)
+    assert cluster_decompose(WeylVector((2, 1, -2, -2, -2))) == ((0, 1), (1, 2), (2, 5))
 
 
 def test_cluster_decompose_trivial_cases():
-    cd = cluster_decompose(WeylVector((5, 5)))
-    assert cd.sizes == (2,) and cd.count == 1 and cd.gaps[0] is INF_GAP
-    cd = cluster_decompose(WeylVector((3, 2, 1)))
-    assert cd.sizes == (1, 1, 1) and cd.gaps[1:] == (1, 1)
+    assert cluster_decompose(WeylVector((5, 5))) == ((0, 2),)
+    assert cluster_decompose(WeylVector((3, 2, 1))) == ((0, 1), (1, 2), (2, 3))
+    assert cluster_decompose(WeylVector((7,))) == ((0, 1),)
 
 
-def test_inf_gap_comparisons_not_arithmetic():
-    assert INF_GAP > 10**9
-    assert not (INF_GAP == 1)
-    assert INF_GAP == INF_GAP
-    with pytest.raises(TypeError):
-        INF_GAP + 1
-
-
-@given(st.lists(st.integers(-30, 30), min_size=1, max_size=8), st.integers(-5, 5))
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=8))
 @settings(max_examples=1000, deadline=None)
-def test_cluster_roundtrip(values, shift):
+def test_cluster_roundtrip(values):
+    # the spans tile 0..k in order, hold equal coordinates, and split
+    # exactly where neighbouring coordinates differ, so n is rebuilt from
+    # one value per span
     n = WeylVector(tuple(sorted(values, reverse=True)))
-    cd = cluster_decompose(n)
-    assert reconstruct_weyl(cd, n.coords[0]) == n
-    # up to a global shift
-    assert reconstruct_weyl(cd, n.coords[0] + shift) == n.shift(shift)
+    spans = cluster_decompose(n)
+    assert spans[0][0] == 0 and spans[-1][1] == n.k
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    for start, stop in spans:
+        assert start < stop and len(set(n.coords[start:stop])) == 1
+    assert all(n.coords[a[1] - 1] != n.coords[b[0]] for a, b in zip(spans, spans[1:]))
+    assert tuple(n.coords[start] for start, stop in spans for _ in range(start, stop)) == n.coords
 
 
 def test_q_pochhammer_values():

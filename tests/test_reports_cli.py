@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import subprocess
@@ -10,13 +11,17 @@ from qboson.cli import main
 from qboson.registry import REGISTRY, UnknownCheckError, run_all, run_check
 from qboson.report import (
     Accumulator,
+    Report,
     emit_report,
-    reports_from_json,
     reports_to_csv,
     reports_to_json,
 )
 
 FAST_CHECKS = ["measure-consistency", "residue-weight", "identity-qbinomial"]
+
+
+def reports_from_json(text):
+    return [Report.from_dict(d) for d in json.loads(text)]
 
 
 def _fast_report(seed=0):
@@ -37,7 +42,14 @@ def test_registry_has_all_ids():
     }
     assert set(REGISTRY) == expected
     for cid, cd in REGISTRY.items():
-        assert cd.claim and cd.tolerance > 0
+        assert cd.claim, cid
+
+
+def test_every_check_has_a_positive_default_tolerance():
+    # `qboson list` prints this default; it is the one copy of it
+    for cid, cd in REGISTRY.items():
+        tol = inspect.signature(cd.fn).parameters["tolerance"].default
+        assert isinstance(tol, float) and tol > 0, cid
 
 
 def test_unknown_check_and_bad_param():
@@ -233,6 +245,10 @@ def test_cli_moments_and_transition():
     out = json.loads(p.stdout)
     lam = 0.25
     assert out["probability"][0] == pytest.approx(np.exp(-lam) * lam, abs=1e-9)
+    for method in ("spectral", "uniformization"):
+        p = _cli("transition", "--method", method, "--t", "0.5", "--from", "1,0", "--to", "0")
+        assert p.returncode == 2 and p.stdout == ""
+        assert "the source has 2 and the target 1" in p.stderr
     # invalid moment spec: usage error
     p = _cli("moments", "--model", "qtasep", "--init", "half", "--t", "1.0",
              "--n", "1", "--alpha", "0.9")
