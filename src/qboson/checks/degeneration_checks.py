@@ -44,7 +44,7 @@ def check_eps_plancherel(q: float = 0.5, eps: float = 0.5, nodes: int = 128,
         states = list(weyl_vectors_in_box(k, -3, 3))
         I = np.eye(len(states))
         for mode, cs in (("nested", nested_contours(k, q, r_k=0.3 * eps, center=eps)),
-                         ("single-gamma", single_gamma(q, k=k, eps=eps, family="eps-single"))):
+                         ("single-gamma", single_gamma(q, k=k, eps=eps))):
             T = composition_table(states, cs, spec, q, model="eps", eps=eps, mode=mode)
             resid = float(np.abs(T - I).max())
             acc.add_residual(f"k={k} {mode}", resid, tolerance)

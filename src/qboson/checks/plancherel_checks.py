@@ -27,7 +27,6 @@ from qboson.plancherel import (
     residue_expand_sum,
     residue_weight_determinant,
     residue_weight_direct,
-    right_right_pair_table,
 )
 from qboson.qcore import CompactFn, WeylVector, partitions_of, weyl_vectors_in_box
 from qboson.report import Accumulator, Report
@@ -188,7 +187,8 @@ def check_plancherel_pairing(q: float = 0.5, pairs: int = 20, nodes: int = 128,
     for k in (1, 2, 3):
         states = list(weyl_vectors_in_box(k, -3, 3))
         idx = {n: i for i, n in enumerate(states)}
-        B = right_right_pair_table(states, single_gamma(q, k=k), spec, q)
+        B = composition_table(states, single_gamma(q, k=k), spec, q, mode="single-gamma",
+                              side="right")
         for _ in range(pairs):
             f = _random_compact(rng, k)
             g = _random_compact(rng, k)

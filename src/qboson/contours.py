@@ -48,8 +48,8 @@ class Circle:
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
-    def contains_point(self, p: complex, margin: float = 0.0) -> bool:
-        return abs(p - self.center) < self.radius - margin
+    def contains_point(self, p: complex) -> bool:
+        return abs(p - self.center) < self.radius
 
     def contains_scaled(self, other: "Circle", factor: complex) -> bool:
         """True if this circle strictly contains factor * other."""
@@ -218,38 +218,40 @@ def nested_contours(
     return ContourSystem(circles, family, q=q, eps=center, exclusions=tuple(map(complex, exclusions)))
 
 
-def sd_nested_contours(k: int, r_k: float = 0.4, step: float = 1.1,
-                       exclusions: Sequence[complex] = ()) -> ContourSystem:
-    """Nested circles around 0 with r_j = r_{j+1} + step; r_k < 1, step > 1."""
-    radii = [r_k]
+def sd_nested_contours(k: int) -> ContourSystem:
+    """Nested circles around 0 with r_k = 0.4 and r_j = r_{j+1} + 1.1: the
+    innermost excludes 1 and each step exceeds the unit shift."""
+    radii = [0.4]
     for _ in range(k - 1):
-        radii.append(radii[-1] + step)
+        radii.append(radii[-1] + 1.1)
     radii.reverse()
     circles = tuple(Circle(0.0 + 0.0j, r) for r in radii)
-    return ContourSystem(circles, "sd-nested", exclusions=tuple(map(complex, exclusions)))
+    return ContourSystem(circles, "sd-nested")
 
 
-def single_gamma(q: float, k: int = 1, radius: float = 1.5, eps: float = 1.0,
-                 family: str = "qboson-single") -> ContourSystem:
+def single_gamma(q: float, k: int = 1, eps: float = 1.0) -> ContourSystem:
     """One circle (repeated k times) around 0 containing the marked point.
 
-    Center 0, radius 1.5 by default: it contains 0 and 1 (or eps <= 1) and
-    its own q-image, since |center| < radius.
+    Center 0, radius 1.5: it contains 0 and 1 (or eps <= 1) and its own
+    q-image, since |center| < radius.  The family is qboson-single at
+    eps = 1 and eps-single otherwise.
     """
-    circles = tuple(Circle(0.0 + 0.0j, radius) for _ in range(k))
+    circles = tuple(Circle(0.0 + 0.0j, 1.5) for _ in range(k))
+    family = "qboson-single" if eps == 1.0 else "eps-single"
     return ContourSystem(circles, family, q=q, eps=eps)
 
 
-def gamma_prime(inner: ContourSystem | Circle, radius: float = 4.0) -> Circle:
-    """Outer circle with min |p - w| on it exceeding max |p - z| on the inner one.
+def gamma_prime(inner: ContourSystem | Circle) -> Circle:
+    """Outer circle of radius 4 with min |p - w| on it exceeding max |p - z|
+    on the inner one.
 
     For inner radius 1.5 around 0 and any marked point p in [0, 1], radius 4
     gives min |p - w| >= 3 > 2.5 >= max |p - z|.
     """
     c = inner if isinstance(inner, Circle) else inner.circles[0]
-    if radius <= abs(c.center) + c.radius:
+    if 4.0 <= abs(c.center) + c.radius:
         raise ContourError("outer circle must contain the inner one")
-    return Circle(c.center, radius)
+    return Circle(c.center, 4.0)
 
 
 @dataclass(frozen=True)

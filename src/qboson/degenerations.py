@@ -28,7 +28,6 @@ from qboson.contours import (
     ContourSystem,
     QuadratureSpec,
     _grid_chunks,
-    contract_powers,
     gamma_prime,
     grid_nodes_weights,
     integrate,
@@ -48,7 +47,6 @@ from qboson.qcore import (
     check_q,
     cluster_decompose,
     cq_weight,
-    inverse_permutation,
     q_factorial,
     q_pochhammer,
     weyl_vectors_in_box,
@@ -342,8 +340,8 @@ def admissible_F(k: int, eps: float, orders: Sequence[int]):
     return fn
 
 
-def spectral_orthogonality_sides(F: Callable, G: Callable, eps: float, k: int, q: float,
-                                 quad: QuadratureSpec | None = None) -> dict:
+def spectral_orthogonality_sides(F: Callable, G: Callable, eps: float, k: int,
+                                 q: float) -> dict:
     """Both sides of the eps-family spectral orthogonality.
 
     LHS: sum over n of [integral of Psi^{r,eps} Delta F over gamma(eps)]
@@ -354,18 +352,16 @@ def spectral_orthogonality_sides(F: Callable, G: Callable, eps: float, k: int, q
     The eps = 0 case uses the same circles around 0.
     """
     check_q(q)
-    if quad is None:
-        quad = QuadratureSpec(128)
-    gamma = single_gamma(q, k=k, radius=1.5, eps=eps,
-                         family="eps-single" if eps != 1.0 else "qboson-single")
+    quad = QuadratureSpec(128)
+    gamma = single_gamma(q, k=k, eps=eps)
+    r_in = gamma.circles[0].radius
     outer_circle = gamma_prime(gamma)
     gamma_out = ContourSystem(tuple(outer_circle for _ in range(k)), gamma.family,
                               q=q, eps=eps)
     fam_r = EigenFamily("eps-right", q, eps)
-    fam_c = EigenFamily("eps-cfwd", q, eps)
     fam_l = EigenFamily("eps-left", q, eps)
 
-    rho_in = 1.5 + abs(eps)
+    rho_in = r_in + abs(eps)
     rho_out = outer_circle.radius - abs(eps)
     ratio = rho_in / rho_out
 
@@ -387,7 +383,7 @@ def spectral_orthogonality_sides(F: Callable, G: Callable, eps: float, k: int, q
     # permutation term is bounded by the product of numerator pair factors.
     cmax = max(abs(1.0 / cq_weight(m, q)) for m in weyl_vectors_in_box(k, 0, k))
     npairs = k * (k - 1) // 2
-    pair_in = (1.5 * (1.0 + 1.0 / q)) ** npairs
+    pair_in = (r_in * (1.0 + 1.0 / q)) ** npairs
     pair_out = (outer_circle.radius * (1.0 + q)) ** npairs
     Fmag = grid_max(gamma, F)
     Gmag = grid_max(gamma_out, G)
@@ -417,23 +413,21 @@ def spectral_orthogonality_sides(F: Callable, G: Callable, eps: float, k: int, q
     states = [n for n in weyl_vectors_in_box(k, 0, n_hi)]
     coords = np.array([n.coords for n in states], dtype=int)
 
-    def window_table(cs, fn, fam, sign):
+    def window_table(cs, fn, fam):
         """Integral over cs of Delta(z) fn(z) Psi^fam(z; n) at each state n of
-        the window, with Psi's powers taken as (eps - z)^(sign n)."""
+        the window, before the prefactor."""
+        sign = fam.power_sign()
         erange = (0, n_hi) if sign > 0 else (-n_hi, 0)
         out = np.zeros(len(states), dtype=complex)
         for zs, W in _grid_chunks(cs, quad):
             T0 = W * vandermonde(zs) * fn(tuple(zs))
-            bases = [(eps - z).ravel() for z in zs]
-            scat = ScatteringGrid(fam, zs)
-            for tau in itertools.permutations(range(k)):
-                table = contract_powers(T0 * scat.product(tau), bases, range(k), erange)
-                inv = inverse_permutation(tau)
+            powers = ([fam.base(z).ravel() for z in zs], range(k), erange)
+            for inv, table in ScatteringGrid(fam, zs).permuted(T0, powers):
                 out += table[tuple(sign * coords[:, inv[m_]] - erange[0] for m_ in range(k))]
         return out
 
-    A = fam_r.prefactors(coords) * window_table(gamma, F, fam_c, 1)
-    B = window_table(gamma_out, G, fam_l, -1)
+    A = fam_r.prefactors(coords) * window_table(gamma, F, fam_r)
+    B = window_table(gamma_out, G, fam_l)
     lhs = complex(np.sum(A * B))
 
     def rhs_integrand(ws):
@@ -458,8 +452,7 @@ def spectral_orthogonality_sides(F: Callable, G: Callable, eps: float, k: int, q
     return {"lhs": lhs, "rhs": rhs, "tail_bound": tail}
 
 
-def sd_moment_formula(n: WeylVector, t: float, cs: ContourSystem | None = None,
-                      quad: QuadratureSpec | None = None) -> complex:
+def sd_moment_formula(n: WeylVector, t: float) -> complex:
     """Joint moments of the semi-discrete stochastic heat equation with unit
     mass initially at site 1:
 
@@ -469,10 +462,8 @@ def sd_moment_formula(n: WeylVector, t: float, cs: ContourSystem | None = None,
     if n.coords[-1] < 1:
         raise ValueError("moment indices must satisfy n_k >= 1")
     k = n.k
-    if cs is None:
-        cs = sd_nested_contours(k)
-    if quad is None:
-        quad = QuadratureSpec(256 if k <= 2 else 128)
+    cs = sd_nested_contours(k)
+    quad = QuadratureSpec(256 if k <= 2 else 128)
 
     def integrand(zs):
         kern = nested_kernel_grid(zs, 0.5, model="sd")

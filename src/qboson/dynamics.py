@@ -304,8 +304,7 @@ def moment_contours(spec: MomentSpec, r_k: float = 0.2, margin: float = 0.1) -> 
     return nested_contours(spec.k, spec.q, r_k=r_k, margin=margin, exclusions=(pole,))
 
 
-def moment_formula(spec: MomentSpec, quad: QuadratureSpec | None = None,
-                   cs: ContourSystem | None = None) -> complex:
+def moment_formula(spec: MomentSpec, cs: ContourSystem | None = None) -> complex:
     """Nested-contour moment formula for E prod_i q^{x_{n_i}(t) + n_i}.
 
     (-1)^k q^{k(k-1)/2} times the k-fold integral of
@@ -316,8 +315,7 @@ def moment_formula(spec: MomentSpec, quad: QuadratureSpec | None = None,
     q, t, k = spec.q, spec.t, spec.k
     if cs is None:
         cs = moment_contours(spec)
-    if quad is None:
-        quad = QuadratureSpec(256 if k <= 2 else 128)
+    quad = QuadratureSpec(256 if k <= 2 else 128)
     pole = 0.0 if spec.init == "step" else spec.alpha / q
 
     def integrand(zs):
@@ -361,8 +359,7 @@ def _time_weight(q: float, t: float):
 
 
 def solve_evolution(direction: str, method: str, f0: CompactFn, t: float, n: WeylVector,
-                    q: float, cs: ContourSystem | None = None,
-                    quad: QuadratureSpec | None = None) -> complex:
+                    q: float) -> complex:
     """Solve the backward or forward equation at time t and state n.
 
     method "spectral": the eigenfunction-decomposition integral with the
@@ -376,7 +373,7 @@ def solve_evolution(direction: str, method: str, f0: CompactFn, t: float, n: Wey
         raise ValueError("t must be >= 0")
     k = f0.k
     if method == "spectral":
-        vals = solve_evolution_batch(direction, f0, t, [n], q, cs=cs, quad=quad)
+        vals = solve_evolution_batch(direction, f0, t, [n], q)
         return complex(vals[0])
 
     if method != "ode-oracle":
@@ -410,13 +407,11 @@ def solve_evolution(direction: str, method: str, f0: CompactFn, t: float, n: Wey
 
 
 def solve_evolution_batch(direction: str, f0: CompactFn, t: float, ns: Sequence[WeylVector],
-                          q: float, cs: ContourSystem | None = None,
-                          quad: QuadratureSpec | None = None) -> np.ndarray:
+                          q: float, quad: QuadratureSpec | None = None) -> np.ndarray:
     """Spectral solver evaluated at many states with one grid pass."""
     check_q(q)
     k = f0.k
-    if cs is None:
-        cs = nested_contours(k, q, r_k=0.3)
+    cs = nested_contours(k, q, r_k=0.3)
     if quad is None:
         quad = QuadratureSpec(128)
     extra = _time_weight(q, t)

@@ -15,7 +15,7 @@ powers, and ``right`` is ``cfwd`` divided by the cluster weight of n.
 One permutation-scattering kernel evaluates the sum: for a family and a
 spectral point it forms the k(k-1) pairwise scattering factors once, and
 from them the k! per-permutation products, so only the plane waves depend
-on n.  Its three entry points:
+on n.  Its four entry points:
 
 - ``EigenTable(fam, z)(n)``: one spectral point, one state (``eigen_eval``);
 - ``EigenTable(fam, z).states(ns)``: one spectral point against an (N, k)
@@ -24,7 +24,13 @@ on n.  Its three entry points:
   variables (``eigen_eval_grid``); each pairwise factor keeps the broadcast
   shape of its two variables, and the factors are multiplied grouped by
   their later variable, so that on a product grid only two multiplies per
-  permutation span the full grid.
+  permutation span the full grid;
+- ``ScatteringGrid(fam, zs).permuted(T, powers)``: the per-permutation
+  products T * S(tau) of a grid tensor T, each optionally contracted
+  against integer powers of the one-particle bases
+  (``contours.contract_powers``).  It is the one permutation loop of the
+  transform tables in ``plancherel`` and of the spectral orthogonality
+  window in ``degenerations``.
 
 An EigenTable sums each state's k! terms exactly (``math.fsum`` on the real
 and imaginary parts); its k! x k index table keeps it to k <= 8.  Spectral
@@ -42,6 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
+from qboson.contours import contract_powers
 from qboson.qcore import (
     CompactFn,
     WeylVector,
@@ -278,6 +285,20 @@ class ScatteringGrid:
         if self.k < 2:
             return np.asarray(1.0 + 0.0j)
         return self._grouped(inverse_permutation(perm))
+
+    def permuted(self, T: np.ndarray, powers: tuple | None = None):
+        """Yield (tau^{-1}, T * product(tau)) for every permutation tau, in
+        ``itertools.permutations`` order.
+
+        With ``powers`` = (bases, axis_of, erange) each product comes
+        contracted by ``contract_powers(T * product(tau), *powers)``, and no
+        full-grid product outlives its contraction.
+        """
+        for tau in itertools.permutations(range(self.k)):
+            term = T * self.product(tau)
+            if powers is not None:
+                term = contract_powers(term, *powers)
+            yield inverse_permutation(tau), term
 
     def eigen(self, n: WeylVector) -> np.ndarray:
         """The eigenfunction at state n on the broadcast grid."""

@@ -177,9 +177,17 @@ def extended_apply(f: Callable, n, q: float) -> complex:
     return (1.0 - q) * out
 
 
+# A box is enumerated state by state, and the dense oracles (the ode-oracle
+# solvers, pt-invariance, dense_exponential_transition) densify its
+# generator: 2000 states make one 64 MB complex matrix.  The largest box the
+# checks build at their defaults holds 165 states, that of the tests 286.
+MAX_BOX_STATES = 2000
+
+
 @dataclass(frozen=True)
 class StateBox:
-    """The finite set {n in W^k : lo <= n_k, n_1 <= hi}, lexicographically ordered."""
+    """The finite set {n in W^k : lo <= n_k, n_1 <= hi}, lexicographically
+    ordered; it holds C(hi - lo + k, k) states, at most MAX_BOX_STATES."""
 
     k: int
     lo: int
@@ -188,6 +196,11 @@ class StateBox:
     def __post_init__(self):
         if self.hi < self.lo:
             raise ValueError("need lo <= hi")
+        size = math.comb(self.hi - self.lo + self.k, self.k)
+        if size > MAX_BOX_STATES:
+            raise ValueError(f"the state box for k={self.k} on [{self.lo}, {self.hi}] holds "
+                             f"{size} states; the matrix oracles enumerate and densify a box, "
+                             f"so at most {MAX_BOX_STATES} are allowed")
 
     @property
     def states(self) -> tuple[WeylVector, ...]:

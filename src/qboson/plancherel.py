@@ -8,14 +8,17 @@ string-specialized integrals against the measure `mu_weight`.
 
 That three-way choice is made in one place, `_spectral_slabs`: for each
 mode and grid slab it yields the spectral components, the measure and the
-left-eigenfunction permutation terms.  The batched evaluators
-(`inverse_J_batch`, `composition_table`, `right_right_pair_table`)
-consume it without naming a mode; they factor the integrand through
-per-permutation scattering tensors and contract each against integer
-powers of the one-particle bases with `contours.contract_powers` (the
-components of one string share their base point's grid axis), so one
-quadrature grid serves a whole box of spatial arguments at once.
-`inverse_J` is a batch of one.
+permutation terms of the y-side eigenfunction family.  The batched
+evaluators consume it without naming a mode: `inverse_J_batch` (with
+`inverse_J` a batch of one) and `composition_table`, the one spectral
+pairing table of two eigenfunction families, whose left side gives the
+identity resolution and spatial biorthogonality and whose right side gives
+the right-right Gram table of the isomorphism identity.  They factor the
+integrand through per-permutation scattering tensors
+(`ScatteringGrid.permuted`) and contract each against integer powers of
+the one-particle bases with `contours.contract_powers` (the components of
+one string share their base point's grid axis), so one quadrature grid
+serves a whole box of spatial arguments at once.
 
 Every grid here is walked through `contours._grid_chunks`, the same slabs
 `contours.integrate` uses, so peak memory is bounded by one slab however
@@ -49,7 +52,6 @@ from qboson.qcore import (
     Partition,
     WeylVector,
     check_q,
-    inverse_permutation,
     partitions_of,
     string_points,
 )
@@ -57,14 +59,6 @@ from qboson.qcore import (
 
 def _family(model: str, side: str, q: float, eps: float) -> EigenFamily:
     return EigenFamily(f"{model}-{side}", q, eps)
-
-
-def _base_grid(model: str, eps: float, z):
-    if model == "qboson":
-        return 1.0 - z
-    if model == "eps":
-        return eps - z
-    return +z
 
 
 def nested_kernel_grid(zs: Sequence[np.ndarray], q: float, model: str = "qboson") -> np.ndarray:
@@ -296,23 +290,26 @@ class _Slab(NamedTuple):
     bases: list  # the one-particle base of each component, raveled along its axis
     axis_of: tuple  # the grid axis each component lives on
     measure: np.ndarray  # quadrature weights times the mode's measure
-    lefts: Callable  # T -> (sigma^{-1}, T times the left scattering of sigma) pairs
-    offset: int  # added to every left exponent -n_j
+    lefts: Callable  # T -> (sigma^{-1}, T times the y-side scattering of sigma) pairs
+    offset: int  # added to every y-side exponent
 
 
 def _spectral_slabs(mode: str, coords: np.ndarray, cs: ContourSystem, spec: QuadratureSpec,
-                    q: float, model: str, eps: float):
-    """Yield the slabs of one evaluation mode for the states ``coords``, (N, k).
+                    fam_y: EigenFamily):
+    """Yield the slabs of one evaluation mode for the states ``coords``, (N, k),
+    paired on the y side with the eigenfunctions of ``fam_y``.
 
-    nested: the k nested circles, measure W times the nested kernel, no left
+    nested: the k nested circles, measure W times the nested kernel, no y
     eigenfunction (the identity term), and exponents -n_j - 1.
     single-gamma: one circle per particle, measure W dmu_{(1)^k} prod 1/base.
     expanded: for each partition lam of k, ell(lam) copies of the innermost
     circle, measure W dmu_lam / poch_lam at the string point w o lam.
-    The string modes pair with the left eigenfunction at -n; on the
-    string-free measure, which is symmetric, its k! terms collapse to k!
-    times the identity term.  The left scattering products are formed only
-    when a consumer asks for them.
+    The string modes pair with the y eigenfunction at exponents
+    power_sign * n; on the string-free measure, which is symmetric, its k!
+    terms collapse to k! times the identity term.  The y scattering
+    products are formed only when a consumer asks for them.  The sign
+    (-1)^k of the semi-discrete nested definition survives the string
+    expansion; it rides on the quadrature weights W of every slab.
     """
     if coords.ndim != 2 or len(coords) == 0:
         raise ValueError("the inverse transform needs at least one state")
@@ -320,10 +317,15 @@ def _spectral_slabs(mode: str, coords: np.ndarray, cs: ContourSystem, spec: Quad
     if mode in ("nested", "single-gamma") and cs.k != k:
         raise ValueError(f"{mode} mode needs one circle per particle: "
                          f"{cs.k} circles for k = {k}")
+    model, q, eps = fam_y.model, fam_y.q, fam_y.eps
+    sign = (-1.0) ** k if model == "sd" else 1.0
     identity = tuple(range(k))
     if mode == "nested":
+        if fam_y.side != "left":
+            raise ValueError("nested mode pairs with the left eigenfunction only")
         for zs, W in _grid_chunks(cs, spec):
-            yield _Slab(zs, [_base_grid(model, eps, z).ravel() for z in zs], identity,
+            W *= sign
+            yield _Slab(zs, [fam_y.base(z).ravel() for z in zs], identity,
                         W * nested_kernel_grid(zs, q, model), lambda T: [(identity, T)], -1)
         return
     if mode == "single-gamma":
@@ -334,36 +336,33 @@ def _spectral_slabs(mode: str, coords: np.ndarray, cs: ContourSystem, spec: Quad
         lams = partitions_of(k)
     else:
         raise ValueError(f"unknown inverse-transform mode {mode!r}")
-    fam_l = _family(model, "left", q, eps)
     for lam in lams:
         axis_of = tuple(s for s, part in enumerate(lam.parts) for _ in range(part))
         sub = cs if mode == "single-gamma" else _gamma_k_system(cs, lam.length)
         for ws, W in _grid_chunks(sub, spec):
+            W *= sign
             comps = _string_components(lam, ws, q, model)
             dens = mu_density_grid(lam, ws, q, "sd" if model == "sd" else "qboson")
             if mode == "single-gamma":
-                inv_base = functools.reduce(operator.mul,
-                                            (1.0 / _base_grid(model, eps, w) for w in ws))
+                inv_base = functools.reduce(operator.mul, (1.0 / fam_y.base(w) for w in ws))
                 measure = W * dens * inv_base
             else:
                 measure = W * dens / _string_poch_grid(lam, ws, q, model, eps)
-            scat = ScatteringGrid(fam_l, comps)
+            scat = ScatteringGrid(fam_y, comps)
             if lam.length == k:
                 lefts = lambda T, scat=scat: [
                     (identity, T * scat.product(identity) * math.factorial(k))]
             else:
-                lefts = lambda T, scat=scat: (
-                    (inverse_permutation(sigma), T * scat.product(sigma))
-                    for sigma in itertools.permutations(identity))
-            yield _Slab(comps, [_base_grid(model, eps, c).ravel() for c in comps], axis_of,
+                lefts = scat.permuted
+            yield _Slab(comps, [fam_y.base(c).ravel() for c in comps], axis_of,
                         measure, lefts, 0)
 
 
 def inverse_J_batch(G, ns: Sequence[WeylVector], mode: str, cs: ContourSystem,
-                    spec: QuadratureSpec, q: float, model: str = "qboson",
-                    eps: float = 1.0, extra_grid: Callable | None = None) -> np.ndarray:
-    """Inverse transform of a symmetric spectral function G at many points n,
-    sharing one grid evaluation of G.
+                    spec: QuadratureSpec, q: float,
+                    extra_grid: Callable | None = None) -> np.ndarray:
+    """Inverse transform (q-Boson family) of a symmetric spectral function G
+    at many points n, sharing one grid evaluation of G.
 
     modes: "nested" (k-fold integral over the nested circles), "single-gamma"
     (one circle, k-string-free measure against the left eigenfunction), or
@@ -371,10 +370,10 @@ def inverse_J_batch(G, ns: Sequence[WeylVector], mode: str, cs: ContourSystem,
     ``extra_grid`` optionally multiplies the integrand by a further grid
     factor (e.g. the exponential time weight of the evolution solvers).
     """
-    check_q(q)
+    fam_l = EigenFamily("qboson-left", q)
     coords = np.array([n.coords for n in ns], dtype=int)
     out = np.zeros(len(coords), dtype=complex)
-    for s in _spectral_slabs(mode, coords, cs, spec, q, model, eps):
+    for s in _spectral_slabs(mode, coords, cs, spec, fam_l):
         # In place, so the slab holds one full-size array, and with the
         # measure as the left operand: `a * temporary` may run as
         # `temporary *= a`, and a complex product rounds differently with
@@ -387,71 +386,47 @@ def inverse_J_batch(G, ns: Sequence[WeylVector], mode: str, cs: ContourSystem,
             # component m carries the exponent offset - n_{sigma^{-1}(m)}
             table = contract_powers(T, s.bases, s.axis_of, erange)
             out += table[tuple(s.offset - coords[:, j] - erange[0] for j in inv)]
-    # the sign of the nested definition survives the string expansion
-    return ((-1.0) ** coords.shape[1] if model == "sd" else 1.0) * out
+    return out
 
 
 def inverse_J(G, n: WeylVector, mode: str, cs: ContourSystem, spec: QuadratureSpec,
-              q: float, model: str = "qboson", eps: float = 1.0) -> complex:
+              q: float) -> complex:
     """Inverse transform at one point n: `inverse_J_batch` on a batch of one."""
-    return complex(inverse_J_batch(G, [n], mode, cs, spec, q, model, eps)[0])
+    return complex(inverse_J_batch(G, [n], mode, cs, spec, q)[0])
 
 
 def composition_table(states: Sequence[WeylVector], cs: ContourSystem, spec: QuadratureSpec,
                       q: float, model: str = "qboson", eps: float = 1.0,
-                      mode: str = "nested") -> np.ndarray:
-    """Matrix T[ix, iy] = (inverse transform of the forward transform of
-    delta_x) evaluated at y, for all x, y in ``states``.
+                      mode: str = "nested", side: str = "left") -> np.ndarray:
+    """Matrix T[ix, iy] = spectral pairing of the right eigenfunction at x
+    with the ``side`` eigenfunction at y, for all x, y in ``states``.
 
-    This is the identity-resolution table: the transform pair acts as the
-    identity iff T is the unit matrix.  In single-gamma and expanded modes
-    the same table is the spatial biorthogonality matrix of the left and
-    right eigenfunctions.  All modes share one grid through per-permutation
-    scattering tensors and integer power contraction.
+    side "left" gives the identity-resolution table: T[ix, iy] is the
+    inverse transform of the forward transform of delta_x evaluated at y,
+    and the transform pair acts as the identity iff T is the unit matrix.
+    In single-gamma and expanded modes the same table is the spatial
+    biorthogonality matrix of the left and right eigenfunctions.  side
+    "right" (a string mode) gives the right-right Gram table B of the
+    isomorphism identity, <f, g> = <F(P f), F g> as a quadratic form in B.
+    All modes share one grid through per-permutation scattering tensors
+    and integer power contraction.
     """
-    check_q(q)
-    fam_c = _family(model, "cfwd", q, eps)
+    fam_x = _family(model, "right", q, eps)
+    fam_y = _family(model, side, q, eps)
+    sy = fam_y.power_sign()
     coords = np.array([n.coords for n in states], dtype=int)
     out = np.zeros((len(coords), len(coords)), dtype=complex)
-    for s in _spectral_slabs(mode, coords, cs, spec, q, model, eps):
-        span = int(coords.max() - coords.min())
-        erange = (s.offset - span, s.offset + span)
-        scat_c = ScatteringGrid(fam_c, s.comps)
+    for s in _spectral_slabs(mode, coords, cs, spec, fam_y):
+        lo, hi = int(coords.min()), int(coords.max())
+        erange = (s.offset + lo + min(sy * lo, sy * hi), s.offset + hi + max(sy * lo, sy * hi))
+        scat_x = ScatteringGrid(fam_x, s.comps)
         for inv_s, Tl in s.lefts(s.measure):
-            for tau in itertools.permutations(range(len(s.comps))):
-                table = contract_powers(Tl * scat_c.product(tau), s.bases, s.axis_of, erange)
-                # component m carries the exponent x_{tau^{-1}(m)} + offset - y_{sigma^{-1}(m)}
-                inv_t = inverse_permutation(tau)
-                out += table[tuple(coords[:, None, t] - coords[None, :, j] + s.offset - erange[0]
-                                   for t, j in zip(inv_t, inv_s))]
-    sign = (-1.0) ** coords.shape[1] if model == "sd" else 1.0
-    return sign * _family(model, "right", q, eps).prefactors(coords)[:, None] * out
-
-
-def right_right_pair_table(states: Sequence[WeylVector], cs: ContourSystem,
-                           spec: QuadratureSpec, q: float) -> np.ndarray:
-    """B[i, j] = spectral pairing of the right eigenfunctions at states i and j.
-
-    Used by the isomorphism identity: <f, g> = <F(P f), F g> becomes a
-    quadratic form in this table.  It integrates over the single-gamma
-    slabs, with the right eigenfunction on both sides.
-    """
-    check_q(q)
-    fam_c = _family("qboson", "cfwd", q, 1.0)
-    coords = np.array([n.coords for n in states], dtype=int)
-    out = np.zeros((len(coords), len(coords)), dtype=complex)
-    for s in _spectral_slabs("single-gamma", coords, cs, spec, q, "qboson", 1.0):
-        k = len(s.comps)
-        erange = (2 * int(coords.min()), 2 * int(coords.max()))
-        scat_c = ScatteringGrid(fam_c, s.comps)
-        T0 = s.measure * math.factorial(k) * scat_c.product(tuple(range(k)))
-        for tau in itertools.permutations(range(k)):
-            table = contract_powers(T0 * scat_c.product(tau), s.bases, s.axis_of, erange)
-            inv_t = inverse_permutation(tau)
-            out += table[tuple(coords[:, None, m] + coords[None, :, inv_t[m]] - erange[0]
-                               for m in range(k))]
-    pref = EigenFamily("qboson-right", q).prefactors(coords)
-    return pref[:, None] * pref[None, :] * out
+            for inv_t, table in scat_x.permuted(Tl, (s.bases, s.axis_of, erange)):
+                # component m carries the exponent
+                # x_{tau^{-1}(m)} + offset + sy y_{sigma^{-1}(m)}
+                out += table[tuple(coords[:, None, t] + sy * coords[None, :, j] + s.offset
+                                   - erange[0] for t, j in zip(inv_t, inv_s))]
+    return fam_x.prefactors(coords)[:, None] * fam_y.prefactors(coords)[None, :] * out
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,7 @@ single (lhs, rhs) pair summarize the run.  The pass rule is
 with rel_err = abs_err / (1 + |rhs|).  A sigma-scaled comparison (error_kind
 "sigma") stores its deviation in standard errors in abs_err and has no
 rel_err: inf in memory, null in the strict JSON output, which writes every
-non-finite number as null.  Read back, a null error or tolerance is inf and
-a null part of lhs or rhs is nan.
+non-finite number as null.
 """
 
 from __future__ import annotations
@@ -48,15 +47,6 @@ def _nonfinite_as_none(obj):
     return obj
 
 
-def _inf_if_none(x: float | None) -> float:
-    return math.inf if x is None else x
-
-
-def _complex_from_json(pair) -> complex:
-    """A JSON [re, im] pair; a part written as null (non-finite) reads as nan."""
-    return complex(*(math.nan if x is None else x for x in pair))
-
-
 @dataclass
 class Report:
     check_id: str
@@ -94,23 +84,6 @@ class Report:
         comparison or an infinite tolerance is still reported."""
         return _nonfinite_as_none(self.to_dict())
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Report":
-        return cls(
-            check_id=d["check_id"],
-            params=d["params"],
-            lhs=_complex_from_json(d["lhs"]),
-            rhs=_complex_from_json(d["rhs"]),
-            abs_err=_inf_if_none(d["abs_err"]),
-            rel_err=_inf_if_none(d["rel_err"]),
-            tail_bound=_inf_if_none(d["tail_bound"]),
-            tolerance=_inf_if_none(d["tolerance"]),
-            passed=d["pass"],
-            runtime_ms=d["runtime_ms"],
-            seed=d["seed"],
-            error_kind=d.get("error_kind", "abs/rel"),
-        )
-
     def summary_line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
         return (
@@ -125,7 +98,9 @@ class Accumulator:
 
     Each comparison scores as min(abs_err, rel_err) / tol (matching the
     pass rule's or-semantics); sigma-scaled comparisons (Monte Carlo
-    agreement in standard errors) score as deviation / tol.
+    agreement in standard errors) score as deviation / tol.  A NaN error,
+    tail or tolerance fails the check and scores inf, so that it ranks
+    above every finite score.
     """
 
     def __init__(self, check_id: str, params: dict, seed: int = 0):
@@ -149,6 +124,8 @@ class Accumulator:
             rel_err = abs_err / (1.0 + abs(rhs))
         err = min(abs_err, rel_err)
         score = max(err / tol, tail / tol if tol > 0 else math.inf)
+        if math.isnan(score) or math.isnan(tail):
+            score = math.inf
         ok = err <= tol and tail <= tol
         self._all_pass = self._all_pass and ok
         self.count += 1

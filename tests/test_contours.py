@@ -61,8 +61,8 @@ def test_sd_nesting():
     assert cs.circles[-1].radius == pytest.approx(0.4)
     for a in range(2):
         assert cs.circles[a].contains_shifted(cs.circles[a + 1], 1.0)
-    with pytest.raises(ContourError):
-        sd_nested_contours(2, r_k=1.2)
+    with pytest.raises(ContourError, match="innermost circle contains 1"):
+        ContourSystem((Circle(0.0, 2.3), Circle(0.0, 1.2)), "sd-nested")
 
 
 def test_default_inner_radius():
@@ -79,7 +79,7 @@ def test_quadrature_spec_validation():
 
 def test_residue_integrals():
     spec = QuadratureSpec(16)
-    cs = single_gamma(Q, radius=1.2)
+    cs = ContourSystem((Circle(0.0, 1.2),), "qboson-single", q=Q)
     r = integrate(cs, lambda zs: 1.0 / zs[0], spec)
     assert r.value == pytest.approx(1.0, abs=1e-13)
     cs1 = nested_contours(1, Q, r_k=0.3)
@@ -96,7 +96,7 @@ def test_two_fold_product_residue():
 
 
 def test_integrand_nonfinite_detected():
-    cs = single_gamma(Q, radius=1.2)
+    cs = ContourSystem((Circle(0.0, 1.2),), "qboson-single", q=Q)
     bad_node = cs.circles[0].nodes(16)[3]
 
     def bad(zs):

@@ -109,6 +109,16 @@ def test_boundary_residual_diagonal_requirement():
         boundary_residual(gk, lambda c: 1.0, 0, (2, 1))
 
 
+def test_state_box_bounds_its_size_before_enumerating():
+    assert StateBox(3, -5, 5).size == 286  # the largest box the test suite builds
+    assert StateBox(1, 0, 1999).size == 2000
+    with pytest.raises(ValueError, match="holds 2001 states"):
+        StateBox(1, 0, 2000)
+    # about 9e6 states: refused from the count alone, before any is built
+    with pytest.raises(ValueError, match=r"k=2 on \[-4255, 6\] holds 9084453 states"):
+        StateBox(2, -4255, 6)
+
+
 def test_matrix_k1_lower_tridiagonal():
     box = StateBox(1, 0, 2)
     dense = matrix_on_box(GeneratorKind("bwd", "qboson", Q), box).toarray()

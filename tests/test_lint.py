@@ -67,10 +67,18 @@ def test_no_unused_module_level_imports():
 
 
 def public_definitions(source: str) -> list[tuple[int, str]]:
-    """(line, name) of each public module-level function and class."""
-    return [(node.lineno, node.name) for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+    """(line, name) of each public module-level function and class, and as
+    ``Class.method`` of each public method of a public module-level class."""
+    out = []
+    for node in ast.parse(source).body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            out.append((node.lineno, node.name))
+            if isinstance(node, ast.ClassDef):
+                out += [(m.lineno, f"{node.name}.{m.name}") for m in node.body
+                        if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not m.name.startswith("_")]
+    return out
 
 
 def names_read(source: str) -> set[str]:
@@ -85,12 +93,13 @@ def names_read(source: str) -> set[str]:
 
 
 def unread_public_definitions(sources: dict[str, str], exempt=frozenset()) -> list[str]:
-    """``module:line name`` of each public module-level function or class
-    that no source reads by name, unless ``exempt`` holds its (module, name)."""
+    """``module:line name`` of each public definition that no source reads
+    by name (a method by its own name), unless ``exempt`` holds its
+    (module, name)."""
     read = set().union(*(names_read(text) for text in sources.values()))
     return [f"{module}:{line} {name}" for module, text in sorted(sources.items())
             for line, name in public_definitions(text)
-            if name not in read and (module, name) not in exempt]
+            if name.rsplit(".", 1)[-1] not in read and (module, name) not in exempt]
 
 
 def _load_tracer():
@@ -111,23 +120,29 @@ def test_unread_public_definition_detection():
                      "def helper():\n    return Used()\n"
                      "def traced():\n    pass\n"
                      "def only_stored():\n    pass\n"
-                     "def _private():\n    pass\n"),
+                     "def _private():\n    pass\n"
+                     "class Box:\n"
+                     "    def used(self):\n        return self._own()\n"
+                     "    def unused(self):\n        pass\n"
+                     "    def _own(self):\n        pass\n"
+                     "    def traced(self):\n        pass\n"),
         "qboson.b": ("from qboson import a\n"
                      "only_stored = None\n"
-                     "def entry():\n    return a.helper()\n"
+                     "def entry():\n    return a.helper(), a.Box().used()\n"
                      "if __name__ == '__main__':\n    entry()\n"),
     }
-    assert unread_public_definitions(sources, {("qboson.a", "traced")}) == [
-        "qboson.a:7 only_stored"]
+    exempt = {("qboson.a", "traced"), ("qboson.a", "Box.traced")}
+    assert unread_public_definitions(sources, exempt) == [
+        "qboson.a:7 only_stored", "qboson.a:14 Box.unused"]
 
 
 def test_no_public_api_that_only_tests_reach():
-    # a public function or class that nothing in the package reads is
-    # reached only by tests, or by nothing; the benchmark's tracer targets
-    # are read from outside the package and are exempt
+    # a public function, class or method that nothing in the package reads
+    # is reached only by tests, or by nothing; the benchmark's tracer
+    # targets are read from outside the package and are exempt
     sources = {"qboson." + ".".join(path.relative_to(SRC).with_suffix("").parts):
                path.read_text() for path in sorted(SRC.rglob("*.py"))}
-    exempt = {(tg.module, tg.attr.split(".")[0]) for tg in _load_tracer().QBOSON_TARGETS}
+    exempt = {(tg.module, tg.attr) for tg in _load_tracer().QBOSON_TARGETS}
     found = unread_public_definitions(sources, exempt)
     assert not found, "public definitions read nowhere in src/qboson:\n" + "\n".join(found)
 

@@ -286,6 +286,31 @@ def test_composition_tables_are_identities():
             assert np.abs(T - I).max() < 1e-7, mode
 
 
+def test_right_right_table_matches_single_gamma_integral():
+    # B[i, j] against contours.integrate of dmu_(1^k) prod 1/base
+    # Psi^r_x Psi^r_y over single_gamma, with Psi^r from eigen_eval_grid
+    # rather than the table's per-permutation contraction
+    fam = EigenFamily("qboson-right", Q)
+    for k, lo, hi in ((1, -3, 3), (2, -1, 2)):
+        states = list(weyl_vectors_in_box(k, lo, hi))
+        cs = single_gamma(Q, k=k)
+        B = composition_table(states, cs, SPEC, Q, mode="single-gamma", side="right")
+        assert np.abs(B - B.T).max() < 1e-12
+        lam = Partition((1,) * k)
+        for i, x in enumerate(states):
+            for j, y in enumerate(states):
+                def integrand(zs, x=x, y=y):
+                    out = mu_density_grid(lam, zs, Q)
+                    for z in zs:
+                        out = out / (1.0 - z)
+                    return out * eigen_eval_grid(fam, list(zs), x) * eigen_eval_grid(fam, list(zs), y)
+
+                ref = integrate(cs, integrand, SPEC).value
+                assert abs(B[i, j] - ref) < 1e-10 * (1 + abs(ref)), (x, y)
+    with pytest.raises(ValueError, match="nested mode pairs with the left eigenfunction only"):
+        composition_table(states, nested_contours(2, Q, r_k=0.3), SPEC, Q, side="right")
+
+
 def test_completeness_both_expansions():
     # a random compact function is reproduced by the string expansion in
     # both orderings (left-with-transform and right-with-left-pairing);

@@ -20,8 +20,25 @@ from qboson.report import (
 FAST_CHECKS = ["measure-consistency", "residue-weight", "identity-qbinomial"]
 
 
+def _inf_if_none(x):
+    return math.inf if x is None else x
+
+
+def _complex_from_json(pair):
+    """A JSON [re, im] pair; a part written as null (non-finite) reads as nan."""
+    return complex(*(math.nan if x is None else x for x in pair))
+
+
 def reports_from_json(text):
-    return [Report.from_dict(d) for d in json.loads(text)]
+    """Reports read back from strict JSON: a null error or tolerance is inf
+    and a null part of lhs or rhs is nan."""
+    return [Report(check_id=d["check_id"], params=d["params"],
+                   lhs=_complex_from_json(d["lhs"]), rhs=_complex_from_json(d["rhs"]),
+                   abs_err=_inf_if_none(d["abs_err"]), rel_err=_inf_if_none(d["rel_err"]),
+                   tail_bound=_inf_if_none(d["tail_bound"]),
+                   tolerance=_inf_if_none(d["tolerance"]), passed=d["pass"],
+                   runtime_ms=d["runtime_ms"], seed=d["seed"], error_kind=d["error_kind"])
+            for d in json.loads(text)]
 
 
 def _fast_report(seed=0):
@@ -197,6 +214,28 @@ def test_cli_unknown_check_exits_2():
     p = _cli("verify", "not-a-check")
     assert p.returncode == 2
     assert "unknown check" in p.stderr
+
+
+def test_cli_oversized_oracle_box_exits_2():
+    # the k = 1 spectral leg runs first and is cheap; the k = 1 oracle box
+    # at t = 2000 holds 2188 states and is refused before it is built
+    p = _cli("verify", "forward-solver", "--param", "t=2000")
+    assert p.returncode == 2
+    assert "enumerate and densify a box, so at most 2000 are allowed" in p.stderr
+
+
+def test_accumulator_ranks_a_nan_comparison_worst():
+    acc = Accumulator("demo", {}, 0)
+    acc.add("fine", 1, 1, 1e-6)
+    acc.add("nan", math.nan, 1, 1e-6)
+    acc.add("large but finite", 1e9, 1, 1e-6)
+    r = acc.report()
+    assert not r.passed
+    assert r.params["worst_case"] == "nan" and math.isnan(r.abs_err)
+    acc = Accumulator("demo", {}, 0)
+    acc.add("fine", 1, 1, 1e-6)
+    acc.add("nan tail", 1, 1, 1e-6, tail=math.nan)
+    assert acc.report().params["worst_case"] == "nan tail"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
