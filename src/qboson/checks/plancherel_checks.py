@@ -12,6 +12,7 @@ from qboson.contours import (
     QuadratureSpec,
     default_nodes,
     nested_contours,
+    plan_nodes,
     single_gamma,
 )
 from qboson.degenerations import admissible_F, spectral_orthogonality_sides
@@ -260,18 +261,39 @@ def _random_analytic_F(rng: np.random.Generator):
 def check_residue_expansion(q: float = 0.25, n_functions: int = 5,
                             tolerance: float = 1e-6, seed: int = 0) -> Report:
     """Nested integral of the scattering kernel equals its partition
-    expansion over string-specialized integrals, for analytic symmetric F."""
+    expansion over string-specialized integrals, for analytic symmetric F.
+
+    Each side plans its own node count per k with `plan_nodes`: from 16
+    per axis, doubling while its worst half-grid estimate exceeds
+    tolerance/100, up to `default_nodes(k)`.  The string circle, the
+    innermost one, has radius min(0.3, 0.6 (1-q)/(1+q)): at most 0.6 of
+    the largest radius (1-q)/(1+q) whose q-image clears it, so it is valid
+    at every q and never crowds its images as q grows.  The chosen node
+    counts and their estimates are recorded under params["quadrature"].
+    """
     rng = np.random.default_rng(seed)
-    acc = Accumulator("residue-expansion", {"q": q, "functions": n_functions}, seed)
+    r_k = min(0.3, 0.6 * (1.0 - q) / (1.0 + q))
+    acc = Accumulator("residue-expansion",
+                      {"q": q, "functions": n_functions, "string_radius": r_k}, seed)
+    target = tolerance / 100.0
+    quadrature = {}
     for k in (1, 2, 3, 4):
-        nodes = default_nodes(k)
-        spec = QuadratureSpec(nodes)
-        cs = nested_contours(k, q, r_k=0.3, margin=0.5)
+        cs = nested_contours(k, q, r_k=r_k, margin=0.5)
         Fs = [_random_analytic_F(rng) for _ in range(n_functions)]
-        lhs = residue_expand_nested(Fs, cs, spec, q)
-        rhs = residue_expand_sum(Fs, k, cs, spec, q)
+        sides = {
+            "nested": plan_nodes(lambda spec: residue_expand_nested(Fs, cs, spec, q),
+                                 target, default_nodes(k)),
+            "sum": plan_nodes(lambda spec: residue_expand_sum(Fs, k, cs, spec, q),
+                              target, default_nodes(k)),
+        }
+        quadrature[f"k={k}"] = {
+            side: {"nodes": plan.nodes, "estimate": float(np.max(plan.estimates))}
+            for side, plan in sides.items()
+        }
         for i in range(n_functions):
-            acc.add(f"k={k} F#{i}", lhs[i], rhs[i], tolerance)
+            acc.add(f"k={k} F#{i}", sides["nested"].values[i], sides["sum"].values[i],
+                    tolerance)
+    acc.params["quadrature"] = quadrature
     return acc.report()
 
 

@@ -2,8 +2,9 @@
 formulas, simulate the particle systems, and print transition kernels.
 
 Exit codes: 0 all requested checks pass, 1 at least one check failed,
-2 usage or configuration error.  Flags override the JSON config file,
-which overrides built-in defaults.
+2 usage or configuration error, including a check of 'verify all' that
+rejected its parameters (its error row carries the reason).  Flags
+override the JSON config file, which overrides built-in defaults.
 """
 
 from __future__ import annotations
@@ -67,11 +68,14 @@ def _cmd_verify(args) -> int:
         emit_report(reports, "json", args.json)
     if args.csv:
         emit_report(reports, "csv", args.csv)
-    failing = [r.check_id for r in reports if not r.passed]
+    errors = [r.check_id for r in reports if r.is_error]
+    failing = [r.check_id for r in reports if not r.passed and not r.is_error]
     if failing:
         print("failing checks: " + ", ".join(failing), file=sys.stderr)
-        return 1
-    return 0
+    if errors:
+        print("checks with errors: " + ", ".join(errors), file=sys.stderr)
+        return 2
+    return 1 if failing else 0
 
 
 def _cmd_list(args) -> int:

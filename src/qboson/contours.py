@@ -4,9 +4,10 @@ The transforms and moment formulas are k-fold integrals over nested circles
 whose validity rests on a handful of containment inequalities.  Contour
 systems are built here and validated before use; `integrate` evaluates the
 k-fold product trapezoidal rule (geometrically convergent for integrands
-analytic near the circles) with an embedded-subgrid error estimate, and
-`contract_powers` is the one batched kernel that evaluates a grid integrand
-against many integer powers of its one-particle bases at once; every
+analytic near the circles) with an embedded-subgrid error estimate;
+`plan_nodes` doubles a node count until such an estimate meets a target;
+and `contract_powers` is the one batched kernel that evaluates a grid
+integrand against many integer powers of its one-particle bases at once; every
 transform table (inverse transform, identity resolution, pairings, the
 spectral orthogonality window) goes through it.  Several components may
 share a grid axis, as the components of one spectral string do.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -267,8 +268,43 @@ class QuadratureSpec:
 
 
 def default_nodes(k: int) -> int:
-    """Node budget per circle: 128 for k <= 3, 64 for k = 4 (cost M^k)."""
+    """Ceiling on the node count per circle of a planned k-fold integral:
+    128 for k <= 3, 64 for k = 4 (cost M^k).  `plan_nodes` doubles up to
+    it and no further."""
     return 128 if k <= 3 else 64
+
+
+class NodePlan(NamedTuple):
+    """The node count `plan_nodes` chose, with that evaluation's per-integral
+    values and embedded half-grid estimates."""
+
+    nodes: int
+    values: np.ndarray
+    estimates: np.ndarray
+
+
+def plan_nodes(evaluate: Callable[[QuadratureSpec], tuple[np.ndarray, np.ndarray]],
+               target: float, ceiling: int) -> NodePlan:
+    """Node half of the quadrature planner: the smallest M = 16, 32, ...
+    (capped at ``ceiling``) whose worst embedded half-grid estimate is at
+    most ``target``.
+
+    ``evaluate(spec)`` returns the values of a batch of integrals at
+    spec.nodes per axis and the half-grid estimate of each.  The trapezoid
+    rule on circles converges geometrically (Trefethen & Weideman, SIAM
+    Review 56, 2014), so each doubling squares the error, and the estimate,
+    what doubling from M/2 to M changed, is about the error at M/2: far
+    above the error at M.  `plan_nodes` only chooses M: the values it returns
+    are those of ``evaluate`` at the returned M, unchanged.  At the ceiling
+    it returns that evaluation whatever its estimate.
+    """
+    QuadratureSpec(ceiling)  # raises unless a power of two >= 16
+    m = 16
+    while True:
+        values, estimates = evaluate(QuadratureSpec(m))
+        if m >= ceiling or np.max(estimates) <= target:
+            return NodePlan(m, values, estimates)
+        m *= 2
 
 
 @dataclass

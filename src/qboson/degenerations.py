@@ -45,6 +45,7 @@ from qboson.plancherel import nested_kernel_grid
 from qboson.qcore import (
     WeylVector,
     check_q,
+    check_time,
     cluster_decompose,
     cq_weight,
     q_factorial,
@@ -459,6 +460,7 @@ def sd_moment_formula(n: WeylVector, t: float) -> complex:
     E prod_i Z(t, n_i) = k-fold integral of
         prod_{A<B} (z_A - z_B)/(z_A - z_B - 1) prod_j z_j^{-n_j} e^{t (z_j - 1)}.
     """
+    check_time(t)
     if n.coords[-1] < 1:
         raise ValueError("moment indices must satisfy n_k >= 1")
     k = n.k
@@ -547,8 +549,9 @@ def oy_simulate(N: int, t: float, dt: float, paths: int, seed: int = 0,
     finite: the scheme overflowed, and a state that leaves the finite range
     never returns to it.
     """
-    if dt <= 0 or t < 0:
-        raise ValueError("need dt > 0 and t >= 0")
+    check_time(t)
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"need a finite dt > 0, got {dt}")
     if N < 1 or paths < 1:
         raise ValueError(f"need N >= 1 sites and paths >= 1, got N={N}, paths={paths}")
     # Imported here, like registry.run_all's pool, to keep it off the import path.

@@ -42,6 +42,7 @@ from qboson.qcore import (
     CompactFn,
     WeylVector,
     check_q,
+    check_time,
     cq_weight_inv,
     q_factorial,
     weyl_vectors_in_box,
@@ -92,8 +93,7 @@ class MomentSpec:
 
     def __post_init__(self):
         check_q(self.q)
-        if self.t < 0:
-            raise ValueError("t must be >= 0")
+        check_time(self.t)
         if self.n.coords[-1] < 1:
             raise ValueError("moment indices must satisfy n_k >= 1")
         if self.init not in ("step", "half-stationary"):
@@ -196,8 +196,7 @@ def simulate(model: str, init, t: float, seed: int, q: float = 0.5) -> Trajector
     final state is the one-path ensemble drawn with ``default_rng(seed)``.
     """
     check_q(q)
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    check_time(t)
     if model == "qboson":
         coords = (init if isinstance(init, WeylVector) else WeylVector(tuple(init))).coords
         chain = _qboson_chain(q)
@@ -369,8 +368,7 @@ def solve_evolution(direction: str, method: str, f0: CompactFn, t: float, n: Wey
     forward flow.
     """
     check_q(q)
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    check_time(t)
     k = f0.k
     if method == "spectral":
         vals = solve_evolution_batch(direction, f0, t, [n], q)
@@ -436,8 +434,7 @@ def transition_probability(method: str, y: WeylVector, x: WeylVector, t: float,
                            q: float) -> complex:
     """P(state x at time t | state y at time 0) for the q-Boson system."""
     check_q(q)
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    check_time(t)
     if x.k != y.k:
         raise ValueError(f"the q-Boson system conserves particles: the source has {y.k} "
                          f"and the target {x.k}")

@@ -27,6 +27,7 @@ from scipy.linalg import expm
 from qboson.qcore import (
     WeylVector,
     check_q,
+    check_time,
     cluster_decompose,
     cq_weight,
     factorial_cluster_weight,
@@ -327,8 +328,7 @@ def uniformized_transition(
     the exact tail drops below tol.  Mass exiting the box accumulates in
     an absorbing pseudo-state.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    check_time(t)
     if gk.kind != "fwd" or gk.model != "qboson":
         raise ValueError("uniformization applies to the stochastic q-Boson forward generator")
     if tol <= 0:

@@ -27,6 +27,11 @@ built from two-axis pair factors and one-axis diagonal factors, with no
 division at the full grid size; `mu_weight` keeps the literal determinant.
 The two sides of residue-expansion, `residue_expand_nested` and
 `residue_expand_sum`, stay off the dispatch, so that they share no code.
+Each takes a batch of F and returns, from one pass over its grids, the
+values and their embedded half-grid estimates, so that its node count can
+be planned from its own estimate (`contours.plan_nodes`, which only
+chooses M, is the one piece of code the two sides share, and
+tests/test_plancherel.py diffs it against direct calls of each side).
 """
 
 from __future__ import annotations
@@ -433,48 +438,59 @@ def composition_table(states: Sequence[WeylVector], cs: ContourSystem, spec: Qua
 # Residue expansion of the bare nested kernel
 
 
-def residue_expand_nested(Fs, cs: ContourSystem, spec: QuadratureSpec, q: float):
-    """Nested integral of prod_{A<B} (z_A - z_B)/(z_A - q z_B) * F, for one
-    F or a batch of them (the weighted kernel grid is built once)."""
+def residue_expand_nested(Fs: Sequence[Callable], cs: ContourSystem, spec: QuadratureSpec,
+                          q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nested integral of prod_{A<B} (z_A - z_B)/(z_A - q z_B) * F for each F
+    of a batch (the weighted kernel grid is built once).
+
+    Returns the values and, from the same pass, each one's embedded
+    half-grid estimate, as `contours.integrate` forms it.
+    """
     check_q(q)
-    single = not isinstance(Fs, (list, tuple))
-    fns = [Fs] if single else list(Fs)
-    totals = np.zeros(len(fns), dtype=complex)
+    half = (slice(None, None, 2),) * cs.k
+    totals = np.zeros(len(Fs), dtype=complex)
+    coarse = np.zeros(len(Fs), dtype=complex)
     for zs, W in _grid_chunks(cs, spec):
         base = W * nested_kernel_grid(zs, q)
-        for i, fn in enumerate(fns):
-            totals[i] += (base * fn(tuple(zs))).sum()
-    return complex(totals[0]) if single else totals
+        for i, fn in enumerate(Fs):
+            weighted = base * fn(tuple(zs))
+            totals[i] += weighted.sum()
+            coarse[i] += weighted[half].sum()
+    return totals, np.abs(totals - coarse * 2**cs.k)
 
 
-def residue_expand_sum(Fs, k: int, cs: ContourSystem, spec: QuadratureSpec, q: float):
+def residue_expand_sum(Fs: Sequence[Callable], k: int, cs: ContourSystem,
+                       spec: QuadratureSpec, q: float) -> tuple[np.ndarray, np.ndarray]:
     """Partition-sum side: sum over partitions of the string measure paired
-    with the symmetrized kernel.
+    with the symmetrized kernel, for each F of a batch.
 
     The symmetrized kernel at z is sum_sigma prod_{B<A} of the left
     scattering factors times F(sigma z).  For the string-free partition the
     measure is symmetric, so the permutation sum collapses to k! times the
     identity term (a change of integration variables, valid for any F).
-    All measure and scattering tensors are shared across a batch of Fs.
+    All measure and scattering tensors are shared across the batch.
+    Returns the values and each one's embedded half-grid estimate: each
+    partition lam contributes its ell(lam)-axis grid's half-grid sum, scaled
+    by 2^ell(lam).
     """
     check_q(q)
-    single = not isinstance(Fs, (list, tuple))
-    fns = [Fs] if single else list(Fs)
     fam_l = EigenFamily("qboson-left", q)
-    totals = np.zeros(len(fns), dtype=complex)
+    totals = np.zeros(len(Fs), dtype=complex)
+    coarse = np.zeros(len(Fs), dtype=complex)
     for lam in partitions_of(k):
+        half = (slice(None, None, 2),) * lam.length
         for ws, W in _grid_chunks(_gamma_k_system(cs, lam.length), spec):
             comps = _string_components(lam, ws, q, "qboson")
             dens = W * mu_density_grid(lam, ws, q)
             scat_l = ScatteringGrid(fam_l, comps)
             if lam.parts == tuple([1] * k):
-                base = dens * math.factorial(k) * scat_l.product(tuple(range(k)))
-                for i, fn in enumerate(fns):
-                    totals[i] += (base * fn(tuple(comps))).sum()
+                terms = [(dens * math.factorial(k) * scat_l.product(tuple(range(k))), comps)]
             else:
-                for sigma in itertools.permutations(range(k)):
-                    base = dens * scat_l.product(sigma)
-                    permuted = tuple(comps[s] for s in sigma)
-                    for i, fn in enumerate(fns):
-                        totals[i] += (base * fn(permuted)).sum()
-    return complex(totals[0]) if single else totals
+                terms = ((dens * scat_l.product(sigma), [comps[s] for s in sigma])
+                         for sigma in itertools.permutations(range(k)))
+            for base, args in terms:
+                for i, fn in enumerate(Fs):
+                    weighted = base * fn(tuple(args))
+                    totals[i] += weighted.sum()
+                    coarse[i] += weighted[half].sum() * 2**lam.length
+    return totals, np.abs(totals - coarse)

@@ -25,6 +25,13 @@ def check_q(q: float) -> float:
     return q
 
 
+def check_time(t: float) -> None:
+    """Reject a negative or non-finite time: inf and nan fail loudly here
+    instead of turning into NaN or an overflow downstream."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be a finite number >= 0, got {t}")
+
+
 @dataclass(frozen=True)
 class WeylVector:
     """Ordered integer vector n_1 >= ... >= n_k, the state of k particles."""

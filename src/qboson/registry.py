@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import inspect
 import os
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +19,7 @@ from qboson.checks import degeneration_checks as dg
 from qboson.checks import dynamics_checks as dy
 from qboson.checks import plancherel_checks as pl
 from qboson.checks import spectral as sp
-from qboson.report import Report
+from qboson.report import Report, error_report
 
 
 @dataclass(frozen=True)
@@ -186,15 +187,26 @@ def run_check(check_id: str, **overrides) -> Report:
 
 
 def _run_with_common(cid: str, common: dict) -> Report:
-    """Run one check with the common parameters it accepts."""
+    """Run one check with the common parameters it accepts.  A check that
+    rejects its configuration with a ValueError (ContourError among them)
+    becomes an error row carrying the reason, so that a run goes on."""
     sig = inspect.signature(REGISTRY[cid].fn)
-    return run_check(cid, **{k: v for k, v in common.items() if k in sig.parameters})
+    params = {k: v for k, v in common.items() if k in sig.parameters}
+    t0 = time.perf_counter()
+    try:
+        return run_check(cid, **params)
+    except ValueError as exc:
+        settings = {**{k: p.default for k, p in sig.parameters.items()}, **params}
+        return error_report(cid, params, str(exc), settings["tolerance"], settings["seed"],
+                            (time.perf_counter() - t0) * 1000.0)
 
 
 def run_all(common: dict | None = None, jobs: int = 1,
             check_ids: list[str] | None = None) -> list[Report]:
     """Run several checks (default all), in registry order, optionally in
-    parallel; the returned list follows registry order regardless.
+    parallel; the returned list follows registry order regardless.  Every
+    check runs: one whose parameters it rejects (ValueError) yields an
+    error row (`Report.is_error`) instead of stopping the run.
 
     With jobs > 1 the checks run in a pool of min(jobs, #checks, #cpus)
     worker processes, started fresh (spawn), since the checks hold the

@@ -7,7 +7,9 @@ single (lhs, rhs) pair summarize the run.  The pass rule is
 with rel_err = abs_err / (1 + |rhs|).  A sigma-scaled comparison (error_kind
 "sigma") stores its deviation in standard errors in abs_err and has no
 rel_err: inf in memory, null in the strict JSON output, which writes every
-non-finite number as null.
+non-finite number as null.  A check that raised under `registry.run_all`
+becomes an error row (`error_report`): the reason in params["error"], NaN
+sides, inf errors, and a failing pass flag.
 """
 
 from __future__ import annotations
@@ -78,6 +80,11 @@ class Report:
             "error_kind": self.error_kind,
         }
 
+    @property
+    def is_error(self) -> bool:
+        """True for the row of a check that raised instead of reporting."""
+        return "error" in self.params
+
     def to_json_dict(self) -> dict:
         """to_dict() with each non-finite number as None, so that strict JSON
         can hold it: a sigma-scaled row has no rel_err, and an overflowed
@@ -85,12 +92,24 @@ class Report:
         return _nonfinite_as_none(self.to_dict())
 
     def summary_line(self) -> str:
+        if self.is_error:
+            return f"ERROR {self.check_id}: {self.params['error']}"
         flag = "PASS" if self.passed else "FAIL"
         return (
             f"{flag} {self.check_id}: abs_err={self.abs_err:.3e} "
             f"rel_err={self.rel_err:.3e} tail={self.tail_bound:.3e} "
             f"tol={self.tolerance:.1e} ({self.runtime_ms:.0f} ms)"
         )
+
+
+def error_report(check_id: str, params: dict, reason: str, tolerance: float, seed: int,
+                 runtime_ms: float) -> Report:
+    """The row of a check that raised: the reason goes in params["error"],
+    both sides are NaN and both errors inf (null in strict JSON), and the
+    row fails."""
+    nan = complex(math.nan, math.nan)
+    return Report(check_id, {**params, "error": reason}, nan, nan, math.inf, math.inf, 0.0,
+                  tolerance, False, runtime_ms, seed)
 
 
 class Accumulator:

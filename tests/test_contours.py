@@ -12,6 +12,7 @@ from qboson.contours import (
     grid_nodes_weights,
     integrate,
     nested_contours,
+    plan_nodes,
     power_matrix,
     sd_nested_contours,
     single_gamma,
@@ -194,3 +195,23 @@ def test_describe_roundtrip():
     assert d["family"] == "qboson-nested"
     assert len(d["circles"]) == 2
     assert d["exclusions"] == [[0.0, 0.0]]
+
+
+def test_plan_nodes_doubles_from_16_to_the_first_count_that_meets_the_target():
+    # a synthetic estimate 2^-M: 2^-16 > 1e-6 > 2^-32
+    seen = []
+
+    def evaluate(spec):
+        seen.append(spec.nodes)
+        return np.array([spec.nodes]), np.array([2.0 ** -spec.nodes])
+
+    plan = plan_nodes(evaluate, 1e-6, ceiling=128)
+    assert seen == [16, 32] and plan.nodes == 32 and plan.values[0] == 32
+    seen.clear()
+    plan = plan_nodes(evaluate, 0.0, ceiling=64)
+    assert seen == [16, 32, 64] and plan.nodes == 64 and plan.estimates[0] == 2.0 ** -64
+    seen.clear()
+    assert plan_nodes(evaluate, 0.0, ceiling=16).nodes == 16 and seen == [16]
+    for ceiling in (48, 8):
+        with pytest.raises(ValueError, match="power of two >= 16"):
+            plan_nodes(evaluate, 1e-6, ceiling=ceiling)

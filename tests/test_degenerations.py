@@ -275,6 +275,14 @@ def test_oy_simulation_moments():
     assert abs(e21 - v) < 4 * s21 + 2e-3
 
 
+@pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+def test_sd_entry_points_reject_a_bad_t(t):
+    with pytest.raises(ValueError, match="t must be a finite number >= 0"):
+        sd_moment_formula(WeylVector((1,)), t)
+    with pytest.raises(ValueError, match="t must be a finite number >= 0"):
+        oy_simulate(2, t, 1e-3, 10, seed=0)
+
+
 def test_oy_weak_error_shrinks_with_step():
     # first-order weak convergence observed on site 2 (site 1 is exact, so
     # its estimator carries no step bias at all)

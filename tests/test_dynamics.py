@@ -39,6 +39,23 @@ def test_moment_spec_validation():
         MomentSpec(WeylVector((1,)), 0.5, "step", alpha=0.1, q=Q)
 
 
+@pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+def test_every_time_entry_point_rejects_a_bad_t(t):
+    # inf and nan used to pass a bare `t < 0` guard and came out as NaN
+    y, x = WeylVector((1, 0)), WeylVector((0, -1))
+    calls = [
+        lambda: MomentSpec(WeylVector((1,)), t, "step", q=Q),
+        lambda: simulate("qboson", y, t, 0, q=Q),
+        lambda: solve_evolution("backward", "ode-oracle", CompactFn.delta(y), t, y, Q),
+        lambda: transition_probability("spectral", y, x, t, Q),
+        lambda: uniformized_transition(GeneratorKind("fwd", "qboson", Q), t, y,
+                                       StateBox(2, -2, 1)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="t must be a finite number >= 0"):
+            call()
+
+
 def test_step_moment_k1_closed_form():
     for t in (0.2, 1.0, 2.5):
         spec = MomentSpec(WeylVector((1,)), t, "step", q=Q)

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from qboson.plancherel import (
     transform_F_grid,
 )
 from qboson.qcore import CompactFn, Partition, WeylVector, partitions_of, weyl_vectors_in_box
+from qboson.registry import run_check
 
 Q = 0.5
 SPEC = QuadratureSpec(128)
@@ -344,10 +347,62 @@ def test_residue_expansion_small():
     for k in (1, 2, 3):
         cs = nested_contours(k, Q, r_k=0.3, margin=0.3)
         spec = QuadratureSpec(128)
-        F = lambda zs: np.exp(sum((z - 1.0) * 0.3 for z in zs))
-        a = residue_expand_nested(F, cs, spec, Q)
-        b = residue_expand_sum(F, k, cs, spec, Q)
+        Fs = [lambda zs: np.exp(sum((z - 1.0) * 0.3 for z in zs))]
+        (a,), _ = residue_expand_nested(Fs, cs, spec, Q)
+        (b,), _ = residue_expand_sum(Fs, k, cs, spec, Q)
         assert abs(a - b) <= 1e-8 * (1 + abs(a))
+
+
+def _residue_sides(k):
+    """Both residue-expansion sides at k for two F with a simple pole at 1
+    in each variable, so that both integrals are of order 1: for an entire
+    F both vanish.  The margin 4 and string radius 0.1 make both sides
+    converge by 32 nodes per axis."""
+    q = 0.25
+    cs = nested_contours(k, q, r_k=0.1, margin=4.0)
+    Fs = [lambda zs, c=c: functools.reduce(operator.mul,
+                                           [np.exp(c * (z - 1.0)) / (z - 1.0) for z in zs])
+          for c in (0.1j, -0.1)]
+    return {"nested": lambda spec: residue_expand_nested(Fs, cs, spec, q),
+            "sum": lambda spec: residue_expand_sum(Fs, k, cs, spec, q)}
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("side", ["nested", "sum"])
+def test_residue_estimates_match_a_separate_half_run(k, side):
+    # The embedded estimate is |I_M - I_half|, the half grid being every
+    # second node of the M grid; a separate run at M/2 puts its nodes at
+    # other phases, which moves its value only by the error at M/2, here
+    # far below 1e-12.  A wrong 2^axes scaling of a grid would be off by
+    # the order of the values.
+    evaluate = _residue_sides(k)[side]
+    m = 64
+    values, estimates = evaluate(QuadratureSpec(m))
+    coarse, _ = evaluate(QuadratureSpec(m // 2))
+    assert np.all(np.abs(values) > 0.5)
+    np.testing.assert_allclose(estimates, np.abs(values - coarse), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("side", ["nested", "sum"])
+def test_plan_nodes_on_residue_sides(side):
+    evaluate = _residue_sides(3)[side]
+    direct = {m: evaluate(QuadratureSpec(m)) for m in (16, 32, 64, 128)}
+    worst = {m: np.max(est) for m, (_, est) in direct.items()}
+    for target in (1e-3, 1e-8, 1e-13, 0.0):
+        plan = contours.plan_nodes(evaluate, target, ceiling=128)
+        # the smallest power of two >= 16 whose estimate meets the target,
+        # or the ceiling when none does
+        assert plan.nodes == min((m for m in direct if worst[m] <= target), default=128)
+        values, estimates = direct[plan.nodes]
+        # plan_nodes only chooses M: its values are the side's own, bit for bit
+        assert np.array_equal(plan.values, values)
+        assert np.array_equal(plan.estimates, estimates)
+    # at a ceiling below the converged count it returns the ceiling's
+    # evaluation with that evaluation's estimate
+    plan = contours.plan_nodes(evaluate, worst[32] / 2, ceiling=32)
+    assert plan.nodes == 32
+    assert np.array_equal(plan.values, direct[32][0])
+    assert np.array_equal(plan.estimates, direct[32][1])
 
 
 def test_chunked_grids_match_one_chunk(monkeypatch):
@@ -363,12 +418,43 @@ def test_chunked_grids_match_one_chunk(monkeypatch):
     def evaluate(budget):
         monkeypatch.setattr(contours, "CHUNK_ELEMENTS", budget)
         res = integrate(cs, integrand, spec)
-        return (residue_expand_nested(Fs, cs, spec, Q), residue_expand_sum(Fs, k, cs, spec, Q),
-                res.value, res.error_estimate, len(list(_grid_chunks(cs, spec))))
+        nested, nested_est = residue_expand_nested(Fs, cs, spec, Q)
+        total, total_est = residue_expand_sum(Fs, k, cs, spec, Q)
+        return (np.concatenate([nested, total, [res.value]]),
+                np.concatenate([nested_est, total_est, [res.error_estimate]]),
+                len(list(_grid_chunks(cs, spec))))
 
-    nested1, sum1, val1, err1, n1 = evaluate(1 << 30)
-    nested8, sum8, val8, err8, n8 = evaluate(512)
+    val1, err1, n1 = evaluate(1 << 30)
+    val8, err8, n8 = evaluate(512)
     assert (n1, n8) == (1, 8)
-    for a, b in zip(np.concatenate([nested1, sum1, [val1]]), np.concatenate([nested8, sum8, [val8]])):
+    for a, b in zip(val1, val8):
         assert abs(a - b) <= 1e-12 * (1 + abs(a))
-    assert abs(err1 - err8) <= 1e-12 * (1 + abs(val1))
+    for e1, e8, v in zip(err1, err8, val1):
+        assert abs(e1 - e8) <= 1e-12 * (1 + abs(v))
+
+
+def _planned_quadrature(report):
+    return [side for legs in report.params["quadrature"].values() for side in legs.values()]
+
+
+def test_residue_expansion_plans_at_most_32_nodes_at_its_defaults():
+    # a count, not a timer: both sides of every leg stop doubling by 32
+    # nodes per axis, with their estimate within tolerance / 100
+    r = run_check("residue-expansion")
+    assert r.passed
+    sides = _planned_quadrature(r)
+    assert len(sides) == 8
+    for side in sides:
+        assert side["nodes"] <= 32
+        assert math.isfinite(side["estimate"]) and side["estimate"] <= r.tolerance / 100
+
+
+@pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_residue_expansion_across_q(q):
+    # the string circle shrinks with q, so it stays valid where the fixed
+    # 0.3 circle overlapped its own q-image (q >= 7/13)
+    r = run_check("residue-expansion", q=q)
+    assert r.passed
+    assert r.params["string_radius"] == min(0.3, 0.6 * (1 - q) / (1 + q))
+    for side in _planned_quadrature(r):
+        assert side["estimate"] <= r.tolerance / 100

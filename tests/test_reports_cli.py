@@ -352,3 +352,55 @@ def test_cli_verify_failure_exit_code(tmp_path):
     p = _cli("verify", "measure-consistency", "--param", "tolerance=1e-30")
     assert p.returncode == 1
     assert "failing checks: measure-consistency" in p.stderr
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_all_turns_a_raising_check_into_an_error_row(jobs):
+    # at q = 0.9 the innermost eps-plancherel circle contains q * eps; the
+    # run records that and goes on to the next check
+    reports = run_all(common={"q": 0.9}, check_ids=["eps-plancherel", "measure-consistency"],
+                      jobs=jobs)
+    bad, good = reports
+    assert bad.is_error and not bad.passed
+    assert bad.params == {"q": 0.9, "error": "innermost circle contains 0.45"}
+    assert bad.summary_line() == "ERROR eps-plancherel: innermost circle contains 0.45"
+    d = _strict_loads(reports_to_json([bad]))[0]
+    assert d["lhs"] == [None, None] and d["abs_err"] is None and d["pass"] is False
+    assert d["tolerance"] == 1e-6 and d["seed"] == 0
+    assert good.passed and not good.is_error
+    # run_check itself still raises
+    with pytest.raises(ValueError, match="innermost circle contains 0.45"):
+        run_check("eps-plancherel", q=0.9)
+
+
+def test_cli_verify_all_exits_2_on_an_error_row(capsys, monkeypatch, tmp_path):
+    import qboson.cli
+
+    def subset(common, jobs):
+        return run_all(common, jobs, check_ids=["eps-plancherel", "measure-consistency"])
+
+    monkeypatch.setattr(qboson.cli, "run_all", subset)
+    out = tmp_path / "all.json"
+    code = main(["verify", "all", "--q", "0.9", "--json", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "ERROR eps-plancherel: innermost circle contains 0.45" in captured.out
+    assert "PASS measure-consistency" in captured.out
+    assert "checks with errors: eps-plancherel" in captured.err
+    rows = _strict_loads(out.read_text())
+    assert [r["params"].get("error") for r in rows] == ["innermost circle contains 0.45", None]
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "backward-solver", "--param", "t=1e400"),
+    ("verify", "transition-prob", "--param", "t=NaN"),
+    ("moments", "--model", "qtasep", "--init", "step", "--t", "inf", "--n", "1"),
+    ("moments", "--model", "sd", "--init", "delta", "--t", "inf", "--n", "1"),
+    ("transition", "--t", "inf", "--from", "1,0", "--to", "0,-1"),
+    ("simulate", "--model", "qboson", "--t", "nan"),
+    ("simulate", "--model", "oy", "--t", "inf", "--paths", "10"),
+])
+def test_cli_rejects_a_nonfinite_time(capsys, args):
+    code, err = _cli_in_process(capsys, *args)
+    assert code == 2
+    assert "t must be a finite number >= 0" in err
