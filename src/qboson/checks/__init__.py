@@ -1,5 +1,12 @@
-"""Named verification checks: each turns one theorem-level identity into a
-deterministic numerical comparison returning a Report."""
+"""Named verification checks: each turns one theorem-level identity into
+deterministic numerical comparisons.
+
+A check takes an Accumulator ``acc`` first and records its comparisons
+there; its other keywords, ``tolerance`` and ``seed`` among them, are its
+knobs.  It builds no report: `registry.run_check` binds the knobs, makes
+the Accumulator and finishes the report, whose params are those knobs
+under their own names, so ``--param`` replays them.  A check may add
+further entries to ``acc.params`` (contours, quadrature choices)."""
 
 from __future__ import annotations
 

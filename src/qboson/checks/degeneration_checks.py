@@ -16,6 +16,8 @@ from qboson.degenerations import (
     d_eps,
     deriv_matrices,
     hl_dictionary_residuals,
+    hl_P,
+    hl_Q,
     oy_simulate,
     psi_cfwd_eps_derivative,
     psi_left_eps_derivative,
@@ -24,21 +26,21 @@ from qboson.degenerations import (
     spectral_orthogonality_sides,
 )
 from qboson.eigenfunctions import EigenFamily, EigenTable, eigen_eval
+from qboson.generators import GeneratorKind, generator_apply
 from qboson.plancherel import composition_table
-from qboson.qcore import WeylVector, weyl_vectors_in_box
-from qboson.report import Accumulator, Report
+from qboson.qcore import WeylVector, factorial_cluster_weight, weyl_vectors_in_box
+from qboson.report import Accumulator
 
 SD_Q = 0.5  # the semi-discrete family carries no q; composition_table still takes one
 
 
-def check_eps_plancherel(q: float = 0.5, eps: float = 0.5, nodes: int = 128,
-                         tolerance: float = 1e-6, seed: int = 0) -> Report:
+def check_eps_plancherel(acc: Accumulator, q: float = 0.5, eps: float = 0.5,
+                         nodes: int = 128, tolerance: float = 1e-6, seed: int = 0) -> None:
     """Identity resolution for the eps-deformed transform pair at eps = 0.5,
     plus the eps = 1 reduction to the base family."""
     if eps <= 0:
         raise ValueError("the contour-based pipeline needs eps > 0; "
                          "use the Hall-Littlewood route at eps = 0")
-    acc = Accumulator("eps-plancherel", {"q": q, "eps": eps, "nodes": nodes}, seed)
     spec = QuadratureSpec(nodes)
     for k in (1, 2):
         states = list(weyl_vectors_in_box(k, -3, 3))
@@ -62,15 +64,13 @@ def check_eps_plancherel(q: float = 0.5, eps: float = 0.5, nodes: int = 128,
         a = eigen_eval(EigenFamily("eps-left", q, 1.0), z, n)
         b = eigen_eval(EigenFamily("qboson-left", q), z, n)
         acc.add(f"eps=1 reduction k={k}", a, b, 1e-13)
-    return acc.report()
 
 
-def check_eps_orthogonality(q: float = 0.5, tolerance: float = 1e-5,
-                            seed: int = 0) -> Report:
+def check_eps_orthogonality(acc: Accumulator, q: float = 0.5, tolerance: float = 1e-5,
+                            seed: int = 0) -> None:
     """Spectral orthogonality across the deformation family, eps in
     {0, 0.25, 0.5, 1}: the residual is flat in eps (the derivative of the
     relation vanishes identically)."""
-    acc = Accumulator("eps-orthogonality", {"q": q}, seed)
     nonzero = 0.0
     for eps in (0.0, 0.25, 0.5, 1.0):
         F1 = admissible_F(1, eps, [2])
@@ -84,16 +84,14 @@ def check_eps_orthogonality(q: float = 0.5, tolerance: float = 1e-5,
         acc.add(f"eps={eps} k=2", r["lhs"], r["rhs"], tolerance, tail=r["tail_bound"])
         nonzero = max(nonzero, abs(r["rhs"]))
     acc.add_residual("nonvacuous", 0.0 if nonzero > 0.01 else 1.0, tolerance)
-    return acc.report()
 
 
-def check_eps_deriv_relation(q: float = 0.5, tolerance: float = 1e-12,
-                             seed: int = 0) -> Report:
+def check_eps_deriv_relation(acc: Accumulator, q: float = 0.5, tolerance: float = 1e-12,
+                             seed: int = 0) -> None:
     """The derivative-matrix machinery: coefficient closed forms, the exact
     expansion of d/d eps of both eigenfunctions, and the intertwining
     relation between the right and left derivative matrices."""
     rng = np.random.default_rng(seed)
-    acc = Accumulator("eps-deriv-relation", {"q": q}, seed)
     # closed forms and the recurrence
     acc.add("c(2,1) = q", c_eps(2, 1, 0.7, q), q, tolerance)
     for k in range(1, 9):
@@ -131,14 +129,12 @@ def check_eps_deriv_relation(q: float = 0.5, tolerance: float = 1e-12,
             n = random_weyl(rng, k, lo=-3, hi=5)
             r = crl_relation_check(n, eps, q)
             acc.add_residual(f"crl random k={k} eps={eps}", r["worst"], tolerance)
-    return acc.report()
 
 
-def check_hl_identification(q: float = 0.5, n_max: int = 5, tolerance: float = 1e-12,
-                            seed: int = 0) -> Report:
+def check_hl_identification(acc: Accumulator, q: float = 0.5, n_max: int = 5,
+                            tolerance: float = 1e-12, seed: int = 0) -> None:
     """eps = 0 eigenfunctions equal sign-normalized Hall-Littlewood P and Q."""
     rng = np.random.default_rng(seed)
-    acc = Accumulator("hl-identification", {"q": q, "n_max": n_max}, seed)
     for k in range(1, 5):
         for _ in range(12):
             n = WeylVector(tuple(sorted(rng.integers(0, n_max + 1, size=k).tolist(),
@@ -148,19 +144,15 @@ def check_hl_identification(q: float = 0.5, n_max: int = 5, tolerance: float = 1
             acc.add_residual(f"right k={k} n={n.coords}", rr, tolerance)
             if not math.isnan(rl):
                 acc.add_residual(f"left k={k} n={n.coords}", rl, tolerance)
-    from qboson.degenerations import hl_P, hl_Q
-
     acc.add("P_(3) one variable", hl_P(WeylVector((3,)), [1.3], q), 1.3**3, tolerance)
     acc.add("P_(1) two variables", hl_P(WeylVector((1, 0)), [1.2, 0.7], q), 1.9, tolerance)
     acc.add("P_(1,1)", hl_P(WeylVector((1, 1)), [1.2, 0.7], q), 1.2 * 0.7, tolerance)
     acc.add("Q_(2) one variable", hl_Q(WeylVector((2,)), [1.3], q), (1 - q) * 1.3**2, tolerance)
-    return acc.report()
 
 
-def check_cauchy_littlewood(q: float = 0.5, depth: int = 40, tolerance: float = 1e-8,
-                            seed: int = 0) -> Report:
+def check_cauchy_littlewood(acc: Accumulator, q: float = 0.5, depth: int = 40,
+                            tolerance: float = 1e-8, seed: int = 0) -> None:
     """Truncated Cauchy-Littlewood sum against the product kernel."""
-    acc = Accumulator("cauchy-littlewood", {"q": q, "depth": depth}, seed)
     r = cauchy_littlewood_check(1, q, [0.3], [1.1], depth=depth + 20)
     closed = (1.1 - q * 0.3) / (1.1 - 0.3)
     acc.add("k=1 closed form", r["lhs"], closed, tolerance, tail=r["tail_bound"])
@@ -172,17 +164,12 @@ def check_cauchy_littlewood(q: float = 0.5, depth: int = 40, tolerance: float = 
     # q -> 0 reduces the kernel to the geometric/Schur case
     r = cauchy_littlewood_check(1, 1e-9, [0.4], [1.3], depth=80)
     acc.add("q->0 k=1", r["lhs"], 1.3 / (1.3 - 0.4), tolerance, tail=r["tail_bound"])
-    return acc.report()
 
 
-def check_sd_eigen(tolerance: float = 1e-10, seed: int = 0) -> Report:
+def check_sd_eigen(acc: Accumulator, tolerance: float = 1e-10, seed: int = 0) -> None:
     """Semi-discrete eigenrelations and the reflection symmetry with the
     plain-factorial cluster weight."""
     rng = np.random.default_rng(seed)
-    acc = Accumulator("sd-eigen", {}, seed)
-    from qboson.generators import GeneratorKind, generator_apply
-    from qboson.qcore import factorial_cluster_weight
-
     for _ in range(100):
         k = int(rng.integers(1, 5))
         n = random_weyl(rng, k)
@@ -199,12 +186,11 @@ def check_sd_eigen(tolerance: float = 1e-10, seed: int = 0) -> Report:
         lhs = eigen_eval(fam_l, z, n.reflect(), validate=False)
         rhs = factorial_cluster_weight(n) * eigen_eval(fam_r, z, n, validate=False)
         acc.add(f"sd reflection k={k}", lhs, rhs, tolerance)
-    return acc.report()
 
 
-def check_sd_plancherel(nodes: int = 128, tolerance: float = 1e-6, seed: int = 0) -> Report:
+def check_sd_plancherel(acc: Accumulator, nodes: int = 128, tolerance: float = 1e-6,
+                        seed: int = 0) -> None:
     """Identity resolution for the semi-discrete transform pair, k <= 2."""
-    acc = Accumulator("sd-plancherel", {"nodes": nodes}, seed)
     spec = QuadratureSpec(nodes)
     for k in (1, 2):
         states = list(weyl_vectors_in_box(k, -3, 3))
@@ -212,28 +198,24 @@ def check_sd_plancherel(nodes: int = 128, tolerance: float = 1e-6, seed: int = 0
         for mode in ("nested", "expanded"):
             T = composition_table(states, sd_nested_contours(k), spec, SD_Q, model="sd", mode=mode)
             acc.add_residual(f"k={k} {mode}", float(np.abs(T - I).max()), tolerance)
-    return acc.report()
 
 
-def check_sd_biorthogonality(nodes: int = 128, tolerance: float = 1e-6,
-                             seed: int = 0) -> Report:
+def check_sd_biorthogonality(acc: Accumulator, nodes: int = 128, tolerance: float = 1e-6,
+                             seed: int = 0) -> None:
     """Spatial biorthogonality of the semi-discrete eigenfunctions via the
     additive-string pairing (the expanded composition form)."""
-    acc = Accumulator("sd-biorthogonality", {"nodes": nodes}, seed)
     spec = QuadratureSpec(nodes)
     for k in (1, 2):
         states = list(weyl_vectors_in_box(k, -2, 3))
         T = composition_table(states, sd_nested_contours(k), spec, SD_Q, model="sd",
                               mode="expanded")
         acc.add_residual(f"k={k}", float(np.abs(T - np.eye(len(states))).max()), tolerance)
-    return acc.report()
 
 
-def check_sd_moment(t: float = 1.0, paths: int = 100_000, dt: float = 1e-3,
-                    tolerance: float = 1e-8, seed: int = 0) -> Report:
+def check_sd_moment(acc: Accumulator, t: float = 1.0, paths: int = 100_000,
+                    dt: float = 1e-3, tolerance: float = 1e-8, seed: int = 0) -> None:
     """Semi-discrete moment formula against the one-site Poisson chain and
     the stochastic-ODE simulation of the coupled system."""
-    acc = Accumulator("sd-moment", {"t": t, "paths": paths, "dt": dt}, seed)
     for n_ in range(1, 6):
         v = sd_moment_formula(WeylVector((n_,)), 0.7)
         acc.add(f"k=1 n={n_} Poisson chain", v, sd_moment_poisson_chain(n_, 0.7), tolerance)
@@ -245,4 +227,3 @@ def check_sd_moment(t: float = 1.0, paths: int = 100_000, dt: float = 1e-3,
     # exact one-site law: E Z_1 = e^{-t}
     est, se = res.moment((1,))
     acc.add("MC E Z_1 lognormal", complex(est), math.exp(-t), 4.0, sigma=se)
-    return acc.report()

@@ -24,15 +24,14 @@ from qboson.dynamics import (
 )
 from qboson.generators import GeneratorKind, StateBox, uniformized_transition
 from qboson.qcore import CompactFn, WeylVector, weyl_vectors_in_box
-from qboson.report import Accumulator, Report
+from qboson.report import Accumulator
 
 
-def check_backward_solver(q: float = 0.5, t: float = 0.5, tolerance: float = 1e-6,
-                          seed: int = 0) -> Report:
+def check_backward_solver(acc: Accumulator, q: float = 0.5, t: float = 0.5,
+                          tolerance: float = 1e-6, seed: int = 0) -> None:
     """Spectral backward solution against the exact single-particle chain
     and against the triangular matrix-exponential oracle."""
     rng = np.random.default_rng(seed)
-    acc = Accumulator("backward-solver", {"q": q, "t": t}, seed)
     # k = 1 from a delta: the value at n is the chance of exactly n left
     # jumps, a Poisson((1-q)t) mass, zero below the delta
     f0 = CompactFn.delta(WeylVector((0,)))
@@ -53,15 +52,13 @@ def check_backward_solver(q: float = 0.5, t: float = 0.5, tolerance: float = 1e-
         acc.add(f"k=2 trial={trial} n={n.coords}", vs, vo, tolerance)
         v0 = solve_evolution("backward", "spectral", f0, 0.0, n, q)
         acc.add(f"k=2 trial={trial} t=0", v0, f0(n), tolerance)
-    return acc.report()
 
 
-def check_forward_solver(q: float = 0.5, t: float = 0.5, tolerance: float = 1e-6,
-                         seed: int = 0) -> Report:
+def check_forward_solver(acc: Accumulator, q: float = 0.5, t: float = 0.5,
+                         tolerance: float = 1e-6, seed: int = 0) -> None:
     """Spectral forward solution against the absorbing matrix-exponential
     oracle, including the t = 0 identity."""
     rng = np.random.default_rng(seed)
-    acc = Accumulator("forward-solver", {"q": q, "t": t}, seed)
     for k in (1, 2):
         for trial in range(4):
             pts = {}
@@ -74,13 +71,11 @@ def check_forward_solver(q: float = 0.5, t: float = 0.5, tolerance: float = 1e-6
             acc.add(f"k={k} trial={trial} n={n.coords}", vs, vo, tolerance)
             v0 = solve_evolution("forward", "spectral", f0, 0.0, n, q)
             acc.add(f"k={k} trial={trial} t=0", v0, f0(n), tolerance)
-    return acc.report()
 
 
-def check_transition_prob(q: float = 0.5, t: float = 1.0, tolerance: float = 1e-6,
-                          seed: int = 0) -> Report:
+def check_transition_prob(acc: Accumulator, q: float = 0.5, t: float = 1.0,
+                          tolerance: float = 1e-6, seed: int = 0) -> None:
     """Transition kernel: spectral formula vs uniformization, sign, and mass."""
-    acc = Accumulator("transition-prob", {"q": q, "t": t}, seed)
     for k, y in ((1, WeylVector((0,))), (2, WeylVector((1, 0))), (2, WeylVector((1, 1)))):
         lo = y.coords[-1] - 14  # the chain only descends
         hi = y.coords[0] + 1
@@ -101,12 +96,10 @@ def check_transition_prob(q: float = 0.5, t: float = 1.0, tolerance: float = 1e-
         acc.add_residual(f"k={k} nonnegativity", max(0.0, -min_real), 1e-8)
         v0 = transition_probability("spectral", y, y, 0.0, q)
         acc.add(f"k={k} t=0 diagonal", v0, 1.0, tolerance)
-    return acc.report()
 
 
-def _moment_check(name: str, init: str, alpha: float, q: float, t: float, paths: int,
-                  tolerance: float, seed: int) -> Report:
-    acc = Accumulator(name, {"q": q, "t": t, "alpha": alpha, "paths": paths}, seed)
+def _moment_check(acc: Accumulator, init: str, alpha: float, q: float, t: float, paths: int,
+                  tolerance: float, seed: int) -> None:
     # k = 1, n = 1 closed form (residue at the base point)
     spec1 = MomentSpec(WeylVector((1,)), t, init, alpha=alpha, q=q)
     v1 = moment_formula(spec1)
@@ -122,49 +115,44 @@ def _moment_check(name: str, init: str, alpha: float, q: float, t: float, paths:
     for k, n in ((1, WeylVector((2,))), (2, WeylVector((2, 1))), (2, WeylVector((1, 1)))):
         spec = MomentSpec(n, t, init, alpha=alpha, q=q)
         vf = moment_formula(spec)
-        f0, _ = h0_build(init, k, spec.N, q, alpha)
+        f0 = h0_build(init, k, spec.N, q, alpha)
         vb = solve_evolution("backward", "spectral", f0, t, n, q)
         vo = solve_evolution("backward", "ode-oracle", f0, t, n, q)
         acc.add(f"k={k} n={n.coords} formula vs spectral", vf, vb, tolerance)
         acc.add(f"k={k} n={n.coords} formula vs ode", vf, vo, tolerance)
         est, se = moment_mc(spec, paths, seed=seed + 17)
         acc.add(f"k={k} n={n.coords} formula vs MC", complex(est), vf, 4.0, sigma=se)
-    return acc.report()
 
 
-def check_moment_step(q: float = 0.5, t: float = 0.5, paths: int = 1_000_000,
-                      tolerance: float = 1e-6, seed: int = 0) -> Report:
+def check_moment_step(acc: Accumulator, q: float = 0.5, t: float = 0.5,
+                      paths: int = 1_000_000, tolerance: float = 1e-6, seed: int = 0) -> None:
     """Step-data moments: formula = backward solution = simulation."""
-    return _moment_check("moment-step", "step", 0.0, q, t, paths, tolerance, seed)
+    _moment_check(acc, "step", 0.0, q, t, paths, tolerance, seed)
 
 
-def check_moment_half(q: float = 0.5, t: float = 0.5, alpha: float = 0.1,
+def check_moment_half(acc: Accumulator, q: float = 0.5, t: float = 0.5, alpha: float = 0.1,
                       paths: int = 1_000_000, tolerance: float = 1e-6,
-                      seed: int = 0) -> Report:
+                      seed: int = 0) -> None:
     """Half-stationary moments: formula = backward solution = simulation."""
-    return _moment_check("moment-half", "half-stationary", alpha, q, t, paths,
-                         tolerance, seed)
+    _moment_check(acc, "half-stationary", alpha, q, t, paths, tolerance, seed)
 
 
-def check_identity_mqinverse(q: float = 0.5, m_max: int = 6, tolerance: float = 1e-10,
-                             seed: int = 0) -> Report:
+def check_identity_mqinverse(acc: Accumulator, q: float = 0.5, m_max: int = 6,
+                             tolerance: float = 1e-10, seed: int = 0) -> None:
     rng = np.random.default_rng(seed)
-    acc = Accumulator("identity-mqinverse", {"q": q, "m_max": m_max}, seed)
     for m in range(1, m_max + 1):
         z = random_spectral(rng, m, center=0.0, rmin=0.5, rmax=2.0)
         r = identity_mqinverse(m, q, z)
         acc.add(f"m={m}", r.lhs, r.rhs, tolerance)
     r = identity_mqinverse(2, q, [2.0, 3.0])
     acc.add("m=2 frozen 1+1/q", r.lhs, 1.0 + 1.0 / q, tolerance)
-    return acc.report()
 
 
-def check_identity_qbinomial(q: float = 0.5, k_max: int = 5, tolerance: float = 1e-10,
-                             seed: int = 0) -> Report:
+def check_identity_qbinomial(acc: Accumulator, q: float = 0.5, k_max: int = 5,
+                             tolerance: float = 1e-10, seed: int = 0) -> None:
     """Each comparison is gated on tolerance plus the identity's own bound on
     the rounding of its lhs, whose 2^k terms cancel (see identity_qbinomial)."""
     rng = np.random.default_rng(seed)
-    acc = Accumulator("identity-qbinomial", {"q": q, "k_max": k_max}, seed)
     for k in range(1, k_max + 1):
         alpha = float(rng.uniform(0.0, q**k))
         z = random_spectral(rng, k, center=0.0, rmin=0.8, rmax=3.0)
@@ -175,13 +163,11 @@ def check_identity_qbinomial(q: float = 0.5, k_max: int = 5, tolerance: float = 
             tolerance + r.rounding_bound)
     r = identity_qbinomial(2, 0.5, 0.1, [2.0, 3.0])
     acc.add("k=2 q=0.5 anchor 0.48", r.lhs, 0.48, tolerance + r.rounding_bound)
-    return acc.report()
 
 
-def check_identity_halfstat(q: float = 0.5, k_max: int = 3, tolerance: float = 1e-8,
-                            seed: int = 0) -> Report:
+def check_identity_halfstat(acc: Accumulator, q: float = 0.5, k_max: int = 3,
+                            tolerance: float = 1e-8, seed: int = 0) -> None:
     rng = np.random.default_rng(seed)
-    acc = Accumulator("identity-halfstat-transform", {"q": q, "k_max": k_max}, seed)
     for k in range(1, k_max + 1):
         alpha = float(rng.uniform(0.0, 0.5 * q**k))
         # z close to the base point so the series ratio is small
@@ -199,4 +185,3 @@ def check_identity_halfstat(q: float = 0.5, k_max: int = 3, tolerance: float = 1
     predicted = abs(shallow.lhs - shallow.rhs) * ratio**30
     ok = abs(deep.lhs - deep.rhs) <= 10.0 * max(predicted, 1e-15)
     acc.add_residual("truncation decay matches ratio", 0.0 if ok else 1.0, tolerance)
-    return acc.report()

@@ -30,7 +30,7 @@ from qboson.plancherel import (
     residue_weight_direct,
 )
 from qboson.qcore import CompactFn, WeylVector, partitions_of, weyl_vectors_in_box
-from qboson.report import Accumulator, Report
+from qboson.report import Accumulator
 
 
 def _delta_table_check(acc: Accumulator, label: str, states, table: np.ndarray,
@@ -45,8 +45,8 @@ def _delta_table_check(acc: Accumulator, label: str, states, table: np.ndarray,
     )
 
 
-def check_plancherel_forward(q: float = 0.5, box_radius: int = 4, nodes: int = 128,
-                             tolerance: float = 1e-6, seed: int = 0) -> Report:
+def check_plancherel_forward(acc: Accumulator, q: float = 0.5, box_radius: int = 4,
+                             nodes: int = 128, tolerance: float = 1e-6, seed: int = 0) -> None:
     """Inverse transform of the forward transform resolves every delta:
     all three evaluation modes, k = 1..3.
 
@@ -56,8 +56,6 @@ def check_plancherel_forward(q: float = 0.5, box_radius: int = 4, nodes: int = 1
     the extreme box corners below tolerance, and the nested mode is
     additionally run at the given q.
     """
-    acc = Accumulator("plancherel-forward",
-                      {"q": q, "box": box_radius, "nodes": nodes}, seed)
     spec = QuadratureSpec(nodes)
     used_contours = {}
     for k in (1, 2):
@@ -85,7 +83,6 @@ def check_plancherel_forward(q: float = 0.5, box_radius: int = 4, nodes: int = 1
     _delta_table_check(acc, f"k=3 nested q={q}", states, T, tolerance)
     used_contours[f"k=3 nested q={q}"] = cs.describe()["circles"]
     acc.params["contours"] = used_contours
-    return acc.report()
 
 
 def _monomial_basis(k: int, max_total_degree: int):
@@ -124,8 +121,9 @@ def _sym_monomial(m: tuple[int, ...]):
     return fn
 
 
-def check_plancherel_dual(q: float = 0.5, max_degree: int = 3, n_points: int = 20,
-                          nodes: int = 256, tolerance: float = 1e-6, seed: int = 0) -> Report:
+def check_plancherel_dual(acc: Accumulator, q: float = 0.5, max_degree: int = 3,
+                          n_points: int = 20, nodes: int = 256, tolerance: float = 1e-6,
+                          seed: int = 0) -> None:
     """Forward transform of the inverse transform fixes every symmetric
     Laurent monomial in the base variables, at random spectral points.
 
@@ -137,9 +135,6 @@ def check_plancherel_dual(q: float = 0.5, max_degree: int = 3, n_points: int = 2
     reported tail bound as the numerical witness of that support bound.
     """
     rng = np.random.default_rng(seed)
-    acc = Accumulator("plancherel-dual",
-                      {"q": q, "max_degree": max_degree, "points": n_points, "nodes": nodes},
-                      seed)
     spec = QuadratureSpec(nodes)
     for k in (1, 2):
         cs = nested_contours(k, q, r_k=0.3)
@@ -166,7 +161,6 @@ def check_plancherel_dual(q: float = 0.5, max_degree: int = 3, n_points: int = 2
                 tail = 3.0 * sum(abs(jg[i] * psi[i]) for i in boundary)
                 gz = complex(G(tuple(np.asarray(v) for v in z)))
                 acc.add(f"k={k} m={m}", total, gz, tolerance, tail=tail)
-    return acc.report()
 
 
 def _random_compact(rng: np.random.Generator, k: int, radius: int = 3,
@@ -179,11 +173,10 @@ def _random_compact(rng: np.random.Generator, k: int, radius: int = 3,
     return CompactFn(data)
 
 
-def check_plancherel_pairing(q: float = 0.5, pairs: int = 20, nodes: int = 128,
-                             tolerance: float = 1e-6, seed: int = 0) -> Report:
+def check_plancherel_pairing(acc: Accumulator, q: float = 0.5, pairs: int = 20,
+                             nodes: int = 128, tolerance: float = 1e-6, seed: int = 0) -> None:
     """Isomorphism identity <f, g> = <F(P f), F g> over random compact pairs."""
     rng = np.random.default_rng(seed)
-    acc = Accumulator("plancherel-pairing", {"q": q, "pairs": pairs, "nodes": nodes}, seed)
     spec = QuadratureSpec(nodes)
     for k in (1, 2, 3):
         states = list(weyl_vectors_in_box(k, -3, 3))
@@ -200,15 +193,13 @@ def check_plancherel_pairing(q: float = 0.5, pairs: int = 20, nodes: int = 128,
                 for m, vm in g.items():
                     rhs += vn * vm * B[idx[n], idx[m]]
             acc.add(f"k={k}", lhs, rhs, tolerance)
-    return acc.report()
 
 
-def check_biorthogonality_spatial(q: float = 0.5, box_radius: int = 3, nodes: int = 128,
-                                  tolerance: float = 1e-6, seed: int = 0) -> Report:
+def check_biorthogonality_spatial(acc: Accumulator, q: float = 0.5, box_radius: int = 3,
+                                  nodes: int = 128, tolerance: float = 1e-6,
+                                  seed: int = 0) -> None:
     """Spectral pairing of left and right eigenfunctions is the delta in
     the spatial labels (single-circle form for k <= 3, string form k <= 2)."""
-    acc = Accumulator("biorthogonality-spatial",
-                      {"q": q, "box": box_radius, "nodes": nodes}, seed)
     spec = QuadratureSpec(nodes)
     for k in (1, 2, 3):
         states = list(weyl_vectors_in_box(k, -box_radius, box_radius))
@@ -218,14 +209,12 @@ def check_biorthogonality_spatial(q: float = 0.5, box_radius: int = 3, nodes: in
         states = list(weyl_vectors_in_box(k, -box_radius, box_radius))
         T = composition_table(states, nested_contours(k, q, r_k=0.3), spec, q, mode="expanded")
         _delta_table_check(acc, f"k={k} expanded", states, T, tolerance)
-    return acc.report()
 
 
-def check_orthogonality_spectral(q: float = 0.5, tolerance: float = 1e-5,
-                                 seed: int = 0) -> Report:
+def check_orthogonality_spectral(acc: Accumulator, q: float = 0.5, tolerance: float = 1e-5,
+                                 seed: int = 0) -> None:
     """Spectral orthogonality of left and right eigenfunctions (the base
     family, i.e. the eps = 1 member), with certified spatial tails."""
-    acc = Accumulator("orthogonality-spectral", {"q": q}, seed)
     eps = 1.0
     cases = []
     F1 = admissible_F(1, eps, [2])
@@ -240,7 +229,6 @@ def check_orthogonality_spectral(q: float = 0.5, tolerance: float = 1e-5,
         nonzero = max(nonzero, abs(r["rhs"]))
     acc.add_residual("nonvacuous (some case has |rhs| > 0.01)",
                      0.0 if nonzero > 0.01 else 1.0, tolerance)
-    return acc.report()
 
 
 def _random_analytic_F(rng: np.random.Generator):
@@ -258,8 +246,8 @@ def _random_analytic_F(rng: np.random.Generator):
     return fn
 
 
-def check_residue_expansion(q: float = 0.25, n_functions: int = 5,
-                            tolerance: float = 1e-6, seed: int = 0) -> Report:
+def check_residue_expansion(acc: Accumulator, q: float = 0.25, n_functions: int = 5,
+                            tolerance: float = 1e-6, seed: int = 0) -> None:
     """Nested integral of the scattering kernel equals its partition
     expansion over string-specialized integrals, for analytic symmetric F.
 
@@ -273,10 +261,9 @@ def check_residue_expansion(q: float = 0.25, n_functions: int = 5,
     """
     rng = np.random.default_rng(seed)
     r_k = min(0.3, 0.6 * (1.0 - q) / (1.0 + q))
-    acc = Accumulator("residue-expansion",
-                      {"q": q, "functions": n_functions, "string_radius": r_k}, seed)
+    acc.params["string_radius"] = r_k
     target = tolerance / 100.0
-    quadrature = {}
+    quadrature = acc.params["quadrature"] = {}
     for k in (1, 2, 3, 4):
         cs = nested_contours(k, q, r_k=r_k, margin=0.5)
         Fs = [_random_analytic_F(rng) for _ in range(n_functions)]
@@ -293,16 +280,13 @@ def check_residue_expansion(q: float = 0.25, n_functions: int = 5,
         for i in range(n_functions):
             acc.add(f"k={k} F#{i}", sides["nested"].values[i], sides["sum"].values[i],
                     tolerance)
-    acc.params["quadrature"] = quadrature
-    return acc.report()
 
 
-def check_residue_weight(q: float = 0.5, trials: int = 3, tolerance: float = 1e-10,
-                         seed: int = 0) -> Report:
+def check_residue_weight(acc: Accumulator, q: float = 0.5, trials: int = 3,
+                         tolerance: float = 1e-10, seed: int = 0) -> None:
     """Direct index-cancellation residue of the scattering kernel against
     its Cauchy-determinant closed form, for every partition of k <= 4."""
     rng = np.random.default_rng(seed)
-    acc = Accumulator("residue-weight", {"q": q, "trials": trials}, seed)
     for k in range(1, 5):
         for lam in partitions_of(k):
             for _ in range(trials):
@@ -310,15 +294,13 @@ def check_residue_weight(q: float = 0.5, trials: int = 3, tolerance: float = 1e-
                 a = residue_weight_direct(lam, list(w), q)
                 b = residue_weight_determinant(lam, list(w), q)
                 acc.add(f"k={k} lam={lam.parts}", a, b, tolerance)
-    return acc.report()
 
 
-def check_measure_consistency(q: float = 0.5, trials: int = 3, tolerance: float = 1e-12,
-                              seed: int = 0) -> Report:
+def check_measure_consistency(acc: Accumulator, q: float = 0.5, trials: int = 3,
+                              tolerance: float = 1e-12, seed: int = 0) -> None:
     """The three printed normalizations of the string measure coincide
     (they differ by exponent bookkeeping that cancels since |lam| = k)."""
     rng = np.random.default_rng(seed)
-    acc = Accumulator("measure-consistency", {"q": q, "trials": trials}, seed)
     for k in range(1, 7):
         for lam in partitions_of(k):
             for _ in range(trials):
@@ -328,4 +310,3 @@ def check_measure_consistency(q: float = 0.5, trials: int = 3, tolerance: float 
                 c = mu_weight_vandermonde(lam, list(w), q)
                 acc.add(f"k={k} lam={lam.parts} appendix", a, b, tolerance)
                 acc.add(f"k={k} lam={lam.parts} vandermonde", a, c, tolerance)
-    return acc.report()

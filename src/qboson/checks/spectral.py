@@ -12,12 +12,13 @@ from qboson.generators import (
     boundary_residual,
     cluster_weight_diagonal,
     extended_apply,
+    free_apply,
     generator_apply,
     matrix_on_box,
     reflection_permutation,
 )
-from qboson.qcore import WeylVector
-from qboson.report import Accumulator, Report
+from qboson.qcore import WeylVector, cluster_decompose
+from qboson.report import Accumulator
 
 # generator kind acting on each eigenfunction side
 _SIDE_TO_GEN = {"left": "bwd", "cfwd": "cfwd", "right": "fwd"}
@@ -31,11 +32,10 @@ def _model_cases(q: float, eps: float):
     ]
 
 
-def check_eigen_relation(q: float = 0.5, eps: float = 0.6, samples: int = 100,
-                         tolerance: float = 1e-10, seed: int = 0) -> Report:
+def check_eigen_relation(acc: Accumulator, q: float = 0.5, eps: float = 0.6,
+                         samples: int = 100, tolerance: float = 1e-10, seed: int = 0) -> None:
     """H Psi = E(z) Psi for all three sides of all three model families."""
     rng = np.random.default_rng(seed)
-    acc = Accumulator("eigen-relation", {"q": q, "eps": eps, "samples": samples}, seed)
     for model, qq, ee, center, kmax in _model_cases(q, eps):
         for _ in range(samples):
             k = int(rng.integers(1, kmax + 1))
@@ -48,14 +48,13 @@ def check_eigen_relation(q: float = 0.5, eps: float = 0.6, samples: int = 100,
                 lhs = generator_apply(gk, psi, n)
                 rhs = fam.eigenvalue(z) * psi(n)
                 acc.add(f"{model}-{side} k={k} n={n.coords}", lhs, rhs, tolerance)
-    return acc.report()
 
 
-def check_boundary_conditions(q: float = 0.5, eps: float = 0.6, samples: int = 100,
-                              tolerance: float = 1e-12, seed: int = 0) -> Report:
+def check_boundary_conditions(acc: Accumulator, q: float = 0.5, eps: float = 0.6,
+                              samples: int = 100, tolerance: float = 1e-12,
+                              seed: int = 0) -> None:
     """Two-body boundary residuals of the eigenfunctions vanish on diagonals."""
     rng = np.random.default_rng(seed)
-    acc = Accumulator("boundary-conditions", {"q": q, "eps": eps, "samples": samples}, seed)
     for model, qq, ee, center, kmax in _model_cases(q, eps):
         kmax = min(kmax, 4)
         for _ in range(samples):
@@ -77,14 +76,12 @@ def check_boundary_conditions(q: float = 0.5, eps: float = 0.6, samples: int = 1
                 res = boundary_residual(gk, u, i, n)
                 scale = 1.0 + abs(u(n.coords))
                 acc.add_residual(f"{model}-{side} k={k} i={i}", abs(res) / scale, tolerance)
-    return acc.report()
 
 
-def check_pt_invariance(q: float = 0.5, eps: float = 0.4, box_radius: int = 4,
-                        kmax: int = 3, tolerance: float = 1e-12, seed: int = 0) -> Report:
+def check_pt_invariance(acc: Accumulator, q: float = 0.5, eps: float = 0.4,
+                        box_radius: int = 4, kmax: int = 3, tolerance: float = 1e-12,
+                        seed: int = 0) -> None:
     """Backward = (R C) forward (R C)^{-1} entrywise on symmetric boxes."""
-    acc = Accumulator("pt-invariance",
-                      {"q": q, "eps": eps, "box": box_radius, "kmax": kmax}, seed)
     for model in ("qboson", "eps", "sd"):
         ee = eps if model == "eps" else 1.0
         for k in range(1, kmax + 1):
@@ -102,21 +99,17 @@ def check_pt_invariance(q: float = 0.5, eps: float = 0.4, box_radius: int = 4,
             acc.add_residual(f"{model} k={k}", float(resid), tolerance)
             # transpose identity comes along for free
             acc.add_residual(f"{model} k={k} transpose", float(np.abs(B.T - F).max()), tolerance)
-    return acc.report()
 
 
-def check_extended_operator(q: float = 0.5, samples: int = 60,
-                            tolerance: float = 1e-10, seed: int = 0) -> Report:
+def check_extended_operator(acc: Accumulator, q: float = 0.5, samples: int = 60,
+                            tolerance: float = 1e-10, seed: int = 0) -> None:
     """Whole-lattice operator reproduces the eigenrelation on symmetric
     extensions, at points whose equal coordinates sit in adjacent slots."""
     rng = np.random.default_rng(seed)
-    acc = Accumulator("extended-operator", {"q": q, "samples": samples}, seed)
     for _ in range(samples):
         k = int(rng.integers(1, 5))
         n_sorted = random_weyl(rng, k, lo=-4, hi=4)
         # shuffle cluster blocks, keeping ties adjacent
-        from qboson.qcore import cluster_decompose
-
         blocks = [n_sorted.coords[start:stop] for start, stop in cluster_decompose(n_sorted)]
         order = rng.permutation(len(blocks))
         coords = tuple(v for b in order for v in blocks[b])
@@ -130,8 +123,6 @@ def check_extended_operator(q: float = 0.5, samples: int = 60,
         rhs = (q - 1.0) * sum(z) * psi_ext(coords)
         acc.add(f"k={k} n={coords}", lhs, rhs, tolerance)
     # reduction to the free generator without ties
-    from qboson.generators import free_apply
-
     for _ in range(10):
         k = int(rng.integers(2, 5))
         base = sorted(rng.choice(np.arange(-5, 6), size=k, replace=False).tolist(), reverse=True)
@@ -146,4 +137,3 @@ def check_extended_operator(q: float = 0.5, samples: int = 60,
     # constant function: pure differences vanish
     lhs = extended_apply(lambda c: 1.0, (3, 3), q)
     acc.add("constant k=2", lhs, 0.0, tolerance)
-    return acc.report()

@@ -3,7 +3,8 @@ formulas, simulate the particle systems, and print transition kernels.
 
 Exit codes: 0 all requested checks pass, 1 at least one check failed,
 2 usage or configuration error, including a check of 'verify all' that
-rejected its parameters (its error row carries the reason).  Flags
+rejected its parameters (its error row carries the reason) and an
+arithmetic failure (overflow, a floating-point trap) of any command.  Flags
 override the JSON config file, which overrides built-in defaults.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from qboson.qcore import WeylVector
 from qboson.registry import REGISTRY, UnknownCheckError, run_all, run_check
-from qboson.report import emit_report
+from qboson.report import REJECTIONS, emit_report, rejection_reason
 
 
 def _parse_value(text: str):
@@ -59,8 +60,8 @@ def _cmd_verify(args) -> int:
     except UnknownCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TypeError, *REJECTIONS) as exc:
+        print(f"error: {rejection_reason(exc)}", file=sys.stderr)
         return 2
     for r in reports:
         print(r.summary_line())
@@ -114,8 +115,8 @@ def _cmd_moments(args) -> int:
         else:
             print(f"error: unknown model {args.model}", file=sys.stderr)
             return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except REJECTIONS as exc:
+        print(f"error: {rejection_reason(exc)}", file=sys.stderr)
         return 2
     out = {"model": args.model, "init": args.init, "t": args.t, "n": list(n),
            "alpha": args.alpha, "q": args.q, "value": [value.real, value.imag]}
@@ -163,8 +164,8 @@ def _cmd_simulate(args) -> int:
             print(json.dumps({"model": args.model, "t": args.t, "paths": args.paths,
                               "mean_final": [float(v) for v in arr.mean(axis=0)]}))
         return 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except REJECTIONS as exc:
+        print(f"error: {rejection_reason(exc)}", file=sys.stderr)
         return 2
 
 
@@ -179,8 +180,8 @@ def _cmd_transition(args) -> int:
                           "q": args.q, "method": args.method,
                           "probability": [v.real, v.imag]}))
         return 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except REJECTIONS as exc:
+        print(f"error: {rejection_reason(exc)}", file=sys.stderr)
         return 2
 
 

@@ -41,6 +41,7 @@ from qboson.eigenfunctions import (
     eigen_eval,
     fsum_complex,
 )
+from qboson.dynamics import mc_mean
 from qboson.plancherel import nested_kernel_grid
 from qboson.qcore import (
     WeylVector,
@@ -48,6 +49,7 @@ from qboson.qcore import (
     check_time,
     cluster_decompose,
     cq_weight,
+    negative_binomial_tail,
     q_factorial,
     q_pochhammer,
     weyl_vectors_in_box,
@@ -304,15 +306,7 @@ def cauchy_littlewood_check(k: int, q: float, z: Sequence[complex], w: Sequence[
     def _scat_sum(xs) -> float:
         return float(np.abs(EigenTable(fam, xs, validate=False).weights).sum())
 
-    C = _scat_sum(z) * _scat_sum(invw)
-    tail, s = 0.0, depth + 1
-    while True:
-        shell = math.comb(s + k - 1, k - 1) * rho**s
-        tail += shell
-        s += 1
-        if shell < 1e-22 * (1.0 + tail) or s > depth + 200000:
-            break
-    tail *= C
+    tail = _scat_sum(z) * _scat_sum(invw) * negative_binomial_tail(k, rho, depth)
     return {"lhs": total, "rhs": rhs, "tail_bound": tail}
 
 
@@ -396,17 +390,9 @@ def spectral_orthogonality_sides(F: Callable, G: Callable, eps: float, k: int,
     # Grow the state window until the tail bound certifies the remainder.
     n_hi = 8
     while True:
-        # certified bound on the terms beyond sum n > S = k * n_hi is
-        # CA CB sum_{s > S} #shell(s) ratio^s; grow the window until small
-        S = n_hi
-        tail, s = 0.0, S + 1
-        while True:
-            shell = math.comb(s + k - 1, k - 1) * ratio**s
-            tail += shell
-            s += 1
-            if shell < 1e-30 or s > S + 400000:
-                break
-        tail *= CA * CB
+        # certified bound on the terms beyond sum n > n_hi is
+        # CA CB sum_{s > n_hi} #shell(s) ratio^s; grow the window until small
+        tail = CA * CB * negative_binomial_tail(k, ratio, n_hi)
         if tail < 1e-9 or n_hi > 200:
             break
         n_hi += 16
@@ -495,14 +481,10 @@ class SdeResult:
     seed: int
 
     def moment(self, n: Sequence[int]) -> tuple[float, float]:
-        if self.Z.shape[0] < 2:
-            raise ValueError("a Monte Carlo moment needs paths >= 2 for its standard error")
         obs = np.ones(self.Z.shape[0])
         for ni in n:
             obs = obs * self.Z[:, ni - 1]
-        est = float(obs.mean())
-        se = float(obs.std(ddof=1) / math.sqrt(len(obs)))
-        return est, se
+        return mc_mean(obs)
 
 
 def _oy_euler_step(u: np.ndarray, xi: np.ndarray, s: int, h: float, log_h: float,

@@ -44,6 +44,7 @@ from qboson.qcore import (
     check_q,
     check_time,
     cq_weight_inv,
+    negative_binomial_tail,
     q_factorial,
     weyl_vectors_in_box,
 )
@@ -270,32 +271,27 @@ def qboson_sample_ensemble(n0: WeylVector, q: float, t: float, paths: int,
 # Duality initial data and moment formulas
 
 
-def h0_build(kind: str, k: int, N: int, q: float, alpha: float = 0.0):
-    """Duality initial data: a truncated CompactFn and the closed-form evaluator.
+def h0_build(kind: str, k: int, N: int, q: float, alpha: float = 0.0) -> CompactFn:
+    """Duality initial data, truncated to the box 1 <= n_k <= ... <= n_1 <= N.
 
-    step: prod_i 1_{n_i > 0} (truncated to n_1 <= N);
-    half-stationary: prod_j 1_{n_j > 0} (1 - alpha/q^j)^{-n_j}.
+    step: prod_i 1_{n_i > 0};
+    half-stationary: prod_j 1_{n_j > 0} (1 - alpha/q^j)^{-n_j}, which is
+    the step data at alpha = 0.
     """
     check_q(q)
     if kind == "step":
-        def evaluator(n: WeylVector) -> float:
-            return 1.0 if n.coords[-1] > 0 else 0.0
-    elif kind == "half-stationary":
-        if not (0.0 <= alpha < q**k):
-            raise ValueError("half-stationary data needs 0 <= alpha < q^k")
-
-        def evaluator(n: WeylVector) -> float:
-            if n.coords[-1] <= 0:
-                return 0.0
-            out = 1.0
-            for j, nj in enumerate(n.coords, start=1):
-                out *= (1.0 - alpha / q**j) ** (-nj)
-            return out
-    else:
+        alpha = 0.0
+    elif kind != "half-stationary":
         raise ValueError(f"unknown initial data {kind!r}")
-
-    table = {n: evaluator(n) for n in weyl_vectors_in_box(k, 1, N)}
-    return CompactFn(table), evaluator
+    elif not (0.0 <= alpha < q**k):
+        raise ValueError("half-stationary data needs 0 <= alpha < q^k")
+    table = {}
+    for n in weyl_vectors_in_box(k, 1, N):
+        out = 1.0
+        for j, nj in enumerate(n.coords, start=1):
+            out *= (1.0 - alpha / q**j) ** (-nj)
+        table[n] = out
+    return CompactFn(table)
 
 
 def moment_contours(spec: MomentSpec, r_k: float = 0.2, margin: float = 0.1) -> ContourSystem:
@@ -328,19 +324,24 @@ def moment_formula(spec: MomentSpec, cs: ContourSystem | None = None) -> complex
     return (-1.0) ** k * q ** (k * (k - 1) / 2.0) * integrate(cs, integrand, quad).value
 
 
+def mc_mean(obs: np.ndarray) -> tuple[float, float]:
+    """Monte Carlo mean of one observable value per path, with its standard
+    error: (estimate, stderr)."""
+    if len(obs) < 2:
+        raise ValueError("a Monte Carlo moment needs paths >= 2 for its standard error")
+    return float(obs.mean()), float(obs.std(ddof=1) / math.sqrt(len(obs)))
+
+
 def moment_mc(spec: MomentSpec, paths: int, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo moment over independent q-TASEP paths: (estimate, stderr)."""
-    if paths < 2:
-        raise ValueError("a Monte Carlo moment needs paths >= 2 for its standard error")
     rng = np.random.default_rng(seed)
     q = spec.q
-    x = qtasep_sample_ensemble(spec.N, spec.init, spec.alpha, q, spec.t, paths, rng)
-    obs = np.ones(paths)
+    # a negative count samples no path, so that mc_mean refuses it
+    x = qtasep_sample_ensemble(spec.N, spec.init, spec.alpha, q, spec.t, max(paths, 0), rng)
+    obs = np.ones(len(x))
     for ni in spec.n.coords:
         obs = obs * q ** (x[:, ni - 1] + ni).astype(float)
-    est = float(obs.mean())
-    se = float(obs.std(ddof=1) / math.sqrt(paths))
-    return est, se
+    return mc_mean(obs)
 
 
 # ---------------------------------------------------------------------------
@@ -555,17 +556,12 @@ def identity_halfstat_transform(k: int, q: float, alpha: float, z: Sequence[comp
         rhs *= (1.0 - zj) / (zj - alpha / q)
     # Tail certificate: |C_q^{-1}| max_sigma |scattering| times the count of
     # chamber points at each total size s > depth, summed geometrically.
+    # At most C(s-1, k-1) of them have size s (compositions into k positive
+    # parts), and shifting s by k makes that sum rho^k times the plain tail.
     scat_max = float(np.abs(table.weights).max())
     cmax = max(abs(cq_weight_inv(m, q)) for m in weyl_vectors_in_box(k, 0, k))
     C = cmax * math.factorial(k) * scat_max
-    tail, s = 0.0, depth + 1
-    while True:
-        shell = math.comb(s - 1, k - 1) * rho**s
-        tail += shell
-        s += 1
-        if shell < 1e-22 * (1.0 + tail) or s > depth + 100000:
-            break
-    tail *= C
+    tail = C * rho**k * negative_binomial_tail(k, rho, depth - k)
     return IdentityResult(
         "identity-halfstat-transform",
         {"k": k, "q": q, "alpha": alpha, "depth": depth},

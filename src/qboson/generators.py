@@ -315,7 +315,8 @@ def poisson_terms_needed(rate: float, tol: float) -> int:
         if J > rate and log_bound < math.log(tol):
             return J
         J += 1 + J // 8
-    raise RuntimeError("Poisson truncation did not converge")
+    raise ValueError(f"uniformization at rate * t = {rate:g} needs more than 10000000 "
+                     "Poisson terms")
 
 
 def uniformized_transition(

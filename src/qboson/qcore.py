@@ -310,6 +310,17 @@ def weyl_vectors_in_box(k: int, lo: int, hi: int) -> Iterator[WeylVector]:
     yield from rec([], hi)
 
 
+def negative_binomial_tail(k: int, rho: float, S: int) -> float:
+    """sum_{s > S} C(s+k-1, k-1) rho^s for 0 <= rho < 1: a geometric tail
+    weighted by the number of k-vectors of nonnegative integers summing to
+    s.  In closed form it is the finite negative-binomial tail
+    sum_{j < k} C(S+k, j) (1-rho)^(j-k) rho^(S+k-j), exact for S >= -1; a
+    smaller S sums the whole series, like S = -1."""
+    S = max(S, -1)
+    return sum(math.comb(S + k, j) * (1.0 - rho) ** (j - k) * rho ** (S + k - j)
+               for j in range(k))
+
+
 class CompactFn:
     """Finitely supported complex function on the Weyl chamber W^k.
 

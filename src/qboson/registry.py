@@ -1,10 +1,15 @@
-"""Registry of all named verification checks.
+"""Registry of all named verification checks, and the one place where
+their reports are made.
 
 Every check id maps to exactly one verified identity, recorded as a
-self-contained claim string, together with the callable producing a
-Report, whose keyword defaults (its ``tolerance`` among them) are the
-check's defaults.  Parameters passed to run_check must be keywords of
-that callable, and override its defaults.
+self-contained claim string, together with the check's function.  That
+function takes an Accumulator ``acc`` first and records its comparisons
+in it; its other keywords, ``tolerance`` and ``seed`` among them, are the
+check's knobs, and their defaults are the check's defaults.  `run_check`
+binds overrides to those keywords, refusing any other name, runs the check
+on a fresh Accumulator and finishes its report.  The report's params are
+every bound keyword but ``seed``, under its own name, so passing them back
+to `run_check` with the report's seed replays the run.
 """
 
 from __future__ import annotations
@@ -19,12 +24,12 @@ from qboson.checks import degeneration_checks as dg
 from qboson.checks import dynamics_checks as dy
 from qboson.checks import plancherel_checks as pl
 from qboson.checks import spectral as sp
-from qboson.report import Report, error_report
+from qboson.report import REJECTIONS, Accumulator, Report, error_report, rejection_reason
 
 
 @dataclass(frozen=True)
 class CheckDef:
-    fn: Callable[..., Report]
+    fn: Callable[..., None]
     claim: str
 
 
@@ -172,41 +177,56 @@ class UnknownCheckError(KeyError):
     pass
 
 
-def run_check(check_id: str, **overrides) -> Report:
-    """Run one named check; overrides must match the check's keyword set."""
+def _bind(check_id: str, overrides: dict) -> dict:
+    """The check's keywords after its leading ``acc``, at their defaults
+    with the overrides applied; an override of any other name is refused."""
     if check_id not in REGISTRY:
         raise UnknownCheckError(
             f"unknown check id {check_id!r}; known ids: {', '.join(sorted(REGISTRY))}"
         )
-    cd = REGISTRY[check_id]
-    sig = inspect.signature(cd.fn)
+    knobs = {p.name: p.default
+             for p in list(inspect.signature(REGISTRY[check_id].fn).parameters.values())[1:]}
     for key in overrides:
-        if key not in sig.parameters:
+        if key not in knobs:
             raise ValueError(f"check {check_id} does not accept parameter {key!r}")
-    return cd.fn(**overrides)
+    return {**knobs, **overrides}
+
+
+def _record(check_id: str, overrides: dict, catch: tuple = ()) -> Report:
+    """Run the check on a fresh Accumulator and finish its report, or, for
+    an exception in ``catch``, its error row with the same params."""
+    kwargs = _bind(check_id, overrides)
+    params = {k: v for k, v in kwargs.items() if k != "seed"}
+    acc = Accumulator(check_id, params, kwargs["seed"])
+    t0 = time.perf_counter()
+    try:
+        REGISTRY[check_id].fn(acc, **kwargs)
+    except catch as exc:
+        return error_report(check_id, params, rejection_reason(exc), kwargs["seed"],
+                            (time.perf_counter() - t0) * 1000.0)
+    return acc.report()
+
+
+def run_check(check_id: str, **overrides) -> Report:
+    """Run one named check; any exception it raises propagates."""
+    return _record(check_id, overrides)
 
 
 def _run_with_common(cid: str, common: dict) -> Report:
-    """Run one check with the common parameters it accepts.  A check that
-    rejects its configuration with a ValueError (ContourError among them)
-    becomes an error row carrying the reason, so that a run goes on."""
-    sig = inspect.signature(REGISTRY[cid].fn)
-    params = {k: v for k, v in common.items() if k in sig.parameters}
-    t0 = time.perf_counter()
-    try:
-        return run_check(cid, **params)
-    except ValueError as exc:
-        settings = {**{k: p.default for k, p in sig.parameters.items()}, **params}
-        return error_report(cid, params, str(exc), settings["tolerance"], settings["seed"],
-                            (time.perf_counter() - t0) * 1000.0)
+    """Run one check with the common parameters it accepts; one that
+    rejects them (`report.REJECTIONS`) becomes an error row carrying the
+    reason, so that a run goes on."""
+    knobs = _bind(cid, {})
+    return _record(cid, {k: v for k, v in common.items() if k in knobs}, REJECTIONS)
 
 
 def run_all(common: dict | None = None, jobs: int = 1,
             check_ids: list[str] | None = None) -> list[Report]:
     """Run several checks (default all), in registry order, optionally in
     parallel; the returned list follows registry order regardless.  Every
-    check runs: one whose parameters it rejects (ValueError) yields an
-    error row (`Report.is_error`) instead of stopping the run.
+    check runs: one that rejects its parameters (ValueError or
+    ArithmeticError) yields an error row (`Report.is_error`) instead of
+    stopping the run.
 
     With jobs > 1 the checks run in a pool of min(jobs, #checks, #cpus)
     worker processes, started fresh (spawn), since the checks hold the

@@ -6,8 +6,11 @@ single (lhs, rhs) pair summarize the run.  The pass rule is
 (abs_err <= tolerance or rel_err <= tolerance) and tail_bound <= tolerance,
 with rel_err = abs_err / (1 + |rhs|).  A sigma-scaled comparison (error_kind
 "sigma") stores its deviation in standard errors in abs_err and has no
-rel_err: inf in memory, null in the strict JSON output, which writes every
-non-finite number as null.  A check that raised under `registry.run_all`
+rel_err: inf in memory, null in the strict JSON output.  The JSON and the
+CSV params column share one encoder, which writes every non-finite number
+as null.  A report's params are its check's keywords but the seed, under
+their own names, plus ``worst_case``, ``comparisons`` and what the check
+adds.  A check that raised one of `REJECTIONS` under `registry.run_all`
 becomes an error row (`error_report`): the reason in params["error"], NaN
 sides, inf errors, and a failing pass flag.
 """
@@ -22,8 +25,19 @@ import time
 from dataclasses import dataclass
 
 
+# The exceptions by which a check or a command rejects its configuration:
+# a ValueError names the bad setting, an ArithmeticError (an overflow, a
+# floating-point trap) is named by its type.
+REJECTIONS = (ValueError, ArithmeticError)
+
+
+def rejection_reason(exc: Exception) -> str:
+    return str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+
+
 def _jsonable(obj):
-    """Coerce numpy scalars and containers into plain JSON-ready values."""
+    """Plain JSON-ready values: numpy scalars unwrapped, complex numbers as
+    [re, im], and each non-finite number as None."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -33,17 +47,7 @@ def _jsonable(obj):
     if hasattr(obj, "item"):  # numpy scalar
         return _jsonable(obj.item())
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
-
-
-def _nonfinite_as_none(obj):
-    if isinstance(obj, dict):
-        return {k: _nonfinite_as_none(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_nonfinite_as_none(v) for v in obj]
+        return _jsonable([obj.real, obj.imag])
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
@@ -89,7 +93,7 @@ class Report:
         """to_dict() with each non-finite number as None, so that strict JSON
         can hold it: a sigma-scaled row has no rel_err, and an overflowed
         comparison or an infinite tolerance is still reported."""
-        return _nonfinite_as_none(self.to_dict())
+        return _jsonable(self.to_dict())
 
     def summary_line(self) -> str:
         if self.is_error:
@@ -102,14 +106,14 @@ class Report:
         )
 
 
-def error_report(check_id: str, params: dict, reason: str, tolerance: float, seed: int,
+def error_report(check_id: str, params: dict, reason: str, seed: int,
                  runtime_ms: float) -> Report:
-    """The row of a check that raised: the reason goes in params["error"],
-    both sides are NaN and both errors inf (null in strict JSON), and the
-    row fails."""
+    """The row of a check that raised, at the tolerance in its params: the
+    reason goes in params["error"], both sides are NaN and both errors inf
+    (null in strict JSON), and the row fails."""
     nan = complex(math.nan, math.nan)
     return Report(check_id, {**params, "error": reason}, nan, nan, math.inf, math.inf, 0.0,
-                  tolerance, False, runtime_ms, seed)
+                  params["tolerance"], False, runtime_ms, seed)
 
 
 class Accumulator:
@@ -193,27 +197,16 @@ def reports_to_json(reports: list[Report]) -> str:
 
 
 def reports_to_csv(reports: list[Report]) -> str:
-    """Flat CSV: params serialized as one JSON column, complex split re/im."""
+    """Flat CSV of to_dict(): params as one strict JSON column, complex
+    sides split re/im."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS)
+    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, extrasaction="ignore")
     writer.writeheader()
     for r in reports:
-        writer.writerow({
-            "check_id": r.check_id,
-            "params": json.dumps(r.params, sort_keys=True),
-            "lhs_re": repr(r.lhs.real),
-            "lhs_im": repr(r.lhs.imag),
-            "rhs_re": repr(r.rhs.real),
-            "rhs_im": repr(r.rhs.imag),
-            "abs_err": repr(r.abs_err),
-            "rel_err": repr(r.rel_err),
-            "tail_bound": repr(r.tail_bound),
-            "tolerance": repr(r.tolerance),
-            "pass": r.passed,
-            "runtime_ms": repr(r.runtime_ms),
-            "seed": r.seed,
-            "error_kind": r.error_kind,
-        })
+        d = r.to_dict()
+        writer.writerow({**d, "params": json.dumps(d["params"], sort_keys=True, allow_nan=False),
+                         "lhs_re": d["lhs"][0], "lhs_im": d["lhs"][1],
+                         "rhs_re": d["rhs"][0], "rhs_im": d["rhs"][1]})
     return buf.getvalue()
 
 

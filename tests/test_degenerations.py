@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qboson.degenerations
-from qboson.checks.degeneration_checks import check_eps_plancherel
 from qboson.contours import QuadratureSpec, nested_contours, sd_nested_contours
 from qboson.degenerations import (
     SdeResult,
@@ -229,7 +228,7 @@ def test_eps_pipeline_reduction_and_eigen():
     lhs = generator_apply(gk, psi, n)
     assert abs(lhs - (Q - 1) * sum(z) * psi(n)) < 1e-12
     with pytest.raises(ValueError, match="needs eps > 0"):
-        check_eps_plancherel(q=Q, eps=0.0)
+        run_check("eps-plancherel", q=Q, eps=0.0)
 
 
 def test_eps_pipeline_plancherel_small():

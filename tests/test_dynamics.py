@@ -88,17 +88,19 @@ def test_moment_infeasible_contours():
 
 
 def test_h0_build():
-    f, ev = h0_build("step", 2, 3, Q)
-    assert ev(WeylVector((2, 1))) == 1.0
-    assert ev(WeylVector((2, 0))) == 0.0
-    assert ev(WeylVector((2, -1))) == 0.0
+    f = h0_build("step", 2, 3, Q)
+    assert f(WeylVector((2, 1))) == 1.0
+    assert f(WeylVector((2, 0))) == 0.0
+    assert f(WeylVector((2, -1))) == 0.0
     assert set(f.support()) == set(weyl_vectors_in_box(2, 1, 3))
-    f, ev = h0_build("half-stationary", 2, 3, Q, 0.1)
-    assert ev(WeylVector((2, 1))) == pytest.approx(2.6041666666666665)
-    fh0, ev0 = h0_build("half-stationary", 2, 3, Q, 0.0)
-    _, evs = h0_build("step", 2, 3, Q)
+    f = h0_build("half-stationary", 2, 3, Q, 0.1)
+    assert f(WeylVector((2, 1))) == pytest.approx(2.6041666666666665)
+    f0 = h0_build("half-stationary", 2, 3, Q, 0.0)
+    fs = h0_build("step", 2, 3, Q, 0.3)  # step data ignores alpha
     for n in weyl_vectors_in_box(2, -1, 3):
-        assert ev0(n) == evs(n)
+        assert f0(n) == fs(n)
+    with pytest.raises(ValueError, match="unknown initial data"):
+        h0_build("flat", 2, 3, Q)
     with pytest.raises(ValueError):
         h0_build("half-stationary", 2, 3, Q, 0.3)
 
@@ -205,7 +207,7 @@ def test_moment_mc_needs_two_paths(paths):
 def test_duality_triangle_half():
     spec = MomentSpec(WeylVector((2, 1)), 0.5, "half-stationary", alpha=0.1, q=Q)
     vf = moment_formula(spec)
-    f0, _ = h0_build("half-stationary", 2, 2, Q, 0.1)
+    f0 = h0_build("half-stationary", 2, 2, Q, 0.1)
     vb = solve_evolution("backward", "spectral", f0, 0.5, WeylVector((2, 1)), Q)
     vo = solve_evolution("backward", "ode-oracle", f0, 0.5, WeylVector((2, 1)), Q)
     assert abs(vf - vb) < 1e-8

@@ -4,6 +4,7 @@ import ast
 import functools
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -155,3 +156,42 @@ def test_benchmark_tracer_targets_resolve():
     for tg in tracer.QBOSON_TARGETS:
         obj = functools.reduce(getattr, tg.attr.split("."), importlib.import_module(tg.module))
         assert callable(obj), tg.name
+
+
+def report_constructions(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each call that constructs an Accumulator or a Report,
+    by bare name or as a module attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in ("Accumulator", "Report"):
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_report_construction_detection():
+    source = ("from qboson import report\n"
+              "from qboson.report import Accumulator\n"
+              "def check(acc: Accumulator, tolerance=1e-9):\n"
+              "    acc.add('x', 1, 1, tolerance)\n"
+              "def own():\n"
+              "    return Accumulator('x', {}, 0)\n"
+              "def built():\n"
+              "    return report.Report(*range(11))\n")
+    assert report_constructions(source) == [(6, "Accumulator"), (8, "Report")]
+
+
+def test_checks_leave_the_report_to_the_registry():
+    # registry.run_check is the one place that builds an Accumulator and
+    # finishes its report; a check only records comparisons in its ``acc``
+    found = [f"{path.relative_to(SRC.parent)}:{line} {name}"
+             for path in sorted((SRC / "checks").rglob("*.py"))
+             for line, name in report_constructions(path.read_text())]
+    assert not found, "checks that build their own report:\n" + "\n".join(found)
+    from qboson.registry import REGISTRY
+
+    wrong = [cid for cid, cd in REGISTRY.items()
+             if next(iter(inspect.signature(cd.fn).parameters), None) != "acc"]
+    assert not wrong, "checks whose first parameter is not acc: " + ", ".join(wrong)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 
 from qboson.qcore import (
     CompactFn,
@@ -15,6 +16,7 @@ from qboson.qcore import (
     cq_weight,
     cq_weight_inv,
     factorial_cluster_weight,
+    negative_binomial_tail,
     partitions_of,
     q_factorial,
     q_pochhammer,
@@ -192,3 +194,19 @@ def test_compact_fn():
         CompactFn({WeylVector((1,)): 1.0, WeylVector((1, 0)): 1.0})
     d = CompactFn.delta((2, 1))
     assert d(WeylVector((2, 1))) == 1.0
+
+
+@pytest.mark.parametrize("k,rho,S", [(1, 0.15, 40), (2, 0.6, 200), (3, 0.3, 50), (4, 0.9, 10),
+                                     (2, 0.05, 8), (3, 0.15, 70), (1, 0.7, 0)])
+def test_negative_binomial_tail_is_the_regularized_beta(k, rho, S):
+    # sum_{s > S} C(s+k-1, k-1) rho^s = I_rho(S+1, k) / (1-rho)^k
+    exact = betainc(S + 1, k, rho) / (1.0 - rho) ** k
+    assert negative_binomial_tail(k, rho, S) == pytest.approx(exact, rel=1e-14)
+    # the partial sums it replaces, summed far past any rounding
+    direct = math.fsum(math.comb(s + k - 1, k - 1) * rho**s for s in range(S + 1, S + 4000))
+    assert negative_binomial_tail(k, rho, S) == pytest.approx(direct, rel=1e-12)
+
+
+def test_negative_binomial_tail_below_zero_is_the_whole_series():
+    for S in (-1, -3):
+        assert negative_binomial_tail(3, 0.5, S) == pytest.approx(8.0, rel=1e-15)

@@ -1,4 +1,6 @@
+import csv
 import inspect
+import io
 import json
 import math
 import subprocess
@@ -362,7 +364,9 @@ def test_run_all_turns_a_raising_check_into_an_error_row(jobs):
                       jobs=jobs)
     bad, good = reports
     assert bad.is_error and not bad.passed
-    assert bad.params == {"q": 0.9, "error": "innermost circle contains 0.45"}
+    # the row carries every knob of the check, at its bound value
+    assert bad.params == {"q": 0.9, "eps": 0.5, "nodes": 128, "tolerance": 1e-6,
+                          "error": "innermost circle contains 0.45"}
     assert bad.summary_line() == "ERROR eps-plancherel: innermost circle contains 0.45"
     d = _strict_loads(reports_to_json([bad]))[0]
     assert d["lhs"] == [None, None] and d["abs_err"] is None and d["pass"] is False
@@ -404,3 +408,58 @@ def test_cli_rejects_a_nonfinite_time(capsys, args):
     code, err = _cli_in_process(capsys, *args)
     assert code == 2
     assert "t must be a finite number >= 0" in err
+
+
+@pytest.mark.parametrize("check,overrides", [
+    ("pt-invariance", {"box_radius": 3, "kmax": 2}),
+    ("residue-weight", {"trials": 2}),
+    ("identity-mqinverse", {"m_max": 4}),
+    ("cauchy-littlewood", {"depth": 30}),
+    ("hl-identification", {"n_max": 4}),
+])
+def test_report_params_replay_the_run(check, overrides):
+    # a report's params are its check's keywords under their own names, so
+    # passing them back (with the seed) reruns the same comparisons
+    first = run_check(check, seed=3, q=0.4, **overrides)
+    knobs = {k: v for k, v in first.params.items() if k not in ("worst_case", "comparisons")}
+    assert set(knobs) == set(inspect.signature(REGISTRY[check].fn).parameters) - {"acc", "seed"}
+    again = run_check(check, seed=first.seed, **knobs)
+    assert (again.lhs, again.rhs, again.abs_err, again.rel_err) == (
+        first.lhs, first.rhs, first.abs_err, first.rel_err)
+
+
+def test_cli_rejects_the_accumulator_as_a_param(capsys):
+    code, err = _cli_in_process(capsys, "verify", "residue-weight", "--param", "acc=1")
+    assert code == 2
+    assert "does not accept parameter 'acc'" in err
+
+
+@pytest.mark.parametrize("args,reason", [
+    # the k = 1 Poisson closed form of the check overflows
+    (("verify", "backward-solver", "--param", "t=1e300"), "OverflowError: "),
+    # the integrand overflows on the quadrature nodes
+    (("moments", "--model", "sd", "--init", "delta", "--t", "1e300", "--n", "2,1"),
+     "FloatingPointError: integrand returned a non-finite value"),
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp",
+                            "ignore:invalid value encountered in multiply")
+def test_cli_arithmetic_errors_exit_2(capsys, args, reason):
+    code, err = _cli_in_process(capsys, *args)
+    assert code == 2
+    assert err.startswith("error: " + reason)
+
+
+def test_run_all_turns_arithmetic_errors_into_rows():
+    rows = run_all(common={"t": 1e300}, check_ids=["backward-solver", "transition-prob"])
+    assert [r.is_error for r in rows] == [True, True]
+    assert rows[0].params["error"].startswith("OverflowError: ")
+    assert "needs more than 10000000 Poisson terms" in rows[1].params["error"]
+    assert rows[0].params["t"] == 1e300 and rows[0].params["tolerance"] == 1e-6
+
+
+def test_nonfinite_params_are_null_in_json_and_csv():
+    row = run_all(common={"alpha": math.nan}, check_ids=["moment-half"])[0]
+    assert row.is_error and math.isnan(row.params["alpha"])
+    assert _strict_loads(reports_to_json([row]))[0]["params"]["alpha"] is None
+    params = next(csv.DictReader(io.StringIO(reports_to_csv([row]))))["params"]
+    assert _strict_loads(params)["alpha"] is None
