@@ -130,10 +130,15 @@ def check_moment_step(acc: Accumulator, q: float = 0.5, t: float = 0.5,
     _moment_check(acc, "step", 0.0, q, t, paths, tolerance, seed)
 
 
-def check_moment_half(acc: Accumulator, q: float = 0.5, t: float = 0.5, alpha: float = 0.1,
-                      paths: int = 1_000_000, tolerance: float = 1e-6,
-                      seed: int = 0) -> None:
-    """Half-stationary moments: formula = backward solution = simulation."""
+def check_moment_half(acc: Accumulator, q: float = 0.5, t: float = 0.5,
+                      alpha: float | None = None, paths: int = 1_000_000,
+                      tolerance: float = 1e-6, seed: int = 0) -> None:
+    """Half-stationary moments: formula = backward solution = simulation.
+    The sampled observable grows like q^{-k g} in the first gap g, so its
+    variance is finite only for alpha < q^{2k}: alpha defaults to
+    min(0.1, q^{2k}/2) at the largest k = 2, recorded in params."""
+    if alpha is None:
+        alpha = acc.params["alpha"] = min(0.1, q**4 / 2)
     _moment_check(acc, "half-stationary", alpha, q, t, paths, tolerance, seed)
 
 

@@ -41,7 +41,7 @@ from qboson.eigenfunctions import (
     eigen_eval,
     fsum_complex,
 )
-from qboson.dynamics import mc_mean
+from qboson.dynamics import map_path_shards, mc_mean
 from qboson.plancherel import nested_kernel_grid
 from qboson.qcore import (
     WeylVector,
@@ -522,53 +522,40 @@ def oy_simulate(N: int, t: float, dt: float, paths: int, seed: int = 0,
     d log Z_n = (Z_{n-1}/Z_n - 3/2) dt + dB_n once positive, entered via one
     drift-only Euler step from zero.  Positivity is automatic throughout.
 
-    One helper thread draws the Gaussians of the next block of
-    S = max(1, 2^17 // (paths N)) steps while this thread steps through
-    the current one, in two buffers.  A block of shape (S, paths, N) is the
-    same stream as S draws of shape (paths, N), and the helper is the only
-    user of the generator, so every sample depends on the seed alone, not on
-    thread timing or core count.  Raises ValueError when a returned Z is not
-    finite: the scheme overflowed, and a state that leaves the finite range
-    never returns to it.
+    Each shard of `dynamics.map_path_shards` draws its own (shard paths, N)
+    Gaussians per step and steps its columns of the site-major log-state in
+    place; the trajectory CSV records path 0.  Raises ValueError when a
+    returned Z is not finite: the scheme overflowed, and a state that leaves
+    the finite range never returns to it.
     """
     check_time(t)
     if not 0.0 < dt < math.inf:
         raise ValueError(f"need a finite dt > 0, got {dt}")
     if N < 1 or paths < 1:
         raise ValueError(f"need N >= 1 sites and paths >= 1, got N={N}, paths={paths}")
-    # Imported here, like registry.run_all's pool, to keep it off the import path.
-    from concurrent.futures import ThreadPoolExecutor
-
-    rng = np.random.default_rng(seed)
     steps = max(1, int(round(t / dt)))
     h = t / steps
     sqh = math.sqrt(h)
     log_h = math.log(h) if h > 0 else -np.inf
     u = np.full((N, paths), -np.inf)
     u[0] = 0.0
-    r = np.empty(paths)
-    S = max(1, (1 << 17) // (paths * N))
-    bufs = [np.empty((S, paths, N)) for _ in range(2)]
-
-    def draw(b: int) -> np.ndarray:
-        xi = bufs[b % 2][:min(S, steps - b * S)]
-        rng.standard_normal(out=xi)
-        return xi
-
     snap_every = max(1, steps // 64)
-    snapshots = []
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = helper.submit(draw, 0)
-        for b in range(-(-steps // S)):
-            xi = pending.result()
-            if (b + 1) * S < steps:
-                pending = helper.submit(draw, b + 1)
+
+    def shard(sl: slice, rng: np.random.Generator) -> list:
+        us = u[:, sl]  # this shard's columns of the site-major log-state
+        xi = np.empty((us.shape[1], N))
+        r = np.empty(us.shape[1])
+        record = trajectory_csv is not None and sl.start == 0 < sl.stop  # holds path 0
+        snapshots = []
+        for s in range(steps):
+            rng.standard_normal(out=xi)
             np.multiply(xi, sqh, out=xi)
-            for i in range(len(xi)):
-                s = b * S + i
-                _oy_euler_step(u, xi[i], s, h, log_h, r)
-                if trajectory_csv is not None and (s % snap_every == 0 or s == steps - 1):
-                    snapshots.append(((s + 1) * h, np.exp(np.ascontiguousarray(u[:, 0]))))
+            _oy_euler_step(us, xi, s, h, log_h, r)
+            if record and (s % snap_every == 0 or s == steps - 1):
+                snapshots.append(((s + 1) * h, np.exp(us[:, 0])))
+        return snapshots
+
+    snapshots = sum(map_path_shards(paths, seed, shard), [])
     Z = np.ascontiguousarray(u.T)
     with np.errstate(over="ignore"):
         np.exp(Z, out=Z)

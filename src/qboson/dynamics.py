@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -332,15 +333,39 @@ def mc_mean(obs: np.ndarray) -> tuple[float, float]:
     return float(obs.mean()), float(obs.std(ddof=1) / math.sqrt(len(obs)))
 
 
+SHARDS = 8  # fixed, so that no sample depends on the core count
+
+
+def map_path_shards(paths: int, seed: int, fn: Callable) -> list:
+    """Call ``fn(path_slice, rng)`` for each shard i = 0 .. SHARDS-1 on
+    min(SHARDS, cpus) threads, and return the results in shard order.
+
+    Shard i holds the paths [paths i // SHARDS, paths (i+1) // SHARDS),
+    possibly none, and the i-th generator spawned from the seed.  Each shard
+    writes only its own slice of the caller's output, so the samples depend
+    on the seed alone, not on the core count or thread timing.  The first
+    shard that raises re-raises here.
+    """
+    # Imported here, like registry.run_all's pool, to keep it off the import path.
+    from concurrent.futures import ThreadPoolExecutor
+
+    slices = [slice(paths * i // SHARDS, paths * (i + 1) // SHARDS) for i in range(SHARDS)]
+    rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(SHARDS))
+    with ThreadPoolExecutor(min(SHARDS, os.cpu_count() or 1)) as pool:
+        return list(pool.map(fn, slices, rngs))
+
+
 def moment_mc(spec: MomentSpec, paths: int, seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo moment over independent q-TASEP paths: (estimate, stderr)."""
-    rng = np.random.default_rng(seed)
-    q = spec.q
-    # a negative count samples no path, so that mc_mean refuses it
-    x = qtasep_sample_ensemble(spec.N, spec.init, spec.alpha, q, spec.t, max(paths, 0), rng)
-    obs = np.ones(len(x))
-    for ni in spec.n.coords:
-        obs = obs * q ** (x[:, ni - 1] + ni).astype(float)
+    """Monte Carlo moment over independent q-TASEP paths, each path shard
+    writing its own slice of the observable: (estimate, stderr)."""
+    obs = np.ones(max(paths, 0))  # a negative count samples no path, so that mc_mean refuses it
+
+    def shard(sl: slice, rng: np.random.Generator) -> None:
+        x = qtasep_sample_ensemble(spec.N, spec.init, spec.alpha, spec.q, spec.t, len(obs[sl]), rng)
+        for ni in spec.n.coords:
+            obs[sl] *= spec.q ** (x[:, ni - 1] + ni).astype(float)
+
+    map_path_shards(len(obs), seed, shard)
     return mc_mean(obs)
 
 

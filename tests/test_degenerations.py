@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 
@@ -28,6 +29,7 @@ from qboson.degenerations import (
     sd_moment_poisson_chain,
     spectral_orthogonality_sides,
 )
+from qboson.dynamics import MomentSpec, moment_mc
 from qboson.eigenfunctions import EigenFamily, eigen_eval
 from qboson.plancherel import composition_table, mu_density_grid
 from qboson.qcore import Partition, WeylVector, cq_weight, weyl_vectors_in_box
@@ -304,10 +306,20 @@ def test_oy_trajectory_csv(tmp_path):
     assert len(lines) > 2
 
 
+def _shard_streams(paths, seed):
+    """The fixed path layout written out: eight contiguous shards, shard i
+    holding paths [paths i // 8, paths (i+1) // 8) and drawing from the i-th
+    stream spawned from the seed."""
+    seqs = np.random.SeedSequence(seed).spawn(8)
+    return [(paths * i // 8, paths * (i + 1) // 8, np.random.default_rng(sq))
+            for i, sq in enumerate(seqs)]
+
+
 def _naive_oy_simulate(N, t, dt, paths, seed, trajectory_csv):
-    """Reference sampler, written plainly: path-major state, one (paths, N) draw
-    per step, masked births at every step."""
-    rng = np.random.default_rng(seed)
+    """Reference sampler, written plainly: path-major state, one (paths, N)
+    draw per step stacked from the shards' streams, masked births at every
+    step."""
+    shards = _shard_streams(paths, seed)
     steps = max(1, int(round(t / dt)))
     h = t / steps
     sqh = math.sqrt(h)
@@ -316,7 +328,7 @@ def _naive_oy_simulate(N, t, dt, paths, seed, trajectory_csv):
     log_h = math.log(h) if h > 0 else -np.inf
     snapshots = []
     for s in range(steps):
-        xi = rng.standard_normal((paths, N))
+        xi = np.concatenate([rng.standard_normal((hi - lo, N)) for lo, hi, rng in shards])
         unew = np.empty_like(u)
         unew[:, 0] = u[:, 0] - 1.5 * h + sqh * xi[:, 0]
         for n_ in range(1, N):
@@ -339,12 +351,14 @@ def _naive_oy_simulate(N, t, dt, paths, seed, trajectory_csv):
 
 OY_GRID = [(N, t, dt, 50, seed) for N in range(1, 6) for seed in (0, 7)
            for t, dt in ((0, 1e-3), (0.002, 1e-3), (0.05, 1e-3), (0.3, 0.01), (1, 0.5))]
-# blocks of two steps ending in a one-step block; two blocks of 6553 and 47 steps
-OY_BLOCKS = [(3, 0.051, 1e-3, 15_000, 3), (2, 6.6, 1e-3, 10, 5)]
+# fewer paths than shards (some shards empty, path 0 not in the first),
+# counts not divisible by eight, equal shards of 1875, and 6600 steps
+OY_SHARDS = [(3, 0.3, 0.01, 1, 2), (2, 0.05, 1e-3, 3, 0), (4, 0.3, 0.01, 7, 9),
+             (2, 0.3, 0.01, 13, 1), (3, 0.051, 1e-3, 15_000, 3), (2, 6.6, 1e-3, 10, 5)]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
-@pytest.mark.parametrize("N,t,dt,paths,seed", OY_GRID + OY_BLOCKS)
+@pytest.mark.parametrize("N,t,dt,paths,seed", OY_GRID + OY_SHARDS)
 def test_oy_simulate_bit_equal_to_naive_loop(tmp_path, N, t, dt, paths, seed):
     want = _naive_oy_simulate(N, t, dt, paths, seed, tmp_path / "naive.csv")
     if not np.isfinite(want).all():
@@ -375,15 +389,15 @@ def test_oy_simulate_joins_its_helper_thread(monkeypatch):
 
     monkeypatch.setattr(qboson.degenerations, "_oy_euler_step", failing_step)
     with pytest.raises(RuntimeError, match="step failed"):
-        oy_simulate(2, 0.1, 1e-3, 70_000, seed=1)  # one step per block
+        oy_simulate(2, 0.1, 1e-3, 70_000, seed=1)  # every shard raises at step 3
     assert threading.active_count() == before
 
 
 def test_oy_simulate_concurrent_calls_are_seed_determined(tmp_path):
-    # three calls at once, each with its own helper thread, on fewer cores
+    # three calls at once, each with its own shard threads, on fewer cores
     # and with a short switch interval: every result must still equal the
     # serial reference of its seed
-    args = (3, 0.051, 1e-3, 15_000)  # 26 blocks of at most two steps
+    args = (3, 0.051, 1e-3, 15_000)  # 51 steps of eight shards of 1875 paths
     want = {seed: _naive_oy_simulate(*args, seed, tmp_path / f"{seed}.csv") for seed in (1, 2, 3)}
     got = {}
     interval = sys.getswitchinterval()
@@ -400,6 +414,18 @@ def test_oy_simulate_concurrent_calls_are_seed_determined(tmp_path):
     assert not any(w.is_alive() for w in workers)
     assert {seed: z.tobytes() for seed, z in got.items()} == {
         seed: z.tobytes() for seed, z in want.items()}
+
+
+def test_samplers_do_not_depend_on_the_core_count(monkeypatch):
+    # the shard layout is fixed, so one worker, two workers and an unknown
+    # core count (one worker) give the same samples
+    spec = MomentSpec(WeylVector((2, 1)), 0.5, "half-stationary", alpha=0.03, q=0.5)
+    got = {}
+    for cpus in (1, 2, None):
+        monkeypatch.setattr(os, "cpu_count", lambda c=cpus: c)
+        got[cpus] = (oy_simulate(3, 0.2, 1e-2, 1001, seed=8).Z.tobytes(),
+                     moment_mc(spec, 5001, seed=9))
+    assert got[1] == got[2] == got[None]
 
 
 @pytest.mark.parametrize("N,paths", [(0, 10), (-1, 10), (2, 0), (2, -3)])

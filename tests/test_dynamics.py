@@ -197,6 +197,34 @@ def test_moment_mc_matches_formula():
     assert se < se_small
 
 
+def _sequential_moment_mc(spec, paths, seed):
+    """moment_mc written plainly: the eight shards of the fixed layout, one
+    after another, each with its own spawned stream, then one mean."""
+    streams = np.random.SeedSequence(seed).spawn(8)
+    obs = []
+    for i, sq in enumerate(streams):
+        x = qtasep_sample_ensemble(spec.N, spec.init, spec.alpha, spec.q, spec.t,
+                                   paths * (i + 1) // 8 - paths * i // 8,
+                                   np.random.default_rng(sq))
+        part = np.ones(len(x))
+        for ni in spec.n.coords:
+            part = part * spec.q ** (x[:, ni - 1] + ni).astype(float)
+        obs.append(part)
+    obs = np.concatenate(obs)
+    return float(obs.mean()), float(obs.std(ddof=1) / math.sqrt(len(obs)))
+
+
+@pytest.mark.parametrize("init,alpha,n,paths,seed", [
+    ("step", 0.0, (2, 1), 4000, 3),
+    ("half-stationary", 0.03, (2, 1), 4003, 4),
+    ("half-stationary", 0.1, (1,), 5, 5),
+    ("step", 0.0, (3, 1, 1), 2, 6),
+])
+def test_moment_mc_bit_equal_to_sequential_shards(init, alpha, n, paths, seed):
+    spec = MomentSpec(WeylVector(n), 0.5, init, alpha=alpha, q=Q)
+    assert moment_mc(spec, paths, seed=seed) == _sequential_moment_mc(spec, paths, seed)
+
+
 @pytest.mark.parametrize("paths", [-1, 0, 1])
 def test_moment_mc_needs_two_paths(paths):
     spec = MomentSpec(WeylVector((1,)), 0.5, "step", q=Q)
