@@ -21,6 +21,7 @@ from qboson.degenerations import (
     oy_simulate,
     psi_cfwd_eps_derivative,
     psi_left_eps_derivative,
+    SD_Q,
     sd_moment_formula,
     sd_moment_poisson_chain,
     spectral_orthogonality_sides,
@@ -30,9 +31,6 @@ from qboson.generators import GeneratorKind, generator_apply
 from qboson.plancherel import composition_table
 from qboson.qcore import WeylVector, factorial_cluster_weight, weyl_vectors_in_box
 from qboson.report import Accumulator
-
-SD_Q = 0.5  # the semi-discrete family carries no q; composition_table still takes one
-
 
 def check_eps_plancherel(acc: Accumulator, q: float = 0.5, eps: float = 0.5,
                          nodes: int = 128, tolerance: float = 1e-6, seed: int = 0) -> None:

@@ -15,7 +15,6 @@ from qboson.dynamics import (
     identity_halfstat_transform,
     identity_mqinverse,
     identity_qbinomial,
-    moment_contours,
     moment_formula,
     moment_mc,
     solve_evolution,
@@ -100,18 +99,23 @@ def check_transition_prob(acc: Accumulator, q: float = 0.5, t: float = 1.0,
 
 def _moment_check(acc: Accumulator, init: str, alpha: float, q: float, t: float, paths: int,
                   tolerance: float, seed: int) -> None:
-    # k = 1, n = 1 closed form (residue at the base point)
-    spec1 = MomentSpec(WeylVector((1,)), t, init, alpha=alpha, q=q)
-    v1 = moment_formula(spec1)
+    # k = 1, n = 1 closed forms (residue at the base point)
     if init == "step":
-        acc.add("k=1 n=1 exact exp((q-1)t)", v1, math.exp((q - 1.0) * t), 1e-10)
+        acc.add("k=1 n=1 exact exp((q-1)t)", moment_formula(MomentSpec(WeylVector((1,)), t, q=q)),
+                math.exp((q - 1.0) * t), 1e-10)
     else:
         spec0 = MomentSpec(WeylVector((1,)), 0.0, init, alpha=alpha, q=q)
-        acc.add("k=1 t=0 geometric series", moment_formula(spec0),
-                1.0 / (1.0 - alpha / q), 1e-10)
-    # contour re-choice invariance
-    v1b = moment_formula(spec1, cs=moment_contours(spec1, r_k=0.12, margin=0.14))
-    acc.add("k=1 contour invariance", v1, v1b, 1e-8)
+        acc.add("k=1 t=0 geometric series", moment_formula(spec0), 1.0 / (1.0 - alpha / q), 1e-10)
+    # string-circle re-choice invariance: the default radius and half of it
+    spec2 = MomentSpec(WeylVector((2, 1)), t, init, alpha=alpha, q=q)
+    v2 = moment_formula(spec2)
+    acc.add("k=2 string-radius invariance", v2, moment_formula(spec2, radius=v2.radius / 2), 1e-8)
+    # k = 3 against the matrix oracle alone: no Monte Carlo row, so that
+    # moment-half's default alpha (set by its sampled k <= 2) stands
+    n3 = WeylVector((2, 1, 1))
+    vo = solve_evolution("backward", "ode-oracle", h0_build(init, 3, 2, q, alpha), t, n3, q)
+    acc.add("k=3 n=(2, 1, 1) formula vs ode",
+            moment_formula(MomentSpec(n3, t, init, alpha=alpha, q=q)), vo, tolerance)
     for k, n in ((1, WeylVector((2,))), (2, WeylVector((2, 1))), (2, WeylVector((1, 1)))):
         spec = MomentSpec(n, t, init, alpha=alpha, q=q)
         vf = moment_formula(spec)

@@ -14,6 +14,7 @@ from qboson.contours import (
     nested_contours,
     plan_nodes,
     single_gamma,
+    string_circle,
 )
 from qboson.degenerations import admissible_F, spectral_orthogonality_sides
 from qboson.eigenfunctions import EigenFamily, EigenTable, p_map
@@ -262,6 +263,7 @@ def check_residue_expansion(acc: Accumulator, q: float = 0.25, n_functions: int 
     rng = np.random.default_rng(seed)
     r_k = min(0.3, 0.6 * (1.0 - q) / (1.0 + q))
     acc.params["string_radius"] = r_k
+    circle = string_circle(q, radius=r_k)
     target = tolerance / 100.0
     quadrature = acc.params["quadrature"] = {}
     for k in (1, 2, 3, 4):
@@ -270,7 +272,7 @@ def check_residue_expansion(acc: Accumulator, q: float = 0.25, n_functions: int 
         sides = {
             "nested": plan_nodes(lambda spec: residue_expand_nested(Fs, cs, spec, q),
                                  target, default_nodes(k)),
-            "sum": plan_nodes(lambda spec: residue_expand_sum(Fs, k, cs, spec, q),
+            "sum": plan_nodes(lambda spec: residue_expand_sum(Fs, k, circle, spec, q),
                               target, default_nodes(k)),
         }
         quadrature[f"k={k}"] = {

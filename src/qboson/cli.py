@@ -104,22 +104,20 @@ def _cmd_moments(args) -> int:
                 print("error: q-TASEP moments need --init step|half", file=sys.stderr)
                 return 2
             spec = MomentSpec(WeylVector(n), args.t, init, alpha=args.alpha, q=args.q)
-            value = moment_formula(spec)
-        elif args.model == "sd":
+            res = moment_formula(spec)
+        else:  # argparse admits qtasep and sd only
             from qboson.degenerations import sd_moment_formula
 
             if args.init != "delta":
                 print("error: semi-discrete moments implement --init delta", file=sys.stderr)
                 return 2
-            value = sd_moment_formula(WeylVector(n), args.t)
-        else:
-            print(f"error: unknown model {args.model}", file=sys.stderr)
-            return 2
+            res = sd_moment_formula(WeylVector(n), args.t)
     except REJECTIONS as exc:
         print(f"error: {rejection_reason(exc)}", file=sys.stderr)
         return 2
     out = {"model": args.model, "init": args.init, "t": args.t, "n": list(n),
-           "alpha": args.alpha, "q": args.q, "value": [value.real, value.imag]}
+           "alpha": args.alpha, "q": args.q, "value": [res.value.real, res.value.imag],
+           "radius": res.radius, "nodes": res.nodes, "error_estimate": res.error_estimate}
     print(json.dumps(out))
     return 0
 

@@ -2,7 +2,8 @@
 
 The transforms and moment formulas are k-fold integrals over nested circles
 whose validity rests on a handful of containment inequalities.  Contour
-systems are built here and validated before use; `integrate` evaluates the
+systems are built here and validated before use, as is the one small circle
+of a string expansion (`string_circle`); `integrate` evaluates the
 k-fold product trapezoidal rule (geometrically convergent for integrands
 analytic near the circles) with an embedded-subgrid error estimate;
 `plan_nodes` doubles a node count until such an estimate meets a target;
@@ -75,19 +76,17 @@ class ContourSystem:
     """Validated circles for one of the integral families.
 
     qboson-nested: all circles contain 1, gamma_A contains q * gamma_B for
-    A < B, the innermost does not contain q, and every exclusion point is
-    outside every circle.  eps-nested is the same picture around eps (the
-    innermost must not contain q*eps).  The single-circle families need the
-    circle to contain the marked point and its own q-image.  sd-nested:
-    all circles contain 0, gamma_A contains 1 + gamma_B, the innermost does
-    not contain 1.
+    A < B, and the innermost does not contain q.  eps-nested is the same
+    picture around eps (the innermost must not contain q*eps).  The
+    single-circle families need the circle to contain the marked point and
+    its own q-image.  sd-nested: all circles contain 0, gamma_A contains
+    1 + gamma_B, the innermost does not contain 1.
     """
 
     circles: tuple[Circle, ...]
     family: str
     q: float = 0.5
     eps: float = 1.0
-    exclusions: tuple[complex, ...] = ()
 
     def __post_init__(self):
         if self.family not in CONTOUR_FAMILIES:
@@ -159,10 +158,6 @@ class ContourSystem:
                 raise ContourError("string circle too large: its unit-shifted image overlaps it")
             if c0.contains_point(1.0):
                 raise ContourError("string circle contains 1")
-        for p in self.exclusions:
-            for j, c in enumerate(cs):
-                if c.contains_point(p):
-                    raise ContourError(f"exclusion point {p} lies inside circle {j+1}")
 
     def describe(self) -> dict:
         return {
@@ -170,7 +165,6 @@ class ContourSystem:
             "q": self.q,
             "eps": self.eps,
             "circles": [[c.center.real, c.center.imag, c.radius] for c in self.circles],
-            "exclusions": [[p.real, p.imag] for p in map(complex, self.exclusions)],
         }
 
 
@@ -188,7 +182,6 @@ def nested_contours(
     q: float,
     r_k: float | None = None,
     margin: float | None = None,
-    exclusions: Sequence[complex] = (),
     center: float = 1.0,
 ) -> ContourSystem:
     """Nested circles centered at ``center`` (1, or eps for the eps family).
@@ -216,7 +209,32 @@ def nested_contours(
     radii.reverse()
     circles = tuple(Circle(complex(center), r) for r in radii)
     family = "qboson-nested" if center == 1.0 else "eps-nested"
-    return ContourSystem(circles, family, q=q, eps=center, exclusions=tuple(map(complex, exclusions)))
+    return ContourSystem(circles, family, q=q, eps=center)
+
+
+def string_circle(q: float, k: int = 1, alpha: float = 0.0, model: str = "qboson",
+                  radius: float | None = None) -> Circle:
+    """The one small circle of a string expansion at k, validated.
+
+    q-Boson: about 1, radius min(0.6 (1-q)/(1+q), 0.6 (1 - alpha/q^k)) by
+    default; below those bounds it clears its own q-image and the strings
+    q^j w, j < k, clear the pole alpha/q.  Semi-discrete: about 0, radius
+    0.2; below 1/2 the strings w + j, j >= 1, stay off it.
+    """
+    if model == "sd":
+        circle = Circle(0j, 0.2 if radius is None else radius)
+        ContourSystem((circle,), "sd-string-product")
+        return circle
+    check_q(q)
+    gap = 1.0 - alpha / q**k  # how far 1 lies from alpha/q^k, where q^{k-1} w meets alpha/q
+    if radius is None:
+        radius = 0.6 * min((1.0 - q) / (1.0 + q), gap)
+    if radius >= gap:
+        raise ContourError(f"string circle of radius {radius} reaches the pole: "
+                           f"its strings meet alpha/q at |w - 1| = {gap}")
+    circle = Circle(1 + 0j, radius)
+    ContourSystem((circle,), "string-product", q=q)
+    return circle
 
 
 def sd_nested_contours(k: int) -> ContourSystem:

@@ -31,8 +31,8 @@ from qboson.contours import (
     gamma_prime,
     grid_nodes_weights,
     integrate,
-    sd_nested_contours,
     single_gamma,
+    string_circle,
 )
 from qboson.eigenfunctions import (
     EigenFamily,
@@ -41,8 +41,7 @@ from qboson.eigenfunctions import (
     eigen_eval,
     fsum_complex,
 )
-from qboson.dynamics import map_path_shards, mc_mean
-from qboson.plancherel import nested_kernel_grid
+from qboson.dynamics import MomentResult, map_path_shards, mc_mean, string_moment
 from qboson.qcore import (
     WeylVector,
     check_q,
@@ -54,6 +53,9 @@ from qboson.qcore import (
     q_pochhammer,
     weyl_vectors_in_box,
 )
+
+
+SD_Q = 0.5  # the semi-discrete family carries no q; the shared kernels still take one
 
 
 # ---------------------------------------------------------------------------
@@ -439,29 +441,21 @@ def spectral_orthogonality_sides(F: Callable, G: Callable, eps: float, k: int,
     return {"lhs": lhs, "rhs": rhs, "tail_bound": tail}
 
 
-def sd_moment_formula(n: WeylVector, t: float) -> complex:
+def sd_moment_formula(n: WeylVector, t: float) -> MomentResult:
     """Joint moments of the semi-discrete stochastic heat equation with unit
     mass initially at site 1:
 
-    E prod_i Z(t, n_i) = k-fold integral of
-        prod_{A<B} (z_A - z_B)/(z_A - z_B - 1) prod_j z_j^{-n_j} e^{t (z_j - 1)}.
+    E prod_i Z(t, n_i) = k-fold nested integral of
+        prod_{A<B} (z_A - z_B)/(z_A - z_B - 1) prod_j z_j^{-n_j} e^{t (z_j - 1)},
+
+    evaluated as its additive string expansion on one small circle about 0
+    (`contours.string_circle`).
     """
     check_time(t)
     if n.coords[-1] < 1:
         raise ValueError("moment indices must satisfy n_k >= 1")
-    k = n.k
-    cs = sd_nested_contours(k)
-    quad = QuadratureSpec(256 if k <= 2 else 128)
-
-    def integrand(zs):
-        kern = nested_kernel_grid(zs, 0.5, model="sd")
-        rest = None
-        for j, z in enumerate(zs):
-            f = z ** (-n.coords[j]) * np.exp(t * (z - 1.0))
-            rest = f if rest is None else rest * f
-        return kern * rest
-
-    return integrate(cs, integrand, quad).value
+    factors = [lambda z, nj=nj: z ** (-nj) * np.exp(t * (z - 1.0)) for nj in n.coords]
+    return string_moment(factors, string_circle(SD_Q, model="sd"), SD_Q, "sd")
 
 
 def sd_moment_poisson_chain(n: int, t: float) -> float:

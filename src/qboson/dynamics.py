@@ -4,9 +4,11 @@ The q-Boson system is dual to q-TASEP through the observable
 prod_i q^{x_{n_i}(t) + n_i}: its expectation solves the q-Boson backward
 equation, whose spectral solution is a nested contour integral.  This
 module provides that moment formula for step and half-stationary initial
-data, exact simulation of both particle systems, spectral and matrix-ODE
-solvers for the backward/forward equations, transition probabilities, and
-the combinatorial identities that the half-stationary computation rests on.
+data, evaluated as its string expansion on one small circle
+(`string_moment`, shared with the semi-discrete moments), exact simulation
+of both particle systems, spectral and matrix-ODE solvers for the
+backward/forward equations, transition probabilities, and the
+combinatorial identities that the half-stationary computation rests on.
 
 Simulation is one vectorized Doob-Gillespie loop, `_gillespie`, given a
 model's jump rates and jump: the ensembles run it over many paths, and
@@ -16,8 +18,10 @@ oracles exponentiate the box generators of `qboson.generators`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -25,7 +29,15 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from qboson.contours import ContourSystem, QuadratureSpec, integrate, nested_contours
+from qboson.contours import (
+    Circle,
+    QuadResult,
+    QuadratureSpec,
+    default_nodes,
+    nested_contours,
+    plan_nodes,
+    string_circle,
+)
 from qboson.eigenfunctions import EigenFamily, EigenTable, fsum_complex
 from qboson.generators import (
     GeneratorKind,
@@ -34,11 +46,7 @@ from qboson.generators import (
     matrix_on_box,
     uniformized_transition,
 )
-from qboson.plancherel import (
-    inverse_J_batch,
-    nested_kernel_grid,
-    transform_F_grid,
-)
+from qboson.plancherel import inverse_J_batch, residue_expand_sum, transform_F_grid
 from qboson.qcore import (
     CompactFn,
     WeylVector,
@@ -295,34 +303,48 @@ def h0_build(kind: str, k: int, N: int, q: float, alpha: float = 0.0) -> Compact
     return CompactFn(table)
 
 
-def moment_contours(spec: MomentSpec, r_k: float = 0.2, margin: float = 0.1) -> ContourSystem:
-    pole = 0.0 if spec.init == "step" else spec.alpha / spec.q
-    return nested_contours(spec.k, spec.q, r_k=r_k, margin=margin, exclusions=(pole,))
+MOMENT_TARGET = 1e-10  # half-grid estimate at which a moment's node doubling stops
 
 
-def moment_formula(spec: MomentSpec, cs: ContourSystem | None = None) -> complex:
-    """Nested-contour moment formula for E prod_i q^{x_{n_i}(t) + n_i}.
+@dataclass
+class MomentResult(QuadResult):
+    """A moment, its half-grid estimate, string radius and nodes per axis."""
 
-    (-1)^k q^{k(k-1)/2} times the k-fold integral of
+    radius: float
+    nodes: int
+
+
+def string_moment(factors: Sequence[Callable], circle: Circle, q: float,
+                  model: str = "qboson", prefactor: float = 1.0) -> MomentResult:
+    """prefactor times the k = len(factors)-fold nested integral of the
+    kernel times prod_j factors[j](z_j), as its string expansion on
+    ``circle``, with nodes planned to MOMENT_TARGET up to `default_nodes(k)`."""
+    k = len(factors)
+
+    def F(zs):
+        return functools.reduce(operator.mul, (f(z) for f, z in zip(factors, zs)))
+
+    plan = plan_nodes(lambda spec: residue_expand_sum([F], k, circle, spec, q, model),
+                      MOMENT_TARGET, default_nodes(k))
+    return MomentResult(prefactor * complex(plan.values[0]),
+                        abs(prefactor) * float(plan.estimates[0]), circle.radius, plan.nodes)
+
+
+def moment_formula(spec: MomentSpec, radius: float | None = None) -> MomentResult:
+    """Small-contour moment formula for E prod_i q^{x_{n_i}(t) + n_i}.
+
+    (-1)^k q^{k(k-1)/2} times the k-fold nested integral of
     prod_{A<B} (z_A - z_B)/(z_A - q z_B) prod_j (1 - z_j)^{-n_j}
     e^{(q-1) t z_j} / (z_j - pole), pole 0 for step and alpha/q for
-    half-stationary data; the contours must exclude the pole.
+    half-stationary data, evaluated as its string expansion on the circle
+    `contours.string_circle` (Borodin-Corwin-Sasamoto, arXiv:1207.5035).
     """
     q, t, k = spec.q, spec.t, spec.k
-    if cs is None:
-        cs = moment_contours(spec)
-    quad = QuadratureSpec(256 if k <= 2 else 128)
-    pole = 0.0 if spec.init == "step" else spec.alpha / q
-
-    def integrand(zs):
-        kern = nested_kernel_grid(zs, q)
-        rest = None
-        for j, z in enumerate(zs):
-            f = (1.0 - z) ** (-spec.n.coords[j]) * np.exp((q - 1.0) * t * z) / (z - pole)
-            rest = f if rest is None else rest * f
-        return kern * rest
-
-    return (-1.0) ** k * q ** (k * (k - 1) / 2.0) * integrate(cs, integrand, quad).value
+    pole = spec.alpha / q
+    factors = [lambda z, nj=nj: (1.0 - z) ** (-nj) * np.exp((q - 1.0) * t * z) / (z - pole)
+               for nj in spec.n.coords]
+    return string_moment(factors, string_circle(q, k, spec.alpha, radius=radius), q,
+                         prefactor=(-1.0) ** k * q ** (k * (k - 1) / 2.0))
 
 
 def mc_mean(obs: np.ndarray) -> tuple[float, float]:
@@ -373,14 +395,10 @@ def moment_mc(spec: MomentSpec, paths: int, seed: int = 0) -> tuple[float, float
 # Kolmogorov equation solvers
 
 
-def _time_weight(q: float, t: float):
-    def extra(zs):
-        ssum = None
-        for z in zs:
-            ssum = z if ssum is None else ssum + z
-        return np.exp((q - 1.0) * t * ssum)
-
-    return extra
+def _time_weight(q: float, t: float) -> Callable:
+    """The grid factor exp((q-1) t sum_j z_j), one exp per axis multiplied
+    by broadcasting."""
+    return lambda zs: functools.reduce(operator.mul, (np.exp((q - 1.0) * t * z) for z in zs))
 
 
 def solve_evolution(direction: str, method: str, f0: CompactFn, t: float, n: WeylVector,

@@ -26,7 +26,9 @@ many axes a grid has.  The string measure on a grid, `mu_density_grid`, is
 built from two-axis pair factors and one-axis diagonal factors, with no
 division at the full grid size; `mu_weight` keeps the literal determinant.
 The two sides of residue-expansion, `residue_expand_nested` and
-`residue_expand_sum`, stay off the dispatch, so that they share no code.
+`residue_expand_sum`, stay off the dispatch, so that they share no code;
+the sum side, on one string circle, is also how `dynamics.string_moment`
+evaluates every q-TASEP and semi-discrete moment.
 Each takes a batch of F and returns, from one pass over its grids, the
 values and their embedded half-grid estimates, so that its node count can
 be planned from its own estimate (`contours.plan_nodes`, which only
@@ -45,6 +47,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from qboson.contours import (
+    Circle,
     ContourSystem,
     QuadratureSpec,
     contract_powers,
@@ -279,13 +282,10 @@ def _string_poch_grid(lam: Partition, ws: Sequence[np.ndarray], q: float,
     return out
 
 
-def _gamma_k_system(cs: ContourSystem, ell: int) -> ContourSystem:
-    """Product of ell copies of the innermost circle of a nested system."""
-    inner = cs.circles[-1]
-    family = "sd-string-product" if cs.family.startswith("sd") else "string-product"
-    return ContourSystem(
-        tuple(inner for _ in range(ell)), family, q=cs.q, eps=cs.eps, exclusions=cs.exclusions
-    )
+def _string_system(circle: Circle, ell: int, q: float, model: str) -> ContourSystem:
+    """Product of ell copies of one string circle."""
+    family = "sd-string-product" if model == "sd" else "string-product"
+    return ContourSystem((circle,) * ell, family, q=q)
 
 
 class _Slab(NamedTuple):
@@ -343,7 +343,7 @@ def _spectral_slabs(mode: str, coords: np.ndarray, cs: ContourSystem, spec: Quad
         raise ValueError(f"unknown inverse-transform mode {mode!r}")
     for lam in lams:
         axis_of = tuple(s for s, part in enumerate(lam.parts) for _ in range(part))
-        sub = cs if mode == "single-gamma" else _gamma_k_system(cs, lam.length)
+        sub = cs if mode == "single-gamma" else _string_system(cs.circles[-1], lam.length, q, model)
         for ws, W in _grid_chunks(sub, spec):
             W *= sign
             comps = _string_components(lam, ws, q, model)
@@ -459,29 +459,33 @@ def residue_expand_nested(Fs: Sequence[Callable], cs: ContourSystem, spec: Quadr
     return totals, np.abs(totals - coarse * 2**cs.k)
 
 
-def residue_expand_sum(Fs: Sequence[Callable], k: int, cs: ContourSystem,
-                       spec: QuadratureSpec, q: float) -> tuple[np.ndarray, np.ndarray]:
+def residue_expand_sum(Fs: Sequence[Callable], k: int, circle: Circle,
+                       spec: QuadratureSpec, q: float,
+                       model: str = "qboson") -> tuple[np.ndarray, np.ndarray]:
     """Partition-sum side: sum over partitions of the string measure paired
-    with the symmetrized kernel, for each F of a batch.
+    with the symmetrized kernel, for each F of a batch, on ell(lam) copies
+    of the one small ``circle`` (`contours.string_circle`).
 
     The symmetrized kernel at z is sum_sigma prod_{B<A} of the left
     scattering factors times F(sigma z).  For the string-free partition the
     measure is symmetric, so the permutation sum collapses to k! times the
     identity term (a change of integration variables, valid for any F).
+    ``model`` "sd" takes the semi-discrete left scattering, additive strings
+    and string measure, for the kernel prod_{A<B} (z_A - z_B)/(z_A - z_B - 1).
     All measure and scattering tensors are shared across the batch.
     Returns the values and each one's embedded half-grid estimate: each
     partition lam contributes its ell(lam)-axis grid's half-grid sum, scaled
     by 2^ell(lam).
     """
     check_q(q)
-    fam_l = EigenFamily("qboson-left", q)
+    fam_l = EigenFamily(f"{model}-left", q)
     totals = np.zeros(len(Fs), dtype=complex)
     coarse = np.zeros(len(Fs), dtype=complex)
     for lam in partitions_of(k):
         half = (slice(None, None, 2),) * lam.length
-        for ws, W in _grid_chunks(_gamma_k_system(cs, lam.length), spec):
-            comps = _string_components(lam, ws, q, "qboson")
-            dens = W * mu_density_grid(lam, ws, q)
+        for ws, W in _grid_chunks(_string_system(circle, lam.length, q, model), spec):
+            comps = _string_components(lam, ws, q, model)
+            dens = W * mu_density_grid(lam, ws, q, model)
             scat_l = ScatteringGrid(fam_l, comps)
             if lam.parts == tuple([1] * k):
                 terms = [(dens * math.factorial(k) * scat_l.product(tuple(range(k))), comps)]
@@ -493,4 +497,6 @@ def residue_expand_sum(Fs: Sequence[Callable], k: int, cs: ContourSystem,
                     weighted = base * fn(tuple(args))
                     totals[i] += weighted.sum()
                     coarse[i] += weighted[half].sum() * 2**lam.length
+    if not np.all(np.isfinite(totals)):
+        raise FloatingPointError("integrand returned a non-finite value on the string grid")
     return totals, np.abs(totals - coarse)

@@ -16,6 +16,7 @@ from qboson.contours import (
     power_matrix,
     sd_nested_contours,
     single_gamma,
+    string_circle,
 )
 
 Q = 0.5
@@ -24,7 +25,7 @@ Q = 0.5
 def test_nested_radii_recurrence():
     cs = nested_contours(2, Q, r_k=0.1, margin=0.01)
     assert [c.radius for c in cs.circles] == pytest.approx([0.56, 0.1])
-    cs = nested_contours(3, Q, r_k=0.05, margin=0.01, exclusions=[0])
+    cs = nested_contours(3, Q, r_k=0.05, margin=0.01)
     assert [c.radius for c in cs.circles] == pytest.approx([0.7775, 0.535, 0.05])
 
 
@@ -41,10 +42,13 @@ def test_validator_soundness():
 
 
 def test_exclusions_enforced():
-    with pytest.raises(ContourError, match="exclusion"):
-        nested_contours(1, Q, r_k=0.4, exclusions=[1.2])
-    cs = nested_contours(2, Q, r_k=0.2, margin=0.1, exclusions=[0.0, 0.2])
-    assert cs.exclusions == (0, 0.2)
+    # the string circle about 1 keeps the pole alpha/q off its strings
+    # q^j w, j < k: its radius stays below 1 - alpha/q^k
+    assert string_circle(Q, 2, alpha=0.2).radius == pytest.approx(0.6 * (1 - 0.2 / Q**2))
+    with pytest.raises(ContourError, match="reaches the pole"):
+        string_circle(Q, 2, alpha=0.2, radius=0.2)
+    with pytest.raises(ContourError, match="string circle too large"):
+        string_circle(Q, 2, alpha=0.0, radius=0.34)
 
 
 def test_single_gamma_geometry():
@@ -190,11 +194,10 @@ def test_contract_powers_components_sharing_an_axis():
 
 
 def test_describe_roundtrip():
-    cs = nested_contours(2, Q, exclusions=[0.0])
+    cs = nested_contours(2, Q)
     d = cs.describe()
     assert d["family"] == "qboson-nested"
     assert len(d["circles"]) == 2
-    assert d["exclusions"] == [[0.0, 0.0]]
 
 
 def test_plan_nodes_doubles_from_16_to_the_first_count_that_meets_the_target():

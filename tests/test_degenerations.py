@@ -256,9 +256,9 @@ def test_sd_pipeline():
 
 
 def test_sd_moment_closed_forms():
-    assert sd_moment_formula(WeylVector((1,)), 1.0) == pytest.approx(math.exp(-1), abs=1e-12)
+    assert sd_moment_formula(WeylVector((1,)), 1.0).value == pytest.approx(math.exp(-1), abs=1e-12)
     for n in (2, 3, 5):
-        assert sd_moment_formula(WeylVector((n,)), 0.7) == pytest.approx(
+        assert sd_moment_formula(WeylVector((n,)), 0.7).value == pytest.approx(
             sd_moment_poisson_chain(n, 0.7), abs=1e-12)
     with pytest.raises(ValueError):
         sd_moment_formula(WeylVector((1, 0)), 1.0)
@@ -272,7 +272,7 @@ def test_oy_simulation_moments():
     e2, s2 = res.moment([2])
     assert abs(e2 - math.exp(-1)) < 4 * s2 + 2e-3  # E Z(t,2) = t e^{-t} at t = 1
     e21, s21 = res.moment([2, 1])
-    v = sd_moment_formula(WeylVector((2, 1)), 1.0).real
+    v = sd_moment_formula(WeylVector((2, 1)), 1.0).value.real
     assert abs(e21 - v) < 4 * s21 + 2e-3
 
 

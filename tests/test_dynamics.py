@@ -11,7 +11,6 @@ from qboson.dynamics import (
     identity_halfstat_transform,
     identity_mqinverse,
     identity_qbinomial,
-    moment_contours,
     moment_formula,
     moment_mc,
     qboson_sample_ensemble,
@@ -59,32 +58,38 @@ def test_every_time_entry_point_rejects_a_bad_t(t):
 def test_step_moment_k1_closed_form():
     for t in (0.2, 1.0, 2.5):
         spec = MomentSpec(WeylVector((1,)), t, "step", q=Q)
-        assert moment_formula(spec) == pytest.approx(math.exp((Q - 1) * t), abs=1e-12)
+        assert moment_formula(spec).value == pytest.approx(math.exp((Q - 1) * t), abs=1e-12)
 
 
 def test_moment_t0_is_one_for_step():
     for n in ((1,), (2, 1), (3, 2)):
         spec = MomentSpec(WeylVector(n), 0.0, "step", q=Q)
-        assert moment_formula(spec) == pytest.approx(1.0, abs=1e-10)
+        assert moment_formula(spec).value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_half_moment_t0_geometric():
     spec = MomentSpec(WeylVector((1,)), 0.0, "half-stationary", alpha=0.1, q=Q)
-    assert moment_formula(spec) == pytest.approx(1.0 / (1.0 - 0.1 / Q), abs=1e-10)
+    assert moment_formula(spec).value == pytest.approx(1.0 / (1.0 - 0.1 / Q), abs=1e-10)
 
 
-def test_moment_contour_invariance():
-    spec = MomentSpec(WeylVector((2, 1)), 0.5, "half-stationary", alpha=0.1, q=Q)
+def test_moment_string_radius_invariance():
+    spec = MomentSpec(WeylVector((2, 1, 1)), 0.5, "half-stationary", alpha=0.1, q=Q)
     a = moment_formula(spec)
-    b = moment_formula(spec, cs=moment_contours(spec, r_k=0.13, margin=0.12))
-    assert abs(a - b) < 1e-8
+    assert a.radius == pytest.approx(0.6 * (1 - 0.1 / Q**3))
+    b = moment_formula(spec, radius=0.05)
+    assert b.radius == 0.05
+    assert abs(a.value - b.value) < 1e-10
 
 
-def test_moment_infeasible_contours():
-    # radii big enough that the outermost circle swallows the pole alpha/q
-    spec = MomentSpec(WeylVector((2, 1)), 0.5, "half-stationary", alpha=0.1, q=Q)
-    with pytest.raises(ContourError):
-        moment_contours(spec, r_k=0.4, margin=0.41)
+def test_moment_radius_past_the_pole_bound_raises():
+    # the strings q^j w, j < 3, reach the pole alpha/q once the radius about 1
+    # reaches 1 - alpha/q^3 = 0.2, below the q-image bound (1-q)/(1+q) = 1/3
+    spec = MomentSpec(WeylVector((2, 1, 1)), 0.5, "half-stationary", alpha=0.1, q=Q)
+    for radius in (0.2, 0.25):
+        with pytest.raises(ContourError, match="reaches the pole"):
+            moment_formula(spec, radius=radius)
+    with pytest.raises(ContourError, match="string circle too large"):
+        moment_formula(MomentSpec(WeylVector((2, 1, 1)), 0.5, "step", q=Q), radius=1 / 3)
 
 
 def test_h0_build():
@@ -190,7 +195,7 @@ def test_q_geometric_sampler_moments():
 def test_moment_mc_matches_formula():
     spec = MomentSpec(WeylVector((2, 1)), 0.5, "step", q=Q)
     est, se = moment_mc(spec, 200_000, seed=11)
-    v = moment_formula(spec).real
+    v = moment_formula(spec).value.real
     assert abs(est - v) < 4 * se
     # variance shrinks like 1/paths
     _, se_small = moment_mc(spec, 50_000, seed=12)
@@ -234,7 +239,7 @@ def test_moment_mc_needs_two_paths(paths):
 
 def test_duality_triangle_half():
     spec = MomentSpec(WeylVector((2, 1)), 0.5, "half-stationary", alpha=0.1, q=Q)
-    vf = moment_formula(spec)
+    vf = moment_formula(spec).value
     f0 = h0_build("half-stationary", 2, 2, Q, 0.1)
     vb = solve_evolution("backward", "spectral", f0, 0.5, WeylVector((2, 1)), Q)
     vo = solve_evolution("backward", "ode-oracle", f0, 0.5, WeylVector((2, 1)), Q)
@@ -344,3 +349,16 @@ def test_qbinomial_gate_is_its_rounding_model(seed, monkeypatch):
     monkeypatch.setattr(dynamics_checks, "identity_qbinomial", shifted)
     rep = run_check("identity-qbinomial", seed=seed)
     assert not rep.passed and rep.params["worst_case"].startswith("k=5")
+
+
+def test_time_weight_is_the_full_grid_exponential():
+    # one exp per axis, multiplied by broadcasting, against the single exp of
+    # the summed grid it replaced: equal up to a few roundings
+    from qboson.dynamics import _time_weight
+
+    rng = np.random.default_rng(3)
+    zs = [(1.0 + 0.6 * np.exp(2j * np.pi * rng.random(16))).reshape(
+        [16 if a == j else 1 for a in range(3)]) for j in range(3)]
+    for q, t in ((0.5, 0.5), (0.1, 2.0), (0.9, 1.0)):
+        ref = np.exp((q - 1.0) * t * (zs[0] + zs[1] + zs[2]))
+        np.testing.assert_allclose(_time_weight(q, t)(zs), ref, rtol=1e-14, atol=0)

@@ -349,7 +349,7 @@ def test_residue_expansion_small():
         spec = QuadratureSpec(128)
         Fs = [lambda zs: np.exp(sum((z - 1.0) * 0.3 for z in zs))]
         (a,), _ = residue_expand_nested(Fs, cs, spec, Q)
-        (b,), _ = residue_expand_sum(Fs, k, cs, spec, Q)
+        (b,), _ = residue_expand_sum(Fs, k, cs.circles[-1], spec, Q)
         assert abs(a - b) <= 1e-8 * (1 + abs(a))
 
 
@@ -364,7 +364,7 @@ def _residue_sides(k):
                                            [np.exp(c * (z - 1.0)) / (z - 1.0) for z in zs])
           for c in (0.1j, -0.1)]
     return {"nested": lambda spec: residue_expand_nested(Fs, cs, spec, q),
-            "sum": lambda spec: residue_expand_sum(Fs, k, cs, spec, q)}
+            "sum": lambda spec: residue_expand_sum(Fs, k, cs.circles[-1], spec, q)}
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -419,7 +419,7 @@ def test_chunked_grids_match_one_chunk(monkeypatch):
         monkeypatch.setattr(contours, "CHUNK_ELEMENTS", budget)
         res = integrate(cs, integrand, spec)
         nested, nested_est = residue_expand_nested(Fs, cs, spec, Q)
-        total, total_est = residue_expand_sum(Fs, k, cs, spec, Q)
+        total, total_est = residue_expand_sum(Fs, k, cs.circles[-1], spec, Q)
         return (np.concatenate([nested, total, [res.value]]),
                 np.concatenate([nested_est, total_est, [res.error_estimate]]),
                 len(list(_grid_chunks(cs, spec))))
