@@ -13,12 +13,18 @@ evaluators consume it without naming a mode: `inverse_J_batch` (with
 `inverse_J` a batch of one) and `composition_table`, the one spectral
 pairing table of two eigenfunction families, whose left side gives the
 identity resolution and spatial biorthogonality and whose right side gives
-the right-right Gram table of the isomorphism identity.  They factor the
-integrand through per-permutation scattering tensors
-(`ScatteringGrid.permuted`) and contract each against integer powers of
-the one-particle bases with `contours.contract_powers` (the components of
-one string share their base point's grid axis), so one quadrature grid
-serves a whole box of spatial arguments at once.
+the right-right Gram table of the isomorphism identity.  They contract the
+integrand against integer powers of the one-particle bases with
+`contours.contract_powers` (the components of one string share their base
+point's grid axis), so one quadrature grid serves a whole box of spatial
+arguments at once.  The x-side permutations of the pairing table cost one
+contraction per slab: `ScatteringGrid.permuted` contracts the integrand
+over the common scattering denominator Delta once and builds each
+permutation's table from it through the numerator factors, which are
+linear in the bases (alpha + beta base_u + gamma base_v), as shifted slices
+of that small table.  Delta divides every measure here analytically (the
+nested kernel, the Cauchy product of `mu_density_grid`), so the division
+adds no small divisor.
 
 Every grid here is walked through `contours._grid_chunks`, the same slabs
 `contours.integrate` uses, so peak memory is bounded by one slab however

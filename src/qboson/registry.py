@@ -15,6 +15,7 @@ to `run_check` with the report's seed replays the run.
 from __future__ import annotations
 
 import inspect
+import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -177,30 +178,57 @@ class UnknownCheckError(KeyError):
     pass
 
 
-def _bind(check_id: str, overrides: dict) -> dict:
-    """The check's keywords after its leading ``acc``, at their defaults
-    with the overrides applied; an override of any other name is refused."""
+def _defaults(check_id: str) -> dict:
+    """The check's keywords after its leading ``acc``, at their defaults."""
     if check_id not in REGISTRY:
         raise UnknownCheckError(
             f"unknown check id {check_id!r}; known ids: {', '.join(sorted(REGISTRY))}"
         )
-    knobs = {p.name: p.default
-             for p in list(inspect.signature(REGISTRY[check_id].fn).parameters.values())[1:]}
-    for key in overrides:
+    return {p.name: p.default
+            for p in list(inspect.signature(REGISTRY[check_id].fn).parameters.values())[1:]}
+
+
+def _knob_error(key: str, value, default) -> str | None:
+    """Why ``value`` cannot stand for a knob with this default, or None.
+
+    A knob with an int default takes an int (not a bool), one with a float
+    or None default a number (None too, for the latter); ``tolerance`` must
+    also be > 0, where an infinite tolerance records without gating."""
+    if default is None and value is None:
+        return None
+    if isinstance(default, numbers.Integral):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            return f"parameter {key!r} takes an integer, got {value!r}"
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return f"parameter {key!r} takes a number, got {value!r}"
+    elif key == "tolerance" and not value > 0:
+        return f"parameter 'tolerance' must be > 0, got {value!r}"
+    return None
+
+
+def _bind(check_id: str, overrides: dict) -> dict:
+    """The check's keywords at their defaults with the overrides applied; an
+    override of any other name, or of the wrong type, is refused."""
+    knobs = _defaults(check_id)
+    for key, value in overrides.items():
         if key not in knobs:
             raise ValueError(f"check {check_id} does not accept parameter {key!r}")
+        reason = _knob_error(key, value, knobs[key])
+        if reason is not None:
+            raise ValueError(f"check {check_id}: {reason}")
     return {**knobs, **overrides}
 
 
 def _record(check_id: str, overrides: dict, catch: tuple = ()) -> Report:
     """Run the check on a fresh Accumulator and finish its report, or, for
-    an exception in ``catch``, its error row with the same params."""
-    kwargs = _bind(check_id, overrides)
+    an exception in ``catch`` (refused overrides included), its error row
+    with the same params."""
+    kwargs = {**_defaults(check_id), **overrides}
     params = {k: v for k, v in kwargs.items() if k != "seed"}
     acc = Accumulator(check_id, params, kwargs["seed"])
     t0 = time.perf_counter()
     try:
-        REGISTRY[check_id].fn(acc, **kwargs)
+        REGISTRY[check_id].fn(acc, **_bind(check_id, overrides))
     except catch as exc:
         return error_report(check_id, params, rejection_reason(exc), kwargs["seed"],
                             (time.perf_counter() - t0) * 1000.0)
@@ -216,7 +244,7 @@ def _run_with_common(cid: str, common: dict) -> Report:
     """Run one check with the common parameters it accepts; one that
     rejects them (`report.REJECTIONS`) becomes an error row carrying the
     reason, so that a run goes on."""
-    knobs = _bind(cid, {})
+    knobs = _defaults(cid)
     return _record(cid, {k: v for k, v in common.items() if k in knobs}, REJECTIONS)
 
 

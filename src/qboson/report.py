@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -110,10 +111,14 @@ def error_report(check_id: str, params: dict, reason: str, seed: int,
                  runtime_ms: float) -> Report:
     """The row of a check that raised, at the tolerance in its params: the
     reason goes in params["error"], both sides are NaN and both errors inf
-    (null in strict JSON), and the row fails."""
+    (null in strict JSON), and the row fails.  A refused override keeps its
+    value in params; a tolerance that is not a number becomes NaN and a
+    seed that is not an integer 0 in the row's own fields."""
     nan = complex(math.nan, math.nan)
+    tol = params["tolerance"] if isinstance(params["tolerance"], numbers.Real) else math.nan
+    seed = seed if isinstance(seed, numbers.Integral) else 0
     return Report(check_id, {**params, "error": reason}, nan, nan, math.inf, math.inf, 0.0,
-                  params["tolerance"], False, runtime_ms, seed)
+                  tol, False, runtime_ms, seed)
 
 
 class Accumulator:

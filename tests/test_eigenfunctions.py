@@ -1,8 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from qboson import eigenfunctions
+from qboson.contours import contract_powers
 from qboson.eigenfunctions import (
+    FAMILY_KINDS,
     EigenFamily,
+    ScatteringGrid,
     SpectralDomainError,
     eigen_eval,
     eigen_eval_grid,
@@ -15,6 +21,7 @@ from qboson.qcore import (
     WeylVector,
     cq_weight,
     factorial_cluster_weight,
+    inverse_permutation,
     string_points,
 )
 
@@ -174,3 +181,57 @@ def test_p_map_intertwines_right_to_left():
         lhs = complex(transform_F_grid(pm, [np.asarray(v) for v in z], Q))
         rhs = eigen_eval(EigenFamily("qboson-left", Q), z, m)
         assert abs(lhs - rhs) <= 1e-11 * (1 + abs(rhs))
+
+
+def _permuted_case(fam, k, layout, rng):
+    """Spectral grids, a grid tensor and the powers argument of one
+    ``permuted`` call.  "own": one axis per component; "string": the first
+    k - 1 components are one string on axis 0 (geometric, or additive for
+    the semi-discrete family), as in the expanded mode, the last on axis 1."""
+    def nodes(m, center):
+        return center + 0.6 * np.exp(2j * np.pi * (np.arange(m) + rng.random()) / m)
+
+    center = fam.excluded_point + 1.3
+    if layout == "own":
+        axis_of = tuple(range(k))
+        zs = [nodes(3 + m, center).reshape([-1 if a == m else 1 for a in range(k)])
+              for m in range(k)]
+    else:
+        axis_of = (0,) * (k - 1) + (1,)
+        w = nodes(5, center)[:, None]
+        step = (lambda i: w + i) if fam.model == "sd" else (lambda i: w * fam.q ** i)
+        zs = [step(i) for i in range(k - 1)] + [nodes(4, center)[None, :]]
+    shape = np.broadcast_shapes(*[z.shape for z in zs])
+    T = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    bases = [np.broadcast_to(fam.base(z), z.shape).ravel() for z in zs]
+    return zs, T, (bases, axis_of, (-2, 3))
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_permuted_contraction_matches_naive_products(kind, monkeypatch):
+    # the one contraction of T / Delta with shifted-slice numerator factors
+    # against a contraction of each full-grid product T * S(tau)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return contract_powers(*args)
+
+    monkeypatch.setattr(eigenfunctions, "contract_powers", counted)
+    fam = EigenFamily(kind, 0.4, 0.7)
+    rng = np.random.default_rng(FAMILY_KINDS.index(kind))
+    for k in (1, 2, 3, 4):
+        for layout in ("own", "string") if k > 1 else ("own",):
+            zs, T, powers = _permuted_case(fam, k, layout, rng)
+            grid = ScatteringGrid(fam, zs)
+            naive = [(tau, contract_powers(T * grid.product(tau), *powers))
+                     for tau in itertools.permutations(range(k))]
+            calls.clear()
+            fast = list(ScatteringGrid(fam, zs).permuted(T.copy(), powers))
+            assert len(calls) == 1
+            scale = max(np.abs(table).max() for _, table in naive)
+            assert len(fast) == len(naive)
+            for (tau, ref), (inv, table) in zip(naive, fast):
+                assert list(inv) == inverse_permutation(tau)
+                assert table.shape == ref.shape == (6,) * k
+                assert np.abs(table - ref).max() <= 1e-12 * scale, (k, layout, tau)

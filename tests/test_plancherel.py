@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 import operator
 
@@ -27,7 +28,7 @@ from qboson.plancherel import (
     transform_F_grid,
 )
 from qboson.qcore import CompactFn, Partition, WeylVector, partitions_of, weyl_vectors_in_box
-from qboson.registry import run_check
+from qboson.registry import REGISTRY, run_check
 
 Q = 0.5
 SPEC = QuadratureSpec(128)
@@ -458,3 +459,19 @@ def test_residue_expansion_across_q(q):
     assert r.params["string_radius"] == min(0.3, 0.6 * (1 - q) / (1 + q))
     for side in _planned_quadrature(r):
         assert side["estimate"] <= r.tolerance / 100
+
+
+# The checks whose transform tables go through ScatteringGrid.permuted(T, powers).
+ROUTED_CHECKS = ["plancherel-forward", "plancherel-pairing", "biorthogonality-spatial",
+                 "orthogonality-spectral", "eps-orthogonality", "eps-plancherel",
+                 "sd-plancherel", "sd-biorthogonality"]
+
+
+@pytest.mark.parametrize("check,q", [
+    (check, q) for check in ROUTED_CHECKS
+    for q in ((0.1, 0.3, 0.5) if "q" in inspect.signature(REGISTRY[check].fn).parameters
+              else (None,))
+])
+def test_routed_checks_pass_across_q(check, q):
+    report = run_check(check, **({} if q is None else {"q": q}))
+    assert report.passed, report.summary_line()

@@ -1,4 +1,5 @@
 import csv
+import functools
 import inspect
 import io
 import json
@@ -463,3 +464,43 @@ def test_nonfinite_params_are_null_in_json_and_csv():
     assert _strict_loads(reports_to_json([row]))[0]["params"]["alpha"] is None
     params = next(csv.DictReader(io.StringIO(reports_to_csv([row]))))["params"]
     assert _strict_loads(params)["alpha"] is None
+
+
+@pytest.mark.parametrize("args,reason", [
+    (("orthogonality-spectral", "--param", "tolerance=-1"),
+     "parameter 'tolerance' must be > 0, got -1"),
+    (("orthogonality-spectral", "--param", "tolerance=NaN"),
+     "parameter 'tolerance' must be > 0, got nan"),
+    (("orthogonality-spectral", "--param", "tolerance=nan"),
+     "parameter 'tolerance' takes a number, got 'nan'"),
+    (("biorthogonality-spatial", "--param", "box_radius=2.5"),
+     "parameter 'box_radius' takes an integer, got 2.5"),
+    (("biorthogonality-spatial", "--param", "box_radius=true"),
+     "parameter 'box_radius' takes an integer, got True"),
+    (("moment-half", "--param", "alpha=x"), "parameter 'alpha' takes a number, got 'x'"),
+])
+def test_cli_refuses_a_knob_before_the_check_runs(capsys, monkeypatch, args, reason):
+    import qboson.registry
+
+    def never(*a, **kw):
+        raise AssertionError("a refused knob reached the check")
+
+    monkeypatch.setitem(qboson.registry.REGISTRY, args[0],
+                        qboson.registry.CheckDef(
+                            functools.wraps(REGISTRY[args[0]].fn)(never), "demo"))
+    code, err = _cli_in_process(capsys, "verify", *args)
+    assert code == 2
+    assert err == f"error: check {args[0]}: {reason}\n"
+
+
+def test_verify_all_turns_a_refused_knob_into_error_rows(capsys, tmp_path):
+    out = tmp_path / "all.json"
+    code = main(["verify", "all", "--param", "tolerance=nan", "--json", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    rows = _strict_loads(out.read_text())
+    assert len(rows) == len(REGISTRY)
+    assert all(r["pass"] is False and r["tolerance"] is None for r in rows)
+    assert all("parameter 'tolerance' takes a number, got 'nan'" in r["params"]["error"]
+               for r in rows)
+    assert "checks with errors: eigen-relation, boundary-conditions" in captured.err
