@@ -44,6 +44,7 @@ from qboson.eigenfunctions import (
 from qboson.dynamics import MomentResult, map_path_shards, mc_mean, string_moment
 from qboson.qcore import (
     WeylVector,
+    chamber_blocks,
     check_q,
     check_time,
     cluster_decompose,
@@ -399,15 +400,14 @@ def spectral_orthogonality_sides(F: Callable, G: Callable, eps: float, k: int,
             break
         n_hi += 16
 
-    states = [n for n in weyl_vectors_in_box(k, 0, n_hi)]
-    coords = np.array([n.coords for n in states], dtype=int)
+    coords = np.concatenate(list(chamber_blocks(k, 0, n_hi)))
 
     def window_table(cs, fn, fam):
         """Integral over cs of Delta(z) fn(z) Psi^fam(z; n) at each state n of
         the window, before the prefactor."""
         sign = fam.power_sign()
         erange = (0, n_hi) if sign > 0 else (-n_hi, 0)
-        out = np.zeros(len(states), dtype=complex)
+        out = np.zeros(len(coords), dtype=complex)
         for zs, W in _grid_chunks(cs, quad):
             T0 = W * vandermonde(zs) * fn(tuple(zs))
             powers = ([fam.base(z).ravel() for z in zs], range(k), erange)

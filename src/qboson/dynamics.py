@@ -50,6 +50,7 @@ from qboson.plancherel import inverse_J_batch, residue_expand_sum, transform_F_g
 from qboson.qcore import (
     CompactFn,
     WeylVector,
+    chamber_blocks,
     check_q,
     check_time,
     cq_weight_inv,
@@ -456,15 +457,15 @@ def solve_evolution_batch(direction: str, f0: CompactFn, t: float, ns: Sequence[
     cs = nested_contours(k, q, r_k=0.3)
     if quad is None:
         quad = QuadratureSpec(128)
-    extra = _time_weight(q, t)
+    weight = _time_weight(q, t)
 
     if direction == "backward":
-        G = lambda zs: transform_F_grid(f0, list(zs), q)
-        return inverse_J_batch(G, list(ns), "nested", cs, quad, q, extra_grid=extra)
+        G = lambda zs: transform_F_grid(f0, list(zs), q) * weight(zs)
+        return inverse_J_batch(G, list(ns), "nested", cs, quad, q)
     if direction == "forward":
-        G = lambda zs: transform_F_grid(f0, list(zs), q, side="left")
+        G = lambda zs: transform_F_grid(f0, list(zs), q, side="left") * weight(zs)
         refl = [n.reflect() for n in ns]
-        vals = inverse_J_batch(G, refl, "nested", cs, quad, q, extra_grid=extra)
+        vals = inverse_J_batch(G, refl, "nested", cs, quad, q)
         pref = np.array(
             [q ** (-k * (k - 1) / 2.0) * cq_weight_inv(n, q) for n in ns], dtype=complex
         )
@@ -593,7 +594,7 @@ def identity_halfstat_transform(k: int, q: float, alpha: float, z: Sequence[comp
     if rho >= 1.0:
         raise ValueError("series diverges for these z: need max |1-z_i| < min_j (1-alpha/q^j)")
     lhs = fsum_complex(np.concatenate([table.states(ns) * np.prod(decay ** -ns, axis=1)
-                                       for ns in _chamber_blocks(k, 1, depth)]))
+                                       for ns in chamber_blocks(k, 1, depth)]))
     rhs = (-1.0) ** k * q ** (k * (k - 1) / 2.0)
     for j, zj in enumerate(z):
         rhs *= (1.0 - zj) / (zj - alpha / q)
@@ -613,10 +614,3 @@ def identity_halfstat_transform(k: int, q: float, alpha: float, z: Sequence[comp
         tail_bound=tail,
     )
 
-
-def _chamber_blocks(k: int, lo: int, hi: int):
-    """The chamber points lo <= n_k <= ... <= n_1 <= hi as integer arrays,
-    one (rows, k) block per value of n_1."""
-    for top in range(lo, hi + 1):
-        tails = itertools.combinations_with_replacement(range(top, lo - 1, -1), k - 1)
-        yield np.array([(top, *t) for t in tails], dtype=np.int64).reshape(-1, k)

@@ -8,7 +8,8 @@ string-specialized integrals against the measure `mu_weight`.
 
 That three-way choice is made in one place, `_spectral_slabs`: for each
 mode and grid slab it yields the spectral components, the measure and the
-permutation terms of the y-side eigenfunction family.  The batched
+permutation terms of the y-side eigenfunction family, and every mode pairs
+each component with its base at the exponent -n - 1.  The batched
 evaluators consume it without naming a mode: `inverse_J_batch` (with
 `inverse_J` a batch of one) and `composition_table`, the one spectral
 pairing table of two eigenfunction families, whose left side gives the
@@ -31,23 +32,17 @@ Every grid here is walked through `contours._grid_chunks`, the same slabs
 many axes a grid has.  The string measure on a grid, `mu_density_grid`, is
 built from two-axis pair factors and one-axis diagonal factors, with no
 division at the full grid size; `mu_weight` keeps the literal determinant.
-The two sides of residue-expansion, `residue_expand_nested` and
-`residue_expand_sum`, stay off the dispatch, so that they share no code;
-the sum side, on one string circle, is also how `dynamics.string_moment`
-evaluates every q-TASEP and semi-discrete moment.
-Each takes a batch of F and returns, from one pass over its grids, the
-values and their embedded half-grid estimates, so that its node count can
-be planned from its own estimate (`contours.plan_nodes`, which only
-chooses M, is the one piece of code the two sides share, and
-tests/test_plancherel.py diffs it against direct calls of each side).
+Only the nested side of residue-expansion, `residue_expand_nested`, stays
+off the dispatch; the sum side, `residue_expand_sum`, walks the expanded
+mode's slabs (tests/test_plancherel.py diffs the two for F with a pole at
+1), and is also how `dynamics.string_moment` evaluates every moment.  Each
+side returns, from one pass, its values and their embedded half-grid
+estimates, from which `contours.plan_nodes` chooses the node count.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-import operator
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -66,6 +61,7 @@ from qboson.qcore import (
     Partition,
     WeylVector,
     check_q,
+    inverse_permutation,
     partitions_of,
     string_points,
 )
@@ -261,33 +257,6 @@ def residue_weight_determinant(lam: Partition, w: Sequence[complex], q: float) -
 # Inverse transform: one evaluation-mode dispatch, shared by every batch
 
 
-def _string_components(lam: Partition, ws: Sequence[np.ndarray], q: float, model: str):
-    """Per-component grid arrays of w o lam (geometric) or the additive analogue."""
-    comps = []
-    for s, part in enumerate(lam.parts):
-        for i in range(part):
-            comps.append(ws[s] * q**i if model != "sd" else ws[s] + i)
-    return comps
-
-
-def _string_poch_grid(lam: Partition, ws: Sequence[np.ndarray], q: float,
-                      model: str, eps: float) -> np.ndarray:
-    """prod_j (w_j; q)_{lam_j} (eps-deformed for the eps family) or the
-    rising factorial (w_j)_{lam_j} for the semi-discrete family."""
-    out = None
-    for s, part in enumerate(lam.parts):
-        f = np.ones_like(ws[s], dtype=complex)
-        for i in range(part):
-            if model == "sd":
-                f = f * (ws[s] + i)
-            elif model == "eps":
-                f = f * (eps - q**i * ws[s])
-            else:
-                f = f * (1.0 - q**i * ws[s])
-        out = f if out is None else out * f
-    return out
-
-
 def _string_system(circle: Circle, ell: int, q: float, model: str) -> ContourSystem:
     """Product of ell copies of one string circle."""
     family = "sd-string-product" if model == "sd" else "string-product"
@@ -302,42 +271,44 @@ class _Slab(NamedTuple):
     axis_of: tuple  # the grid axis each component lives on
     measure: np.ndarray  # quadrature weights times the mode's measure
     lefts: Callable  # T -> (sigma^{-1}, T times the y-side scattering of sigma) pairs
-    offset: int  # added to every y-side exponent
 
 
-def _spectral_slabs(mode: str, coords: np.ndarray, cs: ContourSystem, spec: QuadratureSpec,
-                    fam_y: EigenFamily):
-    """Yield the slabs of one evaluation mode for the states ``coords``, (N, k),
-    paired on the y side with the eigenfunctions of ``fam_y``.
-
-    nested: the k nested circles, measure W times the nested kernel, no y
-    eigenfunction (the identity term), and exponents -n_j - 1.
-    single-gamma: one circle per particle, measure W dmu_{(1)^k} prod 1/base.
-    expanded: for each partition lam of k, ell(lam) copies of the innermost
-    circle, measure W dmu_lam / poch_lam at the string point w o lam.
-    The string modes pair with the y eigenfunction at exponents
-    power_sign * n; on the string-free measure, which is symmetric, its k!
-    terms collapse to k! times the identity term.  The y scattering
-    products are formed only when a consumer asks for them.  The sign
-    (-1)^k of the semi-discrete nested definition survives the string
-    expansion; it rides on the quadrature weights W of every slab.
-    """
+def _state_coords(states: Sequence[WeylVector]) -> np.ndarray:
+    """The states as an (N, k) integer array, N >= 1."""
+    coords = np.array([n.coords for n in states], dtype=int)
     if coords.ndim != 2 or len(coords) == 0:
         raise ValueError("the inverse transform needs at least one state")
-    k = coords.shape[1]
+    return coords
+
+
+def _spectral_slabs(mode: str, k: int, cs: ContourSystem, spec: QuadratureSpec,
+                    fam_y: EigenFamily):
+    """Yield the slabs of one evaluation mode of the k-fold inverse
+    transform, paired on the y side with the eigenfunctions of ``fam_y``.
+
+    nested: the k circles of ``cs``, measure W times the nested kernel, no y
+    eigenfunction (the identity term).  single-gamma: the k circles of
+    ``cs``, measure W dmu_{(1)^k}.  expanded: for each partition lam of k,
+    ell(lam) copies of the innermost circle, measure W dmu_lam at the
+    string point w o lam.  Every mode pairs each component with its base at
+    the exponent power_sign * n - 1; in the string modes the -1 is
+    prod_m 1/base(comp_m) = 1/prod_j (w_j; q)_{lam_j} (or its eps and
+    semi-discrete analogue).  On the symmetric string-free measure the k!
+    y terms collapse to k! times the identity term; the others are formed
+    only when a consumer asks.  The semi-discrete sign (-1)^k, which
+    survives the string expansion, is `composition_table`'s.
+    """
     if mode in ("nested", "single-gamma") and cs.k != k:
         raise ValueError(f"{mode} mode needs one circle per particle: "
                          f"{cs.k} circles for k = {k}")
-    model, q, eps = fam_y.model, fam_y.q, fam_y.eps
-    sign = (-1.0) ** k if model == "sd" else 1.0
+    model, q = fam_y.model, fam_y.q
     identity = tuple(range(k))
     if mode == "nested":
         if fam_y.side != "left":
             raise ValueError("nested mode pairs with the left eigenfunction only")
         for zs, W in _grid_chunks(cs, spec):
-            W *= sign
             yield _Slab(zs, [fam_y.base(z).ravel() for z in zs], identity,
-                        W * nested_kernel_grid(zs, q, model), lambda T: [(identity, T)], -1)
+                        W * nested_kernel_grid(zs, q, model), lambda T: [(identity, T)])
         return
     if mode == "single-gamma":
         if model == "sd":
@@ -351,52 +322,43 @@ def _spectral_slabs(mode: str, coords: np.ndarray, cs: ContourSystem, spec: Quad
         axis_of = tuple(s for s, part in enumerate(lam.parts) for _ in range(part))
         sub = cs if mode == "single-gamma" else _string_system(cs.circles[-1], lam.length, q, model)
         for ws, W in _grid_chunks(sub, spec):
-            W *= sign
-            comps = _string_components(lam, ws, q, model)
-            dens = mu_density_grid(lam, ws, q, "sd" if model == "sd" else "qboson")
-            if mode == "single-gamma":
-                inv_base = functools.reduce(operator.mul, (1.0 / fam_y.base(w) for w in ws))
-                measure = W * dens * inv_base
-            else:
-                measure = W * dens / _string_poch_grid(lam, ws, q, model, eps)
+            # w o lam, geometric (additive for the semi-discrete family)
+            comps = [ws[s] + i if model == "sd" else ws[s] * q**i
+                     for s, part in enumerate(lam.parts) for i in range(part)]
             scat = ScatteringGrid(fam_y, comps)
             if lam.length == k:
                 lefts = lambda T, scat=scat: [
-                    (identity, T * scat.product(identity) * math.factorial(k))]
+                    (identity, T * math.factorial(k) * scat.product(identity))]
             else:
                 lefts = scat.permuted
             yield _Slab(comps, [fam_y.base(c).ravel() for c in comps], axis_of,
-                        measure, lefts, 0)
+                        W * mu_density_grid(lam, ws, q, model), lefts)
 
 
 def inverse_J_batch(G, ns: Sequence[WeylVector], mode: str, cs: ContourSystem,
-                    spec: QuadratureSpec, q: float,
-                    extra_grid: Callable | None = None) -> np.ndarray:
+                    spec: QuadratureSpec, q: float) -> np.ndarray:
     """Inverse transform (q-Boson family) of a symmetric spectral function G
     at many points n, sharing one grid evaluation of G.
 
     modes: "nested" (k-fold integral over the nested circles), "single-gamma"
     (one circle, k-string-free measure against the left eigenfunction), or
     "expanded" (sum over partitions of string-specialized integrals).
-    ``extra_grid`` optionally multiplies the integrand by a further grid
-    factor (e.g. the exponential time weight of the evolution solvers).
     """
     fam_l = EigenFamily("qboson-left", q)
-    coords = np.array([n.coords for n in ns], dtype=int)
+    coords = _state_coords(ns)
+    hi = int(coords.max())
+    erange = (-1 - hi, -1 - int(coords.min()))
     out = np.zeros(len(coords), dtype=complex)
-    for s in _spectral_slabs(mode, coords, cs, spec, fam_l):
+    for s in _spectral_slabs(mode, coords.shape[1], cs, spec, fam_l):
         # In place, so the slab holds one full-size array, and with the
         # measure as the left operand: `a * temporary` may run as
         # `temporary *= a`, and a complex product rounds differently with
         # its operands swapped.
         T0 = np.multiply(s.measure, G(tuple(s.comps)), out=s.measure)
-        if extra_grid is not None:
-            T0 = T0 * extra_grid(tuple(s.comps))
-        erange = (s.offset - int(coords.max()), s.offset - int(coords.min()))
         for inv, T in s.lefts(T0):
-            # component m carries the exponent offset - n_{sigma^{-1}(m)}
+            # component m carries the exponent -n_{sigma^{-1}(m)} - 1
             table = contract_powers(T, s.bases, s.axis_of, erange)
-            out += table[tuple(s.offset - coords[:, j] - erange[0] for j in inv)]
+            out += table[tuple(hi - coords[:, j] for j in inv)]
     return out
 
 
@@ -425,19 +387,21 @@ def composition_table(states: Sequence[WeylVector], cs: ContourSystem, spec: Qua
     fam_x = _family(model, "right", q, eps)
     fam_y = _family(model, side, q, eps)
     sy = fam_y.power_sign()
-    coords = np.array([n.coords for n in states], dtype=int)
+    coords = _state_coords(states)
+    k = coords.shape[1]
+    lo, hi = int(coords.min()), int(coords.max())
+    erange = (lo + min(sy * lo, sy * hi) - 1, hi + max(sy * lo, sy * hi) - 1)
     out = np.zeros((len(coords), len(coords)), dtype=complex)
-    for s in _spectral_slabs(mode, coords, cs, spec, fam_y):
-        lo, hi = int(coords.min()), int(coords.max())
-        erange = (s.offset + lo + min(sy * lo, sy * hi), s.offset + hi + max(sy * lo, sy * hi))
+    for s in _spectral_slabs(mode, k, cs, spec, fam_y):
         scat_x = ScatteringGrid(fam_x, s.comps)
         for inv_s, Tl in s.lefts(s.measure):
             for inv_t, table in scat_x.permuted(Tl, (s.bases, s.axis_of, erange)):
                 # component m carries the exponent
-                # x_{tau^{-1}(m)} + offset + sy y_{sigma^{-1}(m)}
-                out += table[tuple(coords[:, None, t] + sy * coords[None, :, j] + s.offset
+                # x_{tau^{-1}(m)} + sy y_{sigma^{-1}(m)} - 1
+                out += table[tuple(coords[:, None, t] + sy * coords[None, :, j] - 1
                                    - erange[0] for t, j in zip(inv_t, inv_s))]
-    return fam_x.prefactors(coords)[:, None] * fam_y.prefactors(coords)[None, :] * out
+    sign = (-1.0) ** k if model == "sd" else 1.0
+    return sign * fam_x.prefactors(coords)[:, None] * fam_y.prefactors(coords)[None, :] * out
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +414,8 @@ def residue_expand_nested(Fs: Sequence[Callable], cs: ContourSystem, spec: Quadr
     of a batch (the weighted kernel grid is built once).
 
     Returns the values and, from the same pass, each one's embedded
-    half-grid estimate, as `contours.integrate` forms it.
+    half-grid estimate, as `contours.integrate` forms it.  Like it, it
+    raises FloatingPointError when an F is not finite on the grid.
     """
     check_q(q)
     half = (slice(None, None, 2),) * cs.k
@@ -462,47 +427,37 @@ def residue_expand_nested(Fs: Sequence[Callable], cs: ContourSystem, spec: Quadr
             weighted = base * fn(tuple(zs))
             totals[i] += weighted.sum()
             coarse[i] += weighted[half].sum()
+    if not np.all(np.isfinite(totals)):
+        raise FloatingPointError("integrand returned a non-finite value on the nested grid")
     return totals, np.abs(totals - coarse * 2**cs.k)
 
 
 def residue_expand_sum(Fs: Sequence[Callable], k: int, circle: Circle,
                        spec: QuadratureSpec, q: float,
                        model: str = "qboson") -> tuple[np.ndarray, np.ndarray]:
-    """Partition-sum side: sum over partitions of the string measure paired
-    with the symmetrized kernel, for each F of a batch, on ell(lam) copies
-    of the one small ``circle`` (`contours.string_circle`).
-
-    The symmetrized kernel at z is sum_sigma prod_{B<A} of the left
-    scattering factors times F(sigma z).  For the string-free partition the
-    measure is symmetric, so the permutation sum collapses to k! times the
-    identity term (a change of integration variables, valid for any F).
-    ``model`` "sd" takes the semi-discrete left scattering, additive strings
-    and string measure, for the kernel prod_{A<B} (z_A - z_B)/(z_A - z_B - 1).
-    All measure and scattering tensors are shared across the batch.
-    Returns the values and each one's embedded half-grid estimate: each
-    partition lam contributes its ell(lam)-axis grid's half-grid sum, scaled
-    by 2^ell(lam).
+    """Partition-sum side: for each F of a batch, the sum over partitions of
+    the string measure paired with the symmetrized kernel
+    sum_sigma S^left(sigma) F(sigma z), on ell(lam) copies of the one small
+    ``circle`` (`contours.string_circle`): the expanded slabs of
+    `_spectral_slabs` with the left family, F taken at the permuted string
+    components.  ``model`` "sd" is the semi-discrete family, for the kernel
+    prod_{A<B} (z_A - z_B)/(z_A - z_B - 1).  Returns the values and each
+    one's embedded half-grid estimate: the half-grid sum of each ell-axis
+    grid, scaled by 2^ell.
     """
     check_q(q)
     fam_l = EigenFamily(f"{model}-left", q)
     totals = np.zeros(len(Fs), dtype=complex)
     coarse = np.zeros(len(Fs), dtype=complex)
-    for lam in partitions_of(k):
-        half = (slice(None, None, 2),) * lam.length
-        for ws, W in _grid_chunks(_string_system(circle, lam.length, q, model), spec):
-            comps = _string_components(lam, ws, q, model)
-            dens = W * mu_density_grid(lam, ws, q, model)
-            scat_l = ScatteringGrid(fam_l, comps)
-            if lam.parts == tuple([1] * k):
-                terms = [(dens * math.factorial(k) * scat_l.product(tuple(range(k))), comps)]
-            else:
-                terms = ((dens * scat_l.product(sigma), [comps[s] for s in sigma])
-                         for sigma in itertools.permutations(range(k)))
-            for base, args in terms:
-                for i, fn in enumerate(Fs):
-                    weighted = base * fn(tuple(args))
-                    totals[i] += weighted.sum()
-                    coarse[i] += weighted[half].sum() * 2**lam.length
+    for s in _spectral_slabs("expanded", k, _string_system(circle, 1, q, model), spec, fam_l):
+        ell = s.measure.ndim
+        half = (slice(None, None, 2),) * ell
+        for inv, base in s.lefts(s.measure):
+            args = tuple(s.comps[m] for m in inverse_permutation(inv))
+            for i, fn in enumerate(Fs):
+                weighted = base * fn(args)
+                totals[i] += weighted.sum()
+                coarse[i] += weighted[half].sum() * 2**ell
     if not np.all(np.isfinite(totals)):
         raise FloatingPointError("integrand returned a non-finite value on the string grid")
     return totals, np.abs(totals - coarse)

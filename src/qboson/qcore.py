@@ -310,6 +310,20 @@ def weyl_vectors_in_box(k: int, lo: int, hi: int) -> Iterator[WeylVector]:
     yield from rec([], hi)
 
 
+def chamber_blocks(k: int, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """The states of `weyl_vectors_in_box` (k, lo, hi), in its order, as
+    integer arrays, one (rows, k) block per value of n_1: the block of
+    n_1 = top prepends top to the prefix of the states of k - 1 coordinates
+    whose first coordinate is at most top."""
+    tops = np.arange(lo, hi + 1, dtype=np.int64)
+    if k == 1:
+        yield from tops[:, None, None]
+        return
+    tails = np.concatenate([np.empty((0, k - 1), np.int64), *chamber_blocks(k - 1, lo, hi)])
+    for top, end in zip(tops, np.searchsorted(tails[:, 0], tops, side="right")):
+        yield np.column_stack([np.full(end, top), tails[:end]])
+
+
 def negative_binomial_tail(k: int, rho: float, S: int) -> float:
     """sum_{s > S} C(s+k-1, k-1) rho^s for 0 <= rho < 1: a geometric tail
     weighted by the number of k-vectors of nonnegative integers summing to

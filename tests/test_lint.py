@@ -5,6 +5,7 @@ import functools
 import importlib
 import importlib.util
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -149,13 +150,25 @@ def test_no_public_api_that_only_tests_reach():
 
 
 def test_benchmark_tracer_targets_resolve():
-    # perfbench/tracer.py wraps these names with a bare getattr, so a
-    # deleted or renamed one breaks only the benchmark unless caught here
+    # perfbench/tracer.py wraps these names with a bare getattr on
+    # sys.modules, in a process that has imported qboson.registry only, so a
+    # deleted or renamed one, or a module the registry no longer loads, makes
+    # Tracer.install raise and breaks only a traced benchmark run unless
+    # caught here; a fresh process keeps other tests' imports out of it
     tracer = _load_tracer()
     assert tracer.QBOSON_TARGETS
     for tg in tracer.QBOSON_TARGETS:
         obj = functools.reduce(getattr, tg.attr.split("."), importlib.import_module(tg.module))
         assert callable(obj), tg.name
+    code = ("import sys\n"
+            f"sys.path[:0] = [{str(SRC.parents[1] / 'perfbench')!r}, {str(SRC.parent)!r}]\n"
+            "import qboson.registry\n"
+            "from tracer import Tracer\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "tracer.remove()\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def report_constructions(source: str) -> list[tuple[int, str]]:

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qboson import contours
-from qboson.contours import QuadratureSpec, _grid_chunks, integrate, nested_contours, single_gamma
+from qboson.contours import (
+    QuadratureSpec,
+    _grid_chunks,
+    grid_nodes_weights,
+    integrate,
+    nested_contours,
+    single_gamma,
+)
 from qboson.eigenfunctions import EigenFamily, eigen_eval, eigen_eval_grid
 from qboson.plancherel import (
     composition_table,
@@ -344,16 +351,6 @@ def test_completeness_both_expansions():
     assert np.abs(conj - np.eye(len(states))).max() < 1e-6
 
 
-def test_residue_expansion_small():
-    for k in (1, 2, 3):
-        cs = nested_contours(k, Q, r_k=0.3, margin=0.3)
-        spec = QuadratureSpec(128)
-        Fs = [lambda zs: np.exp(sum((z - 1.0) * 0.3 for z in zs))]
-        (a,), _ = residue_expand_nested(Fs, cs, spec, Q)
-        (b,), _ = residue_expand_sum(Fs, k, cs.circles[-1], spec, Q)
-        assert abs(a - b) <= 1e-8 * (1 + abs(a))
-
-
 def _residue_sides(k):
     """Both residue-expansion sides at k for two F with a simple pole at 1
     in each variable, so that both integrals are of order 1: for an entire
@@ -366,6 +363,31 @@ def _residue_sides(k):
           for c in (0.1j, -0.1)]
     return {"nested": lambda spec: residue_expand_nested(Fs, cs, spec, q),
             "sum": lambda spec: residue_expand_sum(Fs, k, cs.circles[-1], spec, q)}
+
+
+def test_residue_expansion_small():
+    # the pole at 1 keeps both sides of order 1, so their agreement is not
+    # the vacuous 0 = 0 of an entire F; the sum side shares the
+    # evaluation-mode dispatch with the transform tables, and this diffs it
+    # against the nested side, a grid of the bare kernel
+    for k in (1, 2, 3, 4):
+        sides = _residue_sides(k)
+        (nested, _), (total, _) = (sides[side](QuadratureSpec(32)) for side in ("nested", "sum"))
+        assert np.all(np.abs(nested) > 0.1)
+        assert np.abs(nested - total).max() <= 1e-12, k
+
+
+def test_residue_expand_nested_raises_on_a_nonfinite_F():
+    # F is infinite on the first node of axis 0; summed, it would be nan
+    cs, spec = nested_contours(2, 0.5, r_k=0.2), QuadratureSpec(16)
+    node = grid_nodes_weights(cs, spec)[0][0][0]
+
+    def F(zs):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 1.0 / (zs[0] - node)
+
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        residue_expand_nested([F], cs, spec, 0.5)
 
 
 @pytest.mark.parametrize("k", [3, 4])

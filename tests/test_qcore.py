@@ -10,6 +10,7 @@ from qboson.qcore import (
     CompactFn,
     Partition,
     WeylVector,
+    chamber_blocks,
     check_q,
     cluster_decompose,
     cluster_weights,
@@ -183,6 +184,13 @@ def test_weyl_box_enumeration():
     ]
     # size C(hi - lo + k, k)
     assert len(list(weyl_vectors_in_box(3, -2, 2))) == math.comb(4 + 3, 3)
+    # chamber_blocks: the same states in the same order, as the rows of one
+    # block per value of n_1
+    for k, lo, hi in ((1, -2, 3), (2, -1, 1), (3, -2, 2), (4, 0, 3), (2, 3, 2)):
+        expected = [n.coords for n in weyl_vectors_in_box(k, lo, hi)]
+        blocks = list(chamber_blocks(k, lo, hi))
+        assert [set(b[:, 0].tolist()) for b in blocks] == [{top} for top in range(lo, hi + 1)]
+        assert [tuple(r) for b in blocks for r in b.tolist()] == expected
 
 
 def test_compact_fn():
