@@ -82,7 +82,7 @@ def check_transition_prob(acc: Accumulator, q: float = 0.5, t: float = 1.0,
         pmf = uniformized_transition(GeneratorKind("fwd", "qboson", q), t, y, box, tol=1e-12)
         states = [n for n in weyl_vectors_in_box(k, lo + 1, y.coords[0])]
         vals = solve_evolution_batch("forward", CompactFn.delta(y), t, states, q,
-                                     quad=QuadratureSpec(256 if k <= 2 else 128))
+                                     quad=QuadratureSpec(256))
         total = 0.0
         min_real = np.inf
         for n, v in zip(states, vals):

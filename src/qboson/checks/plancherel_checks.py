@@ -151,7 +151,7 @@ def check_plancherel_dual(acc: Accumulator, q: float = 0.5, max_degree: int = 3,
             lo = min(m) - 2
             hi = max(m) + 2
             window = list(weyl_vectors_in_box(k, lo, hi))
-            jg = inverse_J_batch(G, window, "nested", cs, spec, q)
+            jg = inverse_J_batch(G, window, "nested", cs, spec, q)[0]
             boundary = [i for i, n_ in enumerate(window)
                         if n_.coords[0] in (hi, hi - 1) or n_.coords[-1] in (lo, lo + 1)]
             for z in zs_pool:

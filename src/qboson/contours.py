@@ -6,7 +6,7 @@ systems are built here and validated before use, as is the one small circle
 of a string expansion (`string_circle`); `integrate` evaluates the
 k-fold product trapezoidal rule (geometrically convergent for integrands
 analytic near the circles) with an embedded-subgrid error estimate;
-`plan_nodes` doubles a node count until such an estimate meets a target;
+`plan_nodes` doubles a node count until an error estimate meets a target;
 and `contract_powers` is the one batched kernel that evaluates a grid
 integrand against many integer powers of its one-particle bases at once; every
 transform table (inverse transform, identity resolution, pairings, the
@@ -294,7 +294,7 @@ def default_nodes(k: int) -> int:
 
 class NodePlan(NamedTuple):
     """The node count `plan_nodes` chose, with that evaluation's per-integral
-    values and embedded half-grid estimates."""
+    values and error estimates."""
 
     nodes: int
     values: np.ndarray
@@ -304,17 +304,18 @@ class NodePlan(NamedTuple):
 def plan_nodes(evaluate: Callable[[QuadratureSpec], tuple[np.ndarray, np.ndarray]],
                target: float, ceiling: int) -> NodePlan:
     """Node half of the quadrature planner: the smallest M = 16, 32, ...
-    (capped at ``ceiling``) whose worst embedded half-grid estimate is at
-    most ``target``.
+    (capped at ``ceiling``) whose worst error estimate is at most ``target``.
 
     ``evaluate(spec)`` returns the values of a batch of integrals at
-    spec.nodes per axis and the half-grid estimate of each.  The trapezoid
-    rule on circles converges geometrically (Trefethen & Weideman, SIAM
-    Review 56, 2014), so each doubling squares the error, and the estimate,
-    what doubling from M/2 to M changed, is about the error at M/2: far
-    above the error at M.  `plan_nodes` only chooses M: the values it returns
-    are those of ``evaluate`` at the returned M, unchanged.  At the ceiling
-    it returns that evaluation whatever its estimate.
+    spec.nodes per axis and the evaluator's estimate of each value's error.
+    The trapezoid rule on circles converges geometrically (Trefethen &
+    Weideman, SIAM Review 56, 2014), so each doubling squares the error.
+    The plain embedded half-grid estimate, what doubling from M/2 to M
+    changed, is about the error at M/2: far above the error at M.  An
+    evaluator may extrapolate it, as `plancherel.inverse_J_batch` does.
+    `plan_nodes` only chooses M: the values it returns are those of
+    ``evaluate`` at the returned M, unchanged.  At the ceiling it returns
+    that evaluation whatever its estimate.
     """
     QuadratureSpec(ceiling)  # raises unless a power of two >= 16
     m = 16

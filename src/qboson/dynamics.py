@@ -304,7 +304,7 @@ def h0_build(kind: str, k: int, N: int, q: float, alpha: float = 0.0) -> Compact
     return CompactFn(table)
 
 
-MOMENT_TARGET = 1e-10  # half-grid estimate at which a moment's node doubling stops
+MOMENT_TARGET = 1e-10  # error estimate at which a moment's or spectral solve's node doubling stops
 
 
 @dataclass
@@ -451,28 +451,40 @@ def solve_evolution(direction: str, method: str, f0: CompactFn, t: float, n: Wey
 
 def solve_evolution_batch(direction: str, f0: CompactFn, t: float, ns: Sequence[WeylVector],
                           q: float, quad: QuadratureSpec | None = None) -> np.ndarray:
-    """Spectral solver evaluated at many states with one grid pass."""
+    """Spectral solver evaluated at many states, one grid pass per node count.
+
+    The solution is the nested inverse transform (`inverse_J_batch`) of the
+    time-weighted transform of f0, times a prefactor per state in the
+    forward direction.  An explicit ``quad`` fixes the nodes per circle.
+    Without it `plan_nodes` doubles them from 16 until the worst error
+    estimate of the returned values (`inverse_J_batch`'s, times |prefactor|)
+    meets MOMENT_TARGET, up to `default_nodes(k)`.
+    """
     check_q(q)
     k = f0.k
     cs = nested_contours(k, q, r_k=0.3)
-    if quad is None:
-        quad = QuadratureSpec(128)
     weight = _time_weight(q, t)
-
     if direction == "backward":
         G = lambda zs: transform_F_grid(f0, list(zs), q) * weight(zs)
-        return inverse_J_batch(G, list(ns), "nested", cs, quad, q)
-    if direction == "forward":
+        states, pref = list(ns), 1.0
+    elif direction == "forward":
         G = lambda zs: transform_F_grid(f0, list(zs), q, side="left") * weight(zs)
-        refl = [n.reflect() for n in ns]
-        vals = inverse_J_batch(G, refl, "nested", cs, quad, q)
+        states = [n.reflect() for n in ns]
+        # the reflected-exponent integral carries (1-z)^{-m_j-1} with
+        # m = reflect(n), i.e. exactly (1-z_j)^{n_{k-j+1}-1}
         pref = np.array(
             [q ** (-k * (k - 1) / 2.0) * cq_weight_inv(n, q) for n in ns], dtype=complex
         )
-        # the reflected-exponent integral carries (1-z)^{-m_j-1} with
-        # m = reflect(n), i.e. exactly (1-z_j)^{n_{k-j+1}-1}
-        return pref * vals
-    raise ValueError(f"unknown direction {direction!r}")
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+
+    def evaluate(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+        vals, estimates = inverse_J_batch(G, states, "nested", cs, spec, q)
+        return pref * vals, np.abs(pref) * estimates
+
+    if quad is None:
+        return plan_nodes(evaluate, MOMENT_TARGET, default_nodes(k)).values
+    return evaluate(quad)[0]
 
 
 def transition_probability(method: str, y: WeylVector, x: WeylVector, t: float,

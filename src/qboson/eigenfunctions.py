@@ -241,15 +241,18 @@ class EigenTable:
 
     def states(self, ns) -> np.ndarray:
         """Eigenfunction values at the rows of an (N, k) integer array, taken
-        in slices that keep the (k!, rows) array of terms near 1 MB."""
+        in slices that keep the (k!, rows) array of terms near 1 MB; each
+        slice's sums and prefactors are written into the one result array."""
         ns = np.asarray(ns, dtype=np.int64).reshape(-1, self.k)
         step = max(1, (1 << 16) // len(self.weights))
-        re, im = [], []
+        out = np.empty(len(ns), dtype=complex)
         for start in range(0, len(ns), step):
-            t = self.terms(ns[start:start + step])
-            re += [math.fsum(col) for col in t.real.T.tolist()]
-            im += [math.fsum(col) for col in t.imag.T.tolist()]
-        return (np.array(re) + 1j * np.array(im)) * self.fam.prefactors(ns)
+            cut = slice(start, start + step)
+            t = self.terms(ns[cut])
+            out.real[cut] = [math.fsum(col) for col in t.real.T.tolist()]
+            out.imag[cut] = [math.fsum(col) for col in t.imag.T.tolist()]
+            out[cut] *= self.fam.prefactors(ns[cut])
+        return out
 
     def __call__(self, n: WeylVector) -> complex:
         """Eigenfunction value at one state: ``states`` of one row, gathered
@@ -298,7 +301,9 @@ class ScatteringGrid:
         groups: for each m, wave_m times the factors pairing z_m with each
         z_i, i < m.  pos[m] = place of variable m; the later place of a pair
         is z_A.  On grids where each variable adds an axis, only the last
-        group and the last running product span the full grid.
+        group and the last running product span the full grid, and the
+        running product is written into that group's array rather than a
+        new full-size one.
         """
         out = None
         for m in range(self.k):
@@ -306,8 +311,16 @@ class ScatteringGrid:
             for i in range(m):
                 f = self._factor(m, i) if pos[m] > pos[i] else self._factor(i, m)
                 g = f if g is None else g * f
-            if g is not None:
-                out = g if out is None else out * g
+            if g is None:
+                continue
+            if out is None:
+                out = g
+            elif isinstance(g, np.ndarray) and g.shape == np.broadcast_shapes(out.shape, g.shape):
+                # a group after the first holds a product made here, never a
+                # cached factor or a wave, so it can take the running product
+                out = np.multiply(out, g, out=g)
+            else:
+                out = out * g
         return out
 
     def product(self, perm: Sequence[int]) -> np.ndarray:
@@ -371,7 +384,8 @@ class ScatteringGrid:
         for perm in itertools.permutations(range(self.k)):
             pos = inverse_permutation(perm)
             total += self._grouped(pos, [powers[m][pos[m]] for m in range(self.k)])
-        return total * self.fam.prefactor(n)
+        total *= self.fam.prefactor(n)
+        return total
 
 
 def eigen_eval_grid(fam: EigenFamily, zs: Sequence[np.ndarray], n: WeylVector) -> np.ndarray:

@@ -35,9 +35,14 @@ division at the full grid size; `mu_weight` keeps the literal determinant.
 Only the nested side of residue-expansion, `residue_expand_nested`, stays
 off the dispatch; the sum side, `residue_expand_sum`, walks the expanded
 mode's slabs (tests/test_plancherel.py diffs the two for F with a pole at
-1), and is also how `dynamics.string_moment` evaluates every moment.  Each
-side returns, from one pass, its values and their embedded half-grid
-estimates, from which `contours.plan_nodes` chooses the node count.
+1), and is also how `dynamics.string_moment` evaluates every moment.
+
+Every evaluator here returns, from one pass, its values and an error
+estimate of each, from which `contours.plan_nodes` chooses the node count.
+Both residue sides give the plain embedded half-grid difference d.
+`inverse_J_batch`, which the spectral Kolmogorov solver plans on, also
+bounds each value's rounding and, well above that bound, extrapolates d
+along the trapezoid rule's geometric rate to min(d, d^2/|value|).
 """
 
 from __future__ import annotations
@@ -80,7 +85,12 @@ def nested_kernel_grid(zs: Sequence[np.ndarray], q: float, model: str = "qboson"
             diff = zs[a] - zs[b]
             den = (diff - 1.0) if model == "sd" else (zs[a] - q * zs[b])
             f = diff / den
-            out = f if out is None else out * f
+            if out is None:
+                out = f
+            elif out.shape == np.broadcast_shapes(out.shape, f.shape):
+                out *= f  # out spans the grid: no new full-size array
+            else:
+                out = out * f
     if out is None:
         out = np.ones(np.broadcast_shapes(*[np.shape(z) for z in zs]), dtype=complex)
     return out
@@ -335,37 +345,76 @@ def _spectral_slabs(mode: str, k: int, cs: ContourSystem, spec: QuadratureSpec,
                         W * mu_density_grid(lam, ws, q, model), lefts)
 
 
+def _geometric_estimate(d: np.ndarray, values: np.ndarray, rounding: np.ndarray) -> np.ndarray:
+    """Error estimate of values whose half-grid difference is d.
+
+    d is what doubling from M/2 to M changed, about the error at M/2.  On the
+    trapezoid rule's geometric rate each doubling squares the error on the
+    values' scale, so the error at M is about d^2/|value|; that is taken,
+    capped at d, where d is at least 100 times the rounding bound.  Nearer
+    the bound d measures rounding, which doubling does not square, and d
+    stands.
+    """
+    mag = np.abs(values)
+    squared = np.divide(d * d, mag, out=np.full_like(d, np.inf), where=mag > 0)
+    return np.where(d >= 100.0 * rounding, np.minimum(d, squared), d)
+
+
 def inverse_J_batch(G, ns: Sequence[WeylVector], mode: str, cs: ContourSystem,
-                    spec: QuadratureSpec, q: float) -> np.ndarray:
+                    spec: QuadratureSpec, q: float) -> tuple[np.ndarray, np.ndarray]:
     """Inverse transform (q-Boson family) of a symmetric spectral function G
     at many points n, sharing one grid evaluation of G.
 
     modes: "nested" (k-fold integral over the nested circles), "single-gamma"
     (one circle, k-string-free measure against the left eigenfunction), or
     "expanded" (sum over partitions of string-specialized integrals).
+
+    Returns the values and, from the same pass, an error estimate of each.
+    Every slab also contracts its embedded half grid (every second node on
+    each axis, scaled by 2^axes), and d is the difference of the two sums.
+    The rounding bound of a value is eps sum|T| prod_m b_m^{e_m} over the
+    slabs' integrands T, with b_m the largest |base| of component m where
+    its exponent e_m >= 0 and the smallest where e_m < 0; sum|T| is taken
+    in blocks of rows, so it adds no full-size temporary.  The estimate is
+    `_geometric_estimate` of d: min(d, d^2/|value|) where d >= 100 times the
+    rounding bound, and d otherwise.
     """
     fam_l = EigenFamily("qboson-left", q)
     coords = _state_coords(ns)
     hi = int(coords.max())
     erange = (-1 - hi, -1 - int(coords.min()))
     out = np.zeros(len(coords), dtype=complex)
+    coarse = np.zeros(len(coords), dtype=complex)
+    rounding = np.zeros(len(coords))
     for s in _spectral_slabs(mode, coords.shape[1], cs, spec, fam_l):
         # In place, so the slab holds one full-size array, and with the
         # measure as the left operand: `a * temporary` may run as
         # `temporary *= a`, and a complex product rounds differently with
         # its operands swapped.
         T0 = np.multiply(s.measure, G(tuple(s.comps)), out=s.measure)
+        half = (slice(None, None, 2),) * T0.ndim
+        half_bases = [b[::2] for b in s.bases]
+        extents = [(np.abs(b).min(), np.abs(b).max()) for b in s.bases]
         for inv, T in s.lefts(T0):
-            # component m carries the exponent -n_{sigma^{-1}(m)} - 1
-            table = contract_powers(T, s.bases, s.axis_of, erange)
-            out += table[tuple(hi - coords[:, j] for j in inv)]
-    return out
+            # component m carries the exponent e_m = -n_{sigma^{-1}(m)} - 1
+            idx = tuple(hi - coords[:, j] for j in inv)
+            out += contract_powers(T, s.bases, s.axis_of, erange)[idx]
+            coarse += 2.0**T.ndim * contract_powers(T[half], half_bases, s.axis_of, erange)[idx]
+            e = -1 - coords[:, list(inv)]
+            growth = np.prod([np.where(e[:, m] >= 0, top, low) ** e[:, m]
+                              for m, (low, top) in enumerate(extents)], axis=0)
+            # sum|T| in blocks of about 2^16 nodes: no full-size temporary
+            blocks = np.array_split(T, -(-T.size // (1 << 16)))
+            rounding += sum(float(np.abs(block).sum()) for block in blocks) * growth
+    d = np.abs(out - coarse)
+    return out, _geometric_estimate(d, out, np.finfo(float).eps * rounding)
 
 
 def inverse_J(G, n: WeylVector, mode: str, cs: ContourSystem, spec: QuadratureSpec,
               q: float) -> complex:
-    """Inverse transform at one point n: `inverse_J_batch` on a batch of one."""
-    return complex(inverse_J_batch(G, [n], mode, cs, spec, q)[0])
+    """Inverse transform at one point n: the value of `inverse_J_batch` on a
+    batch of one."""
+    return complex(inverse_J_batch(G, [n], mode, cs, spec, q)[0][0])
 
 
 def composition_table(states: Sequence[WeylVector], cs: ContourSystem, spec: QuadratureSpec,

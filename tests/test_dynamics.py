@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from qboson.contours import ContourError
+from qboson import dynamics
+from qboson.contours import ContourError, QuadratureSpec, plan_nodes
 from qboson.dynamics import (
     MomentSpec,
     QTasepState,
@@ -18,6 +21,7 @@ from qboson.dynamics import (
     sample_q_geometric,
     simulate,
     solve_evolution,
+    solve_evolution_batch,
     transition_probability,
 )
 from qboson.generators import GeneratorKind, StateBox, uniformized_transition
@@ -269,6 +273,67 @@ def test_transition_kernel_k1_poisson():
         assert ps == pytest.approx(expect, abs=1e-10)
         assert pu == pytest.approx(expect, abs=1e-10)
     assert transition_probability("spectral", y, y, 0.0, Q) == pytest.approx(1.0, abs=1e-10)
+
+
+def _transition_oracle(y, x, q, t):
+    """P(x at time t | y at time 0) from the q-Boson rates alone: each site
+    with c particles sends its last one left at rate 1 - q^c.  Coordinates
+    only decrease, so every path from y to x stays in the box x <= m <= y
+    and the box's sub-generator, exponentiated, is exact."""
+    ranges = [range(a, b + 1) for a, b in zip(x, y)]
+    states = [m for m in itertools.product(*ranges)
+              if all(m[i] >= m[i + 1] for i in range(len(m) - 1))]
+    index = {m: i for i, m in enumerate(states)}
+    L = np.zeros((len(states), len(states)))
+    for m, i in index.items():
+        for site in set(m):
+            rate = 1.0 - q ** m.count(site)
+            last = max(j for j, mj in enumerate(m) if mj == site)
+            L[i, i] -= rate
+            target = m[:last] + (site - 1,) + m[last + 1:]
+            if target in index:
+                L[i, index[target]] += rate
+    return expm(t * L)[index[tuple(y)], index[tuple(x)]]
+
+
+@pytest.mark.parametrize("y, x, t, q", [
+    ((2, 1, 1), (2, 1, 1), 0.221, 0.1),
+    ((2, 1, -1), (0, 0, -2), 1.148, 0.1),
+    ((2, 1, 0), (2, -1, -2), 0.428, 0.3),
+    ((2, -1, -1), (1, -1, -1), 0.749, 0.3),
+    ((2, 1, 0), (1, 0, -2), 1.475, 0.5),
+    ((2, 1, -1), (0, -1, -2), 0.603, 0.5),
+])
+def test_planned_k3_transitions_match_the_matrix_exponential(y, x, t, q):
+    v = transition_probability("spectral", WeylVector(y), WeylVector(x), t, q)
+    exact = _transition_oracle(y, x, q, t)
+    assert abs(v - exact) / (1.0 + abs(exact)) < 1e-9
+
+
+def _spy_plans(monkeypatch):
+    plans = []
+
+    def spy(evaluate, target, ceiling):
+        plans.append(plan_nodes(evaluate, target, ceiling))
+        return plans[-1]
+
+    monkeypatch.setattr(dynamics, "plan_nodes", spy)
+    return plans
+
+
+def test_spectral_transition_plans_its_nodes(monkeypatch):
+    plans = _spy_plans(monkeypatch)
+    y, x, t = WeylVector((2, 1, 0)), WeylVector((1, 1, -2)), 1.067
+    v = transition_probability("spectral", y, x, t, Q)
+    # the half-grid change from 32 to 64 nodes, squared on the value's
+    # scale, is below the target: 64 nodes, not the 128 ceiling
+    assert [p.nodes for p in plans] == [64]
+    assert abs(v - _transition_oracle(y.coords, x.coords, Q, t)) < 1e-10
+    # an explicit node count is kept, not planned
+    fixed = solve_evolution_batch("forward", CompactFn.delta(y), t, [x], Q,
+                                  quad=QuadratureSpec(32))
+    assert len(plans) == 1
+    assert abs(fixed[0] - v) > 1e-9  # 32 nodes are far from converged
 
 
 @pytest.mark.parametrize("method", ["spectral", "uniformization"])

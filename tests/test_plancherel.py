@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qboson import contours
+from qboson import contours, plancherel
 from qboson.contours import (
     QuadratureSpec,
     _grid_chunks,
@@ -219,7 +219,7 @@ def test_inverse_J_modes_agree_k2():
     assert abs(ref[0] - 1.0) < 1e-9  # Psi^r_x transforms back to delta_x
     for mode, cs in (("nested", csn), ("single-gamma", single_gamma(Q, k=2)),
                      ("expanded", csn)):
-        batch = inverse_J_batch(G, ys, mode, cs, SPEC, Q)
+        batch, _ = inverse_J_batch(G, ys, mode, cs, SPEC, Q)
         assert np.abs(batch - ref).max() < 1e-9, mode
 
 
@@ -228,7 +228,7 @@ def test_inverse_J_batch_matches_scalar():
     G = lambda zs: eigen_eval_grid(EigenFamily("qboson-right", Q), list(zs), x)
     cs = nested_contours(2, Q, r_k=0.3)
     ns = list(weyl_vectors_in_box(2, -2, 2))
-    batch = inverse_J_batch(G, ns, "nested", cs, SPEC, Q)
+    batch, _ = inverse_J_batch(G, ns, "nested", cs, SPEC, Q)
     for n, v in zip(ns, batch):
         s = _nested_reference(G, n, cs)
         assert abs(v - s) < 1e-10 * (1 + abs(s))
@@ -255,6 +255,76 @@ def test_dispatch_rejects_empty_state_list():
             composition_table([], cs, SPEC, Q, mode=mode)
         with pytest.raises(ValueError, match="at least one state"):
             inverse_J_batch(G, [], mode, cs, SPEC, Q)
+
+
+def _inverse_J_case():
+    """G = the right eigenfunction at x: its inverse transform is delta_x."""
+    x = WeylVector((2, -1))
+    G = lambda zs: eigen_eval_grid(EigenFamily("qboson-right", Q), list(zs), x)
+    ys = [x, WeylVector((1, 0)), WeylVector((3, -2)), WeylVector((0, 0))]
+    return G, ys, np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def _spy_estimate(monkeypatch):
+    """Record the (d, values, rounding bound) of every `inverse_J_batch` call."""
+    seen = []
+    rule = plancherel._geometric_estimate
+
+    def spy(d, values, rounding):
+        seen.append((d, values, rounding))
+        return rule(d, values, rounding)
+
+    monkeypatch.setattr(plancherel, "_geometric_estimate", spy)
+    return seen
+
+
+@pytest.mark.parametrize("mode, m", [("nested", 128), ("single-gamma", 256), ("expanded", 128)])
+def test_inverse_J_half_grid_difference_matches_a_separate_half_run(mode, m, monkeypatch):
+    # d is |I_M - I_half|, the half grid being every second node of the M
+    # grid; a separate run at M/2 puts its nodes at other phases, which
+    # moves its value only by the error at M/2, at these M far below
+    # 1e-12.  A wrong 2^axes scaling of a grid would be off by about 1.
+    seen = _spy_estimate(monkeypatch)
+    G, ys, _ = _inverse_J_case()
+    cs = single_gamma(Q, k=2) if mode == "single-gamma" else nested_contours(2, Q, r_k=0.3)
+    values, _ = inverse_J_batch(G, ys, mode, cs, QuadratureSpec(m), Q)
+    d = seen[-1][0]
+    coarse, _ = inverse_J_batch(G, ys, mode, cs, QuadratureSpec(m // 2), Q)
+    assert abs(values[0]) > 0.5
+    np.testing.assert_allclose(d, np.abs(values - coarse), rtol=0, atol=1e-12)
+
+
+def test_inverse_J_estimate_extrapolates_only_above_the_rounding_bound(monkeypatch):
+    seen = _spy_estimate(monkeypatch)
+    G, ys, exact = _inverse_J_case()
+    cs = nested_contours(2, Q, r_k=0.3)
+    # 32 nodes: d, what doubling from 16 changed, is far above rounding, and
+    # the estimate is its geometric extrapolation d^2/|value|
+    _, est = inverse_J_batch(G, ys[:1], "nested", cs, QuadratureSpec(32), Q)
+    d, values, rounding = seen[-1]
+    assert d[0] > 1e6 * rounding[0]
+    assert est[0] == pytest.approx(d[0] * d[0] / abs(values[0]), rel=1e-15)
+    assert est[0] < 1e-3 * d[0]
+    # 256 nodes: converged, so d is rounding and stands unextrapolated; the
+    # rounding bound covers the error against the exact delta_x (on the
+    # single circle about 0, |1 - z| runs from 0.5 to 2.5, so the bound
+    # must take the smallest base under a negative exponent)
+    for mode, circles in (("nested", cs), ("single-gamma", single_gamma(Q, k=2))):
+        values, est = inverse_J_batch(G, ys, mode, circles, QuadratureSpec(256), Q)
+        d, _, rounding = seen[-1]
+        assert np.all((d > 0) & (d < 100 * rounding)), mode
+        assert np.array_equal(est, d)
+        assert np.all(np.abs(values - exact) <= rounding), mode
+
+
+def test_geometric_estimate_rule():
+    d = np.array([1e-6, 1e-6, 1e-6, 1e-6, 1e-6])
+    values = np.array([1.0, -0.5j, 0.0, 1e-8, 1.0])
+    rounding = np.array([1e-16, 1e-16, 1e-16, 1e-16, 1.01e-8])
+    est = plancherel._geometric_estimate(d, values, rounding)
+    # squared on the value's scale, capped at d, and d itself at a zero
+    # value or within 100 rounding bounds
+    np.testing.assert_allclose(est, [1e-12, 2e-12, 1e-6, 1e-6, 1e-6], rtol=1e-15)
 
 
 def test_pairing_spatial_identities():
