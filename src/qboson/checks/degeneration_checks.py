@@ -7,7 +7,15 @@ import math
 import numpy as np
 
 from qboson.checks import random_spectral, random_weyl
-from qboson.contours import QuadratureSpec, nested_contours, sd_nested_contours, single_gamma
+from qboson.contours import (
+    Circle,
+    ContourSystem,
+    QuadratureSpec,
+    nested_contours,
+    sd_nested_contours,
+    single_gamma,
+    string_circle,
+)
 from qboson.degenerations import (
     admissible_F,
     c_eps,
@@ -45,12 +53,13 @@ def check_eps_plancherel(acc: Accumulator, q: float = 0.5, eps: float = 0.5,
         I = np.eye(len(states))
         for mode, cs in (("nested", nested_contours(k, q, r_k=0.3 * eps, center=eps)),
                          ("single-gamma", single_gamma(q, k=k, eps=eps))):
-            T = composition_table(states, cs, spec, q, model="eps", eps=eps, mode=mode)
+            T = composition_table(states, cs, spec, q, model="eps", eps=eps)
             resid = float(np.abs(T - I).max())
             acc.add_residual(f"k={k} {mode}", resid, tolerance)
         states2 = list(weyl_vectors_in_box(k, -2, 2))
-        cs = nested_contours(k, q, r_k=0.6 * eps * (1 - q) / (1 + q), center=eps)
-        T = composition_table(states2, cs, spec, q, model="eps", eps=eps, mode="expanded")
+        cs = ContourSystem((Circle(complex(eps), 0.6 * eps * (1 - q) / (1 + q)),),
+                           "string-product", q=q)
+        T = composition_table(states2, cs, spec, q, model="eps", eps=eps)
         acc.add_residual(f"k={k} expanded", float(np.abs(T - np.eye(len(states2))).max()),
                          tolerance)
     # eps = 1 reduction on random values
@@ -193,8 +202,9 @@ def check_sd_plancherel(acc: Accumulator, nodes: int = 128, tolerance: float = 1
     for k in (1, 2):
         states = list(weyl_vectors_in_box(k, -3, 3))
         I = np.eye(len(states))
-        for mode in ("nested", "expanded"):
-            T = composition_table(states, sd_nested_contours(k), spec, SD_Q, model="sd", mode=mode)
+        for mode, cs in (("nested", sd_nested_contours(k)),
+                         ("expanded", string_circle(SD_Q, model="sd", radius=0.4))):
+            T = composition_table(states, cs, spec, SD_Q, model="sd")
             acc.add_residual(f"k={k} {mode}", float(np.abs(T - I).max()), tolerance)
 
 
@@ -205,8 +215,8 @@ def check_sd_biorthogonality(acc: Accumulator, nodes: int = 128, tolerance: floa
     spec = QuadratureSpec(nodes)
     for k in (1, 2):
         states = list(weyl_vectors_in_box(k, -2, 3))
-        T = composition_table(states, sd_nested_contours(k), spec, SD_Q, model="sd",
-                              mode="expanded")
+        T = composition_table(states, string_circle(SD_Q, model="sd", radius=0.4), spec, SD_Q,
+                              model="sd")
         acc.add_residual(f"k={k}", float(np.abs(T - np.eye(len(states))).max()), tolerance)
 
 

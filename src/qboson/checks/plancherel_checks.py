@@ -64,9 +64,9 @@ def check_plancherel_forward(acc: Accumulator, q: float = 0.5, box_radius: int =
         for mode, cs in (
             ("nested", nested_contours(k, q, r_k=0.3)),
             ("single-gamma", single_gamma(q, k=k)),
-            ("expanded", nested_contours(k, q, r_k=0.3)),
+            ("expanded", string_circle(q, radius=0.3)),
         ):
-            T = composition_table(states, cs, spec, q, mode=mode)
+            T = composition_table(states, cs, spec, q)
             _delta_table_check(acc, f"k={k} {mode} q={q}", states, T, tolerance)
             used_contours[f"k={k} {mode}"] = cs.describe()["circles"]
     q3 = 0.25
@@ -74,13 +74,13 @@ def check_plancherel_forward(acc: Accumulator, q: float = 0.5, box_radius: int =
     for mode, cs in (
         ("nested", nested_contours(3, q3, r_k=0.5)),
         ("single-gamma", single_gamma(q3, k=3)),
-        ("expanded", nested_contours(3, q3, r_k=0.5)),
+        ("expanded", string_circle(q3, radius=0.5)),
     ):
-        T = composition_table(states, cs, spec, q3, mode=mode)
+        T = composition_table(states, cs, spec, q3)
         _delta_table_check(acc, f"k=3 {mode} q={q3}", states, T, tolerance)
         used_contours[f"k=3 {mode} q={q3}"] = cs.describe()["circles"]
     cs = nested_contours(3, q, r_k=0.3)
-    T = composition_table(states, cs, spec, q, mode="nested")
+    T = composition_table(states, cs, spec, q)
     _delta_table_check(acc, f"k=3 nested q={q}", states, T, tolerance)
     used_contours[f"k=3 nested q={q}"] = cs.describe()["circles"]
     acc.params["contours"] = used_contours
@@ -151,7 +151,7 @@ def check_plancherel_dual(acc: Accumulator, q: float = 0.5, max_degree: int = 3,
             lo = min(m) - 2
             hi = max(m) + 2
             window = list(weyl_vectors_in_box(k, lo, hi))
-            jg = inverse_J_batch(G, window, "nested", cs, spec, q)[0]
+            jg = inverse_J_batch(G, window, cs, spec, q)[0]
             boundary = [i for i, n_ in enumerate(window)
                         if n_.coords[0] in (hi, hi - 1) or n_.coords[-1] in (lo, lo + 1)]
             for z in zs_pool:
@@ -182,8 +182,7 @@ def check_plancherel_pairing(acc: Accumulator, q: float = 0.5, pairs: int = 20,
     for k in (1, 2, 3):
         states = list(weyl_vectors_in_box(k, -3, 3))
         idx = {n: i for i, n in enumerate(states)}
-        B = composition_table(states, single_gamma(q, k=k), spec, q, mode="single-gamma",
-                              side="right")
+        B = composition_table(states, single_gamma(q, k=k), spec, q, side="right")
         for _ in range(pairs):
             f = _random_compact(rng, k)
             g = _random_compact(rng, k)
@@ -204,11 +203,11 @@ def check_biorthogonality_spatial(acc: Accumulator, q: float = 0.5, box_radius: 
     spec = QuadratureSpec(nodes)
     for k in (1, 2, 3):
         states = list(weyl_vectors_in_box(k, -box_radius, box_radius))
-        T = composition_table(states, single_gamma(q, k=k), spec, q, mode="single-gamma")
+        T = composition_table(states, single_gamma(q, k=k), spec, q)
         _delta_table_check(acc, f"k={k} single-gamma", states, T, tolerance)
     for k in (1, 2):
         states = list(weyl_vectors_in_box(k, -box_radius, box_radius))
-        T = composition_table(states, nested_contours(k, q, r_k=0.3), spec, q, mode="expanded")
+        T = composition_table(states, string_circle(q, radius=0.3), spec, q)
         _delta_table_check(acc, f"k={k} expanded", states, T, tolerance)
 
 
@@ -263,7 +262,7 @@ def check_residue_expansion(acc: Accumulator, q: float = 0.25, n_functions: int 
     rng = np.random.default_rng(seed)
     r_k = min(0.3, 0.6 * (1.0 - q) / (1.0 + q))
     acc.params["string_radius"] = r_k
-    circle = string_circle(q, radius=r_k)
+    string = string_circle(q, radius=r_k)
     target = tolerance / 100.0
     quadrature = acc.params["quadrature"] = {}
     for k in (1, 2, 3, 4):
@@ -272,7 +271,7 @@ def check_residue_expansion(acc: Accumulator, q: float = 0.25, n_functions: int 
         sides = {
             "nested": plan_nodes(lambda spec: residue_expand_nested(Fs, cs, spec, q),
                                  target, default_nodes(k)),
-            "sum": plan_nodes(lambda spec: residue_expand_sum(Fs, k, circle, spec, q),
+            "sum": plan_nodes(lambda spec: residue_expand_sum(Fs, k, string, spec, q),
                               target, default_nodes(k)),
         }
         quadrature[f"k={k}"] = {

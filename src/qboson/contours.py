@@ -2,25 +2,27 @@
 
 The transforms and moment formulas are k-fold integrals over nested circles
 whose validity rests on a handful of containment inequalities.  Contour
-systems are built here and validated before use, as is the one small circle
-of a string expansion (`string_circle`); `integrate` evaluates the
-k-fold product trapezoidal rule (geometrically convergent for integrands
-analytic near the circles) with an embedded-subgrid error estimate;
-`plan_nodes` doubles a node count until an error estimate meets a target;
-and `contract_powers` is the one batched kernel that evaluates a grid
+systems are built here and validated before use; a system's family is the
+evaluation mode of the inverse transform, the one small circle of a string
+expansion (`string_circle`) included.  `integrate` evaluates the k-fold
+product trapezoidal rule (geometrically convergent for integrands analytic
+near the circles) with an embedded-subgrid error estimate; `plan_nodes`
+doubles a node count until an error estimate meets a target; and
+`contract_powers` is the one batched kernel that evaluates a grid
 integrand against many integer powers of its one-particle bases at once; every
 transform table (inverse transform, identity resolution, pairings, the
 spectral orthogonality window) goes through it.  Several components may
 share a grid axis, as the components of one spectral string do.
 `_grid_chunks` is the one walk over a product grid, in slabs of at most
-CHUNK_ELEMENTS nodes, that `integrate` and every grid evaluator share.
+CHUNK_ELEMENTS nodes, that every grid evaluator shares; `half_grid_sums`
+sums integrands over it for `integrate` and both residue-expansion sides.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -190,7 +192,10 @@ def nested_contours(
     minimal growth that keeps q * gamma_{j+1} strictly inside gamma_j.  The
     margin is also the closest approach of the kernel poles z_A = q z_B to
     the circles, hence it controls the trapezoid convergence rate; the
-    default 0.3 center (1-q) keeps 128 nodes comfortably past 1e-9.
+    default 0.3 center (1-q) keeps 128 nodes comfortably past 1e-9.  The
+    package's callers all pass r_k; the default (`default_inner_radius`)
+    stays while the benchmark worker's quadrature probe
+    (perfbench/worker.py) calls ``nested_contours(3, q)``.
     """
     check_q(q)
     if center <= 0:
@@ -213,8 +218,9 @@ def nested_contours(
 
 
 def string_circle(q: float, k: int = 1, alpha: float = 0.0, model: str = "qboson",
-                  radius: float | None = None) -> Circle:
-    """The one small circle of a string expansion at k, validated.
+                  radius: float | None = None) -> ContourSystem:
+    """The one small circle of a string expansion at k, as a validated
+    one-circle string-product system.
 
     q-Boson: about 1, radius min(0.6 (1-q)/(1+q), 0.6 (1 - alpha/q^k)) by
     default; below those bounds it clears its own q-image and the strings
@@ -222,9 +228,7 @@ def string_circle(q: float, k: int = 1, alpha: float = 0.0, model: str = "qboson
     0.2; below 1/2 the strings w + j, j >= 1, stay off it.
     """
     if model == "sd":
-        circle = Circle(0j, 0.2 if radius is None else radius)
-        ContourSystem((circle,), "sd-string-product")
-        return circle
+        return ContourSystem((Circle(0j, 0.2 if radius is None else radius),), "sd-string-product")
     check_q(q)
     gap = 1.0 - alpha / q**k  # how far 1 lies from alpha/q^k, where q^{k-1} w meets alpha/q
     if radius is None:
@@ -232,9 +236,7 @@ def string_circle(q: float, k: int = 1, alpha: float = 0.0, model: str = "qboson
     if radius >= gap:
         raise ContourError(f"string circle of radius {radius} reaches the pole: "
                            f"its strings meet alpha/q at |w - 1| = {gap}")
-    circle = Circle(1 + 0j, radius)
-    ContourSystem((circle,), "string-product", q=q)
-    return circle
+    return ContourSystem((Circle(1 + 0j, radius),), "string-product", q=q)
 
 
 def sd_nested_contours(k: int) -> ContourSystem:
@@ -386,28 +388,38 @@ def _grid_chunks(cs: ContourSystem, spec: QuadratureSpec):
         yield [_axis_view(nodes[0][cut], 0, k)] + rest_z, W
 
 
-def integrate(cs: ContourSystem, integrand: Callable, spec: QuadratureSpec) -> QuadResult:
-    """k-fold product trapezoidal rule over the contour system.
+def half_grid_sums(terms: Iterable[tuple[tuple, np.ndarray]],
+                   Fs: Sequence[Callable]) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of weight * F(args) over the (args, weight) grids of ``terms``,
+    for each F of a batch, and its embedded half-grid estimate
+    |full - half x 2^axes| over every second node of each axis (what
+    doubling from M/2 to M changed).  Raises FloatingPointError when a sum
+    is not finite."""
+    totals = np.zeros(len(Fs), dtype=complex)
+    coarse = np.zeros(len(Fs), dtype=complex)
+    for args, weight in terms:
+        half = (slice(None, None, 2),) * weight.ndim
+        for i, fn in enumerate(Fs):
+            # weight first, always: swapping a complex product's operands
+            # can change its last bit
+            weighted = weight * fn(args)
+            totals[i] += weighted.sum()
+            coarse[i] += weighted[half].sum() * 2**weight.ndim
+    if not np.all(np.isfinite(totals)):
+        raise FloatingPointError("integrand returned a non-finite value on a quadrature node")
+    return totals, np.abs(totals - coarse)
 
-    ``integrand`` receives k arrays (one per circle) already shaped for
-    broadcasting and must return the integrand on their broadcast product;
-    it must be safe to call on array chunks.  The error estimate compares
-    the full sum against its embedded half-node subgrid (i.e. what node
-    doubling from M/2 to M changed).
+
+def integrate(cs: ContourSystem, integrand: Callable, spec: QuadratureSpec) -> QuadResult:
+    """k-fold product trapezoidal rule over the contour system, with
+    `half_grid_sums`' half-grid error estimate.  ``integrand`` receives k
+    arrays (one per circle) already shaped for broadcasting and must return
+    the integrand on their broadcast product; it must be safe to call on
+    array chunks.
     """
-    half = (slice(None, None, 2),) * cs.k
-    total = 0.0 + 0.0j
-    coarse = 0.0 + 0.0j
-    for zs, W in _grid_chunks(cs, spec):
-        vals = np.broadcast_to(np.asarray(integrand(tuple(zs)), dtype=complex), W.shape)
-        if not np.all(np.isfinite(vals)):
-            raise FloatingPointError("integrand returned a non-finite value on a quadrature node")
-        weighted = vals * W
-        total += weighted.sum()
-        coarse += weighted[half].sum()
-    # The half grid carries half the per-axis weight density per axis.
-    coarse *= 2 ** cs.k
-    return QuadResult(total, abs(total - coarse))
+    (value,), (estimate,) = half_grid_sums(
+        ((tuple(zs), W) for zs, W in _grid_chunks(cs, spec)), [integrand])
+    return QuadResult(value, estimate)
 
 
 def power_matrix(base: np.ndarray, lo: int, hi: int) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from qboson.contours import (
-    Circle,
+    ContourSystem,
     QuadResult,
     QuadratureSpec,
     default_nodes,
@@ -315,20 +315,22 @@ class MomentResult(QuadResult):
     nodes: int
 
 
-def string_moment(factors: Sequence[Callable], circle: Circle, q: float,
+def string_moment(factors: Sequence[Callable], cs: ContourSystem, q: float,
                   model: str = "qboson", prefactor: float = 1.0) -> MomentResult:
     """prefactor times the k = len(factors)-fold nested integral of the
-    kernel times prod_j factors[j](z_j), as its string expansion on
-    ``circle``, with nodes planned to MOMENT_TARGET up to `default_nodes(k)`."""
+    kernel times prod_j factors[j](z_j), as its string expansion on the
+    string circle ``cs`` (`contours.string_circle`), with nodes planned to
+    MOMENT_TARGET up to `default_nodes(k)`."""
     k = len(factors)
 
     def F(zs):
         return functools.reduce(operator.mul, (f(z) for f, z in zip(factors, zs)))
 
-    plan = plan_nodes(lambda spec: residue_expand_sum([F], k, circle, spec, q, model),
+    plan = plan_nodes(lambda spec: residue_expand_sum([F], k, cs, spec, q, model),
                       MOMENT_TARGET, default_nodes(k))
     return MomentResult(prefactor * complex(plan.values[0]),
-                        abs(prefactor) * float(plan.estimates[0]), circle.radius, plan.nodes)
+                        abs(prefactor) * float(plan.estimates[0]), cs.circles[0].radius,
+                        plan.nodes)
 
 
 def moment_formula(spec: MomentSpec, radius: float | None = None) -> MomentResult:
@@ -479,7 +481,7 @@ def solve_evolution_batch(direction: str, f0: CompactFn, t: float, ns: Sequence[
         raise ValueError(f"unknown direction {direction!r}")
 
     def evaluate(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-        vals, estimates = inverse_J_batch(G, states, "nested", cs, spec, q)
+        vals, estimates = inverse_J_batch(G, states, cs, spec, q)
         return pref * vals, np.abs(pref) * estimates
 
     if quad is None:

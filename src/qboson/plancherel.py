@@ -6,11 +6,14 @@ be evaluated three equivalent ways: over nested circles, over one large
 circle against the k-string-free measure, or as a sum over partitions of
 string-specialized integrals against the measure `mu_weight`.
 
-That three-way choice is made in one place, `_spectral_slabs`: for each
-mode and grid slab it yields the spectral components, the measure and the
-permutation terms of the y-side eigenfunction family, and every mode pairs
-each component with its base at the exponent -n - 1.  The batched
-evaluators consume it without naming a mode: `inverse_J_batch` (with
+That three-way choice is made in one place, `_spectral_slabs`, and the
+contour system is the choice: a nested family gives the nested mode, a
+single-circle family the single-gamma mode, and a string-product family
+(the one small circle of `contours.string_circle`) the partition-expanded
+mode.  For each grid slab it yields the spectral components, the measure
+and the permutation terms of the y-side eigenfunction family, and every
+mode pairs each component with its base at the exponent -n - 1.  The
+batched evaluators consume it without naming a mode: `inverse_J_batch` (with
 `inverse_J` a batch of one) and `composition_table`, the one spectral
 pairing table of two eigenfunction families, whose left side gives the
 identity resolution and spatial biorthogonality and whose right side gives
@@ -32,10 +35,9 @@ Every grid here is walked through `contours._grid_chunks`, the same slabs
 many axes a grid has.  The string measure on a grid, `mu_density_grid`, is
 built from two-axis pair factors and one-axis diagonal factors, with no
 division at the full grid size; `mu_weight` keeps the literal determinant.
-Only the nested side of residue-expansion, `residue_expand_nested`, stays
-off the dispatch; the sum side, `residue_expand_sum`, walks the expanded
-mode's slabs (tests/test_plancherel.py diffs the two for F with a pole at
-1), and is also how `dynamics.string_moment` evaluates every moment.
+Both residue-expansion sides walk the dispatch with the left family and sum
+F by `contours.half_grid_sums`: `residue_expand_nested` on nested circles,
+`residue_expand_sum` on one string circle, as every moment is evaluated.
 
 Every evaluator here returns, from one pass, its values and an error
 estimate of each, from which `contours.plan_nodes` chooses the node count.
@@ -53,12 +55,11 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from qboson.contours import (
-    Circle,
     ContourSystem,
     QuadratureSpec,
     contract_powers,
     _grid_chunks,
-    integrate,  # noqa: F401  perfbench's tracer test patches plancherel.integrate
+    half_grid_sums,
 )
 from qboson.eigenfunctions import EigenFamily, ScatteringGrid, eigen_eval_grid
 from qboson.qcore import (
@@ -267,12 +268,6 @@ def residue_weight_determinant(lam: Partition, w: Sequence[complex], q: float) -
 # Inverse transform: one evaluation-mode dispatch, shared by every batch
 
 
-def _string_system(circle: Circle, ell: int, q: float, model: str) -> ContourSystem:
-    """Product of ell copies of one string circle."""
-    family = "sd-string-product" if model == "sd" else "string-product"
-    return ContourSystem((circle,) * ell, family, q=q)
-
-
 class _Slab(NamedTuple):
     """One grid slab of the inverse transform in one evaluation mode."""
 
@@ -291,46 +286,46 @@ def _state_coords(states: Sequence[WeylVector]) -> np.ndarray:
     return coords
 
 
-def _spectral_slabs(mode: str, k: int, cs: ContourSystem, spec: QuadratureSpec,
-                    fam_y: EigenFamily):
-    """Yield the slabs of one evaluation mode of the k-fold inverse
-    transform, paired on the y side with the eigenfunctions of ``fam_y``.
+def _spectral_slabs(k: int, cs: ContourSystem, spec: QuadratureSpec, fam_y: EigenFamily):
+    """Yield the slabs of the k-fold inverse transform in the evaluation
+    mode of ``cs``'s family, paired on the y side with the eigenfunctions
+    of ``fam_y``.
 
-    nested: the k circles of ``cs``, measure W times the nested kernel, no y
-    eigenfunction (the identity term).  single-gamma: the k circles of
-    ``cs``, measure W dmu_{(1)^k}.  expanded: for each partition lam of k,
-    ell(lam) copies of the innermost circle, measure W dmu_lam at the
-    string point w o lam.  Every mode pairs each component with its base at
-    the exponent power_sign * n - 1; in the string modes the -1 is
+    A nested family: the k circles of ``cs``, measure W times the nested
+    kernel, no y eigenfunction (the identity term).  A single-circle
+    family: the k circles of ``cs``, measure W dmu_{(1)^k}.  A
+    string-product family: for each partition lam of k, ell(lam) copies of
+    its one circle, measure W dmu_lam at the string point w o lam.  Every
+    mode pairs each component with its base at the exponent
+    power_sign * n - 1; in the string modes the -1 is
     prod_m 1/base(comp_m) = 1/prod_j (w_j; q)_{lam_j} (or its eps and
     semi-discrete analogue).  On the symmetric string-free measure the k!
     y terms collapse to k! times the identity term; the others are formed
     only when a consumer asks.  The semi-discrete sign (-1)^k, which
     survives the string expansion, is `composition_table`'s.
     """
-    if mode in ("nested", "single-gamma") and cs.k != k:
-        raise ValueError(f"{mode} mode needs one circle per particle: "
+    nested, single = cs.family.endswith("-nested"), cs.family.endswith("-single")
+    if (nested or single) and cs.k != k:
+        raise ValueError(f"{cs.family} contours need one circle per particle: "
                          f"{cs.k} circles for k = {k}")
     model, q = fam_y.model, fam_y.q
     identity = tuple(range(k))
-    if mode == "nested":
+    if nested:
         if fam_y.side != "left":
             raise ValueError("nested mode pairs with the left eigenfunction only")
         for zs, W in _grid_chunks(cs, spec):
             yield _Slab(zs, [fam_y.base(z).ravel() for z in zs], identity,
                         W * nested_kernel_grid(zs, q, model), lambda T: [(identity, T)])
         return
-    if mode == "single-gamma":
+    if single:
         if model == "sd":
             raise ValueError("the semi-discrete family has no single-circle form")
         lams = [Partition((1,) * k)]
-    elif mode == "expanded":
-        lams = partitions_of(k)
     else:
-        raise ValueError(f"unknown inverse-transform mode {mode!r}")
+        lams = partitions_of(k)
     for lam in lams:
         axis_of = tuple(s for s, part in enumerate(lam.parts) for _ in range(part))
-        sub = cs if mode == "single-gamma" else _string_system(cs.circles[-1], lam.length, q, model)
+        sub = cs if single else ContourSystem(cs.circles[:1] * lam.length, cs.family, q=cs.q)
         for ws, W in _grid_chunks(sub, spec):
             # w o lam, geometric (additive for the semi-discrete family)
             comps = [ws[s] + i if model == "sd" else ws[s] * q**i
@@ -360,14 +355,15 @@ def _geometric_estimate(d: np.ndarray, values: np.ndarray, rounding: np.ndarray)
     return np.where(d >= 100.0 * rounding, np.minimum(d, squared), d)
 
 
-def inverse_J_batch(G, ns: Sequence[WeylVector], mode: str, cs: ContourSystem,
-                    spec: QuadratureSpec, q: float) -> tuple[np.ndarray, np.ndarray]:
+def inverse_J_batch(G, ns: Sequence[WeylVector], cs: ContourSystem, spec: QuadratureSpec,
+                    q: float) -> tuple[np.ndarray, np.ndarray]:
     """Inverse transform (q-Boson family) of a symmetric spectral function G
     at many points n, sharing one grid evaluation of G.
 
-    modes: "nested" (k-fold integral over the nested circles), "single-gamma"
-    (one circle, k-string-free measure against the left eigenfunction), or
-    "expanded" (sum over partitions of string-specialized integrals).
+    The family of ``cs`` picks the form: nested circles (the k-fold nested
+    integral), one large circle (the k-string-free measure against the left
+    eigenfunction), or one string circle (the sum over partitions of
+    string-specialized integrals).
 
     Returns the values and, from the same pass, an error estimate of each.
     Every slab also contracts its embedded half grid (every second node on
@@ -386,7 +382,7 @@ def inverse_J_batch(G, ns: Sequence[WeylVector], mode: str, cs: ContourSystem,
     out = np.zeros(len(coords), dtype=complex)
     coarse = np.zeros(len(coords), dtype=complex)
     rounding = np.zeros(len(coords))
-    for s in _spectral_slabs(mode, coords.shape[1], cs, spec, fam_l):
+    for s in _spectral_slabs(coords.shape[1], cs, spec, fam_l):
         # In place, so the slab holds one full-size array, and with the
         # measure as the left operand: `a * temporary` may run as
         # `temporary *= a`, and a complex product rounds differently with
@@ -410,27 +406,27 @@ def inverse_J_batch(G, ns: Sequence[WeylVector], mode: str, cs: ContourSystem,
     return out, _geometric_estimate(d, out, np.finfo(float).eps * rounding)
 
 
-def inverse_J(G, n: WeylVector, mode: str, cs: ContourSystem, spec: QuadratureSpec,
-              q: float) -> complex:
+def inverse_J(G, n: WeylVector, cs: ContourSystem, spec: QuadratureSpec, q: float) -> complex:
     """Inverse transform at one point n: the value of `inverse_J_batch` on a
     batch of one."""
-    return complex(inverse_J_batch(G, [n], mode, cs, spec, q)[0][0])
+    return complex(inverse_J_batch(G, [n], cs, spec, q)[0][0])
 
 
 def composition_table(states: Sequence[WeylVector], cs: ContourSystem, spec: QuadratureSpec,
                       q: float, model: str = "qboson", eps: float = 1.0,
-                      mode: str = "nested", side: str = "left") -> np.ndarray:
+                      side: str = "left") -> np.ndarray:
     """Matrix T[ix, iy] = spectral pairing of the right eigenfunction at x
     with the ``side`` eigenfunction at y, for all x, y in ``states``.
 
     side "left" gives the identity-resolution table: T[ix, iy] is the
     inverse transform of the forward transform of delta_x evaluated at y,
     and the transform pair acts as the identity iff T is the unit matrix.
-    In single-gamma and expanded modes the same table is the spatial
+    On a single circle or a string circle the same table is the spatial
     biorthogonality matrix of the left and right eigenfunctions.  side
-    "right" (a string mode) gives the right-right Gram table B of the
-    isomorphism identity, <f, g> = <F(P f), F g> as a quadratic form in B.
-    All modes share one grid through per-permutation scattering tensors
+    "right" (not on nested circles) gives the right-right Gram table B of
+    the isomorphism identity, <f, g> = <F(P f), F g> as a quadratic form in
+    B.  The family of ``cs`` picks the evaluation mode (`_spectral_slabs`);
+    every mode shares one grid through per-permutation scattering tensors
     and integer power contraction.
     """
     fam_x = _family(model, "right", q, eps)
@@ -441,7 +437,7 @@ def composition_table(states: Sequence[WeylVector], cs: ContourSystem, spec: Qua
     lo, hi = int(coords.min()), int(coords.max())
     erange = (lo + min(sy * lo, sy * hi) - 1, hi + max(sy * lo, sy * hi) - 1)
     out = np.zeros((len(coords), len(coords)), dtype=complex)
-    for s in _spectral_slabs(mode, k, cs, spec, fam_y):
+    for s in _spectral_slabs(k, cs, spec, fam_y):
         scat_x = ScatteringGrid(fam_x, s.comps)
         for inv_s, Tl in s.lefts(s.measure):
             for inv_t, table in scat_x.permuted(Tl, (s.bases, s.axis_of, erange)):
@@ -457,56 +453,35 @@ def composition_table(states: Sequence[WeylVector], cs: ContourSystem, spec: Qua
 # Residue expansion of the bare nested kernel
 
 
+def _residue_terms(k: int, cs: ContourSystem, spec: QuadratureSpec, fam: EigenFamily):
+    """(F's arguments, weight) of each slab and y-permutation term of the
+    inverse-transform dispatch on ``cs`` with the left family ``fam``: the
+    measure times S^left(sigma), with F at the permuted components."""
+    for s in _spectral_slabs(k, cs, spec, fam):
+        for inv, weight in s.lefts(s.measure):
+            yield tuple(s.comps[m] for m in inverse_permutation(inv)), weight
+
+
 def residue_expand_nested(Fs: Sequence[Callable], cs: ContourSystem, spec: QuadratureSpec,
                           q: float) -> tuple[np.ndarray, np.ndarray]:
     """Nested integral of prod_{A<B} (z_A - z_B)/(z_A - q z_B) * F for each F
-    of a batch (the weighted kernel grid is built once).
-
-    Returns the values and, from the same pass, each one's embedded
-    half-grid estimate, as `contours.integrate` forms it.  Like it, it
-    raises FloatingPointError when an F is not finite on the grid.
-    """
-    check_q(q)
-    half = (slice(None, None, 2),) * cs.k
-    totals = np.zeros(len(Fs), dtype=complex)
-    coarse = np.zeros(len(Fs), dtype=complex)
-    for zs, W in _grid_chunks(cs, spec):
-        base = W * nested_kernel_grid(zs, q)
-        for i, fn in enumerate(Fs):
-            weighted = base * fn(tuple(zs))
-            totals[i] += weighted.sum()
-            coarse[i] += weighted[half].sum()
-    if not np.all(np.isfinite(totals)):
-        raise FloatingPointError("integrand returned a non-finite value on the nested grid")
-    return totals, np.abs(totals - coarse * 2**cs.k)
+    of a batch over the nested circles ``cs`` (the dispatch's nested slabs,
+    whose measure is W times that kernel), with `contours.half_grid_sums`'
+    values, estimates and FloatingPointError on a non-finite F."""
+    return half_grid_sums(_residue_terms(cs.k, cs, spec, EigenFamily("qboson-left", q)), Fs)
 
 
-def residue_expand_sum(Fs: Sequence[Callable], k: int, circle: Circle,
+def residue_expand_sum(Fs: Sequence[Callable], k: int, cs: ContourSystem,
                        spec: QuadratureSpec, q: float,
                        model: str = "qboson") -> tuple[np.ndarray, np.ndarray]:
     """Partition-sum side: for each F of a batch, the sum over partitions of
     the string measure paired with the symmetrized kernel
-    sum_sigma S^left(sigma) F(sigma z), on ell(lam) copies of the one small
-    ``circle`` (`contours.string_circle`): the expanded slabs of
-    `_spectral_slabs` with the left family, F taken at the permuted string
-    components.  ``model`` "sd" is the semi-discrete family, for the kernel
-    prod_{A<B} (z_A - z_B)/(z_A - z_B - 1).  Returns the values and each
-    one's embedded half-grid estimate: the half-grid sum of each ell-axis
-    grid, scaled by 2^ell.
+    sum_sigma S^left(sigma) F(sigma z), on ell(lam) copies of the one
+    string circle of ``cs`` (`contours.string_circle`): the expanded slabs
+    of `_spectral_slabs` with the left family, F taken at the permuted
+    string components.  ``model`` "sd" is the semi-discrete family, for the
+    kernel prod_{A<B} (z_A - z_B)/(z_A - z_B - 1).  Returns the values and
+    each one's embedded half-grid estimate: the half-grid sum of each
+    ell-axis grid, scaled by 2^ell.
     """
-    check_q(q)
-    fam_l = EigenFamily(f"{model}-left", q)
-    totals = np.zeros(len(Fs), dtype=complex)
-    coarse = np.zeros(len(Fs), dtype=complex)
-    for s in _spectral_slabs("expanded", k, _string_system(circle, 1, q, model), spec, fam_l):
-        ell = s.measure.ndim
-        half = (slice(None, None, 2),) * ell
-        for inv, base in s.lefts(s.measure):
-            args = tuple(s.comps[m] for m in inverse_permutation(inv))
-            for i, fn in enumerate(Fs):
-                weighted = base * fn(args)
-                totals[i] += weighted.sum()
-                coarse[i] += weighted[half].sum() * 2**ell
-    if not np.all(np.isfinite(totals)):
-        raise FloatingPointError("integrand returned a non-finite value on the string grid")
-    return totals, np.abs(totals - coarse)
+    return half_grid_sums(_residue_terms(k, cs, spec, EigenFamily(f"{model}-left", q)), Fs)

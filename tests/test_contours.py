@@ -44,7 +44,8 @@ def test_validator_soundness():
 def test_exclusions_enforced():
     # the string circle about 1 keeps the pole alpha/q off its strings
     # q^j w, j < k: its radius stays below 1 - alpha/q^k
-    assert string_circle(Q, 2, alpha=0.2).radius == pytest.approx(0.6 * (1 - 0.2 / Q**2))
+    (circle,) = string_circle(Q, 2, alpha=0.2).circles
+    assert circle.radius == pytest.approx(0.6 * (1 - 0.2 / Q**2))
     with pytest.raises(ContourError, match="reaches the pole"):
         string_circle(Q, 2, alpha=0.2, radius=0.2)
     with pytest.raises(ContourError, match="string circle too large"):

@@ -172,7 +172,7 @@ def test_sd_residue_expansion_matches_a_naive_nested_integral(k, m):
 
 
 def test_sd_string_circle_bounds():
-    assert string_circle(0.5, model="sd").radius == 0.2
+    assert string_circle(0.5, model="sd").circles[0].radius == 0.2
     with pytest.raises(ContourError, match="unit-shifted image"):
         string_circle(0.5, model="sd", radius=0.5)
 

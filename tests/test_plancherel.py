@@ -16,6 +16,7 @@ from qboson.contours import (
     integrate,
     nested_contours,
     single_gamma,
+    string_circle,
 )
 from qboson.eigenfunctions import EigenFamily, eigen_eval, eigen_eval_grid
 from qboson.plancherel import (
@@ -189,12 +190,12 @@ def test_inverse_J_k1_residues():
     cs = nested_contours(1, Q, r_k=0.3)
     one = lambda zs: zs[0] * 0 + 1.0
     for n in range(-2, 3):
-        v = inverse_J(one, WeylVector((n,)), "nested", cs, SPEC, Q)
+        v = inverse_J(one, WeylVector((n,)), cs, SPEC, Q)
         assert v == pytest.approx(-1.0 if n == 0 else 0.0, abs=1e-12)
     for m in (-2, 1, 3):
         G = lambda zs, _m=m: (1.0 - zs[0]) ** _m
         for n in range(-3, 4):
-            v = inverse_J(G, WeylVector((n,)), "nested", cs, SPEC, Q)
+            v = inverse_J(G, WeylVector((n,)), cs, SPEC, Q)
             assert v == pytest.approx(-1.0 if n == m else 0.0, abs=1e-12)
 
 
@@ -217,10 +218,9 @@ def test_inverse_J_modes_agree_k2():
     ys = [WeylVector((2, -1)), WeylVector((1, 0)), WeylVector((3, -2))]
     ref = [_nested_reference(G, y, csn) for y in ys]
     assert abs(ref[0] - 1.0) < 1e-9  # Psi^r_x transforms back to delta_x
-    for mode, cs in (("nested", csn), ("single-gamma", single_gamma(Q, k=2)),
-                     ("expanded", csn)):
-        batch, _ = inverse_J_batch(G, ys, mode, cs, SPEC, Q)
-        assert np.abs(batch - ref).max() < 1e-9, mode
+    for cs in (csn, single_gamma(Q, k=2), string_circle(Q, radius=0.3)):
+        batch, _ = inverse_J_batch(G, ys, cs, SPEC, Q)
+        assert np.abs(batch - ref).max() < 1e-9, cs.family
 
 
 def test_inverse_J_batch_matches_scalar():
@@ -228,33 +228,31 @@ def test_inverse_J_batch_matches_scalar():
     G = lambda zs: eigen_eval_grid(EigenFamily("qboson-right", Q), list(zs), x)
     cs = nested_contours(2, Q, r_k=0.3)
     ns = list(weyl_vectors_in_box(2, -2, 2))
-    batch, _ = inverse_J_batch(G, ns, "nested", cs, SPEC, Q)
+    batch, _ = inverse_J_batch(G, ns, cs, SPEC, Q)
     for n, v in zip(ns, batch):
         s = _nested_reference(G, n, cs)
         assert abs(v - s) < 1e-10 * (1 + abs(s))
-        assert abs(inverse_J(G, n, "nested", cs, SPEC, Q) - v) < 1e-12 * (1 + abs(v))
+        assert abs(inverse_J(G, n, cs, SPEC, Q) - v) < 1e-12 * (1 + abs(v))
 
 
 def test_dispatch_rejects_circle_count_mismatch():
     G = lambda zs: zs[0] * 0 + 1.0
     states = list(weyl_vectors_in_box(2, -1, 1))
-    for mode, cs in (("nested", nested_contours(3, Q, r_k=0.3)),
-                     ("single-gamma", single_gamma(Q, k=1))):
+    for cs in (nested_contours(3, Q, r_k=0.3), single_gamma(Q, k=1)):
         with pytest.raises(ValueError, match="one circle per particle"):
-            composition_table(states, cs, SPEC, Q, mode=mode)
+            composition_table(states, cs, SPEC, Q)
         with pytest.raises(ValueError, match="one circle per particle"):
-            inverse_J_batch(G, states, mode, cs, SPEC, Q)
+            inverse_J_batch(G, states, cs, SPEC, Q)
 
 
 def test_dispatch_rejects_empty_state_list():
     G = lambda zs: zs[0] * 0 + 1.0
-    for mode, cs in (("nested", nested_contours(1, Q, r_k=0.3)),
-                     ("single-gamma", single_gamma(Q, k=1)),
-                     ("expanded", nested_contours(1, Q, r_k=0.3))):
+    for cs in (nested_contours(1, Q, r_k=0.3), single_gamma(Q, k=1),
+               string_circle(Q, radius=0.3)):
         with pytest.raises(ValueError, match="at least one state"):
-            composition_table([], cs, SPEC, Q, mode=mode)
+            composition_table([], cs, SPEC, Q)
         with pytest.raises(ValueError, match="at least one state"):
-            inverse_J_batch(G, [], mode, cs, SPEC, Q)
+            inverse_J_batch(G, [], cs, SPEC, Q)
 
 
 def _inverse_J_case():
@@ -286,10 +284,11 @@ def test_inverse_J_half_grid_difference_matches_a_separate_half_run(mode, m, mon
     # 1e-12.  A wrong 2^axes scaling of a grid would be off by about 1.
     seen = _spy_estimate(monkeypatch)
     G, ys, _ = _inverse_J_case()
-    cs = single_gamma(Q, k=2) if mode == "single-gamma" else nested_contours(2, Q, r_k=0.3)
-    values, _ = inverse_J_batch(G, ys, mode, cs, QuadratureSpec(m), Q)
+    cs = {"nested": nested_contours(2, Q, r_k=0.3), "single-gamma": single_gamma(Q, k=2),
+          "expanded": string_circle(Q, radius=0.3)}[mode]
+    values, _ = inverse_J_batch(G, ys, cs, QuadratureSpec(m), Q)
     d = seen[-1][0]
-    coarse, _ = inverse_J_batch(G, ys, mode, cs, QuadratureSpec(m // 2), Q)
+    coarse, _ = inverse_J_batch(G, ys, cs, QuadratureSpec(m // 2), Q)
     assert abs(values[0]) > 0.5
     np.testing.assert_allclose(d, np.abs(values - coarse), rtol=0, atol=1e-12)
 
@@ -300,7 +299,7 @@ def test_inverse_J_estimate_extrapolates_only_above_the_rounding_bound(monkeypat
     cs = nested_contours(2, Q, r_k=0.3)
     # 32 nodes: d, what doubling from 16 changed, is far above rounding, and
     # the estimate is its geometric extrapolation d^2/|value|
-    _, est = inverse_J_batch(G, ys[:1], "nested", cs, QuadratureSpec(32), Q)
+    _, est = inverse_J_batch(G, ys[:1], cs, QuadratureSpec(32), Q)
     d, values, rounding = seen[-1]
     assert d[0] > 1e6 * rounding[0]
     assert est[0] == pytest.approx(d[0] * d[0] / abs(values[0]), rel=1e-15)
@@ -309,12 +308,12 @@ def test_inverse_J_estimate_extrapolates_only_above_the_rounding_bound(monkeypat
     # rounding bound covers the error against the exact delta_x (on the
     # single circle about 0, |1 - z| runs from 0.5 to 2.5, so the bound
     # must take the smallest base under a negative exponent)
-    for mode, circles in (("nested", cs), ("single-gamma", single_gamma(Q, k=2))):
-        values, est = inverse_J_batch(G, ys, mode, circles, QuadratureSpec(256), Q)
+    for circles in (cs, single_gamma(Q, k=2)):
+        values, est = inverse_J_batch(G, ys, circles, QuadratureSpec(256), Q)
         d, _, rounding = seen[-1]
-        assert np.all((d > 0) & (d < 100 * rounding)), mode
+        assert np.all((d > 0) & (d < 100 * rounding)), circles.family
         assert np.array_equal(est, d)
-        assert np.all(np.abs(values - exact) <= rounding), mode
+        assert np.all(np.abs(values - exact) <= rounding), circles.family
 
 
 def test_geometric_estimate_rule():
@@ -358,13 +357,10 @@ def test_composition_tables_are_identities():
     for k in (1, 2):
         states = list(weyl_vectors_in_box(k, -3, 3))
         I = np.eye(len(states))
-        for mode, cs in (
-            ("nested", nested_contours(k, Q, r_k=0.3)),
-            ("single-gamma", single_gamma(Q, k=k)),
-            ("expanded", nested_contours(k, Q, r_k=0.3)),
-        ):
-            T = composition_table(states, cs, SPEC, Q, mode=mode)
-            assert np.abs(T - I).max() < 1e-7, mode
+        for cs in (nested_contours(k, Q, r_k=0.3), single_gamma(Q, k=k),
+                   string_circle(Q, radius=0.3)):
+            T = composition_table(states, cs, SPEC, Q)
+            assert np.abs(T - I).max() < 1e-7, cs.family
 
 
 def test_right_right_table_matches_single_gamma_integral():
@@ -375,7 +371,7 @@ def test_right_right_table_matches_single_gamma_integral():
     for k, lo, hi in ((1, -3, 3), (2, -1, 2)):
         states = list(weyl_vectors_in_box(k, lo, hi))
         cs = single_gamma(Q, k=k)
-        B = composition_table(states, cs, SPEC, Q, mode="single-gamma", side="right")
+        B = composition_table(states, cs, SPEC, Q, side="right")
         assert np.abs(B - B.T).max() < 1e-12
         lam = Partition((1,) * k)
         for i, x in enumerate(states):
@@ -401,7 +397,7 @@ def test_completeness_both_expansions():
     k = 2
     states = list(weyl_vectors_in_box(k, -2, 2))
     idx = {n: i for i, n in enumerate(states)}
-    T = composition_table(states, nested_contours(k, Q, r_k=0.3), SPEC, Q, mode="expanded")
+    T = composition_table(states, string_circle(Q, radius=0.3), SPEC, Q)
     vec = np.array([complex(rng.normal(), rng.normal()) for _ in states])
     # forward expansion reproduces f
     recon = T.T @ vec
@@ -421,30 +417,93 @@ def test_completeness_both_expansions():
     assert np.abs(conj - np.eye(len(states))).max() < 1e-6
 
 
+RESIDUE_Q = 0.25
+# two F with a simple pole at 1 in each variable, so that both residue
+# integrals are of order 1: for an entire F both vanish
+RESIDUE_FS = [lambda zs, c=c: functools.reduce(operator.mul,
+                                               [np.exp(c * (z - 1.0)) / (z - 1.0) for z in zs])
+              for c in (0.1j, -0.1)]
+
+
+def _residue_nested_contours(k):
+    """The margin 4 and string radius 0.1 make both residue sides converge
+    by 32 nodes per axis."""
+    return nested_contours(k, RESIDUE_Q, r_k=0.1, margin=4.0)
+
+
 def _residue_sides(k):
-    """Both residue-expansion sides at k for two F with a simple pole at 1
-    in each variable, so that both integrals are of order 1: for an entire
-    F both vanish.  The margin 4 and string radius 0.1 make both sides
-    converge by 32 nodes per axis."""
-    q = 0.25
-    cs = nested_contours(k, q, r_k=0.1, margin=4.0)
-    Fs = [lambda zs, c=c: functools.reduce(operator.mul,
-                                           [np.exp(c * (z - 1.0)) / (z - 1.0) for z in zs])
-          for c in (0.1j, -0.1)]
+    """Both residue-expansion sides at k for `RESIDUE_FS`."""
+    q, Fs = RESIDUE_Q, RESIDUE_FS
+    cs = _residue_nested_contours(k)
     return {"nested": lambda spec: residue_expand_nested(Fs, cs, spec, q),
-            "sum": lambda spec: residue_expand_sum(Fs, k, cs.circles[-1], spec, q)}
+            "sum": lambda spec: residue_expand_sum(Fs, k, string_circle(q, radius=0.1), spec, q)}
 
 
 def test_residue_expansion_small():
     # the pole at 1 keeps both sides of order 1, so their agreement is not
-    # the vacuous 0 = 0 of an entire F; the sum side shares the
-    # evaluation-mode dispatch with the transform tables, and this diffs it
-    # against the nested side, a grid of the bare kernel
+    # the vacuous 0 = 0 of an entire F; both sides walk the evaluation-mode
+    # dispatch and `contours.half_grid_sums`, which the naive grid sums
+    # below check on the nested side, and this diffs the string expansion
+    # against it
     for k in (1, 2, 3, 4):
         sides = _residue_sides(k)
         (nested, _), (total, _) = (sides[side](QuadratureSpec(32)) for side in ("nested", "sum"))
         assert np.all(np.abs(nested) > 0.1)
         assert np.abs(nested - total).max() <= 1e-12, k
+
+
+def _naive_grid_sum(cs, m, integrand):
+    """The product trapezoid rule written out on the whole meshgrid of
+    `grid_nodes_weights`, without `_grid_chunks` or `half_grid_sums`: the
+    full sum and |full - 2^k times the sum over every second node|."""
+    nodes, weights = grid_nodes_weights(cs, QuadratureSpec(m))
+    zs = np.meshgrid(*nodes, indexing="ij")
+    W = functools.reduce(operator.mul, np.meshgrid(*weights, indexing="ij"))
+    terms = W * integrand(zs)
+    full = terms.sum()
+    return full, abs(full - 2**cs.k * terms[(slice(None, None, 2),) * cs.k].sum())
+
+
+def _naive_kernel(zs, q):
+    """prod_{A<B} (z_A - z_B)/(z_A - q z_B), pair by pair."""
+    out = np.ones(zs[0].shape, dtype=complex)
+    for a in range(len(zs)):
+        for b in range(a + 1, len(zs)):
+            out *= (zs[a] - zs[b]) / (zs[a] - q * zs[b])
+    return out
+
+
+@pytest.mark.parametrize("budget", [contours.CHUNK_ELEMENTS, 512])
+@pytest.mark.parametrize("m", [16, 32])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_residue_expand_nested_matches_a_naive_grid_sum(k, m, budget, monkeypatch):
+    # a budget of 512 nodes cuts the k = 3 grids into slabs of 2 along axis 0
+    monkeypatch.setattr(contours, "CHUNK_ELEMENTS", budget)
+    q, cs = RESIDUE_Q, _residue_nested_contours(k)
+    values, estimates = residue_expand_nested(RESIDUE_FS, cs, QuadratureSpec(m), q)
+    for F, value, estimate in zip(RESIDUE_FS, values, estimates):
+        ref, ref_estimate = _naive_grid_sum(cs, m, lambda zs: _naive_kernel(zs, q) * F(zs))
+        assert abs(ref) > 0.1
+        assert abs(value - ref) <= 1e-13 * (1 + abs(ref))
+        assert abs(estimate - ref_estimate) <= 1e-13 * (1 + abs(ref))
+
+
+@pytest.mark.parametrize("budget", [contours.CHUNK_ELEMENTS, 512])
+@pytest.mark.parametrize("m", [16, 32])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_integrate_matches_a_naive_grid_sum(k, m, budget, monkeypatch):
+    monkeypatch.setattr(contours, "CHUNK_ELEMENTS", budget)
+    cs = nested_contours(k, Q, r_k=0.3)
+
+    def integrand(zs):
+        return functools.reduce(operator.mul, [np.exp(z) / (1.0 - z) ** (j + 2)
+                                               for j, z in enumerate(zs)])
+
+    res = integrate(cs, integrand, QuadratureSpec(m))
+    ref, ref_estimate = _naive_grid_sum(cs, m, integrand)
+    assert abs(ref) > 0.1
+    assert abs(res.value - ref) <= 1e-13 * (1 + abs(ref))
+    assert abs(res.error_estimate - ref_estimate) <= 1e-13 * (1 + abs(ref))
 
 
 def test_residue_expand_nested_raises_on_a_nonfinite_F():
@@ -512,7 +571,7 @@ def test_chunked_grids_match_one_chunk(monkeypatch):
         monkeypatch.setattr(contours, "CHUNK_ELEMENTS", budget)
         res = integrate(cs, integrand, spec)
         nested, nested_est = residue_expand_nested(Fs, cs, spec, Q)
-        total, total_est = residue_expand_sum(Fs, k, cs.circles[-1], spec, Q)
+        total, total_est = residue_expand_sum(Fs, k, string_circle(Q, radius=0.3), spec, Q)
         return (np.concatenate([nested, total, [res.value]]),
                 np.concatenate([nested_est, total_est, [res.error_estimate]]),
                 len(list(_grid_chunks(cs, spec))))
@@ -551,6 +610,15 @@ def test_residue_expansion_across_q(q):
     assert r.params["string_radius"] == min(0.3, 0.6 * (1 - q) / (1 + q))
     for side in _planned_quadrature(r):
         assert side["estimate"] <= r.tolerance / 100
+
+
+def test_plancherel_forward_records_one_string_circle_per_expanded_row():
+    # the expanded mode integrates on one small string circle, so each of
+    # its rows records that circle alone, not a nested system around it
+    used = run_check("plancherel-forward", box_radius=1, nodes=32).params["contours"]
+    expanded = {label: circles for label, circles in used.items() if "expanded" in label}
+    assert expanded == {"k=1 expanded": [[1.0, 0.0, 0.3]], "k=2 expanded": [[1.0, 0.0, 0.3]],
+                        "k=3 expanded q=0.25": [[1.0, 0.0, 0.5]]}
 
 
 # The checks whose transform tables go through ScatteringGrid.permuted(T, powers).
