@@ -130,7 +130,8 @@ def _moment_check(acc: Accumulator, init: str, alpha: float, q: float, t: float,
 
 def check_moment_step(acc: Accumulator, q: float = 0.5, t: float = 0.5,
                       paths: int = 1_000_000, tolerance: float = 1e-6, seed: int = 0) -> None:
-    """Step-data moments: formula = backward solution = simulation."""
+    """Step-data moments: formula = backward solution = simulation.
+    The Gillespie ensemble samples exactly in law, so its bias term is 0."""
     _moment_check(acc, "step", 0.0, q, t, paths, tolerance, seed)
 
 
@@ -140,7 +141,8 @@ def check_moment_half(acc: Accumulator, q: float = 0.5, t: float = 0.5,
     """Half-stationary moments: formula = backward solution = simulation.
     The sampled observable grows like q^{-k g} in the first gap g, so its
     variance is finite only for alpha < q^{2k}: alpha defaults to
-    min(0.1, q^{2k}/2) at the largest k = 2, recorded in params."""
+    min(0.1, q^{2k}/2) at the largest k = 2, recorded in params.  The
+    Gillespie ensemble samples exactly in law, so its bias term is 0."""
     if alpha is None:
         alpha = acc.params["alpha"] = min(0.1, q**4 / 2)
     _moment_check(acc, "half-stationary", alpha, q, t, paths, tolerance, seed)

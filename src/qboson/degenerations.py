@@ -11,7 +11,7 @@ it reduces to the Cauchy-Littlewood summation identity.
 
 The semi-discrete family (base z, unit-shifted scattering) governs the
 joint moments of the semi-discrete stochastic heat equation, simulated
-here by a log-domain Euler scheme of the coupled linear SDE system.
+here by an exponential integrator of the coupled linear SDE system.
 """
 
 from __future__ import annotations
@@ -481,46 +481,35 @@ class SdeResult:
         return mc_mean(obs)
 
 
-def _oy_euler_step(u: np.ndarray, xi: np.ndarray, s: int, h: float, log_h: float,
-                   r: np.ndarray) -> None:
-    """Euler step s of every path, in place on the site-major log-state u.
+def _oy_step(z: np.ndarray, g: np.ndarray, h: float) -> None:
+    """One step of every path, in place on the site-major state z (N, paths).
 
-    ``xi`` is the step's (paths, N) noise already scaled by sqrt(h) and
-    ``r`` a scratch row.  Site n reads the old u_{n-1}, so sites run from
-    last to first.  Site n is born at step n - 1 as u_{n-1} + log h on every
-    path and steps as d log Z_n = (Z_{n-1}/Z_n - 3/2) dt + dB_n from then
-    on; sites beyond s + 1 are still at -inf and are not touched.
+    ``g`` is the step's (paths, N) array of g_n = exp(dB_n - 3h/2).  Site 1
+    steps exactly as Z_1 g_1; site n >= 2 as
+    Z_n <- g_n (Z_n + (h/2) Z_{n-1}) + (h/2) Z'_{n-1}, with Z'_{n-1} the new
+    value of site n - 1, so the last pass runs from the first site to the
+    last.
     """
-    N = u.shape[0]
-    for n in range(min(N - 1, s + 1), 0, -1):
-        if n == s + 1:
-            np.add(u[n - 1], log_h, out=u[n])
-            continue
-        np.subtract(u[n - 1], u[n], out=r)
-        np.clip(r, -700, 700, out=r)
-        np.exp(r, out=r)
-        np.subtract(r, 1.5, out=r)
-        np.multiply(r, h, out=r)
-        np.add(u[n], r, out=u[n])
-        np.add(u[n], xi[:, n], out=u[n])
-    np.subtract(u[0], 1.5 * h, out=u[0])
-    np.add(u[0], xi[:, 0], out=u[0])
+    z[1:] += 0.5 * h * z[:-1]
+    z *= g.T
+    for n in range(1, z.shape[0]):
+        z[n] += 0.5 * h * z[n - 1]
 
 
 def oy_simulate(N: int, t: float, dt: float, paths: int, seed: int = 0,
                 trajectory_csv: str | None = None) -> SdeResult:
-    """Log-domain Euler scheme for dZ(t,n) = (Z(t,n-1) - Z(t,n)) dt + Z(t,n) dB_n.
+    """Exponential integrator for dZ(t,n) = (Z(t,n-1) - Z(t,n)) dt + Z(t,n) dB_n.
 
-    Unit mass starts at site 1.  Site 1 decouples and is integrated exactly
-    (log Z_1 = B_1(t) - 3t/2); sites n >= 2 evolve through
-    d log Z_n = (Z_{n-1}/Z_n - 3/2) dt + dB_n once positive, entered via one
-    drift-only Euler step from zero.  Positivity is automatic throughout.
+    Unit mass starts at site 1.  Given site n - 1, site n is linear:
+    Z_n(t) = int_0^t Z_{n-1}(s) exp(B_n(t) - B_n(s) - 3(t-s)/2) ds.  Each step
+    multiplies by the exact homogeneous factor exp(dB_n - 3h/2), so site 1
+    is exact in law, and takes the Duhamel integral by the trapezoid rule;
+    every site n >= 2 starts at 0 and stays nonnegative.
 
     Each shard of `dynamics.map_path_shards` draws its own (shard paths, N)
-    Gaussians per step and steps its columns of the site-major log-state in
+    Gaussians per step and steps its columns of the site-major state in
     place; the trajectory CSV records path 0.  Raises ValueError when a
-    returned Z is not finite: the scheme overflowed, and a state that leaves
-    the finite range never returns to it.
+    returned Z is not finite.
     """
     check_time(t)
     if not 0.0 < dt < math.inf:
@@ -530,35 +519,33 @@ def oy_simulate(N: int, t: float, dt: float, paths: int, seed: int = 0,
     steps = max(1, int(round(t / dt)))
     h = t / steps
     sqh = math.sqrt(h)
-    log_h = math.log(h) if h > 0 else -np.inf
-    u = np.full((N, paths), -np.inf)
-    u[0] = 0.0
+    z = np.zeros((N, paths))
+    z[0] = 1.0
     snap_every = max(1, steps // 64)
 
     def shard(sl: slice, rng: np.random.Generator) -> list:
-        us = u[:, sl]  # this shard's columns of the site-major log-state
-        xi = np.empty((us.shape[1], N))
-        r = np.empty(us.shape[1])
+        zs = z[:, sl]  # this shard's columns of the site-major state
+        g = np.empty((zs.shape[1], N))
         record = trajectory_csv is not None and sl.start == 0 < sl.stop  # holds path 0
         snapshots = []
         for s in range(steps):
-            rng.standard_normal(out=xi)
-            np.multiply(xi, sqh, out=xi)
-            _oy_euler_step(us, xi, s, h, log_h, r)
+            rng.standard_normal(out=g)
+            np.multiply(g, sqh, out=g)
+            np.subtract(g, 1.5 * h, out=g)
+            np.exp(g, out=g)
+            _oy_step(zs, g, h)
             if record and (s % snap_every == 0 or s == steps - 1):
-                snapshots.append(((s + 1) * h, np.exp(us[:, 0])))
+                snapshots.append(((s + 1) * h, zs[:, 0].copy()))
         return snapshots
 
     snapshots = sum(map_path_shards(paths, seed, shard), [])
-    Z = np.ascontiguousarray(u.T)
-    with np.errstate(over="ignore"):
-        np.exp(Z, out=Z)
+    Z = np.ascontiguousarray(z.T)
     bad = ~np.isfinite(Z)
     if bad.any():
         sites = (np.flatnonzero(bad.any(axis=0)) + 1).tolist()
         raise ValueError(
-            f"the Euler scheme overflowed: Z is not finite on {int(bad.any(axis=1).sum())} "
-            f"of {paths} paths, at sites {sites} (t={t}, dt={h})")
+            f"the exponential integrator overflowed: Z is not finite on "
+            f"{int(bad.any(axis=1).sum())} of {paths} paths, at sites {sites} (t={t}, dt={h})")
     if trajectory_csv is not None:
         with open(trajectory_csv, "w") as fh:
             fh.write("time," + ",".join(f"Z_{i+1}" for i in range(N)) + "\n")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qboson.cli import main
+from qboson.degenerations import oy_simulate
 from qboson.registry import REGISTRY, UnknownCheckError, run_all, run_check
 from qboson.report import (
     Accumulator,
@@ -331,16 +332,17 @@ def test_cli_simulate_oy_rejects_zero_sites(capsys):
     assert "need N >= 1 sites" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
-def test_cli_simulate_oy_overflow_exits_2(capsys, tmp_path):
-    # five sites at t = 0.05 overflow on every path at dt = 1e-3
-    out = tmp_path / "t.csv"
-    code = main(["simulate", "--model", "oy", "--t", "0.05", "--paths", "3",
-                 "--sites", "5", "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "the Euler scheme overflowed" in captured.err and "sites [5]" in captured.err
-    assert captured.out == "" and not out.exists()
+def test_cli_simulate_oy_five_sites_match_the_poisson_chain(capsys):
+    # E Z(1, n) = e^{-1} / (n-1)!; the standard errors come from the same
+    # seed-determined samples, drawn again in process
+    code = main(["simulate", "--model", "oy", "--t", "1", "--paths", "20000", "--sites", "5"])
+    assert code == 0
+    means = json.loads(capsys.readouterr().out)["mean_Z"]
+    res = oy_simulate(5, 1.0, 1e-3, 20_000, seed=0)
+    assert means == res.Z.mean(axis=0).tolist()
+    for n in (4, 5):
+        est, se = res.moment([n])
+        assert abs(est - math.exp(-1) / math.factorial(n - 1)) < 4 * se
 
 
 @pytest.mark.parametrize("check", ["moment-step", "sd-moment"])
