@@ -15,14 +15,14 @@ import numpy as np
 from qboson.qcore import WeylVector
 
 
-def random_weyl(rng: np.random.Generator, k: int, lo: int = -6, hi: int = 6,
-                tie_prob: float = 0.35) -> WeylVector:
-    """Random chamber point with a healthy rate of coordinate ties."""
+def random_weyl(rng: np.random.Generator, k: int, lo: int = -6, hi: int = 6) -> WeylVector:
+    """Random chamber point: each coordinate ties its neighbour with
+    probability 0.35, a healthy rate of coordinate ties."""
     coords = []
     val = int(rng.integers(lo, hi + 1))
     coords.append(val)
     for _ in range(k - 1):
-        if rng.random() < tie_prob:
+        if rng.random() < 0.35:
             coords.append(coords[-1])
         else:
             coords.append(coords[-1] - int(rng.integers(1, 4)))

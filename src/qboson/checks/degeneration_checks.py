@@ -42,8 +42,9 @@ from qboson.report import Accumulator
 
 def check_eps_plancherel(acc: Accumulator, q: float = 0.5, eps: float = 0.5,
                          nodes: int = 128, tolerance: float = 1e-6, seed: int = 0) -> None:
-    """Identity resolution for the eps-deformed transform pair at eps = 0.5,
-    plus the eps = 1 reduction to the base family."""
+    """Identity resolution for the eps-deformed transform pair at eps = 0.5:
+    the q-Boson transform pair with its marked point at eps, on nested,
+    single-circle and string contours that carry that eps."""
     if eps <= 0:
         raise ValueError("the contour-based pipeline needs eps > 0; "
                          "use the Hall-Littlewood route at eps = 0")
@@ -53,24 +54,15 @@ def check_eps_plancherel(acc: Accumulator, q: float = 0.5, eps: float = 0.5,
         I = np.eye(len(states))
         for mode, cs in (("nested", nested_contours(k, q, r_k=0.3 * eps, center=eps)),
                          ("single-gamma", single_gamma(q, k=k, eps=eps))):
-            T = composition_table(states, cs, spec, q, model="eps", eps=eps)
+            T = composition_table(states, cs, spec)
             resid = float(np.abs(T - I).max())
             acc.add_residual(f"k={k} {mode}", resid, tolerance)
         states2 = list(weyl_vectors_in_box(k, -2, 2))
         cs = ContourSystem((Circle(complex(eps), 0.6 * eps * (1 - q) / (1 + q)),),
-                           "string-product", q=q)
-        T = composition_table(states2, cs, spec, q, model="eps", eps=eps)
+                           "string-product", q=q, eps=eps)
+        T = composition_table(states2, cs, spec)
         acc.add_residual(f"k={k} expanded", float(np.abs(T - np.eye(len(states2))).max()),
                          tolerance)
-    # eps = 1 reduction on random values
-    rng = np.random.default_rng(seed)
-    for _ in range(10):
-        k = int(rng.integers(1, 4))
-        n = random_weyl(rng, k)
-        z = random_spectral(rng, k)
-        a = eigen_eval(EigenFamily("eps-left", q, 1.0), z, n)
-        b = eigen_eval(EigenFamily("qboson-left", q), z, n)
-        acc.add(f"eps=1 reduction k={k}", a, b, 1e-13)
 
 
 def check_eps_orthogonality(acc: Accumulator, q: float = 0.5, tolerance: float = 1e-5,
@@ -117,11 +109,11 @@ def check_eps_deriv_relation(acc: Accumulator, q: float = 0.5, tolerance: float 
         n = random_weyl(rng, k, lo=-4, hi=4)
         eps = float(rng.uniform(0.2, 1.2))
         z = random_spectral(rng, k, center=eps + 0.0j, rmin=0.6, rmax=1.8)
-        psi_c = EigenTable(EigenFamily("eps-cfwd", q, eps), z, validate=False)
+        psi_c = EigenTable(EigenFamily("qboson-cfwd", q, eps), z, validate=False)
         d_sum = sum(e.value * psi_c(e.target) for e in deriv_matrices(n, "right", eps, q))
         d_exact = psi_cfwd_eps_derivative(z, n, eps, q)
         acc.add(f"right expansion k={k}", d_sum, d_exact, 1e-11)
-        psi_l = EigenTable(EigenFamily("eps-left", q, eps), z, validate=False)
+        psi_l = EigenTable(EigenFamily("qboson-left", q, eps), z, validate=False)
         d_sum = sum(e.value * psi_l(e.target) for e in deriv_matrices(n, "left", eps, q))
         d_exact = psi_left_eps_derivative(z, n, eps, q)
         acc.add(f"left expansion k={k}", d_sum, d_exact, 1e-11)
@@ -204,7 +196,7 @@ def check_sd_plancherel(acc: Accumulator, nodes: int = 128, tolerance: float = 1
         I = np.eye(len(states))
         for mode, cs in (("nested", sd_nested_contours(k)),
                          ("expanded", string_circle(SD_Q, model="sd", radius=0.4))):
-            T = composition_table(states, cs, spec, SD_Q, model="sd")
+            T = composition_table(states, cs, spec)
             acc.add_residual(f"k={k} {mode}", float(np.abs(T - I).max()), tolerance)
 
 
@@ -215,8 +207,7 @@ def check_sd_biorthogonality(acc: Accumulator, nodes: int = 128, tolerance: floa
     spec = QuadratureSpec(nodes)
     for k in (1, 2):
         states = list(weyl_vectors_in_box(k, -2, 3))
-        T = composition_table(states, string_circle(SD_Q, model="sd", radius=0.4), spec, SD_Q,
-                              model="sd")
+        T = composition_table(states, string_circle(SD_Q, model="sd", radius=0.4), spec)
         acc.add_residual(f"k={k}", float(np.abs(T - np.eye(len(states))).max()), tolerance)
 
 

@@ -66,7 +66,7 @@ def check_plancherel_forward(acc: Accumulator, q: float = 0.5, box_radius: int =
             ("single-gamma", single_gamma(q, k=k)),
             ("expanded", string_circle(q, radius=0.3)),
         ):
-            T = composition_table(states, cs, spec, q)
+            T = composition_table(states, cs, spec)
             _delta_table_check(acc, f"k={k} {mode} q={q}", states, T, tolerance)
             used_contours[f"k={k} {mode}"] = cs.describe()["circles"]
     q3 = 0.25
@@ -76,11 +76,11 @@ def check_plancherel_forward(acc: Accumulator, q: float = 0.5, box_radius: int =
         ("single-gamma", single_gamma(q3, k=3)),
         ("expanded", string_circle(q3, radius=0.5)),
     ):
-        T = composition_table(states, cs, spec, q3)
+        T = composition_table(states, cs, spec)
         _delta_table_check(acc, f"k=3 {mode} q={q3}", states, T, tolerance)
         used_contours[f"k=3 {mode} q={q3}"] = cs.describe()["circles"]
     cs = nested_contours(3, q, r_k=0.3)
-    T = composition_table(states, cs, spec, q)
+    T = composition_table(states, cs, spec)
     _delta_table_check(acc, f"k=3 nested q={q}", states, T, tolerance)
     used_contours[f"k=3 nested q={q}"] = cs.describe()["circles"]
     acc.params["contours"] = used_contours
@@ -151,7 +151,7 @@ def check_plancherel_dual(acc: Accumulator, q: float = 0.5, max_degree: int = 3,
             lo = min(m) - 2
             hi = max(m) + 2
             window = list(weyl_vectors_in_box(k, lo, hi))
-            jg = inverse_J_batch(G, window, cs, spec, q)[0]
+            jg = inverse_J_batch(G, window, cs, spec)[0]
             boundary = [i for i, n_ in enumerate(window)
                         if n_.coords[0] in (hi, hi - 1) or n_.coords[-1] in (lo, lo + 1)]
             for z in zs_pool:
@@ -182,7 +182,7 @@ def check_plancherel_pairing(acc: Accumulator, q: float = 0.5, pairs: int = 20,
     for k in (1, 2, 3):
         states = list(weyl_vectors_in_box(k, -3, 3))
         idx = {n: i for i, n in enumerate(states)}
-        B = composition_table(states, single_gamma(q, k=k), spec, q, side="right")
+        B = composition_table(states, single_gamma(q, k=k), spec, side="right")
         for _ in range(pairs):
             f = _random_compact(rng, k)
             g = _random_compact(rng, k)
@@ -203,11 +203,11 @@ def check_biorthogonality_spatial(acc: Accumulator, q: float = 0.5, box_radius: 
     spec = QuadratureSpec(nodes)
     for k in (1, 2, 3):
         states = list(weyl_vectors_in_box(k, -box_radius, box_radius))
-        T = composition_table(states, single_gamma(q, k=k), spec, q)
+        T = composition_table(states, single_gamma(q, k=k), spec)
         _delta_table_check(acc, f"k={k} single-gamma", states, T, tolerance)
     for k in (1, 2):
         states = list(weyl_vectors_in_box(k, -box_radius, box_radius))
-        T = composition_table(states, string_circle(q, radius=0.3), spec, q)
+        T = composition_table(states, string_circle(q, radius=0.3), spec)
         _delta_table_check(acc, f"k={k} expanded", states, T, tolerance)
 
 
@@ -269,9 +269,9 @@ def check_residue_expansion(acc: Accumulator, q: float = 0.25, n_functions: int 
         cs = nested_contours(k, q, r_k=r_k, margin=0.5)
         Fs = [_random_analytic_F(rng) for _ in range(n_functions)]
         sides = {
-            "nested": plan_nodes(lambda spec: residue_expand_nested(Fs, cs, spec, q),
+            "nested": plan_nodes(lambda spec: residue_expand_nested(Fs, cs, spec),
                                  target, default_nodes(k)),
-            "sum": plan_nodes(lambda spec: residue_expand_sum(Fs, k, string, spec, q),
+            "sum": plan_nodes(lambda spec: residue_expand_sum(Fs, k, string, spec),
                               target, default_nodes(k)),
         }
         quadrature[f"k={k}"] = {

@@ -2,11 +2,14 @@
 
 The transforms and moment formulas are k-fold integrals over nested circles
 whose validity rests on a handful of containment inequalities.  Contour
-systems are built here and validated before use; a system's family is the
-evaluation mode of the inverse transform, the one small circle of a string
-expansion (`string_circle`) included.  `integrate` evaluates the k-fold
-product trapezoidal rule (geometrically convergent for integrands analytic
-near the circles) with an embedded-subgrid error estimate; `plan_nodes`
+systems are built here and validated before use.  A system is the one
+source of q, of the marked point eps (the eps-deformed system is the
+q-Boson family at eps) and of the model (`ContourSystem.model`) for every
+evaluator on it, and its family is the evaluation mode of the inverse
+transform, the one small circle of a string expansion (`string_circle`)
+included.  `integrate` evaluates the k-fold product trapezoidal rule
+(geometrically convergent for integrands analytic near the circles) with
+an embedded-subgrid error estimate; `plan_nodes`
 doubles a node count until an error estimate meets a target; and
 `contract_powers` is the one batched kernel that evaluates a grid
 integrand against many integer powers of its one-particle bases at once; every
@@ -31,8 +34,6 @@ from qboson.qcore import check_q
 CONTOUR_FAMILIES = (
     "qboson-nested",
     "qboson-single",
-    "eps-nested",
-    "eps-single",
     "sd-nested",
     "string-product",
     "sd-string-product",
@@ -75,14 +76,17 @@ class Circle:
 
 @dataclass(frozen=True)
 class ContourSystem:
-    """Validated circles for one of the integral families.
+    """Validated circles for one of the integral families, and the one
+    source of the q, the marked point eps and the model (`model`) that
+    every evaluator on them reads.
 
-    qboson-nested: all circles contain 1, gamma_A contains q * gamma_B for
-    A < B, and the innermost does not contain q.  eps-nested is the same
-    picture around eps (the innermost must not contain q*eps).  The
-    single-circle families need the circle to contain the marked point and
-    its own q-image.  sd-nested: all circles contain 0, gamma_A contains
-    1 + gamma_B, the innermost does not contain 1.
+    qboson-nested: all circles contain the marked point eps (1 by default,
+    the eps-deformed system otherwise), gamma_A contains q * gamma_B for
+    A < B, and the innermost does not contain q eps.  qboson-single needs
+    its circle to contain eps and its own q-image.  string-product: copies
+    of one small circle centred at eps.  The semi-discrete families have no
+    marked point and keep eps = 1.  sd-nested: all circles contain 0,
+    gamma_A contains 1 + gamma_B, the innermost does not contain 1.
     """
 
     circles: tuple[Circle, ...]
@@ -99,12 +103,19 @@ class ContourSystem:
     def k(self) -> int:
         return len(self.circles)
 
+    @property
+    def model(self) -> str:
+        """The eigenfunction model of the family: "sd" or "qboson"."""
+        return "sd" if self.family.startswith("sd-") else "qboson"
+
     def validate(self) -> None:
         q = self.q
         cs = self.circles
-        if self.family in ("qboson-nested", "eps-nested"):
+        if self.model == "sd" and self.eps != 1.0:
+            raise ContourError("the semi-discrete contours have no marked point eps")
+        mark = self.eps
+        if self.family == "qboson-nested":
             check_q(q)
-            mark = 1.0 if self.family == "qboson-nested" else self.eps
             for j, c in enumerate(cs):
                 if not c.contains_point(mark):
                     raise ContourError(f"circle {j+1} does not contain the point {mark}")
@@ -117,9 +128,8 @@ class ContourSystem:
                         )
             if cs[-1].contains_point(q * mark):
                 raise ContourError(f"innermost circle contains {q * mark}")
-        elif self.family in ("qboson-single", "eps-single"):
+        elif self.family == "qboson-single":
             check_q(q)
-            mark = 1.0 if self.family == "qboson-single" else self.eps
             c = cs[0]
             if not c.contains_point(mark):
                 raise ContourError(f"circle does not contain the point {mark}")
@@ -145,7 +155,9 @@ class ContourSystem:
             for c in cs[1:]:
                 if c != c0:
                     raise ContourError("string-product circles must all coincide")
-            mark = c0.center
+            if c0.center != mark:
+                raise ContourError(f"string circle centred at {c0.center}, not at the "
+                                   f"marked point eps = {mark}")
             if abs(mark) * (1.0 - q) <= c0.radius * (1.0 + q):
                 raise ContourError(
                     "string circle too large: its q-image overlaps it "
@@ -171,7 +183,7 @@ class ContourSystem:
 
 
 def default_inner_radius(q: float, eps: float = 1.0) -> float:
-    """Innermost radius min(0.1, (1-q)/4), scaled by eps for the eps family.
+    """Innermost radius min(0.1, (1-q)/4), scaled by the marked point eps.
 
     The (1-q)/4 cap keeps w q^{lam} far from the innermost circle so the
     string-measure determinant never degenerates on quadrature nodes.
@@ -186,7 +198,7 @@ def nested_contours(
     margin: float | None = None,
     center: float = 1.0,
 ) -> ContourSystem:
-    """Nested circles centered at ``center`` (1, or eps for the eps family).
+    """qboson-nested circles centered at the marked point ``center`` (eps).
 
     Radii satisfy r_j = center (1-q) + q r_{j+1} + margin going outward, the
     minimal growth that keeps q * gamma_{j+1} strictly inside gamma_j.  The
@@ -213,8 +225,7 @@ def nested_contours(
         radii.append(center * (1.0 - q) + q * radii[-1] + margin)
     radii.reverse()
     circles = tuple(Circle(complex(center), r) for r in radii)
-    family = "qboson-nested" if center == 1.0 else "eps-nested"
-    return ContourSystem(circles, family, q=q, eps=center)
+    return ContourSystem(circles, "qboson-nested", q=q, eps=center)
 
 
 def string_circle(q: float, k: int = 1, alpha: float = 0.0, model: str = "qboson",
@@ -253,13 +264,11 @@ def sd_nested_contours(k: int) -> ContourSystem:
 def single_gamma(q: float, k: int = 1, eps: float = 1.0) -> ContourSystem:
     """One circle (repeated k times) around 0 containing the marked point.
 
-    Center 0, radius 1.5: it contains 0 and 1 (or eps <= 1) and its own
-    q-image, since |center| < radius.  The family is qboson-single at
-    eps = 1 and eps-single otherwise.
+    Center 0, radius 1.5: it contains 0 and the marked point eps <= 1 and
+    its own q-image, since |center| < radius.
     """
     circles = tuple(Circle(0.0 + 0.0j, 1.5) for _ in range(k))
-    family = "qboson-single" if eps == 1.0 else "eps-single"
-    return ContourSystem(circles, family, q=q, eps=eps)
+    return ContourSystem(circles, "qboson-single", q=q, eps=eps)
 
 
 def gamma_prime(inner: ContourSystem | Circle) -> Circle:

@@ -1,8 +1,9 @@
 """Deformed and limiting systems: the eps-family, Hall-Littlewood limit,
 and the semi-discrete system with its stochastic-ODE oracle.
 
-The eps-deformation replaces the one-particle base 1 - z by eps - z; at
-eps = 1 every object reduces to the q-Boson one, and at eps = 0 the
+The eps-deformation replaces the one-particle base 1 - z by eps - z: it is
+the q-Boson family with its marked point moved from 1 to eps (`EigenFamily`
+and `GeneratorKind` take that eps), and at eps = 0 the
 eigenfunctions become (sign-normalized) Hall-Littlewood polynomials.  The
 spectral orthogonality of left and right eigenfunctions is proved along
 this family: its eps-derivative vanishes because the derivative matrices
@@ -144,12 +145,12 @@ def _eps_derivative(fam: EigenFamily, z, n: WeylVector) -> complex:
 def psi_cfwd_eps_derivative(z, n: WeylVector, eps: float, q: float) -> complex:
     """Exact d/d eps of the cluster-weighted right (= conjugated forward)
     eps-eigenfunction, via term-wise differentiation of the powers."""
-    return _eps_derivative(EigenFamily("eps-cfwd", q, eps), z, n)
+    return _eps_derivative(EigenFamily("qboson-cfwd", q, eps), z, n)
 
 
 def psi_left_eps_derivative(z, n: WeylVector, eps: float, q: float) -> complex:
     """Exact d/d eps of the left eps-eigenfunction."""
-    return _eps_derivative(EigenFamily("eps-left", q, eps), z, n)
+    return _eps_derivative(EigenFamily("qboson-left", q, eps), z, n)
 
 
 def left_sources(n: WeylVector, eps: float, q: float) -> dict[WeylVector, float]:
@@ -267,8 +268,8 @@ def hl_dictionary_residuals(n: WeylVector, z: Sequence[complex], q: float) -> tu
     right: Psi^{r,0}_z(n)  = (-1)^{sum n} (-1)^k     P_n(z; q)     (n_k >= 0)
     """
     k = n.k
-    fam_l = EigenFamily("eps-left", q, eps=0.0)
-    fam_r = EigenFamily("eps-right", q, eps=0.0)
+    fam_l = EigenFamily("qboson-left", q, eps=0.0)
+    fam_r = EigenFamily("qboson-right", q, eps=0.0)
     sign = (-1.0) ** sum(n.coords)
     res_l = float("nan")
     if n.coords[-1] >= 1:
@@ -356,8 +357,8 @@ def spectral_orthogonality_sides(F: Callable, G: Callable, eps: float, k: int,
     outer_circle = gamma_prime(gamma)
     gamma_out = ContourSystem(tuple(outer_circle for _ in range(k)), gamma.family,
                               q=q, eps=eps)
-    fam_r = EigenFamily("eps-right", q, eps)
-    fam_l = EigenFamily("eps-left", q, eps)
+    fam_r = EigenFamily("qboson-right", q, eps)
+    fam_l = EigenFamily("qboson-left", q, eps)
 
     rho_in = r_in + abs(eps)
     rho_out = outer_circle.radius - abs(eps)
@@ -455,7 +456,7 @@ def sd_moment_formula(n: WeylVector, t: float) -> MomentResult:
     if n.coords[-1] < 1:
         raise ValueError("moment indices must satisfy n_k >= 1")
     factors = [lambda z, nj=nj: z ** (-nj) * np.exp(t * (z - 1.0)) for nj in n.coords]
-    return string_moment(factors, string_circle(SD_Q, model="sd"), SD_Q, "sd")
+    return string_moment(factors, string_circle(SD_Q, model="sd"))
 
 
 def sd_moment_poisson_chain(n: int, t: float) -> float:

@@ -315,18 +315,18 @@ class MomentResult(QuadResult):
     nodes: int
 
 
-def string_moment(factors: Sequence[Callable], cs: ContourSystem, q: float,
-                  model: str = "qboson", prefactor: float = 1.0) -> MomentResult:
+def string_moment(factors: Sequence[Callable], cs: ContourSystem,
+                  prefactor: float = 1.0) -> MomentResult:
     """prefactor times the k = len(factors)-fold nested integral of the
-    kernel times prod_j factors[j](z_j), as its string expansion on the
-    string circle ``cs`` (`contours.string_circle`), with nodes planned to
-    MOMENT_TARGET up to `default_nodes(k)`."""
+    kernel of ``cs``'s model times prod_j factors[j](z_j), as its string
+    expansion on the string circle ``cs`` (`contours.string_circle`), with
+    nodes planned to MOMENT_TARGET up to `default_nodes(k)`."""
     k = len(factors)
 
     def F(zs):
         return functools.reduce(operator.mul, (f(z) for f, z in zip(factors, zs)))
 
-    plan = plan_nodes(lambda spec: residue_expand_sum([F], k, cs, spec, q, model),
+    plan = plan_nodes(lambda spec: residue_expand_sum([F], k, cs, spec),
                       MOMENT_TARGET, default_nodes(k))
     return MomentResult(prefactor * complex(plan.values[0]),
                         abs(prefactor) * float(plan.estimates[0]), cs.circles[0].radius,
@@ -346,7 +346,7 @@ def moment_formula(spec: MomentSpec, radius: float | None = None) -> MomentResul
     pole = spec.alpha / q
     factors = [lambda z, nj=nj: (1.0 - z) ** (-nj) * np.exp((q - 1.0) * t * z) / (z - pole)
                for nj in spec.n.coords]
-    return string_moment(factors, string_circle(q, k, spec.alpha, radius=radius), q,
+    return string_moment(factors, string_circle(q, k, spec.alpha, radius=radius),
                          prefactor=(-1.0) ** k * q ** (k * (k - 1) / 2.0))
 
 
@@ -481,7 +481,7 @@ def solve_evolution_batch(direction: str, f0: CompactFn, t: float, ns: Sequence[
         raise ValueError(f"unknown direction {direction!r}")
 
     def evaluate(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-        vals, estimates = inverse_J_batch(G, states, cs, spec, q)
+        vals, estimates = inverse_J_batch(G, states, cs, spec)
         return pref * vals, np.abs(pref) * estimates
 
     if quad is None:

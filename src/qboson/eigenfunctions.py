@@ -1,13 +1,17 @@
 """Bethe-ansatz eigenfunctions for the q-Boson system and its degenerations.
 
 Each eigenfunction is a sum over S_k of a product of two-body scattering
-factors and one-particle plane waves.  Three model families share the same
+factors and one-particle plane waves.  Two model families share the same
 skeleton and differ only in the one-particle factor and the scattering
 shift:
 
-    q-Boson       base 1 - z,   scattering z_A - q^{+-1} z_B
-    eps-deformed  base eps - z, scattering z_A - q^{+-1} z_B
+    q-Boson       base eps - z, scattering z_A - q^{+-1} z_B
     semi-discrete base z,       scattering z_A - z_B -+ 1
+
+The q-Boson family's marked point eps is 1 by default; the eps-deformed
+system of the paper is the q-Boson family with its marked point moved to
+eps (eps = 0 is the Hall-Littlewood point).  The semi-discrete family has
+no marked point, and refuses an eps other than 1.
 
 The ``left`` member uses negative powers of the base, ``cfwd`` positive
 powers, and ``right`` is ``cfwd`` divided by the cluster weight of n.
@@ -32,8 +36,8 @@ on n.  Its four entry points:
   each numerator factor is linear in the bases,
   N(u, v) = alpha + beta base_u + gamma base_v (``EigenFamily.numerator``):
 
-      q-Boson, eps   alpha = z0 (1 - s), beta = -1, gamma = s
-                     (z = z0 - base, z0 = 1 or eps; s = q left, 1/q else)
+      q-Boson        alpha = eps (1 - s), beta = -1, gamma = s
+                     (z = eps - base; s = q left, 1/q else)
       semi-discrete  alpha = -1 left, +1 else, beta = 1, gamma = -1
 
   So T / Delta is contracted once (``contours.contract_powers``), at
@@ -75,9 +79,6 @@ FAMILY_KINDS = (
     "qboson-left",
     "qboson-right",
     "qboson-cfwd",
-    "eps-left",
-    "eps-right",
-    "eps-cfwd",
     "sd-left",
     "sd-right",
     "sd-cfwd",
@@ -92,7 +93,8 @@ class SpectralDomainError(ValueError):
 
 @dataclass(frozen=True)
 class EigenFamily:
-    """Selector for one of the nine eigenfunction families."""
+    """Selector for one of the six eigenfunction families; ``eps`` is the
+    q-Boson marked point (module docstring)."""
 
     kind: str
     q: float
@@ -107,24 +109,18 @@ class EigenFamily:
         model, side = self.kind.split("-")
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "side", side)
-        if model == "eps" and self.eps < 0:
+        if model == "qboson" and self.eps < 0:
             raise ValueError("eps must be >= 0")
+        if model == "sd" and self.eps != 1.0:
+            raise ValueError("the semi-discrete family has no marked point eps")
 
     @property
     def excluded_point(self) -> complex:
-        if self.model == "qboson":
-            return 1.0 + 0.0j
-        if self.model == "eps":
-            return complex(self.eps)
-        return 0.0 + 0.0j
+        return 0.0 + 0.0j if self.model == "sd" else complex(self.eps)
 
     def base(self, z):
-        """One-particle base: 1-z, eps-z, or z, usable on scalars or arrays."""
-        if self.model == "qboson":
-            return 1.0 - z
-        if self.model == "eps":
-            return self.eps - z
-        return +z
+        """One-particle base: eps - z, or z, usable on scalars or arrays."""
+        return +z if self.model == "sd" else self.eps - z
 
     def power_sign(self) -> int:
         """Exponent sign of the base raised to n_j: -1 for left, +1 otherwise."""

@@ -35,11 +35,14 @@ from qboson.qcore import (
 )
 
 GENERATOR_KINDS = ("bwd", "fwd", "cfwd", "free-bwd", "free-fwd")
-MODELS = ("qboson", "eps", "sd")
+MODELS = ("qboson", "sd")
 
 
 @dataclass(frozen=True)
 class GeneratorKind:
+    """A generator of one model; ``eps`` is the q-Boson marked point, which
+    scales the diagonal (the eps-deformed system; 1 by default)."""
+
     kind: str
     model: str = "qboson"
     q: float = 0.5
@@ -51,6 +54,8 @@ class GeneratorKind:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         check_q(self.q)
+        if self.model == "sd" and self.eps != 1.0:
+            raise ValueError("the semi-discrete model has no marked point eps")
 
     def cluster_weight(self, n: WeylVector) -> float:
         if self.model == "sd":
@@ -65,28 +70,25 @@ def generator_apply(gk: GeneratorKind, f: Callable, n: WeylVector) -> complex:
     out = 0.0 + 0.0j
 
     if gk.kind == "bwd":
-        diag = eps if gk.model == "eps" else 1.0
         for head, stop in spans:
             c = stop - head
             tail = stop - 1  # the last particle of the cluster
             if gk.model == "sd":
                 out += c * (f(n.bump(tail, -1)) - f(n)) + 0.5 * c * (c - 1) * f(n)
             else:
-                out += (1.0 - q**c) * (f(n.bump(tail, -1)) - diag * f(n))
+                out += (1.0 - q**c) * (f(n.bump(tail, -1)) - eps * f(n))
         return out
 
     if gk.kind == "cfwd":
-        diag = eps if gk.model == "eps" else 1.0
         for head, stop in spans:
             c = stop - head
             if gk.model == "sd":
                 out += c * (f(n.bump(head, +1)) - f(n)) + 0.5 * c * (c - 1) * f(n)
             else:
-                out += (1.0 - q**c) * (f(n.bump(head, +1)) - diag * f(n))
+                out += (1.0 - q**c) * (f(n.bump(head, +1)) - eps * f(n))
         return out
 
     if gk.kind == "fwd":
-        diag = eps if gk.model == "eps" else 1.0
         c_prev = 0  # size of the cluster to the left, 0 before the first
         for head, stop in spans:
             c = stop - head
@@ -97,7 +99,7 @@ def generator_apply(gk: GeneratorKind, f: Callable, n: WeylVector) -> complex:
                 out += rate_in * f(n.bump(head, +1)) - c * f(n) + 0.5 * c * (c - 1) * f(n)
             else:
                 rate_in = (1.0 - q ** (c_prev + 1)) if merge else (1.0 - q)
-                out += rate_in * f(n.bump(head, +1)) - diag * (1.0 - q**c) * f(n)
+                out += rate_in * f(n.bump(head, +1)) - eps * (1.0 - q**c) * f(n)
             c_prev = c
         return out
 
@@ -121,27 +123,25 @@ def free_apply(gk: GeneratorKind, u: Callable, n) -> complex:
     """
     coords = tuple(n.coords) if isinstance(n, WeylVector) else tuple(n)
     k = len(coords)
-    eps = gk.eps if gk.model == "eps" else 1.0
     scale = 1.0 if gk.model == "sd" else (1.0 - gk.q)
     grad = _grad_bwd if gk.kind == "free-bwd" else _grad_fwd
     if gk.kind not in ("free-bwd", "free-fwd"):
         raise ValueError(f"{gk.kind} is an interacting kind; use generator_apply")
-    return scale * sum(grad(u, coords, i, eps) for i in range(k))
+    return scale * sum(grad(u, coords, i, gk.eps) for i in range(k))
 
 
 def boundary_residual(gk: GeneratorKind, u: Callable, i: int, n) -> complex:
     """Two-body boundary residual at coordinate pair (i, i+1), 0-based i.
 
-    Backward forms: (grad_i - q grad_{i+1}) u for the q-Boson and eps
-    families, (grad_i - grad_{i+1} - 1) u for the semi-discrete one.
+    Backward forms: (grad_i - q grad_{i+1}) u for the q-Boson model,
+    (grad_i - grad_{i+1} - 1) u for the semi-discrete one.
     Forward forms: (q grad_i - grad_{i+1}) u, resp. (1 + grad_i - grad_{i+1}) u.
     Evaluated on the diagonal n_i = n_{i+1}.
     """
     coords = tuple(n.coords) if isinstance(n, WeylVector) else tuple(n)
     if coords[i] != coords[i + 1]:
         raise ValueError("boundary residual is defined on the diagonal n_i = n_{i+1}")
-    q = gk.q
-    eps = gk.eps if gk.model == "eps" else 1.0
+    q, eps = gk.q, gk.eps
     if gk.kind == "free-bwd":
         gi = _grad_bwd(u, coords, i, eps)
         gi1 = _grad_bwd(u, coords, i + 1, eps)
@@ -322,7 +322,8 @@ def poisson_terms_needed(rate: float, tol: float) -> int:
 def uniformized_transition(
     gk: GeneratorKind, t: float, y: WeylVector, box: StateBox, tol: float = 1e-12
 ) -> TransitionPMF:
-    """Exact e^{tA} delta_y for the stochastic q-Boson forward generator.
+    """Exact e^{tA} delta_y for the stochastic q-Boson forward generator
+    (marked point eps = 1: at other eps the columns do not sum to zero).
 
     Uniformization with rate Lambda = k (the total jump rate of any state
     is sum_i (1 - q^{c_i}) <= M <= k), truncating the Poisson series when
@@ -330,8 +331,9 @@ def uniformized_transition(
     an absorbing pseudo-state.
     """
     check_time(t)
-    if gk.kind != "fwd" or gk.model != "qboson":
-        raise ValueError("uniformization applies to the stochastic q-Boson forward generator")
+    if gk.kind != "fwd" or gk.model != "qboson" or gk.eps != 1.0:
+        raise ValueError("uniformization applies to the stochastic q-Boson forward generator "
+                         "(eps = 1)")
     if tol <= 0:
         raise ValueError("tol must be positive")
     idx = box.index()

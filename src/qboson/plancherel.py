@@ -10,10 +10,14 @@ That three-way choice is made in one place, `_spectral_slabs`, and the
 contour system is the choice: a nested family gives the nested mode, a
 single-circle family the single-gamma mode, and a string-product family
 (the one small circle of `contours.string_circle`) the partition-expanded
-mode.  For each grid slab it yields the spectral components, the measure
-and the permutation terms of the y-side eigenfunction family, and every
-mode pairs each component with its base at the exponent -n - 1.  The
-batched evaluators consume it without naming a mode: `inverse_J_batch` (with
+mode.  The contour system is also the one source of q, of the marked
+point eps (the eps-deformed system is the q-Boson family at eps) and of
+the model (its family is ``sd-*`` or not): no evaluator here takes them
+beside it.  For each grid slab the dispatch yields the spectral
+components, the measure and the permutation terms of the y-side
+eigenfunction family, and every mode pairs each component with its base
+at the exponent -n - 1.  The batched evaluators consume it without naming
+a mode, a q or a model: `inverse_J_batch` (with
 `inverse_J` a batch of one) and `composition_table`, the one spectral
 pairing table of two eigenfunction families, whose left side gives the
 identity resolution and spatial biorthogonality and whose right side gives
@@ -73,8 +77,9 @@ from qboson.qcore import (
 )
 
 
-def _family(model: str, side: str, q: float, eps: float) -> EigenFamily:
-    return EigenFamily(f"{model}-{side}", q, eps)
+def _family(cs: ContourSystem, side: str) -> EigenFamily:
+    """The ``side`` eigenfunctions of the model, q and marked point of ``cs``."""
+    return EigenFamily(f"{cs.model}-{side}", cs.q, cs.eps)
 
 
 def nested_kernel_grid(zs: Sequence[np.ndarray], q: float, model: str = "qboson") -> np.ndarray:
@@ -98,9 +103,10 @@ def nested_kernel_grid(zs: Sequence[np.ndarray], q: float, model: str = "qboson"
 
 
 def transform_F_grid(f: CompactFn, zs: Sequence[np.ndarray], q: float,
-                     model: str = "qboson", eps: float = 1.0, side: str = "right") -> np.ndarray:
-    """Grid version of the transform; ``side`` switches to the left pairing."""
-    fam = _family(model, side, q, eps)
+                     side: str = "right") -> np.ndarray:
+    """Grid version of the q-Boson transform; ``side`` switches to the left
+    pairing."""
+    fam = EigenFamily(f"qboson-{side}", q)
     out = None
     for n, v in f.items():
         term = v * eigen_eval_grid(fam, zs, n)
@@ -133,7 +139,7 @@ def mu_density_grid(lam: Partition, ws: Sequence[np.ndarray], q: float,
                     model: str = "qboson") -> np.ndarray:
     """String-measure density at base points w (the dw/(2 pi i) lives in the quadrature).
 
-    q-Boson / eps families:
+    q-Boson family (at any marked point):
         (1-q)^k (-1)^k q^{-k^2/2} / prod_i m_i! * det[1/(s_i - w_j)]
         * prod_j w_j^{lam_j} q^{lam_j^2/2},   s_i = w_i q^{lam_i};
     semi-discrete: det[1/(s_i - w_j)] / prod_i m_i!,   s_i = w_i + lam_i.
@@ -245,7 +251,7 @@ def residue_weight_direct(lam: Partition, w: Sequence[complex], q: float) -> com
     sides share no code.
     """
     check_q(q)
-    y = string_points(w, lam, q, mode="geometric")
+    y = string_points(w, lam, q)
     k = len(y)
     skip = _string_consecutive_pairs(lam)
     out = 1.0 + 0.0j
@@ -286,10 +292,10 @@ def _state_coords(states: Sequence[WeylVector]) -> np.ndarray:
     return coords
 
 
-def _spectral_slabs(k: int, cs: ContourSystem, spec: QuadratureSpec, fam_y: EigenFamily):
+def _spectral_slabs(k: int, cs: ContourSystem, spec: QuadratureSpec, side: str):
     """Yield the slabs of the k-fold inverse transform in the evaluation
-    mode of ``cs``'s family, paired on the y side with the eigenfunctions
-    of ``fam_y``.
+    mode of ``cs``'s family, paired on the y side with the ``side``
+    eigenfunctions of its model, q and marked point.
 
     A nested family: the k circles of ``cs``, measure W times the nested
     kernel, no y eigenfunction (the identity term).  A single-circle
@@ -298,34 +304,32 @@ def _spectral_slabs(k: int, cs: ContourSystem, spec: QuadratureSpec, fam_y: Eige
     its one circle, measure W dmu_lam at the string point w o lam.  Every
     mode pairs each component with its base at the exponent
     power_sign * n - 1; in the string modes the -1 is
-    prod_m 1/base(comp_m) = 1/prod_j (w_j; q)_{lam_j} (or its eps and
-    semi-discrete analogue).  On the symmetric string-free measure the k!
-    y terms collapse to k! times the identity term; the others are formed
-    only when a consumer asks.  The semi-discrete sign (-1)^k, which
-    survives the string expansion, is `composition_table`'s.
+    prod_m 1/base(comp_m) = 1/prod_j (w_j; q)_{lam_j} (at the marked point
+    eps = 1; its analogue at other eps, or in the semi-discrete family).  On
+    the symmetric string-free measure the k! y terms collapse to k! times
+    the identity term; the others are formed only when a consumer asks.
+    The semi-discrete sign (-1)^k, which survives the string expansion, is
+    `composition_table`'s.
     """
     nested, single = cs.family.endswith("-nested"), cs.family.endswith("-single")
     if (nested or single) and cs.k != k:
         raise ValueError(f"{cs.family} contours need one circle per particle: "
                          f"{cs.k} circles for k = {k}")
-    model, q = fam_y.model, fam_y.q
+    fam_y = _family(cs, side)
+    model, q = cs.model, cs.q
     identity = tuple(range(k))
     if nested:
-        if fam_y.side != "left":
+        if side != "left":
             raise ValueError("nested mode pairs with the left eigenfunction only")
         for zs, W in _grid_chunks(cs, spec):
             yield _Slab(zs, [fam_y.base(z).ravel() for z in zs], identity,
                         W * nested_kernel_grid(zs, q, model), lambda T: [(identity, T)])
         return
-    if single:
-        if model == "sd":
-            raise ValueError("the semi-discrete family has no single-circle form")
-        lams = [Partition((1,) * k)]
-    else:
-        lams = partitions_of(k)
+    lams = [Partition((1,) * k)] if single else partitions_of(k)
     for lam in lams:
         axis_of = tuple(s for s, part in enumerate(lam.parts) for _ in range(part))
-        sub = cs if single else ContourSystem(cs.circles[:1] * lam.length, cs.family, q=cs.q)
+        sub = cs if single else ContourSystem(cs.circles[:1] * lam.length, cs.family, q=q,
+                                              eps=cs.eps)
         for ws, W in _grid_chunks(sub, spec):
             # w o lam, geometric (additive for the semi-discrete family)
             comps = [ws[s] + i if model == "sd" else ws[s] * q**i
@@ -355,10 +359,11 @@ def _geometric_estimate(d: np.ndarray, values: np.ndarray, rounding: np.ndarray)
     return np.where(d >= 100.0 * rounding, np.minimum(d, squared), d)
 
 
-def inverse_J_batch(G, ns: Sequence[WeylVector], cs: ContourSystem, spec: QuadratureSpec,
-                    q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse transform (q-Boson family) of a symmetric spectral function G
-    at many points n, sharing one grid evaluation of G.
+def inverse_J_batch(G, ns: Sequence[WeylVector], cs: ContourSystem,
+                    spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse transform (the family, q and marked point of ``cs``) of a
+    symmetric spectral function G at many points n, sharing one grid
+    evaluation of G.
 
     The family of ``cs`` picks the form: nested circles (the k-fold nested
     integral), one large circle (the k-string-free measure against the left
@@ -375,14 +380,13 @@ def inverse_J_batch(G, ns: Sequence[WeylVector], cs: ContourSystem, spec: Quadra
     `_geometric_estimate` of d: min(d, d^2/|value|) where d >= 100 times the
     rounding bound, and d otherwise.
     """
-    fam_l = EigenFamily("qboson-left", q)
     coords = _state_coords(ns)
     hi = int(coords.max())
     erange = (-1 - hi, -1 - int(coords.min()))
     out = np.zeros(len(coords), dtype=complex)
     coarse = np.zeros(len(coords), dtype=complex)
     rounding = np.zeros(len(coords))
-    for s in _spectral_slabs(coords.shape[1], cs, spec, fam_l):
+    for s in _spectral_slabs(coords.shape[1], cs, spec, "left"):
         # In place, so the slab holds one full-size array, and with the
         # measure as the left operand: `a * temporary` may run as
         # `temporary *= a`, and a complex product rounds differently with
@@ -406,14 +410,13 @@ def inverse_J_batch(G, ns: Sequence[WeylVector], cs: ContourSystem, spec: Quadra
     return out, _geometric_estimate(d, out, np.finfo(float).eps * rounding)
 
 
-def inverse_J(G, n: WeylVector, cs: ContourSystem, spec: QuadratureSpec, q: float) -> complex:
+def inverse_J(G, n: WeylVector, cs: ContourSystem, spec: QuadratureSpec) -> complex:
     """Inverse transform at one point n: the value of `inverse_J_batch` on a
     batch of one."""
-    return complex(inverse_J_batch(G, [n], cs, spec, q)[0][0])
+    return complex(inverse_J_batch(G, [n], cs, spec)[0][0])
 
 
 def composition_table(states: Sequence[WeylVector], cs: ContourSystem, spec: QuadratureSpec,
-                      q: float, model: str = "qboson", eps: float = 1.0,
                       side: str = "left") -> np.ndarray:
     """Matrix T[ix, iy] = spectral pairing of the right eigenfunction at x
     with the ``side`` eigenfunction at y, for all x, y in ``states``.
@@ -425,19 +428,19 @@ def composition_table(states: Sequence[WeylVector], cs: ContourSystem, spec: Qua
     biorthogonality matrix of the left and right eigenfunctions.  side
     "right" (not on nested circles) gives the right-right Gram table B of
     the isomorphism identity, <f, g> = <F(P f), F g> as a quadratic form in
-    B.  The family of ``cs`` picks the evaluation mode (`_spectral_slabs`);
-    every mode shares one grid through per-permutation scattering tensors
-    and integer power contraction.
+    B.  The family of ``cs`` picks the evaluation mode (`_spectral_slabs`),
+    and its model, q and marked point the eigenfunctions; every mode shares
+    one grid through per-permutation scattering tensors and integer power
+    contraction.
     """
-    fam_x = _family(model, "right", q, eps)
-    fam_y = _family(model, side, q, eps)
+    fam_x, fam_y = _family(cs, "right"), _family(cs, side)
     sy = fam_y.power_sign()
     coords = _state_coords(states)
     k = coords.shape[1]
     lo, hi = int(coords.min()), int(coords.max())
     erange = (lo + min(sy * lo, sy * hi) - 1, hi + max(sy * lo, sy * hi) - 1)
     out = np.zeros((len(coords), len(coords)), dtype=complex)
-    for s in _spectral_slabs(k, cs, spec, fam_y):
+    for s in _spectral_slabs(k, cs, spec, side):
         scat_x = ScatteringGrid(fam_x, s.comps)
         for inv_s, Tl in s.lefts(s.measure):
             for inv_t, table in scat_x.permuted(Tl, (s.bases, s.axis_of, erange)):
@@ -445,7 +448,7 @@ def composition_table(states: Sequence[WeylVector], cs: ContourSystem, spec: Qua
                 # x_{tau^{-1}(m)} + sy y_{sigma^{-1}(m)} - 1
                 out += table[tuple(coords[:, None, t] + sy * coords[None, :, j] - 1
                                    - erange[0] for t, j in zip(inv_t, inv_s))]
-    sign = (-1.0) ** k if model == "sd" else 1.0
+    sign = (-1.0) ** k if cs.model == "sd" else 1.0
     return sign * fam_x.prefactors(coords)[:, None] * fam_y.prefactors(coords)[None, :] * out
 
 
@@ -453,35 +456,35 @@ def composition_table(states: Sequence[WeylVector], cs: ContourSystem, spec: Qua
 # Residue expansion of the bare nested kernel
 
 
-def _residue_terms(k: int, cs: ContourSystem, spec: QuadratureSpec, fam: EigenFamily):
+def _residue_terms(k: int, cs: ContourSystem, spec: QuadratureSpec):
     """(F's arguments, weight) of each slab and y-permutation term of the
-    inverse-transform dispatch on ``cs`` with the left family ``fam``: the
-    measure times S^left(sigma), with F at the permuted components."""
-    for s in _spectral_slabs(k, cs, spec, fam):
+    inverse-transform dispatch on ``cs`` with its left family: the measure
+    times S^left(sigma), with F at the permuted components."""
+    for s in _spectral_slabs(k, cs, spec, "left"):
         for inv, weight in s.lefts(s.measure):
             yield tuple(s.comps[m] for m in inverse_permutation(inv)), weight
 
 
-def residue_expand_nested(Fs: Sequence[Callable], cs: ContourSystem, spec: QuadratureSpec,
-                          q: float) -> tuple[np.ndarray, np.ndarray]:
+def residue_expand_nested(Fs: Sequence[Callable], cs: ContourSystem,
+                          spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Nested integral of prod_{A<B} (z_A - z_B)/(z_A - q z_B) * F for each F
     of a batch over the nested circles ``cs`` (the dispatch's nested slabs,
     whose measure is W times that kernel), with `contours.half_grid_sums`'
     values, estimates and FloatingPointError on a non-finite F."""
-    return half_grid_sums(_residue_terms(cs.k, cs, spec, EigenFamily("qboson-left", q)), Fs)
+    return half_grid_sums(_residue_terms(cs.k, cs, spec), Fs)
 
 
 def residue_expand_sum(Fs: Sequence[Callable], k: int, cs: ContourSystem,
-                       spec: QuadratureSpec, q: float,
-                       model: str = "qboson") -> tuple[np.ndarray, np.ndarray]:
+                       spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Partition-sum side: for each F of a batch, the sum over partitions of
     the string measure paired with the symmetrized kernel
     sum_sigma S^left(sigma) F(sigma z), on ell(lam) copies of the one
     string circle of ``cs`` (`contours.string_circle`): the expanded slabs
     of `_spectral_slabs` with the left family, F taken at the permuted
-    string components.  ``model`` "sd" is the semi-discrete family, for the
-    kernel prod_{A<B} (z_A - z_B)/(z_A - z_B - 1).  Returns the values and
+    string components.  On an sd-string-product circle the family is the
+    semi-discrete one, for the kernel prod_{A<B} (z_A - z_B)/(z_A - z_B - 1).
+    Returns the values and
     each one's embedded half-grid estimate: the half-grid sum of each
     ell-axis grid, scaled by 2^ell.
     """
-    return half_grid_sums(_residue_terms(k, cs, spec, EigenFamily(f"{model}-left", q)), Fs)
+    return half_grid_sums(_residue_terms(k, cs, spec), Fs)

@@ -240,48 +240,28 @@ def cluster_weights(ns, q: float | None = None) -> np.ndarray:
     return np.array(weights)[where.reshape(-1)]
 
 
-def string_points(
-    w: Sequence[complex],
-    lam: Partition,
-    q: float | None = None,
-    mode: str = "geometric",
-    validate: bool = True,
-) -> tuple[complex, ...]:
-    """Expand base points w_j into strings of length lambda_j.
-
-    geometric: (w_1, q w_1, ..., q^{lam_1 - 1} w_1, w_2, ...)
-    additive:  (w_1, w_1 + 1, ..., w_1 + lam_1 - 1, w_2, ...)
-    """
+def string_points(w: Sequence[complex], lam: Partition, q: float) -> tuple[complex, ...]:
+    """Expand base points w_j into geometric strings of length lambda_j:
+    (w_1, q w_1, ..., q^{lam_1 - 1} w_1, w_2, ...), refusing coincident
+    values."""
     if len(w) != lam.length:
         raise ValueError("need one base point per partition part")
+    check_q(q)
     out: list[complex] = []
-    if mode == "geometric":
-        if q is None:
-            raise ValueError("geometric strings need q")
-        check_q(q)
-        for wj, lj in zip(w, lam.parts):
-            if wj == 0:
-                raise ValueError("geometric string base points must be nonzero")
-            val = complex(wj)
-            for _ in range(lj):
-                out.append(val)
-                val *= q
-    elif mode == "additive":
-        for wj, lj in zip(w, lam.parts):
-            val = complex(wj)
-            for _ in range(lj):
-                out.append(val)
-                val += 1.0
-    else:
-        raise ValueError(f"unknown string mode {mode!r}")
-    if validate:
-        for i in range(len(out)):
-            for j in range(i + 1, len(out)):
-                if abs(out[i] - out[j]) < 1e-12 * max(1.0, abs(out[i])):
-                    raise ValueError(
-                        "string values coincide; base points must be distinct, "
-                        "nonzero and off each other's orbits"
-                    )
+    for wj, lj in zip(w, lam.parts):
+        if wj == 0:
+            raise ValueError("geometric string base points must be nonzero")
+        val = complex(wj)
+        for _ in range(lj):
+            out.append(val)
+            val *= q
+    for i in range(len(out)):
+        for j in range(i + 1, len(out)):
+            if abs(out[i] - out[j]) < 1e-12 * max(1.0, abs(out[i])):
+                raise ValueError(
+                    "string values coincide; base points must be distinct, "
+                    "nonzero and off each other's orbits"
+                )
     return tuple(out)
 
 

@@ -38,7 +38,7 @@ REGISTRY: dict[str, CheckDef] = {
     "eigen-relation": CheckDef(
         sp.check_eigen_relation,
         "generator applied to each eigenfunction family returns eigenvalue "
-        "(q-1) sum z_i (q-Boson and eps families) or sum (z_i - 1) (semi-discrete)",
+        "(q-1) sum z_i (q-Boson, at eps = 1 and at eps) or sum (z_i - 1) (semi-discrete)",
     ),
     "boundary-conditions": CheckDef(
         sp.check_boundary_conditions,
@@ -132,7 +132,7 @@ REGISTRY: dict[str, CheckDef] = {
     ),
     "eps-plancherel": CheckDef(
         dg.check_eps_plancherel,
-        "eps-deformed transform pair resolves deltas; eps = 1 reduces to the base family",
+        "eps-deformed transform pair (the q-Boson pair at marked point eps) resolves deltas",
     ),
     "eps-orthogonality": CheckDef(
         dg.check_eps_orthogonality,

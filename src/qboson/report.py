@@ -162,9 +162,9 @@ class Accumulator:
             self._worst = (label, lhs, rhs, abs_err, rel_err, tail, tol,
                            "abs/rel" if sigma is None else "sigma")
 
-    def add_residual(self, label: str, residual: float, tol: float, tail: float = 0.0) -> None:
+    def add_residual(self, label: str, residual: float, tol: float) -> None:
         """Comparison already reduced to a scalar residual against zero."""
-        self.add(label, complex(residual), 0.0, tol, tail=tail)
+        self.add(label, complex(residual), 0.0, tol)
 
     def report(self) -> Report:
         if self._worst is None:

@@ -52,6 +52,14 @@ def test_exclusions_enforced():
         string_circle(Q, 2, alpha=0.0, radius=0.34)
 
 
+def test_string_circle_sits_at_the_marked_point():
+    # the string-product system's eps is its circle's centre
+    cs = ContourSystem((Circle(0.5, 0.1),), "string-product", q=Q, eps=0.5)
+    assert (cs.model, sd_nested_contours(1).model) == ("qboson", "sd")
+    with pytest.raises(ContourError, match="not at the marked point eps = 1.0"):
+        ContourSystem((Circle(0.5, 0.1),), "string-product", q=Q)
+
+
 def test_single_gamma_geometry():
     cs = single_gamma(Q)
     c = cs.circles[0]

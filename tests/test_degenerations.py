@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 import qboson.degenerations
 from qboson.checks.degeneration_checks import check_sd_moment
-from qboson.contours import QuadratureSpec, nested_contours, sd_nested_contours
+from qboson.contours import (
+    Circle,
+    ContourError,
+    ContourSystem,
+    QuadratureSpec,
+    nested_contours,
+    sd_nested_contours,
+)
 from qboson.degenerations import (
     SdeResult,
     admissible_F,
@@ -33,6 +40,7 @@ from qboson.degenerations import (
 )
 from qboson.dynamics import MomentSpec, mc_mean, moment_mc
 from qboson.eigenfunctions import EigenFamily, eigen_eval
+from qboson.generators import GeneratorKind, generator_apply
 from qboson.plancherel import composition_table, mu_density_grid
 from qboson.qcore import Partition, WeylVector, cq_weight, weyl_vectors_in_box
 from qboson.registry import run_check
@@ -73,12 +81,12 @@ def test_deriv_expansion_exact():
         n = WeylVector(coords)
         eps = float(rng.uniform(0.2, 1.3))
         z = rng.normal(eps + 1.0, 0.4, k) + 1j * rng.normal(0, 0.6, k)
-        fam_c = EigenFamily("eps-cfwd", Q, eps)
+        fam_c = EigenFamily("qboson-cfwd", Q, eps)
         d_sum = sum(e.value * eigen_eval(fam_c, z, e.target, validate=False)
                     for e in deriv_matrices(n, "right", eps, Q))
         assert abs(d_sum - psi_cfwd_eps_derivative(z, n, eps, Q)) < 1e-10 * (
             1 + abs(d_sum))
-        fam_l = EigenFamily("eps-left", Q, eps)
+        fam_l = EigenFamily("qboson-left", Q, eps)
         d_sum = sum(e.value * eigen_eval(fam_l, z, e.target, validate=False)
                     for e in deriv_matrices(n, "left", eps, Q))
         assert abs(d_sum - psi_left_eps_derivative(z, n, eps, Q)) < 1e-10 * (
@@ -225,10 +233,8 @@ def test_admissible_F_validation():
 def test_eps_pipeline_reduction_and_eigen():
     n = WeylVector((2, 0))
     z = [0.9 + 0.4j, -0.2 + 0.8j]
-    from qboson.generators import GeneratorKind, generator_apply
-
-    gk = GeneratorKind("bwd", "eps", Q, 0.5)
-    psi = lambda m: eigen_eval(EigenFamily("eps-left", Q, 0.5), z, m)
+    gk = GeneratorKind("bwd", "qboson", Q, 0.5)
+    psi = lambda m: eigen_eval(EigenFamily("qboson-left", Q, 0.5), z, m)
     lhs = generator_apply(gk, psi, n)
     assert abs(lhs - (Q - 1) * sum(z) * psi(n)) < 1e-12
     with pytest.raises(ValueError, match="needs eps > 0"):
@@ -238,8 +244,41 @@ def test_eps_pipeline_reduction_and_eigen():
 def test_eps_pipeline_plancherel_small():
     states = list(weyl_vectors_in_box(1, -2, 2))
     cs = nested_contours(1, Q, r_k=0.15, center=0.5)
-    T = composition_table(states, cs, QuadratureSpec(128), Q, model="eps", eps=0.5)
+    T = composition_table(states, cs, QuadratureSpec(128))
     assert np.abs(T - np.eye(len(states))).max() < 1e-8
+
+
+def test_eps_is_used_wherever_it_is_accepted():
+    # the eps-deformed system is the q-Boson family at its marked point eps:
+    # the eigenfunction, the generator and the contours each read that eps
+    eps, z = 0.7, [0.9 + 0.4j, -0.2 + 0.8j]
+
+    def naive_left(m):
+        # permutation (a, b) puts z_a at place 1 and z_b at place 2
+        return sum((z[b] - Q * z[a]) / (z[b] - z[a])
+                   * (eps - z[a]) ** (-m.coords[0]) * (eps - z[b]) ** (-m.coords[1])
+                   for a, b in ((0, 1), (1, 0)))
+
+    fam = EigenFamily("qboson-left", Q, eps)
+    gk = GeneratorKind("bwd", "qboson", Q, eps)
+    for coords in ((2, 0), (1, 1), (0, -3)):
+        m = WeylVector(coords)
+        ref = naive_left(m)
+        assert abs(eigen_eval(fam, z, m) - ref) <= 1e-12 * (1 + abs(ref))
+        lhs = generator_apply(gk, naive_left, m)
+        assert abs(lhs - (Q - 1) * sum(z) * ref) <= 1e-12 * (1 + abs(ref))
+    # circles about 1 of radius 0.3 exclude the marked point 0.2
+    with pytest.raises(ContourError, match="does not contain the point 0.2"):
+        ContourSystem((Circle(1.0, 0.3),), "qboson-nested", q=Q, eps=0.2)
+
+
+def test_semi_discrete_refuses_a_marked_point():
+    with pytest.raises(ValueError, match="no marked point"):
+        EigenFamily("sd-left", Q, 0.5)
+    with pytest.raises(ValueError, match="no marked point"):
+        GeneratorKind("bwd", "sd", Q, 0.5)
+    with pytest.raises(ContourError, match="no marked point"):
+        ContourSystem((Circle(0j, 0.4),), "sd-nested", eps=0.5)
 
 
 def test_sd_pipeline():
@@ -247,13 +286,11 @@ def test_sd_pipeline():
     assert complex(mu_density_grid(Partition((1,)), w, Q, model="sd")) == pytest.approx(1.0)
     n = WeylVector((1, 0))
     z = [1.3 + 0.4j, -0.8 + 0.2j]
-    from qboson.generators import GeneratorKind, generator_apply
-
     gk = GeneratorKind("bwd", "sd", Q)
     psi = lambda m: eigen_eval(EigenFamily("sd-left", Q), z, m)
     assert abs(generator_apply(gk, psi, n) - sum(v - 1 for v in z) * psi(n)) < 1e-12
     states = list(weyl_vectors_in_box(2, -2, 2))
-    T = composition_table(states, sd_nested_contours(2), QuadratureSpec(128), Q, model="sd")
+    T = composition_table(states, sd_nested_contours(2), QuadratureSpec(128))
     assert np.abs(T - np.eye(len(states))).max() < 1e-9
 
 

@@ -53,7 +53,7 @@ def test_domain_errors():
     with pytest.raises(SpectralDomainError):
         eigen_eval(EigenFamily("sd-left", Q), [0.0], WeylVector((1,)))
     with pytest.raises(SpectralDomainError):
-        eigen_eval(EigenFamily("eps-left", Q, 0.3), [0.3], WeylVector((1,)))
+        eigen_eval(EigenFamily("qboson-left", Q, 0.3), [0.3], WeylVector((1,)))
 
 
 def test_reflection_symmetry_qboson():
@@ -82,24 +82,11 @@ def test_reflection_symmetry_sd():
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
 
 
-def test_eps_one_matches_qboson():
-    rng = np.random.default_rng(4)
-    for _ in range(30):
-        k = int(rng.integers(1, 5))
-        coords = tuple(sorted(rng.integers(-5, 6, size=k).tolist(), reverse=True))
-        n = WeylVector(coords)
-        z = rng.normal(1.4, 0.5, k) + 1j * rng.normal(0, 0.6, k)
-        for side in ("left", "right", "cfwd"):
-            a = eigen_eval(EigenFamily(f"eps-{side}", Q, 1.0), z, n)
-            b = eigen_eval(EigenFamily(f"qboson-{side}", Q), z, n)
-            assert abs(a - b) <= 1e-13 * (1 + abs(b))
-
-
 def test_string_evaluation_is_limit_of_free_points():
     # value at a geometric string equals the limit from nearby free points
     fam = EigenFamily("qboson-left", Q)
     n = WeylVector((2, 1, -1))
-    sp = string_points([0.7 + 0.3j, 2.0], Partition((2, 1)), Q, mode="geometric")
+    sp = string_points([0.7 + 0.3j, 2.0], Partition((2, 1)), Q)
     exact = eigen_eval(fam, sp, n)
     rng = np.random.default_rng(5)
     direction = rng.normal(size=3) + 1j * rng.normal(size=3)
@@ -207,8 +194,17 @@ def _permuted_case(fam, k, layout, rng):
     return zs, T, (bases, axis_of, (-2, 3))
 
 
-@pytest.mark.parametrize("kind", FAMILY_KINDS)
-def test_permuted_contraction_matches_naive_products(kind, monkeypatch):
+# each family at its own marked point, and the q-Boson families again at
+# eps = 0.7 (the eps-deformed system), under the case's name
+PERMUTED_CASES = {
+    **{kind: (kind, 1.0) for kind in FAMILY_KINDS if kind.startswith("qboson")},
+    **{f"eps-{side}": (f"qboson-{side}", 0.7) for side in ("left", "right", "cfwd")},
+    **{kind: (kind, 1.0) for kind in FAMILY_KINDS if kind.startswith("sd")},
+}
+
+
+@pytest.mark.parametrize("case", PERMUTED_CASES)
+def test_permuted_contraction_matches_naive_products(case, monkeypatch):
     # the one contraction of T / Delta with shifted-slice numerator factors
     # against a contraction of each full-grid product T * S(tau)
     calls = []
@@ -218,8 +214,9 @@ def test_permuted_contraction_matches_naive_products(kind, monkeypatch):
         return contract_powers(*args)
 
     monkeypatch.setattr(eigenfunctions, "contract_powers", counted)
-    fam = EigenFamily(kind, 0.4, 0.7)
-    rng = np.random.default_rng(FAMILY_KINDS.index(kind))
+    kind, eps = PERMUTED_CASES[case]
+    fam = EigenFamily(kind, 0.4, eps)
+    rng = np.random.default_rng(list(PERMUTED_CASES).index(case))
     for k in (1, 2, 3, 4):
         for layout in ("own", "string") if k > 1 else ("own",):
             zs, T, powers = _permuted_case(fam, k, layout, rng)

@@ -47,7 +47,7 @@ def test_cfwd_is_conjugated_forward():
     from qboson.qcore import cq_weight
 
     rng = np.random.default_rng(0)
-    for model, eps in (("qboson", 1.0), ("eps", 0.4)):
+    for eps in (1.0, 0.4):
         for _ in range(60):
             k = int(rng.integers(1, 5))
             coords = tuple(sorted(rng.integers(-4, 5, size=k).tolist(), reverse=True))
@@ -59,8 +59,8 @@ def test_cfwd_is_conjugated_forward():
                     table[m] = complex(*np.random.default_rng(hash(m.coords) % 2**32).normal(size=2))
                 return table[m]
 
-            gkc = GeneratorKind("cfwd", model, Q, eps)
-            gkf = GeneratorKind("fwd", model, Q, eps)
+            gkc = GeneratorKind("cfwd", "qboson", Q, eps)
+            gkf = GeneratorKind("fwd", "qboson", Q, eps)
             lhs = generator_apply(gkc, f, n)
             # C_q A^fwd C_q^{-1}
             g = lambda m: f(m) / cq_weight(m, Q)
@@ -197,6 +197,13 @@ def test_uniformization_rejects_nonstochastic():
                                WeylVector((0,)), StateBox(1, -2, 2))
     with pytest.raises(ValueError):
         uniformized_transition(GeneratorKind("fwd", "sd", Q), 1.0,
+                               WeylVector((0,)), StateBox(1, -2, 2))
+
+
+def test_uniformization_rejects_a_moved_marked_point():
+    # at eps != 1 the forward generator's columns do not sum to zero
+    with pytest.raises(ValueError, match=r"\(eps = 1\)"):
+        uniformized_transition(GeneratorKind("fwd", "qboson", Q, 0.7), 1.0,
                                WeylVector((0,)), StateBox(1, -2, 2))
 
 

@@ -208,3 +208,52 @@ def test_checks_leave_the_report_to_the_registry():
     wrong = [cid for cid, cd in REGISTRY.items()
              if next(iter(inspect.signature(cd.fn).parameters), None) != "acc"]
     assert not wrong, "checks whose first parameter is not acc: " + ", ".join(wrong)
+
+
+def _annotation_names(annotation) -> set[str]:
+    """Every name in an annotation, a quoted one included, bare or as the
+    attribute of a module."""
+    if annotation is None:
+        return set()
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        annotation = ast.parse(annotation.value, mode="eval")
+    return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(annotation)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def contour_system_knobs(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each function that takes a ContourSystem parameter
+    together with a parameter named q, model or eps."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            if (any("ContourSystem" in _annotation_names(p.annotation) for p in params)
+                    and {p.arg for p in params} & {"q", "model", "eps"}):
+                found.append((node.lineno, node.name))
+    return found
+
+
+def test_contour_system_knob_detection():
+    source = ("from qboson import contours\n"
+              "from qboson.contours import ContourSystem\n"
+              "def reads(cs: ContourSystem, spec, side='left'):\n    pass\n"
+              "def knob(G, cs: ContourSystem, spec, q: float):\n    pass\n"
+              "def quoted(cs: 'ContourSystem | None', *, model='qboson'):\n    pass\n"
+              "def attr(inner: contours.ContourSystem | int, eps=1.0):\n    pass\n"
+              "def bare(cs, q):\n    pass\n"
+              "class C:\n"
+              "    def method(self, cs: ContourSystem, **eps):\n        pass\n")
+    assert contour_system_knobs(source) == [
+        (5, "knob"), (7, "quoted"), (9, "attr"), (14, "method")]
+
+
+def test_contour_systems_are_the_one_source_of_q_eps_and_the_model():
+    # an evaluator reads q, the marked point eps and the model from its
+    # contour system; a second copy beside it could disagree without a word
+    found = [f"{path.relative_to(SRC.parent)}:{line} {name}"
+             for path in sorted(SRC.rglob("*.py"))
+             for line, name in contour_system_knobs(path.read_text())]
+    assert not found, ("functions taking q, model or eps beside a ContourSystem:\n"
+                       + "\n".join(found))

@@ -165,7 +165,7 @@ def test_sd_residue_expansion_matches_a_naive_nested_integral(k, m):
 
     nested = _naive_sd_nested(F, k, m)
     (total,), (estimate,) = residue_expand_sum([F], k, string_circle(0.5, model="sd"),
-                                               QuadratureSpec(64), 0.5, model="sd")
+                                               QuadratureSpec(64))
     assert abs(nested) > 0.05
     assert estimate < 1e-13
     assert abs(total - nested) < 1e-9 * (1 + abs(nested))

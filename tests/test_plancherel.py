@@ -190,12 +190,12 @@ def test_inverse_J_k1_residues():
     cs = nested_contours(1, Q, r_k=0.3)
     one = lambda zs: zs[0] * 0 + 1.0
     for n in range(-2, 3):
-        v = inverse_J(one, WeylVector((n,)), cs, SPEC, Q)
+        v = inverse_J(one, WeylVector((n,)), cs, SPEC)
         assert v == pytest.approx(-1.0 if n == 0 else 0.0, abs=1e-12)
     for m in (-2, 1, 3):
         G = lambda zs, _m=m: (1.0 - zs[0]) ** _m
         for n in range(-3, 4):
-            v = inverse_J(G, WeylVector((n,)), cs, SPEC, Q)
+            v = inverse_J(G, WeylVector((n,)), cs, SPEC)
             assert v == pytest.approx(-1.0 if n == m else 0.0, abs=1e-12)
 
 
@@ -219,7 +219,7 @@ def test_inverse_J_modes_agree_k2():
     ref = [_nested_reference(G, y, csn) for y in ys]
     assert abs(ref[0] - 1.0) < 1e-9  # Psi^r_x transforms back to delta_x
     for cs in (csn, single_gamma(Q, k=2), string_circle(Q, radius=0.3)):
-        batch, _ = inverse_J_batch(G, ys, cs, SPEC, Q)
+        batch, _ = inverse_J_batch(G, ys, cs, SPEC)
         assert np.abs(batch - ref).max() < 1e-9, cs.family
 
 
@@ -228,11 +228,11 @@ def test_inverse_J_batch_matches_scalar():
     G = lambda zs: eigen_eval_grid(EigenFamily("qboson-right", Q), list(zs), x)
     cs = nested_contours(2, Q, r_k=0.3)
     ns = list(weyl_vectors_in_box(2, -2, 2))
-    batch, _ = inverse_J_batch(G, ns, cs, SPEC, Q)
+    batch, _ = inverse_J_batch(G, ns, cs, SPEC)
     for n, v in zip(ns, batch):
         s = _nested_reference(G, n, cs)
         assert abs(v - s) < 1e-10 * (1 + abs(s))
-        assert abs(inverse_J(G, n, cs, SPEC, Q) - v) < 1e-12 * (1 + abs(v))
+        assert abs(inverse_J(G, n, cs, SPEC) - v) < 1e-12 * (1 + abs(v))
 
 
 def test_dispatch_rejects_circle_count_mismatch():
@@ -240,9 +240,9 @@ def test_dispatch_rejects_circle_count_mismatch():
     states = list(weyl_vectors_in_box(2, -1, 1))
     for cs in (nested_contours(3, Q, r_k=0.3), single_gamma(Q, k=1)):
         with pytest.raises(ValueError, match="one circle per particle"):
-            composition_table(states, cs, SPEC, Q)
+            composition_table(states, cs, SPEC)
         with pytest.raises(ValueError, match="one circle per particle"):
-            inverse_J_batch(G, states, cs, SPEC, Q)
+            inverse_J_batch(G, states, cs, SPEC)
 
 
 def test_dispatch_rejects_empty_state_list():
@@ -250,9 +250,9 @@ def test_dispatch_rejects_empty_state_list():
     for cs in (nested_contours(1, Q, r_k=0.3), single_gamma(Q, k=1),
                string_circle(Q, radius=0.3)):
         with pytest.raises(ValueError, match="at least one state"):
-            composition_table([], cs, SPEC, Q)
+            composition_table([], cs, SPEC)
         with pytest.raises(ValueError, match="at least one state"):
-            inverse_J_batch(G, [], cs, SPEC, Q)
+            inverse_J_batch(G, [], cs, SPEC)
 
 
 def _inverse_J_case():
@@ -286,9 +286,9 @@ def test_inverse_J_half_grid_difference_matches_a_separate_half_run(mode, m, mon
     G, ys, _ = _inverse_J_case()
     cs = {"nested": nested_contours(2, Q, r_k=0.3), "single-gamma": single_gamma(Q, k=2),
           "expanded": string_circle(Q, radius=0.3)}[mode]
-    values, _ = inverse_J_batch(G, ys, cs, QuadratureSpec(m), Q)
+    values, _ = inverse_J_batch(G, ys, cs, QuadratureSpec(m))
     d = seen[-1][0]
-    coarse, _ = inverse_J_batch(G, ys, cs, QuadratureSpec(m // 2), Q)
+    coarse, _ = inverse_J_batch(G, ys, cs, QuadratureSpec(m // 2))
     assert abs(values[0]) > 0.5
     np.testing.assert_allclose(d, np.abs(values - coarse), rtol=0, atol=1e-12)
 
@@ -299,7 +299,7 @@ def test_inverse_J_estimate_extrapolates_only_above_the_rounding_bound(monkeypat
     cs = nested_contours(2, Q, r_k=0.3)
     # 32 nodes: d, what doubling from 16 changed, is far above rounding, and
     # the estimate is its geometric extrapolation d^2/|value|
-    _, est = inverse_J_batch(G, ys[:1], cs, QuadratureSpec(32), Q)
+    _, est = inverse_J_batch(G, ys[:1], cs, QuadratureSpec(32))
     d, values, rounding = seen[-1]
     assert d[0] > 1e6 * rounding[0]
     assert est[0] == pytest.approx(d[0] * d[0] / abs(values[0]), rel=1e-15)
@@ -309,7 +309,7 @@ def test_inverse_J_estimate_extrapolates_only_above_the_rounding_bound(monkeypat
     # single circle about 0, |1 - z| runs from 0.5 to 2.5, so the bound
     # must take the smallest base under a negative exponent)
     for circles in (cs, single_gamma(Q, k=2)):
-        values, est = inverse_J_batch(G, ys, circles, QuadratureSpec(256), Q)
+        values, est = inverse_J_batch(G, ys, circles, QuadratureSpec(256))
         d, _, rounding = seen[-1]
         assert np.all((d > 0) & (d < 100 * rounding)), circles.family
         assert np.array_equal(est, d)
@@ -359,7 +359,7 @@ def test_composition_tables_are_identities():
         I = np.eye(len(states))
         for cs in (nested_contours(k, Q, r_k=0.3), single_gamma(Q, k=k),
                    string_circle(Q, radius=0.3)):
-            T = composition_table(states, cs, SPEC, Q)
+            T = composition_table(states, cs, SPEC)
             assert np.abs(T - I).max() < 1e-7, cs.family
 
 
@@ -371,7 +371,7 @@ def test_right_right_table_matches_single_gamma_integral():
     for k, lo, hi in ((1, -3, 3), (2, -1, 2)):
         states = list(weyl_vectors_in_box(k, lo, hi))
         cs = single_gamma(Q, k=k)
-        B = composition_table(states, cs, SPEC, Q, side="right")
+        B = composition_table(states, cs, SPEC, side="right")
         assert np.abs(B - B.T).max() < 1e-12
         lam = Partition((1,) * k)
         for i, x in enumerate(states):
@@ -385,7 +385,7 @@ def test_right_right_table_matches_single_gamma_integral():
                 ref = integrate(cs, integrand, SPEC).value
                 assert abs(B[i, j] - ref) < 1e-10 * (1 + abs(ref)), (x, y)
     with pytest.raises(ValueError, match="nested mode pairs with the left eigenfunction only"):
-        composition_table(states, nested_contours(2, Q, r_k=0.3), SPEC, Q, side="right")
+        composition_table(states, nested_contours(2, Q, r_k=0.3), SPEC, side="right")
 
 
 def test_completeness_both_expansions():
@@ -397,7 +397,7 @@ def test_completeness_both_expansions():
     k = 2
     states = list(weyl_vectors_in_box(k, -2, 2))
     idx = {n: i for i, n in enumerate(states)}
-    T = composition_table(states, string_circle(Q, radius=0.3), SPEC, Q)
+    T = composition_table(states, string_circle(Q, radius=0.3), SPEC)
     vec = np.array([complex(rng.normal(), rng.normal()) for _ in states])
     # forward expansion reproduces f
     recon = T.T @ vec
@@ -435,8 +435,8 @@ def _residue_sides(k):
     """Both residue-expansion sides at k for `RESIDUE_FS`."""
     q, Fs = RESIDUE_Q, RESIDUE_FS
     cs = _residue_nested_contours(k)
-    return {"nested": lambda spec: residue_expand_nested(Fs, cs, spec, q),
-            "sum": lambda spec: residue_expand_sum(Fs, k, string_circle(q, radius=0.1), spec, q)}
+    return {"nested": lambda spec: residue_expand_nested(Fs, cs, spec),
+            "sum": lambda spec: residue_expand_sum(Fs, k, string_circle(q, radius=0.1), spec)}
 
 
 def test_residue_expansion_small():
@@ -480,7 +480,7 @@ def test_residue_expand_nested_matches_a_naive_grid_sum(k, m, budget, monkeypatc
     # a budget of 512 nodes cuts the k = 3 grids into slabs of 2 along axis 0
     monkeypatch.setattr(contours, "CHUNK_ELEMENTS", budget)
     q, cs = RESIDUE_Q, _residue_nested_contours(k)
-    values, estimates = residue_expand_nested(RESIDUE_FS, cs, QuadratureSpec(m), q)
+    values, estimates = residue_expand_nested(RESIDUE_FS, cs, QuadratureSpec(m))
     for F, value, estimate in zip(RESIDUE_FS, values, estimates):
         ref, ref_estimate = _naive_grid_sum(cs, m, lambda zs: _naive_kernel(zs, q) * F(zs))
         assert abs(ref) > 0.1
@@ -516,7 +516,7 @@ def test_residue_expand_nested_raises_on_a_nonfinite_F():
             return 1.0 / (zs[0] - node)
 
     with pytest.raises(FloatingPointError, match="non-finite"):
-        residue_expand_nested([F], cs, spec, 0.5)
+        residue_expand_nested([F], cs, spec)
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -570,8 +570,8 @@ def test_chunked_grids_match_one_chunk(monkeypatch):
     def evaluate(budget):
         monkeypatch.setattr(contours, "CHUNK_ELEMENTS", budget)
         res = integrate(cs, integrand, spec)
-        nested, nested_est = residue_expand_nested(Fs, cs, spec, Q)
-        total, total_est = residue_expand_sum(Fs, k, string_circle(Q, radius=0.3), spec, Q)
+        nested, nested_est = residue_expand_nested(Fs, cs, spec)
+        total, total_est = residue_expand_sum(Fs, k, string_circle(Q, radius=0.3), spec)
         return (np.concatenate([nested, total, [res.value]]),
                 np.concatenate([nested_est, total_est, [res.error_estimate]]),
                 len(list(_grid_chunks(cs, spec))))

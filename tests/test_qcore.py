@@ -153,11 +153,9 @@ def test_partition_multiplicities():
 def test_string_points():
     lam = Partition((3,))
     assert string_points([2], lam, 0.5) == (2, 1, 0.5)
-    assert string_points([2], lam, mode="additive") == (2, 3, 4)
     ones = Partition((1, 1, 1))
     w = (0.3 + 1j, -2.0, 5.5)
     assert string_points(w, ones, 0.5) == tuple(map(complex, w))
-    assert string_points(w, ones, mode="additive") == tuple(map(complex, w))
     with pytest.raises(ValueError):
         string_points([0.0], lam, 0.5)
     with pytest.raises(ValueError):
