@@ -16,9 +16,10 @@ integrand against many integer powers of its one-particle bases at once; every
 transform table (inverse transform, identity resolution, pairings, the
 spectral orthogonality window) goes through it.  Several components may
 share a grid axis, as the components of one spectral string do.
-`_grid_chunks` is the one walk over a product grid, in slabs of at most
-CHUNK_ELEMENTS nodes, that every grid evaluator shares; `half_grid_sums`
-sums integrands over it for `integrate` and both residue-expansion sides.
+`_grid_chunks` is the one walk over a product grid that every grid evaluator
+shares, in slabs of at most CHUNK_ELEMENTS = 2^18 nodes: 4 MB per complex
+array, under glibc's 32 MB mmap ceiling, so freed slab arrays are reused.
+`half_grid_sums` sums integrands over it for `integrate` and both residue sides.
 """
 
 from __future__ import annotations
@@ -372,7 +373,7 @@ def _axis_view(v: np.ndarray, axis: int, k: int) -> np.ndarray:
     return v.reshape(shape)
 
 
-CHUNK_ELEMENTS = 1 << 21  # grid nodes evaluated at once, ~32 MB per complex array
+CHUNK_ELEMENTS = 1 << 18  # nodes per slab: 4 MB complex arrays, below glibc's 32 MB mmap ceiling
 
 
 def _grid_chunks(cs: ContourSystem, spec: QuadratureSpec):
@@ -380,10 +381,10 @@ def _grid_chunks(cs: ContourSystem, spec: QuadratureSpec):
 
     ``zs`` holds the k node arrays shaped for broadcasting, axis 0 cut to the
     slab, and ``W`` the weight tensor dz_1 ... dz_k / (2 pi i)^k on the slab.
-    The node count and the budget are powers of two, so every slab holds a
-    power of two >= 2 of axis-0 nodes and starts at an even node: the
-    embedded half grid (every second node on each axis) is the union of the
-    slabs' own half grids.
+    A slab holds at most CHUNK_ELEMENTS nodes, but never fewer than two
+    axis-0 nodes (k = 4, M = 64: 2 M^3).  Both counts are powers of two, so
+    every slab starts at an even node: the embedded half grid (every second
+    node on each axis) is the union of the slabs' own half grids.
     """
     k, m = cs.k, spec.nodes
     nodes, weights = grid_nodes_weights(cs, spec)

@@ -35,10 +35,10 @@ nested kernel, the Cauchy product of `mu_density_grid`), so the division
 adds no small divisor.
 
 Every grid here is walked through `contours._grid_chunks`, the same slabs
-`contours.integrate` uses, so peak memory is bounded by one slab however
-many axes a grid has.  The string measure on a grid, `mu_density_grid`, is
-built from two-axis pair factors and one-axis diagonal factors, with no
-division at the full grid size; `mu_weight` keeps the literal determinant.
+`contours.integrate` uses, so peak memory is one slab (4 MB per complex
+array) however many axes a grid has.  The grid string measure,
+`mu_density_grid`, is built from two-axis pair factors and one-axis diagonal
+factors, with no full-size division; `mu_weight` keeps the literal determinant.
 Both residue-expansion sides walk the dispatch with the left family and sum
 F by `contours.half_grid_sums`: `residue_expand_nested` on nested circles,
 `residue_expand_sum` on one string circle, as every moment is evaluated.
@@ -375,8 +375,7 @@ def inverse_J_batch(G, ns: Sequence[WeylVector], cs: ContourSystem,
     each axis, scaled by 2^axes), and d is the difference of the two sums.
     The rounding bound of a value is eps sum|T| prod_m b_m^{e_m} over the
     slabs' integrands T, with b_m the largest |base| of component m where
-    its exponent e_m >= 0 and the smallest where e_m < 0; sum|T| is taken
-    in blocks of rows, so it adds no full-size temporary.  The estimate is
+    its exponent e_m >= 0 and the smallest where e_m < 0.  The estimate is
     `_geometric_estimate` of d: min(d, d^2/|value|) where d >= 100 times the
     rounding bound, and d otherwise.
     """
@@ -403,9 +402,7 @@ def inverse_J_batch(G, ns: Sequence[WeylVector], cs: ContourSystem,
             e = -1 - coords[:, list(inv)]
             growth = np.prod([np.where(e[:, m] >= 0, top, low) ** e[:, m]
                               for m, (low, top) in enumerate(extents)], axis=0)
-            # sum|T| in blocks of about 2^16 nodes: no full-size temporary
-            blocks = np.array_split(T, -(-T.size // (1 << 16)))
-            rounding += sum(float(np.abs(block).sum()) for block in blocks) * growth
+            rounding += float(np.abs(T).sum()) * growth
     d = np.abs(out - coarse)
     return out, _geometric_estimate(d, out, np.finfo(float).eps * rounding)
 

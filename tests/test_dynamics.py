@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,6 +335,25 @@ def test_spectral_transition_plans_its_nodes(monkeypatch):
                                   quad=QuadratureSpec(32))
     assert len(plans) == 1
     assert abs(fixed[0] - v) > 1e-9  # 32 nodes are far from converged
+
+
+def test_a_128_node_transition_holds_a_few_slabs_of_numpy_buffers(monkeypatch):
+    # This transition plans to 128 nodes per circle, a grid of 2^21 nodes.
+    # tracemalloc sees numpy's buffers: walked in slabs of
+    # contours.CHUNK_ELEMENTS = 2^18 nodes they peak near 21 MB; as one
+    # 2^21-node slab they would peak near 130 MB.
+    y, x, t = WeylVector((2, 1, -1)), WeylVector((0, -1, -2)), 0.603
+    transition_probability("spectral", y, x, t, Q)  # warm-up: lazy imports and caches
+    plans = _spy_plans(monkeypatch)
+    tracemalloc.start()
+    try:
+        v = transition_probability("spectral", y, x, t, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [p.nodes for p in plans] == [128]
+    assert peak < 40 * 2**20
+    assert abs(v - _transition_oracle(y.coords, x.coords, Q, t)) < 1e-12
 
 
 @pytest.mark.parametrize("method", ["spectral", "uniformization"])

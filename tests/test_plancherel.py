@@ -473,11 +473,12 @@ def _naive_kernel(zs, q):
     return out
 
 
-@pytest.mark.parametrize("budget", [contours.CHUNK_ELEMENTS, 512])
+# 1 << 21 holds every grid of these tests in one slab; 512 cuts the k = 3
+# grids into slabs of 2 along axis 0
+@pytest.mark.parametrize("budget", [1 << 21, 512])
 @pytest.mark.parametrize("m", [16, 32])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_residue_expand_nested_matches_a_naive_grid_sum(k, m, budget, monkeypatch):
-    # a budget of 512 nodes cuts the k = 3 grids into slabs of 2 along axis 0
     monkeypatch.setattr(contours, "CHUNK_ELEMENTS", budget)
     q, cs = RESIDUE_Q, _residue_nested_contours(k)
     values, estimates = residue_expand_nested(RESIDUE_FS, cs, QuadratureSpec(m))
@@ -488,7 +489,7 @@ def test_residue_expand_nested_matches_a_naive_grid_sum(k, m, budget, monkeypatc
         assert abs(estimate - ref_estimate) <= 1e-13 * (1 + abs(ref))
 
 
-@pytest.mark.parametrize("budget", [contours.CHUNK_ELEMENTS, 512])
+@pytest.mark.parametrize("budget", [1 << 21, 512])
 @pytest.mark.parametrize("m", [16, 32])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_integrate_matches_a_naive_grid_sum(k, m, budget, monkeypatch):
@@ -558,11 +559,22 @@ def test_plan_nodes_on_residue_sides(side):
 
 
 def test_chunked_grids_match_one_chunk(monkeypatch):
-    # k = 4 with 16 nodes per axis: a budget of 512 nodes cuts every grid of
-    # three or four axes into 8 slabs of 2 nodes along axis 0.
+    # Budgets: one slab for every grid here, the default, and 512 nodes,
+    # which cuts every grid of three or four axes into slabs of 2 nodes
+    # along axis 0.  k = 4 with 16 nodes per axis for integrate and both
+    # residue sides; k = 3 with 16 nodes for inverse_J_batch and the
+    # left-left and right-right composition tables in the nested,
+    # single-circle and string-product modes; and the solver's k = 3
+    # nested inverse transform at 128 nodes, a grid of 2^21 nodes, which the
+    # default budget cuts too.
     k, spec = 4, QuadratureSpec(16)
     cs = nested_contours(k, Q, r_k=0.3, margin=0.3)
     Fs = [lambda zs, c=c: np.exp(sum((z - 1.0) * c for z in zs)) for c in (0.3, -0.7)]
+    x = WeylVector((1, 0, -1))
+    G = lambda zs: eigen_eval_grid(EigenFamily("qboson-right", Q), list(zs), x)
+    states = list(weyl_vectors_in_box(3, -1, 1))
+    modes = [nested_contours(3, Q, r_k=0.3), single_gamma(Q, k=3), string_circle(Q, radius=0.3)]
+    solver = nested_contours(3, Q, r_k=0.3)
 
     def integrand(zs):
         return nested_kernel_grid(zs, Q) * np.exp(sum(zs))
@@ -570,19 +582,47 @@ def test_chunked_grids_match_one_chunk(monkeypatch):
     def evaluate(budget):
         monkeypatch.setattr(contours, "CHUNK_ELEMENTS", budget)
         res = integrate(cs, integrand, spec)
-        nested, nested_est = residue_expand_nested(Fs, cs, spec)
-        total, total_est = residue_expand_sum(Fs, k, string_circle(Q, radius=0.3), spec)
-        return (np.concatenate([nested, total, [res.value]]),
-                np.concatenate([nested_est, total_est, [res.error_estimate]]),
-                len(list(_grid_chunks(cs, spec))))
+        values = [*residue_expand_nested(Fs, cs, spec), *residue_expand_sum(
+            Fs, k, string_circle(Q, radius=0.3), spec), [res.value], [res.error_estimate]]
+        for mode in modes:
+            values += [*inverse_J_batch(G, states, mode, spec),
+                       composition_table(states, mode, spec).ravel()]
+            if mode.family != "qboson-nested":
+                values.append(composition_table(states, mode, spec, side="right").ravel())
+        values += inverse_J_batch(G, states, solver, QuadratureSpec(128))
+        slabs = (len(list(_grid_chunks(cs, spec))),
+                 len(list(_grid_chunks(solver, QuadratureSpec(128)))))
+        return values, slabs
 
-    val1, err1, n1 = evaluate(1 << 30)
-    val8, err8, n8 = evaluate(512)
-    assert (n1, n8) == (1, 8)
-    for a, b in zip(val1, val8):
-        assert abs(a - b) <= 1e-12 * (1 + abs(a))
-    for e1, e8, v in zip(err1, err8, val1):
-        assert abs(e1 - e8) <= 1e-12 * (1 + abs(v))
+    default = contours.CHUNK_ELEMENTS
+    one, one_slabs = evaluate(1 << 30)
+    assert one_slabs == (1, 1)
+    for budget, slabs in ((default, (1, 8)), (512, (8, 64))):
+        cut, cut_slabs = evaluate(budget)
+        assert cut_slabs == slabs
+        for a, b in zip(one, cut):
+            np.testing.assert_allclose(b, a, rtol=0, atol=1e-12 * (1 + np.abs(a).max()))
+
+
+@pytest.mark.parametrize("m", [16, 32, 64, 128])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_grid_slabs_keep_the_budget_and_start_at_even_nodes(k, m):
+    # Every slab holds at most CHUNK_ELEMENTS nodes, except at the two-row
+    # floor on axis 0 (k = 4 from M = 64: slabs of 2 M^3 nodes), and starts
+    # at an even axis-0 node, as the embedded half-grid estimate needs.
+    cs, spec = nested_contours(k, Q, r_k=0.3), QuadratureSpec(m)
+    axis0 = grid_nodes_weights(cs, spec)[0][0]
+    start = 0
+    for zs, W in _grid_chunks(cs, spec):
+        rows = zs[0].size
+        assert W.shape == (rows,) + (m,) * (k - 1)
+        assert W.size <= contours.CHUNK_ELEMENTS or rows == 2
+        assert start % 2 == 0
+        assert np.array_equal(zs[0].ravel(), axis0[start:start + rows])
+        start += rows
+    assert start == m
+    floor = 2 * m ** (k - 1) > contours.CHUNK_ELEMENTS
+    assert floor == (k == 4 and m >= 64)
 
 
 def _planned_quadrature(report):
