@@ -16,7 +16,6 @@ from qboson.qcore import (
     cluster_decompose,
     cq_weight,
     cq_weight_inv,
-    factorial_cluster_weight,
     partitions_of,
     q_factorial,
     q_pochhammer,
@@ -34,7 +33,6 @@ __all__ = [
     "cluster_decompose",
     "cq_weight",
     "cq_weight_inv",
-    "factorial_cluster_weight",
     "partitions_of",
     "q_factorial",
     "q_pochhammer",

@@ -2,8 +2,9 @@
 deterministic numerical comparisons.
 
 A check takes an Accumulator ``acc`` first and records its comparisons
-there; its other keywords, ``tolerance`` and ``seed`` among them, are its
-knobs.  It builds no report: `registry.run_check` binds the knobs, makes
+there; its other keywords, ``tolerance`` and (only where it draws random
+numbers) ``seed`` among them, are knobs that it reads.  It builds no
+report: `registry.run_check` binds the knobs, makes
 the Accumulator and finishes the report, whose params are those knobs
 under their own names, so ``--param`` replays them.  A check may add
 further entries to ``acc.params`` (contours, quadrature choices)."""

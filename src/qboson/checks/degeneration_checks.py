@@ -13,8 +13,8 @@ from qboson.contours import (
     QuadratureSpec,
     nested_contours,
     sd_nested_contours,
+    sd_string_circle,
     single_gamma,
-    string_circle,
 )
 from qboson.degenerations import (
     admissible_F,
@@ -29,7 +29,6 @@ from qboson.degenerations import (
     oy_simulate,
     psi_cfwd_eps_derivative,
     psi_left_eps_derivative,
-    SD_Q,
     sd_moment_formula,
     sd_moment_poisson_chain,
     spectral_orthogonality_sides,
@@ -37,11 +36,11 @@ from qboson.degenerations import (
 from qboson.eigenfunctions import EigenFamily, EigenTable, eigen_eval
 from qboson.generators import GeneratorKind, generator_apply
 from qboson.plancherel import composition_table
-from qboson.qcore import WeylVector, factorial_cluster_weight, weyl_vectors_in_box
+from qboson.qcore import WeylVector, cq_weight, weyl_vectors_in_box
 from qboson.report import Accumulator
 
 def check_eps_plancherel(acc: Accumulator, q: float = 0.5, eps: float = 0.5,
-                         nodes: int = 128, tolerance: float = 1e-6, seed: int = 0) -> None:
+                         nodes: int = 128, tolerance: float = 1e-6) -> None:
     """Identity resolution for the eps-deformed transform pair at eps = 0.5:
     the q-Boson transform pair with its marked point at eps, on nested,
     single-circle and string contours that carry that eps."""
@@ -65,8 +64,8 @@ def check_eps_plancherel(acc: Accumulator, q: float = 0.5, eps: float = 0.5,
                          tolerance)
 
 
-def check_eps_orthogonality(acc: Accumulator, q: float = 0.5, tolerance: float = 1e-5,
-                            seed: int = 0) -> None:
+def check_eps_orthogonality(acc: Accumulator, q: float = 0.5,
+                            tolerance: float = 1e-5) -> None:
     """Spectral orthogonality across the deformation family, eps in
     {0, 0.25, 0.5, 1}: the residual is flat in eps (the derivative of the
     relation vanishes identically)."""
@@ -150,7 +149,7 @@ def check_hl_identification(acc: Accumulator, q: float = 0.5, n_max: int = 5,
 
 
 def check_cauchy_littlewood(acc: Accumulator, q: float = 0.5, depth: int = 40,
-                            tolerance: float = 1e-8, seed: int = 0) -> None:
+                            tolerance: float = 1e-8) -> None:
     """Truncated Cauchy-Littlewood sum against the product kernel."""
     r = cauchy_littlewood_check(1, q, [0.3], [1.1], depth=depth + 20)
     closed = (1.1 - q * 0.3) / (1.1 - 0.3)
@@ -175,39 +174,38 @@ def check_sd_eigen(acc: Accumulator, tolerance: float = 1e-10, seed: int = 0) ->
         z = random_spectral(rng, k, center=0.0, rmin=0.5, rmax=2.0)
         ev = sum(zi - 1.0 for zi in z)
         for side, gen in (("left", "bwd"), ("cfwd", "cfwd"), ("right", "fwd")):
-            fam = EigenFamily(f"sd-{side}", 0.5)
-            gk = GeneratorKind(gen, "sd", 0.5)
+            fam = EigenFamily(f"sd-{side}")
+            gk = GeneratorKind(gen, "sd")
             psi = EigenTable(fam, z, validate=False)
             acc.add(f"sd-{side} k={k}", generator_apply(gk, psi, n), ev * psi(n), tolerance)
         # reflection symmetry
-        fam_l = EigenFamily("sd-left", 0.5)
-        fam_r = EigenFamily("sd-right", 0.5)
+        fam_l = EigenFamily("sd-left")
+        fam_r = EigenFamily("sd-right")
         lhs = eigen_eval(fam_l, z, n.reflect(), validate=False)
-        rhs = factorial_cluster_weight(n) * eigen_eval(fam_r, z, n, validate=False)
+        rhs = cq_weight(n, None) * eigen_eval(fam_r, z, n, validate=False)
         acc.add(f"sd reflection k={k}", lhs, rhs, tolerance)
 
 
-def check_sd_plancherel(acc: Accumulator, nodes: int = 128, tolerance: float = 1e-6,
-                        seed: int = 0) -> None:
+def check_sd_plancherel(acc: Accumulator, nodes: int = 128, tolerance: float = 1e-6) -> None:
     """Identity resolution for the semi-discrete transform pair, k <= 2."""
     spec = QuadratureSpec(nodes)
     for k in (1, 2):
         states = list(weyl_vectors_in_box(k, -3, 3))
         I = np.eye(len(states))
         for mode, cs in (("nested", sd_nested_contours(k)),
-                         ("expanded", string_circle(SD_Q, model="sd", radius=0.4))):
+                         ("expanded", sd_string_circle(0.4))):
             T = composition_table(states, cs, spec)
             acc.add_residual(f"k={k} {mode}", float(np.abs(T - I).max()), tolerance)
 
 
-def check_sd_biorthogonality(acc: Accumulator, nodes: int = 128, tolerance: float = 1e-6,
-                             seed: int = 0) -> None:
+def check_sd_biorthogonality(acc: Accumulator, nodes: int = 128,
+                             tolerance: float = 1e-6) -> None:
     """Spatial biorthogonality of the semi-discrete eigenfunctions via the
     additive-string pairing (the expanded composition form)."""
     spec = QuadratureSpec(nodes)
     for k in (1, 2):
         states = list(weyl_vectors_in_box(k, -2, 3))
-        T = composition_table(states, string_circle(SD_Q, model="sd", radius=0.4), spec)
+        T = composition_table(states, sd_string_circle(0.4), spec)
         acc.add_residual(f"k={k}", float(np.abs(T - np.eye(len(states))).max()), tolerance)
 
 

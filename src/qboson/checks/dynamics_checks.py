@@ -73,7 +73,7 @@ def check_forward_solver(acc: Accumulator, q: float = 0.5, t: float = 0.5,
 
 
 def check_transition_prob(acc: Accumulator, q: float = 0.5, t: float = 1.0,
-                          tolerance: float = 1e-6, seed: int = 0) -> None:
+                          tolerance: float = 1e-6) -> None:
     """Transition kernel: spectral formula vs uniformization, sign, and mass."""
     for k, y in ((1, WeylVector((0,))), (2, WeylVector((1, 0))), (2, WeylVector((1, 1)))):
         lo = y.coords[-1] - 14  # the chain only descends

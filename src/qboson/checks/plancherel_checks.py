@@ -47,7 +47,7 @@ def _delta_table_check(acc: Accumulator, label: str, states, table: np.ndarray,
 
 
 def check_plancherel_forward(acc: Accumulator, q: float = 0.5, box_radius: int = 4,
-                             nodes: int = 128, tolerance: float = 1e-6, seed: int = 0) -> None:
+                             nodes: int = 128, tolerance: float = 1e-6) -> None:
     """Inverse transform of the forward transform resolves every delta:
     all three evaluation modes, k = 1..3.
 
@@ -196,8 +196,7 @@ def check_plancherel_pairing(acc: Accumulator, q: float = 0.5, pairs: int = 20,
 
 
 def check_biorthogonality_spatial(acc: Accumulator, q: float = 0.5, box_radius: int = 3,
-                                  nodes: int = 128, tolerance: float = 1e-6,
-                                  seed: int = 0) -> None:
+                                  nodes: int = 128, tolerance: float = 1e-6) -> None:
     """Spectral pairing of left and right eigenfunctions is the delta in
     the spatial labels (single-circle form for k <= 3, string form k <= 2)."""
     spec = QuadratureSpec(nodes)
@@ -211,8 +210,8 @@ def check_biorthogonality_spatial(acc: Accumulator, q: float = 0.5, box_radius: 
         _delta_table_check(acc, f"k={k} expanded", states, T, tolerance)
 
 
-def check_orthogonality_spectral(acc: Accumulator, q: float = 0.5, tolerance: float = 1e-5,
-                                 seed: int = 0) -> None:
+def check_orthogonality_spectral(acc: Accumulator, q: float = 0.5,
+                                 tolerance: float = 1e-5) -> None:
     """Spectral orthogonality of left and right eigenfunctions (the base
     family, i.e. the eps = 1 member), with certified spatial tails."""
     eps = 1.0

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from qboson.qcore import WeylVector
-from qboson.registry import REGISTRY, UnknownCheckError, run_all, run_check
+from qboson.registry import REGISTRY, UnknownCheckError, run_all, run_check, takes_seed
 from qboson.report import REJECTIONS, emit_report, rejection_reason
 
 
@@ -51,10 +51,11 @@ def _collect_params(args) -> dict:
 
 def _cmd_verify(args) -> int:
     params = _collect_params(args)
-    params.setdefault("seed", 0)
     try:
         if args.check == "all":
             reports = run_all(common=params, jobs=args.jobs)
+        elif "seed" in params and not takes_seed(args.check):
+            raise ValueError(f"check {args.check}: deterministic check; it takes no seed")
         else:
             reports = [run_check(args.check, **params)]
     except UnknownCheckError as exc:
@@ -198,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--config", help="JSON file of parameter defaults")
     pv.add_argument("--param", action="append",
                     help="override one parameter, key=value (repeatable)")
-    pv.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
+    pv.add_argument("--seed", type=int, default=None, help="seed of the selected checks "
+                    "that draw random numbers (default 0); a deterministic check alone exits 2")
     pv.add_argument("--q", type=float, default=None,
                     help="q for every selected check that takes q; a single "
                          "check without q exits 2")

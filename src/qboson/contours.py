@@ -6,10 +6,10 @@ systems are built here and validated before use.  A system is the one
 source of q, of the marked point eps (the eps-deformed system is the
 q-Boson family at eps) and of the model (`ContourSystem.model`) for every
 evaluator on it, and its family is the evaluation mode of the inverse
-transform, the one small circle of a string expansion (`string_circle`)
-included.  `integrate` evaluates the k-fold product trapezoidal rule
-(geometrically convergent for integrands analytic near the circles) with
-an embedded-subgrid error estimate; `plan_nodes`
+transform, the one small circle of a string expansion (`string_circle`,
+`sd_string_circle`) included.  `integrate` evaluates the k-fold product
+trapezoidal rule (geometrically convergent for integrands analytic near
+the circles) with an embedded-subgrid error estimate; `plan_nodes`
 doubles a node count until an error estimate meets a target; and
 `contract_powers` is the one batched kernel that evaluates a grid
 integrand against many integer powers of its one-particle bases at once; every
@@ -86,13 +86,13 @@ class ContourSystem:
     A < B, and the innermost does not contain q eps.  qboson-single needs
     its circle to contain eps and its own q-image.  string-product: copies
     of one small circle centred at eps.  The semi-discrete families have no
-    marked point and keep eps = 1.  sd-nested: all circles contain 0,
+    q and no marked point (eps = 1).  sd-nested: all circles contain 0,
     gamma_A contains 1 + gamma_B, the innermost does not contain 1.
     """
 
     circles: tuple[Circle, ...]
     family: str
-    q: float = 0.5
+    q: float | None = None
     eps: float = 1.0
 
     def __post_init__(self):
@@ -112,11 +112,12 @@ class ContourSystem:
     def validate(self) -> None:
         q = self.q
         cs = self.circles
-        if self.model == "sd" and self.eps != 1.0:
-            raise ContourError("the semi-discrete contours have no marked point eps")
+        if self.model == "qboson":
+            check_q(q)
+        elif q is not None or self.eps != 1.0:
+            raise ContourError("the semi-discrete contours have no q and no marked point eps")
         mark = self.eps
         if self.family == "qboson-nested":
-            check_q(q)
             for j, c in enumerate(cs):
                 if not c.contains_point(mark):
                     raise ContourError(f"circle {j+1} does not contain the point {mark}")
@@ -130,7 +131,6 @@ class ContourSystem:
             if cs[-1].contains_point(q * mark):
                 raise ContourError(f"innermost circle contains {q * mark}")
         elif self.family == "qboson-single":
-            check_q(q)
             c = cs[0]
             if not c.contains_point(mark):
                 raise ContourError(f"circle does not contain the point {mark}")
@@ -151,7 +151,6 @@ class ContourSystem:
             # the domain of the partition-expanded (string) integrals.  The
             # circle must keep all its q-orbit images disjoint from itself
             # so string components never collide across axes.
-            check_q(q)
             c0 = cs[0]
             for c in cs[1:]:
                 if c != c0:
@@ -229,18 +228,14 @@ def nested_contours(
     return ContourSystem(circles, "qboson-nested", q=q, eps=center)
 
 
-def string_circle(q: float, k: int = 1, alpha: float = 0.0, model: str = "qboson",
+def string_circle(q: float, k: int = 1, alpha: float = 0.0,
                   radius: float | None = None) -> ContourSystem:
-    """The one small circle of a string expansion at k, as a validated
-    one-circle string-product system.
-
-    q-Boson: about 1, radius min(0.6 (1-q)/(1+q), 0.6 (1 - alpha/q^k)) by
-    default; below those bounds it clears its own q-image and the strings
-    q^j w, j < k, clear the pole alpha/q.  Semi-discrete: about 0, radius
-    0.2; below 1/2 the strings w + j, j >= 1, stay off it.
+    """The one small circle of a q-Boson string expansion at k, as a
+    validated one-circle string-product system: about 1, radius
+    min(0.6 (1-q)/(1+q), 0.6 (1 - alpha/q^k)) by default; below those
+    bounds it clears its own q-image and the strings q^j w, j < k, clear
+    the pole alpha/q.
     """
-    if model == "sd":
-        return ContourSystem((Circle(0j, 0.2 if radius is None else radius),), "sd-string-product")
     check_q(q)
     gap = 1.0 - alpha / q**k  # how far 1 lies from alpha/q^k, where q^{k-1} w meets alpha/q
     if radius is None:
@@ -249,6 +244,11 @@ def string_circle(q: float, k: int = 1, alpha: float = 0.0, model: str = "qboson
         raise ContourError(f"string circle of radius {radius} reaches the pole: "
                            f"its strings meet alpha/q at |w - 1| = {gap}")
     return ContourSystem((Circle(1 + 0j, radius),), "string-product", q=q)
+
+
+def sd_string_circle(radius: float = 0.2) -> ContourSystem:
+    """The semi-discrete string circle about 0; below radius 1/2 no string w + j meets it."""
+    return ContourSystem((Circle(0j, radius),), "sd-string-product")
 
 
 def sd_nested_contours(k: int) -> ContourSystem:

@@ -32,8 +32,8 @@ from qboson.contours import (
     gamma_prime,
     grid_nodes_weights,
     integrate,
+    sd_string_circle,
     single_gamma,
-    string_circle,
 )
 from qboson.eigenfunctions import (
     EigenFamily,
@@ -55,9 +55,6 @@ from qboson.qcore import (
     q_pochhammer,
     weyl_vectors_in_box,
 )
-
-
-SD_Q = 0.5  # the semi-discrete family carries no q; the shared kernels still take one
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +447,13 @@ def sd_moment_formula(n: WeylVector, t: float) -> MomentResult:
         prod_{A<B} (z_A - z_B)/(z_A - z_B - 1) prod_j z_j^{-n_j} e^{t (z_j - 1)},
 
     evaluated as its additive string expansion on one small circle about 0
-    (`contours.string_circle`).
+    (`contours.sd_string_circle`).
     """
     check_time(t)
     if n.coords[-1] < 1:
         raise ValueError("moment indices must satisfy n_k >= 1")
     factors = [lambda z, nj=nj: z ** (-nj) * np.exp(t * (z - 1.0)) for nj in n.coords]
-    return string_moment(factors, string_circle(SD_Q, model="sd"))
+    return string_moment(factors, sd_string_circle())
 
 
 def sd_moment_poisson_chain(n: int, t: float) -> float:

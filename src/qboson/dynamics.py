@@ -319,7 +319,7 @@ def string_moment(factors: Sequence[Callable], cs: ContourSystem,
                   prefactor: float = 1.0) -> MomentResult:
     """prefactor times the k = len(factors)-fold nested integral of the
     kernel of ``cs``'s model times prod_j factors[j](z_j), as its string
-    expansion on the string circle ``cs`` (`contours.string_circle`), with
+    expansion on the string circle ``cs`` (`contours.string_circle`, `sd_string_circle`), with
     nodes planned to MOMENT_TARGET up to `default_nodes(k)`."""
     k = len(factors)
 

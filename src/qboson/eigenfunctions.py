@@ -11,7 +11,7 @@ shift:
 The q-Boson family's marked point eps is 1 by default; the eps-deformed
 system of the paper is the q-Boson family with its marked point moved to
 eps (eps = 0 is the Hall-Littlewood point).  The semi-discrete family has
-no marked point, and refuses an eps other than 1.
+no q and no marked point: it refuses a q, and an eps other than 1.
 
 The ``left`` member uses negative powers of the base, ``cfwd`` positive
 powers, and ``right`` is ``cfwd`` divided by the cluster weight of n.
@@ -71,7 +71,6 @@ from qboson.qcore import (
     cluster_weights,
     cq_weight,
     cq_weight_inv,
-    factorial_cluster_weight,
     inverse_permutation,
 )
 
@@ -93,11 +92,11 @@ class SpectralDomainError(ValueError):
 
 @dataclass(frozen=True)
 class EigenFamily:
-    """Selector for one of the six eigenfunction families; ``eps`` is the
-    q-Boson marked point (module docstring)."""
+    """Selector for one of the six eigenfunction families; ``q`` and the
+    marked point ``eps`` are the q-Boson family's (module docstring)."""
 
     kind: str
-    q: float
+    q: float | None = None
     eps: float = 1.0
     model: str = field(init=False, repr=False, compare=False)
     side: str = field(init=False, repr=False, compare=False)
@@ -105,14 +104,15 @@ class EigenFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family {self.kind!r}; choose from {FAMILY_KINDS}")
-        check_q(self.q)
         model, side = self.kind.split("-")
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "side", side)
-        if model == "qboson" and self.eps < 0:
-            raise ValueError("eps must be >= 0")
-        if model == "sd" and self.eps != 1.0:
-            raise ValueError("the semi-discrete family has no marked point eps")
+        if model == "qboson":
+            check_q(self.q)
+            if self.eps < 0:
+                raise ValueError("eps must be >= 0")
+        elif self.q is not None or self.eps != 1.0:
+            raise ValueError("the semi-discrete family has no q and no marked point eps")
 
     @property
     def excluded_point(self) -> complex:
@@ -144,11 +144,9 @@ class EigenFamily:
         return self.excluded_point * (1.0 - s), -1.0, s
 
     def prefactor(self, n: WeylVector) -> float:
-        """Multiplier C^{-1}(n) for the right family; 1 for left and cfwd."""
+        """Multiplier 1/`cq_weight`(n, q) for the right family; 1 for left and cfwd."""
         if self.side != "right":
             return 1.0
-        if self.model == "sd":
-            return 1.0 / factorial_cluster_weight(n)
         return cq_weight_inv(n, self.q)
 
     def prefactors(self, ns) -> np.ndarray:
@@ -156,7 +154,7 @@ class EigenFamily:
         ns = np.asarray(ns)
         if self.side != "right":
             return np.ones(len(ns))
-        return 1.0 / cluster_weights(ns, None if self.model == "sd" else self.q)
+        return 1.0 / cluster_weights(ns, self.q)
 
     def eigenvalue(self, z) -> complex:
         """Generator eigenvalue attached to spectral point z."""

@@ -30,7 +30,6 @@ from qboson.qcore import (
     check_time,
     cluster_decompose,
     cq_weight,
-    factorial_cluster_weight,
     weyl_vectors_in_box,
 )
 
@@ -40,12 +39,12 @@ MODELS = ("qboson", "sd")
 
 @dataclass(frozen=True)
 class GeneratorKind:
-    """A generator of one model; ``eps`` is the q-Boson marked point, which
-    scales the diagonal (the eps-deformed system; 1 by default)."""
+    """A generator of one model; ``q`` and the marked point ``eps``, which
+    scales the diagonal (1 by default), are the q-Boson model's."""
 
     kind: str
     model: str = "qboson"
-    q: float = 0.5
+    q: float | None = None
     eps: float = 1.0
 
     def __post_init__(self):
@@ -53,14 +52,10 @@ class GeneratorKind:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        check_q(self.q)
-        if self.model == "sd" and self.eps != 1.0:
-            raise ValueError("the semi-discrete model has no marked point eps")
-
-    def cluster_weight(self, n: WeylVector) -> float:
-        if self.model == "sd":
-            return factorial_cluster_weight(n)
-        return cq_weight(n, self.q)
+        if self.model == "qboson":
+            check_q(self.q)
+        elif self.q is not None or self.eps != 1.0:
+            raise ValueError("the semi-discrete model has no q and no marked point eps")
 
 
 def generator_apply(gk: GeneratorKind, f: Callable, n: WeylVector) -> complex:
@@ -282,7 +277,7 @@ def reflection_permutation(box: StateBox) -> np.ndarray:
 
 
 def cluster_weight_diagonal(gk: GeneratorKind, box: StateBox) -> np.ndarray:
-    return np.array([gk.cluster_weight(n) for n in box.states], dtype=float)
+    return np.array([cq_weight(n, gk.q) for n in box.states], dtype=float)
 
 
 @dataclass

@@ -9,7 +9,7 @@ string-specialized integrals against the measure `mu_weight`.
 That three-way choice is made in one place, `_spectral_slabs`, and the
 contour system is the choice: a nested family gives the nested mode, a
 single-circle family the single-gamma mode, and a string-product family
-(the one small circle of `contours.string_circle`) the partition-expanded
+(`contours.string_circle`, `sd_string_circle`) the partition-expanded
 mode.  The contour system is also the one source of q, of the marked
 point eps (the eps-deformed system is the q-Boson family at eps) and of
 the model (its family is ``sd-*`` or not): no evaluator here takes them

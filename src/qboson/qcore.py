@@ -19,6 +19,8 @@ import numpy as np
 
 def check_q(q: float) -> float:
     """Validate the deformation parameter, 0 < q < 1."""
+    if q is None:
+        raise ValueError("q is missing: it must lie in the open interval (0, 1)")
     q = float(q)
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must lie in the open interval (0, 1), got {q}")
@@ -203,19 +205,15 @@ def cluster_weight_of_sizes(sizes: Sequence[int], q: float | None = None) -> flo
     return sign * math.exp(logmag)
 
 
-def cq_weight(n: WeylVector, q: float) -> float:
-    """Cluster weight C_q(n) = (-1)^k q^{-k(k-1)/2} prod_i (c_i)!_q."""
+def cq_weight(n: WeylVector, q: float | None) -> float:
+    """Cluster weight C_q(n) = (-1)^k q^{-k(k-1)/2} prod_i (c_i)!_q, or with
+    q None the plain-factorial weight (-1)^k prod_i (c_i)!, its q -> 1 analogue."""
     return cluster_weight_of_sizes([stop - start for start, stop in cluster_decompose(n)], q)
 
 
-def cq_weight_inv(n: WeylVector, q: float) -> float:
+def cq_weight_inv(n: WeylVector, q: float | None) -> float:
     """Reciprocal of the cluster weight, 1 / C_q(n)."""
     return 1.0 / cq_weight(n, q)
-
-
-def factorial_cluster_weight(n: WeylVector) -> float:
-    """Plain-factorial cluster weight (-1)^k prod_i (c_i)!, the q -> 1 analogue of C_q."""
-    return cluster_weight_of_sizes([stop - start for start, stop in cluster_decompose(n)])
 
 
 def cluster_weights(ns, q: float | None = None) -> np.ndarray:

@@ -4,12 +4,13 @@ their reports are made.
 Every check id maps to exactly one verified identity, recorded as a
 self-contained claim string, together with the check's function.  That
 function takes an Accumulator ``acc`` first and records its comparisons
-in it; its other keywords, ``tolerance`` and ``seed`` among them, are the
-check's knobs, and their defaults are the check's defaults.  `run_check`
-binds overrides to those keywords, refusing any other name, runs the check
-on a fresh Accumulator and finishes its report.  The report's params are
-every bound keyword but ``seed``, under its own name, so passing them back
-to `run_check` with the report's seed replays the run.
+in it; its other keywords, ``tolerance`` and (only where it draws random
+numbers) ``seed`` among them, are the check's knobs, and their defaults
+are the check's defaults.  `run_check` binds overrides to those keywords,
+refusing any other name, runs the check on a fresh Accumulator and
+finishes its report.  The report's params are every bound keyword but
+``seed``, so passing them back to `run_check` with the report's seed
+(None for a deterministic check) replays the run.
 """
 
 from __future__ import annotations
@@ -219,24 +220,32 @@ def _bind(check_id: str, overrides: dict) -> dict:
     return {**knobs, **overrides}
 
 
+def takes_seed(check_id: str) -> bool:
+    """Whether the check draws random numbers, that is, declares a seed."""
+    return "seed" in _defaults(check_id)
+
+
 def _record(check_id: str, overrides: dict, catch: tuple = ()) -> Report:
     """Run the check on a fresh Accumulator and finish its report, or, for
     an exception in ``catch`` (refused overrides included), its error row
     with the same params."""
-    kwargs = {**_defaults(check_id), **overrides}
-    params = {k: v for k, v in kwargs.items() if k != "seed"}
-    acc = Accumulator(check_id, params, kwargs["seed"])
+    params = {**_defaults(check_id), **overrides}
+    seed = params.pop("seed", None)
+    acc = Accumulator(check_id, params, seed)
     t0 = time.perf_counter()
     try:
         REGISTRY[check_id].fn(acc, **_bind(check_id, overrides))
     except catch as exc:
-        return error_report(check_id, params, rejection_reason(exc), kwargs["seed"],
+        return error_report(check_id, params, rejection_reason(exc), seed,
                             (time.perf_counter() - t0) * 1000.0)
     return acc.report()
 
 
 def run_check(check_id: str, **overrides) -> Report:
-    """Run one named check; any exception it raises propagates."""
+    """Run one named check; any exception it raises propagates.  A
+    deterministic check runs without a given seed, so one loop runs all."""
+    if not takes_seed(check_id):
+        overrides.pop("seed", None)
     return _record(check_id, overrides)
 
 

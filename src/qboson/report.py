@@ -8,9 +8,9 @@ with rel_err = abs_err / (1 + |rhs|).  A sigma-scaled comparison (error_kind
 "sigma") stores its deviation in standard errors in abs_err and has no
 rel_err: inf in memory, null in the strict JSON output.  The JSON and the
 CSV params column share one encoder, which writes every non-finite number
-as null.  A report's params are its check's keywords but the seed, under
-their own names, plus ``worst_case``, ``comparisons`` and what the check
-adds.  A check that raised one of `REJECTIONS` under `registry.run_all`
+as null.  A report's params are its check's keywords but the seed (None
+for a deterministic check), plus ``worst_case``, ``comparisons`` and what
+the check adds.  A check that raised one of `REJECTIONS` under `registry.run_all`
 becomes an error row (`error_report`): the reason in params["error"], NaN
 sides, inf errors, and a failing pass flag.
 """
@@ -66,7 +66,7 @@ class Report:
     tolerance: float
     passed: bool
     runtime_ms: float
-    seed: int
+    seed: int | None
     error_kind: str = "abs/rel"
 
     def to_dict(self) -> dict:
@@ -81,7 +81,7 @@ class Report:
             "tolerance": float(self.tolerance),
             "pass": bool(self.passed),
             "runtime_ms": float(self.runtime_ms),
-            "seed": int(self.seed),
+            "seed": None if self.seed is None else int(self.seed),
             "error_kind": self.error_kind,
         }
 
@@ -107,16 +107,16 @@ class Report:
         )
 
 
-def error_report(check_id: str, params: dict, reason: str, seed: int,
+def error_report(check_id: str, params: dict, reason: str, seed: int | None,
                  runtime_ms: float) -> Report:
     """The row of a check that raised, at the tolerance in its params: the
     reason goes in params["error"], both sides are NaN and both errors inf
     (null in strict JSON), and the row fails.  A refused override keeps its
     value in params; a tolerance that is not a number becomes NaN and a
-    seed that is not an integer 0 in the row's own fields."""
+    seed that is not an integer None in the row's own fields."""
     nan = complex(math.nan, math.nan)
     tol = params["tolerance"] if isinstance(params["tolerance"], numbers.Real) else math.nan
-    seed = seed if isinstance(seed, numbers.Integral) else 0
+    seed = seed if isinstance(seed, numbers.Integral) else None
     return Report(check_id, {**params, "error": reason}, nan, nan, math.inf, math.inf, 0.0,
                   tol, False, runtime_ms, seed)
 
@@ -131,7 +131,7 @@ class Accumulator:
     above every finite score.
     """
 
-    def __init__(self, check_id: str, params: dict, seed: int = 0):
+    def __init__(self, check_id: str, params: dict, seed: int | None = None):
         self.check_id = check_id
         self.params = dict(params)
         self.seed = seed

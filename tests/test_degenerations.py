@@ -39,8 +39,8 @@ from qboson.degenerations import (
     spectral_orthogonality_sides,
 )
 from qboson.dynamics import MomentSpec, mc_mean, moment_mc
-from qboson.eigenfunctions import EigenFamily, eigen_eval
-from qboson.generators import GeneratorKind, generator_apply
+from qboson.eigenfunctions import FAMILY_KINDS, EigenFamily, eigen_eval
+from qboson.generators import GENERATOR_KINDS, GeneratorKind, generator_apply
 from qboson.plancherel import composition_table, mu_density_grid
 from qboson.qcore import Partition, WeylVector, cq_weight, weyl_vectors_in_box
 from qboson.registry import run_check
@@ -274,11 +274,39 @@ def test_eps_is_used_wherever_it_is_accepted():
 
 def test_semi_discrete_refuses_a_marked_point():
     with pytest.raises(ValueError, match="no marked point"):
-        EigenFamily("sd-left", Q, 0.5)
+        EigenFamily("sd-left", eps=0.5)
     with pytest.raises(ValueError, match="no marked point"):
-        GeneratorKind("bwd", "sd", Q, 0.5)
+        GeneratorKind("bwd", "sd", eps=0.5)
     with pytest.raises(ContourError, match="no marked point"):
         ContourSystem((Circle(0j, 0.4),), "sd-nested", eps=0.5)
+
+
+def test_semi_discrete_refuses_a_q():
+    # the semi-discrete model has no q: a constructor that took one would
+    # give the same values for every q
+    for side in ("left", "right", "cfwd"):
+        with pytest.raises(ValueError, match="has no q"):
+            EigenFamily(f"sd-{side}", Q)
+    for kind in GENERATOR_KINDS:
+        with pytest.raises(ValueError, match="has no q"):
+            GeneratorKind(kind, "sd", Q)
+    for family, radius in (("sd-nested", 0.4), ("sd-string-product", 0.2)):
+        with pytest.raises(ContourError, match="have no q"):
+            ContourSystem((Circle(0j, radius),), family, q=Q)
+
+
+def test_qboson_objects_need_q():
+    # no hidden default: a q-Boson object without q is refused by name
+    for kind in FAMILY_KINDS[:3]:
+        with pytest.raises(ValueError, match="q is missing"):
+            EigenFamily(kind)
+    with pytest.raises(ValueError, match="q is missing"):
+        GeneratorKind("bwd")
+    for circles, family in (((Circle(1.0, 0.3),), "qboson-nested"),
+                            ((Circle(0j, 1.5),), "qboson-single"),
+                            ((Circle(1.0, 0.1),), "string-product")):
+        with pytest.raises(ValueError, match="q is missing"):
+            ContourSystem(circles, family)
 
 
 def test_sd_pipeline():
@@ -286,8 +314,8 @@ def test_sd_pipeline():
     assert complex(mu_density_grid(Partition((1,)), w, Q, model="sd")) == pytest.approx(1.0)
     n = WeylVector((1, 0))
     z = [1.3 + 0.4j, -0.8 + 0.2j]
-    gk = GeneratorKind("bwd", "sd", Q)
-    psi = lambda m: eigen_eval(EigenFamily("sd-left", Q), z, m)
+    gk = GeneratorKind("bwd", "sd")
+    psi = lambda m: eigen_eval(EigenFamily("sd-left"), z, m)
     assert abs(generator_apply(gk, psi, n) - sum(v - 1 for v in z) * psi(n)) < 1e-12
     states = list(weyl_vectors_in_box(2, -2, 2))
     T = composition_table(states, sd_nested_contours(2), QuadratureSpec(128))

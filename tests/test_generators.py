@@ -196,7 +196,7 @@ def test_uniformization_rejects_nonstochastic():
         uniformized_transition(GeneratorKind("bwd", "qboson", Q), 1.0,
                                WeylVector((0,)), StateBox(1, -2, 2))
     with pytest.raises(ValueError):
-        uniformized_transition(GeneratorKind("fwd", "sd", Q), 1.0,
+        uniformized_transition(GeneratorKind("fwd", "sd"), 1.0,
                                WeylVector((0,)), StateBox(1, -2, 2))
 
 

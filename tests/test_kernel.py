@@ -97,11 +97,11 @@ def _close(got, ref):
 
 def _family(draw):
     kind = draw(st.sampled_from(FAMILY_KINDS))
+    if kind.startswith("sd"):  # the semi-discrete family has no q and no marked point
+        return EigenFamily(kind)
+    # the q-Boson families at the default marked point 1 or a moved one
     q = draw(st.floats(0.2, 0.8))
-    # the q-Boson families at the default marked point 1 or a moved one; the
-    # semi-discrete family has no marked point
-    eps = 1.0 if kind.startswith("sd") else draw(st.just(1.0) | st.floats(0.2, 1.5))
-    return EigenFamily(kind, q, eps)
+    return EigenFamily(kind, q, draw(st.just(1.0) | st.floats(0.2, 1.5)))
 
 
 def _unit(draw, rmin=0.6, rmax=1.4):

@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qboson"
@@ -257,3 +258,43 @@ def test_contour_systems_are_the_one_source_of_q_eps_and_the_model():
              for line, name in contour_system_knobs(path.read_text())]
     assert not found, ("functions taking q, model or eps beside a ContourSystem:\n"
                        + "\n".join(found))
+
+
+def unread_check_keywords(source: str) -> list[tuple[str, str]]:
+    """(function, keyword) of each keyword after a leading ``acc`` that the
+    function's body never reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            if params[:1] != ["acc"]:
+                continue
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [(node.name, p) for p in params[1:] if p not in read]
+    return found
+
+
+def test_unread_check_keyword_detection():
+    source = ("def check_a(acc, q=0.5, seed=0, tolerance=1e-9):\n"
+              "    rng = default_rng(seed)\n"
+              "    acc.add('x', q, 1, tolerance)\n"
+              "def check_b(acc, q=0.5, seed=0, *, nodes=16, tolerance=1e-9):\n"
+              "    seed = 3\n"
+              "    def inner():\n"
+              "        return nodes\n"
+              "    acc.add('x', inner(), 1, tolerance)\n"
+              "def helper(x, seed=0):\n"
+              "    return x\n")
+    assert unread_check_keywords(source) == [("check_b", "q"), ("check_b", "seed")]
+
+
+def test_every_check_reads_each_keyword_it_declares():
+    # a keyword is a knob the CLI offers (--param, --seed); one that the
+    # check never reads would print the same report for every value
+    from qboson.registry import REGISTRY
+
+    found = [f"{cid}: {kw}" for cid, cd in REGISTRY.items()
+             for _, kw in unread_check_keywords(textwrap.dedent(inspect.getsource(cd.fn)))]
+    assert not found, "check keywords that the check never reads:\n" + "\n".join(found)

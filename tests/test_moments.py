@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qboson.contours import ContourError, QuadratureSpec, string_circle
+from qboson.contours import ContourError, QuadratureSpec, sd_string_circle
 from qboson.degenerations import sd_moment_formula
 from qboson.dynamics import MomentSpec, moment_formula
 from qboson.plancherel import residue_expand_sum
@@ -164,17 +164,16 @@ def test_sd_residue_expansion_matches_a_naive_nested_integral(k, m):
                                                for j, (c, z) in enumerate(zip(coeffs, zs))))
 
     nested = _naive_sd_nested(F, k, m)
-    (total,), (estimate,) = residue_expand_sum([F], k, string_circle(0.5, model="sd"),
-                                               QuadratureSpec(64))
+    (total,), (estimate,) = residue_expand_sum([F], k, sd_string_circle(), QuadratureSpec(64))
     assert abs(nested) > 0.05
     assert estimate < 1e-13
     assert abs(total - nested) < 1e-9 * (1 + abs(nested))
 
 
 def test_sd_string_circle_bounds():
-    assert string_circle(0.5, model="sd").circles[0].radius == 0.2
+    assert sd_string_circle().circles[0].radius == 0.2
     with pytest.raises(ContourError, match="unit-shifted image"):
-        string_circle(0.5, model="sd", radius=0.5)
+        sd_string_circle(0.5)
 
 
 @pytest.mark.parametrize("check", ["moment-step", "moment-half"])

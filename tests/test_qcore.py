@@ -16,7 +16,6 @@ from qboson.qcore import (
     cluster_weights,
     cq_weight,
     cq_weight_inv,
-    factorial_cluster_weight,
     negative_binomial_tail,
     partitions_of,
     q_factorial,
@@ -119,16 +118,17 @@ def test_cq_weight_reflection_invariance():
 
 
 def test_factorial_cluster_weight():
-    assert factorial_cluster_weight(WeylVector((2, 2, 0))) == pytest.approx(-2.0)
-    assert factorial_cluster_weight(WeylVector((1,))) == pytest.approx(-1.0)
+    # q None is the plain-factorial weight, the q -> 1 analogue of C_q
+    assert cq_weight(WeylVector((2, 2, 0)), None) == pytest.approx(-2.0)
+    assert cq_weight(WeylVector((1,)), None) == pytest.approx(-1.0)
 
 
 def test_cluster_weights_match_the_scalar_weights():
     rng = np.random.default_rng(1)
     for k in range(1, 7):
         ns = -np.sort(-rng.integers(-3, 4, size=(50, k)), axis=1)
-        for q, scalar in ((0.43, lambda n: cq_weight(n, 0.43)), (None, factorial_cluster_weight)):
-            want = [scalar(WeylVector(tuple(row))) for row in ns.tolist()]
+        for q in (0.43, None):
+            want = [cq_weight(WeylVector(tuple(row)), q) for row in ns.tolist()]
             assert cluster_weights(ns, q) == pytest.approx(want, rel=1e-14)
 
 

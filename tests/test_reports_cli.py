@@ -373,7 +373,7 @@ def test_run_all_turns_a_raising_check_into_an_error_row(jobs):
     assert bad.summary_line() == "ERROR eps-plancherel: innermost circle contains 0.45"
     d = _strict_loads(reports_to_json([bad]))[0]
     assert d["lhs"] == [None, None] and d["abs_err"] is None and d["pass"] is False
-    assert d["tolerance"] == 1e-6 and d["seed"] == 0
+    assert d["tolerance"] == 1e-6 and d["seed"] is None  # a deterministic check
     assert good.passed and not good.is_error
     # run_check itself still raises
     with pytest.raises(ValueError, match="innermost circle contains 0.45"):
@@ -429,6 +429,33 @@ def test_report_params_replay_the_run(check, overrides):
     again = run_check(check, seed=first.seed, **knobs)
     assert (again.lhs, again.rhs, again.abs_err, again.rel_err) == (
         first.lhs, first.rhs, first.abs_err, first.rel_err)
+
+
+DETERMINISTIC = {"pt-invariance", "plancherel-forward", "biorthogonality-spatial",
+                 "orthogonality-spectral", "transition-prob", "eps-plancherel",
+                 "eps-orthogonality", "cauchy-littlewood", "sd-plancherel",
+                 "sd-biorthogonality"}
+
+
+@pytest.mark.parametrize("source", ["flag", "param", "config"])
+def test_cli_refuses_a_seed_for_a_deterministic_check(capsys, tmp_path, source):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5}))
+    seed_args = {"flag": ("--seed", "5"), "param": ("--param", "seed=5"),
+                 "config": ("--config", str(cfg))}[source]
+    code, err = _cli_in_process(capsys, "verify", "pt-invariance", *seed_args)
+    assert code == 2
+    assert "pt-invariance: deterministic check; it takes no seed" in err
+
+
+def test_verify_all_gives_the_seed_to_the_seeded_checks_only(capsys, tmp_path):
+    out = tmp_path / "all.json"
+    assert main(["verify", "all", "--seed", "5", "--json", str(out)]) == 0
+    seeds = {r["check_id"]: r["seed"] for r in _strict_loads(out.read_text())}
+    assert seeds == {cid: None if cid in DETERMINISTIC else 5 for cid in REGISTRY}
+    # run_check takes a seed for every check, and a deterministic check
+    # runs without it
+    assert run_check("cauchy-littlewood", seed=5).seed is None
 
 
 def test_cli_rejects_the_accumulator_as_a_param(capsys):
