@@ -116,16 +116,18 @@ def _moment_check(acc: Accumulator, init: str, alpha: float, q: float, t: float,
     vo = solve_evolution("backward", "ode-oracle", h0_build(init, 3, 2, q, alpha), t, n3, q)
     acc.add("k=3 n=(2, 1, 1) formula vs ode",
             moment_formula(MomentSpec(n3, t, init, alpha=alpha, q=q)), vo, tolerance)
-    for k, n in ((1, WeylVector((2,))), (2, WeylVector((2, 1))), (2, WeylVector((1, 1)))):
-        spec = MomentSpec(n, t, init, alpha=alpha, q=q)
-        vf = moment_formula(spec)
-        f0 = h0_build(init, k, spec.N, q, alpha)
-        vb = solve_evolution("backward", "spectral", f0, t, n, q)
-        vo = solve_evolution("backward", "ode-oracle", f0, t, n, q)
-        acc.add(f"k={k} n={n.coords} formula vs spectral", vf, vb, tolerance)
-        acc.add(f"k={k} n={n.coords} formula vs ode", vf, vo, tolerance)
-        est, se = moment_mc(spec, paths, seed=seed + 17)
-        acc.add(f"k={k} n={n.coords} formula vs MC", complex(est), vf, 4.0, sigma=se)
+    specs = [MomentSpec(WeylVector(n), t, init, alpha=alpha, q=q) for n in ((2,), (2, 1), (1, 1))]
+    f0s = [h0_build(init, s.k, s.N, q, alpha) for s in specs]
+    sides = [[moment_formula(s)] + [solve_evolution("backward", method, f0, t, s.n, q)
+                                    for method in ("spectral", "ode-oracle")]
+             for s, f0 in zip(specs, f0s)]
+    # the ensembles last, once every deterministic side has accepted the
+    # parameters; (2) and (2, 1) read one N = 2 ensemble, (1, 1) its own
+    mcs = moment_mc(specs[:2], paths, seed=seed + 17) + moment_mc(specs[2:], paths, seed=seed + 17)
+    for s, (vf, vb, vo), (est, se) in zip(specs, sides, mcs):
+        acc.add(f"k={s.k} n={s.n.coords} formula vs spectral", vf, vb, tolerance)
+        acc.add(f"k={s.k} n={s.n.coords} formula vs ode", vf, vo, tolerance)
+        acc.add(f"k={s.k} n={s.n.coords} formula vs MC", complex(est), vf, 4.0, sigma=se)
 
 
 def check_moment_step(acc: Accumulator, q: float = 0.5, t: float = 0.5,

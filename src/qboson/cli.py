@@ -104,20 +104,23 @@ def _cmd_moments(args) -> int:
             if init is None:
                 print("error: q-TASEP moments need --init step|half", file=sys.stderr)
                 return 2
-            spec = MomentSpec(WeylVector(n), args.t, init, alpha=args.alpha, q=args.q)
-            res = moment_formula(spec)
+            knobs = {"alpha": 0.0 if args.alpha is None else args.alpha,
+                     "q": 0.5 if args.q is None else args.q}
+            res = moment_formula(MomentSpec(WeylVector(n), args.t, init, **knobs))
         else:  # argparse admits qtasep and sd only
             from qboson.degenerations import sd_moment_formula
 
-            if args.init != "delta":
-                print("error: semi-discrete moments implement --init delta", file=sys.stderr)
+            if args.init != "delta" or args.q is not None or args.alpha is not None:
+                print("error: semi-discrete moments implement --init delta, with no --q "
+                      "and no --alpha", file=sys.stderr)
                 return 2
+            knobs = {}
             res = sd_moment_formula(WeylVector(n), args.t)
     except REJECTIONS as exc:
         print(f"error: {rejection_reason(exc)}", file=sys.stderr)
         return 2
     out = {"model": args.model, "init": args.init, "t": args.t, "n": list(n),
-           "alpha": args.alpha, "q": args.q, "value": [res.value.real, res.value.imag],
+           **knobs, "value": [res.value.real, res.value.imag],
            "radius": res.radius, "nodes": res.nodes, "error_estimate": res.error_estimate}
     print(json.dumps(out))
     return 0
@@ -216,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--init", choices=["step", "half", "delta"], required=True)
     pm.add_argument("--t", type=float, required=True)
     pm.add_argument("--n", required=True, help="comma-separated moment indices")
-    pm.add_argument("--alpha", type=float, default=0.0)
-    pm.add_argument("--q", type=float, default=0.5)
+    pm.add_argument("--alpha", type=float, help="q-TASEP only (default 0.0)")
+    pm.add_argument("--q", type=float, help="q-TASEP only (default 0.5)")
     pm.set_defaults(fn=_cmd_moments)
 
     ps = sub.add_parser("simulate", help="simulate a particle system")

@@ -7,7 +7,8 @@ source of q, of the marked point eps (the eps-deformed system is the
 q-Boson family at eps) and of the model (`ContourSystem.model`) for every
 evaluator on it, and its family is the evaluation mode of the inverse
 transform, the one small circle of a string expansion (`string_circle`,
-`sd_string_circle`) included.  `integrate` evaluates the k-fold product
+`sd_string_circle`) included; one nested and one string rule validate
+both models' families.  `integrate` evaluates the k-fold product
 trapezoidal rule (geometrically convergent for integrands analytic near
 the circles) with an embedded-subgrid error estimate; `plan_nodes`
 doubles a node count until an error estimate meets a target; and
@@ -30,7 +31,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from qboson.qcore import check_q
+from qboson.qcore import check_q, step
 
 CONTOUR_FAMILIES = (
     "qboson-nested",
@@ -57,13 +58,9 @@ class Circle:
     def contains_point(self, p: complex) -> bool:
         return abs(p - self.center) < self.radius
 
-    def contains_scaled(self, other: "Circle", factor: complex) -> bool:
-        """True if this circle strictly contains factor * other."""
-        return abs(self.center - factor * other.center) + abs(factor) * other.radius < self.radius
-
-    def contains_shifted(self, other: "Circle", shift: complex) -> bool:
-        """True if this circle strictly contains shift + other."""
-        return abs(self.center - shift - other.center) + other.radius < self.radius
+    def encloses(self, other: "Circle") -> bool:
+        """True if this circle strictly contains the other."""
+        return abs(self.center - other.center) + other.radius < self.radius
 
     def nodes(self, m: int, phase: float = 0.0) -> np.ndarray:
         theta = phase + 2.0 * np.pi * np.arange(m) / m
@@ -81,13 +78,13 @@ class ContourSystem:
     source of the q, the marked point eps and the model (`model`) that
     every evaluator on them reads.
 
-    qboson-nested: all circles contain the marked point eps (1 by default,
-    the eps-deformed system otherwise), gamma_A contains q * gamma_B for
-    A < B, and the innermost does not contain q eps.  qboson-single needs
-    its circle to contain eps and its own q-image.  string-product: copies
-    of one small circle centred at eps.  The semi-discrete families have no
-    q and no marked point (eps = 1).  sd-nested: all circles contain 0,
-    gamma_A contains 1 + gamma_B, the innermost does not contain 1.
+    The q-Boson families mark eps (1 by default, the eps-deformed system
+    otherwise) and step z -> qz; the semi-discrete ones have no q and no
+    eps, mark 0 and step z -> z + 1.  Nested families: every circle
+    contains the mark, gamma_A encloses the image of gamma_B under the
+    step for A < B, and the innermost excludes step(mark).  String
+    families: copies of one small circle centred at the mark that clears
+    its own image.  qboson-single: its circle contains eps and its q-image.
     """
 
     circles: tuple[Circle, ...]
@@ -109,69 +106,55 @@ class ContourSystem:
         """The eigenfunction model of the family: "sd" or "qboson"."""
         return "sd" if self.family.startswith("sd-") else "qboson"
 
+    @property
+    def mark(self) -> float:
+        """The marked point: eps, or 0 for the semi-discrete model."""
+        return 0.0 if self.model == "sd" else self.eps
+
+    def step(self, z, j: int = 1):
+        return step(z, j, self.q)
+
+    def image(self, c: Circle) -> Circle:
+        """The circle's image under the step, an affine map of slope q or 1."""
+        return Circle(self.step(c.center), c.radius * (self.step(1.0) - self.step(0.0)))
+
     def validate(self) -> None:
-        q = self.q
         cs = self.circles
         if self.model == "qboson":
-            check_q(q)
-        elif q is not None or self.eps != 1.0:
+            check_q(self.q)
+        elif self.q is not None or self.eps != 1.0:
             raise ContourError("the semi-discrete contours have no q and no marked point eps")
-        mark = self.eps
-        if self.family == "qboson-nested":
+        mark = self.mark
+        if self.family.endswith("-nested"):
             for j, c in enumerate(cs):
                 if not c.contains_point(mark):
                     raise ContourError(f"circle {j+1} does not contain the point {mark}")
             for a in range(len(cs)):
                 for b in range(a + 1, len(cs)):
-                    if not cs[a].contains_scaled(cs[b], q):
-                        raise ContourError(
-                            f"circle {a+1} does not contain q * circle {b+1} "
-                            f"(|c_A - q c_B| + q r_B >= r_A)"
-                        )
-            if cs[-1].contains_point(q * mark):
-                raise ContourError(f"innermost circle contains {q * mark}")
+                    if not cs[a].encloses(self.image(cs[b])):
+                        raise ContourError(f"circle {a+1} does not contain the image of "
+                                           f"circle {b+1} under the step")
+            if cs[-1].contains_point(self.step(mark)):
+                raise ContourError(f"innermost circle contains {self.step(mark)}")
         elif self.family == "qboson-single":
             c = cs[0]
             if not c.contains_point(mark):
                 raise ContourError(f"circle does not contain the point {mark}")
-            if not c.contains_scaled(c, q):
+            if not c.encloses(self.image(c)):
                 raise ContourError("circle does not contain its own q-image (needs |center| < radius)")
-        elif self.family == "sd-nested":
-            for j, c in enumerate(cs):
-                if not c.contains_point(0.0):
-                    raise ContourError(f"circle {j+1} does not contain 0")
-            for a in range(len(cs)):
-                for b in range(a + 1, len(cs)):
-                    if not cs[a].contains_shifted(cs[b], 1.0):
-                        raise ContourError(f"circle {a+1} does not contain 1 + circle {b+1}")
-            if cs[-1].contains_point(1.0):
-                raise ContourError("innermost circle contains 1")
-        elif self.family == "string-product":
-            # Repeated copies of one small circle around the marked point,
-            # the domain of the partition-expanded (string) integrals.  The
-            # circle must keep all its q-orbit images disjoint from itself
-            # so string components never collide across axes.
+        else:
+            # Copies of one small circle around the marked point, the domain
+            # of the partition-expanded (string) integrals, clear of its own
+            # image so that string components never collide across axes.
             c0 = cs[0]
-            for c in cs[1:]:
-                if c != c0:
-                    raise ContourError("string-product circles must all coincide")
+            if any(c != c0 for c in cs):
+                raise ContourError("string-product circles must all coincide")
             if c0.center != mark:
                 raise ContourError(f"string circle centred at {c0.center}, not at the "
-                                   f"marked point eps = {mark}")
-            if abs(mark) * (1.0 - q) <= c0.radius * (1.0 + q):
-                raise ContourError(
-                    "string circle too large: its q-image overlaps it "
-                    "(need |center| (1-q) > r (1+q))"
-                )
-        elif self.family == "sd-string-product":
-            c0 = cs[0]
-            for c in cs[1:]:
-                if c != c0:
-                    raise ContourError("string-product circles must all coincide")
-            if 2.0 * c0.radius >= 1.0:
-                raise ContourError("string circle too large: its unit-shifted image overlaps it")
-            if c0.contains_point(1.0):
-                raise ContourError("string circle contains 1")
+                                   f"marked point {mark}")
+            image = self.image(c0)
+            if abs(c0.center - image.center) <= c0.radius + image.radius:
+                raise ContourError("string circle too large: it meets its image under the step")
 
     def describe(self) -> dict:
         return {

@@ -380,18 +380,22 @@ def map_path_shards(paths: int, seed: int, fn: Callable) -> list:
         return list(pool.map(fn, slices, rngs))
 
 
-def moment_mc(spec: MomentSpec, paths: int, seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo moment over independent q-TASEP paths, each path shard
-    writing its own slice of the observable: (estimate, stderr)."""
-    obs = np.ones(max(paths, 0))  # a negative count samples no path, so that mc_mean refuses it
+def moment_mc(specs: Sequence[MomentSpec], paths: int, seed: int = 0) -> list[tuple[float, float]]:
+    """Monte Carlo moments, one (estimate, stderr) per spec, over one q-TASEP
+    ensemble that the specs share; each path shard writes its own slices."""
+    ensemble, *others = [(s.N, s.init, s.alpha, s.q, s.t) for s in specs]
+    if any(e != ensemble for e in others):
+        raise ValueError("the moments of one ensemble must share N, init, alpha, q and t")
+    obs = [np.ones(max(paths, 0)) for _ in specs]  # paths < 0: none, which mc_mean refuses
 
     def shard(sl: slice, rng: np.random.Generator) -> None:
-        x = qtasep_sample_ensemble(spec.N, spec.init, spec.alpha, spec.q, spec.t, len(obs[sl]), rng)
-        for ni in spec.n.coords:
-            obs[sl] *= spec.q ** (x[:, ni - 1] + ni).astype(float)
+        x = qtasep_sample_ensemble(*ensemble, len(obs[0][sl]), rng)
+        for spec, o in zip(specs, obs):
+            for ni in spec.n.coords:
+                o[sl] *= spec.q ** (x[:, ni - 1] + ni).astype(float)
 
-    map_path_shards(len(obs), seed, shard)
-    return mc_mean(obs)
+    map_path_shards(len(obs[0]), seed, shard)
+    return [mc_mean(o) for o in obs]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Each eigenfunction is a sum over S_k of a product of two-body scattering
 factors and one-particle plane waves.  Two model families share the same
-skeleton and differ only in the one-particle factor and the scattering
-shift:
+skeleton and differ only in the one-particle factor and in the step
+z -> qz or z -> z + 1 of the scattering numerator (`qcore.pair_gap`):
 
     q-Boson       base eps - z, scattering z_A - q^{+-1} z_B
     semi-discrete base z,       scattering z_A - z_B -+ 1
@@ -72,6 +72,7 @@ from qboson.qcore import (
     cq_weight,
     cq_weight_inv,
     inverse_permutation,
+    pair_gap,
 )
 
 FAMILY_KINDS = (
@@ -127,12 +128,8 @@ class EigenFamily:
         return -1 if self.side == "left" else +1
 
     def scattering(self, za, zb):
-        """Two-body factor (numerator over z_A - z_B) for ordered pair B < A."""
-        if self.model == "sd":
-            shift = -1.0 if self.side == "left" else +1.0
-            return (za - zb + shift) / (za - zb)
-        s = self.q if self.side == "left" else 1.0 / self.q
-        return (za - s * zb) / (za - zb)
+        """Two-body factor `pair_gap` / (z_A - z_B) for ordered pair B < A."""
+        return pair_gap(za, zb, -self.power_sign(), self.q) / (za - zb)
 
     def numerator(self) -> tuple[complex, float, float]:
         """(alpha, beta, gamma) with scattering(z_A, z_B) * (z_A - z_B) =

@@ -13,7 +13,8 @@ single-circle family the single-gamma mode, and a string-product family
 mode.  The contour system is also the one source of q, of the marked
 point eps (the eps-deformed system is the q-Boson family at eps) and of
 the model (its family is ``sd-*`` or not): no evaluator here takes them
-beside it.  For each grid slab the dispatch yields the spectral
+beside it.  Its step (`qcore.step`, `qcore.pair_gap`) builds the strings
+and nested kernel.  For each grid slab the dispatch yields the spectral
 components, the measure and the permutation terms of the y-side
 eigenfunction family, and every mode pairs each component with its base
 at the exponent -n - 1.  The batched evaluators consume it without naming
@@ -72,6 +73,7 @@ from qboson.qcore import (
     WeylVector,
     check_q,
     inverse_permutation,
+    pair_gap,
     partitions_of,
     string_points,
 )
@@ -82,15 +84,14 @@ def _family(cs: ContourSystem, side: str) -> EigenFamily:
     return EigenFamily(f"{cs.model}-{side}", cs.q, cs.eps)
 
 
-def nested_kernel_grid(zs: Sequence[np.ndarray], q: float, model: str = "qboson") -> np.ndarray:
-    """prod_{A<B} (z_A - z_B)/(z_A - q z_B), resp. /(z_A - z_B - 1) for sd."""
+def nested_kernel_grid(zs: Sequence[np.ndarray], cs: ContourSystem) -> np.ndarray:
+    """prod_{A<B} (z_A - z_B) / `pair_gap`(z_A, z_B, 1) of the model of ``cs``:
+    /(z_A - q z_B), or /(z_A - z_B - 1) for the semi-discrete model."""
     k = len(zs)
     out = None
     for a in range(k):
         for b in range(a + 1, k):
-            diff = zs[a] - zs[b]
-            den = (diff - 1.0) if model == "sd" else (zs[a] - q * zs[b])
-            f = diff / den
+            f = (zs[a] - zs[b]) / pair_gap(zs[a], zs[b], 1, cs.q)
             if out is None:
                 out = f
             elif out.shape == np.broadcast_shapes(out.shape, f.shape):
@@ -135,9 +136,9 @@ def _mult_factorial(lam: Partition) -> float:
     return out
 
 
-def mu_density_grid(lam: Partition, ws: Sequence[np.ndarray], q: float,
-                    model: str = "qboson") -> np.ndarray:
-    """String-measure density at base points w (the dw/(2 pi i) lives in the quadrature).
+def mu_density_grid(lam: Partition, ws: Sequence[np.ndarray], cs: ContourSystem) -> np.ndarray:
+    """String-measure density at base points w of the model of ``cs`` (the
+    dw/(2 pi i) lives in the quadrature), with s_i = step(w_i, lam_i):
 
     q-Boson family (at any marked point):
         (1-q)^k (-1)^k q^{-k^2/2} / prod_i m_i! * det[1/(s_i - w_j)]
@@ -157,17 +158,14 @@ def mu_density_grid(lam: Partition, ws: Sequence[np.ndarray], q: float,
     """
     ell = lam.length
     ws = [np.asarray(w, dtype=complex) for w in ws]
-    if model == "sd":
-        ss = [w + part for w, part in zip(ws, lam.parts)]
-        pref = 1.0 / _mult_factorial(lam)
-    else:
-        ss = [w * q**part for w, part in zip(ws, lam.parts)]
-        k = lam.size
-        pref = (1.0 - q) ** k * (-1.0) ** k * q ** (-k * k / 2.0) / _mult_factorial(lam)
+    ss = [cs.step(w, part) for w, part in zip(ws, lam.parts)]
+    sd, q, k = cs.model == "sd", cs.q, lam.size
+    pref = 1.0 if sd else (1.0 - q) ** k * (-1.0) ** k * q ** (-k * k / 2.0)
+    pref /= _mult_factorial(lam)
     diag = []
     for i, part in enumerate(lam.parts):
         f = 1.0 / (ss[i] - ws[i])
-        diag.append(f if model == "sd" else f * ws[i] ** part * q ** (part * part / 2.0))
+        diag.append(f if sd else f * ws[i] ** part * q ** (part * part / 2.0))
     out = pref * diag[0]
     for j in range(1, ell):
         for i in range(j):
@@ -316,24 +314,22 @@ def _spectral_slabs(k: int, cs: ContourSystem, spec: QuadratureSpec, side: str):
         raise ValueError(f"{cs.family} contours need one circle per particle: "
                          f"{cs.k} circles for k = {k}")
     fam_y = _family(cs, side)
-    model, q = cs.model, cs.q
     identity = tuple(range(k))
     if nested:
         if side != "left":
             raise ValueError("nested mode pairs with the left eigenfunction only")
         for zs, W in _grid_chunks(cs, spec):
             yield _Slab(zs, [fam_y.base(z).ravel() for z in zs], identity,
-                        W * nested_kernel_grid(zs, q, model), lambda T: [(identity, T)])
+                        W * nested_kernel_grid(zs, cs), lambda T: [(identity, T)])
         return
     lams = [Partition((1,) * k)] if single else partitions_of(k)
     for lam in lams:
         axis_of = tuple(s for s, part in enumerate(lam.parts) for _ in range(part))
-        sub = cs if single else ContourSystem(cs.circles[:1] * lam.length, cs.family, q=q,
+        sub = cs if single else ContourSystem(cs.circles[:1] * lam.length, cs.family, q=cs.q,
                                               eps=cs.eps)
         for ws, W in _grid_chunks(sub, spec):
-            # w o lam, geometric (additive for the semi-discrete family)
-            comps = [ws[s] + i if model == "sd" else ws[s] * q**i
-                     for s, part in enumerate(lam.parts) for i in range(part)]
+            # w o lam: the strings w, step(w), step(w, 2), ...
+            comps = [cs.step(ws[s], i) for s, part in enumerate(lam.parts) for i in range(part)]
             scat = ScatteringGrid(fam_y, comps)
             if lam.length == k:
                 lefts = lambda T, scat=scat: [
@@ -341,7 +337,7 @@ def _spectral_slabs(k: int, cs: ContourSystem, spec: QuadratureSpec, side: str):
             else:
                 lefts = scat.permuted
             yield _Slab(comps, [fam_y.base(c).ravel() for c in comps], axis_of,
-                        W * mu_density_grid(lam, ws, q, model), lefts)
+                        W * mu_density_grid(lam, ws, cs), lefts)
 
 
 def _geometric_estimate(d: np.ndarray, values: np.ndarray, rounding: np.ndarray) -> np.ndarray:

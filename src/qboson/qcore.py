@@ -2,9 +2,10 @@
 
 Everything here is exact integer/float bookkeeping: Weyl chamber vectors
 with their cluster decomposition, integer partitions, q-Pochhammer symbols
-and q-factorials, the cluster weight C_q, and string specializations of
-spectral variables.  All functions are pure and all containers immutable,
-so concurrent use is safe.
+and q-factorials, the cluster weight C_q, string specializations of
+spectral variables, and the model's step (`step`, `pair_gap`; q None is
+the semi-discrete model).  All functions are pure and all containers
+immutable, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -25,6 +26,16 @@ def check_q(q: float) -> float:
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must lie in the open interval (0, 1), got {q}")
     return q
+
+
+def step(z, j: int, q: float | None):
+    """z q^j, or z + j for the semi-discrete model (q None); q^-1 is 1.0 / q."""
+    return z + j if q is None else z * (q**j if j >= 0 else 1.0 / q**-j)
+
+
+def pair_gap(za, zb, j: int, q: float | None):
+    """z_A - step(z_B, j, q), for the semi-discrete model as (z_A - z_B) - j."""
+    return (za - zb) - j if q is None else za - step(zb, j, q)
 
 
 def check_time(t: float) -> None:

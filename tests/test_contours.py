@@ -37,7 +37,7 @@ def test_innermost_must_exclude_q():
 def test_validator_soundness():
     # shrinking r_A below (1-q) + q r_B flips the validator to reject
     ContourSystem((Circle(1.0, 0.56), Circle(1.0, 0.1)), "qboson-nested", q=Q)
-    with pytest.raises(ContourError, match="does not contain q"):
+    with pytest.raises(ContourError, match="does not contain the image of circle 2"):
         ContourSystem((Circle(1.0, 0.549), Circle(1.0, 0.1)), "qboson-nested", q=Q)
 
 
@@ -56,7 +56,7 @@ def test_string_circle_sits_at_the_marked_point():
     # the string-product system's eps is its circle's centre
     cs = ContourSystem((Circle(0.5, 0.1),), "string-product", q=Q, eps=0.5)
     assert (cs.model, sd_nested_contours(1).model) == ("qboson", "sd")
-    with pytest.raises(ContourError, match="not at the marked point eps = 1.0"):
+    with pytest.raises(ContourError, match="not at the marked point 1.0"):
         ContourSystem((Circle(0.5, 0.1),), "string-product", q=Q)
 
 
@@ -64,7 +64,7 @@ def test_single_gamma_geometry():
     cs = single_gamma(Q)
     c = cs.circles[0]
     assert c.contains_point(0.0) and c.contains_point(1.0)
-    assert c.contains_scaled(c, Q)
+    assert c.encloses(cs.image(c))  # its own q-image
     gp = gamma_prime(cs)
     # min |1 - w| on the outer circle exceeds max |1 - z| on gamma
     assert gp.radius - 1.0 > 1.0 + c.radius
@@ -74,9 +74,72 @@ def test_sd_nesting():
     cs = sd_nested_contours(3)
     assert cs.circles[-1].radius == pytest.approx(0.4)
     for a in range(2):
-        assert cs.circles[a].contains_shifted(cs.circles[a + 1], 1.0)
+        assert cs.circles[a].encloses(cs.image(cs.circles[a + 1]))  # 1 + the next circle
     with pytest.raises(ContourError, match="innermost circle contains 1"):
         ContourSystem((Circle(0.0, 2.3), Circle(0.0, 1.2)), "sd-nested")
+
+
+D = 1e-9  # how far inside or outside an inequality the boundary table's systems sit
+
+# (circles, family, q, refusal): each validity inequality of the three
+# rules, met and missed by D.  The refusal is a fragment of the message, or
+# None for a system that is accepted.
+BOUNDARY_TABLE = [
+    # nested, q-Boson: every circle contains eps = 1 ...
+    ([Circle(1.2, 0.2 + D)], "qboson-nested", Q, None),
+    ([Circle(1.2, 0.2 - D)], "qboson-nested", Q, "does not contain the point 1.0"),
+    # ... circle 1 encloses q * circle 2: |1 - q| + q 0.1 < r_1 ...
+    ([Circle(1.0, 0.55 + D), Circle(1.0, 0.1)], "qboson-nested", Q, None),
+    ([Circle(1.0, 0.55 - D), Circle(1.0, 0.1)], "qboson-nested", Q,
+     "does not contain the image of circle 2"),
+    # ... and the innermost excludes q eps = 0.5
+    ([Circle(1.0, 0.5 - D)], "qboson-nested", Q, None),
+    ([Circle(1.0, 0.5 + D)], "qboson-nested", Q, "innermost circle contains 0.5"),
+    # nested, semi-discrete: every circle contains 0 ...
+    ([Circle(0.3, 0.3 + D)], "sd-nested", None, None),
+    ([Circle(0.3, 0.3 - D)], "sd-nested", None, "does not contain the point 0.0"),
+    # ... circle 1 encloses 1 + circle 2: 1 + 0.4 < r_1 ...
+    ([Circle(0.0, 1.4 + D), Circle(0.0, 0.4)], "sd-nested", None, None),
+    ([Circle(0.0, 1.4 - D), Circle(0.0, 0.4)], "sd-nested", None,
+     "does not contain the image of circle 2"),
+    # ... and the innermost excludes 0 + 1
+    ([Circle(0.0, 1.0 - D)], "sd-nested", None, None),
+    ([Circle(0.0, 1.0 + D)], "sd-nested", None, "innermost circle contains 1"),
+    # string, q-Boson: coinciding copies centred at eps = 1 that clear
+    # their q-image, r (1 + q) < 1 - q
+    ([Circle(1.0, 1 / 3 - D)] * 2, "string-product", Q, None),
+    ([Circle(1.0, 1 / 3 + D)] * 2, "string-product", Q, "string circle too large"),
+    ([Circle(1.0, 0.1), Circle(1.0, 0.1 + D)], "string-product", Q, "must all coincide"),
+    ([Circle(1.0 + D, 0.1)], "string-product", Q, "not at the marked point 1.0"),
+    # string, semi-discrete: copies centred at 0 that clear their unit
+    # shift, 2 r < 1; a centre off 0 is refused too
+    ([Circle(0.0, 0.5 - D)] * 2, "sd-string-product", None, None),
+    ([Circle(0.0, 0.5 + D)] * 2, "sd-string-product", None, "string circle too large"),
+    ([Circle(0.0, 0.1), Circle(0.0, 0.1 + D)], "sd-string-product", None, "must all coincide"),
+    ([Circle(0.1, 0.2)], "sd-string-product", None, "not at the marked point 0.0"),
+    ([Circle(0.9, 0.2)], "sd-string-product", None, "not at the marked point 0.0"),
+    # single, q-Boson: the circle contains eps = 1 and its q-image, |c| < r
+    ([Circle(0.0, 1.0 + D)], "qboson-single", Q, None),
+    ([Circle(0.0, 1.0 - D)], "qboson-single", Q, "does not contain the point 1.0"),
+    ([Circle(0.6, 0.6 + D)], "qboson-single", Q, None),
+    ([Circle(0.6, 0.6 - D)], "qboson-single", Q, "its own q-image"),
+]
+
+
+@pytest.mark.parametrize("circles,family,q,refusal", BOUNDARY_TABLE)
+def test_contour_rules_at_their_boundaries(circles, family, q, refusal):
+    if refusal is None:
+        ContourSystem(tuple(circles), family, q=q)
+    else:
+        with pytest.raises(ContourError, match=refusal):
+            ContourSystem(tuple(circles), family, q=q)
+
+
+def test_image_under_the_step():
+    c = Circle(0.5 + 0.25j, 0.1)
+    assert string_circle(Q).image(c) == Circle((0.5 + 0.25j) * Q, 0.1 * Q)
+    assert sd_nested_contours(1).image(c) == Circle(1.5 + 0.25j, 0.1)
+    assert (string_circle(Q).mark, sd_nested_contours(1).mark) == (1.0, 0.0)
 
 
 def test_default_inner_radius():

@@ -18,6 +18,7 @@ from qboson.contours import (
     QuadratureSpec,
     nested_contours,
     sd_nested_contours,
+    sd_string_circle,
 )
 from qboson.degenerations import (
     SdeResult,
@@ -311,7 +312,7 @@ def test_qboson_objects_need_q():
 
 def test_sd_pipeline():
     w = [np.asarray(0.3 + 0.1j)]
-    assert complex(mu_density_grid(Partition((1,)), w, Q, model="sd")) == pytest.approx(1.0)
+    assert complex(mu_density_grid(Partition((1,)), w, sd_string_circle())) == pytest.approx(1.0)
     n = WeylVector((1, 0))
     z = [1.3 + 0.4j, -0.8 + 0.2j]
     gk = GeneratorKind("bwd", "sd")
@@ -501,7 +502,7 @@ def test_samplers_do_not_depend_on_the_core_count(monkeypatch):
     for cpus in (1, 2, None):
         monkeypatch.setattr(os, "cpu_count", lambda c=cpus: c)
         got[cpus] = (oy_simulate(3, 0.2, 1e-2, 1001, seed=8).Z.tobytes(),
-                     moment_mc(spec, 5001, seed=9))
+                     moment_mc([spec], 5001, seed=9))
     assert got[1] == got[2] == got[None]
 
 

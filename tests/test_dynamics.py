@@ -199,11 +199,11 @@ def test_q_geometric_sampler_moments():
 
 def test_moment_mc_matches_formula():
     spec = MomentSpec(WeylVector((2, 1)), 0.5, "step", q=Q)
-    est, se = moment_mc(spec, 200_000, seed=11)
+    ((est, se),) = moment_mc([spec], 200_000, seed=11)
     v = moment_formula(spec).value.real
     assert abs(est - v) < 4 * se
     # variance shrinks like 1/paths
-    _, se_small = moment_mc(spec, 50_000, seed=12)
+    ((_, se_small),) = moment_mc([spec], 50_000, seed=12)
     assert se < se_small
 
 
@@ -232,14 +232,27 @@ def _sequential_moment_mc(spec, paths, seed):
 ])
 def test_moment_mc_bit_equal_to_sequential_shards(init, alpha, n, paths, seed):
     spec = MomentSpec(WeylVector(n), 0.5, init, alpha=alpha, q=Q)
-    assert moment_mc(spec, paths, seed=seed) == _sequential_moment_mc(spec, paths, seed)
+    assert moment_mc([spec], paths, seed=seed) == [_sequential_moment_mc(spec, paths, seed)]
+
+
+@pytest.mark.parametrize("init,alpha", [("step", 0.0), ("half-stationary", 0.05)])
+def test_moment_mc_shares_one_ensemble(init, alpha):
+    # the moments of one ensemble are those of one draw each, bit for bit
+    specs = [MomentSpec(WeylVector(n), 0.5, init, alpha=alpha, q=Q) for n in ((2,), (2, 1), (2, 2))]
+    assert moment_mc(specs, 3001, seed=7) == [moment_mc([s], 3001, seed=7)[0] for s in specs]
+
+
+def test_moment_mc_refuses_specs_of_two_ensembles():
+    specs = [MomentSpec(WeylVector((2,)), 0.5, q=Q), MomentSpec(WeylVector((1, 1)), 0.5, q=Q)]
+    with pytest.raises(ValueError, match="must share N, init, alpha, q and t"):
+        moment_mc(specs, 100)
 
 
 @pytest.mark.parametrize("paths", [-1, 0, 1])
 def test_moment_mc_needs_two_paths(paths):
     spec = MomentSpec(WeylVector((1,)), 0.5, "step", q=Q)
     with pytest.raises(ValueError, match="paths >= 2"):
-        moment_mc(spec, paths)
+        moment_mc([spec], paths)
 
 
 def test_duality_triangle_half():
@@ -250,7 +263,7 @@ def test_duality_triangle_half():
     vo = solve_evolution("backward", "ode-oracle", f0, 0.5, WeylVector((2, 1)), Q)
     assert abs(vf - vb) < 1e-8
     assert abs(vf - vo) < 1e-8
-    est, se = moment_mc(spec, 150_000, seed=13)
+    ((est, se),) = moment_mc([spec], 150_000, seed=13)
     assert abs(est - vf.real) < 4 * se
 
 

@@ -23,7 +23,9 @@ from qboson.eigenfunctions import (
     eigen_eval,
     eigen_eval_grid,
 )
-from qboson.qcore import Partition, WeylVector, string_points
+from qboson.contours import sd_string_circle, string_circle
+from qboson.plancherel import nested_kernel_grid
+from qboson.qcore import Partition, WeylVector, pair_gap, step, string_points
 
 TOL = 1e-12
 COND = 100.0
@@ -278,3 +280,64 @@ def test_states_entry_past_one_slice():
     got = table.states(np.array(rows))
     want = np.array([table(WeylVector(r)) for r in rows])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+# The shared step.  The nested and string sides of residue-expansion, of
+# sd-plancherel and of the moments form their strings and two-body gaps
+# through qcore.step and qcore.pair_gap, so these diff them, the scattering
+# factor and the nested kernel, value for value and bit for bit, against
+# the formulas written out.
+
+
+def _random_points(rng, shape):
+    return rng.normal(0, 1.5, shape) + 1j * rng.normal(0, 1.5, shape)
+
+
+def test_step_and_pair_gap_are_the_written_formulas():
+    rng = np.random.default_rng(28)
+    for q in rng.uniform(0.02, 0.98, 25):
+        za, zb = _random_points(rng, 40), _random_points(rng, 40)
+        for j in range(4):
+            assert np.array_equal(step(zb, j, q), zb * q**j)
+            assert np.array_equal(step(zb, j, None), zb + j)
+        assert np.array_equal(step(zb, -1, q), zb * (1.0 / q))
+        assert np.array_equal(pair_gap(za, zb, 1, q), za - q * zb)
+        assert np.array_equal(pair_gap(za, zb, -1, q), za - (1.0 / q) * zb)
+        assert np.array_equal(pair_gap(za, zb, 1, None), (za - zb) - 1)
+        assert np.array_equal(pair_gap(za, zb, -1, None), (za - zb) + 1)
+        a, b = complex(za[0]), complex(zb[0])  # Python scalars take the same path
+        assert pair_gap(a, b, 1, q) == a - q * b and pair_gap(a, b, -1, None) == (a - b) + 1
+    # q**-1 misses 1.0 / q in the last bit for about 0.08% of q
+    assert all(step(1.0, -1, q) == 1.0 / q for q in rng.uniform(0.0, 1.0, 20_000).tolist())
+
+
+def test_scattering_is_the_written_formula_for_all_six_kinds():
+    rng = np.random.default_rng(29)
+    for q in rng.uniform(0.02, 0.98, 10):
+        za, zb = _random_points(rng, 40), _random_points(rng, 40)
+        want = {
+            "qboson-left": (za - q * zb) / (za - zb),
+            "qboson-right": (za - (1.0 / q) * zb) / (za - zb),
+            "qboson-cfwd": (za - (1.0 / q) * zb) / (za - zb),
+            "sd-left": ((za - zb) - 1) / (za - zb),
+            "sd-right": ((za - zb) + 1) / (za - zb),
+            "sd-cfwd": ((za - zb) + 1) / (za - zb),
+        }
+        for kind in FAMILY_KINDS:
+            fam = EigenFamily(kind, None if kind.startswith("sd") else q)
+            assert np.array_equal(fam.scattering(za, zb), want[kind]), kind
+
+
+def test_nested_kernel_is_the_written_product_for_both_models():
+    rng = np.random.default_rng(30)
+    for q in rng.uniform(0.05, 0.95, 5):
+        for k in (1, 2, 3, 4):
+            zs = [_random_points(rng, 5).reshape([5 if a == j else 1 for a in range(k)])
+                  for j in range(k)]
+            for cs, gap in ((string_circle(q), lambda za, zb: za - q * zb),
+                            (sd_string_circle(), lambda za, zb: (za - zb) - 1)):
+                want = np.ones((5,) * k, dtype=complex) if k == 1 else None
+                for a, b in itertools.combinations(range(k), 2):
+                    f = (zs[a] - zs[b]) / gap(zs[a], zs[b])
+                    want = f if want is None else want * f
+                assert np.array_equal(nested_kernel_grid(zs, cs), want), (cs.family, k)

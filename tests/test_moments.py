@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qboson.checks import dynamics_checks
 from qboson.contours import ContourError, QuadratureSpec, sd_string_circle
 from qboson.degenerations import sd_moment_formula
 from qboson.dynamics import MomentSpec, moment_formula
@@ -172,7 +173,7 @@ def test_sd_residue_expansion_matches_a_naive_nested_integral(k, m):
 
 def test_sd_string_circle_bounds():
     assert sd_string_circle().circles[0].radius == 0.2
-    with pytest.raises(ContourError, match="unit-shifted image"):
+    with pytest.raises(ContourError, match="meets its image"):
         sd_string_circle(0.5)
 
 
@@ -184,3 +185,12 @@ def test_moment_checks_across_q(check, q):
     r = run_check(check, q=q, paths=20_000)
     assert not r.is_error, r.params.get("error")
     assert r.passed
+
+
+@pytest.mark.parametrize("check", ["moment-step", "moment-half"])
+def test_moment_checks_refuse_before_they_sample(check, monkeypatch):
+    # at q = 0.9 the nested solver refuses its contours, before any of the
+    # 10^6-path ensembles is drawn
+    monkeypatch.setattr(dynamics_checks, "moment_mc", lambda *a, **kw: pytest.fail("sampled"))
+    with pytest.raises(ContourError, match="innermost circle contains 0.9"):
+        run_check(check, q=0.9)

@@ -15,6 +15,7 @@ from qboson.contours import (
     grid_nodes_weights,
     integrate,
     nested_contours,
+    sd_string_circle,
     single_gamma,
     string_circle,
 )
@@ -92,7 +93,7 @@ def test_mu_forms_agree():
             a = mu_weight(lam, list(w), Q)
             b = mu_weight_appendix(lam, list(w), Q)
             c = mu_weight_vandermonde(lam, list(w), Q)
-            g = complex(mu_density_grid(lam, [np.asarray(v) for v in w], Q))
+            g = complex(mu_density_grid(lam, [np.asarray(v) for v in w], string_circle(Q)))
             assert abs(a - b) <= 1e-12 * (1 + abs(a))
             assert abs(a - c) <= 1e-12 * (1 + abs(a))
             assert abs(a - g) <= 1e-12 * (1 + abs(a))
@@ -131,8 +132,8 @@ def test_mu_density_grid_matches_literal_determinant(q, m, radius, spacing, phas
             ell = lam.length
             mult = math.prod(math.factorial(c) for c in lam.multiplicities().values())
             ws = [axes[j].reshape([m if a == j else 1 for a in range(ell)]) for j in range(ell)]
-            grid_q = mu_density_grid(lam, ws, q)
-            grid_sd = mu_density_grid(lam, ws, q, model="sd")
+            grid_q = mu_density_grid(lam, ws, string_circle(q))
+            grid_sd = mu_density_grid(lam, ws, sd_string_circle())
             assert grid_q.shape == grid_sd.shape == (m,) * ell
             mats_q = _literal_cauchy(lam, ws, lambda w, part: w * q**part)
             mats_sd = _literal_cauchy(lam, ws, lambda w, part: w + part)
@@ -203,7 +204,7 @@ def _nested_reference(G, n, cs):
     """The nested inverse transform at one n, its integrand built pointwise
     and integrated by `contours.integrate`: the reference for the batches."""
     def integrand(zs):
-        out = nested_kernel_grid(zs, Q) * G(zs)
+        out = nested_kernel_grid(zs, cs) * G(zs)
         for j, z in enumerate(zs):
             out = out * (1.0 - z) ** (-n.coords[j] - 1)
         return out
@@ -377,7 +378,7 @@ def test_right_right_table_matches_single_gamma_integral():
         for i, x in enumerate(states):
             for j, y in enumerate(states):
                 def integrand(zs, x=x, y=y):
-                    out = mu_density_grid(lam, zs, Q)
+                    out = mu_density_grid(lam, zs, cs)
                     for z in zs:
                         out = out / (1.0 - z)
                     return out * eigen_eval_grid(fam, list(zs), x) * eigen_eval_grid(fam, list(zs), y)
@@ -577,7 +578,7 @@ def test_chunked_grids_match_one_chunk(monkeypatch):
     solver = nested_contours(3, Q, r_k=0.3)
 
     def integrand(zs):
-        return nested_kernel_grid(zs, Q) * np.exp(sum(zs))
+        return nested_kernel_grid(zs, cs) * np.exp(sum(zs))
 
     def evaluate(budget):
         monkeypatch.setattr(contours, "CHUNK_ELEMENTS", budget)

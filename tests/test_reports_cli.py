@@ -316,6 +316,24 @@ def _cli_in_process(capsys, *args):
     return code, capsys.readouterr().err
 
 
+@pytest.mark.parametrize("knobs", [("--q", "0.9"), ("--alpha", "0.3"),
+                                   ("--q", "0.9", "--alpha", "0.3"), ("--q", "0.5")])
+def test_cli_sd_moments_refuse_q_and_alpha(capsys, knobs):
+    # the semi-discrete moment has neither knob, so neither is silently ignored
+    code, err = _cli_in_process(capsys, "moments", "--model", "sd", "--init", "delta",
+                                "--t", "1", "--n", "3,2", *knobs)
+    assert code == 2
+    assert "semi-discrete moments implement --init delta, with no --q and no --alpha" in err
+
+
+def test_cli_moments_echo_only_the_knobs_they_read(capsys):
+    assert main(["moments", "--model", "sd", "--init", "delta", "--t", "1", "--n", "2,1"]) == 0
+    assert not {"q", "alpha"} & set(json.loads(capsys.readouterr().out))
+    assert main(["moments", "--model", "qtasep", "--init", "step", "--t", "1", "--n", "2,1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["alpha"], out["q"]) == (0.0, 0.5)
+
+
 @pytest.mark.parametrize("model", ["oy", "qtasep", "qboson"])
 @pytest.mark.parametrize("paths", ["0", "-1"])
 def test_cli_simulate_rejects_nonpositive_paths(capsys, model, paths):
