@@ -7,13 +7,41 @@ numbers) ``seed`` among them, are knobs that it reads.  It builds no
 report: `registry.run_check` binds the knobs, makes
 the Accumulator and finishes the report, whose params are those knobs
 under their own names, so ``--param`` replays them.  A check may add
-further entries to ``acc.params`` (contours, quadrature choices)."""
+further entries to ``acc.params`` (contours, quadrature choices).
+
+The checks that the transform pair resolves the identity, T = I, on some
+contours and for some model (plancherel-forward, biorthogonality-spatial,
+eps-plancherel, sd-plancherel, sd-biorthogonality) are lists of legs for
+one runner, `identity_tables`."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from qboson.qcore import WeylVector
+from qboson.contours import QuadratureSpec
+from qboson.plancherel import composition_table
+from qboson.qcore import WeylVector, weyl_vectors_in_box
+from qboson.report import Accumulator
+
+
+def identity_tables(acc: Accumulator, legs, nodes: int, tolerance: float) -> None:
+    """The transform pair resolves the identity on each leg (label, contour
+    system, k, lo, hi): the `composition_table` T over the states of the
+    box lo <= n_k <= n_1 <= hi is the unit matrix.
+
+    Legs run in order.  Each records its worst entry as T[x, y] - delta_xy
+    against 0, under "<label> worst x=... y=...", so a diagonal entry meets
+    the same gate as any other, and its circles under
+    params["contours"][label]."""
+    spec = QuadratureSpec(nodes)
+    used = acc.params.setdefault("contours", {})
+    for label, cs, k, lo, hi in legs:
+        states = list(weyl_vectors_in_box(k, lo, hi))
+        resid = composition_table(states, cs, spec) - np.eye(len(states))
+        x, y = np.unravel_index(np.argmax(np.abs(resid)), resid.shape)
+        acc.add(f"{label} worst x={states[x].coords} y={states[y].coords}", resid[x, y], 0.0,
+                tolerance)
+        used[label] = cs.describe()["circles"]
 
 
 def random_weyl(rng: np.random.Generator, k: int, lo: int = -6, hi: int = 6) -> WeylVector:

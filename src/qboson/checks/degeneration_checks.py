@@ -6,11 +6,10 @@ import math
 
 import numpy as np
 
-from qboson.checks import random_spectral, random_weyl
+from qboson.checks import identity_tables, random_spectral, random_weyl
 from qboson.contours import (
     Circle,
     ContourSystem,
-    QuadratureSpec,
     nested_contours,
     sd_nested_contours,
     sd_string_circle,
@@ -35,8 +34,7 @@ from qboson.degenerations import (
 )
 from qboson.eigenfunctions import EigenFamily, EigenTable, eigen_eval
 from qboson.generators import GeneratorKind, generator_apply
-from qboson.plancherel import composition_table
-from qboson.qcore import WeylVector, cq_weight, weyl_vectors_in_box
+from qboson.qcore import WeylVector, cq_weight
 from qboson.report import Accumulator
 
 def check_eps_plancherel(acc: Accumulator, q: float = 0.5, eps: float = 0.5,
@@ -47,21 +45,14 @@ def check_eps_plancherel(acc: Accumulator, q: float = 0.5, eps: float = 0.5,
     if eps <= 0:
         raise ValueError("the contour-based pipeline needs eps > 0; "
                          "use the Hall-Littlewood route at eps = 0")
-    spec = QuadratureSpec(nodes)
+    legs = []
     for k in (1, 2):
-        states = list(weyl_vectors_in_box(k, -3, 3))
-        I = np.eye(len(states))
-        for mode, cs in (("nested", nested_contours(k, q, r_k=0.3 * eps, center=eps)),
-                         ("single-gamma", single_gamma(q, k=k, eps=eps))):
-            T = composition_table(states, cs, spec)
-            resid = float(np.abs(T - I).max())
-            acc.add_residual(f"k={k} {mode}", resid, tolerance)
-        states2 = list(weyl_vectors_in_box(k, -2, 2))
+        legs += [(f"k={k} nested", nested_contours(k, q, r_k=0.3 * eps, center=eps), k, -3, 3),
+                 (f"k={k} single-gamma", single_gamma(q, k=k, eps=eps), k, -3, 3)]
         cs = ContourSystem((Circle(complex(eps), 0.6 * eps * (1 - q) / (1 + q)),),
                            "string-product", q=q, eps=eps)
-        T = composition_table(states2, cs, spec)
-        acc.add_residual(f"k={k} expanded", float(np.abs(T - np.eye(len(states2))).max()),
-                         tolerance)
+        legs.append((f"k={k} expanded", cs, k, -2, 2))
+    identity_tables(acc, legs, nodes, tolerance)
 
 
 def check_eps_orthogonality(acc: Accumulator, q: float = 0.5,
@@ -188,25 +179,19 @@ def check_sd_eigen(acc: Accumulator, tolerance: float = 1e-10, seed: int = 0) ->
 
 def check_sd_plancherel(acc: Accumulator, nodes: int = 128, tolerance: float = 1e-6) -> None:
     """Identity resolution for the semi-discrete transform pair, k <= 2."""
-    spec = QuadratureSpec(nodes)
-    for k in (1, 2):
-        states = list(weyl_vectors_in_box(k, -3, 3))
-        I = np.eye(len(states))
-        for mode, cs in (("nested", sd_nested_contours(k)),
-                         ("expanded", sd_string_circle(0.4))):
-            T = composition_table(states, cs, spec)
-            acc.add_residual(f"k={k} {mode}", float(np.abs(T - I).max()), tolerance)
+    legs = [(f"k={k} {mode}", cs, k, -3, 3) for k in (1, 2) for mode, cs in (
+        ("nested", sd_nested_contours(k)),
+        ("expanded", sd_string_circle(0.4)),
+    )]
+    identity_tables(acc, legs, nodes, tolerance)
 
 
 def check_sd_biorthogonality(acc: Accumulator, nodes: int = 128,
                              tolerance: float = 1e-6) -> None:
     """Spatial biorthogonality of the semi-discrete eigenfunctions via the
     additive-string pairing (the expanded composition form)."""
-    spec = QuadratureSpec(nodes)
-    for k in (1, 2):
-        states = list(weyl_vectors_in_box(k, -2, 3))
-        T = composition_table(states, sd_string_circle(0.4), spec)
-        acc.add_residual(f"k={k}", float(np.abs(T - np.eye(len(states))).max()), tolerance)
+    identity_tables(acc, [(f"k={k}", sd_string_circle(0.4), k, -2, 3) for k in (1, 2)],
+                    nodes, tolerance)
 
 
 def check_sd_moment(acc: Accumulator, t: float = 1.0, paths: int = 100_000,

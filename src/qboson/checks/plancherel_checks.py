@@ -8,6 +8,7 @@ import itertools
 
 import numpy as np
 
+from qboson.checks import identity_tables
 from qboson.contours import (
     QuadratureSpec,
     default_nodes,
@@ -34,18 +35,6 @@ from qboson.qcore import CompactFn, WeylVector, partitions_of, weyl_vectors_in_b
 from qboson.report import Accumulator
 
 
-def _delta_table_check(acc: Accumulator, label: str, states, table: np.ndarray,
-                       tolerance: float) -> None:
-    resid = np.abs(table - np.eye(len(states)))
-    ix, iy = np.unravel_index(np.argmax(resid), resid.shape)
-    acc.add(
-        f"{label} worst x={states[ix].coords} y={states[iy].coords}",
-        table[ix, iy],
-        1.0 if ix == iy else 0.0,
-        tolerance,
-    )
-
-
 def check_plancherel_forward(acc: Accumulator, q: float = 0.5, box_radius: int = 4,
                              nodes: int = 128, tolerance: float = 1e-6) -> None:
     """Inverse transform of the forward transform resolves every delta:
@@ -57,53 +46,25 @@ def check_plancherel_forward(acc: Accumulator, q: float = 0.5, box_radius: int =
     the extreme box corners below tolerance, and the nested mode is
     additionally run at the given q.
     """
-    spec = QuadratureSpec(nodes)
-    used_contours = {}
-    for k in (1, 2):
-        states = list(weyl_vectors_in_box(k, -box_radius, box_radius))
-        for mode, cs in (
-            ("nested", nested_contours(k, q, r_k=0.3)),
-            ("single-gamma", single_gamma(q, k=k)),
-            ("expanded", string_circle(q, radius=0.3)),
-        ):
-            T = composition_table(states, cs, spec)
-            _delta_table_check(acc, f"k={k} {mode} q={q}", states, T, tolerance)
-            used_contours[f"k={k} {mode}"] = cs.describe()["circles"]
-    q3 = 0.25
-    states = list(weyl_vectors_in_box(3, -box_radius, box_radius))
-    for mode, cs in (
-        ("nested", nested_contours(3, q3, r_k=0.5)),
-        ("single-gamma", single_gamma(q3, k=3)),
-        ("expanded", string_circle(q3, radius=0.5)),
-    ):
-        T = composition_table(states, cs, spec)
-        _delta_table_check(acc, f"k=3 {mode} q={q3}", states, T, tolerance)
-        used_contours[f"k=3 {mode} q={q3}"] = cs.describe()["circles"]
-    cs = nested_contours(3, q, r_k=0.3)
-    T = composition_table(states, cs, spec)
-    _delta_table_check(acc, f"k=3 nested q={q}", states, T, tolerance)
-    used_contours[f"k=3 nested q={q}"] = cs.describe()["circles"]
-    acc.params["contours"] = used_contours
+    r = box_radius
+    legs = [(f"k={k} {mode}", cs, k, -r, r) for k in (1, 2) for mode, cs in (
+        ("nested", nested_contours(k, q, r_k=0.3)),
+        ("single-gamma", single_gamma(q, k=k)),
+        ("expanded", string_circle(q, radius=0.3)),
+    )]
+    legs += [(f"k=3 {mode} q=0.25", cs, 3, -r, r) for mode, cs in (
+        ("nested", nested_contours(3, 0.25, r_k=0.5)),
+        ("single-gamma", single_gamma(0.25, k=3)),
+        ("expanded", string_circle(0.25, radius=0.5)),
+    )]
+    legs.append((f"k=3 nested q={q}", nested_contours(3, q, r_k=0.3), 3, -r, r))
+    identity_tables(acc, legs, nodes, tolerance)
 
 
 def _monomial_basis(k: int, max_total_degree: int):
     """Weakly decreasing integer exponent vectors m with sum |m_i| <= degree."""
-    out = []
-    rng_vals = range(-max_total_degree, max_total_degree + 1)
-
-    def rec(prefix, cap):
-        if len(prefix) == k:
-            if sum(abs(v) for v in prefix) <= max_total_degree:
-                out.append(tuple(prefix))
-            return
-        for v in rng_vals:
-            if v <= cap:
-                prefix.append(v)
-                rec(prefix, v)
-                prefix.pop()
-
-    rec([], max_total_degree)
-    return out
+    d = max_total_degree
+    return [n.coords for n in weyl_vectors_in_box(k, -d, d) if sum(map(abs, n.coords)) <= d]
 
 
 def _sym_monomial(m: tuple[int, ...]):
@@ -199,15 +160,10 @@ def check_biorthogonality_spatial(acc: Accumulator, q: float = 0.5, box_radius: 
                                   nodes: int = 128, tolerance: float = 1e-6) -> None:
     """Spectral pairing of left and right eigenfunctions is the delta in
     the spatial labels (single-circle form for k <= 3, string form k <= 2)."""
-    spec = QuadratureSpec(nodes)
-    for k in (1, 2, 3):
-        states = list(weyl_vectors_in_box(k, -box_radius, box_radius))
-        T = composition_table(states, single_gamma(q, k=k), spec)
-        _delta_table_check(acc, f"k={k} single-gamma", states, T, tolerance)
-    for k in (1, 2):
-        states = list(weyl_vectors_in_box(k, -box_radius, box_radius))
-        T = composition_table(states, string_circle(q, radius=0.3), spec)
-        _delta_table_check(acc, f"k={k} expanded", states, T, tolerance)
+    r = box_radius
+    legs = [(f"k={k} single-gamma", single_gamma(q, k=k), k, -r, r) for k in (1, 2, 3)]
+    legs += [(f"k={k} expanded", string_circle(q, radius=0.3), k, -r, r) for k in (1, 2)]
+    identity_tables(acc, legs, nodes, tolerance)
 
 
 def check_orthogonality_spectral(acc: Accumulator, q: float = 0.5,

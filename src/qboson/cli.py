@@ -3,9 +3,11 @@ formulas, simulate the particle systems, and print transition kernels.
 
 Exit codes: 0 all requested checks pass, 1 at least one check failed,
 2 usage or configuration error, including a check of 'verify all' that
-rejected its parameters (its error row carries the reason) and an
-arithmetic failure (overflow, a floating-point trap) of any command.  Flags
-override the JSON config file, which overrides built-in defaults.
+rejected its parameters (its error row carries the reason), an arithmetic
+failure (overflow, a floating-point trap) of any command, and a flag that
+the command would not read.  `main` prints every rejection as one
+"error: <reason>" line.  Flags override the JSON config file, which
+overrides built-in defaults.
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ def _cmd_verify(args) -> int:
     params = _collect_params(args)
     try:
         if args.check == "all":
-            reports = run_all(common=params, jobs=args.jobs)
+            reports = run_all(common=params, jobs=1 if args.jobs is None else args.jobs)
+        elif args.jobs is not None:
+            raise ValueError(f"--jobs applies to 'verify all' only, not to {args.check}")
         elif "seed" in params and not takes_seed(args.check):
             raise ValueError(f"check {args.check}: deterministic check; it takes no seed")
         else:
@@ -61,7 +65,7 @@ def _cmd_verify(args) -> int:
     except UnknownCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TypeError, *REJECTIONS) as exc:
+    except TypeError as exc:
         print(f"error: {rejection_reason(exc)}", file=sys.stderr)
         return 2
     for r in reports:
@@ -96,29 +100,23 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 def _cmd_moments(args) -> int:
     n = _parse_ints(args.n)
-    try:
-        if args.model == "qtasep":
-            from qboson.dynamics import MomentSpec, moment_formula
+    if args.model == "qtasep":
+        from qboson.dynamics import MomentSpec, moment_formula
 
-            init = {"step": "step", "half": "half-stationary"}.get(args.init)
-            if init is None:
-                print("error: q-TASEP moments need --init step|half", file=sys.stderr)
-                return 2
-            knobs = {"alpha": 0.0 if args.alpha is None else args.alpha,
-                     "q": 0.5 if args.q is None else args.q}
-            res = moment_formula(MomentSpec(WeylVector(n), args.t, init, **knobs))
-        else:  # argparse admits qtasep and sd only
-            from qboson.degenerations import sd_moment_formula
+        init = {"step": "step", "half": "half-stationary"}.get(args.init)
+        if init is None:
+            raise ValueError("q-TASEP moments need --init step|half")
+        knobs = {"alpha": 0.0 if args.alpha is None else args.alpha,
+                 "q": 0.5 if args.q is None else args.q}
+        res = moment_formula(MomentSpec(WeylVector(n), args.t, init, **knobs))
+    else:  # argparse admits qtasep and sd only
+        from qboson.degenerations import sd_moment_formula
 
-            if args.init != "delta" or args.q is not None or args.alpha is not None:
-                print("error: semi-discrete moments implement --init delta, with no --q "
-                      "and no --alpha", file=sys.stderr)
-                return 2
-            knobs = {}
-            res = sd_moment_formula(WeylVector(n), args.t)
-    except REJECTIONS as exc:
-        print(f"error: {rejection_reason(exc)}", file=sys.stderr)
-        return 2
+        if args.init != "delta" or args.q is not None or args.alpha is not None:
+            raise ValueError("semi-discrete moments implement --init delta, with no --q "
+                             "and no --alpha")
+        knobs = {}
+        res = sd_moment_formula(WeylVector(n), args.t)
     out = {"model": args.model, "init": args.init, "t": args.t, "n": list(n),
            **knobs, "value": [res.value.real, res.value.imag],
            "radius": res.radius, "nodes": res.nodes, "error_estimate": res.error_estimate}
@@ -128,63 +126,62 @@ def _cmd_moments(args) -> int:
 
 def _cmd_simulate(args) -> int:
     if args.paths < 1:
-        print(f"error: --paths must be at least 1, got {args.paths}", file=sys.stderr)
-        return 2
-    try:
-        if args.model == "oy":
-            from qboson.degenerations import oy_simulate
+        raise ValueError(f"--paths must be at least 1, got {args.paths}")
+    # each model's own flags, beside --t, --paths, --seed and --out
+    reads = ("dt", "sites") if args.model == "oy" else ("q", "init_state")
+    unread = ["--" + dest.replace("_", "-") for dest in ("q", "init_state", "dt", "sites")
+              if getattr(args, dest) is not None and dest not in reads]
+    if unread:
+        raise ValueError(f"simulate --model {args.model} reads no {', '.join(unread)}")
+    if args.model == "oy":
+        from qboson.degenerations import oy_simulate
 
-            res = oy_simulate(args.sites, args.t, args.dt, args.paths, seed=args.seed,
-                              trajectory_csv=args.out)
-            means = res.Z.mean(axis=0)
-            print(json.dumps({"model": "oy", "t": args.t, "paths": args.paths,
-                              "mean_Z": [float(v) for v in means]}))
-            return 0
-        from qboson.dynamics import simulate
-
-        if args.model == "qboson":
-            init = WeylVector(_parse_ints(args.init_state or "0"))
-        elif args.model == "qtasep":
-            init = _parse_ints(args.init_state or "-1")
-        else:
-            print(f"error: unknown model {args.model}", file=sys.stderr)
-            return 2
-        if args.paths == 1:
-            traj = simulate(args.model, init, args.t, args.seed, q=args.q)
-            if args.out:
-                traj.to_csv(args.out)
-            print(json.dumps({"model": args.model, "t": args.t,
-                              "events": len(traj.events) - 1,
-                              "final": list(traj.final_state())}))
-        else:
-            seeds = np.random.SeedSequence(args.seed).spawn(args.paths)
-            finals = []
-            for s in seeds:
-                traj = simulate(args.model, init, args.t, s.generate_state(1)[0], q=args.q)
-                finals.append(traj.final_state())
-            arr = np.asarray(finals, dtype=float)
-            print(json.dumps({"model": args.model, "t": args.t, "paths": args.paths,
-                              "mean_final": [float(v) for v in arr.mean(axis=0)]}))
+        res = oy_simulate(2 if args.sites is None else args.sites, args.t,
+                          1e-3 if args.dt is None else args.dt, args.paths, seed=args.seed,
+                          trajectory_csv=args.out)
+        means = res.Z.mean(axis=0)
+        print(json.dumps({"model": "oy", "t": args.t, "paths": args.paths,
+                          "mean_Z": [float(v) for v in means]}))
         return 0
-    except REJECTIONS as exc:
-        print(f"error: {rejection_reason(exc)}", file=sys.stderr)
-        return 2
+    if args.out and args.paths > 1:
+        raise ValueError(f"simulate --model {args.model} writes a trajectory (--out) "
+                         "only with --paths 1")
+    from qboson.dynamics import simulate
+
+    q = 0.5 if args.q is None else args.q
+    if args.model == "qboson":
+        init = WeylVector(_parse_ints(args.init_state or "0"))
+    else:  # qtasep
+        init = _parse_ints(args.init_state or "-1")
+    if args.paths == 1:
+        traj = simulate(args.model, init, args.t, args.seed, q=q)
+        if args.out:
+            traj.to_csv(args.out)
+        print(json.dumps({"model": args.model, "t": args.t,
+                          "events": len(traj.events) - 1,
+                          "final": list(traj.final_state())}))
+    else:
+        seeds = np.random.SeedSequence(args.seed).spawn(args.paths)
+        finals = []
+        for s in seeds:
+            traj = simulate(args.model, init, args.t, s.generate_state(1)[0], q=q)
+            finals.append(traj.final_state())
+        arr = np.asarray(finals, dtype=float)
+        print(json.dumps({"model": args.model, "t": args.t, "paths": args.paths,
+                          "mean_final": [float(v) for v in arr.mean(axis=0)]}))
+    return 0
 
 
 def _cmd_transition(args) -> int:
-    try:
-        from qboson.dynamics import transition_probability
+    from qboson.dynamics import transition_probability
 
-        y = WeylVector(_parse_ints(args.source))
-        x = WeylVector(_parse_ints(args.target))
-        v = transition_probability(args.method, y, x, args.t, args.q)
-        print(json.dumps({"from": list(y.coords), "to": list(x.coords), "t": args.t,
-                          "q": args.q, "method": args.method,
-                          "probability": [v.real, v.imag]}))
-        return 0
-    except REJECTIONS as exc:
-        print(f"error: {rejection_reason(exc)}", file=sys.stderr)
-        return 2
+    y = WeylVector(_parse_ints(args.source))
+    x = WeylVector(_parse_ints(args.target))
+    v = transition_probability(args.method, y, x, args.t, args.q)
+    print(json.dumps({"from": list(y.coords), "to": list(x.coords), "t": args.t,
+                      "q": args.q, "method": args.method,
+                      "probability": [v.real, v.imag]}))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,8 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--q", type=float, default=None,
                     help="q for every selected check that takes q; a single "
                          "check without q exits 2")
-    pv.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for 'verify all' (at least 1)")
+    pv.add_argument("--jobs", type=int, default=None,
+                    help="worker processes for 'verify all' (at least 1, default 1); "
+                         "a single check exits 2")
     pv.set_defaults(fn=_cmd_verify)
 
     pl = sub.add_parser("list", help="list registered checks")
@@ -228,11 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--t", type=float, required=True)
     ps.add_argument("--paths", type=int, default=1)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--q", type=float, default=0.5)
-    ps.add_argument("--dt", type=float, default=1e-3, help="SDE step size (oy)")
-    ps.add_argument("--sites", type=int, default=2, help="number of sites (oy)")
-    ps.add_argument("--init-state", help="comma-separated initial coordinates")
-    ps.add_argument("--out", help="write the trajectory to this CSV file")
+    ps.add_argument("--q", type=float, help="qtasep and qboson only (default 0.5)")
+    ps.add_argument("--dt", type=float, help="SDE step size, oy only (default 1e-3)")
+    ps.add_argument("--sites", type=int, help="number of sites, oy only (default 2)")
+    ps.add_argument("--init-state", help="comma-separated initial coordinates, "
+                                         "qtasep and qboson only")
+    ps.add_argument("--out", help="write the trajectory (of path 0 for oy; qtasep and "
+                                  "qboson need --paths 1) to this CSV file")
     ps.set_defaults(fn=_cmd_simulate)
 
     pt = sub.add_parser("transition", help="q-Boson transition probability")
@@ -249,9 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except REJECTIONS as exc:
+        print(f"error: {rejection_reason(exc)}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from qboson.qcore import check_q, step
+from qboson.qcore import check_q, marked_point, step
 
 CONTOUR_FAMILIES = (
     "qboson-nested",
@@ -108,8 +108,8 @@ class ContourSystem:
 
     @property
     def mark(self) -> float:
-        """The marked point: eps, or 0 for the semi-discrete model."""
-        return 0.0 if self.model == "sd" else self.eps
+        """The marked point (`marked_point`): eps, or 0 for the semi-discrete model."""
+        return marked_point(self.eps, self.q)
 
     def step(self, z, j: int = 1):
         return step(z, j, self.q)

@@ -72,7 +72,9 @@ from qboson.qcore import (
     cq_weight,
     cq_weight_inv,
     inverse_permutation,
+    marked_point,
     pair_gap,
+    step,
 )
 
 FAMILY_KINDS = (
@@ -116,8 +118,9 @@ class EigenFamily:
             raise ValueError("the semi-discrete family has no q and no marked point eps")
 
     @property
-    def excluded_point(self) -> complex:
-        return 0.0 + 0.0j if self.model == "sd" else complex(self.eps)
+    def mark(self) -> float:
+        """The marked point (`marked_point`), which no spectral entry may hit."""
+        return marked_point(self.eps, self.q)
 
     def base(self, z):
         """One-particle base: eps - z, or z, usable on scalars or arrays."""
@@ -131,14 +134,15 @@ class EigenFamily:
         """Two-body factor `pair_gap` / (z_A - z_B) for ordered pair B < A."""
         return pair_gap(za, zb, -self.power_sign(), self.q) / (za - zb)
 
-    def numerator(self) -> tuple[complex, float, float]:
+    def numerator(self) -> tuple[float, float, float]:
         """(alpha, beta, gamma) with scattering(z_A, z_B) * (z_A - z_B) =
-        alpha + beta base(z_A) + gamma base(z_B): the scattering numerator is
-        linear in the bases (table in the module docstring)."""
-        if self.model == "sd":
-            return (-1.0 if self.side == "left" else 1.0), 1.0, -1.0
-        s = self.q if self.side == "left" else 1.0 / self.q
-        return self.excluded_point * (1.0 - s), -1.0, s
+        alpha + beta base(z_A) + gamma base(z_B) (table in the module
+        docstring).  With z = m + o base (m the mark; o = -1 for the base
+        eps - z, +1 for z) and the step affine, `pair_gap` (z_A, z_B) is
+        pair_gap(m, m) + o base_A - o (step(1) - step(0)) base_B."""
+        j, m, q = -self.power_sign(), self.mark, self.q
+        o = 1.0 if self.model == "sd" else -1.0
+        return pair_gap(m, m, j, q), o, -o * (step(1.0, j, q) - step(0.0, j, q))
 
     def prefactor(self, n: WeylVector) -> float:
         """Multiplier 1/`cq_weight`(n, q) for the right family; 1 for left and cfwd."""
@@ -168,7 +172,7 @@ def _as_values(z) -> tuple[complex, ...]:
 def validate_spectral(fam: EigenFamily, z) -> tuple[complex, ...]:
     """Reject coincident entries and family-excluded points."""
     vals = _as_values(z)
-    p = fam.excluded_point
+    p = fam.mark
     for i, zi in enumerate(vals):
         if abs(zi - p) < COINCIDENCE_TOL * max(1.0, abs(zi)):
             raise SpectralDomainError(f"spectral entry z_{i+1}={zi} hits the excluded point {p}")
@@ -235,10 +239,10 @@ class EigenTable:
         in slices that keep the (k!, rows) array of terms near 1 MB; each
         slice's sums and prefactors are written into the one result array."""
         ns = np.asarray(ns, dtype=np.int64).reshape(-1, self.k)
-        step = max(1, (1 << 16) // len(self.weights))
+        rows = max(1, (1 << 16) // len(self.weights))
         out = np.empty(len(ns), dtype=complex)
-        for start in range(0, len(ns), step):
-            cut = slice(start, start + step)
+        for start in range(0, len(ns), rows):
+            cut = slice(start, start + rows)
             t = self.terms(ns[cut])
             out.real[cut] = [math.fsum(col) for col in t.real.T.tolist()]
             out.imag[cut] = [math.fsum(col) for col in t.imag.T.tolist()]

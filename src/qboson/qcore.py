@@ -3,9 +3,10 @@
 Everything here is exact integer/float bookkeeping: Weyl chamber vectors
 with their cluster decomposition, integer partitions, q-Pochhammer symbols
 and q-factorials, the cluster weight C_q, string specializations of
-spectral variables, and the model's step (`step`, `pair_gap`; q None is
-the semi-discrete model).  All functions are pure and all containers
-immutable, so concurrent use is safe.
+spectral variables, and the model's step and marked point (`step`,
+`pair_gap`, `marked_point`; q None is the semi-discrete model).  All
+functions are pure and all containers immutable, so concurrent use is
+safe.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ def step(z, j: int, q: float | None):
 def pair_gap(za, zb, j: int, q: float | None):
     """z_A - step(z_B, j, q), for the semi-discrete model as (z_A - z_B) - j."""
     return (za - zb) - j if q is None else za - step(zb, j, q)
+
+
+def marked_point(eps: float, q: float | None) -> float:
+    """The marked point: eps, or 0 for the semi-discrete model (q None)."""
+    return 0.0 if q is None else eps
 
 
 def check_time(t: float) -> None:

@@ -177,7 +177,7 @@ def _permuted_case(fam, k, layout, rng):
     def nodes(m, center):
         return center + 0.6 * np.exp(2j * np.pi * (np.arange(m) + rng.random()) / m)
 
-    center = fam.excluded_point + 1.3
+    center = fam.mark + 1.3
     if layout == "own":
         axis_of = tuple(range(k))
         zs = [nodes(3 + m, center).reshape([-1 if a == m else 1 for a in range(k)])

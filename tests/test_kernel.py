@@ -23,7 +23,7 @@ from qboson.eigenfunctions import (
     eigen_eval,
     eigen_eval_grid,
 )
-from qboson.contours import sd_string_circle, string_circle
+from qboson.contours import nested_contours, sd_string_circle, string_circle
 from qboson.plancherel import nested_kernel_grid
 from qboson.qcore import Partition, WeylVector, pair_gap, step, string_points
 
@@ -115,7 +115,7 @@ def _unit(draw, rmin=0.6, rmax=1.4):
 def _point(draw, fam, k):
     """k spectral values: free points around the excluded point, or the
     geometric or additive strings of a random partition of k."""
-    centre = fam.excluded_point
+    centre = fam.mark
     mode = draw(st.sampled_from(("free", "geometric", "additive")))
     if mode == "free":
         z = [centre + _unit(draw) for _ in range(k)]
@@ -137,7 +137,7 @@ def _point(draw, fam, k):
 
 
 def _assume_separated(fam, z):
-    p = fam.excluded_point
+    p = fam.mark
     assume(all(abs(v - p) > 0.1 for v in z))
     assume(all(abs(a - b) > 0.05 for a, b in itertools.combinations(z, 2)))
 
@@ -341,3 +341,36 @@ def test_nested_kernel_is_the_written_product_for_both_models():
                     f = (zs[a] - zs[b]) / gap(zs[a], zs[b])
                     want = f if want is None else want * f
                 assert np.array_equal(nested_kernel_grid(zs, cs), want), (cs.family, k)
+
+
+def _bits(x):
+    """The bits of a number as a complex pair; + 0.0 makes a zero's sign +."""
+    x = complex(x) + 0.0
+    return np.array([x.real, x.imag]).view(np.uint64).tolist()
+
+
+def test_numerator_is_the_docstring_table_for_all_six_kinds():
+    # the eigenfunctions module docstring: q-Boson alpha = eps (1 - s),
+    # beta = -1, gamma = s with s = q (left) or 1/q; semi-discrete
+    # alpha = -1 (left) or +1, beta = 1, gamma = -1.  At dyadic eps the
+    # derivation from pair_gap and step matches it bit for bit; a zero
+    # alpha at eps = 0 may carry either sign.
+    rng = np.random.default_rng(31)
+    for q in [0.1, 0.25, 0.5, 0.7, 0.9, *rng.uniform(0.001, 0.999, 200).tolist()]:
+        for eps in (0.0, 0.25, 0.5, 1.0, 2.0):
+            for side in ("left", "right", "cfwd"):
+                s = q if side == "left" else 1.0 / q
+                got = EigenFamily(f"qboson-{side}", q, eps).numerator()
+                assert list(map(_bits, got)) == list(map(_bits, (eps * (1 - s), -1.0, s)))
+    for side in ("left", "right", "cfwd"):
+        want = ((-1.0 if side == "left" else 1.0), 1.0, -1.0)
+        assert list(map(_bits, EigenFamily(f"sd-{side}").numerator())) == \
+            list(map(_bits, want))
+
+
+def test_families_and_contour_systems_share_the_marked_point():
+    pairs = [(EigenFamily("qboson-left", 0.5), string_circle(0.5)),
+             (EigenFamily("qboson-right", 0.3, 0.5),
+              nested_contours(2, 0.3, r_k=0.1, center=0.5)),
+             (EigenFamily("sd-cfwd"), sd_string_circle())]
+    assert [(fam.mark, cs.mark) for fam, cs in pairs] == [(1.0, 1.0), (0.5, 0.5), (0.0, 0.0)]

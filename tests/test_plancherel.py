@@ -1,7 +1,9 @@
 import functools
 import inspect
+import itertools
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from qboson.plancherel import (
     transform_F_grid,
 )
 from qboson.qcore import CompactFn, Partition, WeylVector, partitions_of, weyl_vectors_in_box
+from qboson.checks.plancherel_checks import _monomial_basis
 from qboson.registry import REGISTRY, run_check
 
 Q = 0.5
@@ -660,6 +663,54 @@ def test_plancherel_forward_records_one_string_circle_per_expanded_row():
     expanded = {label: circles for label, circles in used.items() if "expanded" in label}
     assert expanded == {"k=1 expanded": [[1.0, 0.0, 0.3]], "k=2 expanded": [[1.0, 0.0, 0.3]],
                         "k=3 expanded q=0.25": [[1.0, 0.0, 0.5]]}
+
+
+# The five checks of T = I, at knobs small enough for a quick run.
+IDENTITY_TABLE_CHECKS = {
+    "plancherel-forward": {"box_radius": 1, "nodes": 32},
+    "biorthogonality-spatial": {"box_radius": 1, "nodes": 32},
+    "eps-plancherel": {"nodes": 32},
+    "sd-plancherel": {"nodes": 32},
+    "sd-biorthogonality": {"nodes": 32},
+}
+
+
+@pytest.mark.parametrize("check", IDENTITY_TABLE_CHECKS)
+def test_identity_tables_name_the_worst_entry_and_each_rows_contours(check):
+    # one row per leg: the report names the worst entry (x, y) of the worst
+    # leg, and params["contours"] holds the circles of every leg under its label
+    r = run_check(check, **IDENTITY_TABLE_CHECKS[check])
+    label, x, y = re.fullmatch(r"(.+) worst x=(\(.*\)) y=(\(.*\))",
+                               r.params["worst_case"]).groups()
+    contours = r.params["contours"]
+    assert label in contours and len(contours) == r.params["comparisons"]
+    assert all(len(circles) >= 1 and all(len(c) == 3 for c in circles)
+               for circles in contours.values())
+
+
+def test_identity_tables_hold_a_diagonal_entry_to_the_same_gate(monkeypatch):
+    # T = I but for 1.5 tolerance on one diagonal entry: |T - 1| / 2 would
+    # pass as a relative error, T - 1 against 0 fails
+    import qboson.checks
+
+    def near_identity(states, cs, spec, side="left"):
+        T = np.eye(len(states), dtype=complex)
+        T[1, 1] += 1.5e-6
+        return T
+
+    monkeypatch.setattr(qboson.checks, "composition_table", near_identity)
+    r = run_check("plancherel-forward", box_radius=1, nodes=32, tolerance=1e-6)
+    assert not r.passed
+    assert r.abs_err == r.rel_err == pytest.approx(1.5e-6)
+    assert r.params["worst_case"] == "k=1 nested worst x=(0,) y=(0,)"
+
+
+def test_monomial_basis_is_every_small_chamber_point_in_order():
+    for k in (1, 2, 3):
+        for d in range(6):
+            want = sorted(m for m in itertools.product(range(-d, d + 1), repeat=k)
+                          if list(m) == sorted(m, reverse=True) and sum(map(abs, m)) <= d)
+            assert _monomial_basis(k, d) == want
 
 
 # The checks whose transform tables go through ScatteringGrid.permuted(T, powers).

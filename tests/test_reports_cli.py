@@ -343,6 +343,46 @@ def test_cli_simulate_rejects_nonpositive_paths(capsys, model, paths):
     assert f"--paths must be at least 1, got {paths}" in err
 
 
+@pytest.mark.parametrize("args,reason", [
+    (("simulate", "--model", "oy", "--q", "0.3"), "simulate --model oy reads no --q"),
+    (("simulate", "--model", "oy", "--init-state", "1,0"),
+     "simulate --model oy reads no --init-state"),
+    (("simulate", "--model", "qtasep", "--dt", "0.01"), "simulate --model qtasep reads no --dt"),
+    (("simulate", "--model", "qtasep", "--sites", "3"),
+     "simulate --model qtasep reads no --sites"),
+    (("simulate", "--model", "qboson", "--dt", "0.01", "--sites", "3"),
+     "simulate --model qboson reads no --dt, --sites"),
+    (("simulate", "--model", "qboson", "--paths", "3", "--out", "paths.csv"),
+     "simulate --model qboson writes a trajectory (--out) only with --paths 1"),
+    (("simulate", "--model", "qtasep", "--paths", "2", "--out", "paths.csv"),
+     "simulate --model qtasep writes a trajectory (--out) only with --paths 1"),
+    (("verify", "identity-mqinverse", "--jobs", "0"),
+     "--jobs applies to 'verify all' only, not to identity-mqinverse"),
+    (("verify", "identity-mqinverse", "--jobs", "3"),
+     "--jobs applies to 'verify all' only, not to identity-mqinverse"),
+])
+def test_cli_refuses_a_flag_that_the_command_does_not_read(capsys, monkeypatch, tmp_path,
+                                                           args, reason):
+    monkeypatch.chdir(tmp_path)
+    if args[0] == "simulate":
+        args = (*args, "--t", "0.1")
+    code = main(list(args))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == f"error: {reason}\n" and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_simulate_defaults_are_the_values_it_applied_before(capsys):
+    # q 0.5 for the Gillespie models; dt 1e-3 and 2 sites for oy
+    for model, flags in (("qboson", ["--q", "0.5"]), ("qtasep", ["--q", "0.5"]),
+                         ("oy", ["--dt", "1e-3", "--sites", "2"])):
+        base = ["simulate", "--model", model, "--t", "0.3", "--paths", "3"]
+        assert main(base) == 0
+        implicit = capsys.readouterr().out
+        assert main(base + flags) == 0
+        assert capsys.readouterr().out == implicit
+
+
 def test_cli_simulate_oy_rejects_zero_sites(capsys):
     code, err = _cli_in_process(capsys, "simulate", "--model", "oy", "--t", "0.1",
                                 "--sites", "0")
