@@ -32,7 +32,11 @@ def identity_tables(acc: Accumulator, legs, nodes: int, tolerance: float) -> Non
     Legs run in order.  Each records its worst entry as T[x, y] - delta_xy
     against 0, under "<label> worst x=... y=...", so a diagonal entry meets
     the same gate as any other, and its circles under
-    params["contours"][label]."""
+    params["contours"][label], so labels must differ."""
+    labels = [leg[0] for leg in legs]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ValueError(f"identity-table legs share the labels {repeated}")
     spec = QuadratureSpec(nodes)
     used = acc.params.setdefault("contours", {})
     for label, cs, k, lo, hi in legs:

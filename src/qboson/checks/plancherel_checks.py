@@ -57,7 +57,7 @@ def check_plancherel_forward(acc: Accumulator, q: float = 0.5, box_radius: int =
         ("single-gamma", single_gamma(0.25, k=3)),
         ("expanded", string_circle(0.25, radius=0.5)),
     )]
-    legs.append((f"k=3 nested q={q}", nested_contours(3, q, r_k=0.3), 3, -r, r))
+    legs.append((f"k=3 nested given q={q}", nested_contours(3, q, r_k=0.3), 3, -r, r))
     identity_tables(acc, legs, nodes, tolerance)
 
 

@@ -1,17 +1,23 @@
-"""Generators of the q-Boson system and its deformations.
+"""Generators of the q-Boson system and its semi-discrete degeneration.
 
-Provides pointwise application of the backward / forward / conjugated
-forward generators and their free (separable) counterparts with two-body
-boundary residuals, and their sparse matrices on truncated state boxes.
+Both models follow one rule (`GeneratorKind`): a cluster of c particles
+jumps at rate r(c) and puts d(c) on the diagonal.  The q-Boson model has
+r(c) = 1 - q^c and d(c) = eps r(c); the semi-discrete one has r(c) = c,
+the q -> 1 limit of (1 - q^c)/(1 - q), and d(c) = c - c(c-1)/2, which
+adds the pair potential.  `generator_row` lists the row of every kind
+(backward, forward, conjugated forward and the two free ones) from that
+rule; pointwise application sums f over it, `matrix_on_box` lays out the
+rows of a truncated state box, and the free kinds give two-body boundary
+residuals.
 `absorbing_generator` extends a box matrix by one absorbing state that
 collects the mass leaking out of the box; both exact transition oracles of
 the stochastic (q-Boson forward) family are built on it, uniformization as
 P = I + A_abs / Lambda and the dense oracle as expm(t A_abs).
 
-Matrix convention: entry (i, j) is the coefficient of f(state_j) in
-(A f)(state_i), i.e. columns are sources.  For the stochastic forward
-generator, entry (x, y) is the jump rate y -> x and interior columns sum
-to zero.
+Row convention: row i is state i, and entry (i, j) is the coefficient of
+f(state_j) in (A f)(state_i), i.e. columns are sources.  For the
+stochastic forward generator, entry (x, y) is the jump rate y -> x and
+interior columns sum to zero.
 """
 
 from __future__ import annotations
@@ -34,13 +40,16 @@ from qboson.qcore import (
 )
 
 GENERATOR_KINDS = ("bwd", "fwd", "cfwd", "free-bwd", "free-fwd")
+FREE_KINDS = ("free-bwd", "free-fwd")
 MODELS = ("qboson", "sd")
 
 
 @dataclass(frozen=True)
 class GeneratorKind:
     """A generator of one model; ``q`` and the marked point ``eps``, which
-    scales the diagonal (1 by default), are the q-Boson model's."""
+    scales the diagonal (1 by default), are the q-Boson model's.  The model
+    enters the generators only here: through r(c), d(c) and the boundary
+    slope s."""
 
     kind: str
     model: str = "qboson"
@@ -57,99 +66,90 @@ class GeneratorKind:
         elif self.q is not None or self.eps != 1.0:
             raise ValueError("the semi-discrete model has no q and no marked point eps")
 
+    def rate(self, c: int) -> float:
+        """r(c): 1 - q^c, or c in the semi-discrete model."""
+        return c if self.model == "sd" else 1.0 - self.q**c
+
+    def diagonal(self, c: int) -> float:
+        """d(c): eps r(c), or c - c(c-1)/2 in the semi-discrete model."""
+        return c - c * (c - 1) / 2 if self.model == "sd" else self.eps * self.rate(c)
+
+    @property
+    def slope(self) -> float:
+        """s of the two-body boundary conditions: q, or 1 in the semi-discrete model."""
+        return 1.0 if self.model == "sd" else self.q
+
+    @property
+    def stochastic(self) -> bool:
+        """The q-Boson forward generator at eps = 1, whose columns sum to zero."""
+        return self.kind == "fwd" and self.model == "qboson" and self.eps == 1.0
+
+
+def _moved(coords: tuple, i: int, delta: int) -> tuple:
+    return coords[:i] + (coords[i] + delta,) + coords[i + 1 :]
+
+
+def generator_row(gk: GeneratorKind, n) -> list[tuple[tuple, float]]:
+    """Row n of the generator as (target, coefficient) pairs, the diagonal
+    last: (A f)(n) is the sum of coefficient * f(target).
+
+    bwd moves a cluster's tail down at r(c); cfwd moves its head up at r(c);
+    fwd moves its head up at r(c_prev + 1) when it lands on the cluster of
+    c_prev particles to its left, and at r(1) otherwise.  The free kinds
+    treat each particle as a cluster of one.  The diagonal is -sum d(c).
+    Targets are coordinate tuples; n is a WeylVector for the interacting
+    kinds and any integer vector for the free ones.
+    """
+    coords = tuple(n)
+    free = gk.kind in FREE_KINDS
+    spans = [(i, i + 1) for i in range(len(coords))] if free else cluster_decompose(n)
+    row, diag, c_prev = [], 0.0, 0
+    for head, stop in spans:
+        c = stop - head
+        if gk.kind in ("bwd", "free-bwd"):
+            row.append((_moved(coords, stop - 1, -1), gk.rate(c)))
+        else:
+            merges = head > 0 and coords[head - 1] == coords[head] + 1
+            size = (c_prev + 1 if merges else 1) if gk.kind == "fwd" else c
+            row.append((_moved(coords, head, +1), gk.rate(size)))
+        diag -= gk.diagonal(c)
+        c_prev = c
+    row.append((coords, diag))
+    return row
+
 
 def generator_apply(gk: GeneratorKind, f: Callable, n: WeylVector) -> complex:
-    """Apply the interacting generator at n; f maps WeylVector -> complex."""
-    q, eps = gk.q, gk.eps
-    spans = cluster_decompose(n)
-    out = 0.0 + 0.0j
-
-    if gk.kind == "bwd":
-        for head, stop in spans:
-            c = stop - head
-            tail = stop - 1  # the last particle of the cluster
-            if gk.model == "sd":
-                out += c * (f(n.bump(tail, -1)) - f(n)) + 0.5 * c * (c - 1) * f(n)
-            else:
-                out += (1.0 - q**c) * (f(n.bump(tail, -1)) - eps * f(n))
-        return out
-
-    if gk.kind == "cfwd":
-        for head, stop in spans:
-            c = stop - head
-            if gk.model == "sd":
-                out += c * (f(n.bump(head, +1)) - f(n)) + 0.5 * c * (c - 1) * f(n)
-            else:
-                out += (1.0 - q**c) * (f(n.bump(head, +1)) - eps * f(n))
-        return out
-
-    if gk.kind == "fwd":
-        c_prev = 0  # size of the cluster to the left, 0 before the first
-        for head, stop in spans:
-            c = stop - head
-            # the cluster to the left sits one step above this one
-            merge = head > 0 and n.coords[head - 1] == n.coords[head] + 1
-            if gk.model == "sd":
-                rate_in = (c_prev + 1.0) if merge else 1.0
-                out += rate_in * f(n.bump(head, +1)) - c * f(n) + 0.5 * c * (c - 1) * f(n)
-            else:
-                rate_in = (1.0 - q ** (c_prev + 1)) if merge else (1.0 - q)
-                out += rate_in * f(n.bump(head, +1)) - eps * (1.0 - q**c) * f(n)
-            c_prev = c
-        return out
-
-    raise ValueError(f"{gk.kind} is a free kind; use free_apply")
-
-
-def _grad_bwd(u: Callable, coords: tuple, i: int, eps: float) -> complex:
-    lowered = coords[:i] + (coords[i] - 1,) + coords[i + 1 :]
-    return u(lowered) - eps * u(coords)
-
-
-def _grad_fwd(u: Callable, coords: tuple, i: int, eps: float) -> complex:
-    raised = coords[:i] + (coords[i] + 1,) + coords[i + 1 :]
-    return u(raised) - eps * u(coords)
+    """Apply the interacting generator at n, summing f over its row; f maps
+    WeylVector -> complex."""
+    if gk.kind in FREE_KINDS:
+        raise ValueError(f"{gk.kind} is a free kind; use free_apply")
+    return sum((a * f(WeylVector(t)) for t, a in generator_row(gk, n)), 0j)
 
 
 def free_apply(gk: GeneratorKind, u: Callable, n) -> complex:
-    """Apply the separable free generator at an integer vector n in Z^k.
-
-    ``u`` is a function on Z^k (tuple argument).
-    """
-    coords = tuple(n.coords) if isinstance(n, WeylVector) else tuple(n)
-    k = len(coords)
-    scale = 1.0 if gk.model == "sd" else (1.0 - gk.q)
-    grad = _grad_bwd if gk.kind == "free-bwd" else _grad_fwd
-    if gk.kind not in ("free-bwd", "free-fwd"):
+    """Apply the separable free generator at an integer vector n in Z^k,
+    summing ``u``, a function on Z^k (tuple argument), over its row."""
+    if gk.kind not in FREE_KINDS:
         raise ValueError(f"{gk.kind} is an interacting kind; use generator_apply")
-    return scale * sum(grad(u, coords, i, gk.eps) for i in range(k))
+    return sum((a * u(t) for t, a in generator_row(gk, n)), 0j)
 
 
 def boundary_residual(gk: GeneratorKind, u: Callable, i: int, n) -> complex:
-    """Two-body boundary residual at coordinate pair (i, i+1), 0-based i.
+    """Two-body boundary residual at coordinate pair (i, i+1), 0-based i,
+    evaluated on the diagonal n_i = n_{i+1}, with s = `GeneratorKind.slope`:
 
-    Backward forms: (grad_i - q grad_{i+1}) u for the q-Boson model,
-    (grad_i - grad_{i+1} - 1) u for the semi-discrete one.
-    Forward forms: (q grad_i - grad_{i+1}) u, resp. (1 + grad_i - grad_{i+1}) u.
-    Evaluated on the diagonal n_i = n_{i+1}.
+    backward form u(n - e_i) - s u(n - e_{i+1}) - d(1) u(n),
+    forward form s u(n + e_i) - u(n + e_{i+1}) + d(1) u(n).
     """
-    coords = tuple(n.coords) if isinstance(n, WeylVector) else tuple(n)
+    coords = tuple(n)
     if coords[i] != coords[i + 1]:
         raise ValueError("boundary residual is defined on the diagonal n_i = n_{i+1}")
-    q, eps = gk.q, gk.eps
+    if gk.kind not in FREE_KINDS:
+        raise ValueError("boundary residuals are defined for the free kinds")
+    s, d = gk.slope, gk.diagonal(1)
     if gk.kind == "free-bwd":
-        gi = _grad_bwd(u, coords, i, eps)
-        gi1 = _grad_bwd(u, coords, i + 1, eps)
-        if gk.model == "sd":
-            return gi - gi1 - u(coords)
-        return gi - q * gi1
-    if gk.kind == "free-fwd":
-        gi = _grad_fwd(u, coords, i, eps)
-        gi1 = _grad_fwd(u, coords, i + 1, eps)
-        if gk.model == "sd":
-            return u(coords) + gi - gi1
-        return q * gi - gi1
-    raise ValueError("boundary residuals are defined for the free kinds")
+        return u(_moved(coords, i, -1)) - s * u(_moved(coords, i + 1, -1)) - d * u(coords)
+    return s * u(_moved(coords, i, +1)) - u(_moved(coords, i + 1, +1)) + d * u(coords)
 
 
 def extended_apply(f: Callable, n, q: float) -> complex:
@@ -162,9 +162,9 @@ def extended_apply(f: Callable, n, q: float) -> complex:
     interacting backward generator at every (possibly unordered) n.
     """
     check_q(q)
-    coords = tuple(n.coords) if isinstance(n, WeylVector) else tuple(n)
+    coords = tuple(n)
     k = len(coords)
-    grads = [_grad_bwd(f, coords, i, 1.0) for i in range(k)]
+    grads = [f(_moved(coords, i, -1)) - f(coords) for i in range(k)]
     out = sum(grads)
     for i in range(k):
         for j in range(i + 1, k):
@@ -218,33 +218,20 @@ class StateBox:
 
 
 def matrix_on_box(gk: GeneratorKind, box: StateBox) -> sp.csr_matrix:
-    """Realize generator_apply restricted to the box as a sparse matrix,
-    real whenever every coefficient is."""
-    states = box.states
-    idx = box.index()
+    """The interacting generator restricted to the box as a sparse matrix,
+    row i being `generator_row` at state i; real whenever every
+    coefficient is."""
+    if gk.kind in FREE_KINDS:
+        raise ValueError(f"{gk.kind} is a free kind; it has no matrix on a chamber box")
+    index = {n.coords: i for i, n in enumerate(box.states)}
     rows, cols, vals = [], [], []
-    for j, src in enumerate(states):
-        # Column j: coefficients of (A e_src)(target) for targets in the box.
-        def e_src(m, _src=src):
-            return 1.0 if m == _src else 0.0
-
-        # Collect targets cheaply: A e_src is supported on src and its one-step
-        # neighbours inside the chamber.
-        targets = {src}
-        for i in range(box.k):
-            for d in (-1, +1):
-                try:
-                    targets.add(src.bump(i, d))
-                except ValueError:
-                    pass
-        for tgt in targets:
-            if tgt not in idx:
-                continue
-            v = generator_apply(gk, e_src, tgt)
-            if v != 0:
-                rows.append(idx[tgt])
+    for i, n in enumerate(box.states):
+        for target, a in generator_row(gk, n):
+            j = index.get(target)
+            if j is not None and a != 0:
+                rows.append(i)
                 cols.append(j)
-                vals.append(complex(v))
+                vals.append(a)
     data = np.asarray(vals, dtype=complex)
     if not data.imag.any():
         data = data.real
@@ -326,7 +313,7 @@ def uniformized_transition(
     an absorbing pseudo-state.
     """
     check_time(t)
-    if gk.kind != "fwd" or gk.model != "qboson" or gk.eps != 1.0:
+    if not gk.stochastic:
         raise ValueError("uniformization applies to the stochastic q-Boson forward generator "
                          "(eps = 1)")
     if tol <= 0:

@@ -79,12 +79,6 @@ class WeylVector:
     def total(self) -> int:
         return sum(self.coords)
 
-    def bump(self, i: int, delta: int) -> "WeylVector":
-        """Return the vector with coordinate ``i`` (0-based) shifted by delta."""
-        c = list(self.coords)
-        c[i] += delta
-        return WeylVector(tuple(c))
-
     def bump_range(self, a: int, b: int, delta: int) -> "WeylVector":
         """Shift coordinates a..b inclusive (0-based) by delta."""
         c = list(self.coords)

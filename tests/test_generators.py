@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qboson.eigenfunctions import EigenFamily, eigen_eval
 from qboson.generators import (
@@ -18,7 +19,7 @@ from qboson.generators import (
     reflection_permutation,
     uniformized_transition,
 )
-from qboson.qcore import WeylVector
+from qboson.qcore import WeylVector, cluster_decompose
 
 Q = 0.5
 
@@ -247,3 +248,194 @@ def test_matrix_eigenvalue_on_interior_states():
         for i, n in enumerate(box.states):
             if n.coords[-1] > box.lo:  # interior: the lowered state stays inside
                 assert abs(out[i] - ev * vec[i]) <= 1e-9 * (1 + abs(ev * vec[i]))
+
+
+# Naive reference: the per-model generators written out by hand, as they
+# stood before every kind and model was built from one row.  The row feeds
+# both sides of pt-invariance and of every matrix-exponential oracle, so it
+# is diffed against these.
+def _bump(n, i, delta):
+    """n with coordinate i shifted by delta; ValueError off the chamber."""
+    c = list(n.coords)
+    c[i] += delta
+    return WeylVector(tuple(c))
+
+
+def _ref_generator_apply(gk, f, n):
+    q, eps = gk.q, gk.eps
+    spans = cluster_decompose(n)
+    out = 0.0 + 0.0j
+
+    if gk.kind == "bwd":
+        for head, stop in spans:
+            c = stop - head
+            tail = stop - 1  # the last particle of the cluster
+            if gk.model == "sd":
+                out += c * (f(_bump(n, tail, -1)) - f(n)) + 0.5 * c * (c - 1) * f(n)
+            else:
+                out += (1.0 - q**c) * (f(_bump(n, tail, -1)) - eps * f(n))
+        return out
+
+    if gk.kind == "cfwd":
+        for head, stop in spans:
+            c = stop - head
+            if gk.model == "sd":
+                out += c * (f(_bump(n, head, +1)) - f(n)) + 0.5 * c * (c - 1) * f(n)
+            else:
+                out += (1.0 - q**c) * (f(_bump(n, head, +1)) - eps * f(n))
+        return out
+
+    if gk.kind == "fwd":
+        c_prev = 0  # size of the cluster to the left, 0 before the first
+        for head, stop in spans:
+            c = stop - head
+            # the cluster to the left sits one step above this one
+            merge = head > 0 and n.coords[head - 1] == n.coords[head] + 1
+            if gk.model == "sd":
+                rate_in = (c_prev + 1.0) if merge else 1.0
+                out += rate_in * f(_bump(n, head, +1)) - c * f(n) + 0.5 * c * (c - 1) * f(n)
+            else:
+                rate_in = (1.0 - q ** (c_prev + 1)) if merge else (1.0 - q)
+                out += rate_in * f(_bump(n, head, +1)) - eps * (1.0 - q**c) * f(n)
+            c_prev = c
+        return out
+
+    raise ValueError(f"{gk.kind} is a free kind; use free_apply")
+
+
+def _grad_bwd(u, coords, i, eps):
+    lowered = coords[:i] + (coords[i] - 1,) + coords[i + 1 :]
+    return u(lowered) - eps * u(coords)
+
+
+def _grad_fwd(u, coords, i, eps):
+    raised = coords[:i] + (coords[i] + 1,) + coords[i + 1 :]
+    return u(raised) - eps * u(coords)
+
+
+def _ref_free_apply(gk, u, n):
+    coords = tuple(n.coords) if isinstance(n, WeylVector) else tuple(n)
+    k = len(coords)
+    scale = 1.0 if gk.model == "sd" else (1.0 - gk.q)
+    grad = _grad_bwd if gk.kind == "free-bwd" else _grad_fwd
+    if gk.kind not in ("free-bwd", "free-fwd"):
+        raise ValueError(f"{gk.kind} is an interacting kind; use generator_apply")
+    return scale * sum(grad(u, coords, i, gk.eps) for i in range(k))
+
+
+def _ref_boundary_residual(gk, u, i, n):
+    coords = tuple(n.coords) if isinstance(n, WeylVector) else tuple(n)
+    if coords[i] != coords[i + 1]:
+        raise ValueError("boundary residual is defined on the diagonal n_i = n_{i+1}")
+    q, eps = gk.q, gk.eps
+    if gk.kind == "free-bwd":
+        gi = _grad_bwd(u, coords, i, eps)
+        gi1 = _grad_bwd(u, coords, i + 1, eps)
+        if gk.model == "sd":
+            return gi - gi1 - u(coords)
+        return gi - q * gi1
+    if gk.kind == "free-fwd":
+        gi = _grad_fwd(u, coords, i, eps)
+        gi1 = _grad_fwd(u, coords, i + 1, eps)
+        if gk.model == "sd":
+            return u(coords) + gi - gi1
+        return q * gi - gi1
+    raise ValueError("boundary residuals are defined for the free kinds")
+
+
+def _ref_matrix_on_box(gk, box):
+    states = box.states
+    idx = box.index()
+    rows, cols, vals = [], [], []
+    for j, src in enumerate(states):
+        # Column j: coefficients of (A e_src)(target) for targets in the box.
+        def e_src(m, _src=src):
+            return 1.0 if m == _src else 0.0
+
+        # Collect targets cheaply: A e_src is supported on src and its one-step
+        # neighbours inside the chamber.
+        targets = {src}
+        for i in range(box.k):
+            for d in (-1, +1):
+                try:
+                    targets.add(_bump(src, i, d))
+                except ValueError:
+                    pass
+        for tgt in targets:
+            if tgt not in idx:
+                continue
+            v = _ref_generator_apply(gk, e_src, tgt)
+            if v != 0:
+                rows.append(idx[tgt])
+                cols.append(j)
+                vals.append(complex(v))
+    data = np.asarray(vals, dtype=complex)
+    if not data.imag.any():
+        data = data.real
+    return sp.csr_matrix((data, (rows, cols)), shape=(box.size, box.size))
+
+
+# The model cases of the checks: the q-Boson model at eps 1 and 0.4, and the
+# semi-discrete model.
+MODEL_CASES = [("qboson", Q, 1.0), ("qboson", Q, 0.4), ("sd", None, 1.0)]
+
+
+@pytest.mark.parametrize("kind", ["bwd", "fwd", "cfwd"])
+@pytest.mark.parametrize("model,q,eps", MODEL_CASES)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_box_matrices_match_the_naive_reference_bit_for_bit(kind, model, q, eps, k):
+    box = StateBox(k, -4, 4)
+    gk = GeneratorKind(kind, model, q, eps)
+    got = matrix_on_box(gk, box).toarray()
+    want = _ref_matrix_on_box(gk, box).toarray()
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
+def _random_points(rng, count):
+    """Chamber points of k <= 5 particles with many ties and near-ties."""
+    out = []
+    for _ in range(count):
+        k = int(rng.integers(1, 6))
+        coords = [int(rng.integers(-3, 4))]
+        for _ in range(k - 1):
+            coords.append(coords[-1] - (0 if rng.random() < 0.5 else int(rng.integers(1, 3))))
+        out.append(WeylVector(tuple(coords)))
+    return out
+
+
+def _random_function(rng):
+    table = {}
+
+    def f(m):
+        key = tuple(m)
+        if key not in table:
+            table[key] = complex(*rng.normal(size=2))
+        return table[key]
+
+    return f
+
+
+@pytest.mark.parametrize("model,q,eps", MODEL_CASES)
+def test_pointwise_generators_match_the_naive_reference(model, q, eps):
+    rng = np.random.default_rng(30)
+    points = _random_points(rng, 300)
+    assert max(stop - start for n in points for start, stop in cluster_decompose(n)) >= 3
+    ties = 0
+    for n in points:
+        f = _random_function(rng)
+        pairs = []
+        for kind in ("bwd", "fwd", "cfwd"):
+            gk = GeneratorKind(kind, model, q, eps)
+            pairs.append((generator_apply(gk, f, n), _ref_generator_apply(gk, f, n)))
+        for kind in ("free-bwd", "free-fwd"):
+            gk = GeneratorKind(kind, model, q, eps)
+            pairs.append((free_apply(gk, f, n.coords), _ref_free_apply(gk, f, n.coords)))
+            for i in range(n.k - 1):
+                if n.coords[i] == n.coords[i + 1]:
+                    ties += 1
+                    pairs.append((boundary_residual(gk, f, i, n),
+                                  _ref_boundary_residual(gk, f, i, n)))
+        for got, want in pairs:
+            assert abs(got - want) <= 1e-13 * (1 + abs(want))
+    assert ties > 100

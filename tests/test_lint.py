@@ -298,3 +298,50 @@ def test_every_check_reads_each_keyword_it_declares():
     found = [f"{cid}: {kw}" for cid, cd in REGISTRY.items()
              for _, kw in unread_check_keywords(textwrap.dedent(inspect.getsource(cd.fn)))]
     assert not found, "check keywords that the check never reads:\n" + "\n".join(found)
+
+
+def model_branches(source: str, owner: str = "GeneratorKind") -> list[tuple[int, str]]:
+    """(line, what) of each read of a ``.model`` attribute and each
+    comparison with the string "sd" or "qboson", outside the class ``owner``."""
+    tree = ast.parse(source)
+    inside = {id(n) for node in tree.body if isinstance(node, ast.ClassDef)
+              and node.name == owner for n in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "model" and isinstance(node.ctx, ast.Load):
+            found.append((node.lineno, ".model"))
+        elif isinstance(node, ast.Compare):
+            found += [(node.lineno, repr(n.value)) for side in (node.left, *node.comparators)
+                      for n in ast.walk(side)
+                      if isinstance(n, ast.Constant) and n.value in ("sd", "qboson")]
+    return sorted(found)
+
+
+def test_model_branch_detection():
+    source = ("MODELS = ('qboson', 'sd')\n"
+              "class GeneratorKind:\n"
+              "    model: str = 'qboson'\n"
+              "    def rate(self, c):\n"
+              "        return c if self.model == 'sd' else 1.0 - self.q**c\n"
+              "def apply(gk, f):\n"
+              "    if gk.model == 'sd':\n"
+              "        return f(0)\n"
+              "    return gk.rate(1) if 'qboson' != gk.kind else 0.0\n"
+              "def build(gk, model):\n"
+              "    gk.model = model\n"
+              "    return model in ('sd', 'other')\n"
+              "class Other:\n"
+              "    def read(self, gk):\n"
+              "        return gk.model\n")
+    assert model_branches(source) == [(7, "'sd'"), (7, ".model"), (9, "'qboson'"),
+                                      (12, "'sd'"), (15, ".model")]
+
+
+def test_generators_branch_on_the_model_only_in_generator_kind():
+    # both models are one rule, r(c) and d(c) of GeneratorKind; a branch on
+    # the model elsewhere in generators.py would write a model out by hand
+    found = model_branches((SRC / "generators.py").read_text())
+    assert not found, "model branches outside GeneratorKind:\n" + "\n".join(
+        f"generators.py:{line} {what}" for line, what in found)

@@ -705,6 +705,28 @@ def test_identity_tables_hold_a_diagonal_entry_to_the_same_gate(monkeypatch):
     assert r.params["worst_case"] == "k=1 nested worst x=(0,) y=(0,)"
 
 
+@pytest.mark.parametrize("q", [0.25, 0.5])
+def test_plancherel_forward_gives_every_row_its_own_contours(q):
+    # at q = 0.25 the k = 3 nested leg at the given q runs at the same q as
+    # the frozen k = 3 legs, and still needs a label of its own
+    r = run_check("plancherel-forward", q=q, box_radius=1, nodes=32)
+    contours = r.params["contours"]
+    assert r.params["comparisons"] == len(contours) == 10
+    assert f"k=3 nested given q={q}" in contours and "k=3 nested q=0.25" in contours
+
+
+def test_identity_tables_refuse_a_repeated_label():
+    from qboson.checks import identity_tables
+    from qboson.report import Accumulator
+
+    cs = nested_contours(1, 0.5, r_k=0.3)
+    legs = [("k=1", cs, 1, 0, 0), ("k=1 again", cs, 1, 0, 0), ("k=1", cs, 1, -1, 0)]
+    acc = Accumulator("t", {}, 0)
+    with pytest.raises(ValueError, match=r"share the labels \['k=1'\]"):
+        identity_tables(acc, legs, 16, 1e-6)
+    assert acc.count == 0  # refused before any table is built
+
+
 def test_monomial_basis_is_every_small_chamber_point_in_order():
     for k in (1, 2, 3):
         for d in range(6):
