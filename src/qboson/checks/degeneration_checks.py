@@ -11,9 +11,8 @@ from qboson.contours import (
     Circle,
     ContourSystem,
     nested_contours,
-    sd_nested_contours,
-    sd_string_circle,
     single_gamma,
+    string_circle,
 )
 from qboson.degenerations import (
     admissible_F,
@@ -50,7 +49,7 @@ def check_eps_plancherel(acc: Accumulator, q: float = 0.5, eps: float = 0.5,
         legs += [(f"k={k} nested", nested_contours(k, q, r_k=0.3 * eps, center=eps), k, -3, 3),
                  (f"k={k} single-gamma", single_gamma(q, k=k, eps=eps), k, -3, 3)]
         cs = ContourSystem((Circle(complex(eps), 0.6 * eps * (1 - q) / (1 + q)),),
-                           "string-product", q=q, eps=eps)
+                           "string", q=q, eps=eps)
         legs.append((f"k={k} expanded", cs, k, -2, 2))
     identity_tables(acc, legs, nodes, tolerance)
 
@@ -180,8 +179,8 @@ def check_sd_eigen(acc: Accumulator, tolerance: float = 1e-10, seed: int = 0) ->
 def check_sd_plancherel(acc: Accumulator, nodes: int = 128, tolerance: float = 1e-6) -> None:
     """Identity resolution for the semi-discrete transform pair, k <= 2."""
     legs = [(f"k={k} {mode}", cs, k, -3, 3) for k in (1, 2) for mode, cs in (
-        ("nested", sd_nested_contours(k)),
-        ("expanded", sd_string_circle(0.4)),
+        ("nested", nested_contours(k, None, r_k=0.4, margin=0.1)),
+        ("expanded", string_circle(None, radius=0.4)),
     )]
     identity_tables(acc, legs, nodes, tolerance)
 
@@ -190,7 +189,7 @@ def check_sd_biorthogonality(acc: Accumulator, nodes: int = 128,
                              tolerance: float = 1e-6) -> None:
     """Spatial biorthogonality of the semi-discrete eigenfunctions via the
     additive-string pairing (the expanded composition form)."""
-    identity_tables(acc, [(f"k={k}", sd_string_circle(0.4), k, -2, 3) for k in (1, 2)],
+    identity_tables(acc, [(f"k={k}", string_circle(None, radius=0.4), k, -2, 3) for k in (1, 2)],
                     nodes, tolerance)
 
 

@@ -41,7 +41,7 @@ def check_plancherel_forward(acc: Accumulator, q: float = 0.5, box_radius: int =
     all three evaluation modes, k = 1..3.
 
     k <= 2 runs at the given q; the k = 3 leg runs at q = 0.25 where the
-    string-product circle can be large enough (its radius is capped at
+    string circle can be large enough (its radius is capped at
     (1-q)/(1+q)) to keep the power-contraction roundoff amplification of
     the extreme box corners below tolerance, and the nested mode is
     additionally run at the given q.

@@ -4,15 +4,15 @@ The transforms and moment formulas are k-fold integrals over nested circles
 whose validity rests on a handful of containment inequalities.  Contour
 systems are built here and validated before use.  A system is the one
 source of q, of the marked point eps (the eps-deformed system is the
-q-Boson family at eps) and of the model (`ContourSystem.model`) for every
-evaluator on it, and its family is the evaluation mode of the inverse
-transform, the one small circle of a string expansion (`string_circle`,
-`sd_string_circle`) included; one nested and one string rule validate
-both models' families.  `integrate` evaluates the k-fold product
-trapezoidal rule (geometrically convergent for integrands analytic near
-the circles) with an embedded-subgrid error estimate; `plan_nodes`
-doubles a node count until an error estimate meets a target; and
-`contract_powers` is the one batched kernel that evaluates a grid
+q-Boson family at eps) and of the model (q None is the semi-discrete one,
+as in `qcore.step`) for every evaluator on it; its family is a shape,
+nested, single or string, with one rule for both models, and is the
+evaluation mode of the inverse transform.  `nested_contours` and
+`string_circle` draw both models' circles from the step.  `integrate`
+evaluates the k-fold product trapezoidal rule (geometrically convergent
+for integrands analytic near the circles) with an embedded-subgrid error
+estimate; `plan_nodes` doubles a node count until an error estimate
+meets a target; and `contract_powers` is the one batched kernel that evaluates a grid
 integrand against many integer powers of its one-particle bases at once; every
 transform table (inverse transform, identity resolution, pairings, the
 spectral orthogonality window) goes through it.  Several components may
@@ -31,15 +31,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from qboson.qcore import check_q, marked_point, step
+from qboson.qcore import check_domain, check_q, marked_point, step
 
-CONTOUR_FAMILIES = (
-    "qboson-nested",
-    "qboson-single",
-    "sd-nested",
-    "string-product",
-    "sd-string-product",
-)
+CONTOUR_FAMILIES = ("nested", "single", "string")
 
 
 class ContourError(ValueError):
@@ -72,24 +66,31 @@ class Circle:
         return self.radius * np.exp(1j * theta) / m
 
 
+def _step_gap(mark: float, q: float | None) -> tuple[float, float]:
+    """|step(mark) - mark| and the slope (q, or 1) of the affine step; the
+    gap is |(slope - 1) mark + step(0)|, which rounds as mark (1 - q)."""
+    slope = step(1.0, 1, q) - step(0.0, 1, q)
+    return abs((slope - 1.0) * mark + step(0.0, 1, q)), slope
+
+
 @dataclass(frozen=True)
 class ContourSystem:
-    """Validated circles for one of the integral families, and the one
-    source of the q, the marked point eps and the model (`model`) that
-    every evaluator on them reads.
+    """Validated circles of one shape, and the one source of the q, the
+    marked point eps and the model that every evaluator on them reads.
 
-    The q-Boson families mark eps (1 by default, the eps-deformed system
-    otherwise) and step z -> qz; the semi-discrete ones have no q and no
-    eps, mark 0 and step z -> z + 1.  Nested families: every circle
-    contains the mark, gamma_A encloses the image of gamma_B under the
-    step for A < B, and the innermost excludes step(mark).  String
-    families: copies of one small circle centred at the mark that clears
-    its own image.  qboson-single: its circle contains eps and its q-image.
+    q None is the semi-discrete model (`qcore.step`): it steps z -> z + 1,
+    marks 0 and has no eps; a q-Boson q steps z -> qz and marks eps (1 by
+    default, the eps-deformed system otherwise).  One rule per shape, for
+    both models.  nested: every circle contains the mark, gamma_A encloses
+    the image of gamma_B under the step for A < B, and the innermost
+    excludes step(mark).  string: copies of one small circle centred at the
+    mark that clears its own image.  single: its circle contains the mark
+    and its own image (which no semi-discrete circle can).
     """
 
     circles: tuple[Circle, ...]
     family: str
-    q: float | None = None
+    q: float | None
     eps: float = 1.0
 
     def __post_init__(self):
@@ -103,8 +104,9 @@ class ContourSystem:
 
     @property
     def model(self) -> str:
-        """The eigenfunction model of the family: "sd" or "qboson"."""
-        return "sd" if self.family.startswith("sd-") else "qboson"
+        """The eigenfunction model, read from q as `qcore.step` reads it:
+        "sd" at q None, "qboson" otherwise."""
+        return "sd" if self.q is None else "qboson"
 
     @property
     def mark(self) -> float:
@@ -119,13 +121,9 @@ class ContourSystem:
         return Circle(self.step(c.center), c.radius * (self.step(1.0) - self.step(0.0)))
 
     def validate(self) -> None:
-        cs = self.circles
-        if self.model == "qboson":
-            check_q(self.q)
-        elif self.q is not None or self.eps != 1.0:
-            raise ContourError("the semi-discrete contours have no q and no marked point eps")
-        mark = self.mark
-        if self.family.endswith("-nested"):
+        check_domain(self.q, self.eps, self.model, ContourError)
+        cs, mark = self.circles, self.mark
+        if self.family == "nested":
             for j, c in enumerate(cs):
                 if not c.contains_point(mark):
                     raise ContourError(f"circle {j+1} does not contain the point {mark}")
@@ -136,7 +134,7 @@ class ContourSystem:
                                            f"circle {b+1} under the step")
             if cs[-1].contains_point(self.step(mark)):
                 raise ContourError(f"innermost circle contains {self.step(mark)}")
-        elif self.family == "qboson-single":
+        elif self.family == "single":
             c = cs[0]
             if not c.contains_point(mark):
                 raise ContourError(f"circle does not contain the point {mark}")
@@ -148,7 +146,7 @@ class ContourSystem:
             # image so that string components never collide across axes.
             c0 = cs[0]
             if any(c != c0 for c in cs):
-                raise ContourError("string-product circles must all coincide")
+                raise ContourError("string circles must all coincide")
             if c0.center != mark:
                 raise ContourError(f"string circle centred at {c0.center}, not at the "
                                    f"marked point {mark}")
@@ -176,23 +174,25 @@ def default_inner_radius(q: float, eps: float = 1.0) -> float:
 
 def nested_contours(
     k: int,
-    q: float,
+    q: float | None,
     r_k: float | None = None,
     margin: float | None = None,
     center: float = 1.0,
 ) -> ContourSystem:
-    """qboson-nested circles centered at the marked point ``center`` (eps).
+    """Nested circles about the marked point (eps = ``center``, or 0 at q None).
 
-    Radii satisfy r_j = center (1-q) + q r_{j+1} + margin going outward, the
-    minimal growth that keeps q * gamma_{j+1} strictly inside gamma_j.  The
-    margin is also the closest approach of the kernel poles z_A = q z_B to
-    the circles, hence it controls the trapezoid convergence rate; the
-    default 0.3 center (1-q) keeps 128 nodes comfortably past 1e-9.  The
-    package's callers all pass r_k; the default (`default_inner_radius`)
-    stays while the benchmark worker's quadrature probe
+    Radii satisfy r_j = |step(mark) - mark| + slope r_{j+1} + margin going
+    outward (center (1-q) + q r_{j+1} + margin, or r_{j+1} + 1 + margin),
+    the minimal growth that keeps step(gamma_{j+1}) strictly inside gamma_j.
+    The margin is also the closest approach of the kernel poles z_A =
+    step(z_B) to the circles, hence it controls the trapezoid convergence
+    rate.  The defaults are the q-Boson model's: `default_inner_radius` and
+    margin 0.3 center (1-q), which keeps 128 nodes comfortably past 1e-9;
+    they stay while the benchmark worker's quadrature probe
     (perfbench/worker.py) calls ``nested_contours(3, q)``.
     """
-    check_q(q)
+    if q is not None:
+        check_q(q)
     if center <= 0:
         raise ContourError("contour center must be positive")
     if r_k is None:
@@ -203,46 +203,39 @@ def nested_contours(
         raise ContourError("innermost radius must be positive")
     if margin <= 0:
         raise ContourError("margin must be positive")
+    mark = marked_point(center, q)
+    gap, slope = _step_gap(mark, q)
     radii = [r_k]
     for _ in range(k - 1):
-        radii.append(center * (1.0 - q) + q * radii[-1] + margin)
+        radii.append(gap + slope * radii[-1] + margin)
     radii.reverse()
-    circles = tuple(Circle(complex(center), r) for r in radii)
-    return ContourSystem(circles, "qboson-nested", q=q, eps=center)
+    circles = tuple(Circle(complex(mark), r) for r in radii)
+    return ContourSystem(circles, "nested", q=q, eps=center)
 
 
-def string_circle(q: float, k: int = 1, alpha: float = 0.0,
+def string_circle(q: float | None, k: int = 1, alpha: float = 0.0,
                   radius: float | None = None) -> ContourSystem:
-    """The one small circle of a q-Boson string expansion at k, as a
-    validated one-circle string-product system: about 1, radius
-    min(0.6 (1-q)/(1+q), 0.6 (1 - alpha/q^k)) by default; below those
-    bounds it clears its own q-image and the strings q^j w, j < k, clear
-    the pole alpha/q.
+    """The one small circle of a string expansion at k, as a validated
+    one-circle string system about the marked point (1, or 0 at q None).
+    Below |step(mark) - mark| / (1 + slope), (1-q)/(1+q) or 1/2, it clears
+    its own image, and below 1 - alpha/q^k the strings q^j w, j < k, clear
+    the pole alpha/q (the semi-discrete model has no alpha); by default
+    its radius is 0.6 times the smaller bound.
     """
-    check_q(q)
-    gap = 1.0 - alpha / q**k  # how far 1 lies from alpha/q^k, where q^{k-1} w meets alpha/q
+    if q is not None:
+        check_q(q)
+    elif alpha != 0:
+        raise ContourError("the semi-discrete string circle has no pole alpha")
+    mark = marked_point(1.0, q)
+    step_gap, slope = _step_gap(mark, q)
+    # how far 1 lies from alpha/q^k, where q^{k-1} w meets alpha/q
+    gap = math.inf if q is None else 1.0 - alpha / q**k
     if radius is None:
-        radius = 0.6 * min((1.0 - q) / (1.0 + q), gap)
+        radius = 0.6 * min(step_gap / (1.0 + slope), gap)
     if radius >= gap:
         raise ContourError(f"string circle of radius {radius} reaches the pole: "
                            f"its strings meet alpha/q at |w - 1| = {gap}")
-    return ContourSystem((Circle(1 + 0j, radius),), "string-product", q=q)
-
-
-def sd_string_circle(radius: float = 0.2) -> ContourSystem:
-    """The semi-discrete string circle about 0; below radius 1/2 no string w + j meets it."""
-    return ContourSystem((Circle(0j, radius),), "sd-string-product")
-
-
-def sd_nested_contours(k: int) -> ContourSystem:
-    """Nested circles around 0 with r_k = 0.4 and r_j = r_{j+1} + 1.1: the
-    innermost excludes 1 and each step exceeds the unit shift."""
-    radii = [0.4]
-    for _ in range(k - 1):
-        radii.append(radii[-1] + 1.1)
-    radii.reverse()
-    circles = tuple(Circle(0.0 + 0.0j, r) for r in radii)
-    return ContourSystem(circles, "sd-nested")
+    return ContourSystem((Circle(complex(mark), radius),), "string", q=q)
 
 
 def single_gamma(q: float, k: int = 1, eps: float = 1.0) -> ContourSystem:
@@ -252,17 +245,17 @@ def single_gamma(q: float, k: int = 1, eps: float = 1.0) -> ContourSystem:
     its own q-image, since |center| < radius.
     """
     circles = tuple(Circle(0.0 + 0.0j, 1.5) for _ in range(k))
-    return ContourSystem(circles, "qboson-single", q=q, eps=eps)
+    return ContourSystem(circles, "single", q=q, eps=eps)
 
 
-def gamma_prime(inner: ContourSystem | Circle) -> Circle:
+def gamma_prime(inner: ContourSystem) -> Circle:
     """Outer circle of radius 4 with min |p - w| on it exceeding max |p - z|
     on the inner one.
 
     For inner radius 1.5 around 0 and any marked point p in [0, 1], radius 4
     gives min |p - w| >= 3 > 2.5 >= max |p - z|.
     """
-    c = inner if isinstance(inner, Circle) else inner.circles[0]
+    c = inner.circles[0]
     if 4.0 <= abs(c.center) + c.radius:
         raise ContourError("outer circle must contain the inner one")
     return Circle(c.center, 4.0)

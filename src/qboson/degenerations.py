@@ -12,7 +12,10 @@ it reduces to the Cauchy-Littlewood summation identity.
 
 The semi-discrete family (base z, unit-shifted scattering) governs the
 joint moments of the semi-discrete stochastic heat equation, simulated
-here by an exponential integrator of the coupled linear SDE system.
+here by an exponential integrator of the coupled linear SDE system.  Its
+contours come from the same builders as the q-Boson ones, at q None
+(`contours.string_circle`, `contours.nested_contours`), where the step
+is z -> z + 1 in place of z -> qz.
 """
 
 from __future__ import annotations
@@ -20,20 +23,19 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from qboson.contours import (
-    ContourSystem,
     QuadratureSpec,
     _grid_chunks,
     gamma_prime,
     grid_nodes_weights,
     integrate,
-    sd_string_circle,
     single_gamma,
+    string_circle,
 )
 from qboson.eigenfunctions import (
     EigenFamily,
@@ -352,8 +354,7 @@ def spectral_orthogonality_sides(F: Callable, G: Callable, eps: float, k: int,
     gamma = single_gamma(q, k=k, eps=eps)
     r_in = gamma.circles[0].radius
     outer_circle = gamma_prime(gamma)
-    gamma_out = ContourSystem(tuple(outer_circle for _ in range(k)), gamma.family,
-                              q=q, eps=eps)
+    gamma_out = replace(gamma, circles=(outer_circle,) * k)
     fam_r = EigenFamily("qboson-right", q, eps)
     fam_l = EigenFamily("qboson-left", q, eps)
 
@@ -447,13 +448,13 @@ def sd_moment_formula(n: WeylVector, t: float) -> MomentResult:
         prod_{A<B} (z_A - z_B)/(z_A - z_B - 1) prod_j z_j^{-n_j} e^{t (z_j - 1)},
 
     evaluated as its additive string expansion on one small circle about 0
-    (`contours.sd_string_circle`).
+    of radius 0.2 (`contours.string_circle` at q None).
     """
     check_time(t)
     if n.coords[-1] < 1:
         raise ValueError("moment indices must satisfy n_k >= 1")
     factors = [lambda z, nj=nj: z ** (-nj) * np.exp(t * (z - 1.0)) for nj in n.coords]
-    return string_moment(factors, sd_string_circle())
+    return string_moment(factors, string_circle(None, radius=0.2))
 
 
 def sd_moment_poisson_chain(n: int, t: float) -> float:

@@ -65,7 +65,6 @@ class QTasepState:
     """Strictly decreasing particle positions x_1 > x_2 > ... > x_N."""
 
     positions: tuple[int, ...]
-    time: float = 0.0
 
     def __post_init__(self):
         for a, b in zip(self.positions, self.positions[1:]):
@@ -319,7 +318,7 @@ def string_moment(factors: Sequence[Callable], cs: ContourSystem,
                   prefactor: float = 1.0) -> MomentResult:
     """prefactor times the k = len(factors)-fold nested integral of the
     kernel of ``cs``'s model times prod_j factors[j](z_j), as its string
-    expansion on the string circle ``cs`` (`contours.string_circle`, `sd_string_circle`), with
+    expansion on the string circle ``cs`` (`contours.string_circle`), with
     nodes planned to MOMENT_TARGET up to `default_nodes(k)`."""
     k = len(factors)
 

@@ -67,6 +67,7 @@ from qboson.contours import contract_powers
 from qboson.qcore import (
     CompactFn,
     WeylVector,
+    check_domain,
     check_q,
     cluster_weights,
     cq_weight,
@@ -110,12 +111,7 @@ class EigenFamily:
         model, side = self.kind.split("-")
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "side", side)
-        if model == "qboson":
-            check_q(self.q)
-            if self.eps < 0:
-                raise ValueError("eps must be >= 0")
-        elif self.q is not None or self.eps != 1.0:
-            raise ValueError("the semi-discrete family has no q and no marked point eps")
+        check_domain(self.q, self.eps, model)
 
     @property
     def mark(self) -> float:

@@ -32,6 +32,7 @@ from scipy.linalg import expm
 
 from qboson.qcore import (
     WeylVector,
+    check_domain,
     check_q,
     check_time,
     cluster_decompose,
@@ -61,10 +62,7 @@ class GeneratorKind:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        if self.model == "qboson":
-            check_q(self.q)
-        elif self.q is not None or self.eps != 1.0:
-            raise ValueError("the semi-discrete model has no q and no marked point eps")
+        check_domain(self.q, self.eps, self.model)
 
     def rate(self, c: int) -> float:
         """r(c): 1 - q^c, or c in the semi-discrete model."""
@@ -274,9 +272,6 @@ class TransitionPMF:
     probs: dict[WeylVector, float]
     absorbed: float
     tail_bound: float
-
-    def total(self) -> float:
-        return sum(self.probs.values())
 
     def __getitem__(self, n) -> float:
         if not isinstance(n, WeylVector):

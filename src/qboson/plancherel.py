@@ -7,14 +7,14 @@ circle against the k-string-free measure, or as a sum over partitions of
 string-specialized integrals against the measure `mu_weight`.
 
 That three-way choice is made in one place, `_spectral_slabs`, and the
-contour system is the choice: a nested family gives the nested mode, a
-single-circle family the single-gamma mode, and a string-product family
-(`contours.string_circle`, `sd_string_circle`) the partition-expanded
-mode.  The contour system is also the one source of q, of the marked
-point eps (the eps-deformed system is the q-Boson family at eps) and of
-the model (its family is ``sd-*`` or not): no evaluator here takes them
-beside it.  Its step (`qcore.step`, `qcore.pair_gap`) builds the strings
-and nested kernel.  For each grid slab the dispatch yields the spectral
+shape of the contour system is the choice: ``nested`` gives the nested
+mode, ``single`` the single-gamma mode, and ``string``
+(`contours.string_circle`) the partition-expanded mode.  The contour
+system is also the one source of q, of the marked point eps (the
+eps-deformed system is the q-Boson family at eps) and of the model (q
+None is the semi-discrete one): no evaluator here takes them beside it.
+Its step (`qcore.step`, `qcore.pair_gap`) builds the strings and nested
+kernel.  For each grid slab the dispatch yields the spectral
 components, the measure and the permutation terms of the y-side
 eigenfunction family, and every mode pairs each component with its base
 at the exponent -n - 1.  The batched evaluators consume it without naming
@@ -55,6 +55,7 @@ along the trapezoid rule's geometric rate to min(d, d^2/|value|).
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -292,14 +293,13 @@ def _state_coords(states: Sequence[WeylVector]) -> np.ndarray:
 
 def _spectral_slabs(k: int, cs: ContourSystem, spec: QuadratureSpec, side: str):
     """Yield the slabs of the k-fold inverse transform in the evaluation
-    mode of ``cs``'s family, paired on the y side with the ``side``
+    mode of ``cs``'s shape, paired on the y side with the ``side``
     eigenfunctions of its model, q and marked point.
 
-    A nested family: the k circles of ``cs``, measure W times the nested
-    kernel, no y eigenfunction (the identity term).  A single-circle
-    family: the k circles of ``cs``, measure W dmu_{(1)^k}.  A
-    string-product family: for each partition lam of k, ell(lam) copies of
-    its one circle, measure W dmu_lam at the string point w o lam.  Every
+    nested: the k circles of ``cs``, measure W times the nested kernel, no
+    y eigenfunction (the identity term).  single: the k circles of ``cs``,
+    measure W dmu_{(1)^k}.  string: for each partition lam of k, ell(lam)
+    copies of its one circle, measure W dmu_lam at the string point w o lam.  Every
     mode pairs each component with its base at the exponent
     power_sign * n - 1; in the string modes the -1 is
     prod_m 1/base(comp_m) = 1/prod_j (w_j; q)_{lam_j} (at the marked point
@@ -309,7 +309,7 @@ def _spectral_slabs(k: int, cs: ContourSystem, spec: QuadratureSpec, side: str):
     The semi-discrete sign (-1)^k, which survives the string expansion, is
     `composition_table`'s.
     """
-    nested, single = cs.family.endswith("-nested"), cs.family.endswith("-single")
+    nested, single = cs.family == "nested", cs.family == "single"
     if (nested or single) and cs.k != k:
         raise ValueError(f"{cs.family} contours need one circle per particle: "
                          f"{cs.k} circles for k = {k}")
@@ -325,8 +325,7 @@ def _spectral_slabs(k: int, cs: ContourSystem, spec: QuadratureSpec, side: str):
     lams = [Partition((1,) * k)] if single else partitions_of(k)
     for lam in lams:
         axis_of = tuple(s for s, part in enumerate(lam.parts) for _ in range(part))
-        sub = cs if single else ContourSystem(cs.circles[:1] * lam.length, cs.family, q=cs.q,
-                                              eps=cs.eps)
+        sub = cs if single else replace(cs, circles=cs.circles[:1] * lam.length)
         for ws, W in _grid_chunks(sub, spec):
             # w o lam: the strings w, step(w), step(w, 2), ...
             comps = [cs.step(ws[s], i) for s, part in enumerate(lam.parts) for i in range(part)]
@@ -474,7 +473,7 @@ def residue_expand_sum(Fs: Sequence[Callable], k: int, cs: ContourSystem,
     sum_sigma S^left(sigma) F(sigma z), on ell(lam) copies of the one
     string circle of ``cs`` (`contours.string_circle`): the expanded slabs
     of `_spectral_slabs` with the left family, F taken at the permuted
-    string components.  On an sd-string-product circle the family is the
+    string components.  On a semi-discrete circle (q None) the family is the
     semi-discrete one, for the kernel prod_{A<B} (z_A - z_B)/(z_A - z_B - 1).
     Returns the values and
     each one's embedded half-grid estimate: the half-grid sum of each

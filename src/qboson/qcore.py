@@ -29,6 +29,19 @@ def check_q(q: float) -> float:
     return q
 
 
+def check_domain(q: float | None, eps: float, model: str, error: type = ValueError) -> None:
+    """The (q, eps) domain of every family, generator and contour system: a
+    q-Boson q (`check_q`) and eps >= 0, or for "sd" no q and eps 1.  The eps
+    refusals raise ``error``."""
+    if model == "sd":
+        if q is not None or eps != 1.0:
+            raise error("the semi-discrete model has no q and no marked point eps")
+    else:
+        check_q(q)
+        if not eps >= 0:
+            raise error("eps must be >= 0")
+
+
 def step(z, j: int, q: float | None):
     """z q^j, or z + j for the semi-discrete model (q None); q^-1 is 1.0 / q."""
     return z + j if q is None else z * (q**j if j >= 0 else 1.0 / q**-j)
@@ -75,9 +88,6 @@ class WeylVector:
 
     def __getitem__(self, i):
         return self.coords[i]
-
-    def total(self) -> int:
-        return sum(self.coords)
 
     def bump_range(self, a: int, b: int, delta: int) -> "WeylVector":
         """Shift coordinates a..b inclusive (0-based) by delta."""

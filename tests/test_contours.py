@@ -14,7 +14,6 @@ from qboson.contours import (
     nested_contours,
     plan_nodes,
     power_matrix,
-    sd_nested_contours,
     single_gamma,
     string_circle,
 )
@@ -31,14 +30,14 @@ def test_nested_radii_recurrence():
 
 def test_innermost_must_exclude_q():
     with pytest.raises(ContourError, match="innermost"):
-        ContourSystem((Circle(1.0, 0.6),), "qboson-nested", q=Q)
+        ContourSystem((Circle(1.0, 0.6),), "nested", q=Q)
 
 
 def test_validator_soundness():
     # shrinking r_A below (1-q) + q r_B flips the validator to reject
-    ContourSystem((Circle(1.0, 0.56), Circle(1.0, 0.1)), "qboson-nested", q=Q)
+    ContourSystem((Circle(1.0, 0.56), Circle(1.0, 0.1)), "nested", q=Q)
     with pytest.raises(ContourError, match="does not contain the image of circle 2"):
-        ContourSystem((Circle(1.0, 0.549), Circle(1.0, 0.1)), "qboson-nested", q=Q)
+        ContourSystem((Circle(1.0, 0.549), Circle(1.0, 0.1)), "nested", q=Q)
 
 
 def test_exclusions_enforced():
@@ -53,11 +52,11 @@ def test_exclusions_enforced():
 
 
 def test_string_circle_sits_at_the_marked_point():
-    # the string-product system's eps is its circle's centre
-    cs = ContourSystem((Circle(0.5, 0.1),), "string-product", q=Q, eps=0.5)
-    assert (cs.model, sd_nested_contours(1).model) == ("qboson", "sd")
+    # the string system's eps is its circle's centre
+    cs = ContourSystem((Circle(0.5, 0.1),), "string", q=Q, eps=0.5)
+    assert (cs.model, string_circle(None).model) == ("qboson", "sd")
     with pytest.raises(ContourError, match="not at the marked point 1.0"):
-        ContourSystem((Circle(0.5, 0.1),), "string-product", q=Q)
+        ContourSystem((Circle(0.5, 0.1),), "string", q=Q)
 
 
 def test_single_gamma_geometry():
@@ -71,75 +70,152 @@ def test_single_gamma_geometry():
 
 
 def test_sd_nesting():
-    cs = sd_nested_contours(3)
-    assert cs.circles[-1].radius == pytest.approx(0.4)
+    # at q None the step is z -> z + 1: circles about 0, r_j = r_{j+1} + 1 + margin
+    assert [c.radius for c in nested_contours(4, None, r_k=0.4, margin=0.1).circles] == [
+        3.7, 2.6, 1.5, 0.4]
+    cs = nested_contours(3, None, r_k=0.4, margin=0.1)
     for a in range(2):
         assert cs.circles[a].encloses(cs.image(cs.circles[a + 1]))  # 1 + the next circle
     with pytest.raises(ContourError, match="innermost circle contains 1"):
-        ContourSystem((Circle(0.0, 2.3), Circle(0.0, 1.2)), "sd-nested")
+        ContourSystem((Circle(0.0, 2.3), Circle(0.0, 1.2)), "nested", q=None)
 
+
+BUILDER_QS = (0.1, 0.25, 0.3, 0.5, 0.7, 0.9)
+
+
+def _bits(circles):
+    """The bits of each circle's centre and radius; hex keeps a zero's sign."""
+    return [(complex(c.center).real.hex(), complex(c.center).imag.hex(), float(c.radius).hex())
+            for c in circles]
+
+
+def _written_nested(k, q, r_k=None, margin=None, center=1.0):
+    """The nested circles written out per model: about eps = center with
+    r_j = center (1 - q) + q r_{j+1} + margin (defaults r_k = center
+    min(0.1, (1 - q)/4) and margin 0.3 center (1 - q)), or at q None about
+    0 with r_j = r_{j+1} + 1.1 from r_k = 0.4."""
+    if q is None:
+        radii = [0.4]
+        for _ in range(k - 1):
+            radii.append(radii[-1] + 1.1)
+        return _bits(Circle(0j, r) for r in reversed(radii))
+    if r_k is None:
+        r_k = center * min(0.1, (1.0 - q) / 4.0)
+    if margin is None:
+        margin = 0.3 * center * (1.0 - q)
+    radii = [r_k]
+    for _ in range(k - 1):
+        radii.append(center * (1.0 - q) + q * radii[-1] + margin)
+    return _bits(Circle(complex(center), r) for r in reversed(radii))
+
+
+def test_builders_match_the_written_circles_bit_for_bit():
+    # one builder per shape draws both models' circles from the step; they
+    # are the circles written out per model, at k = 1..4, q in BUILDER_QS,
+    # and at every r_k, margin, center, alpha and radius that the package
+    # and the benchmark's quadrature probe (nested_contours(3, q)) pass;
+    # eps-plancherel's center is its eps knob, here also 0.7, where
+    # |step(mark) - mark| must round as mark (1 - q)
+    for k in (1, 2, 3, 4):
+        assert _bits(nested_contours(k, None, r_k=0.4, margin=0.1).circles) == \
+            _written_nested(k, None)
+        for q in BUILDER_QS:
+            expanded = min(0.3, 0.6 * (1.0 - q) / (1.0 + q))  # residue-expansion's r_k
+            for kw in ({}, {"r_k": 0.3}, {"r_k": 0.5}, {"center": 0.5},
+                       {"r_k": 0.15, "center": 0.5}, {"r_k": expanded, "margin": 0.5},
+                       {"center": 0.7}, {"r_k": 0.3 * 0.7, "center": 0.7}):
+                if kw.get("r_k", 0.0) >= kw.get("center", 1.0) * (1.0 - q):
+                    continue  # the innermost circle would take in q eps
+                assert _bits(nested_contours(k, q, **kw).circles) == \
+                    _written_nested(k, q, **kw), (k, q, kw)
+            for alpha in (0.0, 0.02, 0.1, min(0.1, q**4 / 2)):
+                gap = 1.0 - alpha / q**k
+                if gap <= 0:
+                    continue
+                default = 0.6 * min((1.0 - q) / (1.0 + q), gap)
+                for radius in (None, default / 2) + ((expanded,) if alpha == 0 else ()):
+                    cs = string_circle(q, k, alpha, radius=radius)
+                    assert _bits(cs.circles) == _bits([Circle(1 + 0j, radius or default)]), \
+                        (k, q, alpha, radius)
+            for eps in (1.0, 0.5, 0.25, 0.0):
+                assert _bits(single_gamma(q, k=k, eps=eps).circles) == _bits([Circle(0j, 1.5)] * k)
+    assert _bits(string_circle(0.5, radius=0.3).circles) == _bits([Circle(1 + 0j, 0.3)])
+    assert _bits(string_circle(0.25, radius=0.5).circles) == _bits([Circle(1 + 0j, 0.5)])
+    for radius in (0.2, 0.4):
+        assert _bits(string_circle(None, radius=radius).circles) == _bits([Circle(0j, radius)])
 
 D = 1e-9  # how far inside or outside an inequality the boundary table's systems sit
 
-# (circles, family, q, refusal): each validity inequality of the three
-# rules, met and missed by D.  The refusal is a fragment of the message, or
+# (circles, shape, q, refusal): each validity inequality of the three
+# rules, met and missed by D, for both models (q None is the semi-discrete
+# one).  The refusal is a fragment of the message, or
 # None for a system that is accepted.
 BOUNDARY_TABLE = [
     # nested, q-Boson: every circle contains eps = 1 ...
-    ([Circle(1.2, 0.2 + D)], "qboson-nested", Q, None),
-    ([Circle(1.2, 0.2 - D)], "qboson-nested", Q, "does not contain the point 1.0"),
+    ([Circle(1.2, 0.2 + D)], "nested", Q, None),
+    ([Circle(1.2, 0.2 - D)], "nested", Q, "does not contain the point 1.0"),
     # ... circle 1 encloses q * circle 2: |1 - q| + q 0.1 < r_1 ...
-    ([Circle(1.0, 0.55 + D), Circle(1.0, 0.1)], "qboson-nested", Q, None),
-    ([Circle(1.0, 0.55 - D), Circle(1.0, 0.1)], "qboson-nested", Q,
+    ([Circle(1.0, 0.55 + D), Circle(1.0, 0.1)], "nested", Q, None),
+    ([Circle(1.0, 0.55 - D), Circle(1.0, 0.1)], "nested", Q,
      "does not contain the image of circle 2"),
     # ... and the innermost excludes q eps = 0.5
-    ([Circle(1.0, 0.5 - D)], "qboson-nested", Q, None),
-    ([Circle(1.0, 0.5 + D)], "qboson-nested", Q, "innermost circle contains 0.5"),
+    ([Circle(1.0, 0.5 - D)], "nested", Q, None),
+    ([Circle(1.0, 0.5 + D)], "nested", Q, "innermost circle contains 0.5"),
     # nested, semi-discrete: every circle contains 0 ...
-    ([Circle(0.3, 0.3 + D)], "sd-nested", None, None),
-    ([Circle(0.3, 0.3 - D)], "sd-nested", None, "does not contain the point 0.0"),
+    ([Circle(0.3, 0.3 + D)], "nested", None, None),
+    ([Circle(0.3, 0.3 - D)], "nested", None, "does not contain the point 0.0"),
     # ... circle 1 encloses 1 + circle 2: 1 + 0.4 < r_1 ...
-    ([Circle(0.0, 1.4 + D), Circle(0.0, 0.4)], "sd-nested", None, None),
-    ([Circle(0.0, 1.4 - D), Circle(0.0, 0.4)], "sd-nested", None,
+    ([Circle(0.0, 1.4 + D), Circle(0.0, 0.4)], "nested", None, None),
+    ([Circle(0.0, 1.4 - D), Circle(0.0, 0.4)], "nested", None,
      "does not contain the image of circle 2"),
     # ... and the innermost excludes 0 + 1
-    ([Circle(0.0, 1.0 - D)], "sd-nested", None, None),
-    ([Circle(0.0, 1.0 + D)], "sd-nested", None, "innermost circle contains 1"),
+    ([Circle(0.0, 1.0 - D)], "nested", None, None),
+    ([Circle(0.0, 1.0 + D)], "nested", None, "innermost circle contains 1"),
     # string, q-Boson: coinciding copies centred at eps = 1 that clear
     # their q-image, r (1 + q) < 1 - q
-    ([Circle(1.0, 1 / 3 - D)] * 2, "string-product", Q, None),
-    ([Circle(1.0, 1 / 3 + D)] * 2, "string-product", Q, "string circle too large"),
-    ([Circle(1.0, 0.1), Circle(1.0, 0.1 + D)], "string-product", Q, "must all coincide"),
-    ([Circle(1.0 + D, 0.1)], "string-product", Q, "not at the marked point 1.0"),
+    ([Circle(1.0, 1 / 3 - D)] * 2, "string", Q, None),
+    ([Circle(1.0, 1 / 3 + D)] * 2, "string", Q, "string circle too large"),
+    ([Circle(1.0, 0.1), Circle(1.0, 0.1 + D)], "string", Q, "must all coincide"),
+    ([Circle(1.0 + D, 0.1)], "string", Q, "not at the marked point 1.0"),
     # string, semi-discrete: copies centred at 0 that clear their unit
     # shift, 2 r < 1; a centre off 0 is refused too
-    ([Circle(0.0, 0.5 - D)] * 2, "sd-string-product", None, None),
-    ([Circle(0.0, 0.5 + D)] * 2, "sd-string-product", None, "string circle too large"),
-    ([Circle(0.0, 0.1), Circle(0.0, 0.1 + D)], "sd-string-product", None, "must all coincide"),
-    ([Circle(0.1, 0.2)], "sd-string-product", None, "not at the marked point 0.0"),
-    ([Circle(0.9, 0.2)], "sd-string-product", None, "not at the marked point 0.0"),
+    ([Circle(0.0, 0.5 - D)] * 2, "string", None, None),
+    ([Circle(0.0, 0.5 + D)] * 2, "string", None, "string circle too large"),
+    ([Circle(0.0, 0.1), Circle(0.0, 0.1 + D)], "string", None, "must all coincide"),
+    ([Circle(0.1, 0.2)], "string", None, "not at the marked point 0.0"),
+    ([Circle(0.9, 0.2)], "string", None, "not at the marked point 0.0"),
     # single, q-Boson: the circle contains eps = 1 and its q-image, |c| < r
-    ([Circle(0.0, 1.0 + D)], "qboson-single", Q, None),
-    ([Circle(0.0, 1.0 - D)], "qboson-single", Q, "does not contain the point 1.0"),
-    ([Circle(0.6, 0.6 + D)], "qboson-single", Q, None),
-    ([Circle(0.6, 0.6 - D)], "qboson-single", Q, "its own q-image"),
+    ([Circle(0.0, 1.0 + D)], "single", Q, None),
+    ([Circle(0.0, 1.0 - D)], "single", Q, "does not contain the point 1.0"),
+    ([Circle(0.6, 0.6 + D)], "single", Q, None),
+    ([Circle(0.6, 0.6 - D)], "single", Q, "its own q-image"),
 ]
 
 
-@pytest.mark.parametrize("circles,family,q,refusal", BOUNDARY_TABLE)
-def test_contour_rules_at_their_boundaries(circles, family, q, refusal):
+def _boundary_id(i, row):
+    """``circles<i>-<model and shape>-<q>-<refusal>``."""
+    _, shape, q, refusal = row
+    model_shape = {("nested", False): "qboson-nested", ("nested", True): "sd-nested",
+                   ("single", False): "qboson-single", ("string", False): "string-product",
+                   ("string", True): "sd-string-product"}[shape, q is None]
+    return f"circles{i}-{model_shape}-{q}-{refusal}"
+
+
+@pytest.mark.parametrize("circles,shape,q,refusal", BOUNDARY_TABLE,
+                         ids=[_boundary_id(i, row) for i, row in enumerate(BOUNDARY_TABLE)])
+def test_contour_rules_at_their_boundaries(circles, shape, q, refusal):
     if refusal is None:
-        ContourSystem(tuple(circles), family, q=q)
+        ContourSystem(tuple(circles), shape, q=q)
     else:
         with pytest.raises(ContourError, match=refusal):
-            ContourSystem(tuple(circles), family, q=q)
+            ContourSystem(tuple(circles), shape, q=q)
 
 
 def test_image_under_the_step():
     c = Circle(0.5 + 0.25j, 0.1)
     assert string_circle(Q).image(c) == Circle((0.5 + 0.25j) * Q, 0.1 * Q)
-    assert sd_nested_contours(1).image(c) == Circle(1.5 + 0.25j, 0.1)
-    assert (string_circle(Q).mark, sd_nested_contours(1).mark) == (1.0, 0.0)
+    assert string_circle(None).image(c) == Circle(1.5 + 0.25j, 0.1)
+    assert (string_circle(Q).mark, string_circle(None).mark) == (1.0, 0.0)
 
 
 def test_default_inner_radius():
@@ -156,7 +232,7 @@ def test_quadrature_spec_validation():
 
 def test_residue_integrals():
     spec = QuadratureSpec(16)
-    cs = ContourSystem((Circle(0.0, 1.2),), "qboson-single", q=Q)
+    cs = ContourSystem((Circle(0.0, 1.2),), "single", q=Q)
     r = integrate(cs, lambda zs: 1.0 / zs[0], spec)
     assert r.value == pytest.approx(1.0, abs=1e-13)
     cs1 = nested_contours(1, Q, r_k=0.3)
@@ -167,13 +243,13 @@ def test_residue_integrals():
 def test_two_fold_product_residue():
     # independent residues multiply across the product contour
     circles = (Circle(0.0, 1.2), Circle(0.0, 1.2))
-    cs = ContourSystem(circles, "qboson-single", q=Q)
+    cs = ContourSystem(circles, "single", q=Q)
     r = integrate(cs, lambda zs: 1.0 / (zs[0] * zs[1]), QuadratureSpec(32))
     assert r.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_integrand_nonfinite_detected():
-    cs = ContourSystem((Circle(0.0, 1.2),), "qboson-single", q=Q)
+    cs = ContourSystem((Circle(0.0, 1.2),), "single", q=Q)
     bad_node = cs.circles[0].nodes(16)[3]
 
     def bad(zs):
@@ -268,7 +344,7 @@ def test_contract_powers_components_sharing_an_axis():
 def test_describe_roundtrip():
     cs = nested_contours(2, Q)
     d = cs.describe()
-    assert d["family"] == "qboson-nested"
+    assert d["family"] == "nested"
     assert len(d["circles"]) == 2
 
 

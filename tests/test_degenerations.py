@@ -17,8 +17,7 @@ from qboson.contours import (
     ContourSystem,
     QuadratureSpec,
     nested_contours,
-    sd_nested_contours,
-    sd_string_circle,
+    string_circle,
 )
 from qboson.degenerations import (
     SdeResult,
@@ -270,7 +269,7 @@ def test_eps_is_used_wherever_it_is_accepted():
         assert abs(lhs - (Q - 1) * sum(z) * ref) <= 1e-12 * (1 + abs(ref))
     # circles about 1 of radius 0.3 exclude the marked point 0.2
     with pytest.raises(ContourError, match="does not contain the point 0.2"):
-        ContourSystem((Circle(1.0, 0.3),), "qboson-nested", q=Q, eps=0.2)
+        ContourSystem((Circle(1.0, 0.3),), "nested", q=Q, eps=0.2)
 
 
 def test_semi_discrete_refuses_a_marked_point():
@@ -279,7 +278,7 @@ def test_semi_discrete_refuses_a_marked_point():
     with pytest.raises(ValueError, match="no marked point"):
         GeneratorKind("bwd", "sd", eps=0.5)
     with pytest.raises(ContourError, match="no marked point"):
-        ContourSystem((Circle(0j, 0.4),), "sd-nested", eps=0.5)
+        ContourSystem((Circle(0j, 0.4),), "nested", q=None, eps=0.5)
 
 
 def test_semi_discrete_refuses_a_q():
@@ -291,8 +290,10 @@ def test_semi_discrete_refuses_a_q():
     for kind in GENERATOR_KINDS:
         with pytest.raises(ValueError, match="has no q"):
             GeneratorKind(kind, "sd", Q)
-    for family, radius in (("sd-nested", 0.4), ("sd-string-product", 0.2)):
-        with pytest.raises(ContourError, match="have no q"):
+    # a contour system reads its model from q: with a q, the semi-discrete
+    # circles about 0 are q-Boson ones and miss that model's marked point 1
+    for family, radius in (("nested", 0.4), ("string", 0.2)):
+        with pytest.raises(ContourError, match="point 1.0"):
             ContourSystem((Circle(0j, radius),), family, q=Q)
 
 
@@ -303,23 +304,27 @@ def test_qboson_objects_need_q():
             EigenFamily(kind)
     with pytest.raises(ValueError, match="q is missing"):
         GeneratorKind("bwd")
-    for circles, family in (((Circle(1.0, 0.3),), "qboson-nested"),
-                            ((Circle(0j, 1.5),), "qboson-single"),
-                            ((Circle(1.0, 0.1),), "string-product")):
-        with pytest.raises(ValueError, match="q is missing"):
+    # a contour system has no default q: None, the semi-discrete model,
+    # must be asked for
+    for circles, family in (((Circle(1.0, 0.3),), "nested"),
+                            ((Circle(0j, 1.5),), "single"),
+                            ((Circle(1.0, 0.1),), "string")):
+        with pytest.raises(TypeError, match="'q'"):
             ContourSystem(circles, family)
 
 
 def test_sd_pipeline():
     w = [np.asarray(0.3 + 0.1j)]
-    assert complex(mu_density_grid(Partition((1,)), w, sd_string_circle())) == pytest.approx(1.0)
+    g = mu_density_grid(Partition((1,)), w, string_circle(None, radius=0.2))
+    assert complex(g) == pytest.approx(1.0)
     n = WeylVector((1, 0))
     z = [1.3 + 0.4j, -0.8 + 0.2j]
     gk = GeneratorKind("bwd", "sd")
     psi = lambda m: eigen_eval(EigenFamily("sd-left"), z, m)
     assert abs(generator_apply(gk, psi, n) - sum(v - 1 for v in z) * psi(n)) < 1e-12
     states = list(weyl_vectors_in_box(2, -2, 2))
-    T = composition_table(states, sd_nested_contours(2), QuadratureSpec(128))
+    T = composition_table(states, nested_contours(2, None, r_k=0.4, margin=0.1),
+                          QuadratureSpec(128))
     assert np.abs(T - np.eye(len(states))).max() < 1e-9
 
 

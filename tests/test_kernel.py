@@ -23,7 +23,7 @@ from qboson.eigenfunctions import (
     eigen_eval,
     eigen_eval_grid,
 )
-from qboson.contours import nested_contours, sd_string_circle, string_circle
+from qboson.contours import nested_contours, string_circle
 from qboson.plancherel import nested_kernel_grid
 from qboson.qcore import Partition, WeylVector, pair_gap, step, string_points
 
@@ -335,12 +335,12 @@ def test_nested_kernel_is_the_written_product_for_both_models():
             zs = [_random_points(rng, 5).reshape([5 if a == j else 1 for a in range(k)])
                   for j in range(k)]
             for cs, gap in ((string_circle(q), lambda za, zb: za - q * zb),
-                            (sd_string_circle(), lambda za, zb: (za - zb) - 1)):
+                            (string_circle(None), lambda za, zb: (za - zb) - 1)):
                 want = np.ones((5,) * k, dtype=complex) if k == 1 else None
                 for a, b in itertools.combinations(range(k), 2):
                     f = (zs[a] - zs[b]) / gap(zs[a], zs[b])
                     want = f if want is None else want * f
-                assert np.array_equal(nested_kernel_grid(zs, cs), want), (cs.family, k)
+                assert np.array_equal(nested_kernel_grid(zs, cs), want), (cs.model, k)
 
 
 def _bits(x):
@@ -372,5 +372,5 @@ def test_families_and_contour_systems_share_the_marked_point():
     pairs = [(EigenFamily("qboson-left", 0.5), string_circle(0.5)),
              (EigenFamily("qboson-right", 0.3, 0.5),
               nested_contours(2, 0.3, r_k=0.1, center=0.5)),
-             (EigenFamily("sd-cfwd"), sd_string_circle())]
+             (EigenFamily("sd-cfwd"), string_circle(None))]
     assert [(fam.mark, cs.mark) for fam, cs in pairs] == [(1.0, 1.0), (0.5, 0.5), (0.0, 0.0)]

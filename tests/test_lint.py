@@ -5,6 +5,7 @@ import functools
 import importlib
 import importlib.util
 import inspect
+import json
 import subprocess
 import sys
 import textwrap
@@ -84,25 +85,34 @@ def public_definitions(source: str) -> list[tuple[int, str]]:
     return out
 
 
-def names_read(source: str) -> set[str]:
-    """Every name the source reads, as a bare name or as an attribute."""
-    read = set()
+def names_read(source: str) -> tuple[set[str], set[str]]:
+    """The names the source reads: (bare names, attribute names)."""
+    bare, attributes = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
-    return read
+            attributes.add(node.attr)
+    return bare, attributes
 
 
 def unread_public_definitions(sources: dict[str, str], exempt=frozenset()) -> list[str]:
-    """``module:line name`` of each public definition that no source reads
-    by name (a method by its own name), unless ``exempt`` holds its
-    (module, name)."""
-    read = set().union(*(names_read(text) for text in sources.values()))
+    """``module:line name`` of each public definition that no source reads,
+    unless ``exempt`` holds its (module, name).  A function or class is read
+    by a bare name or an attribute of that name; a method only by an
+    attribute (``.total``), since a local variable of the same name does
+    not reach it."""
+    reads = [names_read(text) for text in sources.values()]
+    bare = set().union(*(b for b, _ in reads))
+    attributes = set().union(*(a for _, a in reads))
+
+    def read(name: str) -> bool:
+        cls, _, attr = name.rpartition(".")
+        return attr in attributes or (not cls and attr in bare)
+
     return [f"{module}:{line} {name}" for module, text in sorted(sources.items())
             for line, name in public_definitions(text)
-            if name.rsplit(".", 1)[-1] not in read and (module, name) not in exempt]
+            if not read(name) and (module, name) not in exempt]
 
 
 def _load_tracer():
@@ -128,15 +138,16 @@ def test_unread_public_definition_detection():
                      "    def used(self):\n        return self._own()\n"
                      "    def unused(self):\n        pass\n"
                      "    def _own(self):\n        pass\n"
-                     "    def traced(self):\n        pass\n"),
+                     "    def traced(self):\n        pass\n"
+                     "    def total(self):\n        pass\n"),
         "qboson.b": ("from qboson import a\n"
                      "only_stored = None\n"
-                     "def entry():\n    return a.helper(), a.Box().used()\n"
+                     "def entry():\n    total = 0\n    return a.helper(), a.Box().used(), total\n"
                      "if __name__ == '__main__':\n    entry()\n"),
     }
     exempt = {("qboson.a", "traced"), ("qboson.a", "Box.traced")}
     assert unread_public_definitions(sources, exempt) == [
-        "qboson.a:7 only_stored", "qboson.a:14 Box.unused"]
+        "qboson.a:7 only_stored", "qboson.a:14 Box.unused", "qboson.a:20 Box.total"]
 
 
 def test_no_public_api_that_only_tests_reach():
@@ -170,6 +181,21 @@ def test_benchmark_tracer_targets_resolve():
             "tracer.remove()\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_probes_pass():
+    # perfbench/worker.py's probes call the layers directly (the backward
+    # generator on eigen_eval, and contours.integrate on
+    # nested_contours(3, q)); a break there would show only as an incorrect
+    # benchmark run unless caught here.  A fresh process, as in the worker.
+    code = ("import json, sys\n"
+            f"sys.path[:0] = [{str(SRC.parents[1] / 'perfbench')!r}, {str(SRC.parent)!r}]\n"
+            "import worker\n"
+            "print(json.dumps(worker.probes(0)))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    probes = json.loads(done.stdout)
+    assert probes and all(p["ok"] for p in probes), probes
 
 
 def report_constructions(source: str) -> list[tuple[int, str]]:

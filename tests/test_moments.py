@@ -18,7 +18,7 @@ import pytest
 from scipy.linalg import expm
 
 from qboson.checks import dynamics_checks
-from qboson.contours import ContourError, QuadratureSpec, sd_string_circle
+from qboson.contours import Circle, ContourError, QuadratureSpec, string_circle
 from qboson.degenerations import sd_moment_formula
 from qboson.dynamics import MomentSpec, moment_formula
 from qboson.plancherel import residue_expand_sum
@@ -165,16 +165,21 @@ def test_sd_residue_expansion_matches_a_naive_nested_integral(k, m):
                                                for j, (c, z) in enumerate(zip(coeffs, zs))))
 
     nested = _naive_sd_nested(F, k, m)
-    (total,), (estimate,) = residue_expand_sum([F], k, sd_string_circle(), QuadratureSpec(64))
+    (total,), (estimate,) = residue_expand_sum([F], k, string_circle(None, radius=0.2),
+                                              QuadratureSpec(64))
     assert abs(nested) > 0.05
     assert estimate < 1e-13
     assert abs(total - nested) < 1e-9 * (1 + abs(nested))
 
 
 def test_sd_string_circle_bounds():
-    assert sd_string_circle().circles[0].radius == 0.2
+    # at q None the string circle sits at 0 with radius below 1/2, 0.6 of
+    # that bound by default, and has no pole alpha
+    assert string_circle(None).circles == (Circle(0j, 0.3),)
     with pytest.raises(ContourError, match="meets its image"):
-        sd_string_circle(0.5)
+        string_circle(None, radius=0.5)
+    with pytest.raises(ContourError, match="no pole alpha"):
+        string_circle(None, alpha=0.1)
 
 
 @pytest.mark.parametrize("check", ["moment-step", "moment-half"])

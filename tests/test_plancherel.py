@@ -17,7 +17,6 @@ from qboson.contours import (
     grid_nodes_weights,
     integrate,
     nested_contours,
-    sd_string_circle,
     single_gamma,
     string_circle,
 )
@@ -136,7 +135,7 @@ def test_mu_density_grid_matches_literal_determinant(q, m, radius, spacing, phas
             mult = math.prod(math.factorial(c) for c in lam.multiplicities().values())
             ws = [axes[j].reshape([m if a == j else 1 for a in range(ell)]) for j in range(ell)]
             grid_q = mu_density_grid(lam, ws, string_circle(q))
-            grid_sd = mu_density_grid(lam, ws, sd_string_circle())
+            grid_sd = mu_density_grid(lam, ws, string_circle(None))
             assert grid_q.shape == grid_sd.shape == (m,) * ell
             mats_q = _literal_cauchy(lam, ws, lambda w, part: w * q**part)
             mats_sd = _literal_cauchy(lam, ws, lambda w, part: w + part)
@@ -591,7 +590,7 @@ def test_chunked_grids_match_one_chunk(monkeypatch):
         for mode in modes:
             values += [*inverse_J_batch(G, states, mode, spec),
                        composition_table(states, mode, spec).ravel()]
-            if mode.family != "qboson-nested":
+            if mode.family != "nested":
                 values.append(composition_table(states, mode, spec, side="right").ravel())
         values += inverse_J_batch(G, states, solver, QuadratureSpec(128))
         slabs = (len(list(_grid_chunks(cs, spec))),

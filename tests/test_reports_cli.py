@@ -383,6 +383,15 @@ def test_cli_simulate_defaults_are_the_values_it_applied_before(capsys):
         assert capsys.readouterr().out == implicit
 
 
+@pytest.mark.parametrize("check", ["pt-invariance", "eigen-relation", "boundary-conditions"])
+def test_cli_refuses_a_negative_eps(capsys, check):
+    # one (q, eps) domain (qcore.check_domain) behind the eigenfunction
+    # families, the generators and the contour systems
+    code, err = _cli_in_process(capsys, "verify", check, "--param", "eps=-0.5")
+    assert code == 2
+    assert "eps must be >= 0" in err
+
+
 def test_cli_simulate_oy_rejects_zero_sites(capsys):
     code, err = _cli_in_process(capsys, "simulate", "--model", "oy", "--t", "0.1",
                                 "--sites", "0")
