@@ -8,8 +8,6 @@ import numpy as np
 
 from qboson.checks import identity_tables, random_spectral, random_weyl
 from qboson.contours import (
-    Circle,
-    ContourSystem,
     nested_contours,
     single_gamma,
     string_circle,
@@ -48,9 +46,7 @@ def check_eps_plancherel(acc: Accumulator, q: float = 0.5, eps: float = 0.5,
     for k in (1, 2):
         legs += [(f"k={k} nested", nested_contours(k, q, r_k=0.3 * eps, center=eps), k, -3, 3),
                  (f"k={k} single-gamma", single_gamma(q, k=k, eps=eps), k, -3, 3)]
-        cs = ContourSystem((Circle(complex(eps), 0.6 * eps * (1 - q) / (1 + q)),),
-                           "string", q=q, eps=eps)
-        legs.append((f"k={k} expanded", cs, k, -2, 2))
+        legs.append((f"k={k} expanded", string_circle(q, center=eps), k, -2, 2))
     identity_tables(acc, legs, nodes, tolerance)
 
 
@@ -99,11 +95,11 @@ def check_eps_deriv_relation(acc: Accumulator, q: float = 0.5, tolerance: float 
         eps = float(rng.uniform(0.2, 1.2))
         z = random_spectral(rng, k, center=eps + 0.0j, rmin=0.6, rmax=1.8)
         psi_c = EigenTable(EigenFamily("qboson-cfwd", q, eps), z, validate=False)
-        d_sum = sum(e.value * psi_c(e.target) for e in deriv_matrices(n, "right", eps, q))
+        d_sum = sum(v * psi_c(m) for m, v in deriv_matrices(n, "right", eps, q).items())
         d_exact = psi_cfwd_eps_derivative(z, n, eps, q)
         acc.add(f"right expansion k={k}", d_sum, d_exact, 1e-11)
         psi_l = EigenTable(EigenFamily("qboson-left", q, eps), z, validate=False)
-        d_sum = sum(e.value * psi_l(e.target) for e in deriv_matrices(n, "left", eps, q))
+        d_sum = sum(v * psi_l(m) for m, v in deriv_matrices(n, "left", eps, q).items())
         d_exact = psi_left_eps_derivative(z, n, eps, q)
         acc.add(f"left expansion k={k}", d_sum, d_exact, 1e-11)
     # the intertwining relation at single clusters, the worked two-block

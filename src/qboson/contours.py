@@ -214,28 +214,31 @@ def nested_contours(
 
 
 def string_circle(q: float | None, k: int = 1, alpha: float = 0.0,
-                  radius: float | None = None) -> ContourSystem:
+                  radius: float | None = None, center: float = 1.0) -> ContourSystem:
     """The one small circle of a string expansion at k, as a validated
-    one-circle string system about the marked point (1, or 0 at q None).
-    Below |step(mark) - mark| / (1 + slope), (1-q)/(1+q) or 1/2, it clears
-    its own image, and below 1 - alpha/q^k the strings q^j w, j < k, clear
-    the pole alpha/q (the semi-discrete model has no alpha); by default
-    its radius is 0.6 times the smaller bound.
+    one-circle string system about the marked point (eps = ``center``, or
+    0 at q None).  Below |step(mark) - mark| / (1 + slope), center
+    (1-q)/(1+q) or 1/2, it clears its own image, and below
+    mark - alpha/q^k the strings q^j w, j < k, clear the pole alpha/q (the
+    semi-discrete model has no alpha); by default its radius is 0.6 times
+    the smaller bound.
     """
     if q is not None:
         check_q(q)
     elif alpha != 0:
         raise ContourError("the semi-discrete string circle has no pole alpha")
-    mark = marked_point(1.0, q)
+    if center <= 0:
+        raise ContourError("contour center must be positive")
+    mark = marked_point(center, q)
     step_gap, slope = _step_gap(mark, q)
-    # how far 1 lies from alpha/q^k, where q^{k-1} w meets alpha/q
-    gap = math.inf if q is None else 1.0 - alpha / q**k
+    # how far the mark lies from alpha/q^k, where q^{k-1} w meets alpha/q
+    gap = math.inf if q is None else mark - alpha / q**k
     if radius is None:
         radius = 0.6 * min(step_gap / (1.0 + slope), gap)
     if radius >= gap:
         raise ContourError(f"string circle of radius {radius} reaches the pole: "
-                           f"its strings meet alpha/q at |w - 1| = {gap}")
-    return ContourSystem((Circle(complex(mark), radius),), "string", q=q)
+                           f"its strings meet alpha/q at |w - {mark:g}| = {gap}")
+    return ContourSystem((Circle(complex(mark), radius),), "string", q=q, eps=center)
 
 
 def single_gamma(q: float, k: int = 1, eps: float = 1.0) -> ContourSystem:

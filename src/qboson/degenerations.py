@@ -31,6 +31,7 @@ import numpy as np
 from qboson.contours import (
     QuadratureSpec,
     _grid_chunks,
+    contract_powers,
     gamma_prime,
     grid_nodes_weights,
     integrate,
@@ -40,7 +41,6 @@ from qboson.contours import (
 from qboson.eigenfunctions import (
     EigenFamily,
     EigenTable,
-    ScatteringGrid,
     eigen_eval,
     fsum_complex,
 )
@@ -90,16 +90,10 @@ def d_eps(k: int, p: int, eps: float, q: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class DerivMatrixEntry:
-    source: WeylVector
-    target: WeylVector
-    side: str  # "right" or "left"
-    value: float
-
-
-def deriv_matrices(n: WeylVector, side: str, eps: float, q: float) -> tuple[DerivMatrixEntry, ...]:
-    """Nonzero entries of the eps-derivative matrix row at n.
+def deriv_matrices(n: WeylVector, side: str, eps: float, q: float) -> dict[WeylVector, float]:
+    """Nonzero entries of the eps-derivative matrix row at n, as a mapping
+    from target to value.  No row repeats a target (each entry shifts its
+    own index range of n), so the mapping keeps every entry.
 
     right: d/d eps of the cluster-weighted right eigenfunction expands over
     targets obtained by lowering a tail segment of one cluster;
@@ -107,29 +101,20 @@ def deriv_matrices(n: WeylVector, side: str, eps: float, q: float) -> tuple[Deri
     by raising a head segment of one cluster, with a sign flip.
     """
     check_q(q)
-    out = []
+    out = {}
     for start, stop in cluster_decompose(n):
         c = stop - start
         end = stop - 1  # the last index of the cluster
         n_last = n.coords[end]
         if side == "right":
             for p in range(0, c):
-                m = n.bump_range(start + p, end, -1)
-                out.append(DerivMatrixEntry(n, m, side, n_last * d_eps(c, p, eps, q)))
+                out[n.bump_range(start + p, end, -1)] = n_last * d_eps(c, p, eps, q)
         elif side == "left":
             for p in range(1, c + 1):
-                m = n.bump_range(start, start + p - 1, +1)
-                out.append(DerivMatrixEntry(n, m, side, -n_last * d_eps(c, c - p, eps, q)))
+                out[n.bump_range(start, start + p - 1, +1)] = -n_last * d_eps(c, c - p, eps, q)
         else:
             raise ValueError("side must be 'right' or 'left'")
-    return tuple(out)
-
-
-def _row(n: WeylVector, side: str, eps: float, q: float) -> dict[WeylVector, float]:
-    """The derivative row at n as a mapping from target to value.  No row
-    repeats a target (each entry shifts its own index range of n), so the
-    mapping keeps every entry."""
-    return {e.target: e.value for e in deriv_matrices(n, side, eps, q)}
+    return out
 
 
 def _eps_derivative(fam: EigenFamily, z, n: WeylVector) -> complex:
@@ -167,7 +152,7 @@ def left_sources(n: WeylVector, eps: float, q: float) -> dict[WeylVector, float]
             if b + 1 < k and n.coords[b] == n.coords[b + 1]:
                 continue  # lowering [a, b] would break the ordering
             p = n.bump_range(a, b, -1)
-            row = _row(p, "left", eps, q)
+            row = deriv_matrices(p, "left", eps, q)
             if n in row:
                 out[p.shift(-1)] = row[n]
     return out
@@ -184,13 +169,13 @@ def crl_relation_check(n: WeylVector, eps: float, q: float,
     pairs.
     """
     check_q(q)
-    right = _row(n.shift(-1), "right", eps, q)
+    right = deriv_matrices(n.shift(-1), "right", eps, q)
     left = {} if m is not None else left_sources(n, eps, q)
     targets = {m} if m is not None else set(right) | set(left)
     worst = 0.0
     for mm in targets:
         p = mm.shift(1)
-        c_left = left[mm] if mm in left else _row(p, "left", eps, q).get(n, 0.0)
+        c_left = left[mm] if mm in left else deriv_matrices(p, "left", eps, q).get(n, 0.0)
         lhs = right.get(mm, 0.0) / cq_weight(n, q)
         rhs = -c_left / cq_weight(p, q)
         worst = max(worst, abs(lhs - rhs))
@@ -348,6 +333,12 @@ def spectral_orthogonality_sides(F: Callable, G: Callable, eps: float, k: int,
     inner circle over min |eps - w| on the outer).  RHS: the single
     antisymmetrized integral with the (eps - w) prod (w_A - q w_B) density.
     The eps = 0 case uses the same circles around 0.
+
+    Each LHS integral is taken for the whole window of states n at once:
+    Delta(z) = prod_{a<b} (z_a - z_b) is (-1)^{k(k-1)/2} times the
+    scattering denominator of Psi, so the integrand over that denominator
+    is the sign times W F (or W G).  Its power contraction is summed over
+    the grid slabs and expanded once (`EigenFamily.expand`).
     """
     check_q(q)
     quad = QuadratureSpec(128)
@@ -361,16 +352,6 @@ def spectral_orthogonality_sides(F: Callable, G: Callable, eps: float, k: int,
     rho_in = r_in + abs(eps)
     rho_out = outer_circle.radius - abs(eps)
     ratio = rho_in / rho_out
-
-    def vandermonde(zs):
-        out = None
-        for a in range(k):
-            for b in range(a + 1, k):
-                f = zs[a] - zs[b]
-                out = f if out is None else out * f
-        if out is None:
-            out = np.asarray(1.0 + 0.0j)
-        return out
 
     def grid_max(cs, fn):
         return max(float(np.abs(np.broadcast_to(fn(tuple(zs)), W.shape)).max())
@@ -406,12 +387,14 @@ def spectral_orthogonality_sides(F: Callable, G: Callable, eps: float, k: int,
         the window, before the prefactor."""
         sign = fam.power_sign()
         erange = (0, n_hi) if sign > 0 else (-n_hi, 0)
-        out = np.zeros(len(coords), dtype=complex)
+        R = 0
         for zs, W in _grid_chunks(cs, quad):
-            T0 = W * vandermonde(zs) * fn(tuple(zs))
-            powers = ([fam.base(z).ravel() for z in zs], range(k), erange)
-            for inv, table in ScatteringGrid(fam, zs).permuted(T0, powers):
-                out += table[tuple(sign * coords[:, inv[m_]] - erange[0] for m_ in range(k))]
+            R = R + contract_powers((-1.0) ** npairs * W * fn(tuple(zs)),
+                                    [fam.base(z).ravel() for z in zs], range(k),
+                                    (erange[0], erange[1] + k - 1))
+        out = np.zeros(len(coords), dtype=complex)
+        for inv, table in fam.expand(R):
+            out += table[tuple(sign * coords[:, inv[m_]] - erange[0] for m_ in range(k))]
         return out
 
     A = fam_r.prefactors(coords) * window_table(gamma, F, fam_r)

@@ -19,7 +19,7 @@ powers, and ``right`` is ``cfwd`` divided by the cluster weight of n.
 One permutation-scattering kernel evaluates the sum: for a family and a
 spectral point it forms the k(k-1) pairwise scattering factors once, and
 from them the k! per-permutation products, so only the plane waves depend
-on n.  Its four entry points:
+on n.  Its entry points:
 
 - ``EigenTable(fam, z)(n)``: one spectral point, one state (``eigen_eval``);
 - ``EigenTable(fam, z).states(ns)``: one spectral point against an (N, k)
@@ -29,22 +29,24 @@ on n.  Its four entry points:
   shape of its two variables, and the factors are multiplied grouped by
   their later variable, so that on a product grid only two multiplies per
   permutation span the full grid;
-- ``ScatteringGrid(fam, zs).permuted(T, powers)``: the per-permutation
-  products T * S(tau) of a grid tensor T, or, with ``powers``, their
-  contractions against integer powers of the one-particle bases.  The
-  k! products share the denominator Delta = prod_{i<j} (z_j - z_i), and
-  each numerator factor is linear in the bases,
+- ``ScatteringGrid(fam, zs).permuted(T)``: the per-permutation products
+  T * S(tau) of a grid tensor T;
+- ``EigenFamily.expand(R)``: the same products, contracted against integer
+  powers of the one-particle bases, from one contraction R.  The k!
+  products share the denominator Delta = prod_{i<j} (z_j - z_i), and each
+  numerator factor is linear in the bases,
   N(u, v) = alpha + beta base_u + gamma base_v (``EigenFamily.numerator``):
 
       q-Boson        alpha = eps (1 - s), beta = -1, gamma = s
                      (z = eps - base; s = q left, 1/q else)
       semi-discrete  alpha = -1 left, +1 else, beta = 1, gamma = -1
 
-  So T / Delta is contracted once (``contours.contract_powers``), at
-  exponents reaching k - 1 past the top, and each permutation's table
-  follows from shifted slices of that one small table, one pair factor at
-  a time, times sgn(tau).  It is the one permutation loop of the
-  transform tables in ``plancherel`` and of the spectral orthogonality
+  So T / Delta is contracted (``contours.contract_powers``), at exponents
+  reaching k - 1 past the top, and each permutation's table follows from
+  shifted slices of that one small table, one pair factor at a time, times
+  sgn(tau).  The walk is linear in R, so a caller sums the contractions of
+  all its grid slabs and expands once.  It is the one permutation loop of
+  the transform tables in ``plancherel`` and of the spectral orthogonality
   window in ``degenerations``.
 
 An EigenTable sums each state's k! terms exactly (``math.fsum`` on the real
@@ -63,7 +65,6 @@ from typing import Sequence
 
 import numpy as np
 
-from qboson.contours import contract_powers
 from qboson.qcore import (
     CompactFn,
     WeylVector,
@@ -139,6 +140,35 @@ class EigenFamily:
         j, m, q = -self.power_sign(), self.mark, self.q
         o = 1.0 if self.model == "sd" else -1.0
         return pair_gap(m, m, j, q), o, -o * (step(1.0, j, q) - step(0.0, j, q))
+
+    def expand(self, R: np.ndarray):
+        """Yield (tau^{-1}, table) for every permutation tau, in
+        ``itertools.permutations`` order, where R is the contraction of
+        T / Delta (module docstring) at exponents lo..hi + k - 1 and table
+        that of T * S(tau) at lo..hi, with Delta = prod_{i<j} (z_j - z_i).
+
+        Every product is sgn(tau) prod_{b<a} N(z_{tau(a)}, z_{tau(b)}) / Delta,
+        and multiplying by base_u shifts component u's exponent by one, so
+        each of its k(k-1)/2 pair factors (`numerator`) acts on R as
+        R <- alpha R[e] + beta R[e + 1_u] + gamma R[e + 1_v],
+        trimming axes u and v by one.  The pair factors are expanded, not
+        multiplied on the grid, so a table rounds like
+        |alpha| + |beta base_u| + |gamma base_v| rather than |N| per pair: on
+        the k = 3 right-right table on the radius-1.5 circle its largest
+        error grows about 17-fold, to 2e-11.
+        """
+        k = R.ndim
+        alpha, beta, gamma = self.numerator()
+        for tau in itertools.permutations(range(k)):
+            table = R
+            for a in range(1, k):
+                for b in range(a):
+                    u, v = tau[a], tau[b]
+                    table = (alpha * table[_shift(k, u, v, 0, 0)]
+                             + beta * table[_shift(k, u, v, 1, 0)]
+                             + gamma * table[_shift(k, u, v, 0, 1)])
+            odd = sum(tau[b] > tau[a] for a in range(k) for b in range(a)) % 2
+            yield inverse_permutation(tau), -table if odd else table
 
     def prefactor(self, n: WeylVector) -> float:
         """Multiplier 1/`cq_weight`(n, q) for the right family; 1 for left and cfwd."""
@@ -320,49 +350,11 @@ class ScatteringGrid:
             return np.asarray(1.0 + 0.0j)
         return self._grouped(inverse_permutation(perm))
 
-    def permuted(self, T: np.ndarray, powers: tuple | None = None):
+    def permuted(self, T: np.ndarray):
         """Yield (tau^{-1}, T * product(tau)) for every permutation tau, in
-        ``itertools.permutations`` order.
-
-        With ``powers`` = (bases, axis_of, (lo, hi)) each product comes
-        contracted, as ``contract_powers(T * product(tau), *powers)``, from
-        one contraction of T / Delta shared by all k! permutations.  With
-        Delta = prod_{i<j} (z_j - z_i) every product is
-        sgn(tau) prod_{b<a} N(z_{tau(a)}, z_{tau(b)}) / Delta, and each
-        numerator N(u, v) = alpha + beta base_u + gamma base_v is linear in
-        the bases (`EigenFamily.numerator`).  Multiplying by base_u shifts
-        component u's exponent by one, so R, the contraction of T / Delta
-        at exponents lo..hi + k - 1, turns into each permutation's table
-        through its k(k-1)/2 pair factors,
-        R <- alpha R[e] + beta R[e + 1_u] + gamma R[e + 1_v],
-        each of which trims axes u and v by one.  T, a complex array of the
-        full grid shape, is overwritten by T / Delta in that case.  The pair
-        factors are expanded, not multiplied on the grid, so a table rounds
-        like |alpha| + |beta base_u| + |gamma base_v| rather than |N| per
-        pair: on the k = 3 right-right table on the radius-1.5 circle its
-        largest error grows about 17-fold, to 2e-11.
-        """
-        k = self.k
-        if powers is None:
-            for tau in itertools.permutations(range(k)):
-                yield inverse_permutation(tau), T * self.product(tau)
-            return
-        bases, axis_of, (lo, hi) = powers
-        for j in range(1, k):  # T / Delta in place, one small pair factor at a time
-            for i in range(j):
-                T *= 1.0 / (self.zs[j] - self.zs[i])
-        R = contract_powers(T, bases, axis_of, (lo, hi + k - 1))
-        alpha, beta, gamma = self.fam.numerator()
-        for tau in itertools.permutations(range(k)):
-            table = R
-            for a in range(1, k):
-                for b in range(a):
-                    u, v = tau[a], tau[b]
-                    table = (alpha * table[_shift(k, u, v, 0, 0)]
-                             + beta * table[_shift(k, u, v, 1, 0)]
-                             + gamma * table[_shift(k, u, v, 0, 1)])
-            odd = sum(tau[b] > tau[a] for a in range(k) for b in range(a)) % 2
-            yield inverse_permutation(tau), -table if odd else table
+        ``itertools.permutations`` order."""
+        for tau in itertools.permutations(range(self.k)):
+            yield inverse_permutation(tau), T * self.product(tau)
 
     def eigen(self, n: WeylVector) -> np.ndarray:
         """The eigenfunction at state n on the broadcast grid."""

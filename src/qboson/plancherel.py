@@ -26,14 +26,16 @@ the right-right Gram table of the isomorphism identity.  They contract the
 integrand against integer powers of the one-particle bases with
 `contours.contract_powers` (the components of one string share their base
 point's grid axis), so one quadrature grid serves a whole box of spatial
-arguments at once.  The x-side permutations of the pairing table cost one
-contraction per slab: `ScatteringGrid.permuted` contracts the integrand
-over the common scattering denominator Delta once and builds each
-permutation's table from it through the numerator factors, which are
-linear in the bases (alpha + beta base_u + gamma base_v), as shifted slices
-of that small table.  Delta divides every measure here analytically (the
-nested kernel, the Cauchy product of `mu_density_grid`), so the division
-adds no small divisor.
+arguments at once.  The x-side permutations of the pairing table cost no
+grid work: each slab contracts its y terms over the common scattering
+denominator Delta, the contractions are summed over slabs (and over
+partitions, which share the component-exponent index space) into one
+small table per y-permutation, and `EigenFamily.expand` builds each
+x-permutation's table from that sum through the numerator factors, which
+are linear in the bases (alpha + beta base_u + gamma base_v), as shifted
+slices.  Delta divides every measure here analytically (the nested kernel,
+the Cauchy product of `mu_density_grid`), so the division adds no small
+divisor.
 
 Every grid here is walked through `contours._grid_chunks`, the same slabs
 `contours.integrate` uses, so peak memory is one slab (4 MB per complex
@@ -67,7 +69,7 @@ from qboson.contours import (
     _grid_chunks,
     half_grid_sums,
 )
-from qboson.eigenfunctions import EigenFamily, ScatteringGrid, eigen_eval_grid
+from qboson.eigenfunctions import EigenFamily, ScatteringGrid
 from qboson.qcore import (
     CompactFn,
     Partition,
@@ -107,15 +109,15 @@ def nested_kernel_grid(zs: Sequence[np.ndarray], cs: ContourSystem) -> np.ndarra
 def transform_F_grid(f: CompactFn, zs: Sequence[np.ndarray], q: float,
                      side: str = "right") -> np.ndarray:
     """Grid version of the q-Boson transform; ``side`` switches to the left
-    pairing."""
-    fam = EigenFamily(f"qboson-{side}", q)
+    pairing.  Every support point is evaluated on one `ScatteringGrid`, so
+    its k(k-1) pair factors are formed once."""
+    grid = ScatteringGrid(EigenFamily(f"qboson-{side}", q), zs)
     out = None
     for n, v in f.items():
-        term = v * eigen_eval_grid(fam, zs, n)
+        term = v * grid.eigen(n)
         out = term if out is None else out + term
     if out is None:
-        shape = np.broadcast_shapes(*[np.shape(z) for z in zs])
-        out = np.zeros(shape, dtype=complex)
+        out = np.zeros(grid.shape, dtype=complex)
     return out
 
 
@@ -431,15 +433,21 @@ def composition_table(states: Sequence[WeylVector], cs: ContourSystem, spec: Qua
     k = coords.shape[1]
     lo, hi = int(coords.min()), int(coords.max())
     erange = (lo + min(sy * lo, sy * hi) - 1, hi + max(sy * lo, sy * hi) - 1)
-    out = np.zeros((len(coords), len(coords)), dtype=complex)
+    contractions = {}  # sigma^{-1} -> sum over slabs of the contraction of T / Delta
     for s in _spectral_slabs(k, cs, spec, side):
-        scat_x = ScatteringGrid(fam_x, s.comps)
         for inv_s, Tl in s.lefts(s.measure):
-            for inv_t, table in scat_x.permuted(Tl, (s.bases, s.axis_of, erange)):
-                # component m carries the exponent
-                # x_{tau^{-1}(m)} + sy y_{sigma^{-1}(m)} - 1
-                out += table[tuple(coords[:, None, t] + sy * coords[None, :, j] - 1
-                                   - erange[0] for t, j in zip(inv_t, inv_s))]
+            for j in range(1, k):  # Tl / Delta in place, one small pair factor at a time
+                for i in range(j):
+                    Tl *= 1.0 / (s.comps[j] - s.comps[i])
+            R = contract_powers(Tl, s.bases, s.axis_of, (erange[0], erange[1] + k - 1))
+            contractions[tuple(inv_s)] = contractions.get(tuple(inv_s), 0) + R
+    out = np.zeros((len(coords), len(coords)), dtype=complex)
+    for inv_s, R in contractions.items():
+        for inv_t, table in fam_x.expand(R):
+            # component m carries the exponent
+            # x_{tau^{-1}(m)} + sy y_{sigma^{-1}(m)} - 1
+            out += table[tuple(coords[:, None, t] + sy * coords[None, :, j] - 1
+                               - erange[0] for t, j in zip(inv_t, inv_s))]
     sign = (-1.0) ** k if cs.model == "sd" else 1.0
     return sign * fam_x.prefactors(coords)[:, None] * fam_y.prefactors(coords)[None, :] * out
 

@@ -59,6 +59,23 @@ def test_string_circle_sits_at_the_marked_point():
         ContourSystem((Circle(0.5, 0.1),), "string", q=Q)
 
 
+def test_string_circle_takes_its_center_as_the_marked_point():
+    # centre eps, eps-scaled image bound, pole gap eps - alpha/q^k; a centre
+    # at or below 0 is refused, as nested_contours refuses it
+    for q in (0.1, 0.5, 0.7):
+        cs = string_circle(q, center=0.5)
+        (c,) = cs.circles
+        assert (cs.eps, c.center) == (0.5, 0.5)
+        assert c.radius == pytest.approx(0.6 * 0.5 * (1 - q) / (1 + q), rel=1e-15, abs=0)
+    (c,) = string_circle(Q, 2, alpha=0.1, center=0.5).circles
+    assert c.radius == pytest.approx(0.6 * (0.5 - 0.1 / Q**2), rel=1e-15, abs=0)
+    with pytest.raises(ContourError, match="reaches the pole"):
+        string_circle(Q, 2, alpha=0.1, radius=0.1, center=0.5)
+    for center in (0.0, -0.5):
+        with pytest.raises(ContourError, match="center must be positive"):
+            string_circle(Q, center=center)
+
+
 def test_single_gamma_geometry():
     cs = single_gamma(Q)
     c = cs.circles[0]

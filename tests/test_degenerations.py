@@ -82,13 +82,13 @@ def test_deriv_expansion_exact():
         eps = float(rng.uniform(0.2, 1.3))
         z = rng.normal(eps + 1.0, 0.4, k) + 1j * rng.normal(0, 0.6, k)
         fam_c = EigenFamily("qboson-cfwd", Q, eps)
-        d_sum = sum(e.value * eigen_eval(fam_c, z, e.target, validate=False)
-                    for e in deriv_matrices(n, "right", eps, Q))
+        d_sum = sum(v * eigen_eval(fam_c, z, m, validate=False)
+                    for m, v in deriv_matrices(n, "right", eps, Q).items())
         assert abs(d_sum - psi_cfwd_eps_derivative(z, n, eps, Q)) < 1e-10 * (
             1 + abs(d_sum))
         fam_l = EigenFamily("qboson-left", Q, eps)
-        d_sum = sum(e.value * eigen_eval(fam_l, z, e.target, validate=False)
-                    for e in deriv_matrices(n, "left", eps, Q))
+        d_sum = sum(v * eigen_eval(fam_l, z, m, validate=False)
+                    for m, v in deriv_matrices(n, "left", eps, Q).items())
         assert abs(d_sum - psi_left_eps_derivative(z, n, eps, Q)) < 1e-10 * (
             1 + abs(d_sum))
 
@@ -114,19 +114,16 @@ def _box_left_sources(n, eps, q):
     """Reference for ``left_sources``: every m of a whole Weyl box around n
     whose left row at m+1 reaches n, found by building that row."""
     return {mm for mm in weyl_vectors_in_box(n.k, n.coords[-1] - n.k - 2, n.coords[0] + 1)
-            if any(e.target == n for e in deriv_matrices(mm.shift(1), "left", eps, q))}
+            if n in deriv_matrices(mm.shift(1), "left", eps, q)}
 
 
 def _box_crl_relation_check(n, eps, q):
-    """Reference for ``crl_relation_check``: targets from the box, values by
-    first-match search of each row."""
+    """Reference for ``crl_relation_check``: targets from the box, values
+    read from each row."""
     def value(src, tgt, side):
-        for e in deriv_matrices(src, side, eps, q):
-            if e.target == tgt:
-                return e.value
-        return 0.0
+        return deriv_matrices(src, side, eps, q).get(tgt, 0.0)
 
-    targets = {e.target for e in deriv_matrices(n.shift(-1), "right", eps, q)}
+    targets = set(deriv_matrices(n.shift(-1), "right", eps, q))
     targets |= _box_left_sources(n, eps, q)
     worst = 0.0
     for mm in targets:

@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from qboson import eigenfunctions
 from qboson.contours import contract_powers
 from qboson.eigenfunctions import (
     FAMILY_KINDS,
@@ -170,10 +169,10 @@ def test_p_map_intertwines_right_to_left():
 
 
 def _permuted_case(fam, k, layout, rng):
-    """Spectral grids, a grid tensor and the powers argument of one
-    ``permuted`` call.  "own": one axis per component; "string": the first
-    k - 1 components are one string on axis 0 (geometric, or additive for
-    the semi-discrete family), as in the expanded mode, the last on axis 1."""
+    """Spectral grids, a grid tensor and the grid axis of each component.
+    "own": one axis per component; "string": the first k - 1 components are
+    one string on axis 0 (geometric, or additive for the semi-discrete
+    family), as in the expanded mode, the last on axis 1."""
     def nodes(m, center):
         return center + 0.6 * np.exp(2j * np.pi * (np.arange(m) + rng.random()) / m)
 
@@ -189,8 +188,7 @@ def _permuted_case(fam, k, layout, rng):
         zs = [step(i) for i in range(k - 1)] + [nodes(4, center)[None, :]]
     shape = np.broadcast_shapes(*[z.shape for z in zs])
     T = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    bases = [np.broadcast_to(fam.base(z), z.shape).ravel() for z in zs]
-    return zs, T, (bases, axis_of, (-2, 3))
+    return zs, T, axis_of
 
 
 # each family at its own marked point, and the q-Boson families again at
@@ -203,31 +201,36 @@ PERMUTED_CASES = {
 
 
 @pytest.mark.parametrize("case", PERMUTED_CASES)
-def test_permuted_contraction_matches_naive_products(case, monkeypatch):
-    # the one contraction of T / Delta with shifted-slice numerator factors
-    # against a contraction of each full-grid product T * S(tau)
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return contract_powers(*args)
-
-    monkeypatch.setattr(eigenfunctions, "contract_powers", counted)
+def test_permuted_contraction_matches_naive_products(case):
+    # EigenFamily.expand of the contractions of T / Delta summed over two
+    # slabs of the grid, against the sum over the slabs of a contraction of
+    # each full-grid product T * S(tau): the walk is linear in the contraction
     kind, eps = PERMUTED_CASES[case]
     fam = EigenFamily(kind, None if kind.startswith("sd") else 0.4, eps)
     rng = np.random.default_rng(list(PERMUTED_CASES).index(case))
+    lo, hi = -2, 3
     for k in (1, 2, 3, 4):
         for layout in ("own", "string") if k > 1 else ("own",):
-            zs, T, powers = _permuted_case(fam, k, layout, rng)
-            grid = ScatteringGrid(fam, zs)
-            naive = [(tau, contract_powers(T * grid.product(tau), *powers))
+            zs, T, axis_of = _permuted_case(fam, k, layout, rng)
+            slabs = []
+            for cut in (slice(None, T.shape[0] // 2), slice(T.shape[0] // 2, None)):
+                zs_s = [z[cut] if z.shape[0] > 1 else z for z in zs]
+                bases = [np.broadcast_to(fam.base(z), z.shape).ravel() for z in zs_s]
+                slabs.append((zs_s, T[cut], bases))
+            naive = [(tau, sum(contract_powers(T_s * ScatteringGrid(fam, zs_s).product(tau),
+                                               bases, axis_of, (lo, hi))
+                               for zs_s, T_s, bases in slabs))
                      for tau in itertools.permutations(range(k))]
-            calls.clear()
-            fast = list(ScatteringGrid(fam, zs).permuted(T.copy(), powers))
-            assert len(calls) == 1
+            R = 0
+            for zs_s, T_s, bases in slabs:
+                for j in range(1, k):
+                    for i in range(j):
+                        T_s = T_s / (zs_s[j] - zs_s[i])
+                R = R + contract_powers(T_s, bases, axis_of, (lo, hi + k - 1))
+            fast = list(fam.expand(R))
             scale = max(np.abs(table).max() for _, table in naive)
             assert len(fast) == len(naive)
             for (tau, ref), (inv, table) in zip(naive, fast):
                 assert list(inv) == inverse_permutation(tau)
-                assert table.shape == ref.shape == (6,) * k
+                assert table.shape == ref.shape == (hi - lo + 1,) * k
                 assert np.abs(table - ref).max() <= 1e-12 * scale, (k, layout, tau)

@@ -607,6 +607,29 @@ def test_chunked_grids_match_one_chunk(monkeypatch):
             np.testing.assert_allclose(b, a, rtol=0, atol=1e-12 * (1 + np.abs(a).max()))
 
 
+@pytest.mark.parametrize("budget", [contours.CHUNK_ELEMENTS, 512])
+def test_composition_table_expands_once_per_y_permutation(budget, monkeypatch):
+    # The slabs' contractions (and the partitions', in the string mode) are
+    # summed per y-permutation before the x-side walk: one expand per
+    # distinct sigma, however many slabs the 16^3 grid is cut into (1 at
+    # the default budget, 8 at 512).
+    monkeypatch.setattr(contours, "CHUNK_ELEMENTS", budget)
+    calls = []
+    inner = EigenFamily.expand
+
+    def counted(self, R):
+        calls.append(R.shape)
+        return inner(self, R)
+
+    monkeypatch.setattr(EigenFamily, "expand", counted)
+    states = list(weyl_vectors_in_box(3, -1, 1))
+    for cs, expands in ((nested_contours(3, Q, r_k=0.3), 1), (single_gamma(Q, k=3), 1),
+                        (string_circle(Q, radius=0.3), 6)):
+        calls.clear()
+        composition_table(states, cs, QuadratureSpec(16))
+        assert len(calls) == expands, cs.family
+
+
 @pytest.mark.parametrize("m", [16, 32, 64, 128])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_grid_slabs_keep_the_budget_and_start_at_even_nodes(k, m):
@@ -734,7 +757,7 @@ def test_monomial_basis_is_every_small_chamber_point_in_order():
             assert _monomial_basis(k, d) == want
 
 
-# The checks whose transform tables go through ScatteringGrid.permuted(T, powers).
+# The checks whose transform tables go through EigenFamily.expand.
 ROUTED_CHECKS = ["plancherel-forward", "plancherel-pairing", "biorthogonality-spatial",
                  "orthogonality-spectral", "eps-orthogonality", "eps-plancherel",
                  "sd-plancherel", "sd-biorthogonality"]

@@ -4,12 +4,15 @@ import inspect
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qboson
 from qboson.cli import main
 from qboson.degenerations import oy_simulate
 from qboson.registry import REGISTRY, UnknownCheckError, run_all, run_check
@@ -142,8 +145,13 @@ def test_accumulator_pass_rule():
 
 
 def _cli(*args):
+    # the child imports the qboson these tests import, with or without an
+    # installed package or PYTHONPATH
+    path = os.pathsep.join(filter(None, [str(Path(qboson.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "qboson.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def test_cli_verify_single_and_outputs(tmp_path):
