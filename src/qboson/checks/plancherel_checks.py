@@ -207,12 +207,14 @@ def check_residue_expansion(acc: Accumulator, q: float = 0.25, n_functions: int 
     expansion over string-specialized integrals, for analytic symmetric F.
 
     Each side plans its own node count per k with `plan_nodes`: from 16
-    per axis, doubling while its worst half-grid estimate exceeds
-    tolerance/100, up to `default_nodes(k)`.  The string circle, the
+    per axis, doubling while the planner's worst error estimate (its
+    extrapolation of the side's half-grid differences and rounding bounds)
+    exceeds tolerance/100, up to `default_nodes(k)`.  The string circle, the
     innermost one, has radius min(0.3, 0.6 (1-q)/(1+q)): at most 0.6 of
     the largest radius (1-q)/(1+q) whose q-image clears it, so it is valid
     at every q and never crowds its images as q grows.  The chosen node
-    counts and their estimates are recorded under params["quadrature"].
+    counts and the planner's estimates are recorded under
+    params["quadrature"].
     """
     rng = np.random.default_rng(seed)
     r_k = min(0.3, 0.6 * (1.0 - q) / (1.0 + q))

@@ -303,12 +303,17 @@ def h0_build(kind: str, k: int, N: int, q: float, alpha: float = 0.0) -> Compact
     return CompactFn(table)
 
 
-MOMENT_TARGET = 1e-10  # error estimate at which a moment's or spectral solve's node doubling stops
+# The planner's error estimate (`contours.plan_nodes`, an extrapolation of
+# the half-grid differences) at which a moment's or spectral solve's node
+# doubling stops.  A stop below the ceiling meets it against the matrix
+# oracles; q = 0.9, n = (3, 3, 3) sits at a rounding floor near 1e-8 and
+# runs to the ceiling with an estimate that says so.
+MOMENT_TARGET = 1e-10
 
 
 @dataclass
 class MomentResult(QuadResult):
-    """A moment, its half-grid estimate, string radius and nodes per axis."""
+    """A moment, the planner's error estimate, string radius and nodes per axis."""
 
     radius: float
     nodes: int
@@ -381,20 +386,40 @@ def map_path_shards(paths: int, seed: int, fn: Callable) -> list:
 
 def moment_mc(specs: Sequence[MomentSpec], paths: int, seed: int = 0) -> list[tuple[float, float]]:
     """Monte Carlo moments, one (estimate, stderr) per spec, over one q-TASEP
-    ensemble that the specs share; each path shard writes its own slices."""
+    ensemble that the specs share.  Each path shard keeps, per spec, only
+    the count, mean and sum of squared deviations M2 of its observables;
+    the shards merge in shard order by Chan, Golub and LeVeque's pairwise
+    update, so no per-path array outlives its shard."""
     ensemble, *others = [(s.N, s.init, s.alpha, s.q, s.t) for s in specs]
     if any(e != ensemble for e in others):
         raise ValueError("the moments of one ensemble must share N, init, alpha, q and t")
-    obs = [np.ones(max(paths, 0)) for _ in specs]  # paths < 0: none, which mc_mean refuses
+    if paths < 2:
+        raise ValueError("a Monte Carlo moment needs paths >= 2 for its standard error")
 
-    def shard(sl: slice, rng: np.random.Generator) -> None:
-        x = qtasep_sample_ensemble(*ensemble, len(obs[0][sl]), rng)
-        for spec, o in zip(specs, obs):
+    def shard(sl: slice, rng: np.random.Generator) -> list[tuple[int, float, float]]:
+        x = qtasep_sample_ensemble(*ensemble, sl.stop - sl.start, rng)
+        stats = []
+        for spec in specs:
+            obs = np.ones(len(x))
             for ni in spec.n.coords:
-                o[sl] *= spec.q ** (x[:, ni - 1] + ni).astype(float)
+                obs *= spec.q ** (x[:, ni - 1] + ni).astype(float)
+            mean = float(obs.mean()) if len(obs) else 0.0
+            stats.append((len(obs), mean, float(((obs - mean) ** 2).sum())))
+        return stats
 
-    map_path_shards(len(obs[0]), seed, shard)
-    return [mc_mean(o) for o in obs]
+    shards = map_path_shards(paths, seed, shard)
+    out = []
+    for i in range(len(specs)):
+        n, mean, m2 = 0, 0.0, 0.0
+        for n_b, mean_b, m2_b in (stats[i] for stats in shards):
+            if n_b:  # a shard may hold no path
+                total = n + n_b
+                delta = mean_b - mean
+                mean += delta * n_b / total
+                m2 += m2_b + delta * delta * n * n_b / total
+                n = total
+        out.append((mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +486,10 @@ def solve_evolution_batch(direction: str, f0: CompactFn, t: float, ns: Sequence[
     The solution is the nested inverse transform (`inverse_J_batch`) of the
     time-weighted transform of f0, times a prefactor per state in the
     forward direction.  An explicit ``quad`` fixes the nodes per circle.
-    Without it `plan_nodes` doubles them from 16 until the worst error
-    estimate of the returned values (`inverse_J_batch`'s, times |prefactor|)
-    meets MOMENT_TARGET, up to `default_nodes(k)`.
+    Without it `plan_nodes` doubles them from 16 until its worst error
+    estimate of the returned values (from `inverse_J_batch`'s half-grid
+    differences and rounding bounds, times |prefactor|) meets MOMENT_TARGET,
+    up to `default_nodes(k)`.
     """
     check_q(q)
     k = f0.k
@@ -483,9 +509,9 @@ def solve_evolution_batch(direction: str, f0: CompactFn, t: float, ns: Sequence[
     else:
         raise ValueError(f"unknown direction {direction!r}")
 
-    def evaluate(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-        vals, estimates = inverse_J_batch(G, states, cs, spec)
-        return pref * vals, np.abs(pref) * estimates
+    def evaluate(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        vals, d, rounding = inverse_J_batch(G, states, cs, spec)
+        return pref * vals, np.abs(pref) * d, np.abs(pref) * rounding
 
     if quad is None:
         return plan_nodes(evaluate, MOMENT_TARGET, default_nodes(k)).values

@@ -46,12 +46,11 @@ Both residue-expansion sides walk the dispatch with the left family and sum
 F by `contours.half_grid_sums`: `residue_expand_nested` on nested circles,
 `residue_expand_sum` on one string circle, as every moment is evaluated.
 
-Every evaluator here returns, from one pass, its values and an error
-estimate of each, from which `contours.plan_nodes` chooses the node count.
-Both residue sides give the plain embedded half-grid difference d.
-`inverse_J_batch`, which the spectral Kolmogorov solver plans on, also
-bounds each value's rounding and, well above that bound, extrapolates d
-along the trapezoid rule's geometric rate to min(d, d^2/|value|).
+Every planned evaluator here (`inverse_J_batch` and both residue sides)
+returns, from one pass, its values, the plain embedded half-grid
+difference d of each and a rounding bound eps sum|T|; none extrapolates d.
+`contours.plan_nodes` extrapolates them into the estimate on which it
+chooses the node count.
 """
 
 from __future__ import annotations
@@ -341,23 +340,8 @@ def _spectral_slabs(k: int, cs: ContourSystem, spec: QuadratureSpec, side: str):
                         W * mu_density_grid(lam, ws, cs), lefts)
 
 
-def _geometric_estimate(d: np.ndarray, values: np.ndarray, rounding: np.ndarray) -> np.ndarray:
-    """Error estimate of values whose half-grid difference is d.
-
-    d is what doubling from M/2 to M changed, about the error at M/2.  On the
-    trapezoid rule's geometric rate each doubling squares the error on the
-    values' scale, so the error at M is about d^2/|value|; that is taken,
-    capped at d, where d is at least 100 times the rounding bound.  Nearer
-    the bound d measures rounding, which doubling does not square, and d
-    stands.
-    """
-    mag = np.abs(values)
-    squared = np.divide(d * d, mag, out=np.full_like(d, np.inf), where=mag > 0)
-    return np.where(d >= 100.0 * rounding, np.minimum(d, squared), d)
-
-
 def inverse_J_batch(G, ns: Sequence[WeylVector], cs: ContourSystem,
-                    spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+                    spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverse transform (the family, q and marked point of ``cs``) of a
     symmetric spectral function G at many points n, sharing one grid
     evaluation of G.
@@ -367,14 +351,13 @@ def inverse_J_batch(G, ns: Sequence[WeylVector], cs: ContourSystem,
     eigenfunction), or one string circle (the sum over partitions of
     string-specialized integrals).
 
-    Returns the values and, from the same pass, an error estimate of each.
-    Every slab also contracts its embedded half grid (every second node on
-    each axis, scaled by 2^axes), and d is the difference of the two sums.
-    The rounding bound of a value is eps sum|T| prod_m b_m^{e_m} over the
+    Returns the values and, from the same pass, the two error figures that
+    `contours.plan_nodes` extrapolates into its estimate.  Every slab also
+    contracts its embedded half grid (every second node on each axis,
+    scaled by 2^axes), and d is the difference of the two sums.  The
+    rounding bound of a value is eps sum|T| prod_m b_m^{e_m} over the
     slabs' integrands T, with b_m the largest |base| of component m where
-    its exponent e_m >= 0 and the smallest where e_m < 0.  The estimate is
-    `_geometric_estimate` of d: min(d, d^2/|value|) where d >= 100 times the
-    rounding bound, and d otherwise.
+    its exponent e_m >= 0 and the smallest where e_m < 0.
     """
     coords = _state_coords(ns)
     hi = int(coords.max())
@@ -400,8 +383,7 @@ def inverse_J_batch(G, ns: Sequence[WeylVector], cs: ContourSystem,
             growth = np.prod([np.where(e[:, m] >= 0, top, low) ** e[:, m]
                               for m, (low, top) in enumerate(extents)], axis=0)
             rounding += float(np.abs(T).sum()) * growth
-    d = np.abs(out - coarse)
-    return out, _geometric_estimate(d, out, np.finfo(float).eps * rounding)
+    return out, np.abs(out - coarse), np.finfo(float).eps * rounding
 
 
 def inverse_J(G, n: WeylVector, cs: ContourSystem, spec: QuadratureSpec) -> complex:
@@ -466,16 +448,17 @@ def _residue_terms(k: int, cs: ContourSystem, spec: QuadratureSpec):
 
 
 def residue_expand_nested(Fs: Sequence[Callable], cs: ContourSystem,
-                          spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+                          spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nested integral of prod_{A<B} (z_A - z_B)/(z_A - q z_B) * F for each F
     of a batch over the nested circles ``cs`` (the dispatch's nested slabs,
     whose measure is W times that kernel), with `contours.half_grid_sums`'
-    values, estimates and FloatingPointError on a non-finite F."""
+    values, half-grid differences, rounding bounds and FloatingPointError
+    on a non-finite F."""
     return half_grid_sums(_residue_terms(cs.k, cs, spec), Fs)
 
 
 def residue_expand_sum(Fs: Sequence[Callable], k: int, cs: ContourSystem,
-                       spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+                       spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partition-sum side: for each F of a batch, the sum over partitions of
     the string measure paired with the symmetrized kernel
     sum_sigma S^left(sigma) F(sigma z), on ell(lam) copies of the one
@@ -483,8 +466,8 @@ def residue_expand_sum(Fs: Sequence[Callable], k: int, cs: ContourSystem,
     of `_spectral_slabs` with the left family, F taken at the permuted
     string components.  On a semi-discrete circle (q None) the family is the
     semi-discrete one, for the kernel prod_{A<B} (z_A - z_B)/(z_A - z_B - 1).
-    Returns the values and
-    each one's embedded half-grid estimate: the half-grid sum of each
-    ell-axis grid, scaled by 2^ell.
+    Returns `contours.half_grid_sums`' values, half-grid differences (the
+    half-grid sum of each ell-axis grid scaled by 2^ell) and rounding
+    bounds.
     """
     return half_grid_sums(_residue_terms(k, cs, spec), Fs)

@@ -366,12 +366,13 @@ def test_describe_roundtrip():
 
 
 def test_plan_nodes_doubles_from_16_to_the_first_count_that_meets_the_target():
-    # a synthetic estimate 2^-M: 2^-16 > 1e-6 > 2^-32
+    # a synthetic difference 2^-M, all of it within 100 rounding bounds, so
+    # the estimate is d itself: 2^-16 > 1e-6 > 2^-32
     seen = []
 
     def evaluate(spec):
         seen.append(spec.nodes)
-        return np.array([spec.nodes]), np.array([2.0 ** -spec.nodes])
+        return np.array([spec.nodes]), np.array([2.0 ** -spec.nodes]), np.array([1.0])
 
     plan = plan_nodes(evaluate, 1e-6, ceiling=128)
     assert seen == [16, 32] and plan.nodes == 32 and plan.values[0] == 32
@@ -383,3 +384,64 @@ def test_plan_nodes_doubles_from_16_to_the_first_count_that_meets_the_target():
     for ceiling in (48, 8):
         with pytest.raises(ValueError, match="power of two >= 16"):
             plan_nodes(evaluate, 1e-6, ceiling=ceiling)
+
+
+def _replay(ds, value=1e-6, rounding=0.0):
+    """An evaluator that returns the half-grid differences ``ds`` at 16, 32,
+    64 and 128 nodes for one integral of the given value and rounding bound."""
+    counts = (16, 32, 64, 128)
+    return lambda spec: (np.array([value]), np.array([ds[counts.index(spec.nodes)]]),
+                         np.array([rounding]))
+
+
+# Differences that fall at a geometric rate: each ratio is the square of the
+# one before (1e-2, then 1e-4).  The value 1e-6 keeps d^2/|value| above d
+# at 32 nodes and at 1e-10 at 64, so only the rate step reaches 1e-12.
+GEOMETRIC = (1e-2, 1e-4, 1e-8, 1e-16)
+
+
+def test_plan_nodes_takes_the_rate_step_on_a_geometric_sequence():
+    plan = plan_nodes(_replay(GEOMETRIC), 1e-12, ceiling=128)
+    # d r^2 = 1e-8 (1e-4)^2 at 64 nodes
+    assert plan.nodes == 64
+    assert plan.estimates[0] == pytest.approx(1e-16, rel=1e-12)
+    # the rate step is floored at the rounding bound
+    plan = plan_nodes(_replay(GEOMETRIC, rounding=1e-14), 0.0, ceiling=64)
+    assert plan.estimates[0] == 1e-14
+
+
+def test_plan_nodes_takes_no_rate_step_where_the_rate_slows():
+    # r = 2e-4 at 64 nodes exceeds r_prev^2 = 1e-4: the value-scaled step
+    # d^2/|value| = 4e-10 stands, and the planner doubles on
+    ds = (1e-2, 1e-4, 2e-8, 1e-16)
+    plan = plan_nodes(_replay(ds), 1e-12, ceiling=64)
+    assert plan.nodes == 64
+    assert plan.estimates[0] == pytest.approx(4e-16 / 1e-6, rel=1e-12)
+    assert plan_nodes(_replay(ds), 1e-12, ceiling=128).nodes == 128
+    # a rate above 1 (d grew) takes no rate step either, even where r_prev is 0
+    plan = plan_nodes(_replay((1e-2, 1e-6, 2e-6, 1e-16), value=1.0), 0.0, ceiling=64)
+    assert plan.estimates[0] == pytest.approx(4e-12, rel=1e-12)
+    # a zero difference before gives no rate at all (the target -1 keeps the
+    # planner from stopping on the zero estimate at 16 nodes)
+    plan = plan_nodes(_replay((0.0, 1e-4, 1e-8, 1e-16), value=1e-6), -1.0, ceiling=64)
+    assert plan.estimates[0] == pytest.approx(1e-10, rel=1e-12)
+
+
+def test_plan_nodes_keeps_plain_d_within_100_rounding_bounds():
+    # d = 1e-8 < 100 rho = 1e-7 at 64 nodes: no step at all
+    plan = plan_nodes(_replay(GEOMETRIC, rounding=1e-9), 0.0, ceiling=64)
+    assert plan.estimates[0] == 1e-8
+    # and just above 100 rho the steps apply
+    plan = plan_nodes(_replay(GEOMETRIC, rounding=0.99e-10), 0.0, ceiling=64)
+    assert plan.estimates[0] == pytest.approx(0.99e-10, rel=1e-12)
+
+
+def test_plan_nodes_keeps_plain_d_at_the_first_count():
+    # at 16 nodes there is no d before: d^2/|value| = 1e-4/1e-6 would not
+    # lower it, nor would 1e-4/1e3 at a large value
+    for value in (1e-6, 1e3):
+        plan = plan_nodes(_replay(GEOMETRIC, value=value), 0.0, ceiling=16)
+        assert plan.nodes == 16 and plan.estimates[0] == 1e-2
+    # the value-scaled step starts at the second count
+    plan = plan_nodes(_replay(GEOMETRIC, value=1e3), 0.0, ceiling=32)
+    assert plan.estimates[0] == pytest.approx(1e-8 / 1e3, rel=1e-12)

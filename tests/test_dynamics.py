@@ -207,11 +207,11 @@ def test_moment_mc_matches_formula():
     assert se < se_small
 
 
-def _sequential_moment_mc(spec, paths, seed):
-    """moment_mc written plainly: the eight shards of the fixed layout, one
-    after another, each with its own spawned stream, then one mean."""
+def _shard_observables(spec, paths, seed):
+    """The observables of the eight shards of moment_mc's fixed layout, one
+    shard after another, each with its own spawned stream."""
     streams = np.random.SeedSequence(seed).spawn(8)
-    obs = []
+    out = []
     for i, sq in enumerate(streams):
         x = qtasep_sample_ensemble(spec.N, spec.init, spec.alpha, spec.q, spec.t,
                                    paths * (i + 1) // 8 - paths * i // 8,
@@ -219,9 +219,24 @@ def _sequential_moment_mc(spec, paths, seed):
         part = np.ones(len(x))
         for ni in spec.n.coords:
             part = part * spec.q ** (x[:, ni - 1] + ni).astype(float)
-        obs.append(part)
-    obs = np.concatenate(obs)
-    return float(obs.mean()), float(obs.std(ddof=1) / math.sqrt(len(obs)))
+        out.append(part)
+    return out
+
+
+def _sequential_moment_mc(spec, paths, seed):
+    """moment_mc written plainly: each shard reduced to its count, mean and
+    sum of squared deviations, merged in shard order by Chan, Golub and
+    LeVeque's update."""
+    n, mean, m2 = 0, 0.0, 0.0
+    for part in _shard_observables(spec, paths, seed):
+        if len(part) == 0:
+            continue
+        n_b, mean_b = len(part), float(part.mean())
+        delta = mean_b - mean
+        mean += delta * n_b / (n + n_b)
+        m2 += float(((part - mean_b) ** 2).sum()) + delta * delta * n * n_b / (n + n_b)
+        n += n_b
+    return mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
 @pytest.mark.parametrize("init,alpha,n,paths,seed", [
@@ -232,7 +247,12 @@ def _sequential_moment_mc(spec, paths, seed):
 ])
 def test_moment_mc_bit_equal_to_sequential_shards(init, alpha, n, paths, seed):
     spec = MomentSpec(WeylVector(n), 0.5, init, alpha=alpha, q=Q)
-    assert moment_mc([spec], paths, seed=seed) == [_sequential_moment_mc(spec, paths, seed)]
+    ((mean, se),) = moment_mc([spec], paths, seed=seed)
+    assert (mean, se) == _sequential_moment_mc(spec, paths, seed)
+    # the merged shard statistics are those of all the paths at once, to rounding
+    obs = np.concatenate(_shard_observables(spec, paths, seed))
+    assert mean == pytest.approx(obs.mean(), rel=1e-14, abs=1e-300)
+    assert se == pytest.approx(obs.std(ddof=1) / math.sqrt(len(obs)), rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("init,alpha", [("step", 0.0), ("half-stationary", 0.05)])
@@ -310,14 +330,17 @@ def _transition_oracle(y, x, q, t):
     return expm(t * L)[index[tuple(y)], index[tuple(x)]]
 
 
-@pytest.mark.parametrize("y, x, t, q", [
+K3_TRANSITIONS = [
     ((2, 1, 1), (2, 1, 1), 0.221, 0.1),
     ((2, 1, -1), (0, 0, -2), 1.148, 0.1),
     ((2, 1, 0), (2, -1, -2), 0.428, 0.3),
     ((2, -1, -1), (1, -1, -1), 0.749, 0.3),
     ((2, 1, 0), (1, 0, -2), 1.475, 0.5),
     ((2, 1, -1), (0, -1, -2), 0.603, 0.5),
-])
+]
+
+
+@pytest.mark.parametrize("y, x, t, q", K3_TRANSITIONS)
 def test_planned_k3_transitions_match_the_matrix_exponential(y, x, t, q):
     v = transition_probability("spectral", WeylVector(y), WeylVector(x), t, q)
     exact = _transition_oracle(y, x, q, t)
@@ -350,23 +373,55 @@ def test_spectral_transition_plans_its_nodes(monkeypatch):
     assert abs(fixed[0] - v) > 1e-9  # 32 nodes are far from converged
 
 
+# The planner's honesty on k <= 3 transitions, with the planned count where
+# it is pinned: (1, -1, -2) -> (-1, -3, -3) went to 128 nodes under the
+# value-scaled step alone, although 64 already met the target.
+PLANNED_TRANSITIONS = [(y, x, t, q, None) for y, x, t, q in K3_TRANSITIONS] + [
+    ((1, -1, -2), (-1, -3, -3), 0.455, 0.5, 64),
+    ((2, 1, 0), (1, 1, -2), 1.067, 0.5, 64),
+    ((1, 0), (0, -2), 0.8, 0.7, None),
+    ((0,), (-3,), 0.9, 0.3, None),
+]
+
+
+@pytest.mark.parametrize("y, x, t, q, nodes", PLANNED_TRANSITIONS)
+def test_planned_transitions_meet_the_target(y, x, t, q, nodes, monkeypatch):
+    plans = _spy_plans(monkeypatch)
+    v = transition_probability("spectral", WeylVector(y), WeylVector(x), t, q)
+    exact = _transition_oracle(y, x, q, t)
+    (plan,) = plans
+    if nodes is not None:
+        assert plan.nodes == nodes
+    # every one of these meets the target by the ceiling, so a stop below it
+    # and the ceiling alike must be within it
+    assert np.max(plan.estimates) <= dynamics.MOMENT_TARGET
+    assert abs(v - exact) / (1.0 + abs(exact)) <= dynamics.MOMENT_TARGET
+
+
 def test_a_128_node_transition_holds_a_few_slabs_of_numpy_buffers(monkeypatch):
-    # This transition plans to 128 nodes per circle, a grid of 2^21 nodes.
+    # At 128 nodes per circle this transition's grid has 2^21 nodes.
     # tracemalloc sees numpy's buffers: walked in slabs of
     # contours.CHUNK_ELEMENTS = 2^18 nodes they peak near 21 MB; as one
     # 2^21-node slab they would peak near 130 MB.
     y, x, t = WeylVector((2, 1, -1)), WeylVector((0, -1, -2)), 0.603
-    transition_probability("spectral", y, x, t, Q)  # warm-up: lazy imports and caches
+    exact = _transition_oracle(y.coords, x.coords, Q, t)
+    # planned, the differences show the geometric rate by 64 nodes
     plans = _spy_plans(monkeypatch)
+    v = transition_probability("spectral", y, x, t, Q)  # also the warm-up: lazy imports and caches
+    assert [p.nodes for p in plans] == [64]
+    assert abs(v - exact) < 1e-10
+    solve = lambda: solve_evolution_batch("forward", CompactFn.delta(y), t, [x], Q,
+                                          quad=QuadratureSpec(128))[0]
+    solve()
     tracemalloc.start()
     try:
-        v = transition_probability("spectral", y, x, t, Q)
+        v = solve()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [p.nodes for p in plans] == [128]
+    assert len(plans) == 1  # an explicit node count is not planned
     assert peak < 40 * 2**20
-    assert abs(v - _transition_oracle(y.coords, x.coords, Q, t)) < 1e-12
+    assert abs(v - exact) < 1e-12
 
 
 @pytest.mark.parametrize("method", ["spectral", "uniformization"])

@@ -20,7 +20,8 @@ from scipy.linalg import expm
 from qboson.checks import dynamics_checks
 from qboson.contours import Circle, ContourError, QuadratureSpec, string_circle
 from qboson.degenerations import sd_moment_formula
-from qboson.dynamics import MomentSpec, moment_formula
+from qboson.contours import default_nodes
+from qboson.dynamics import MOMENT_TARGET, MomentSpec, moment_formula
 from qboson.plancherel import residue_expand_sum
 from qboson.qcore import WeylVector
 from qboson.registry import run_check
@@ -121,6 +122,36 @@ def test_found_queries_to_1e_10(n, init, alpha, t, expected):
     assert r.nodes <= 128 and r.error_estimate <= 1e-10
 
 
+# The planner's honesty on k <= 3 moments: (q, n, alpha, t, nodes), alpha 0
+# for step data and nodes the planned count where it is pinned.  (3, 2, 1)
+# at alpha = 0.1 went to 128 nodes under the plain half-grid difference,
+# although 64 already met the target; (2, 1, 1) at t = 1, alpha = 0.1 is
+# the benchmark's fourth fixed query.
+PLANNED_MOMENTS = [
+    (0.5, (3, 2, 1), 0.1, 0.5, 64), (0.5, (2, 1, 1), 0.1, 1.0, 64),
+    (0.5, (3, 2, 1), 0.02, 0.5, None), (0.5, (2, 1, 1), 0.0, 0.5, None),
+    (0.1, (3, 2, 1), 0.0, 0.5, None), (0.3, (2, 2, 1), 0.3**3 / 2, 1.5, None),
+    (0.7, (3, 2, 1), 0.7**3 / 2, 0.5, None), (0.9, (1,), 0.0, 0.5, None),
+    (0.9, (2, 1), 0.9**2 / 2, 1.0, None), (0.9, (3, 3, 3), 0.0, 1.0, None),
+]
+
+
+@pytest.mark.parametrize("q,n,alpha,t,nodes", PLANNED_MOMENTS)
+def test_planned_moments_meet_the_target(q, n, alpha, t, nodes):
+    init = "half-stationary" if alpha else "step"
+    r = moment_formula(MomentSpec(WeylVector(n), t, init, alpha=alpha, q=q))
+    err = _scaled(r.value, qtasep_moment(n, q, t, alpha))
+    if nodes is not None:
+        assert r.nodes == nodes
+    if r.nodes < default_nodes(len(n)):
+        # the planner stopped on its estimate: the error meets the target
+        assert r.error_estimate <= MOMENT_TARGET and err <= MOMENT_TARGET
+    else:
+        # no count met the target: q = 0.9, n = (3, 3, 3) sits at a rounding
+        # floor near 1e-8 at every count, and its estimate must say so
+        assert r.error_estimate > MOMENT_TARGET and err <= r.error_estimate
+
+
 @pytest.mark.parametrize("n,t", [
     ((1,), 0.5), ((4,), 1.5), ((2, 1), 1.0), ((2, 2), 0.7), ((3, 1), 1.5),
     ((1, 1, 1), 1.0), ((2, 2, 1), 0.4), ((3, 2, 1), 0.7), ((3, 3, 3), 2.0),
@@ -165,8 +196,8 @@ def test_sd_residue_expansion_matches_a_naive_nested_integral(k, m):
                                                for j, (c, z) in enumerate(zip(coeffs, zs))))
 
     nested = _naive_sd_nested(F, k, m)
-    (total,), (estimate,) = residue_expand_sum([F], k, string_circle(None, radius=0.2),
-                                              QuadratureSpec(64))
+    (total,), (estimate,), _ = residue_expand_sum([F], k, string_circle(None, radius=0.2),
+                                                 QuadratureSpec(64))
     assert abs(nested) > 0.05
     assert estimate < 1e-13
     assert abs(total - nested) < 1e-9 * (1 + abs(nested))

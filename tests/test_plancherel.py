@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qboson import contours, plancherel
+from qboson import contours
 from qboson.contours import (
     QuadratureSpec,
     _grid_chunks,
@@ -222,7 +222,7 @@ def test_inverse_J_modes_agree_k2():
     ref = [_nested_reference(G, y, csn) for y in ys]
     assert abs(ref[0] - 1.0) < 1e-9  # Psi^r_x transforms back to delta_x
     for cs in (csn, single_gamma(Q, k=2), string_circle(Q, radius=0.3)):
-        batch, _ = inverse_J_batch(G, ys, cs, SPEC)
+        batch = inverse_J_batch(G, ys, cs, SPEC)[0]
         assert np.abs(batch - ref).max() < 1e-9, cs.family
 
 
@@ -231,7 +231,7 @@ def test_inverse_J_batch_matches_scalar():
     G = lambda zs: eigen_eval_grid(EigenFamily("qboson-right", Q), list(zs), x)
     cs = nested_contours(2, Q, r_k=0.3)
     ns = list(weyl_vectors_in_box(2, -2, 2))
-    batch, _ = inverse_J_batch(G, ns, cs, SPEC)
+    batch = inverse_J_batch(G, ns, cs, SPEC)[0]
     for n, v in zip(ns, batch):
         s = _nested_reference(G, n, cs)
         assert abs(v - s) < 1e-10 * (1 + abs(s))
@@ -266,67 +266,51 @@ def _inverse_J_case():
     return G, ys, np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def _spy_estimate(monkeypatch):
-    """Record the (d, values, rounding bound) of every `inverse_J_batch` call."""
-    seen = []
-    rule = plancherel._geometric_estimate
-
-    def spy(d, values, rounding):
-        seen.append((d, values, rounding))
-        return rule(d, values, rounding)
-
-    monkeypatch.setattr(plancherel, "_geometric_estimate", spy)
-    return seen
-
-
 @pytest.mark.parametrize("mode, m", [("nested", 128), ("single-gamma", 256), ("expanded", 128)])
-def test_inverse_J_half_grid_difference_matches_a_separate_half_run(mode, m, monkeypatch):
+def test_inverse_J_half_grid_difference_matches_a_separate_half_run(mode, m):
     # d is |I_M - I_half|, the half grid being every second node of the M
     # grid; a separate run at M/2 puts its nodes at other phases, which
     # moves its value only by the error at M/2, at these M far below
     # 1e-12.  A wrong 2^axes scaling of a grid would be off by about 1.
-    seen = _spy_estimate(monkeypatch)
     G, ys, _ = _inverse_J_case()
     cs = {"nested": nested_contours(2, Q, r_k=0.3), "single-gamma": single_gamma(Q, k=2),
           "expanded": string_circle(Q, radius=0.3)}[mode]
-    values, _ = inverse_J_batch(G, ys, cs, QuadratureSpec(m))
-    d = seen[-1][0]
-    coarse, _ = inverse_J_batch(G, ys, cs, QuadratureSpec(m // 2))
+    values, d, _ = inverse_J_batch(G, ys, cs, QuadratureSpec(m))
+    coarse = inverse_J_batch(G, ys, cs, QuadratureSpec(m // 2))[0]
     assert abs(values[0]) > 0.5
     np.testing.assert_allclose(d, np.abs(values - coarse), rtol=0, atol=1e-12)
 
 
-def test_inverse_J_estimate_extrapolates_only_above_the_rounding_bound(monkeypatch):
-    seen = _spy_estimate(monkeypatch)
+def test_inverse_J_estimate_extrapolates_only_above_the_rounding_bound():
     G, ys, exact = _inverse_J_case()
     cs = nested_contours(2, Q, r_k=0.3)
     # 32 nodes: d, what doubling from 16 changed, is far above rounding, and
-    # the estimate is its geometric extrapolation d^2/|value|
-    _, est = inverse_J_batch(G, ys[:1], cs, QuadratureSpec(32))
-    d, values, rounding = seen[-1]
+    # the planner's estimate is its geometric extrapolation d^2/|value|
+    plan = contours.plan_nodes(lambda spec: inverse_J_batch(G, ys[:1], cs, spec), 0.0, 32)
+    values, d, rounding = inverse_J_batch(G, ys[:1], cs, QuadratureSpec(32))
     assert d[0] > 1e6 * rounding[0]
-    assert est[0] == pytest.approx(d[0] * d[0] / abs(values[0]), rel=1e-15)
-    assert est[0] < 1e-3 * d[0]
+    assert plan.estimates[0] == pytest.approx(d[0] * d[0] / abs(values[0]), rel=1e-15)
+    assert plan.estimates[0] < 1e-3 * d[0]
     # 256 nodes: converged, so d is rounding and stands unextrapolated; the
     # rounding bound covers the error against the exact delta_x (on the
     # single circle about 0, |1 - z| runs from 0.5 to 2.5, so the bound
     # must take the smallest base under a negative exponent)
     for circles in (cs, single_gamma(Q, k=2)):
-        values, est = inverse_J_batch(G, ys, circles, QuadratureSpec(256))
-        d, _, rounding = seen[-1]
+        plan = contours.plan_nodes(lambda spec: inverse_J_batch(G, ys, circles, spec), 0.0, 256)
+        values, d, rounding = inverse_J_batch(G, ys, circles, QuadratureSpec(256))
         assert np.all((d > 0) & (d < 100 * rounding)), circles.family
-        assert np.array_equal(est, d)
+        assert np.array_equal(plan.estimates, d)
         assert np.all(np.abs(values - exact) <= rounding), circles.family
 
 
 def test_geometric_estimate_rule():
+    # the planner's value-scaled step at its second count: d^2/|value|,
+    # capped at d, and d itself at a zero value or within 100 rounding bounds
     d = np.array([1e-6, 1e-6, 1e-6, 1e-6, 1e-6])
     values = np.array([1.0, -0.5j, 0.0, 1e-8, 1.0])
     rounding = np.array([1e-16, 1e-16, 1e-16, 1e-16, 1.01e-8])
-    est = plancherel._geometric_estimate(d, values, rounding)
-    # squared on the value's scale, capped at d, and d itself at a zero
-    # value or within 100 rounding bounds
-    np.testing.assert_allclose(est, [1e-12, 2e-12, 1e-6, 1e-6, 1e-6], rtol=1e-15)
+    plan = contours.plan_nodes(lambda spec: (values, d, rounding), 0.0, ceiling=32)
+    np.testing.assert_allclose(plan.estimates, [1e-12, 2e-12, 1e-6, 1e-6, 1e-6], rtol=1e-15)
 
 
 def test_pairing_spatial_identities():
@@ -450,7 +434,8 @@ def test_residue_expansion_small():
     # against it
     for k in (1, 2, 3, 4):
         sides = _residue_sides(k)
-        (nested, _), (total, _) = (sides[side](QuadratureSpec(32)) for side in ("nested", "sum"))
+        (nested, _, _), (total, _, _) = (sides[side](QuadratureSpec(32))
+                                         for side in ("nested", "sum"))
         assert np.all(np.abs(nested) > 0.1)
         assert np.abs(nested - total).max() <= 1e-12, k
 
@@ -484,7 +469,7 @@ def _naive_kernel(zs, q):
 def test_residue_expand_nested_matches_a_naive_grid_sum(k, m, budget, monkeypatch):
     monkeypatch.setattr(contours, "CHUNK_ELEMENTS", budget)
     q, cs = RESIDUE_Q, _residue_nested_contours(k)
-    values, estimates = residue_expand_nested(RESIDUE_FS, cs, QuadratureSpec(m))
+    values, estimates, _ = residue_expand_nested(RESIDUE_FS, cs, QuadratureSpec(m))
     for F, value, estimate in zip(RESIDUE_FS, values, estimates):
         ref, ref_estimate = _naive_grid_sum(cs, m, lambda zs: _naive_kernel(zs, q) * F(zs))
         assert abs(ref) > 0.1
@@ -533,8 +518,8 @@ def test_residue_estimates_match_a_separate_half_run(k, side):
     # the order of the values.
     evaluate = _residue_sides(k)[side]
     m = 64
-    values, estimates = evaluate(QuadratureSpec(m))
-    coarse, _ = evaluate(QuadratureSpec(m // 2))
+    values, estimates, _ = evaluate(QuadratureSpec(m))
+    coarse = evaluate(QuadratureSpec(m // 2))[0]
     assert np.all(np.abs(values) > 0.5)
     np.testing.assert_allclose(estimates, np.abs(values - coarse), rtol=0, atol=1e-12)
 
@@ -543,22 +528,31 @@ def test_residue_estimates_match_a_separate_half_run(k, side):
 def test_plan_nodes_on_residue_sides(side):
     evaluate = _residue_sides(3)[side]
     direct = {m: evaluate(QuadratureSpec(m)) for m in (16, 32, 64, 128)}
-    worst = {m: np.max(est) for m, (_, est) in direct.items()}
+    replay = lambda spec: direct[spec.nodes]
+    # the planner's estimate at each count, from the side's own d and rounding
+    planned = {m: contours.plan_nodes(replay, 0.0, ceiling=m) for m in direct}
+    worst = {m: np.max(plan.estimates) for m, plan in planned.items()}
+    for m, plan in planned.items():
+        values, d, _ = direct[m]
+        # extrapolation only lowers d, and the estimate covers the error
+        # against the 128-node values
+        assert np.all(plan.estimates <= d)
+        if m < 128:
+            assert np.all(np.abs(values - direct[128][0]) <= plan.estimates + 1e-14), m
     for target in (1e-3, 1e-8, 1e-13, 0.0):
         plan = contours.plan_nodes(evaluate, target, ceiling=128)
         # the smallest power of two >= 16 whose estimate meets the target,
         # or the ceiling when none does
         assert plan.nodes == min((m for m in direct if worst[m] <= target), default=128)
-        values, estimates = direct[plan.nodes]
         # plan_nodes only chooses M: its values are the side's own, bit for bit
-        assert np.array_equal(plan.values, values)
-        assert np.array_equal(plan.estimates, estimates)
+        assert np.array_equal(plan.values, direct[plan.nodes][0])
+        assert np.array_equal(plan.estimates, planned[plan.nodes].estimates)
     # at a ceiling below the converged count it returns the ceiling's
     # evaluation with that evaluation's estimate
     plan = contours.plan_nodes(evaluate, worst[32] / 2, ceiling=32)
     assert plan.nodes == 32
     assert np.array_equal(plan.values, direct[32][0])
-    assert np.array_equal(plan.estimates, direct[32][1])
+    assert np.array_equal(plan.estimates, planned[32].estimates)
 
 
 def test_chunked_grids_match_one_chunk(monkeypatch):
