@@ -17,6 +17,7 @@ one runner, `identity_tables`."""
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily: at import, not on the first draw
 
 from qboson.contours import QuadratureSpec
 from qboson.plancherel import composition_table

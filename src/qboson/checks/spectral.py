@@ -89,8 +89,8 @@ def check_pt_invariance(acc: Accumulator, q: float = 0.5, eps: float = 0.4,
             box = StateBox(k, -box_radius, box_radius)
             gb = GeneratorKind("bwd", model, qq, ee)
             gf = GeneratorKind("fwd", model, qq, ee)
-            B = matrix_on_box(gb, box).toarray()
-            F = matrix_on_box(gf, box).toarray()
+            B = matrix_on_box(gb, box).dense()
+            F = matrix_on_box(gf, box).dense()
             perm = reflection_permutation(box)
             C = cluster_weight_diagonal(gb, box)
             Rm = np.zeros_like(B)

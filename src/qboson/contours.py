@@ -337,8 +337,8 @@ def plan_nodes(evaluate: Callable[[QuadratureSpec], tuple[np.ndarray, np.ndarray
         estimates = d
         if len(ds) >= 2:
             mag = np.abs(values)
-            estimates = np.minimum(estimates, np.divide(
-                d * d, mag, out=np.full_like(d, np.inf), where=mag > 0))
+            estimates = np.minimum(estimates, np.maximum(np.divide(
+                d * d, mag, out=np.full_like(d, np.inf), where=mag > 0), rounding))
         if len(ds) >= 3:
             # nan where a difference before is 0: no rate, no rate step
             r, r_prev = (np.divide(a, b, out=np.full_like(a, np.nan), where=b > 0)

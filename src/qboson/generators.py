@@ -7,12 +7,15 @@ the q -> 1 limit of (1 - q^c)/(1 - q), and d(c) = c - c(c-1)/2, which
 adds the pair potential.  `generator_row` lists the row of every kind
 (backward, forward, conjugated forward and the two free ones) from that
 rule; pointwise application sums f over it, `matrix_on_box` lays out the
-rows of a truncated state box, and the free kinds give two-body boundary
-residuals.
+rows of a truncated state box as (rows, cols, vals) arrays, and the free
+kinds give two-body boundary residuals.
 `absorbing_generator` extends a box matrix by one absorbing state that
-collects the mass leaking out of the box; both exact transition oracles of
-the stochastic (q-Boson forward) family are built on it, uniformization as
-P = I + A_abs / Lambda and the dense oracle as expm(t A_abs).
+collects the mass leaking out of the box.  `uniformized_exponential` is the
+one matrix exponential of the package: e^{tA} v on a box, by uniformization
+in O(nnz) per Poisson term, behind `uniformized_transition` and the
+ode-oracle solvers of `qboson.dynamics`.  `dense_exponential_transition`,
+a scaling-and-squaring reference for the tests, is the only code here that
+needs scipy, and imports it when called.
 
 Row convention: row i is state i, and entry (i, j) is the coefficient of
 f(state_j) in (A f)(state_i), i.e. columns are sources.  For the
@@ -24,11 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import expm
 
 from qboson.qcore import (
     WeylVector,
@@ -171,10 +172,10 @@ def extended_apply(f: Callable, n, q: float) -> complex:
     return (1.0 - q) * out
 
 
-# A box is enumerated state by state, and the dense oracles (the ode-oracle
-# solvers, pt-invariance, dense_exponential_transition) densify its
-# generator: 2000 states make one 64 MB complex matrix.  The largest box the
-# checks build at their defaults holds 165 states, that of the tests 286.
+# A box is enumerated state by state, and pt-invariance and
+# dense_exponential_transition densify its generator: 2000 states make one
+# 32 MB real matrix.  The largest box the checks build at their defaults
+# holds 165 states, that of the tests 286.
 MAX_BOX_STATES = 2000
 
 
@@ -215,39 +216,61 @@ class StateBox:
         return getattr(self, "_index")
 
 
-def matrix_on_box(gk: GeneratorKind, box: StateBox) -> sp.csr_matrix:
-    """The interacting generator restricted to the box as a sparse matrix,
-    row i being `generator_row` at state i; real whenever every
-    coefficient is."""
+class BoxMatrix(NamedTuple):
+    """A size x size matrix as (rows, cols, vals) arrays in the order a CSR
+    matrix stores them: row-major, columns ascending within a row, with no
+    repeated entry and no zero."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    size: int
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros((self.size, self.size))
+        out[self.rows, self.cols] = self.vals
+        return out
+
+
+def _compressed(rows, cols, vals, size: int) -> BoxMatrix:
+    """Entries in CSR order: sorted stably by (row, column), so repeated
+    entries are summed in the order given, and the zeros dropped."""
+    key = np.asarray(rows, dtype=np.int64) * size + np.asarray(cols, dtype=np.int64)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    sums = np.add.reduceat(np.asarray(vals, dtype=float)[order], starts)
+    keep = sums != 0
+    key = key[starts][keep]
+    return BoxMatrix(key // size, key % size, sums[keep], size)
+
+
+def matrix_on_box(gk: GeneratorKind, box: StateBox) -> BoxMatrix:
+    """The interacting generator restricted to the box, row i being
+    `generator_row` at state i."""
     if gk.kind in FREE_KINDS:
         raise ValueError(f"{gk.kind} is a free kind; it has no matrix on a chamber box")
     index = {n.coords: i for i, n in enumerate(box.states)}
-    rows, cols, vals = [], [], []
-    for i, n in enumerate(box.states):
-        for target, a in generator_row(gk, n):
-            j = index.get(target)
-            if j is not None and a != 0:
-                rows.append(i)
-                cols.append(j)
-                vals.append(a)
-    data = np.asarray(vals, dtype=complex)
-    if not data.imag.any():
-        data = data.real
-    return sp.csr_matrix((data, (rows, cols)), shape=(box.size, box.size))
+    entries = [(i, index[target], a) for i, n in enumerate(box.states)
+               for target, a in generator_row(gk, n) if target in index]
+    return _compressed(*zip(*entries), box.size)
 
 
-def absorbing_generator(gk: GeneratorKind, box: StateBox) -> sp.csr_matrix:
+def absorbing_generator(gk: GeneratorKind, box: StateBox) -> BoxMatrix:
     """The box generator extended by one absorbing state, indexed box.size.
 
     Its row holds, per source column, minus the column sum of the box
-    generator: the net rate leaking out of the box, so that truncation error
-    is observable rather than silently lost.  Its column is zero.  For the
-    stochastic forward generator every column of the result sums to zero.
+    generator (summed in row order): the net rate leaking out of the box, so
+    that truncation error is observable rather than silently lost.  Its
+    column is zero.  For the stochastic forward generator every column of
+    the result sums to zero.
     """
     A = matrix_on_box(gk, box)
-    A_abs = sp.vstack([A, -A.sum(axis=0)], format="csr")
-    A_abs.resize(box.size + 1, box.size + 1)
-    return A_abs
+    leak = -np.bincount(A.cols, weights=A.vals, minlength=A.size)
+    (cols,) = np.nonzero(leak)
+    return BoxMatrix(np.concatenate([A.rows, np.full(cols.size, A.size)]),
+                     np.concatenate([A.cols, cols]), np.concatenate([A.vals, leak[cols]]),
+                     A.size + 1)
 
 
 def reflection_permutation(box: StateBox) -> np.ndarray:
@@ -296,16 +319,56 @@ def poisson_terms_needed(rate: float, tol: float) -> int:
                      "Poisson terms")
 
 
+def uniformized_exponential(A: BoxMatrix, t: float, v: np.ndarray, rate: float,
+                            tol: float) -> tuple[np.ndarray, float]:
+    """e^{tA} v by uniformization (Jensen 1953): the sum over j of the
+    Poisson(rate t) weight of j times P^j v, with P = I + A / rate, up to
+    `poisson_terms_needed(rate t, tol)` terms.  Returns the sum and the
+    Poisson mass of the terms left out.
+
+    P must be nonnegative (rate at least every exit rate -A_ii); then each
+    term is bounded, and the sum is exact up to that mass times the norm P
+    keeps (the max norm where rows sum to at most 1, the 1-norm where
+    columns do).  A term costs one O(nnz) product, a bincount over P's
+    entries in row order (on the real and imaginary parts of v apart): the
+    order, and so the sums, of a CSR matrix-vector product.
+    """
+    diagonal = np.arange(A.size)
+    P = _compressed(np.concatenate([A.rows, diagonal]), np.concatenate([A.cols, diagonal]),
+                    np.concatenate([A.vals * (1.0 / rate), np.ones(A.size)]), A.size)
+    if (P.vals < 0).any():
+        raise ValueError(f"uniformization at rate {rate:g} is below an exit rate of the "
+                         "generator: P = I + A / rate has a negative entry")
+    J = poisson_terms_needed(rate * t, tol)
+    weight = math.exp(-rate * t)
+    if weight == 0.0:
+        raise ValueError(f"uniformization at rate * t = {rate * t:g}: the Poisson weights "
+                         "underflow")
+
+    def apply(x):
+        return np.bincount(P.rows, weights=P.vals * x[P.cols], minlength=P.size)
+
+    matvec = (lambda x: apply(x.real) + 1j * apply(x.imag)) if np.iscomplexobj(v) else apply
+    acc = weight * v
+    used = weight
+    for j in range(1, J + 1):
+        v = matvec(v)
+        weight *= rate * t / j
+        acc += weight * v
+        used += weight
+    return acc, 1.0 - used
+
+
 def uniformized_transition(
     gk: GeneratorKind, t: float, y: WeylVector, box: StateBox, tol: float = 1e-12
 ) -> TransitionPMF:
     """Exact e^{tA} delta_y for the stochastic q-Boson forward generator
     (marked point eps = 1: at other eps the columns do not sum to zero).
 
-    Uniformization with rate Lambda = k (the total jump rate of any state
-    is sum_i (1 - q^{c_i}) <= M <= k), truncating the Poisson series when
-    the exact tail drops below tol.  Mass exiting the box accumulates in
-    an absorbing pseudo-state.
+    `uniformized_exponential` with rate Lambda = k (the total jump rate of
+    any state is sum_i (1 - q^{c_i}) <= M <= k), truncating the Poisson
+    series when the exact tail drops below tol.  Mass exiting the box
+    accumulates in an absorbing pseudo-state.
     """
     check_time(t)
     if not gk.stochastic:
@@ -319,30 +382,22 @@ def uniformized_transition(
     if t == 0.0:
         return TransitionPMF({y: 1.0}, 0.0, 0.0)
 
-    size = box.size
-    lam = float(box.k)
-    P = sp.identity(size + 1, format="csr") + absorbing_generator(gk, box) / lam
-    J = poisson_terms_needed(lam * t, tol)
-    v = np.zeros(size + 1)
+    v = np.zeros(box.size + 1)
     v[idx[y]] = 1.0
-    weight = math.exp(-lam * t)
-    acc = weight * v
-    used = weight
-    for j in range(1, J + 1):
-        v = P @ v
-        weight *= lam * t / j
-        acc += weight * v
-        used += weight
-    tail = 1.0 - used
+    acc, tail = uniformized_exponential(absorbing_generator(gk, box), t, v, float(box.k), tol)
     probs = {n: float(acc[i]) for n, i in idx.items() if acc[i] > 0.0}
-    return TransitionPMF(probs=probs, absorbed=float(acc[size]), tail_bound=float(tail))
+    return TransitionPMF(probs=probs, absorbed=float(acc[box.size]), tail_bound=float(tail))
 
 
 def dense_exponential_transition(
     gk: GeneratorKind, t: float, y: WeylVector, box: StateBox
 ) -> TransitionPMF:
-    """Scaling-and-squaring matrix-exponential oracle for small boxes."""
+    """Scaling-and-squaring matrix-exponential oracle for small boxes, a
+    reference for the tests; it needs scipy, which the package does not
+    load otherwise."""
+    from scipy.linalg import expm
+
     idx = box.index()
-    col = expm(t * absorbing_generator(gk, box).toarray())[:, idx[y]]
+    col = expm(t * absorbing_generator(gk, box).dense())[:, idx[y]]
     probs = {n: float(col[i]) for n, i in idx.items()}
     return TransitionPMF(probs=probs, absorbed=float(col[box.size]), tail_bound=0.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from qboson.generators import (
     free_apply,
     generator_apply,
     matrix_on_box,
+    poisson_terms_needed,
     reflection_permutation,
+    uniformized_exponential,
     uniformized_transition,
 )
 from qboson.qcore import WeylVector, cluster_decompose
@@ -122,7 +125,7 @@ def test_state_box_bounds_its_size_before_enumerating():
 
 def test_matrix_k1_lower_tridiagonal():
     box = StateBox(1, 0, 2)
-    dense = matrix_on_box(GeneratorKind("bwd", "qboson", Q), box).toarray()
+    dense = matrix_on_box(GeneratorKind("bwd", "qboson", Q), box).dense()
     # states are (0,), (1,), (2,): acting on f, row n picks f(n-1) with
     # rate 1 - q, i.e. the subdiagonal in the ascending state order
     expect = np.array([
@@ -135,8 +138,8 @@ def test_matrix_k1_lower_tridiagonal():
 
 def test_matrix_transpose_and_pt():
     box = StateBox(2, -2, 2)
-    B = matrix_on_box(GeneratorKind("bwd", "qboson", Q), box).toarray()
-    F = matrix_on_box(GeneratorKind("fwd", "qboson", Q), box).toarray()
+    B = matrix_on_box(GeneratorKind("bwd", "qboson", Q), box).dense()
+    F = matrix_on_box(GeneratorKind("fwd", "qboson", Q), box).dense()
     assert np.abs(B.T - F).max() < 1e-14
     perm = reflection_permutation(box)
     C = cluster_weight_diagonal(GeneratorKind("bwd", "qboson", Q), box)
@@ -149,9 +152,9 @@ def test_matrix_transpose_and_pt():
 def test_forward_matrix_stochasticity():
     box = StateBox(2, -3, 3)
     gk = GeneratorKind("fwd", "qboson", Q)
-    A = absorbing_generator(gk, box).toarray()
+    A = absorbing_generator(gk, box).dense()
     assert A.shape == (box.size + 1, box.size + 1)
-    assert np.array_equal(A[:-1, :-1], matrix_on_box(gk, box).toarray())
+    assert np.array_equal(A[:-1, :-1], matrix_on_box(gk, box).dense())
     off = A - np.diag(np.diag(A))
     assert off.min() >= 0
     assert not A[:, -1].any()  # the absorbing state never leaves
@@ -239,7 +242,7 @@ def test_matrix_eigenvalue_on_interior_states():
     for k in (1, 2, 3):
         box = StateBox(k, -5, 5)
         gk = GeneratorKind("bwd", "qboson", Q)
-        M = matrix_on_box(gk, box).toarray()
+        M = matrix_on_box(gk, box).dense()
         z = rng.normal(1.4, 0.4, k) + 1j * rng.normal(0, 0.5, k)
         fam = EigenFamily("qboson-left", Q)
         vec = np.array([eigen_eval(fam, z, n) for n in box.states])
@@ -386,10 +389,85 @@ MODEL_CASES = [("qboson", Q, 1.0), ("qboson", Q, 0.4), ("sd", None, 1.0)]
 def test_box_matrices_match_the_naive_reference_bit_for_bit(kind, model, q, eps, k):
     box = StateBox(k, -4, 4)
     gk = GeneratorKind(kind, model, q, eps)
-    got = matrix_on_box(gk, box).toarray()
-    want = _ref_matrix_on_box(gk, box).toarray()
-    assert got.dtype == want.dtype == np.float64
-    assert np.array_equal(got, want)
+    got = matrix_on_box(gk, box)
+    want = _ref_matrix_on_box(gk, box)
+    assert got.vals.dtype == want.dtype == np.float64
+    assert np.array_equal(got.dense(), want.toarray())
+    # the arrays hold the entries in the order a canonical CSR matrix stores them
+    want.sort_indices()
+    assert np.array_equal(got.rows, np.repeat(np.arange(box.size), np.diff(want.indptr)))
+    assert np.array_equal(got.cols, want.indices)
+    assert np.array_equal(got.vals, want.data)
+
+
+def _scipy_absorbing(gk, box):
+    """The absorbing extension as a scipy CSR matrix, leak row -A.sum(axis=0)."""
+    A = _ref_matrix_on_box(gk, box)
+    A_abs = sp.vstack([A, -A.sum(axis=0)], format="csr")
+    A_abs.resize(box.size + 1, box.size + 1)
+    return A_abs
+
+
+def _scipy_uniformized(gk, t, y, box, tol):
+    """Uniformization on scipy CSR matrices, the loop as the package wrote it
+    before its box matrices became numpy arrays."""
+    idx = box.index()
+    lam = float(box.k)
+    P = sp.identity(box.size + 1, format="csr") + _scipy_absorbing(gk, box) / lam
+    J = poisson_terms_needed(lam * t, tol)
+    v = np.zeros(box.size + 1)
+    v[idx[y]] = 1.0
+    weight = math.exp(-lam * t)
+    acc = weight * v
+    used = weight
+    for j in range(1, J + 1):
+        v = P @ v
+        weight *= lam * t / j
+        acc += weight * v
+        used += weight
+    return acc, 1.0 - used
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("y,lo,t", [((0,), -12, 1.3), ((1, 0), -8, 0.7), ((1, 1), -7, 1.0),
+                                    ((1, 0, 0), -5, 0.5), ((2, 1, -1), -4, 1.2)])
+def test_uniformization_matches_a_scipy_csr_loop_bit_for_bit(q, y, lo, t):
+    gk = GeneratorKind("fwd", "qboson", q)
+    y = WeylVector(y)
+    box = StateBox(y.k, lo, y.coords[0] + 1)
+    assert np.array_equal(absorbing_generator(gk, box).dense(), _scipy_absorbing(gk, box).toarray())
+    pmf = uniformized_transition(gk, t, y, box, tol=1e-12)
+    acc, tail = _scipy_uniformized(gk, t, y, box, 1e-12)
+    assert pmf.probs == {n: float(acc[i]) for n, i in box.index().items() if acc[i] > 0.0}
+    assert pmf.absorbed == acc[box.size] and pmf.tail_bound == tail
+
+
+def test_uniformization_refuses_a_rate_below_an_exit_rate():
+    A = matrix_on_box(GeneratorKind("bwd", "qboson", Q), StateBox(2, -2, 2))
+    v = np.ones(A.size)
+    uniformized_exponential(A, 1.0, v, 1.0, 1e-12)  # no exit rate exceeds 2 (1 - q) = 1
+    with pytest.raises(ValueError, match="negative entry"):
+        uniformized_exponential(A, 1.0, v, 0.5, 1e-12)
+    with pytest.raises(ValueError, match="underflow"):
+        uniformized_exponential(A, 400.0, v, 2.0, 1e-12)
+
+
+def test_k4_uniformization_stays_sparse():
+    # 1,820 states: a dense matrix would take 26 MB; the bincount products
+    # hold a few arrays of the 7,735 entries, and the peak, about 2.3 MB, is
+    # mostly the Python list the entries are generated into
+    gk = GeneratorKind("fwd", "qboson", Q)
+    y = WeylVector((0, 0, 0, 0))
+    box = StateBox(4, -11, 1)
+    box.index()  # the enumeration is the box's, cached, not the exponential's
+    tracemalloc.start()
+    try:
+        pmf = uniformized_transition(gk, 0.05, y, box, tol=1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (box.size + 1) ** 2 * 8 / 5
+    assert sum(pmf.probs.values()) + pmf.absorbed == pytest.approx(1.0, abs=1e-11)
 
 
 def _random_points(rng, count):

@@ -183,6 +183,30 @@ def test_benchmark_tracer_targets_resolve():
     assert done.returncode == 0, done.stderr
 
 
+def test_checks_and_commands_run_without_scipy():
+    # scipy serves the tests and generators.dense_exponential_transition
+    # alone; these six checks reached it through the box matrices and the
+    # ode-oracle's exponential.  A fresh process, so other tests' imports
+    # stay out of sys.modules.
+    code = ("import sys\n"
+            f"sys.path[:0] = [{str(SRC.parent)!r}]\n"
+            "import qboson.cli\n"
+            "from qboson.registry import run_check\n"
+            "loaded = [sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]\n"
+            "for cid in ('pt-invariance', 'backward-solver', 'forward-solver',\n"
+            "            'transition-prob'):\n"
+            "    run_check(cid)\n"
+            "for cid in ('moment-step', 'moment-half'):\n"
+            "    run_check(cid, paths=200)\n"
+            "assert qboson.cli.main(['transition', '--t', '0.7', '--from', '1,0',\n"
+            "                        '--to', '0,-1', '--method', 'uniformization']) == 0\n"
+            "loaded.append(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(loaded)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[[], []]"
+
+
 def test_benchmark_probes_pass():
     # perfbench/worker.py's probes call the layers directly (the backward
     # generator on eigen_eval, and contours.integrate on

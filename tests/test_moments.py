@@ -10,6 +10,7 @@ qboson code on the oracle side.
 
 import functools
 import itertools
+from decimal import Decimal, localcontext
 import math
 import operator
 
@@ -134,6 +135,10 @@ PLANNED_MOMENTS = [
     (0.7, (3, 2, 1), 0.7**3 / 2, 0.5, None), (0.9, (1,), 0.0, 0.5, None),
     (0.9, (2, 1), 0.9**2 / 2, 1.0, None), (0.9, (3, 3, 3), 0.0, 1.0, None),
 ]
+# The planned counts of the other cases, in order.  Flooring the
+# value-scaled step at the rounding bound moved none of the ten counts.
+OTHER_PLANNED_MOMENT_NODES = dict(zip(
+    (case[:4] for case in PLANNED_MOMENTS if case[4] is None), (64, 32, 64, 64, 64, 16, 32, 128)))
 
 
 @pytest.mark.parametrize("q,n,alpha,t,nodes", PLANNED_MOMENTS)
@@ -141,8 +146,7 @@ def test_planned_moments_meet_the_target(q, n, alpha, t, nodes):
     init = "half-stationary" if alpha else "step"
     r = moment_formula(MomentSpec(WeylVector(n), t, init, alpha=alpha, q=q))
     err = _scaled(r.value, qtasep_moment(n, q, t, alpha))
-    if nodes is not None:
-        assert r.nodes == nodes
+    assert r.nodes == (OTHER_PLANNED_MOMENT_NODES[q, n, alpha, t] if nodes is None else nodes)
     if r.nodes < default_nodes(len(n)):
         # the planner stopped on its estimate: the error meets the target
         assert r.error_estimate <= MOMENT_TARGET and err <= MOMENT_TARGET
@@ -161,6 +165,23 @@ def test_sd_string_moments_match_the_matrix_oracle(n, t):
     assert _scaled(r.value, sd_moment(n, t)) < 1e-12
     # the nested grid left 1.2e-6 on the imaginary part of (3, 3, 3) at t = 2
     assert abs(r.value.imag) < 1e-12
+
+
+def test_a_moment_at_rounding_level_reports_its_rounding():
+    # u(t, (2, 1)) = e^-t - e^-2t, from u(t, (1, 1)) = e^-t and
+    # du/dt(2, 1) = u(1, 1) - 2 u(2, 1).  At 32 nodes the squared half-grid
+    # difference on the value's scale is 1.3e-23, and the estimate is the
+    # rounding bound, 6.7e-17, above the error of 3.1e-17 (the dense expm
+    # oracle is itself 2.5e-15 off here)
+    t = 1.48
+    r = sd_moment_formula(WeylVector((2, 1)), t)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = (-Decimal(t)).exp() - (-2 * Decimal(t)).exp()
+        err = abs(Decimal(r.value.real) - exact)
+    assert r.nodes == 32
+    assert 1e-17 < r.error_estimate < 1e-15
+    assert abs(r.value.imag) <= r.error_estimate and err <= r.error_estimate
 
 
 def _naive_sd_nested(F, k, m):
