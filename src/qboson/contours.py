@@ -8,21 +8,19 @@ q-Boson family at eps) and of the model (q None is the semi-discrete one,
 as in `qcore.step`) for every evaluator on it; its family is a shape,
 nested, single or string, with one rule for both models, and is the
 evaluation mode of the inverse transform.  `nested_contours` and
-`string_circle` draw both models' circles from the step.  `integrate`
-evaluates the k-fold product trapezoidal rule (geometrically convergent
-for integrands analytic near the circles) with an embedded-subgrid error
-estimate; `plan_nodes` doubles a node count until its error estimate,
-the one extrapolation of the half-grid differences, meets a target; and
-`contract_powers` is the one batched kernel that evaluates a grid
-integrand against many integer powers of its one-particle bases at once; every
-transform table (inverse transform, identity resolution, pairings, the
-spectral orthogonality window) goes through it.  Several components may
-share a grid axis, as the components of one spectral string do.
+`string_circle` draw both models' circles from the step.
 `_grid_chunks` is the one walk over a product grid that every grid evaluator
 shares, in slabs of at most CHUNK_ELEMENTS = 2^18 nodes: 4 MB per complex
 array, under glibc's 32 MB mmap ceiling, so freed slab arrays are reused.
-`half_grid_sums` sums integrands over it for `integrate` and both residue
-sides, with the half-grid difference and rounding bound the planner reads.
+`half_grid_sums` is the one accumulator of the half-grid rule (a tier-1 lint
+rule keeps it here): given each slab's integrand and its reduction onto a
+batch (`plain_sum` for `integrate`, the k-fold product trapezoidal rule, and
+for the residue sides; a power contraction for `plancherel.inverse_J_batch`),
+it returns the values, half-grid differences d and rounding bounds.
+`plan_nodes` doubles a node count until its estimate, the one extrapolation
+of d, meets a target.  `contract_powers`, the one batched kernel behind every
+transform table, evaluates a grid integrand against many integer powers of
+its one-particle bases at once; components may share a grid axis.
 """
 
 from __future__ import annotations
@@ -412,42 +410,44 @@ def _grid_chunks(cs: ContourSystem, spec: QuadratureSpec):
         yield [_axis_view(nodes[0][cut], 0, k)] + rest_z, W
 
 
-def half_grid_sums(terms: Iterable[tuple[tuple, np.ndarray]], Fs: Sequence[Callable]
+def plain_sum(T: np.ndarray, pick: Callable) -> complex:
+    """The reduction of one integral: the sum of T over its nodes."""
+    return T.sum()
+
+
+def half_grid_sums(terms: Iterable[tuple], size: int
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sum of weight * F(args) over the (args, weight) grids of ``terms``,
-    for each F of a batch, with the two error figures `plan_nodes` reads:
-    the embedded half-grid difference d = |full - half x 2^axes| over every
-    second node of each axis (what doubling from M/2 to M changed), and the
-    rounding bound eps sum|weight * F|.  The bound takes sum|.| on the half
-    grid, scaled by 2^axes like the half sum, so it costs 1/2^axes of a
-    pass.  Raises FloatingPointError when a sum is not finite."""
-    totals = np.zeros(len(Fs), dtype=complex)
-    coarse = np.zeros(len(Fs), dtype=complex)
-    scale = np.zeros(len(Fs))
-    for args, weight in terms:
-        half = (slice(None, None, 2),) * weight.ndim
-        for i, fn in enumerate(Fs):
-            # weight first, always: swapping a complex product's operands
-            # can change its last bit
-            weighted = weight * fn(args)
-            coarse_terms = weighted[half]
-            totals[i] += weighted.sum()
-            coarse[i] += coarse_terms.sum() * 2**weight.ndim
-            scale[i] += np.abs(coarse_terms).sum() * 2**weight.ndim
-    if not np.all(np.isfinite(totals)):
+    """A batch of ``size`` grid sums with the two error figures `plan_nodes`
+    reads: d = |full - half x 2^axes| over every second node of each axis
+    (what doubling from M/2 to M changed), and the rounding bound eps 2^axes
+    sum|T_half| growth, which costs 1/2^axes of a pass.  ``terms`` yields
+    (at, T, reduce, growth) per slab term: ``reduce(T, pick)`` maps the
+    weighted integrand T onto the batch entries ``at`` (an index or a
+    slice), ``pick`` taking a per-axis node vector to the nodes T holds, and
+    grows |T| by at most ``growth``.  Raises FloatingPointError on a
+    non-finite value."""
+    values = np.zeros(size, dtype=complex)
+    coarse = np.zeros(size, dtype=complex)
+    scale = np.zeros(size)
+    for at, T, reduce, growth in terms:
+        half = T[(slice(None, None, 2),) * T.ndim]
+        values[at] += reduce(T, lambda v: v)
+        coarse[at] += reduce(half, lambda v: v[::2]) * 2**T.ndim
+        scale[at] += np.abs(half).sum() * 2**T.ndim * growth
+    if not np.all(np.isfinite(values)):
         raise FloatingPointError("integrand returned a non-finite value on a quadrature node")
-    return totals, np.abs(totals - coarse), np.finfo(float).eps * scale
+    return values, np.abs(values - coarse), np.finfo(float).eps * scale
 
 
 def integrate(cs: ContourSystem, integrand: Callable, spec: QuadratureSpec) -> QuadResult:
-    """k-fold product trapezoidal rule over the contour system, with
-    `half_grid_sums`' plain half-grid difference as its error estimate.
-    ``integrand`` receives k arrays (one per circle) already shaped for
-    broadcasting and must return the integrand on their broadcast product;
-    it must be safe to call on array chunks.
+    """k-fold product trapezoidal rule over the contour system: `plain_sum`
+    through `half_grid_sums`, whose half-grid difference is the error
+    estimate.  ``integrand`` receives k arrays (one per circle) already
+    shaped for broadcasting and must return the integrand on their
+    broadcast product; it must be safe to call on array chunks.
     """
     (value,), (estimate,), _ = half_grid_sums(
-        ((tuple(zs), W) for zs, W in _grid_chunks(cs, spec)), [integrand])
+        ((0, W * integrand(tuple(zs)), plain_sum, 1.0) for zs, W in _grid_chunks(cs, spec)), 1)
     return QuadResult(value, estimate)
 
 

@@ -101,7 +101,7 @@ class MomentSpec:
     t: float
     init: str = "step"  # or "half-stationary"
     alpha: float = 0.0
-    q: float = 0.5
+    q: float = 0.5  # perfbench/tests/test_tracer.py builds a MomentSpec without q
 
     def __post_init__(self):
         check_q(self.q)
@@ -199,7 +199,7 @@ def _qboson_chain(q: float):
     return rates, jump
 
 
-def simulate(model: str, init, t: float, seed: int, q: float = 0.5) -> Trajectory:
+def simulate(model: str, init, t: float, seed: int, q: float) -> Trajectory:
     """Exact Doob-Gillespie simulation of one trajectory up to time t.
 
     ``init`` is a WeylVector (q-Boson) or a tuple of strictly decreasing
@@ -492,9 +492,9 @@ def solve_evolution_batch(direction: str, f0: CompactFn, t: float, ns: Sequence[
     time-weighted transform of f0, times a prefactor per state in the
     forward direction.  An explicit ``quad`` fixes the nodes per circle.
     Without it `plan_nodes` doubles them from 16 until its worst error
-    estimate of the returned values (from `inverse_J_batch`'s half-grid
-    differences and rounding bounds, times |prefactor|) meets MOMENT_TARGET,
-    up to `default_nodes(k)`.
+    estimate of the returned values (`inverse_J_batch`'s half-grid d and
+    rounding bounds, times |prefactor|) meets MOMENT_TARGET, up to
+    `default_nodes(k)`.  A G that overflows raises FloatingPointError.
     """
     check_q(q)
     k = f0.k

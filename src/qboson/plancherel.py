@@ -42,15 +42,15 @@ Every grid here is walked through `contours._grid_chunks`, the same slabs
 array) however many axes a grid has.  The grid string measure,
 `mu_density_grid`, is built from two-axis pair factors and one-axis diagonal
 factors, with no full-size division; `mu_weight` keeps the literal determinant.
-Both residue-expansion sides walk the dispatch with the left family and sum
-F by `contours.half_grid_sums`: `residue_expand_nested` on nested circles,
-`residue_expand_sum` on one string circle, as every moment is evaluated.
-
-Every planned evaluator here (`inverse_J_batch` and both residue sides)
-returns, from one pass, its values, the plain embedded half-grid
-difference d of each and a rounding bound eps sum|T|; none extrapolates d.
-`contours.plan_nodes` extrapolates them into the estimate on which it
-chooses the node count.
+Both residue-expansion sides walk the dispatch with the left family:
+`residue_expand_nested` on nested circles, `residue_expand_sum` on one
+string circle, as every moment is evaluated.  Every planned evaluator here
+(`inverse_J_batch` and both residue sides) feeds its slab terms, reduced by
+the power contraction or by a plain sum per F, to `contours.half_grid_sums`,
+the one half-grid accumulator, for its values, plain half-grid differences d
+and rounding bounds; `contours.plan_nodes` extrapolates d into the estimate
+on which it chooses the node count.  `composition_table` and the spectral
+orthogonality window stay off the half grid: no caller reads their d.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from qboson.contours import (
     contract_powers,
     _grid_chunks,
     half_grid_sums,
+    plain_sum,
 )
 from qboson.eigenfunctions import EigenFamily, ScatteringGrid
 from qboson.qcore import (
@@ -351,39 +352,34 @@ def inverse_J_batch(G, ns: Sequence[WeylVector], cs: ContourSystem,
     eigenfunction), or one string circle (the sum over partitions of
     string-specialized integrals).
 
-    Returns the values and, from the same pass, the two error figures that
-    `contours.plan_nodes` extrapolates into its estimate.  Every slab also
-    contracts its embedded half grid (every second node on each axis,
-    scaled by 2^axes), and d is the difference of the two sums.  The
-    rounding bound of a value is eps sum|T| prod_m b_m^{e_m} over the
-    slabs' integrands T, with b_m the largest |base| of component m where
-    its exponent e_m >= 0 and the smallest where e_m < 0.
+    Returns `contours.half_grid_sums`' values, d and rounding bounds (and
+    FloatingPointError on a non-finite value) of each slab term T reduced by
+    its power contraction at each state's exponents, which grows |T| by at
+    most prod_m b_m^{e_m}: b_m is the largest |base| of component m where
+    e_m >= 0 and the smallest where e_m < 0.
     """
     coords = _state_coords(ns)
     hi = int(coords.max())
     erange = (-1 - hi, -1 - int(coords.min()))
-    out = np.zeros(len(coords), dtype=complex)
-    coarse = np.zeros(len(coords), dtype=complex)
-    rounding = np.zeros(len(coords))
-    for s in _spectral_slabs(coords.shape[1], cs, spec, "left"):
-        # In place, so the slab holds one full-size array, and with the
-        # measure as the left operand: `a * temporary` may run as
-        # `temporary *= a`, and a complex product rounds differently with
-        # its operands swapped.
-        T0 = np.multiply(s.measure, G(tuple(s.comps)), out=s.measure)
-        half = (slice(None, None, 2),) * T0.ndim
-        half_bases = [b[::2] for b in s.bases]
-        extents = [(np.abs(b).min(), np.abs(b).max()) for b in s.bases]
-        for inv, T in s.lefts(T0):
-            # component m carries the exponent e_m = -n_{sigma^{-1}(m)} - 1
-            idx = tuple(hi - coords[:, j] for j in inv)
-            out += contract_powers(T, s.bases, s.axis_of, erange)[idx]
-            coarse += 2.0**T.ndim * contract_powers(T[half], half_bases, s.axis_of, erange)[idx]
-            e = -1 - coords[:, list(inv)]
-            growth = np.prod([np.where(e[:, m] >= 0, top, low) ** e[:, m]
-                              for m, (low, top) in enumerate(extents)], axis=0)
-            rounding += float(np.abs(T).sum()) * growth
-    return out, np.abs(out - coarse), np.finfo(float).eps * rounding
+
+    def terms():
+        for s in _spectral_slabs(coords.shape[1], cs, spec, "left"):
+            # In place, so the slab holds one full-size array, and with the
+            # measure as the left operand: `a * temporary` may run as
+            # `temporary *= a`, and a complex product rounds differently with
+            # its operands swapped.
+            T0 = np.multiply(s.measure, G(tuple(s.comps)), out=s.measure)
+            extents = [(np.abs(b).min(), np.abs(b).max()) for b in s.bases]
+            for inv, T in s.lefts(T0):
+                # component m carries the exponent e_m = -n_{sigma^{-1}(m)} - 1
+                idx = tuple(hi - coords[:, j] for j in inv)
+                e = -1 - coords[:, list(inv)]
+                growth = np.prod([np.where(e[:, m] >= 0, top, low) ** e[:, m]
+                                  for m, (low, top) in enumerate(extents)], axis=0)
+                yield slice(None), T, lambda T, pick, s=s, idx=idx: contract_powers(
+                    T, [pick(b) for b in s.bases], s.axis_of, erange)[idx], growth
+
+    return half_grid_sums(terms(), len(coords))
 
 
 def inverse_J(G, n: WeylVector, cs: ContourSystem, spec: QuadratureSpec) -> complex:
@@ -438,23 +434,27 @@ def composition_table(states: Sequence[WeylVector], cs: ContourSystem, spec: Qua
 # Residue expansion of the bare nested kernel
 
 
-def _residue_terms(k: int, cs: ContourSystem, spec: QuadratureSpec):
-    """(F's arguments, weight) of each slab and y-permutation term of the
-    inverse-transform dispatch on ``cs`` with its left family: the measure
-    times S^left(sigma), with F at the permuted components."""
+def _residue_terms(Fs: Sequence[Callable], k: int, cs: ContourSystem, spec: QuadratureSpec):
+    """Per F, the measure times S^left(sigma) times F at the permuted
+    components of each slab and y-permutation term of the dispatch on ``cs``
+    with its left family, as `contours.half_grid_sums` terms (a plain sum)."""
     for s in _spectral_slabs(k, cs, spec, "left"):
         for inv, weight in s.lefts(s.measure):
-            yield tuple(s.comps[m] for m in inverse_permutation(inv)), weight
+            args = tuple(s.comps[m] for m in inverse_permutation(inv))
+            for i, F in enumerate(Fs):
+                # weight first, always: swapping a complex product's operands
+                # can change its last bit
+                yield i, weight * F(args), plain_sum, 1.0
 
 
 def residue_expand_nested(Fs: Sequence[Callable], cs: ContourSystem,
                           spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nested integral of prod_{A<B} (z_A - z_B)/(z_A - q z_B) * F for each F
     of a batch over the nested circles ``cs`` (the dispatch's nested slabs,
-    whose measure is W times that kernel), with `contours.half_grid_sums`'
-    values, half-grid differences, rounding bounds and FloatingPointError
-    on a non-finite F."""
-    return half_grid_sums(_residue_terms(cs.k, cs, spec), Fs)
+    whose measure is W times that kernel), a plain sum per F through
+    `contours.half_grid_sums`: its values, half-grid differences, rounding
+    bounds and FloatingPointError on a non-finite F."""
+    return half_grid_sums(_residue_terms(Fs, cs.k, cs, spec), len(Fs))
 
 
 def residue_expand_sum(Fs: Sequence[Callable], k: int, cs: ContourSystem,
@@ -466,8 +466,7 @@ def residue_expand_sum(Fs: Sequence[Callable], k: int, cs: ContourSystem,
     of `_spectral_slabs` with the left family, F taken at the permuted
     string components.  On a semi-discrete circle (q None) the family is the
     semi-discrete one, for the kernel prod_{A<B} (z_A - z_B)/(z_A - z_B - 1).
-    Returns `contours.half_grid_sums`' values, half-grid differences (the
-    half-grid sum of each ell-axis grid scaled by 2^ell) and rounding
-    bounds.
+    A plain sum per F through `contours.half_grid_sums`, as the nested side;
+    each ell-axis grid's half-grid sum is scaled by 2^ell.
     """
-    return half_grid_sums(_residue_terms(k, cs, spec), Fs)
+    return half_grid_sums(_residue_terms(Fs, k, cs, spec), len(Fs))

@@ -395,3 +395,47 @@ def test_generators_branch_on_the_model_only_in_generator_kind():
     found = model_branches((SRC / "generators.py").read_text())
     assert not found, "model branches outside GeneratorKind:\n" + "\n".join(
         f"generators.py:{line} {what}" for line, what in found)
+
+
+def half_grid_constructions(source: str) -> list[tuple[int, str]]:
+    """(line, what) of each slice with step 2, written ``::2`` or as
+    ``slice(..., 2)``, and each read of ``finfo``: the embedded half grid
+    and the rounding bound of the half-grid rule."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Slice) and isinstance(node.step, ast.Constant)
+                and node.step.value == 2):
+            found.append((node.lineno, "::2"))
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "slice"
+              and len(node.args) == 3 and isinstance(node.args[2], ast.Constant)
+              and node.args[2].value == 2):
+            found.append((node.lineno, "slice(..., 2)"))
+        elif ((isinstance(node, ast.Name) and node.id == "finfo")
+              or (isinstance(node, ast.Attribute) and node.attr == "finfo")):
+            found.append((node.lineno, "finfo"))
+    return sorted(found)
+
+
+def test_half_grid_construction_detection():
+    source = ("import numpy as np\n"
+              "from numpy import finfo\n"
+              "def coarse(T, bases):\n"
+              "    half = (slice(None, None, 2),) * T.ndim\n"
+              "    every = [b[::2] for b in bases]\n"
+              "    odd = bases[0][1::2], T[::3], T[:2], slice(0, 2)\n"
+              "    return T[half].sum(), np.finfo(float).eps * abs(T).sum()\n"
+              "def bound(x):\n"
+              "    return finfo(float).eps * x\n")
+    assert half_grid_constructions(source) == [
+        (4, "slice(..., 2)"), (5, "::2"), (6, "::2"), (7, "finfo"), (9, "finfo")]
+
+
+def test_contours_owns_the_half_grid_rule():
+    # contours.half_grid_sums is the one accumulator of the embedded half
+    # grid and its rounding bound; a second copy elsewhere could pick other
+    # nodes, another scale or another bound, and skip the non-finite check
+    found = [f"{path.relative_to(SRC.parent)}:{line} {what}"
+             for path in sorted(SRC.rglob("*.py")) if path != SRC / "contours.py"
+             for line, what in half_grid_constructions(path.read_text())]
+    assert not found, ("half grids or rounding bounds outside contours.py:\n"
+                       + "\n".join(found))

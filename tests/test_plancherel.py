@@ -508,6 +508,65 @@ def test_residue_expand_nested_raises_on_a_nonfinite_F():
         residue_expand_nested([F], cs, spec)
 
 
+def test_inverse_J_batch_raises_on_a_nonfinite_G():
+    # G is infinite on the first node of axis 0; contracted, it would be nan
+    cs, spec = nested_contours(2, 0.5, r_k=0.2), QuadratureSpec(16)
+    node = grid_nodes_weights(cs, spec)[0][0][0]
+
+    def G(zs):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 1.0 / (zs[0] - node)
+
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        inverse_J_batch(G, [WeylVector((1, 0)), WeylVector((0, 0))], cs, spec)
+
+
+def _naive_inverse_J(cs, m, G, ns):
+    """The nested inverse transform written out on the whole meshgrid, state
+    by state, without `_grid_chunks`, `contract_powers` or `half_grid_sums`:
+    for each n the full sum of T prod_j (1 - z_j)^{e_j}, e_j = -n_j - 1, with
+    T = W times the nested kernel times G, |full - 2^k times the sum over
+    every second node|, and the rounding bound eps 2^k sum|T[::2, ...]|
+    prod_j b_j^{e_j}, b_j the largest |1 - z_j| where e_j >= 0 and the
+    smallest where e_j < 0."""
+    nodes, weights = grid_nodes_weights(cs, QuadratureSpec(m))
+    zs = np.meshgrid(*nodes, indexing="ij")
+    W = functools.reduce(operator.mul, np.meshgrid(*weights, indexing="ij"))
+    T = W * _naive_kernel(zs, Q) * G(zs)
+    half = (slice(None, None, 2),) * cs.k
+    values, ds, roundings = [], [], []
+    for n in ns:
+        e = [-c - 1 for c in n.coords]
+        terms = T * functools.reduce(operator.mul, [(1.0 - z) ** ej for z, ej in zip(zs, e)])
+        full = terms.sum()
+        growth = math.prod((np.abs(1.0 - v).max() if ej >= 0 else np.abs(1.0 - v).min()) ** ej
+                           for v, ej in zip(nodes, e))
+        values.append(full)
+        ds.append(abs(full - 2**cs.k * terms[half].sum()))
+        roundings.append(np.finfo(float).eps * 2**cs.k * np.abs(T[half]).sum() * growth)
+    return np.array(values), np.array(ds), np.array(roundings)
+
+
+@pytest.mark.parametrize("budget", [1 << 21, 512])
+@pytest.mark.parametrize("m", [16, 32])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_inverse_J_batch_matches_a_naive_grid_sum(k, m, budget, monkeypatch):
+    # the fourth evaluator on the one half-grid rule: values, d and the
+    # rounding bound, against each state's own meshgrid sum
+    monkeypatch.setattr(contours, "CHUNK_ELEMENTS", budget)
+    cs = nested_contours(k, Q, r_k=0.3)
+    x = WeylVector(tuple(range(k - 1, -1, -1)))
+    G = lambda zs: eigen_eval_grid(EigenFamily("qboson-right", Q), list(zs), x)
+    ns = list(weyl_vectors_in_box(k, -1, k))
+    values, d, rounding = inverse_J_batch(G, ns, cs, QuadratureSpec(m))
+    ref, ref_d, ref_rounding = _naive_inverse_J(cs, m, G, ns)
+    assert abs(ref[ns.index(x)] - 1.0) < 0.1  # the transform of Psi^r_x is delta_x
+    scale = 1 + np.abs(ref).max()
+    np.testing.assert_allclose(values, ref, rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(d, ref_d, rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(rounding, ref_rounding, rtol=1e-12)
+
+
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("side", ["nested", "sum"])
 def test_residue_estimates_match_a_separate_half_run(k, side):

@@ -545,8 +545,15 @@ def test_cli_rejects_the_accumulator_as_a_param(capsys):
     # the integrand overflows on the quadrature nodes
     (("moments", "--model", "sd", "--init", "delta", "--t", "1e300", "--n", "2,1"),
      "FloatingPointError: integrand returned a non-finite value"),
+    # the transform of delta_y overflows on the nested circles, for one and
+    # two particles; the transition printed [NaN, NaN] and exited 0
+    (("transition", "--t", "0.5", "--from", "700", "--to", "699"),
+     "FloatingPointError: integrand returned a non-finite value"),
+    (("transition", "--t", "0.5", "--from", "700,700", "--to", "699,699"),
+     "FloatingPointError: integrand returned a non-finite value"),
 ])
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp",
+                            "ignore:overflow encountered in power",
                             "ignore:invalid value encountered in multiply")
 def test_cli_arithmetic_errors_exit_2(capsys, args, reason):
     code, err = _cli_in_process(capsys, *args)
