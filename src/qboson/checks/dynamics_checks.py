@@ -15,9 +15,9 @@ from qboson.dynamics import (
     identity_halfstat_transform,
     identity_mqinverse,
     identity_qbinomial,
+    matrix_evolution_batch,
     moment_formula,
     moment_mc,
-    solve_evolution,
     solve_evolution_batch,
     transition_probability,
 )
@@ -36,7 +36,7 @@ def check_backward_solver(acc: Accumulator, q: float = 0.5, t: float = 0.5,
     f0 = CompactFn.delta(WeylVector((0,)))
     lam = (1.0 - q) * t
     for n_ in range(-2, 5):
-        v = solve_evolution("backward", "spectral", f0, t, WeylVector((n_,)), q)
+        (v,) = solve_evolution_batch("backward", f0, t, [WeylVector((n_,))], q)
         exact = math.exp(-lam) * lam**n_ / math.factorial(n_) if n_ >= 0 else 0.0
         acc.add(f"k=1 Poisson n={n_}", v, exact, 1e-10)
     # k = 2 random data, spectral vs oracle
@@ -46,17 +46,17 @@ def check_backward_solver(acc: Accumulator, q: float = 0.5, t: float = 0.5,
             pts[random_weyl(rng, 2, lo=-3, hi=3)] = complex(rng.normal(), rng.normal())
         f0 = CompactFn(pts)
         n = random_weyl(rng, 2, lo=-4, hi=3)
-        vs = solve_evolution("backward", "spectral", f0, t, n, q)
-        vo = solve_evolution("backward", "ode-oracle", f0, t, n, q)
+        (vs,) = solve_evolution_batch("backward", f0, t, [n], q)
+        (vo,) = matrix_evolution_batch("backward", f0, t, [n], q)
         acc.add(f"k=2 trial={trial} n={n.coords}", vs, vo, tolerance)
-        v0 = solve_evolution("backward", "spectral", f0, 0.0, n, q)
+        (v0,) = solve_evolution_batch("backward", f0, 0.0, [n], q)
         acc.add(f"k=2 trial={trial} t=0", v0, f0(n), tolerance)
 
 
 def check_forward_solver(acc: Accumulator, q: float = 0.5, t: float = 0.5,
                          tolerance: float = 1e-6, seed: int = 0) -> None:
-    """Spectral forward solution against the absorbing matrix-exponential
-    oracle, including the t = 0 identity."""
+    """Spectral forward solution against the matrix-exponential oracle,
+    including the t = 0 identity."""
     rng = np.random.default_rng(seed)
     for k in (1, 2):
         for trial in range(4):
@@ -65,10 +65,10 @@ def check_forward_solver(acc: Accumulator, q: float = 0.5, t: float = 0.5,
                 pts[random_weyl(rng, k, lo=-2, hi=2)] = complex(rng.normal(), rng.normal())
             f0 = CompactFn(pts)
             n = random_weyl(rng, k, lo=-2, hi=4)
-            vs = solve_evolution("forward", "spectral", f0, t, n, q)
-            vo = solve_evolution("forward", "ode-oracle", f0, t, n, q)
+            (vs,) = solve_evolution_batch("forward", f0, t, [n], q)
+            (vo,) = matrix_evolution_batch("forward", f0, t, [n], q)
             acc.add(f"k={k} trial={trial} n={n.coords}", vs, vo, tolerance)
-            v0 = solve_evolution("forward", "spectral", f0, 0.0, n, q)
+            (v0,) = solve_evolution_batch("forward", f0, 0.0, [n], q)
             acc.add(f"k={k} trial={trial} t=0", v0, f0(n), tolerance)
 
 
@@ -113,17 +113,17 @@ def _moment_check(acc: Accumulator, init: str, alpha: float, q: float, t: float,
     # k = 3 against the matrix oracle alone: no Monte Carlo row, so that
     # moment-half's default alpha (set by its sampled k <= 2) stands
     n3 = WeylVector((2, 1, 1))
-    vo = solve_evolution("backward", "ode-oracle", h0_build(init, 3, 2, q, alpha), t, n3, q)
+    (vo,) = matrix_evolution_batch("backward", h0_build(init, 3, 2, q, alpha), t, [n3], q)
     acc.add("k=3 n=(2, 1, 1) formula vs ode",
             moment_formula(MomentSpec(n3, t, init, alpha=alpha, q=q)), vo, tolerance)
     specs = [MomentSpec(WeylVector(n), t, init, alpha=alpha, q=q) for n in ((2,), (2, 1), (1, 1))]
     f0s = [h0_build(init, s.k, s.N, q, alpha) for s in specs]
-    sides = [[moment_formula(s)] + [solve_evolution("backward", method, f0, t, s.n, q)
-                                    for method in ("spectral", "ode-oracle")]
+    sides = [[moment_formula(s)] + [solve("backward", f0, t, [s.n], q)[0]
+                                    for solve in (solve_evolution_batch, matrix_evolution_batch)]
              for s, f0 in zip(specs, f0s)]
-    # the ensembles last, once every deterministic side has accepted the
-    # parameters; (2) and (2, 1) read one N = 2 ensemble, (1, 1) its own
-    mcs = moment_mc(specs[:2], paths, seed=seed + 17) + moment_mc(specs[2:], paths, seed=seed + 17)
+    # the ensemble last, once every deterministic side has accepted the
+    # parameters: one N = 2 ensemble serves all three moments
+    mcs = moment_mc(specs, paths, seed=seed + 17)
     for s, (vf, vb, vo), (est, se) in zip(specs, sides, mcs):
         acc.add(f"k={s.k} n={s.n.coords} formula vs spectral", vf, vb, tolerance)
         acc.add(f"k={s.k} n={s.n.coords} formula vs ode", vf, vo, tolerance)

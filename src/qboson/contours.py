@@ -425,15 +425,17 @@ def half_grid_sums(terms: Iterable[tuple], size: int
     weighted integrand T onto the batch entries ``at`` (an index or a
     slice), ``pick`` taking a per-axis node vector to the nodes T holds, and
     grows |T| by at most ``growth``.  Raises FloatingPointError on a
-    non-finite value."""
+    non-finite value, in place of numpy's overflow and invalid-value
+    warnings, which are off while the terms are formed and summed."""
     values = np.zeros(size, dtype=complex)
     coarse = np.zeros(size, dtype=complex)
     scale = np.zeros(size)
-    for at, T, reduce, growth in terms:
-        half = T[(slice(None, None, 2),) * T.ndim]
-        values[at] += reduce(T, lambda v: v)
-        coarse[at] += reduce(half, lambda v: v[::2]) * 2**T.ndim
-        scale[at] += np.abs(half).sum() * 2**T.ndim * growth
+    with np.errstate(over="ignore", invalid="ignore"):
+        for at, T, reduce, growth in terms:
+            half = T[(slice(None, None, 2),) * T.ndim]
+            values[at] += reduce(T, lambda v: v)
+            coarse[at] += reduce(half, lambda v: v[::2]) * 2**T.ndim
+            scale[at] += np.abs(half).sum() * 2**T.ndim * growth
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("integrand returned a non-finite value on a quadrature node")
     return values, np.abs(values - coarse), np.finfo(float).eps * scale

@@ -158,20 +158,18 @@ def left_sources(n: WeylVector, eps: float, q: float) -> dict[WeylVector, float]
     return out
 
 
-def crl_relation_check(n: WeylVector, eps: float, q: float,
-                       m: WeylVector | None = None) -> dict:
+def crl_relation_check(n: WeylVector, eps: float, q: float) -> dict:
     """Verify C^r(n-1, m) / C_q(n) = -C^ell(m+1, n) / C_q(m+1).
 
-    With m omitted, every m that interacts with n is checked: the targets
-    of the right row of n-1, and the m of ``left_sources(n)``, whose m+1 is
-    n lowered by one on a contiguous index range.  With m given, only that
-    pair is checked.  Returns the worst absolute residual and the number of
-    pairs.
+    Every m that interacts with n is checked: the targets of the right row
+    of n-1, and the m of ``left_sources(n)``, whose m+1 is n lowered by one
+    on a contiguous index range.  Returns the worst absolute residual and
+    the number of pairs.
     """
     check_q(q)
     right = deriv_matrices(n.shift(-1), "right", eps, q)
-    left = {} if m is not None else left_sources(n, eps, q)
-    targets = {m} if m is not None else set(right) | set(left)
+    left = left_sources(n, eps, q)
+    targets = set(right) | set(left)
     worst = 0.0
     for mm in targets:
         p = mm.shift(1)

@@ -6,15 +6,16 @@ equation, whose spectral solution is a nested contour integral.  This
 module provides that moment formula for step and half-stationary initial
 data, evaluated as its string expansion on one small circle
 (`string_moment`, shared with the semi-discrete moments), exact simulation
-of both particle systems, spectral and matrix-ODE solvers for the
-backward/forward equations, transition probabilities, and the
+of both particle systems, the spectral solver of the backward/forward
+equations and its matrix oracle, transition probabilities, and the
 combinatorial identities that the half-stationary computation rests on.
 
 Simulation is one vectorized Doob-Gillespie loop, `_gillespie`, given a
 model's jump rates and jump: the ensembles run it over many paths, and
-`simulate` runs it on one path and records every jump.  The matrix-ODE
-oracles exponentiate the box generators of `qboson.generators` by
-uniformization.
+`simulate` runs it on one path and records every jump.  The matrix
+oracle of both equations, `matrix_evolution_batch`, exponentiates a box
+generator of `qboson.generators` once by uniformization, on the box that
+holds every path its values read, so it needs no margin.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from qboson.eigenfunctions import EigenFamily, EigenTable, fsum_complex
 from qboson.generators import (
     GeneratorKind,
     StateBox,
-    absorbing_generator,
     matrix_on_box,
     uniformized_exponential,
     uniformized_transition,
@@ -388,13 +388,14 @@ def map_path_shards(paths: int, seed: int, fn: Callable) -> list:
 
 def moment_mc(specs: Sequence[MomentSpec], paths: int, seed: int = 0) -> list[tuple[float, float]]:
     """Monte Carlo moments, one (estimate, stderr) per spec, over one q-TASEP
-    ensemble that the specs share.  Each path shard keeps, per spec, only
-    the count, mean and sum of squared deviations M2 of its observables;
-    the shards merge in shard order by Chan, Golub and LeVeque's pairwise
-    update, so no per-path array outlives its shard."""
-    ensemble, *others = [(s.N, s.init, s.alpha, s.q, s.t) for s in specs]
-    if any(e != ensemble for e in others):
-        raise ValueError("the moments of one ensemble must share N, init, alpha, q and t")
+    ensemble of N = max N particles that the specs share.  Each path shard
+    keeps, per spec, only the count, mean and sum of squared deviations M2
+    of its observables; the shards merge in shard order by Chan, Golub and
+    LeVeque's pairwise update, so no per-path array outlives its shard."""
+    law, *others = [(s.init, s.alpha, s.q, s.t) for s in specs]
+    if any(e != law for e in others):
+        raise ValueError("the moments of one ensemble must share init, alpha, q and t")
+    ensemble = (max(s.N for s in specs), *law)
     if paths < 2:
         raise ValueError("a Monte Carlo moment needs paths >= 2 for its standard error")
 
@@ -432,56 +433,6 @@ def _time_weight(q: float, t: float) -> Callable:
     """The grid factor exp((q-1) t sum_j z_j), one exp per axis multiplied
     by broadcasting."""
     return lambda zs: functools.reduce(operator.mul, (np.exp((q - 1.0) * t * z) for z in zs))
-
-
-def solve_evolution(direction: str, method: str, f0: CompactFn, t: float, n: WeylVector,
-                    q: float) -> complex:
-    """Solve the backward or forward equation at time t and state n.
-
-    method "spectral": the eigenfunction-decomposition integral with the
-    exponential time weight.  method "ode-oracle": the triangular matrix
-    system on a box; exact for the backward flow (states exiting below the
-    support of f0 carry value 0), absorbing with a leakage check for the
-    forward flow.  Its exponential is `uniformized_exponential` at rate k
-    (no state leaves at more than k), with a Poisson tail below 1e-16, so
-    that its error stays near rounding: within about 1e-15 of max |f0|
-    against a dense matrix exponential.
-    """
-    check_q(q)
-    check_time(t)
-    k = f0.k
-    if method == "spectral":
-        vals = solve_evolution_batch(direction, f0, t, [n], q)
-        return complex(vals[0])
-
-    if method != "ode-oracle":
-        raise ValueError(f"unknown method {method!r}")
-
-    supp = f0.support()
-    if not supp:
-        return 0.0 + 0.0j
-    lo_s = min(m.coords[-1] for m in supp)
-    hi_s = max(m.coords[0] for m in supp)
-    if direction == "backward":
-        box = StateBox(k, lo_s, max(hi_s, n.coords[0]))
-        A = matrix_on_box(GeneratorKind("bwd", "qboson", q), box)
-    elif direction == "forward":
-        # the forward flow transports mass downward (particles only jump
-        # left), so a truncation from below is exact for in-box values:
-        # mass past the bottom edge can never re-enter.  The absorbing row
-        # still measures it so the truncation stays observable.
-        margin = 2 + int(math.ceil(k * t + 4 * math.sqrt(k * t + 1.0)))
-        box = StateBox(k, min(lo_s, n.coords[-1]) - margin, max(hi_s, n.coords[0]) + 1)
-        A = absorbing_generator(GeneratorKind("fwd", "qboson", q), box)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    idx = box.index()
-    if n not in idx:
-        return 0.0 + 0.0j  # below the backward box the solution vanishes exactly
-    v0 = np.zeros(A.size, dtype=complex)
-    for m, val in f0.items():
-        v0[idx[m]] = val
-    return complex(uniformized_exponential(A, t, v0, float(k), 1e-16)[0][idx[n]])
 
 
 def solve_evolution_batch(direction: str, f0: CompactFn, t: float, ns: Sequence[WeylVector],
@@ -523,22 +474,60 @@ def solve_evolution_batch(direction: str, f0: CompactFn, t: float, ns: Sequence[
     return evaluate(quad)[0]
 
 
+def matrix_evolution_batch(direction: str, f0: CompactFn, t: float,
+                           ns: Sequence[WeylVector], q: float) -> np.ndarray:
+    """The matrix oracle of `solve_evolution_batch`: the same solutions from
+    one uniformized exponential of the box generator.
+
+    Coordinates only move down, so every path that a value reads stays in
+    the box from the lowest coordinate of the states where paths end (the
+    support of f0 backward, ns forward) to the highest of the states where
+    they start (ns backward, the support forward).  Backward rows read
+    states below and forward rows states above, so the exponential is exact
+    on that box and a state outside it gets exactly 0.  It runs at rate k
+    (no state leaves at more than k) with a Poisson tail below 1e-16: within
+    about 1e-15 of max |f0| of a dense matrix exponential.
+    """
+    check_q(q)
+    check_time(t)
+    if direction == "backward":
+        ends, starts, kind = f0.support(), ns, "bwd"
+    elif direction == "forward":
+        ends, starts, kind = ns, f0.support(), "fwd"
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    lo = min((m.coords[-1] for m in ends), default=math.inf)
+    hi = max((m.coords[0] for m in starts), default=-math.inf)
+    if hi < lo:  # no path runs from a start to an end
+        return np.zeros(len(ns), dtype=complex)
+    box = StateBox(f0.k, lo, hi)
+    idx = box.index()
+    v0 = np.array([f0(m) for m in box.states], dtype=complex)
+    A = matrix_on_box(GeneratorKind(kind, "qboson", q), box)
+    v = uniformized_exponential(A, t, v0, float(f0.k), 1e-16)[0]
+    return np.array([v[idx[n]] if n in idx else 0j for n in ns], dtype=complex)
+
+
 def transition_probability(method: str, y: WeylVector, x: WeylVector, t: float,
                            q: float) -> complex:
-    """P(state x at time t | state y at time 0) for the q-Boson system."""
+    """P(state x at time t | state y at time 0) for the q-Boson system.
+
+    The chain is translation invariant, so the spectral solve runs on both
+    states shifted by -y_k, where the transform of delta_y stays finite.
+    The uniformization runs on the box [min(x_k, y_k), max(x_1, y_1)],
+    which holds every path from y to x.
+    """
     check_q(q)
     check_time(t)
     if x.k != y.k:
         raise ValueError(f"the q-Boson system conserves particles: the source has {y.k} "
                          f"and the target {x.k}")
     if method == "spectral":
-        return solve_evolution("forward", "spectral", CompactFn.delta(y), t, x, q)
+        shift = -y.coords[-1]
+        return complex(solve_evolution_batch("forward", CompactFn.delta(y.shift(shift)), t,
+                                             [x.shift(shift)], q)[0])
     if method == "uniformization":
-        k = y.k
-        # the chain descends: pad the box below
-        margin = 3 + int(math.ceil(k * t + 6 * math.sqrt(k * t + 1.0)))
-        box = StateBox(k, min(x.coords[-1], y.coords[-1]) - margin,
-                       max(x.coords[0], y.coords[0]) + 1)
+        box = StateBox(y.k, min(x.coords[-1], y.coords[-1]), max(x.coords[0], y.coords[0]))
         pmf = uniformized_transition(GeneratorKind("fwd", "qboson", q), t, y, box, tol=1e-10)
         return complex(pmf[x])
     raise ValueError(f"unknown method {method!r}")

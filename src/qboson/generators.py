@@ -13,7 +13,7 @@ kinds give two-body boundary residuals.
 collects the mass leaking out of the box.  `uniformized_exponential` is the
 one matrix exponential of the package: e^{tA} v on a box, by uniformization
 in O(nnz) per Poisson term, behind `uniformized_transition` and the
-ode-oracle solvers of `qboson.dynamics`.  `dense_exponential_transition`,
+matrix oracle of `qboson.dynamics`.  `dense_exponential_transition`,
 a scaling-and-squaring reference for the tests, is the only code here that
 needs scipy, and imports it when called.
 
@@ -175,7 +175,7 @@ def extended_apply(f: Callable, n, q: float) -> complex:
 # A box is enumerated state by state, and pt-invariance and
 # dense_exponential_transition densify its generator: 2000 states make one
 # 32 MB real matrix.  The largest box the checks build at their defaults
-# holds 165 states, that of the tests 286.
+# holds 165 states.
 MAX_BOX_STATES = 2000
 
 

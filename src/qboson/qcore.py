@@ -293,24 +293,15 @@ def inverse_permutation(perm: Sequence[int]) -> list[int]:
 
 
 def weyl_vectors_in_box(k: int, lo: int, hi: int) -> Iterator[WeylVector]:
-    """All n in W^k with lo <= n_k and n_1 <= hi, in lexicographic order."""
-    if hi < lo:
-        return
-
-    def rec(prefix: list[int], cap: int):
-        if len(prefix) == k:
-            yield WeylVector(tuple(prefix))
-            return
-        for v in range(lo, cap + 1):
-            prefix.append(v)
-            yield from rec(prefix, v)
-            prefix.pop()
-
-    yield from rec([], hi)
+    """All n in W^k with lo <= n_k and n_1 <= hi, in lexicographic order:
+    the rows of `chamber_blocks`."""
+    for block in chamber_blocks(k, lo, hi):
+        for row in block.tolist():
+            yield WeylVector(tuple(row))
 
 
 def chamber_blocks(k: int, lo: int, hi: int) -> Iterator[np.ndarray]:
-    """The states of `weyl_vectors_in_box` (k, lo, hi), in its order, as
+    """All n in W^k with lo <= n_k and n_1 <= hi, in lexicographic order, as
     integer arrays, one (rows, k) block per value of n_1: the block of
     n_1 = top prepends top to the prefix of the states of k - 1 coordinates
     whose first coordinate is at most top."""

@@ -100,7 +100,7 @@ REGISTRY: dict[str, CheckDef] = {
     ),
     "forward-solver": CheckDef(
         dy.check_forward_solver,
-        "spectral forward solution matches the absorbing matrix-exponential oracle",
+        "spectral forward solution matches the matrix-exponential oracle",
     ),
     "transition-prob": CheckDef(
         dy.check_transition_prob,

@@ -103,11 +103,6 @@ def test_crl_single_clusters_and_worked_case():
         for eps in (0.3, 1.0):
             r = crl_relation_check(n, eps, Q)
             assert r["worst"] < 1e-12
-    # explicit pair argument
-    n = WeylVector((3, 3))
-    m = WeylVector((2, 1))
-    r = crl_relation_check(n, 0.5, Q, m=m)
-    assert r["pairs"] == 1 and r["worst"] < 1e-12
 
 
 def _box_left_sources(n, eps, q):

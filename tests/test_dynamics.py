@@ -15,19 +15,20 @@ from qboson.dynamics import (
     identity_halfstat_transform,
     identity_mqinverse,
     identity_qbinomial,
+    matrix_evolution_batch,
     moment_formula,
     moment_mc,
     qboson_sample_ensemble,
     qtasep_sample_ensemble,
     sample_q_geometric,
     simulate,
-    solve_evolution,
     solve_evolution_batch,
     transition_probability,
 )
 from qboson.generators import (
     GeneratorKind,
     StateBox,
+    matrix_on_box,
     uniformized_exponential,
     uniformized_transition,
 )
@@ -55,7 +56,7 @@ def test_every_time_entry_point_rejects_a_bad_t(t):
     calls = [
         lambda: MomentSpec(WeylVector((1,)), t, "step", q=Q),
         lambda: simulate("qboson", y, t, 0, q=Q),
-        lambda: solve_evolution("backward", "ode-oracle", CompactFn.delta(y), t, y, Q),
+        lambda: matrix_evolution_batch("backward", CompactFn.delta(y), t, [y], Q),
         lambda: transition_probability("spectral", y, x, t, Q),
         lambda: uniformized_transition(GeneratorKind("fwd", "qboson", Q), t, y,
                                        StateBox(2, -2, 1)),
@@ -212,13 +213,14 @@ def test_moment_mc_matches_formula():
     assert se < se_small
 
 
-def _shard_observables(spec, paths, seed):
+def _shard_observables(spec, paths, seed, N=None):
     """The observables of the eight shards of moment_mc's fixed layout, one
-    shard after another, each with its own spawned stream."""
+    shard after another, each with its own spawned stream, on an ensemble
+    of N particles (spec.N by default)."""
     streams = np.random.SeedSequence(seed).spawn(8)
     out = []
     for i, sq in enumerate(streams):
-        x = qtasep_sample_ensemble(spec.N, spec.init, spec.alpha, spec.q, spec.t,
+        x = qtasep_sample_ensemble(N or spec.N, spec.init, spec.alpha, spec.q, spec.t,
                                    paths * (i + 1) // 8 - paths * i // 8,
                                    np.random.default_rng(sq))
         part = np.ones(len(x))
@@ -228,12 +230,12 @@ def _shard_observables(spec, paths, seed):
     return out
 
 
-def _sequential_moment_mc(spec, paths, seed):
+def _sequential_moment_mc(spec, paths, seed, N=None):
     """moment_mc written plainly: each shard reduced to its count, mean and
     sum of squared deviations, merged in shard order by Chan, Golub and
     LeVeque's update."""
     n, mean, m2 = 0, 0.0, 0.0
-    for part in _shard_observables(spec, paths, seed):
+    for part in _shard_observables(spec, paths, seed, N):
         if len(part) == 0:
             continue
         n_b, mean_b = len(part), float(part.mean())
@@ -267,9 +269,17 @@ def test_moment_mc_shares_one_ensemble(init, alpha):
     assert moment_mc(specs, 3001, seed=7) == [moment_mc([s], 3001, seed=7)[0] for s in specs]
 
 
+@pytest.mark.parametrize("init,alpha", [("step", 0.0), ("half-stationary", 0.05)])
+def test_moment_mc_draws_the_largest_N_once(init, alpha):
+    # (1, 1) reads the first particle of the N = 2 ensemble that (2, 1) needs
+    specs = [MomentSpec(WeylVector(n), 0.5, init, alpha=alpha, q=Q) for n in ((2, 1), (1, 1))]
+    assert moment_mc(specs, 3001, seed=7) == [_sequential_moment_mc(s, 3001, 7, N=2)
+                                              for s in specs]
+
+
 def test_moment_mc_refuses_specs_of_two_ensembles():
-    specs = [MomentSpec(WeylVector((2,)), 0.5, q=Q), MomentSpec(WeylVector((1, 1)), 0.5, q=Q)]
-    with pytest.raises(ValueError, match="must share N, init, alpha, q and t"):
+    specs = [MomentSpec(WeylVector((2,)), 0.5, q=Q), MomentSpec(WeylVector((1, 1)), 0.7, q=Q)]
+    with pytest.raises(ValueError, match="must share init, alpha, q and t"):
         moment_mc(specs, 100)
 
 
@@ -284,8 +294,8 @@ def test_duality_triangle_half():
     spec = MomentSpec(WeylVector((2, 1)), 0.5, "half-stationary", alpha=0.1, q=Q)
     vf = moment_formula(spec).value
     f0 = h0_build("half-stationary", 2, 2, Q, 0.1)
-    vb = solve_evolution("backward", "spectral", f0, 0.5, WeylVector((2, 1)), Q)
-    vo = solve_evolution("backward", "ode-oracle", f0, 0.5, WeylVector((2, 1)), Q)
+    (vb,) = solve_evolution_batch("backward", f0, 0.5, [WeylVector((2, 1))], Q)
+    (vo,) = matrix_evolution_batch("backward", f0, 0.5, [WeylVector((2, 1))], Q)
     assert abs(vf - vb) < 1e-8
     assert abs(vf - vo) < 1e-8
     ((est, se),) = moment_mc([spec], 150_000, seed=13)
@@ -295,18 +305,15 @@ def test_duality_triangle_half():
 def test_backward_solver_poisson_chain():
     f0 = CompactFn.delta(WeylVector((0,)))
     lam_t = (1 - Q) * 0.8
-    for n in range(0, 4):
-        v = solve_evolution("backward", "spectral", f0, 0.8, WeylVector((n,)), Q)
+    ns = [WeylVector((n,)) for n in range(0, 4)]
+    vs = solve_evolution_batch("backward", f0, 0.8, ns, Q)
+    vo = matrix_evolution_batch("backward", f0, 0.8, ns, Q)
+    for n, v, w in zip(range(0, 4), vs, vo):
         assert v == pytest.approx(math.exp(-lam_t) * lam_t**n / math.factorial(n), abs=1e-11)
-        vo = solve_evolution("backward", "ode-oracle", f0, 0.8, WeylVector((n,)), Q)
-        assert vo == pytest.approx(v, abs=1e-11)
+        assert w == pytest.approx(v, abs=1e-11)
 
 
-@pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
-@pytest.mark.parametrize("direction", ["backward", "forward"])
-@pytest.mark.parametrize("k,t", [(1, 1.5), (2, 1.0), (3, 0.5)])
-def test_ode_oracle_exponential_matches_a_dense_expm(direction, k, t, q, monkeypatch):
-    # on the boxes the ode-oracle builds: 681 states at forward k = 3
+def _spy_exponentials(monkeypatch):
     calls = []
 
     def spy(A, t, v, rate, tol):
@@ -315,16 +322,70 @@ def test_ode_oracle_exponential_matches_a_dense_expm(direction, k, t, q, monkeyp
         return out
 
     monkeypatch.setattr(dynamics, "uniformized_exponential", spy)
+    return calls
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("direction", ["backward", "forward"])
+@pytest.mark.parametrize("k,t", [(1, 1.5), (2, 1.0), (3, 0.5)])
+def test_ode_oracle_exponential_matches_a_dense_expm(direction, k, t, q, monkeypatch):
+    # the state n and a support point far from it span the box [-6, 6]:
+    # 455 states at k = 3
+    calls = _spy_exponentials(monkeypatch)
     rng = np.random.default_rng(k)
     support = list(weyl_vectors_in_box(k, -1, 1))
     picks = rng.choice(len(support), size=min(3, len(support)), replace=False)
-    f0 = CompactFn({support[i]: complex(*rng.normal(size=2)) for i in picks})
-    n = WeylVector(tuple(sorted(rng.integers(0, 3, size=k), reverse=True)))
-    value = solve_evolution(direction, "ode-oracle", f0, t, n, q)
+    high, low = WeylVector((6,) + (0,) * (k - 1)), WeylVector((0,) * (k - 1) + (-6,))
+    n, far = (high, low) if direction == "backward" else (low, high)
+    f0 = CompactFn({far: 1.0, **{support[i]: complex(*rng.normal(size=2)) for i in picks}})
+    (value,) = matrix_evolution_batch(direction, f0, t, [n], q)
     ((A, v0, got),) = calls
+    assert A.size == math.comb(12 + k, k)
     want = expm(t * A.dense()) @ v0
     assert np.abs(got - want).max() <= 1e-14 * np.abs(v0).max()
     assert value in got  # the solution is the exponential's entry at n
+
+
+@pytest.mark.parametrize("q", [0.2, 0.7])
+@pytest.mark.parametrize("direction", ["backward", "forward"])
+@pytest.mark.parametrize("k,t", [(1, 1.5), (2, 1.0), (3, 0.7)])
+def test_matrix_oracle_equals_its_box_widened_below_bit_for_bit(direction, k, t, q):
+    # the rows below the box would hold only mass that no in-box row reads
+    rng = np.random.default_rng(k)
+    support = list(weyl_vectors_in_box(k, -2, 2))
+    picks = rng.choice(len(support), size=4, replace=False)
+    f0 = CompactFn({support[i]: complex(*rng.normal(size=2)) for i in picks})
+    ns = list(weyl_vectors_in_box(k, -3, 3))
+    got = matrix_evolution_batch(direction, f0, t, ns, q)
+    ends, starts = (f0.support(), ns) if direction == "backward" else (ns, f0.support())
+    box = StateBox(k, min(m.coords[-1] for m in ends) - 10, max(m.coords[0] for m in starts))
+    kind = "bwd" if direction == "backward" else "fwd"
+    idx = box.index()
+    v0 = np.zeros(box.size, dtype=complex)
+    for m, val in f0.items():
+        v0[idx[m]] = val
+    wide = uniformized_exponential(matrix_on_box(GeneratorKind(kind, "qboson", q), box), t, v0,
+                                   float(k), 1e-16)[0]
+    want = [wide[idx[n]] if n in idx else 0j for n in ns]
+    assert got.tolist() == want
+    assert any(want) and not all(want)  # in-box values and exact zeros alike
+
+
+def test_matrix_oracle_answers_a_forward_case_past_the_old_margin(monkeypatch):
+    # k = 3 at t = 1.5: a box padded by 2 + ceil(kt + 4 sqrt(kt + 1)) = 16
+    # rows below (1, 0, -3) held 2024 states, past MAX_BOX_STATES; the exact
+    # box [-3, 1] holds 35
+    calls = _spy_exponentials(monkeypatch)
+    f0 = CompactFn({WeylVector((1, 0, -1)): 1.0, WeylVector((1, 1, 0)): 0.5 - 0.2j,
+                    WeylVector((0, 0, -1)): -0.3})
+    ns = [WeylVector((1, 0, -3)), WeylVector((0, -1, -2)), WeylVector((2, 0, 0))]
+    vals = matrix_evolution_batch("forward", f0, 1.5, ns, Q)
+    ((A, v0, got),) = calls
+    assert A.size == 35
+    want = expm(1.5 * A.dense()) @ v0
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(v0).max()
+    assert vals[0] in got and vals[1] in got
+    assert vals[2] == 0  # above every start
 
 
 def test_transition_kernel_k1_poisson():
@@ -337,6 +398,24 @@ def test_transition_kernel_k1_poisson():
         assert ps == pytest.approx(expect, abs=1e-10)
         assert pu == pytest.approx(expect, abs=1e-10)
     assert transition_probability("spectral", y, y, 0.0, Q) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("far", [(700,), (700, 700), (-400, -401)])
+def test_spectral_transition_is_translation_invariant(far):
+    # at 700 the transform of delta_y overflows on the nested circles unshifted
+    y = WeylVector(far)
+    x = y.shift(-1)
+    near = y.shift(-y.coords[-1])
+    assert (transition_probability("spectral", y, x, 0.5, Q)
+            == transition_probability("spectral", near, near.shift(-1), 0.5, Q))
+
+
+def test_uniformized_transition_runs_on_the_exact_box():
+    # a box padded by 3 + ceil(kt + 6 sqrt(kt + 1)) rows held 3276 states
+    y, x = WeylVector((1, 0, 0)), WeylVector((0, 0, -1))
+    pu = transition_probability("uniformization", y, x, 1.5, Q)
+    assert abs(pu - transition_probability("spectral", y, x, 1.5, Q)) < 1e-12
+    assert abs(pu - _transition_oracle(y.coords, x.coords, Q, 1.5)) < 1e-14
 
 
 def _transition_oracle(y, x, q, t):

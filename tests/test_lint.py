@@ -186,7 +186,7 @@ def test_benchmark_tracer_targets_resolve():
 def test_checks_and_commands_run_without_scipy():
     # scipy serves the tests and generators.dense_exponential_transition
     # alone; these six checks reached it through the box matrices and the
-    # ode-oracle's exponential.  A fresh process, so other tests' imports
+    # matrix oracle's exponential.  A fresh process, so other tests' imports
     # stay out of sys.modules.
     code = ("import sys\n"
             f"sys.path[:0] = [{str(SRC.parent)!r}]\n"

@@ -3,7 +3,7 @@
 `dynamics.moment_formula` and `degenerations.sd_moment_formula` evaluate the
 nested moment integrals as their string expansion on one small circle
 (`plancherel.residue_expand_sum`).  The checks compare them with the nested
-spectral solver and the program's own ode-oracle; these tests compare them
+spectral solver and the program's own matrix oracle; these tests compare them
 with duality oracles built below from the model definitions alone, with no
 qboson code on the oracle side.
 """

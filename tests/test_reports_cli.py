@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -229,11 +230,12 @@ def test_cli_unknown_check_exits_2():
 
 
 def test_cli_oversized_oracle_box_exits_2():
-    # the k = 1 spectral leg runs first and is cheap; the k = 1 oracle box
-    # at t = 2000 holds 2188 states and is refused before it is built
+    # the k = 1 spectral leg runs first and is cheap; the oracle's Poisson
+    # weight e^{-kt} is 0 in double precision at kt = 2000
     p = _cli("verify", "forward-solver", "--param", "t=2000")
     assert p.returncode == 2
-    assert "enumerate and densify a box, so at most 2000 are allowed" in p.stderr
+    assert p.stderr == ("error: uniformization at rate * t = 2000: the Poisson weights "
+                        "underflow\n")
 
 
 def test_accumulator_ranks_a_nan_comparison_worst():
@@ -545,20 +547,21 @@ def test_cli_rejects_the_accumulator_as_a_param(capsys):
     # the integrand overflows on the quadrature nodes
     (("moments", "--model", "sd", "--init", "delta", "--t", "1e300", "--n", "2,1"),
      "FloatingPointError: integrand returned a non-finite value"),
-    # the transform of delta_y overflows on the nested circles, for one and
-    # two particles; the transition printed [NaN, NaN] and exited 0
-    (("transition", "--t", "0.5", "--from", "700", "--to", "699"),
+    # 700 rows apart, the transform of delta_y (shifted to 0) overflows on
+    # the nested circles at the target, for one and two particles
+    (("transition", "--t", "0.5", "--from", "700", "--to", "0"),
      "FloatingPointError: integrand returned a non-finite value"),
-    (("transition", "--t", "0.5", "--from", "700,700", "--to", "699,699"),
+    (("transition", "--t", "0.5", "--from", "700,700", "--to", "0,0"),
      "FloatingPointError: integrand returned a non-finite value"),
 ])
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp",
-                            "ignore:overflow encountered in power",
-                            "ignore:invalid value encountered in multiply")
 def test_cli_arithmetic_errors_exit_2(capsys, args, reason):
-    code, err = _cli_in_process(capsys, *args)
+    # stderr is the one reason line, with no numpy warning ahead of it
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, err = _cli_in_process(capsys, *args)
     assert code == 2
-    assert err.startswith("error: " + reason)
+    assert [str(w.message) for w in seen] == []
+    assert err.startswith("error: " + reason) and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_run_all_turns_arithmetic_errors_into_rows():
