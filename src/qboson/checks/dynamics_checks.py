@@ -21,7 +21,6 @@ from qboson.dynamics import (
     solve_evolution_batch,
     transition_probability,
 )
-from qboson.generators import GeneratorKind, StateBox, uniformized_transition
 from qboson.qcore import CompactFn, WeylVector, weyl_vectors_in_box
 from qboson.report import Accumulator
 
@@ -74,19 +73,17 @@ def check_forward_solver(acc: Accumulator, q: float = 0.5, t: float = 0.5,
 
 def check_transition_prob(acc: Accumulator, q: float = 0.5, t: float = 1.0,
                           tolerance: float = 1e-6) -> None:
-    """Transition kernel: spectral formula vs uniformization, sign, and mass."""
+    """Transition kernel: spectral formula vs the matrix oracle, sign, and
+    mass, on the 14 rows of states below y_1 (the chain only descends)."""
     for k, y in ((1, WeylVector((0,))), (2, WeylVector((1, 0))), (2, WeylVector((1, 1)))):
-        lo = y.coords[-1] - 14  # the chain only descends
-        hi = y.coords[0] + 1
-        box = StateBox(k, lo, hi)
-        pmf = uniformized_transition(GeneratorKind("fwd", "qboson", q), t, y, box, tol=1e-12)
-        states = [n for n in weyl_vectors_in_box(k, lo + 1, y.coords[0])]
-        vals = solve_evolution_batch("forward", CompactFn.delta(y), t, states, q,
-                                     quad=QuadratureSpec(256))
+        states = list(weyl_vectors_in_box(k, y.coords[-1] - 13, y.coords[0]))
+        delta = CompactFn.delta(y)
+        oracle = matrix_evolution_batch("forward", delta, t, states, q)
+        vals = solve_evolution_batch("forward", delta, t, states, q, quad=QuadratureSpec(256))
         total = 0.0
         min_real = np.inf
-        for n, v in zip(states, vals):
-            acc.add(f"k={k} y={y.coords} x={n.coords}", v, pmf[n], tolerance)
+        for n, v, vo in zip(states, vals, oracle):
+            acc.add(f"k={k} y={y.coords} x={n.coords}", v, vo, tolerance)
             total += v.real
             min_real = min(min_real, v.real)
             if abs(v.imag) > 1e-9:

@@ -46,7 +46,6 @@ from qboson.generators import (
     StateBox,
     matrix_on_box,
     uniformized_exponential,
-    uniformized_transition,
 )
 from qboson.plancherel import inverse_J_batch, residue_expand_sum, transform_F_grid
 from qboson.qcore import (
@@ -448,6 +447,7 @@ def solve_evolution_batch(direction: str, f0: CompactFn, t: float, ns: Sequence[
     `default_nodes(k)`.  A G that overflows raises FloatingPointError.
     """
     check_q(q)
+    check_time(t)
     k = f0.k
     cs = nested_contours(k, q, r_k=0.3)
     weight = _time_weight(q, t)
@@ -485,11 +485,16 @@ def matrix_evolution_batch(direction: str, f0: CompactFn, t: float,
     they start (ns backward, the support forward).  Backward rows read
     states below and forward rows states above, so the exponential is exact
     on that box and a state outside it gets exactly 0.  It runs at rate k
-    (no state leaves at more than k) with a Poisson tail below 1e-16: within
-    about 1e-15 of max |f0| of a dense matrix exponential.
+    (no state leaves at more than k) with Poisson tails below 1e-16 in all:
+    within about 1e-15 of max |f0| of a dense matrix exponential.  Every
+    state of ns must have f0's particle count.
     """
     check_q(q)
     check_time(t)
+    for n in ns:
+        if n.k != f0.k:
+            raise ValueError(f"the q-Boson system conserves particles: f0 has {f0.k} and "
+                             f"the state {n.coords} has {n.k}")
     if direction == "backward":
         ends, starts, kind = f0.support(), ns, "bwd"
     elif direction == "forward":
@@ -512,10 +517,10 @@ def transition_probability(method: str, y: WeylVector, x: WeylVector, t: float,
                            q: float) -> complex:
     """P(state x at time t | state y at time 0) for the q-Boson system.
 
-    The chain is translation invariant, so the spectral solve runs on both
-    states shifted by -y_k, where the transform of delta_y stays finite.
-    The uniformization runs on the box [min(x_k, y_k), max(x_1, y_1)],
-    which holds every path from y to x.
+    Both methods solve the forward equation from delta_y at x.  The chain
+    is translation invariant, so the spectral solve runs on both states
+    shifted by -y_k, where the transform of delta_y stays finite; the
+    uniformization is the matrix oracle `matrix_evolution_batch`.
     """
     check_q(q)
     check_time(t)
@@ -527,9 +532,7 @@ def transition_probability(method: str, y: WeylVector, x: WeylVector, t: float,
         return complex(solve_evolution_batch("forward", CompactFn.delta(y.shift(shift)), t,
                                              [x.shift(shift)], q)[0])
     if method == "uniformization":
-        box = StateBox(y.k, min(x.coords[-1], y.coords[-1]), max(x.coords[0], y.coords[0]))
-        pmf = uniformized_transition(GeneratorKind("fwd", "qboson", q), t, y, box, tol=1e-10)
-        return complex(pmf[x])
+        return complex(matrix_evolution_batch("forward", CompactFn.delta(y), t, [x], q)[0])
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -9,13 +9,13 @@ adds the pair potential.  `generator_row` lists the row of every kind
 rule; pointwise application sums f over it, `matrix_on_box` lays out the
 rows of a truncated state box as (rows, cols, vals) arrays, and the free
 kinds give two-body boundary residuals.
-`absorbing_generator` extends a box matrix by one absorbing state that
-collects the mass leaking out of the box.  `uniformized_exponential` is the
-one matrix exponential of the package: e^{tA} v on a box, by uniformization
-in O(nnz) per Poisson term, behind `uniformized_transition` and the
-matrix oracle of `qboson.dynamics`.  `dense_exponential_transition`,
-a scaling-and-squaring reference for the tests, is the only code here that
-needs scipy, and imports it when called.
+`uniformized_exponential` is the one matrix exponential of the package:
+e^{tA} v on a box, by uniformization in O(nnz) per Poisson term, behind the
+matrix oracle of `qboson.dynamics`.  `uniformized_transition` and
+`dense_exponential_transition`, its scaling-and-squaring reference, price
+the transitions out of one state on a given box for the tests and the
+benchmark's tracer; the latter is the only code here that needs scipy, and
+imports it when called.
 
 Row convention: row i is state i, and entry (i, j) is the coefficient of
 f(state_j) in (A f)(state_i), i.e. columns are sources.  For the
@@ -173,9 +173,10 @@ def extended_apply(f: Callable, n, q: float) -> complex:
 
 
 # A box is enumerated state by state, and pt-invariance and
-# dense_exponential_transition densify its generator: 2000 states make one
-# 32 MB real matrix.  The largest box the checks build at their defaults
-# holds 165 states.
+# dense_exponential_transition, the tests' reference, densify its generator:
+# 2000 states make one 32 MB real matrix.  The largest box the checks build
+# at their defaults is pt-invariance's, 165 states; the matrix oracle's
+# exact boxes hold at most 120.
 MAX_BOX_STATES = 2000
 
 
@@ -256,23 +257,6 @@ def matrix_on_box(gk: GeneratorKind, box: StateBox) -> BoxMatrix:
     return _compressed(*zip(*entries), box.size)
 
 
-def absorbing_generator(gk: GeneratorKind, box: StateBox) -> BoxMatrix:
-    """The box generator extended by one absorbing state, indexed box.size.
-
-    Its row holds, per source column, minus the column sum of the box
-    generator (summed in row order): the net rate leaking out of the box, so
-    that truncation error is observable rather than silently lost.  Its
-    column is zero.  For the stochastic forward generator every column of
-    the result sums to zero.
-    """
-    A = matrix_on_box(gk, box)
-    leak = -np.bincount(A.cols, weights=A.vals, minlength=A.size)
-    (cols,) = np.nonzero(leak)
-    return BoxMatrix(np.concatenate([A.rows, np.full(cols.size, A.size)]),
-                     np.concatenate([A.cols, cols]), np.concatenate([A.vals, leak[cols]]),
-                     A.size + 1)
-
-
 def reflection_permutation(box: StateBox) -> np.ndarray:
     """Permutation p with p[i] = index of the reflected i-th state.
 
@@ -290,10 +274,10 @@ def cluster_weight_diagonal(gk: GeneratorKind, box: StateBox) -> np.ndarray:
 
 @dataclass
 class TransitionPMF:
-    """Finite-time transition probabilities out of one state, plus leakage."""
+    """Finite-time transition probabilities out of one state into a box,
+    with the Poisson mass that their series left out."""
 
     probs: dict[WeylVector, float]
-    absorbed: float
     tail_bound: float
 
     def __getitem__(self, n) -> float:
@@ -309,29 +293,36 @@ def poisson_terms_needed(rate: float, tol: float) -> int:
     """
     if rate == 0.0:
         return 0
-    J = max(1, int(math.ceil(rate)))
-    while J < 10_000_000:
-        log_bound = J - rate + J * math.log(rate / J) if J > rate else 0.0
-        if J > rate and log_bound < math.log(tol):
-            return J
+    J = max(1, math.ceil(rate))
+    while J <= rate or J - rate + J * math.log(rate / J) >= math.log(tol):
         J += 1 + J // 8
-    raise ValueError(f"uniformization at rate * t = {rate:g} needs more than 10000000 "
-                     "Poisson terms")
+    return J
+
+
+# `uniformized_exponential` splits t so that each Poisson series has a mean
+# of at most POISSON_STEP_MEAN, whose first weight e^{-700} is a normal
+# double, and refuses a t whose series would take more than
+# MAX_POISSON_TERMS products in all.
+POISSON_STEP_MEAN = 700.0
+MAX_POISSON_TERMS = 10_000_000
 
 
 def uniformized_exponential(A: BoxMatrix, t: float, v: np.ndarray, rate: float,
                             tol: float) -> tuple[np.ndarray, float]:
-    """e^{tA} v by uniformization (Jensen 1953): the sum over j of the
-    Poisson(rate t) weight of j times P^j v, with P = I + A / rate, up to
-    `poisson_terms_needed(rate t, tol)` terms.  Returns the sum and the
-    Poisson mass of the terms left out.
+    """e^{tA} v by uniformization (Jensen 1953) in m = ceil(rate t / 700)
+    equal steps, e^{tA} = (e^{(t/m)A})^m as in scaling and squaring (Moler
+    and Van Loan 2003).  A step is the sum over j of the Poisson(rate t/m)
+    weight of j times P^j v, with P = I + A / rate, up to
+    `poisson_terms_needed(rate t/m, tol/m)` terms.  Returns the result and
+    the Poisson mass of the terms left out, summed over the steps.
 
     P must be nonnegative (rate at least every exit rate -A_ii); then each
-    term is bounded, and the sum is exact up to that mass times the norm P
-    keeps (the max norm where rows sum to at most 1, the 1-norm where
-    columns do).  A term costs one O(nnz) product, a bincount over P's
-    entries in row order (on the real and imaginary parts of v apart): the
-    order, and so the sums, of a CSR matrix-vector product.
+    term is bounded, and each step is exact up to its left-out mass times
+    the norm P keeps (the max norm where rows sum to at most 1, the 1-norm
+    where columns do), which the steps do not increase.  A term costs one
+    O(nnz) product, a bincount over P's entries in row order (on the real
+    and imaginary parts of v apart): the order, and so the sums, of a CSR
+    matrix-vector product.
     """
     diagonal = np.arange(A.size)
     P = _compressed(np.concatenate([A.rows, diagonal]), np.concatenate([A.cols, diagonal]),
@@ -339,36 +330,42 @@ def uniformized_exponential(A: BoxMatrix, t: float, v: np.ndarray, rate: float,
     if (P.vals < 0).any():
         raise ValueError(f"uniformization at rate {rate:g} is below an exit rate of the "
                          "generator: P = I + A / rate has a negative entry")
-    J = poisson_terms_needed(rate * t, tol)
-    weight = math.exp(-rate * t)
-    if weight == 0.0:
-        raise ValueError(f"uniformization at rate * t = {rate * t:g}: the Poisson weights "
-                         "underflow")
+    steps = max(1, math.ceil(rate * t / POISSON_STEP_MEAN))
+    mean = rate * (t / steps)
+    J = poisson_terms_needed(mean, tol / steps)
+    if steps * J > MAX_POISSON_TERMS:
+        raise ValueError(f"uniformization at rate * t = {rate * t:g} needs more than "
+                         f"{MAX_POISSON_TERMS} Poisson terms")
 
     def apply(x):
         return np.bincount(P.rows, weights=P.vals * x[P.cols], minlength=P.size)
 
     matvec = (lambda x: apply(x.real) + 1j * apply(x.imag)) if np.iscomplexobj(v) else apply
-    acc = weight * v
-    used = weight
-    for j in range(1, J + 1):
-        v = matvec(v)
-        weight *= rate * t / j
-        acc += weight * v
-        used += weight
-    return acc, 1.0 - used
+    tail = 0.0
+    for _ in range(steps):
+        weight = math.exp(-mean)
+        acc = weight * v
+        used = weight
+        for j in range(1, J + 1):
+            v = matvec(v)
+            weight *= mean / j
+            acc += weight * v
+            used += weight
+        v = acc
+        tail += 1.0 - used
+    return v, tail
 
 
 def uniformized_transition(
     gk: GeneratorKind, t: float, y: WeylVector, box: StateBox, tol: float = 1e-12
 ) -> TransitionPMF:
-    """Exact e^{tA} delta_y for the stochastic q-Boson forward generator
+    """e^{tA} delta_y on the box for the stochastic q-Boson forward generator
     (marked point eps = 1: at other eps the columns do not sum to zero).
 
-    `uniformized_exponential` with rate Lambda = k (the total jump rate of
-    any state is sum_i (1 - q^{c_i}) <= M <= k), truncating the Poisson
-    series when the exact tail drops below tol.  Mass exiting the box
-    accumulates in an absorbing pseudo-state.
+    `uniformized_exponential` of `matrix_on_box` with rate Lambda = k (the
+    total jump rate of any state is sum_i (1 - q^{c_i}) <= M <= k), with
+    Poisson tails below tol in all.  Coordinates only move down, so every path from y to a state of the box
+    stays in it, and every probability on the box is exact.
     """
     check_time(t)
     if not gk.stochastic:
@@ -379,14 +376,11 @@ def uniformized_transition(
     idx = box.index()
     if y not in idx:
         raise ValueError("initial state must lie in the box")
-    if t == 0.0:
-        return TransitionPMF({y: 1.0}, 0.0, 0.0)
-
-    v = np.zeros(box.size + 1)
+    v = np.zeros(box.size)
     v[idx[y]] = 1.0
-    acc, tail = uniformized_exponential(absorbing_generator(gk, box), t, v, float(box.k), tol)
+    acc, tail = uniformized_exponential(matrix_on_box(gk, box), t, v, float(box.k), tol)
     probs = {n: float(acc[i]) for n, i in idx.items() if acc[i] > 0.0}
-    return TransitionPMF(probs=probs, absorbed=float(acc[box.size]), tail_bound=float(tail))
+    return TransitionPMF(probs=probs, tail_bound=float(tail))
 
 
 def dense_exponential_transition(
@@ -398,6 +392,5 @@ def dense_exponential_transition(
     from scipy.linalg import expm
 
     idx = box.index()
-    col = expm(t * absorbing_generator(gk, box).dense())[:, idx[y]]
-    probs = {n: float(col[i]) for n, i in idx.items()}
-    return TransitionPMF(probs=probs, absorbed=float(col[box.size]), tail_bound=0.0)
+    col = expm(t * matrix_on_box(gk, box).dense())[:, idx[y]]
+    return TransitionPMF(probs={n: float(col[i]) for n, i in idx.items()}, tail_bound=0.0)

@@ -56,6 +56,7 @@ def test_every_time_entry_point_rejects_a_bad_t(t):
     calls = [
         lambda: MomentSpec(WeylVector((1,)), t, "step", q=Q),
         lambda: simulate("qboson", y, t, 0, q=Q),
+        lambda: solve_evolution_batch("backward", CompactFn.delta(y), t, [y], Q),
         lambda: matrix_evolution_batch("backward", CompactFn.delta(y), t, [y], Q),
         lambda: transition_probability("spectral", y, x, t, Q),
         lambda: uniformized_transition(GeneratorKind("fwd", "qboson", Q), t, y,
@@ -416,6 +417,35 @@ def test_uniformized_transition_runs_on_the_exact_box():
     pu = transition_probability("uniformization", y, x, 1.5, Q)
     assert abs(pu - transition_probability("spectral", y, x, 1.5, Q)) < 1e-12
     assert abs(pu - _transition_oracle(y.coords, x.coords, Q, 1.5)) < 1e-14
+
+
+@pytest.mark.parametrize("y,x,t,q", [((0,), (-3,), 0.9, 0.5), ((1, 0, 0), (0, 0, -1), 1.5, 0.5),
+                                     ((2, 1, -1), (0, 0, -2), 1.148, 0.1),
+                                     ((1, 1), (2, 0), 0.5, 0.7), ((0, 0), (-1, -1), 400.0, 0.5)])
+def test_uniformized_transition_is_the_forward_matrix_oracle(y, x, t, q):
+    # one path: the forward solve from delta_y, read at x
+    y, x = WeylVector(y), WeylVector(x)
+    (want,) = matrix_evolution_batch("forward", CompactFn.delta(y), t, [x], q)
+    got = transition_probability("uniformization", y, x, t, q)
+    assert (got.real, got.imag) == (want.real, want.imag)
+
+
+def test_uniformized_transition_answers_a_long_time():
+    # at rate * t = 800 the Poisson weight e^{-800} underflows; two steps of
+    # t = 200 answer
+    y, x = WeylVector((0, 0)), WeylVector((-1, -1))
+    p = transition_probability("uniformization", y, x, 400.0, Q)
+    want = _transition_oracle(y.coords, x.coords, Q, 400.0)
+    assert p.imag == 0 and abs(p.real - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("direction", ["backward", "forward"])
+def test_matrix_oracle_refuses_a_particle_count_change(direction):
+    # a state of another particle count read 0, while the spectral solver raised
+    f0 = CompactFn.delta(WeylVector((0,)))
+    ns = [WeylVector((0, 0)), WeylVector((-1, -1))]
+    with pytest.raises(ValueError, match=r"f0 has 1 and the state \(0, 0\) has 2"):
+        matrix_evolution_batch(direction, f0, 0.5, ns, Q)
 
 
 def _transition_oracle(y, x, q, t):

@@ -439,3 +439,44 @@ def test_contours_owns_the_half_grid_rule():
              for line, what in half_grid_constructions(path.read_text())]
     assert not found, ("half grids or rounding bounds outside contours.py:\n"
                        + "\n".join(found))
+
+
+TRANSITION_ORACLES = ("uniformized_transition", "dense_exponential_transition")
+
+
+def transition_oracle_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each import, name, attribute or string constant that
+    is one of TRANSITION_ORACLES."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = (node.name if isinstance(node, ast.alias) else
+                node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.value if isinstance(node, ast.Constant) else None)
+        if name in TRANSITION_ORACLES:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_transition_oracle_name_detection():
+    source = ("from qboson.generators import StateBox, uniformized_transition\n"
+              "from qboson import generators\n"
+              "def price(gk, t, y, box):\n"
+              "    a = uniformized_transition(gk, t, y, box)\n"
+              "    b = generators.dense_exponential_transition(gk, t, y, box)\n"
+              "    c = getattr(generators, 'uniformized_transition')\n"
+              "    return a, b, c, generators.matrix_on_box, 'uniformized_transition, once'\n")
+    assert transition_oracle_names(source) == [
+        (1, "uniformized_transition"), (4, "uniformized_transition"),
+        (5, "dense_exponential_transition"), (6, "uniformized_transition")]
+
+
+def test_transitions_run_through_the_matrix_oracle():
+    # the package prices a transition as the forward solve of
+    # dynamics.matrix_evolution_batch; the two transition oracles on a given
+    # box in generators.py serve the tests and the benchmark's tracer alone
+    found = [f"{path.relative_to(SRC.parent)}:{line} {name}"
+             for path in sorted(SRC.rglob("*.py")) if path != SRC / "generators.py"
+             for line, name in transition_oracle_names(path.read_text())]
+    assert not found, ("transition oracles named outside generators.py:\n"
+                       + "\n".join(found))

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -230,12 +231,31 @@ def test_cli_unknown_check_exits_2():
 
 
 def test_cli_oversized_oracle_box_exits_2():
-    # the k = 1 spectral leg runs first and is cheap; the oracle's Poisson
-    # weight e^{-kt} is 0 in double precision at kt = 2000
-    p = _cli("verify", "forward-solver", "--param", "t=2000")
+    # the exact box of the forward solve from (30, 0, 0) down to (0, 0, -30)
+    p = _cli("transition", "--method", "uniformization", "--t", "1", "--from", "30,0,0",
+             "--to", "0,0,-30")
     assert p.returncode == 2
-    assert p.stderr == ("error: uniformization at rate * t = 2000: the Poisson weights "
-                        "underflow\n")
+    assert p.stderr == ("error: the state box for k=3 on [-30, 30] holds 39711 states; the "
+                        "matrix oracles enumerate and densify a box, so at most 2000 are "
+                        "allowed\n")
+
+
+@pytest.mark.parametrize("check", ["forward-solver", "backward-solver"])
+def test_cli_solvers_answer_a_long_time(capsys, check):
+    # e^{-kt} is 0 in double precision at kt = 2000; the oracle's exponential
+    # runs in steps of kt at most 700
+    code, err = _cli_in_process(capsys, "verify", check, "--param", "t=2000")
+    assert (code, err) == (0, "")
+
+
+def test_cli_absurd_time_exits_2_at_once(capsys):
+    # 1.4 million steps of 998 Poisson terms each would run for hours
+    start = time.perf_counter()
+    code, err = _cli_in_process(capsys, "verify", "forward-solver", "--param", "t=1e9")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err == ("error: uniformization at rate * t = 1e+09 needs more than 10000000 "
+                   "Poisson terms\n")
 
 
 def test_accumulator_ranks_a_nan_comparison_worst():
